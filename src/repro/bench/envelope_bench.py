@@ -36,35 +36,15 @@ the two timed variants):
     (``python_ms`` column — the pre-flat-profile dispatch path, same
     kernels) vs the packed loop (``numpy_ms`` column): isolates the
     cumulative array-layout fixes (flat splice + packed buffer).
-``sequential-fused-ablation``
-    The flat-profile insert loop on the *E9 small-profile family*
-    (narrow strip, scan-bound windows) with the fused
-    visibility+merge kernel of :mod:`repro.envelope.flat_fused`
-    disabled (``python_ms`` column — the two-pass locate → visibility
-    → merge cascade of PR 3) vs enabled (``numpy_ms`` column):
-    isolates the fused single-sweep insert, its hidden/visible
-    fast paths and the re-tuned
-    :data:`~repro.envelope.engine.FLAT_FUSED_CUTOFF`.
-``build-emission-ablation``
-    The numpy build with the run-length output emission enabled
-    (``numpy_ms`` column, ``USE_RUN_EMISSION=True``) vs the default
-    two-pass scatter+compress emission (``python_ms`` column).  An
-    honest negative result on the recorded machine: the run emission
-    measures slightly *slower*, so the default stays two-pass — see
-    ``docs/BENCHMARKS.md``.
-``sequential-packed-ablation`` / ``sequential-packed-ablation-wide``
-    The packed-profile layout change isolated on the E9 family (plain
-    kind) and the wide-strip family (``-wide`` kind): ``python_ms``
-    column = the PR-4 fused cascade (immutable
-    :class:`~repro.envelope.flat_splice.FlatProfile` concatenate
-    splices + array-reduction fast paths,
-    ``USE_SCALAR_FASTPATHS=False``); ``numpy_ms`` column = the packed
-    single-buffer :class:`~repro.envelope.packed.PackedProfile` loop
-    with in-place splices and the scalar small-window fast paths (the
-    shipped default — including the compiled insert core when the
-    optional extension is built, so on compiled installs this row
-    bundles the layout *and* PR-10 compiled-core wins; the
-    ``sequential-compiled-ablation`` rows isolate the latter).
+``sequential-compiled-ablation`` / ``sequential-compiled-ablation-wide``
+    The packed insert loop on the E9 family (plain kind) and the
+    wide-strip family (``-wide`` kind) with the compiled insert core
+    off (``python_ms`` column — the numpy path a no-compiler install
+    runs) vs on (``numpy_ms`` column).  Recorded only when the
+    optional extension is built.
+``sequential-guard-ablation`` / ``sequential-guard-ablation-wide``
+    The shipped packed insert loop with the reliability guards off
+    (``python_ms`` column) vs on (``numpy_ms`` column).
 ``parallel-build-w2`` / ``parallel-build-w4``
     The multi-core divide-and-conquer build
     (:func:`repro.parallel_exec.build_envelope_parallel`, shared-
@@ -81,11 +61,13 @@ the two timed variants):
     (``numpy_ms`` column) against the same cached horizon.
 ``phase2-persistent``
     Phase 2 over a PCT built from the E9 segments: ``python_ms`` =
-    ``mode="persistent"`` (treap-backed profiles — no flat kernel
-    reaches this path), ``numpy_ms`` = ``mode="direct"`` on the numpy
-    engine (batched window merges into packed buffers).  The speedup
-    column reads "how much the treap bound costs": the honest
-    baseline a future flat-native persistent store has to beat.
+    ``mode="persistent"`` on the treap backend, ``numpy_ms`` =
+    ``mode="direct"`` on the numpy engine (batched window merges into
+    packed buffers).  The speedup column reads "how much the treap
+    bound costs".
+``phase2-rope``
+    The same persistent run on the default rope backend
+    (``python_ms``) vs the same direct run (``numpy_ms``).
 
 Engines are timed interleaved (python, numpy, python, ...) and the
 per-engine minimum is reported, which keeps the ratio honest on
@@ -368,71 +350,6 @@ def run_envelope_bench(
         rows.append(row)
         t.add(**row)
 
-        # Run-length emission ablation inside the batched build:
-        # python_ms column = default two-pass scatter+compress
-        # emission, numpy_ms = direct run-boundary emission.
-        best = _time_interleaved(
-            {
-                "two-pass": build_with("USE_RUN_EMISSION", False),
-                "run-emit": build_with("USE_RUN_EMISSION", True),
-            },
-            repeats,
-        )
-        row = dict(
-            workload="build-emission-ablation",
-            m=m_abl,
-            env_size=env_size,
-            python_ms=best["two-pass"] * 1e3,
-            numpy_ms=best["run-emit"] * 1e3,
-            speedup=best["two-pass"] / best["run-emit"],
-        )
-        rows.append(row)
-        t.add(**row)
-
-        # Sweep-scratch ablation inside the batched build (ROADMAP
-        # item 5): python_ms column = fresh per-level event buffers,
-        # numpy_ms = pooled scratch arena reused across D&C levels.
-        best = _time_interleaved(
-            {
-                "fresh": build_with("USE_SWEEP_SCRATCH", False),
-                "pooled": build_with("USE_SWEEP_SCRATCH", True),
-            },
-            repeats,
-        )
-        row = dict(
-            workload="build-sweep-scratch-ablation",
-            m=m_abl,
-            env_size=env_size,
-            python_ms=best["fresh"] * 1e3,
-            numpy_ms=best["pooled"] * 1e3,
-            speedup=best["fresh"] / best["pooled"],
-        )
-        rows.append(row)
-        t.add(**row)
-
-        # Group-offset ablation inside the batched build (ROADMAP
-        # item 5, last named candidate): python_ms column =
-        # searchsorted-derived unique-bound offsets + bincount ops,
-        # numpy_ms = kept-prefix-sum offsets + offset-arithmetic
-        # intervals on the stream-merge path.
-        best = _time_interleaved(
-            {
-                "searchsorted": build_with("USE_GROUP_OFFSET_PREFIX", False),
-                "prefix": build_with("USE_GROUP_OFFSET_PREFIX", True),
-            },
-            repeats,
-        )
-        row = dict(
-            workload="build-group-offset-ablation",
-            m=m_abl,
-            env_size=env_size,
-            python_ms=best["searchsorted"] * 1e3,
-            numpy_ms=best["prefix"] * 1e3,
-            speedup=best["searchsorted"] / best["prefix"],
-        )
-        rows.append(row)
-        t.add(**row)
-
     # Sequential insert loops on the churny wide-strip family: the
     # python engine vs the flat-native profile, plus the splice
     # ablation (tuple path vs flat path under the same numpy kernels).
@@ -451,15 +368,13 @@ def run_envelope_bench(
 
     if HAVE_NUMPY:
         import repro.envelope.flat_splice as splice_mod
-        from repro.envelope.flat_splice import (
-            FlatProfile,
-            insert_segment_flat,
-        )
+        from repro.envelope import _ccore
+        from repro.envelope.flat_splice import insert_segment_flat
         from repro.envelope.packed import PackedProfile
 
         def packed_loop(segs):
-            # The shipped default live layout: in-place splices into
-            # one packed buffer + scalar small-window fast paths.
+            # The shipped insert loop: the compiled core when built,
+            # else the numpy fused path, in one packed buffer.
             def run():
                 prof = PackedProfile.empty()
                 for s in segs:
@@ -467,29 +382,10 @@ def run_envelope_bench(
 
             return run
 
-        def pr4_loop(segs):
-            # The PR-4 fused cascade: immutable FlatProfile
-            # concatenate splices, array-reduction fast paths on
-            # every window.
-            def run():
-                old = splice_mod.USE_SCALAR_FASTPATHS
-                splice_mod.USE_SCALAR_FASTPATHS = False
-                try:
-                    prof = FlatProfile.empty()
-                    for s in segs:
-                        prof = insert_segment_flat(prof, s).profile
-                finally:
-                    splice_mod.USE_SCALAR_FASTPATHS = old
-
-            return run
-
-        from repro.envelope import _ccore
-
         def packed_nocc_loop(segs):
-            # The packed loop with the compiled core off: the PR-5
-            # scalar/vectorized cascade on the packed buffer — the
-            # compiled-ablation baseline (and exactly what a
-            # no-compiler install runs).
+            # The packed loop with the compiled core off: the numpy
+            # fused path — the compiled-ablation baseline (and exactly
+            # what a no-compiler install runs).
             def run():
                 old = splice_mod.USE_COMPILED_INSERT
                 splice_mod.USE_COMPILED_INSERT = False
@@ -517,7 +413,6 @@ def run_envelope_bench(
             loops = {
                 "python": tuple_loop(segs, "python"),
                 "tuple-numpy": tuple_loop(segs, "numpy"),
-                "pr4": pr4_loop(segs),
                 "packed": packed_loop(segs),
             }
             if _ccore.HAVE_CCORE:
@@ -542,17 +437,6 @@ def run_envelope_bench(
                     python_ms=best["tuple-numpy"] * 1e3,
                     numpy_ms=best["packed"] * 1e3,
                     speedup=best["tuple-numpy"] / best["packed"],
-                )
-            )
-            t.add(**rows[-1])
-            rows.append(
-                dict(
-                    workload="sequential-packed-ablation-wide",
-                    m=m,
-                    env_size=env_size,
-                    python_ms=best["pr4"] * 1e3,
-                    numpy_ms=best["packed"] * 1e3,
-                    speedup=best["pr4"] / best["packed"],
                 )
             )
             t.add(**rows[-1])
@@ -587,137 +471,32 @@ def run_envelope_bench(
             )
             t.add(**rows[-1])
 
-    # Chunked-gap-buffer ablation on the wide-strip family (largest
-    # size): python_ms column = packed single buffer, numpy_ms = the
-    # rope-style chunked live layout promoted at a low cutoff so the
-    # whole run exercises it.  Bit-exact either way; measures the
-    # two-level lookup tax vs the bounded chunk-local shifts.
-    if HAVE_NUMPY:
-        import repro.envelope.engine as engine_mod
-
-        m_abl = max(ms)
-        segs = _seq_segments(m_abl)
-        env_size = None
-
-        def chunked_loop(toggle, segs=segs):
-            def run():
-                old = engine_mod.USE_CHUNKED_PROFILE
-                old_cut = engine_mod.CHUNKED_PROFILE_CUTOFF
-                engine_mod.USE_CHUNKED_PROFILE = toggle
-                engine_mod.CHUNKED_PROFILE_CUTOFF = 64
-                try:
-                    prof = PackedProfile.empty()
-                    for s in segs:
-                        prof = insert_segment_flat(prof, s).profile
-                finally:
-                    engine_mod.USE_CHUNKED_PROFILE = old
-                    engine_mod.CHUNKED_PROFILE_CUTOFF = old_cut
-                return prof
-
-            return run
-
-        env_size = chunked_loop(False)().size
-        best = _time_interleaved(
-            {
-                "packed": chunked_loop(False),
-                "chunked": chunked_loop(True),
-            },
-            seq_repeats,
-        )
-        row = dict(
-            workload="sequential-chunked-ablation",
-            m=m_abl,
-            env_size=env_size,
-            python_ms=best["packed"] * 1e3,
-            numpy_ms=best["chunked"] * 1e3,
-            speedup=best["packed"] / best["chunked"],
-        )
-        rows.append(row)
-        t.add(**row)
-
-    # Fused-insert ablation on the E9 small-profile family: the
-    # flat-profile loop with the fused visibility+merge kernel off
-    # (PR 3's two-pass cascade) vs on.  The E9 family is the
-    # scan-bound regime the fused kernel targets (windows far below
-    # the old batched-visibility cutoff).
-    if HAVE_NUMPY:
-        import repro.envelope.flat_splice as splice_mod
-        from repro.envelope.flat_splice import (
-            FlatProfile,
-            insert_segment_flat,
-        )
-
-        def fused_loop(toggle, segs):
-            def run():
-                old = splice_mod.USE_FUSED_INSERT
-                splice_mod.USE_FUSED_INSERT = toggle
-                try:
-                    prof = FlatProfile.empty()
-                    for s in segs:
-                        prof = insert_segment_flat(prof, s).profile
-                finally:
-                    splice_mod.USE_FUSED_INSERT = old
-
-            return run
-
+    # Compiled-core ablation on the E9 small-profile family: the
+    # packed loop with the C core off (the numpy path) vs on.
+    if HAVE_NUMPY and _ccore.HAVE_CCORE:
         for m in ms:
             segs = _e9_segments(m)
-            prof = FlatProfile.empty()
+            prof = PackedProfile.empty()
             for s in segs:
                 prof = insert_segment_flat(prof, s).profile
             best = _time_interleaved(
                 {
-                    "two-pass": fused_loop(False, segs),
-                    "fused": fused_loop(True, segs),
+                    "packed": packed_loop(segs),
+                    "packed-nocc": packed_nocc_loop(segs),
                 },
                 seq_repeats,
             )
             rows.append(
                 dict(
-                    workload="sequential-fused-ablation",
+                    workload="sequential-compiled-ablation",
                     m=m,
                     env_size=prof.size,
-                    python_ms=best["two-pass"] * 1e3,
-                    numpy_ms=best["fused"] * 1e3,
-                    speedup=best["two-pass"] / best["fused"],
-                )
-            )
-            t.add(**rows[-1])
-
-            # Packed-layout ablation on the same E9 family: the PR-4
-            # fused cascade vs the packed single-buffer loop — plus
-            # the compiled-core ablation (packed with the C core off
-            # vs on) from the same interleave.
-            loops = {
-                "pr4": pr4_loop(segs),
-                "packed": packed_loop(segs),
-            }
-            if _ccore.HAVE_CCORE:
-                loops["packed-nocc"] = packed_nocc_loop(segs)
-            best = _time_interleaved(loops, seq_repeats)
-            rows.append(
-                dict(
-                    workload="sequential-packed-ablation",
-                    m=m,
-                    env_size=prof.size,
-                    python_ms=best["pr4"] * 1e3,
+                    python_ms=best["packed-nocc"] * 1e3,
                     numpy_ms=best["packed"] * 1e3,
-                    speedup=best["pr4"] / best["packed"],
+                    speedup=best["packed-nocc"] / best["packed"],
                 )
             )
             t.add(**rows[-1])
-            if "packed-nocc" in best:
-                rows.append(
-                    dict(
-                        workload="sequential-compiled-ablation",
-                        m=m,
-                        env_size=prof.size,
-                        python_ms=best["packed-nocc"] * 1e3,
-                        numpy_ms=best["packed"] * 1e3,
-                        speedup=best["packed-nocc"] / best["packed"],
-                    )
-                )
-                t.add(**rows[-1])
 
     # Guard-dispatch ablation (reliability layer): the shipped packed
     # insert loop with the guards on (the default) vs off
@@ -920,42 +699,13 @@ def run_envelope_bench(
         " loop, best-of-%d" % seq_repeats
     )
     t.notes.append(
-        "sequential-fused-ablation runs the flat-profile insert loop"
-        " on the E9 small-profile family (seed 17): two-pass"
-        " visibility+merge cascade (python_ms column) vs the fused"
-        " single-sweep kernel of repro.envelope.flat_fused (numpy_ms"
-        " column), best-of-%d" % seq_repeats
-    )
-    t.notes.append(
-        "build-emission-ablation compares the numpy build's default"
-        " two-pass scatter+compress output emission (python_ms"
-        " column) vs the run-boundary emission (numpy_ms column);"
-        " values below 1 mean the run emission lost and the default"
-        " stays two-pass"
-    )
-    t.notes.append(
-        "sequential-packed-ablation (E9 family) and"
-        " sequential-packed-ablation-wide (wide-strip family) compare"
-        " the PR-4 fused cascade (FlatProfile concatenate splices +"
-        " array-reduction fast paths, python_ms column) vs the packed"
-        " single-buffer PackedProfile loop with in-place splices"
-        " (numpy_ms column), best-of-%d" % seq_repeats
-    )
-    t.notes.append(
         "sequential-compiled-ablation (E9 family) and"
         " sequential-compiled-ablation-wide (wide-strip family)"
         " compare the packed loop with the compiled fused-insert core"
-        " off (python_ms column — the scalar/vectorized cascade a"
+        " off (python_ms column — the numpy fused path a"
         " no-compiler install runs) vs on (numpy_ms column, one C"
         " call per insert); rows recorded only when the optional"
         " extension is built, best-of-%d" % seq_repeats
-    )
-    t.notes.append(
-        "build-group-offset-ablation compares the stream-merge"
-        " sweep's searchsorted-derived group offsets (python_ms"
-        " column) vs the kept-prefix-sum derivation (numpy_ms"
-        " column); values near or below 1 mean the prefix path lost"
-        " and the default stays searchsorted"
     )
     t.notes.append(
         "phase2-persistent times run_phase2 mode='persistent'"
@@ -971,23 +721,6 @@ def run_envelope_bench(
         " run through the batched numpy kernels on rope chunk"
         " windows, so the speedup column is the honest"
         " persistence-overhead ratio (ROADMAP target ~1.5)"
-    )
-    t.notes.append(
-        "sequential-chunked-ablation (wide-strip family, largest"
-        " size) times the packed single-buffer live profile"
-        " (python_ms column) vs the rope-style ChunkedProfile"
-        " gap-buffer layout promoted at cutoff 64 (numpy_ms column);"
-        " bit-exact either way — the recorded machine measures the"
-        " chunked layout slower (two-level Python lookups beat the"
-        " packed memmove only beyond bench sizes), so"
-        " USE_CHUNKED_PROFILE defaults off"
-    )
-    t.notes.append(
-        "build-sweep-scratch-ablation times the batched build with"
-        " fresh per-level event buffers (python_ms column) vs the"
-        " pooled _SweepScratch arena (numpy_ms column); measured"
-        " ~0.98x on the recorded machine, so USE_SWEEP_SCRATCH"
-        " defaults off — third consecutive negative on this phase"
     )
     t.notes.append(
         "sequential-guard-ablation (E9 family) and"

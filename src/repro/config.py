@@ -16,13 +16,13 @@ Resolution rule
 ---------------
 Every optional field defaults to ``None`` meaning *use the library
 default*.  The library defaults remain the documented module globals —
-:data:`repro.envelope.engine.USE_PACKED_PROFILE`,
-:data:`repro.envelope.flat_splice.USE_FUSED_INSERT`, the
-``FLAT_*_CUTOFF`` constants — so existing ablation hooks (and the
-bench toggles) keep working, and a default-constructed ``HsrConfig()``
-changes nothing.  A field that *is* set wins over the global for the
-call it is threaded through, without mutating any process-wide state:
-two sessions with different configs can interleave safely.
+:data:`repro.envelope.flat_splice.USE_COMPILED_INSERT`,
+:data:`repro.envelope.engine.FLAT_FUSED_CUTOFF` — so existing ablation
+hooks (and the bench toggles) keep working, and a default-constructed
+``HsrConfig()`` changes nothing.  A field that *is* set wins over the
+global for the call it is threaded through, without mutating any
+process-wide state: two sessions with different configs can
+interleave safely.
 
 ``workers`` selects real multi-process execution
 (:mod:`repro.parallel_exec`): ``1`` (default) stays in-process,
@@ -58,18 +58,16 @@ class HsrConfig:
         Process count for the :mod:`repro.parallel_exec` layers; ``1``
         means in-process, ``"auto"`` resolves via
         :func:`repro.parallel_exec.available_workers`.
-    use_packed_profile / use_fused_insert / use_scalar_fastpaths:
-        Sequential-path kernel toggles; ``None`` defers to the module
-        globals (the documented defaults).
     use_compiled_insert:
         The compiled fused-insert core (one C call per packed insert);
         ``None`` defers to :data:`repro.envelope.flat_splice.
         USE_COMPILED_INSERT`, which is on exactly when the optional
         extension compiled at install time.  ``True`` on a no-compiler
-        install is a silent no-op (the cascade answers, bit-exact).
-    flat_merge_cutoff / flat_visibility_cutoff / flat_fused_cutoff:
-        Scalar-vs-array dispatch boundaries; ``None`` defers to the
-        measured defaults in :mod:`repro.envelope.engine`.
+        install is a silent no-op (the numpy path answers, bit-exact).
+    flat_fused_cutoff:
+        Window size at which the numpy insert path switches from the
+        scalar to the vectorized fused kernel; ``None`` defers to
+        :data:`repro.envelope.engine.FLAT_FUSED_CUTOFF`.
     parallel_min_segments / parallel_min_pieces:
         Input-size floors below which the parallel executor declines
         (IPC would dominate); ``None`` defers to
@@ -80,12 +78,7 @@ class HsrConfig:
     engine: Optional[str] = None
     eps: float = EPS
     workers: Union[int, str] = 1
-    use_packed_profile: Optional[bool] = None
-    use_fused_insert: Optional[bool] = None
-    use_scalar_fastpaths: Optional[bool] = None
     use_compiled_insert: Optional[bool] = None
-    flat_merge_cutoff: Optional[int] = None
-    flat_visibility_cutoff: Optional[int] = None
     flat_fused_cutoff: Optional[int] = None
     parallel_min_segments: Optional[int] = None
     parallel_min_pieces: Optional[int] = None
@@ -105,47 +98,12 @@ class HsrConfig:
             return available_workers()
         return max(1, int(self.workers))
 
-    def packed_profile(self) -> bool:
-        if self.use_packed_profile is not None:
-            return self.use_packed_profile
-        import repro.envelope.engine as _engine
-
-        return _engine.USE_PACKED_PROFILE
-
-    def fused_insert(self) -> bool:
-        if self.use_fused_insert is not None:
-            return self.use_fused_insert
-        import repro.envelope.flat_splice as _splice
-
-        return _splice.USE_FUSED_INSERT
-
-    def scalar_fastpaths(self) -> bool:
-        if self.use_scalar_fastpaths is not None:
-            return self.use_scalar_fastpaths
-        import repro.envelope.flat_splice as _splice
-
-        return _splice.USE_SCALAR_FASTPATHS
-
     def compiled_insert(self) -> bool:
         if self.use_compiled_insert is not None:
             return self.use_compiled_insert
         import repro.envelope.flat_splice as _splice
 
         return _splice.USE_COMPILED_INSERT
-
-    def merge_cutoff(self) -> int:
-        if self.flat_merge_cutoff is not None:
-            return self.flat_merge_cutoff
-        import repro.envelope.engine as _engine
-
-        return _engine.FLAT_MERGE_CUTOFF
-
-    def visibility_cutoff(self) -> int:
-        if self.flat_visibility_cutoff is not None:
-            return self.flat_visibility_cutoff
-        import repro.envelope.engine as _engine
-
-        return _engine.FLAT_VISIBILITY_CUTOFF
 
     def fused_cutoff(self) -> int:
         if self.flat_fused_cutoff is not None:

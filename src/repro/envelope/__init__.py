@@ -13,17 +13,18 @@
 * :mod:`repro.envelope.visibility` — visible parts of a segment.
 * :mod:`repro.envelope.splice` — localised single-segment insertion
   and the window-local :func:`splice_merge`.
-* :mod:`repro.envelope.flat_splice` — flat-native incremental profile
-  (:class:`FlatProfile`): sequential inserts as locate → windowed
-  kernels → array splice, no tuple materialisation.
+* :mod:`repro.envelope.flat_splice` — flat-native incremental insert
+  (:func:`insert_segment_flat`): one compiled call per insert when the
+  optional core is built, else locate → fused window kernel →
+  in-place splice; no tuple materialisation either way.
 * :mod:`repro.envelope.flat_fused` — fused visibility+merge window
   kernel: one sweep (scalar or vectorized, cutoff
   :data:`repro.envelope.engine.FLAT_FUSED_CUTOFF`) answers an
   insert's visibility *and* merged window together.
 * :mod:`repro.envelope.packed` — packed single-buffer live profile
   (:class:`PackedProfile`): one ``(5, capacity)`` allocation with
-  slack at both ends, splices edit it in place (the default
-  sequential layout, :data:`repro.envelope.engine.USE_PACKED_PROFILE`).
+  slack at both ends, splices edit it in place (the one live-profile
+  layout of the numpy engine).
 
 Engine selection
 ----------------
@@ -124,7 +125,6 @@ if HAVE_NUMPY:  # pragma: no branch - numpy ships in the toolchain
     )
     from repro.envelope.flat_splice import (  # noqa: F401
         FlatInsertResult,
-        FlatProfile,
         insert_segment_flat,
     )
     from repro.envelope.flat_visibility import (  # noqa: F401
@@ -140,7 +140,6 @@ if HAVE_NUMPY:  # pragma: no branch - numpy ships in the toolchain
         "FlatEnvelope",
         "FlatInsertResult",
         "FlatMergeResult",
-        "FlatProfile",
         "PackedProfile",
         "FlatVisibility",
         "FusedWindowResult",

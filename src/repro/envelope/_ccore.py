@@ -18,7 +18,7 @@ behind two flags and two functions:
     The hot path: one C call that locates, sweeps and splices in
     place.  Returns ``(visibility, total_ops, synced)`` or ``None``
     when the C core declines (synthetic sources in the window, scratch
-    OOM) and the Python cascade should run instead.  Raises
+    OOM) and the numpy path should run instead.  Raises
     :class:`CCoreFault` when the C-side post-condition rejects the
     merged window — nothing was committed, so the caller's guard
     machinery can retry through the reference path.
@@ -126,7 +126,7 @@ if HAVE_CCORE:
         Returns ``(VisibilityResult, total_ops)`` on success (the
         profile is mutated in place; object identity is preserved,
         matching :meth:`PackedProfile.splice`), or ``None`` when the
-        core declines and the Python cascade should handle the insert.
+        core declines and the numpy path should handle the insert.
         """
         buf = profile._buf
         _STATE[0] = profile._beg

@@ -31,21 +31,18 @@ profile visibility queries: scalar scan below
 of :mod:`repro.envelope.flat_visibility` above it (vertical queries
 always take the scalar point query — they are O(log m) either way).
 
-The sequential flat insert path does not pay the two dispatches
-separately: :func:`repro.envelope.flat_splice.insert_segment_flat`
-answers visibility *and* the merged window in one fused sweep
+The sequential flat insert path does not use the two dispatches:
+:func:`repro.envelope.flat_splice.insert_segment_flat` answers
+visibility *and* the merged window in one compiled call when the
+optional core is built, else in one fused sweep
 (:mod:`repro.envelope.flat_fused`), switching from its scalar fused
 loop to its vectorized fused kernel at :data:`FLAT_FUSED_CUTOFF`
-overlapped pieces.  Its live profile defaults to the packed
-single-buffer layout (:data:`USE_PACKED_PROFILE`,
-:mod:`repro.envelope.packed`), whose splices mutate the buffer in
-place — window views passed to :func:`visibility_dispatch` are
-therefore per-insert temporaries that must be re-derived from the
-live profile after every splice, never cached across inserts.  All
-cutoffs are wall-clock-only dispatch points:
-every kernel pair agrees bit for bit, which
-``tests/test_envelope_flat_fused.py`` pins exactly at, one below and
-one above each boundary.
+overlapped pieces.  The two dispatches serve the tuple path
+(:func:`repro.envelope.splice.insert_segment` and
+:func:`~repro.envelope.splice.splice_merge`) and the PCT build.  All
+cutoffs are wall-clock-only dispatch points: every kernel pair agrees
+bit for bit, which ``tests/test_envelope_flat_fused.py`` pins exactly
+at, one below and one above each boundary.
 
 Both dispatchers are *guard sites* of the reliability layer
 (:mod:`repro.reliability.guard`): the numpy branch runs under
@@ -82,9 +79,6 @@ __all__ = [
     "FLAT_MERGE_CUTOFF",
     "FLAT_VISIBILITY_CUTOFF",
     "FLAT_FUSED_CUTOFF",
-    "USE_PACKED_PROFILE",
-    "USE_CHUNKED_PROFILE",
-    "CHUNKED_PROFILE_CUTOFF",
 ]
 
 try:  # pragma: no cover - exercised implicitly on import
@@ -119,44 +113,12 @@ FLAT_VISIBILITY_CUTOFF: int = 96
 #: wide-strip insert workloads; see ``docs/BENCHMARKS.md``).
 FLAT_FUSED_CUTOFF: int = 64
 
-#: Live-profile layout switch for the sequential flat path and the
-#: Phase-2 direct-flat accumulation.  ``True`` (the default) keeps the
-#: profile in one packed buffer with slack at both ends
-#: (:class:`repro.envelope.packed.PackedProfile`) so splices edit in
-#: place; ``False`` restores the immutable five-array
-#: :class:`~repro.envelope.flat_splice.FlatProfile` with its
-#: per-insert concatenate splice (the PR-4 cascade — the
-#: ``sequential-packed-ablation`` bench rows toggle this).  Both
-#: layouts produce bit-identical results; the switch is wall-clock
-#: (and allocation-behaviour) only.
-USE_PACKED_PROFILE: bool = True
-
-#: Note on the compiled insert core: when the optional C extension
-#: built at install time (``repro.envelope._ccore.HAVE_CCORE``), the
-#: packed sequential insert bypasses this module's cutoff cascade
-#: entirely — one compiled call per insert handles every window size —
-#: unless ``flat_splice.USE_COMPILED_INSERT`` (env ``REPRO_COMPILED=0``
-#: or ``HsrConfig.use_compiled_insert``) turns it off.  The cutoffs
-#: above still govern every non-packed caller, synthetic-source
-#: windows, and all no-compiler installs; parity is unconditional.
-
-#: Promote the live packed profile to the chunked gap-buffer layout
-#: (:class:`repro.envelope.packed.ChunkedProfile`) once it holds at
-#: least :data:`CHUNKED_PROFILE_CUTOFF` pieces.  The chunked layout
-#: bounds a size-changing splice's data movement by the chunk size
-#: instead of the packed buffer's O(min(head, tail)) side shift —
-#: asymptotically better on large clustered-splice profiles, but it
-#: pays two-level Python lookups on every query.  Measured on the
-#: recorded machine's wide-strip family it does not beat the packed
-#: memmove at the bench sizes (the ``sequential-chunked-ablation``
-#: row tracks it), so the default stays off; results are bit-exact
-#: either way.
-USE_CHUNKED_PROFILE: bool = False
-
-#: Live-profile piece count at which :data:`USE_CHUNKED_PROFILE`
-#: promotes the packed buffer to chunks (below it the single memmove
-#: always wins).
-CHUNKED_PROFILE_CUTOFF: int = 1024
+# When the optional compiled core is built
+# (``repro.envelope._ccore.HAVE_CCORE``), the packed sequential insert
+# bypasses FLAT_FUSED_CUTOFF entirely — one compiled call per insert
+# handles every window size — unless ``flat_splice.USE_COMPILED_INSERT``
+# (env ``REPRO_COMPILED=0`` or ``HsrConfig.use_compiled_insert``) turns
+# it off.  Parity is unconditional.
 
 
 def resolve_engine(engine: Optional[str]) -> str:
@@ -230,11 +192,10 @@ def merge_dispatch(
 
 def visibility_dispatch(
     seg: ImageSegment,
-    env: Optional[Envelope],
+    env: Envelope,
     *,
     eps: float = EPS,
     engine: Optional[str] = None,
-    window: Optional[object] = None,
 ) -> VisibilityResult:
     """Visible parts of ``seg`` against ``env`` on the selected kernel
     (same result either way).
@@ -245,56 +206,21 @@ def visibility_dispatch(
     :data:`FLAT_VISIBILITY_CUTOFF`.  Vertical queries are an O(log m)
     point query and always take the scalar path.
 
-    Callers that already hold the profile as flat arrays pass
-    ``window`` — a :class:`~repro.envelope.flat.FlatEnvelope` holding
-    exactly the pieces overlapping the (non-vertical) segment's y-span,
-    typically a zero-copy :meth:`~repro.envelope.flat.FlatEnvelope.window`
-    view.  The numpy branch then runs on it directly — no
-    ``FlatEnvelope.from_pieces`` re-materialisation — and ``env`` may
-    be ``None`` (below the cutoff the scalar scan runs on a window
-    envelope materialised from the flat arrays instead, which is cheap
-    precisely because the window is small there).
-
     >>> import pytest
     >>> _ = pytest.importorskip("numpy")
     >>> from repro.envelope.chain import Envelope, Piece
-    >>> from repro.envelope.flat_splice import FlatProfile
     >>> from repro.geometry.segments import ImageSegment
-    >>> prof = FlatProfile.from_envelope(Envelope([
+    >>> env = Envelope([
     ...     Piece(0.0, 1.0, 4.0, 1.0, 0),   # low shelf
     ...     Piece(4.0, 5.0, 8.0, 5.0, 1),   # high shelf
-    ... ]))
+    ... ])
     >>> seg = ImageSegment(1.0, 3.0, 7.0, 3.0, 2)  # between the shelves
-    >>> lo, hi = prof.pieces_overlapping(seg.y1, seg.y2)
-    >>> res = visibility_dispatch(
-    ...     seg, None, engine="numpy", window=prof.window(lo, hi)
-    ... )
+    >>> res = visibility_dispatch(seg, env, engine="numpy")
     >>> res.parts      # above the low shelf only
     [VisiblePart(ya=1.0, yb=4.0)]
     >>> res.ops        # two elementary intervals examined
     2
     """
-    if window is not None:
-        if (
-            resolve_engine(engine) == "numpy"
-            and not seg.is_vertical
-            and len(window) >= FLAT_VISIBILITY_CUTOFF  # type: ignore[arg-type]
-        ):
-            from repro.envelope.flat_visibility import visible_parts_flat
-
-            if not _guard.GUARDS_ENABLED:
-                return visible_parts_flat(seg, window, eps=eps)
-            vis = _guarded_visibility_flat(
-                visible_parts_flat, seg, window, eps
-            )
-            if vis is not None:
-                return vis
-            # Fault recorded: fall through to the scalar scan on a
-            # window envelope (the kernel only read the view, so it
-            # is still live).
-        if env is None:
-            env = window.to_envelope()  # type: ignore[attr-defined]
-        return visible_parts(seg, env, eps=eps)
     if resolve_engine(engine) == "numpy" and not seg.is_vertical:
         lo, hi = env.pieces_overlapping(seg.y1, seg.y2)
         if hi - lo >= FLAT_VISIBILITY_CUTOFF:

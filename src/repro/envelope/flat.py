@@ -14,8 +14,7 @@ array programs:
   location by segmented running maxima over piece-start markers,
   vectorized linear interpolation per unique bound, dominance
   resolution with sign arrays, and crossing/output emission with
-  boolean masks — no per-interval Python loop (a run-length-boundary
-  emission variant exists behind :data:`USE_RUN_EMISSION`);
+  boolean masks — no per-interval Python loop;
 * :func:`batch_merge` — the same sweep over *many independent merges
   at once* (a "stacked" set of envelope pairs keyed by a group-id
   array).  The divide-and-conquer construction and the PCT Phase-1
@@ -89,97 +88,6 @@ USE_STREAM_MERGE = True
 #: small levels while the argsort's O(E log E) comparison cost is
 #: still negligible there.
 STREAM_MERGE_MIN_EVENTS = 4096
-
-#: Ablation switch for the run-length output emission in
-#: :func:`_sweep`: find the EnvelopeBuilder join boundaries on the
-#: interval sequence and gather output values once, directly at run
-#: boundaries, instead of scattering every piece and compressing.
-#: Both paths produce identical results.  Measured on the recorded
-#: machine the run emission is ~5-10% *slower* than the two-pass
-#: emission (the ``build-emission-ablation`` bench row tracks it):
-#: the scatter+compress pipeline touches each interval about as often
-#: and fancy-index stores beat the extra per-interval selects the run
-#: path needs for the crossing slots — so the default stays off and
-#: the honest negative result is kept measurable.
-USE_RUN_EMISSION = False
-
-#: Ablation switch for the per-level event-buffer arena in
-#: :func:`_sweep` (ROADMAP item 5): a divide-and-conquer build calls
-#: the sweep once per level and each call used to ``np.empty`` four
-#: event-sized buffers; the arena reuses one grown-on-demand
-#: allocation across levels instead.  Both paths produce identical
-#: results — every borrowed buffer is fully consumed (copied out by
-#: fancy indexing) before the sweep returns.  Measured on the
-#: recorded machine the arena is ~2% *slower* at m=8192 (the
-#: ``build-sweep-scratch-ablation`` bench row tracks it): glibc
-#: already recycles the level-sized blocks malloc-side, and the
-#: arena's extra ``fill(-1)`` pass plus slice bookkeeping costs more
-#: than the avoided ``np.empty`` — so, like :data:`USE_RUN_EMISSION`,
-#: the default stays off and the negative result stays measurable.
-USE_SWEEP_SCRATCH = False
-
-#: Ablation switch for the prefix-sum group-offset derivation on the
-#: stream-merge path of :func:`_sweep` (the last named candidate of
-#: ROADMAP item 5): with the kept-event mask already in hand, the
-#: per-group unique-bound offsets are a ``cumsum`` gather at the group
-#: boundaries instead of a ``searchsorted`` over the kept positions,
-#: and the elementary-interval index/ops arrays follow from offset
-#: arithmetic instead of a per-bound group comparison + ``bincount``.
-#: Both settings produce identical results.  Measured on the recorded
-#: machine: 0.99× on a careful interleaved A/B at m=8192, with
-#: single-recording spread up to 1.08 (the
-#: ``build-group-offset-ablation`` bench row tracks it) — the replaced
-#: ``searchsorted``/``bincount`` are O(n_live log n_bounds) in a phase
-#: dominated by the O(n_ev) scatter stores, while the ``cumsum`` runs
-#: over every event, so the fourth consecutive build-side ablation
-#: lands noise-level-to-negative.  Default stays off; the row keeps
-#: the honest result measurable.
-USE_GROUP_OFFSET_PREFIX = False
-
-
-class _SweepScratch:
-    """Grown-on-demand event buffers shared across :func:`_sweep`
-    calls (one float64, two int64, one bool row — exactly the per-call
-    transient set of both the leaf and the stream-merge path).  The
-    ``busy`` flag makes re-entrant borrowing fall back to fresh
-    allocations rather than alias a live buffer."""
-
-    __slots__ = ("f", "ia", "ib", "b", "busy")
-
-    def __init__(self) -> None:
-        self.f = np.empty(0, _F)
-        self.ia = np.empty(0, _I)
-        self.ib = np.empty(0, _I)
-        self.b = np.empty(0, bool)
-        self.busy = False
-
-    def take(self, n: int):
-        """Borrow ``(float, int, int, bool)`` rows of length ``n``
-        plus a flag saying whether :meth:`release` must be called."""
-        if not USE_SWEEP_SCRATCH or self.busy:
-            return (
-                np.empty(n, _F),
-                np.empty(n, _I),
-                np.empty(n, _I),
-                np.empty(n, bool),
-                False,
-            )
-        if len(self.f) < n:
-            cap = max(n, 2 * len(self.f))
-            self.f = np.empty(cap, _F)
-            self.ia = np.empty(cap, _I)
-            self.ib = np.empty(cap, _I)
-            self.b = np.empty(cap, bool)
-        self.busy = True
-        return (self.f[:n], self.ia[:n], self.ib[:n], self.b[:n], True)
-
-    def release(self, borrowed: bool) -> None:
-        if borrowed:
-            self.busy = False
-
-
-_SWEEP_SCRATCH = _SweepScratch()
-
 
 class FlatEnvelope:
     """Structure-of-arrays envelope: parallel ``ya/za/yb/zb/source``.
@@ -313,23 +221,6 @@ class FlatEnvelope:
             self.yb[lo:hi],
             self.zb[lo:hi],
             self.source[lo:hi],
-        )
-
-    def splice(self, lo: int, hi: int, ya, za, yb, zb, source) -> "FlatEnvelope":
-        """New envelope with pieces ``[lo, hi)`` replaced by the given
-        piece fields (arrays or plain lists) — the flat analogue of the
-        tuple splice in :func:`repro.envelope.splice.insert_segment`,
-        one C-level concatenate per field.  Returns ``type(self)`` so
-        profile subclasses stay closed under splicing."""
-        cls = type(self)
-        return cls(
-            np.concatenate([self.ya[:lo], ya, self.ya[hi:]]),
-            np.concatenate([self.za[:lo], za, self.za[hi:]]),
-            np.concatenate([self.yb[:lo], yb, self.yb[hi:]]),
-            np.concatenate([self.zb[:lo], zb, self.zb[hi:]]),
-            np.concatenate(
-                [self.source[:lo], np.asarray(source, _I), self.source[hi:]]
-            ),
         )
 
     def z_at_many(self, ys: np.ndarray) -> np.ndarray:
@@ -883,7 +774,6 @@ def _sweep(
     # 1. Union breakpoints per group (the flat analogue of
     #    ``envelope_breakpoints``) plus, per unique bound, the last
     #    piece of each side starting at or before it.
-    iv_pre = ops_pre = None  # offset-derived intervals (stream path)
     if na == n_live and nb == n_live:
         # Leaf-level fast path: every group is one piece vs one piece,
         # so each group's four endpoints merge with an odd-even
@@ -897,33 +787,31 @@ def _sweep(
         m2 = np.minimum(a1, b1)
         c1 = np.minimum(m1, m2)
         c2 = np.maximum(m1, m2)
-        ev, bca, bcb, keep, _scr = _SWEEP_SCRATCH.take(4 * n_live)
-        try:
-            ev[0::4] = c0
-            ev[1::4] = c1
-            ev[2::4] = c2
-            ev[3::4] = c3
-            keep[0::4] = True
-            keep[1::4] = c1 != c0
-            keep[2::4] = c2 != c1
-            keep[3::4] = c3 != c2
-            ga = np.arange(n_live, dtype=_I)
-            grp4 = np.repeat(ga, 4)
-            # The single candidate piece of a side covers a bound
-            # exactly when it starts at or before it (value-based, so
-            # duplicate events collapse consistently with the generic
-            # run-end rule).
-            for k, ck in enumerate((c0, c1, c2, c3)):
-                bca[k::4] = np.where(ck >= a0, ga, -1)
-                bcb[k::4] = np.where(ck >= b0, ga, -1)
-            # Boolean-mask gathers below copy out of the scratch rows,
-            # so the arena can be released at the end of this step.
-            ysu = ev[keep]
-            gsu = grp4[keep]
-            bound_cand_a = bca[keep]
-            bound_cand_b = bcb[keep]
-        finally:
-            _SWEEP_SCRATCH.release(_scr)
+        n4 = 4 * n_live
+        ev = np.empty(n4, _F)
+        ev[0::4] = c0
+        ev[1::4] = c1
+        ev[2::4] = c2
+        ev[3::4] = c3
+        keep = np.empty(n4, bool)
+        keep[0::4] = True
+        keep[1::4] = c1 != c0
+        keep[2::4] = c2 != c1
+        keep[3::4] = c3 != c2
+        ga = np.arange(n_live, dtype=_I)
+        grp4 = np.repeat(ga, 4)
+        # The single candidate piece of a side covers a bound exactly
+        # when it starts at or before it (value-based, so duplicate
+        # events collapse consistently with the generic run-end rule).
+        bca = np.empty(n4, _I)
+        bcb = np.empty(n4, _I)
+        for k, ck in enumerate((c0, c1, c2, c3)):
+            bca[k::4] = np.where(ck >= a0, ga, -1)
+            bcb[k::4] = np.where(ck >= b0, ga, -1)
+        ysu = ev[keep]
+        gsu = grp4[keep]
+        bound_cand_a = bca[keep]
+        bound_cand_b = bcb[keep]
     else:
         # Generic path: one sorted event sequence per level.  It
         # doubles as the point-location structure: a running maximum
@@ -947,107 +835,69 @@ def _sweep(
         # stream-offset arithmetic — no per-event group array is ever
         # materialised.  The ablation toggle keeps the composite
         # argsort path of PR 1 measurable.
-        _scr = False
-        try:
-            if USE_STREAM_MERGE and n_ev >= STREAM_MERGE_MIN_EVENTS:
-                a_off = _group_offsets(ga_s, n_live)
-                b_off = _group_offsets(gb_s, n_live)
-                pos_a, pos_b = _merge_stream_positions(
-                    ea, ga_s, eb, gb_s, n_live, a_off, b_off
-                )
-                ys_s, mark_a, mark_b, keep, _scr = _SWEEP_SCRATCH.take(
-                    n_ev
-                )
-                ys_s[pos_a] = ea
-                ys_s[pos_b] = eb
-                mark_a.fill(-1)
-                mark_a[pos_a] = ma
-                mark_b.fill(-1)
-                mark_b[pos_b] = mb
-                # Merged group segment g is [a_off[g]+b_off[g], ...);
-                # every live group has events, so all boundaries are
-                # in range.
-                ev_off = a_off + b_off
-                keep[0] = True
-                keep[1:] = ys_s[1:] != ys_s[:-1]
-                keep[ev_off[:-1]] = True  # group starts always survive
-                starts = np.flatnonzero(keep)
-                ends = np.concatenate([starts[1:], [n_ev]]) - 1
-                ysu = ys_s[starts]
-                # Group of each unique bound, from the (exact)
-                # positions of the group boundaries among the kept
-                # events.
-                if USE_GROUP_OFFSET_PREFIX:
-                    # Offsets by prefix sum: the number of kept events
-                    # strictly before boundary ``ev_off[g]`` *is* the
-                    # group's first unique-bound index (every live
-                    # group has events, so ``ev_off[1:]`` >= 1).
-                    kept_cum = np.cumsum(keep)
-                    ub_off = np.empty(n_live + 1, _I)
-                    ub_off[0] = 0
-                    ub_off[1:] = kept_cum[ev_off[1:] - 1]
-                else:
-                    ub_off = np.searchsorted(starts, ev_off)
-                gsu = np.repeat(
-                    np.arange(n_live, dtype=_I), np.diff(ub_off)
-                )
-                if USE_GROUP_OFFSET_PREFIX:
-                    # Elementary intervals from offset arithmetic: all
-                    # adjacent-bound pairs except the ones straddling
-                    # a group boundary (each group keeps >= 1 bound,
-                    # so interior offsets stay in mask range).
-                    n_bounds_s = len(ysu)
-                    iv_mask = np.ones(max(n_bounds_s - 1, 0), bool)
-                    iv_mask[ub_off[1:-1] - 1] = False
-                    iv_pre = np.flatnonzero(iv_mask)
-                    ops_pre = np.diff(ub_off) - 1
-            else:
-                ys = np.concatenate([ea, eb])
-                gs = np.concatenate([ga_s, gb_s])
-                order = _composite_argsort(ys, gs, n_live)
-                ys_s = ys[order]
-                gs_s = gs[order]
-                mark_a = np.full(n_ev, -1, _I)
-                mark_a[: len(ea)] = ma
-                mark_a = mark_a[order]
-                mark_b = np.full(n_ev, -1, _I)
-                mark_b[len(ea) :] = mb
-                mark_b = mark_b[order]
-                keep = np.empty(n_ev, bool)
-                keep[0] = True
-                keep[1:] = (ys_s[1:] != ys_s[:-1]) | (
-                    gs_s[1:] != gs_s[:-1]
-                )
-                starts = np.flatnonzero(keep)
-                ends = np.concatenate([starts[1:], [n_ev]]) - 1
-                ysu = ys_s[starts]
-                gsu = gs_s[starts]
-            # Piece indices increase along the sorted order within a
-            # group (stacks are (group, ya)-sorted), so the running
-            # max is "the most recent"; taking it at the *end* of each
-            # equal-(g, y) run makes a piece starting exactly at ``u``
-            # cover ``u`` (``p.ya <= u`` inclusive).  The accumulates
-            # and gathers copy out of any scratch rows, after which
-            # the arena is free for the next level.
-            cum_a = np.maximum.accumulate(mark_a)
-            cum_b = np.maximum.accumulate(mark_b)
-            bound_cand_a = cum_a[ends]
-            bound_cand_b = cum_b[ends]
-        finally:
-            _SWEEP_SCRATCH.release(_scr)
+        if USE_STREAM_MERGE and n_ev >= STREAM_MERGE_MIN_EVENTS:
+            a_off = _group_offsets(ga_s, n_live)
+            b_off = _group_offsets(gb_s, n_live)
+            pos_a, pos_b = _merge_stream_positions(
+                ea, ga_s, eb, gb_s, n_live, a_off, b_off
+            )
+            ys_s = np.empty(n_ev, _F)
+            ys_s[pos_a] = ea
+            ys_s[pos_b] = eb
+            mark_a = np.full(n_ev, -1, _I)
+            mark_a[pos_a] = ma
+            mark_b = np.full(n_ev, -1, _I)
+            mark_b[pos_b] = mb
+            # Merged group segment g is [a_off[g]+b_off[g], ...); every
+            # live group has events, so all boundaries are in range.
+            ev_off = a_off + b_off
+            keep = np.empty(n_ev, bool)
+            keep[0] = True
+            keep[1:] = ys_s[1:] != ys_s[:-1]
+            keep[ev_off[:-1]] = True  # group starts always survive
+            starts = np.flatnonzero(keep)
+            ends = np.concatenate([starts[1:], [n_ev]]) - 1
+            ysu = ys_s[starts]
+            # Group of each unique bound, from the (exact) positions of
+            # the group boundaries among the kept events.
+            ub_off = np.searchsorted(starts, ev_off)
+            gsu = np.repeat(np.arange(n_live, dtype=_I), np.diff(ub_off))
+        else:
+            ys = np.concatenate([ea, eb])
+            gs = np.concatenate([ga_s, gb_s])
+            order = _composite_argsort(ys, gs, n_live)
+            ys_s = ys[order]
+            gs_s = gs[order]
+            mark_a = np.full(n_ev, -1, _I)
+            mark_a[: len(ea)] = ma
+            mark_a = mark_a[order]
+            mark_b = np.full(n_ev, -1, _I)
+            mark_b[len(ea) :] = mb
+            mark_b = mark_b[order]
+            keep = np.empty(n_ev, bool)
+            keep[0] = True
+            keep[1:] = (ys_s[1:] != ys_s[:-1]) | (gs_s[1:] != gs_s[:-1])
+            starts = np.flatnonzero(keep)
+            ends = np.concatenate([starts[1:], [n_ev]]) - 1
+            ysu = ys_s[starts]
+            gsu = gs_s[starts]
+        # Piece indices increase along the sorted order within a group
+        # (stacks are (group, ya)-sorted), so the running max is "the
+        # most recent"; taking it at the *end* of each equal-(g, y) run
+        # makes a piece starting exactly at ``u`` cover ``u``
+        # (``p.ya <= u`` inclusive).
+        cum_a = np.maximum.accumulate(mark_a)
+        cum_b = np.maximum.accumulate(mark_b)
+        bound_cand_a = cum_a[ends]
+        bound_cand_b = cum_b[ends]
 
     # 2. Elementary intervals (u, v) within each group.
-    if iv_pre is not None:
-        iv, ops = iv_pre, ops_pre
-    else:
-        iv = np.flatnonzero(gsu[1:] == gsu[:-1])
-        ops = None
+    iv = np.flatnonzero(gsu[1:] == gsu[:-1])
     u = ysu[iv]
     v = ysu[iv + 1]
     gi = gsu[iv]
     n_iv = len(u)
-    if ops is None:
-        ops = np.bincount(gi, minlength=n_live)
+    ops = np.bincount(gi, minlength=n_live)
 
     # 3. Evaluate each side once per *unique bound* (candidate piece
     #    heights), stacked [A-bounds | B-bounds].  Absolute indices
@@ -1139,166 +989,74 @@ def _sweep(
         src_a = ab_src[ia[cross]]
         src_b = ab_src[ib[cross]]
 
-    if USE_RUN_EMISSION and not bool((ab_src < 0).any()):
-        # Run-length boundary emission: the EnvelopeBuilder join
-        # conditions are decided *per interval* (consecutive emitted
-        # intervals of one group are y-contiguous by construction, so
-        # contiguity is interval adjacency), runs of joinable pieces
-        # are found on a boolean piece stream, and the output values
-        # are gathered once, directly at the run boundaries — no
-        # full-width scatter-then-compress round trip.  Synthetic
-        # (negative) sources coalesce on a different builder rule and
-        # take the two-pass emission below.
-        any_emit = emit_a | (cover_b & ~cover_a) | b_dom
-        any_emit[cross] = True
-        e = np.flatnonzero(any_emit)
-        n_e = len(e)
-        ea_e = emit_a[e]
-        icr_e = np.zeros(n_iv, bool)
-        icr_e[cross] = True
-        icr_e = icr_e[e]
-        if n_x:
-            fia = np.zeros(n_iv, bool)
-            fia[cross] = first_is_a
-            fia_e = fia[e]
-            first_a = np.where(icr_e, fia_e, ea_e)
-            last_a = np.where(icr_e, ~fia_e, ea_e)
-            src_f = ab_src[np.where(first_a, ia[e], ib[e])]
-            src_l = ab_src[np.where(last_a, ia[e], ib[e])]
-        else:
-            first_a = last_a = ea_e
-            src_f = src_l = ab_src[np.where(ea_e, ia[e], ib[e])]
-        z_f = np.where(first_a, za_u[e], zb_u[e])
-        z_l = np.where(last_a, za_v[e], zb_v[e])
-        gi_e = gi[e]
+    emit = emit_a | (cover_b & ~cover_a) | b_dom
+    counts = emit.astype(_I)
+    counts[cross] = 2
+    offs = np.cumsum(counts) - counts
+    n_out = int(counts.sum())
 
-        jb = np.empty(n_e, bool)
-        if n_e:
-            jb[0] = False
-            jb[1:] = (
-                (e[1:] == e[:-1] + 1)
-                & (gi_e[1:] == gi_e[:-1])
-                & (src_f[1:] == src_l[:-1])
-                & (np.abs(z_f[1:] - z_l[:-1]) <= eps)
+    out_ya = np.empty(n_out, _F)
+    out_za = np.empty(n_out, _F)
+    out_yb = np.empty(n_out, _F)
+    out_zb = np.empty(n_out, _F)
+    out_src = np.empty(n_out, _I)
+    out_grp = np.empty(n_out, _I)
+
+    sel = np.flatnonzero(emit)
+    ea = emit_a[sel]  # winner side of each single-piece interval
+    pos = offs[sel]
+    out_ya[pos] = u[sel]
+    out_za[pos] = np.where(ea, za_u[sel], zb_u[sel])
+    out_yb[pos] = v[sel]
+    out_zb[pos] = np.where(ea, za_v[sel], zb_v[sel])
+    out_src[pos] = ab_src[np.where(ea, ia[sel], ib[sel])]
+    out_grp[pos] = gi[sel]
+
+    if n_x:
+        p1 = offs[cross]
+        out_ya[p1] = u[cross]
+        out_za[p1] = np.where(first_is_a, za_u[cross], zb_u[cross])
+        out_yb[p1] = w
+        out_zb[p1] = np.where(first_is_a, zw_a, zw_b)
+        out_src[p1] = np.where(first_is_a, src_a, src_b)
+        out_grp[p1] = gi[cross]
+        p2 = p1 + 1
+        out_ya[p2] = w
+        out_za[p2] = np.where(first_is_a, zw_b, zw_a)
+        out_yb[p2] = v[cross]
+        out_zb[p2] = np.where(first_is_a, zb_v[cross], za_v[cross])
+        out_src[p2] = np.where(first_is_a, src_b, src_a)
+        out_grp[p2] = gi[cross]
+
+    # 9. Coalesce contiguous same-source pieces (EnvelopeBuilder
+    #    rules).
+    if n_out and bool((out_src < 0).any()):
+        # Synthetic (source -1) pieces coalesce on a
+        # *mutated-slope* condition that is inherently sequential;
+        # fall back to the reference builder per group (rare
+        # outside tests).
+        out_ya, out_za, out_yb, out_zb, out_src, out_grp = (
+            _coalesce_python(
+                out_ya, out_za, out_yb, out_zb, out_src, out_grp, eps
             )
-        counts_e = np.ones(n_e, _I)
-        counts_e[icr_e] = 2
-        offs_e = np.cumsum(counts_e)
-        n_out = int(offs_e[-1]) if n_e else 0
-        offs_e -= counts_e
-        startp = np.empty(n_out, bool)
-        startp[offs_e] = ~jb
-        if n_x:
-            # Crossing midpoints join exactly when the two sides share
-            # a source and meet within eps (they nearly meet at the
-            # crossing by construction, so the z test is about ties).
-            jm = (src_a == src_b) & (np.abs(zw_a - zw_b) <= eps)
-            sec_pos = offs_e[icr_e] + 1
-            startp[sec_pos] = ~jm
-            w_e = np.empty(n_e, _F)
-            zwf_e = np.empty(n_e, _F)
-            zws_e = np.empty(n_e, _F)
-            srcs_e = np.empty(n_e, _I)
-            w_e[icr_e] = w
-            zwf_e[icr_e] = np.where(first_is_a, zw_a, zw_b)
-            zws_e[icr_e] = np.where(first_is_a, zw_b, zw_a)
-            srcs_e[icr_e] = np.where(first_is_a, src_b, src_a)
-        pe = np.repeat(np.arange(n_e, dtype=np.intp), counts_e)
-        runs = np.flatnonzero(startp)
-        n_runs = len(runs)
-        ends = np.empty(n_runs, np.intp)
-        if n_runs:
-            ends[:-1] = runs[1:] - 1
-            ends[-1] = n_out - 1
-        s_e = pe[runs]
-        e_e = pe[ends]
-        if n_x:
-            is2 = np.zeros(n_out, bool)
-            is2[sec_pos] = True
-            s2 = is2[runs]
-            # A run may end on the *first* half of a crossing.
-            ef = icr_e[e_e] & ~is2[ends]
-            out_ya = np.where(s2, w_e[s_e], u[e[s_e]])
-            out_za = np.where(s2, zws_e[s_e], z_f[s_e])
-            out_src = np.where(s2, srcs_e[s_e], src_f[s_e])
-            out_yb = np.where(ef, w_e[e_e], v[e[e_e]])
-            out_zb = np.where(ef, zwf_e[e_e], z_l[e_e])
-        else:
-            out_ya = u[e[s_e]]
-            out_za = z_f[s_e]
-            out_src = src_f[s_e]
-            out_yb = v[e[e_e]]
-            out_zb = z_l[e_e]
-        out_grp = gi_e[s_e]
-    else:
-        emit = emit_a | (cover_b & ~cover_a) | b_dom
-        counts = emit.astype(_I)
-        counts[cross] = 2
-        offs = np.cumsum(counts) - counts
-        n_out = int(counts.sum())
-
-        out_ya = np.empty(n_out, _F)
-        out_za = np.empty(n_out, _F)
-        out_yb = np.empty(n_out, _F)
-        out_zb = np.empty(n_out, _F)
-        out_src = np.empty(n_out, _I)
-        out_grp = np.empty(n_out, _I)
-
-        sel = np.flatnonzero(emit)
-        ea = emit_a[sel]  # winner side of each single-piece interval
-        pos = offs[sel]
-        out_ya[pos] = u[sel]
-        out_za[pos] = np.where(ea, za_u[sel], zb_u[sel])
-        out_yb[pos] = v[sel]
-        out_zb[pos] = np.where(ea, za_v[sel], zb_v[sel])
-        out_src[pos] = ab_src[np.where(ea, ia[sel], ib[sel])]
-        out_grp[pos] = gi[sel]
-
-        if n_x:
-            p1 = offs[cross]
-            out_ya[p1] = u[cross]
-            out_za[p1] = np.where(first_is_a, za_u[cross], zb_u[cross])
-            out_yb[p1] = w
-            out_zb[p1] = np.where(first_is_a, zw_a, zw_b)
-            out_src[p1] = np.where(first_is_a, src_a, src_b)
-            out_grp[p1] = gi[cross]
-            p2 = p1 + 1
-            out_ya[p2] = w
-            out_za[p2] = np.where(first_is_a, zw_b, zw_a)
-            out_yb[p2] = v[cross]
-            out_zb[p2] = np.where(first_is_a, zb_v[cross], za_v[cross])
-            out_src[p2] = np.where(first_is_a, src_b, src_a)
-            out_grp[p2] = gi[cross]
-
-        # 9. Coalesce contiguous same-source pieces (EnvelopeBuilder
-        #    rules).
-        if n_out and bool((out_src < 0).any()):
-            # Synthetic (source -1) pieces coalesce on a
-            # *mutated-slope* condition that is inherently sequential;
-            # fall back to the reference builder per group (rare
-            # outside tests).
-            out_ya, out_za, out_yb, out_zb, out_src, out_grp = (
-                _coalesce_python(
-                    out_ya, out_za, out_yb, out_zb, out_src, out_grp, eps
-                )
-            )
-        elif n_out:
-            join = np.empty(n_out, bool)
-            join[0] = False
-            join[1:] = (
-                (out_src[1:] == out_src[:-1])
-                & (out_grp[1:] == out_grp[:-1])
-                & (out_ya[1:] == out_yb[:-1])
-                & (np.abs(out_za[1:] - out_zb[:-1]) <= eps)
-            )
-            starts = np.flatnonzero(~join)
-            ends = np.concatenate([starts[1:], [n_out]]) - 1
-            out_ya = out_ya[starts]
-            out_za = out_za[starts]
-            out_yb = out_yb[ends]
-            out_zb = out_zb[ends]
-            out_src = out_src[starts]
-            out_grp = out_grp[starts]
+        )
+    elif n_out:
+        join = np.empty(n_out, bool)
+        join[0] = False
+        join[1:] = (
+            (out_src[1:] == out_src[:-1])
+            & (out_grp[1:] == out_grp[:-1])
+            & (out_ya[1:] == out_yb[:-1])
+            & (np.abs(out_za[1:] - out_zb[:-1]) <= eps)
+        )
+        starts = np.flatnonzero(~join)
+        ends = np.concatenate([starts[1:], [n_out]]) - 1
+        out_ya = out_ya[starts]
+        out_za = out_za[starts]
+        out_yb = out_yb[ends]
+        out_zb = out_zb[ends]
+        out_src = out_src[starts]
+        out_grp = out_grp[starts]
 
     live_counts = np.bincount(out_grp, minlength=n_live)
     live_offsets = np.concatenate([[0], np.cumsum(live_counts)])

@@ -34,18 +34,17 @@ This module fuses the two passes into **one sweep** in both regimes:
   materialisation.
 
 The regime boundary is :data:`repro.envelope.engine.FLAT_FUSED_CUTOFF`
-(overlapped pieces); it replaces the *pair* of
-``FLAT_VISIBILITY_CUTOFF``/``FLAT_MERGE_CUTOFF`` decisions on the
-fused path and sits well below the old 96-piece visibility cutoff
-because the fused kernel amortises one launch instead of two (see
-``docs/BENCHMARKS.md`` for the measured breakeven).
+(overlapped pieces); it sits well below the tuple path's 96-piece
+visibility cutoff because the fused kernel amortises one launch
+instead of two (see ``docs/BENCHMARKS.md`` for the measured
+breakeven).
 
 Parity contract: for every insert, the fused paths produce exactly the
 :class:`~repro.envelope.visibility.VisibilityResult` (parts, crossings,
 ``ops``) of :func:`repro.envelope.visibility.visible_parts` and exactly
 the merged pieces and ``ops`` of
 :func:`repro.envelope.merge.merge_envelopes` on the window — the same
-contract the unfused cascade satisfies, enforced by
+contract the reference insert path satisfies, enforced by
 ``tests/test_envelope_flat_fused.py`` on adversarial inputs and by the
 engine-parametrized SequentialHSR suites.
 
@@ -62,7 +61,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from repro.envelope.flat import FlatEnvelope
-from repro.envelope.flat_splice import _acc_add, _line_z
+from repro.envelope.flat_splice import _acc_add
+from repro.envelope.packed import _line_z
 from repro.envelope.visibility import VisibilityResult, VisiblePart
 from repro.reliability import faultinject as _fi
 from repro.reliability import guard as _guard
@@ -119,7 +119,7 @@ def fused_insert_window(
     The window lists hold the profile pieces overlapping ``(y1, y2)``
     (every piece satisfies ``ya < y2`` and ``yb > y1``); sources must
     be real (``>= 0``) — synthetic pieces coalesce on a different
-    builder rule and take the unfused fallback in the caller.
+    builder rule and take the reference path in the caller.
 
     One elementary interval at a time (the merge's union-breakpoint
     subdivision, which refines the visibility scan's piece walk only

@@ -8,43 +8,28 @@ copying even when the overlapped window is a single piece — the ``ops``
 counter reports output-sensitive work while the wall clock is
 quadratic in the profile size.
 
-:class:`FlatProfile` keeps the live profile as structure-of-arrays
-float buffers across a whole sequential run.  Each
-:func:`insert_segment_flat` does
+:func:`insert_segment_flat` keeps the live profile in one
+:class:`~repro.envelope.packed.PackedProfile` buffer across a whole
+sequential run and answers each edge on one of two paths:
 
-1. *locate* — two ``searchsorted`` calls replicating
-   :meth:`Envelope.pieces_overlapping` bit for bit;
-2. *fast-path classification* — a gap-free covering window whose
-   lowest endpoint safely clears the segment's top is provably
-   all-hidden (no sweep at all); a segment whose bottom safely clears
-   the window's highest endpoint is provably fully visible and its
-   merged window is the segment plus boundary clips;
-3. *fused visibility+merge sweep* — everything else takes one pass of
-   :mod:`repro.envelope.flat_fused` over the window, producing the
-   visible parts, the crossings *and* the merged output pieces from a
-   single set of line evaluations: the scalar fused loop below
+1. *compiled core* — when the optional extension is built
+   (:data:`USE_COMPILED_INSERT`), one C call does locate, fused sweep
+   and in-place splice (:mod:`repro.envelope._ccore`);
+2. *numpy path* — otherwise (or when the core declines): two
+   ``searchsorted`` calls replicating
+   :meth:`Envelope.pieces_overlapping` bit for bit, then one fused
+   visibility+merge sweep of :mod:`repro.envelope.flat_fused` over the
+   window — the scalar fused loop (with scalar hidden/fully-visible
+   fast-path predicates) below
    :data:`repro.envelope.engine.FLAT_FUSED_CUTOFF` overlapped pieces,
-   the vectorized fused kernel on a **zero-copy window view** above
-   it;
-4. *splice* — write the merged window back into the profile.  On the
-   immutable :class:`FlatProfile` this is an ``np.concatenate`` of the
-   head view, the merged window and the tail view per field (a fresh
-   allocation each insert); on the packed single-buffer
-   :class:`~repro.envelope.packed.PackedProfile` (the default live
-   layout, gated by
-   :data:`repro.envelope.engine.USE_PACKED_PROFILE`) it is an
-   **in-place** edit — at most one ``memmove``-style slice shift of
-   the cheaper of head/tail into the buffer's slack plus the window
-   write, zero moves when the piece count is unchanged, amortized-
-   doubling growth when the slack runs out.
+   the vectorized fused kernel on a zero-copy window view (with
+   array fast-path reductions) at or above it — and an in-place
+   splice of the merged window.
 
-The pre-fusion cascade of PR 2/3 — a visibility dispatch
-(:mod:`repro.envelope.flat_visibility` above
-:data:`~repro.envelope.engine.FLAT_VISIBILITY_CUTOFF`, an inlined
-scalar scan below) followed by a *separate* merge dispatch — remains
-behind :data:`USE_FUSED_INSERT` as the measured ablation, and is the
-live path for synthetic (negative-source) pieces, whose builder
-coalescing rule the fused kernels do not implement.
+Windows holding synthetic (negative-source) pieces coalesce on the
+builder's sequential slope rule, which neither fused kernel
+implements; they — and every guard retry — take
+:func:`_insert_reference`, the scalar scan plus the reference merge.
 
 Conversion to/from the scalar :class:`Envelope` happens only at run
 boundaries.  Parity contract: for every insert sequence the profile
@@ -64,9 +49,10 @@ import numpy as np
 
 import repro.envelope.engine as _engine
 from repro.envelope import _ccore
-from repro.envelope.chain import Envelope, Piece
-from repro.envelope.flat import FlatEnvelope, _tuples_to_matrix, merge_envelopes_flat
+from repro.envelope.chain import Envelope
+from repro.envelope.flat import _tuples_to_matrix
 from repro.envelope.merge import merge_envelopes
+from repro.envelope.packed import PackedProfile, _line_z
 from repro.envelope.visibility import VisibilityResult, VisiblePart
 from repro.errors import KernelFault
 from repro.geometry.primitives import EPS, NEG_INF
@@ -75,40 +61,19 @@ from repro.reliability import faultinject as _fi
 from repro.reliability import guard as _guard
 
 __all__ = [
-    "FlatProfile",
     "FlatInsertResult",
     "insert_segment_flat",
-    "USE_FUSED_INSERT",
-    "USE_SCALAR_FASTPATHS",
     "USE_COMPILED_INSERT",
 ]
 
-_F = np.float64
 _I = np.int64
-
-#: Ablation switch for the fused visibility+merge window kernel of
-#: :mod:`repro.envelope.flat_fused` (the bench toggles it to measure
-#: the fused-vs-two-pass delta; both paths produce identical results).
-USE_FUSED_INSERT = True
-
-#: Ablation switch for the scalar small-window fast-path predicates of
-#: :func:`_insert_fused_small`.  ``False`` restores the PR-4 shape —
-#: array-reduction hidden/fully-visible checks on every window, then
-#: the scalar fused sweep below the cutoff — which, combined with a
-#: :class:`FlatProfile`, is exactly the baseline the
-#: ``sequential-packed-ablation`` bench rows measure against.  Both
-#: settings produce identical results (the predicates are
-#: float-for-float the same).
-USE_SCALAR_FASTPATHS = True
 
 #: The compiled fused-insert core (:mod:`repro.envelope._ccore`): one
 #: C call per insert doing locate + fused sweep + in-place packed
-#: splice, collapsing the whole cutoff cascade for
-#: :class:`~repro.envelope.packed.PackedProfile` inserts of any window
-#: size.  Defaults on when the optional extension compiled at install
-#: time (``REPRO_COMPILED=0`` is the env ablation); ``False`` — or a
-#: no-compiler install — runs the scalar/vectorized cascade below,
-#: which is bit-exact by the parity contract.
+#: splice, for windows of any size.  Defaults on when the optional
+#: extension compiled at install time (``REPRO_COMPILED=0`` is the env
+#: ablation); ``False`` — or a no-compiler install — runs the numpy
+#: path below, which is bit-exact by the parity contract.
 USE_COMPILED_INSERT = _ccore.COMPILED_DEFAULT
 
 #: Lazily-bound fused kernel module (resolving it through the import
@@ -128,142 +93,19 @@ def _get_fused_mod():
     return _fused_mod
 
 
-class FlatProfile(FlatEnvelope):
-    """A live upper profile held as flat arrays across many inserts.
-
-    Same invariants and buffers as :class:`FlatEnvelope`; the subclass
-    adds the locate/materialise/splice operations the incremental
-    sequential algorithm needs.  Instances of *this* class are
-    immutable by convention — :meth:`FlatEnvelope.splice` returns a
-    new profile sharing no mutable state with the old one (the
-    head/tail contents are copied by the concatenate), and stays
-    closed under the subclass:
-
-    >>> prof = FlatProfile.empty().splice(
-    ...     0, 0, [0.0], [1.0], [2.0], [1.0], [7]
-    ... )
-    >>> grown = prof.splice(1, 1, [2.0], [4.0], [5.0], [4.0], [9])
-    >>> grown is prof, type(grown).__name__, grown.size
-    (False, 'FlatProfile', 2)
-    >>> [p.source for p in grown.to_envelope().pieces]
-    [7, 9]
-
-    The packed subclass (:class:`repro.envelope.packed.PackedProfile`,
-    the default live layout for sequential runs) overrides ``splice``
-    to edit one shared buffer **in place** and return ``self`` — same
-    call shape, so :func:`insert_segment_flat` is layout-agnostic, but
-    previously-derived window views become stale; see the packed
-    module's mutability contract.
-    """
-
-    __slots__ = ()
-
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def empty() -> "FlatProfile":
-        z = np.empty(0, _F)
-        return FlatProfile(z, z, z, z, np.empty(0, _I))
-
-    @staticmethod
-    def from_envelope(env: Envelope) -> "FlatProfile":
-        flat = FlatEnvelope.from_pieces(env.pieces)
-        return FlatProfile(flat.ya, flat.za, flat.yb, flat.zb, flat.source)
-
-    # -- scalar-parity queries ---------------------------------------
-
-    def value_at(self, y: float) -> float:
-        """Profile height at ``y`` — exact scalar replica of
-        :meth:`Envelope.value_at` (same bisection, same ``z_at``
-        arithmetic), used by the vertical point queries."""
-        n = len(self.ya)
-        if n == 0:
-            return NEG_INF
-        i = int(np.searchsorted(self.ya, y, side="right")) - 1
-        best = NEG_INF
-        if i >= 0:
-            pya = float(self.ya[i])
-            pyb = float(self.yb[i])
-            if pya <= y <= pyb:
-                best = _line_z(pya, float(self.za[i]), pyb, float(self.zb[i]), y)
-            if i >= 1 and float(self.yb[i - 1]) == y:
-                v = float(self.zb[i - 1])
-                if v > best:
-                    best = v
-        if i + 1 < n and float(self.ya[i + 1]) == y:
-            v = float(self.za[i + 1])
-            if v > best:
-                best = v
-        return best
-
-    # -- window materialisation ---------------------------------------
-
-    def window_lists(self, lo: int, hi: int) -> tuple[list, list, list, list]:
-        """``(ya, za, yb, zb)`` plain-float lists of pieces[lo:hi] —
-        one bulk ``tolist`` per field, for the inlined scalar scans."""
-        return (
-            self.ya[lo:hi].tolist(),
-            self.za[lo:hi].tolist(),
-            self.yb[lo:hi].tolist(),
-            self.zb[lo:hi].tolist(),
-        )
-
-    def window_z_min(self, lo: int, hi: int) -> float:
-        """min over both z columns of pieces ``[lo, hi)`` (the hidden
-        fast path's reduction; the packed layout does it in one
-        strided 2D reduction)."""
-        return min(self.za[lo:hi].min(), self.zb[lo:hi].min())
-
-    def window_z_max(self, lo: int, hi: int) -> float:
-        """max analogue of :meth:`window_z_min` (fully-visible fast
-        path)."""
-        return max(self.za[lo:hi].max(), self.zb[lo:hi].max())
-
-    def window_pieces(self, lo: int, hi: int) -> list[Piece]:
-        """pieces[lo:hi] as scalar :class:`Piece` tuples (fallback
-        paths only)."""
-        return list(
-            map(
-                Piece._make,
-                zip(
-                    self.ya[lo:hi].tolist(),
-                    self.za[lo:hi].tolist(),
-                    self.yb[lo:hi].tolist(),
-                    self.zb[lo:hi].tolist(),
-                    self.source[lo:hi].tolist(),
-                ),
-            )
-        )
-
-
 class FlatInsertResult(NamedTuple):
     """Flat-native analogue of :class:`repro.envelope.splice.InsertResult`.
 
-    ``profile`` is the updated :class:`FlatProfile` (the *same* object
-    when the segment was hidden or vertical — no splice performed);
-    ``visibility`` and ``ops`` carry exactly the values the reference
-    :func:`~repro.envelope.splice.insert_segment` would report.
+    ``profile`` is the updated :class:`PackedProfile` — always the
+    *same* object, mutated in place unless the segment was hidden or
+    vertical; ``visibility`` and ``ops`` carry exactly the values the
+    reference :func:`~repro.envelope.splice.insert_segment` would
+    report.
     """
 
-    profile: FlatProfile
+    profile: PackedProfile
     visibility: VisibilityResult
     ops: int
-
-
-def _line_z(ya: float, za: float, yb: float, zb: float, y: float) -> float:
-    """Supporting-line height at ``y`` — the exact float arithmetic of
-    ``Piece.z_at`` / ``ImageSegment.z_at`` (endpoint shortcuts, then
-    ``lerp`` with its ``t == 0/1`` shortcuts) for non-degenerate spans."""
-    if y == ya:
-        return za
-    if y == yb:
-        return zb
-    t = (y - ya) / (yb - ya)
-    if t == 0.0:
-        return za
-    if t == 1.0:
-        return zb
-    return za + (zb - za) * t
 
 
 def _acc_add(parts: list[list[float]], ya: float, yb: float, eps: float) -> None:
@@ -340,7 +182,7 @@ def _scan_window(
 
 
 def _visible_vertical_flat(
-    profile: FlatProfile, seg: ImageSegment, eps: float
+    profile: PackedProfile, seg: ImageSegment, eps: float
 ) -> VisibilityResult:
     """``_visible_vertical`` on flat arrays: the edge is visible iff its
     top endpoint rises above the profile at its ``y``."""
@@ -492,20 +334,19 @@ def _merge_window_with_segment(
 
 
 def _insert_fused(
-    profile: FlatProfile,
+    profile: PackedProfile,
     seg: ImageSegment,
     lo: int,
     hi: int,
     win: int,
     eps: float,
     fused_cutoff: "int | None" = None,
-    scalar_fastpaths: "bool | None" = None,
 ) -> "FlatInsertResult | None":
     """The fused visibility+merge insert (one sweep instead of a
     visibility pass plus a merge pass; see
     :mod:`repro.envelope.flat_fused`).  Returns ``None`` when the
     window holds synthetic (negative-source) pieces — those coalesce
-    on a different builder rule and take the unfused cascade."""
+    on a different builder rule and take :func:`_insert_reference`."""
     fused = _get_fused_mod()
 
     y1, z1, y2, z2 = seg.y1, seg.z1, seg.y2, seg.z2
@@ -523,10 +364,7 @@ def _insert_fused(
 
     if fused_cutoff is None:
         fused_cutoff = _engine.FLAT_FUSED_CUTOFF
-    if scalar_fastpaths is None:
-        scalar_fastpaths = USE_SCALAR_FASTPATHS
-    small = win < fused_cutoff
-    if small and scalar_fastpaths:
+    if win < fused_cutoff:
         return _insert_fused_small(
             profile, seg, lo, hi, win, y1, z1, y2, z2, eps, fused
         )
@@ -628,29 +466,6 @@ def _insert_fused(
                 new = profile.splice(lo, hi, oya, oza, oyb, ozb, osrc)
                 return FlatInsertResult(new, vis, vis_ops + merge_ops)
 
-    if small:
-        # Only reachable with USE_SCALAR_FASTPATHS off — the PR-4
-        # ablation shape: array fast paths above, scalar sweep here.
-        wsrc = profile.source[lo:hi].tolist()
-        if min(wsrc) < 0:
-            return None
-        wya, wza, wyb, wzb = profile.window_lists(lo, hi)
-        if _fi.ARMED or _guard.GUARDED_CHECK_ALL:
-            res = _checked_fused_scalar(
-                fused, wya, wza, wyb, wzb, wsrc, y1, z1, y2, z2, seg.source, eps
-            )
-        else:
-            res = fused.fused_insert_window(
-                wya, wza, wyb, wzb, wsrc, y1, z1, y2, z2, seg.source, eps
-            )
-        if res.merged is None:  # fully hidden: no splice
-            return FlatInsertResult(profile, res.visibility, res.visibility.ops)
-        oya, oza, oyb, ozb, osrc = res.merged
-        new = profile.splice(lo, hi, oya, oza, oyb, ozb, osrc)
-        return FlatInsertResult(
-            new, res.visibility, res.visibility.ops + res.merge_ops
-        )
-
     wsrc_arr = profile.source[lo:hi]
     if bool((wsrc_arr < 0).any()):
         return None
@@ -676,7 +491,7 @@ def _insert_fused(
 
 
 def _insert_fused_small(
-    profile: FlatProfile,
+    profile: PackedProfile,
     seg: ImageSegment,
     lo: int,
     hi: int,
@@ -690,7 +505,7 @@ def _insert_fused_small(
 ) -> "FlatInsertResult | None":
     """The small-window (< ``FLAT_FUSED_CUTOFF``) fused insert.
 
-    One bulk :meth:`FlatProfile.window_lists` feeds the
+    One bulk :meth:`PackedProfile.window_lists` feeds the
     hidden/fully-visible fast-path predicates *and* the scalar fused
     sweep, so the whole insert runs on plain Python floats — the array
     reductions the large-window path uses cost more in fixed dispatch
@@ -791,103 +606,46 @@ def _insert_fused_small(
 
 
 def _insert_segment_flat_impl(
-    profile: FlatProfile,
+    profile: PackedProfile,
     seg: ImageSegment,
     eps: float,
     config=None,
 ) -> FlatInsertResult:
-    """The kernel cascade behind :func:`insert_segment_flat` (fused
-    sweep / vectorized visibility / flat merge, cutoff-dispatched).
+    """The two insert paths behind :func:`insert_segment_flat`: the
+    compiled core when built, else the numpy fused path; synthetic
+    (negative-source) windows take the reference path.
 
-    ``config`` (:class:`repro.config.HsrConfig`) overrides the module
-    toggles/cutoffs for this call; ``None`` reads the live globals —
-    the documented defaults, kept consultable per call so ablations
-    (and tests) that set them still apply.
+    ``config`` (:class:`repro.config.HsrConfig`) overrides
+    :data:`USE_COMPILED_INSERT` and the fused cutoff for this call;
+    ``None`` reads the live globals.
     """
     if seg.is_vertical:
         vis = _visible_vertical_flat(profile, seg, eps)
         return FlatInsertResult(profile, vis, vis.ops)
+    if seg.source < 0:
+        return _insert_reference(profile, seg, eps)
 
     if config is None:
-        fused_on = USE_FUSED_INSERT
         compiled_on = USE_COMPILED_INSERT
-        vis_cutoff = _engine.FLAT_VISIBILITY_CUTOFF
-        merge_cutoff = _engine.FLAT_MERGE_CUTOFF
-        fused_cutoff = scalar_fp = None
+        fused_cutoff = None
     else:
-        fused_on = config.fused_insert()
         compiled_on = config.compiled_insert()
-        vis_cutoff = config.visibility_cutoff()
-        merge_cutoff = config.merge_cutoff()
         fused_cutoff = config.fused_cutoff()
-        scalar_fp = config.scalar_fastpaths()
 
-    if (
-        compiled_on
-        and fused_on
-        and seg.source >= 0
-        and type(profile).__name__ == "PackedProfile"
-    ):
+    if compiled_on:
         # The compiled core does its own locate — dispatch before the
         # Python-side binary search so the hot path pays exactly one.
         res = _insert_compiled(profile, seg, eps)
         if res is not None:
             return res
         # Declined (synthetic window / quarantine / recorded fault):
-        # the cascade below recomputes from unmutated state.
+        # the numpy path recomputes from unmutated state.
 
-    y1, z1, y2, z2 = seg.y1, seg.z1, seg.y2, seg.z2
-    lo, hi = profile.pieces_overlapping(y1, y2)
-    win = hi - lo
-
-    if fused_on and seg.source >= 0:
-        res = _insert_fused(
-            profile, seg, lo, hi, win, eps, fused_cutoff, scalar_fp
-        )
-        if res is not None:
-            return res
-
-    wlists = None
-    if win >= vis_cutoff:
-        vis = _engine.visibility_dispatch(
-            seg, None, eps=eps, engine="numpy", window=profile.window(lo, hi)
-        )
-    else:
-        wlists = profile.window_lists(lo, hi)
-        vis = _scan_window(y1, z1, y2, z2, *wlists, eps)
-    if not vis.parts:  # fully hidden: no splice, profile shared
-        return FlatInsertResult(profile, vis, vis.ops)
-
-    if win + 1 >= merge_cutoff:
-        res = _guarded_flat_merge(profile, seg, lo, hi, vis, eps)
-        if res is not None:
-            return res
-        # Recorded merge_dispatch fault (or quarantine): fall through
-        # to the scalar window merge, which is bit-exact with the
-        # kernel in both pieces and ops.
-
-    wsrc = profile.source[lo:hi].tolist()
-    if seg.source < 0 or min(wsrc, default=0) < 0:
-        # Synthetic (source -1) pieces coalesce on EnvelopeBuilder's
-        # sequential slope rule; take the reference kernel on a
-        # materialised window (rare outside tests).
-        local = Envelope(profile.window_pieces(lo, hi))
-        mres = merge_envelopes(
-            local, Envelope.from_segment(seg), eps=eps, record_crossings=False
-        )
-        mat = _tuples_to_matrix(mres.envelope.pieces)
-        new = profile.splice(
-            lo, hi, mat[:, 0], mat[:, 1], mat[:, 2], mat[:, 3], mat[:, 4].astype(_I)
-        )
-        return FlatInsertResult(new, vis, vis.ops + mres.ops)
-
-    if wlists is None:
-        wlists = profile.window_lists(lo, hi)
-    oya, oza, oyb, ozb, osrc, mops = _merge_window_with_segment(
-        *wlists, wsrc, y1, z1, y2, z2, seg.source, eps
-    )
-    new = profile.splice(lo, hi, oya, oza, oyb, ozb, osrc)
-    return FlatInsertResult(new, vis, vis.ops + mops)
+    lo, hi = profile.pieces_overlapping(seg.y1, seg.y2)
+    res = _insert_fused(profile, seg, lo, hi, hi - lo, eps, fused_cutoff)
+    if res is not None:
+        return res
+    return _insert_reference(profile, seg, eps)
 
 
 def _insert_compiled(
@@ -899,7 +657,7 @@ def _insert_compiled(
     preserved — the packed splice contract), or ``None`` when the core
     declines (synthetic sources in the window), the site is
     quarantined, or a fault was recorded — in every ``None`` case
-    nothing was committed, so the caller's cascade recomputes the
+    nothing was committed, so the caller's numpy path recomputes the
     identical insert from unmutated state.
 
     Under an armed injection plan (or ``REPRO_GUARD_CHECK_ALL``) the
@@ -917,10 +675,10 @@ def _insert_compiled(
     if _guard.ANY_QUARANTINED and _guard.is_quarantined("compiled_insert"):
         return None
     if _fi.ARMED and _fi.armed_site() != "compiled_insert":
-        # A plan targets a cascade-internal site (fused_insert,
-        # merge_dispatch, packed_splice, ...): stand aside so the
-        # armed boundary actually runs — injection semantics stay
-        # identical to a no-compiler install.
+        # A plan targets a numpy-path site (fused_insert,
+        # packed_splice, ...): stand aside so the armed boundary
+        # actually runs — injection semantics stay identical to a
+        # no-compiler install.
         return None
     try:
         if _fi.ARMED or _guard.GUARDED_CHECK_ALL:
@@ -989,68 +747,17 @@ def _checked_fused_scalar(
     return res
 
 
-def _guarded_flat_merge(
-    profile: FlatProfile,
-    seg: ImageSegment,
-    lo: int,
-    hi: int,
-    vis: VisibilityResult,
-    eps: float,
-) -> "FlatInsertResult | None":
-    """Guard site ``merge_dispatch`` for the wide-window splice merge.
-
-    Returns the completed insert, or ``None`` when the site is
-    quarantined or the kernel faulted (recorded) — the caller falls
-    through to the scalar window merge, which produces the identical
-    window and ``ops`` by the parity contract.  The post-condition
-    check runs on the kernel's freshly-built window *before* the
-    splice commits it, so the scalar retry recomputes from unmutated
-    state.
-    """
-    if not _guard.GUARDS_ENABLED:
-        res = merge_envelopes_flat(
-            profile.window(lo, hi),
-            FlatEnvelope.from_segment(seg),
-            eps=eps,
-            record_crossings=False,
-        )
-        m = res.envelope
-        new = profile.splice(lo, hi, m.ya, m.za, m.yb, m.zb, m.source)
-        return FlatInsertResult(new, vis, vis.ops + res.ops)
-    if _guard.ANY_QUARANTINED and _guard.is_quarantined("merge_dispatch"):
-        return None
-    try:
-        if _fi.ARMED:
-            _fi.trip("merge_dispatch")
-        res = merge_envelopes_flat(
-            profile.window(lo, hi),
-            FlatEnvelope.from_segment(seg),
-            eps=eps,
-            record_crossings=False,
-        )
-        m = res.envelope
-        if _fi.ARMED:
-            m = _fi.corrupt_flat("merge_dispatch", m)
-        _guard.check_flat("merge_dispatch", m.ya, m.za, m.yb, m.zb)
-        new = profile.splice(lo, hi, m.ya, m.za, m.yb, m.zb, m.source)
-        return FlatInsertResult(new, vis, vis.ops + res.ops)
-    except KernelFault:
-        raise
-    except Exception as exc:
-        _guard.handle_fault(
-            getattr(exc, "site", None) or "merge_dispatch", exc
-        )
-        return None
-
-
 def _insert_reference(
-    profile: FlatProfile, seg: ImageSegment, eps: float
+    profile: PackedProfile, seg: ImageSegment, eps: float
 ) -> FlatInsertResult:
-    """Whole-insert scalar reference path — the guard's retry target.
+    """Whole-insert scalar reference path — the guard's retry target
+    and the route for synthetic (negative-source) windows.
 
-    The sub-cutoff cascade of the impl with every kernel (fused sweep,
-    vectorized visibility, flat merge) left out: scalar scan + scalar
-    window merge + splice.  Bit-exact with the impl in visible parts,
+    Two separate passes with no fused kernel: the scalar visibility
+    scan, then the scalar window merge (or, when a synthetic source is
+    involved, :func:`~repro.envelope.merge.merge_envelopes` on the
+    materialised window, which implements the builder's slope rule),
+    then the splice.  Bit-exact with the fused paths in visible parts,
     merged pieces *and* ``ops`` by the parity contract, so a degraded
     insert is indistinguishable from a healthy one downstream.
     """
@@ -1067,9 +774,11 @@ def _insert_reference(
 
     wsrc = profile.source[lo:hi].tolist()
     if seg.source < 0 or min(wsrc, default=0) < 0:
-        local = Envelope(profile.window_pieces(lo, hi))
         mres = merge_envelopes(
-            local, Envelope.from_segment(seg), eps=eps, record_crossings=False
+            profile.window(lo, hi).to_envelope(),
+            Envelope.from_segment(seg),
+            eps=eps,
+            record_crossings=False,
         )
         mat = _tuples_to_matrix(mres.envelope.pieces)
         new = profile.splice(
@@ -1098,7 +807,7 @@ _tick = 0
 
 
 def insert_segment_flat(
-    profile: FlatProfile,
+    profile: PackedProfile,
     seg: ImageSegment,
     *,
     eps: float = EPS,
@@ -1106,33 +815,16 @@ def insert_segment_flat(
 ) -> FlatInsertResult:
     """Insert ``seg`` into ``profile``; see the module docstring.
 
-    Exact analogue of :func:`repro.envelope.splice.insert_segment`
-    under ``engine="numpy"``: the same visibility/merge dispatch
-    cutoffs apply (:data:`repro.envelope.engine.FLAT_VISIBILITY_CUTOFF`
-    / :data:`~repro.envelope.engine.FLAT_MERGE_CUTOFF`), the same
-    results and ``ops`` come out, but the profile never leaves its
-    array representation.
+    Exact analogue of :func:`repro.envelope.splice.insert_segment`:
+    the same results and ``ops`` come out, but the profile never
+    leaves its array representation.
 
     Runs under the guarded-dispatch envelope (site ``fused_insert``
-    plus the nested ``merge_dispatch`` / ``visibility_dispatch`` /
-    ``packed_splice`` sites): a kernel fault inside the cascade is
-    recorded and the whole insert retried on the scalar reference
-    path, bit-exact.  ``REPRO_GUARDS=0`` strips the envelope.
+    plus the nested ``compiled_insert`` / ``packed_splice`` sites): a
+    kernel fault on either insert path is recorded and the whole
+    insert retried on the scalar reference path, bit-exact.
+    ``REPRO_GUARDS=0`` strips the envelope.
     """
-    if (
-        _engine.USE_CHUNKED_PROFILE
-        and type(profile).__name__ == "PackedProfile"
-        and profile.size >= _engine.CHUNKED_PROFILE_CUTOFF
-    ):
-        # One-time promotion to the chunked gap-buffer layout (the
-        # caller re-binds to the returned profile, so the promoted
-        # object rides every subsequent insert).  Name-based check:
-        # ``packed`` imports this module, so it cannot be imported
-        # here at module scope.
-        from repro.envelope.packed import ChunkedProfile
-
-        profile = ChunkedProfile.promote(profile)
-
     if not _guard.GUARDS_ENABLED:
         return _insert_segment_flat_impl(profile, seg, eps, config)
 

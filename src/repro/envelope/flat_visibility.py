@@ -32,9 +32,7 @@ layer) and for :func:`repro.envelope.engine.visibility_dispatch`
 callers that want a visibility verdict alone.  The sequential flat
 insert path no longer launches this kernel per edge — its
 visibility-and-merge question is answered in one pass by
-:mod:`repro.envelope.flat_fused` (the pre-fusion dispatch survives as
-the ``USE_FUSED_INSERT`` ablation in
-:mod:`repro.envelope.flat_splice`).
+:mod:`repro.envelope.flat_fused`.
 
 View lifetime: the envelopes handed in here are often zero-copy
 window views, and with the packed live-profile layout

@@ -1,14 +1,9 @@
-"""Packed single-buffer profile: in-place splices for the flat stack.
+"""Packed single-buffer live profile: in-place splices for the flat stack.
 
-:class:`~repro.envelope.flat_splice.FlatProfile` removed the Θ(m)
-tuple churn of the scalar sequential path, but every insert still pays
-a five-field ``np.concatenate`` splice — five fresh allocations and a
-full head+window+tail copy (~4µs fixed cost on this box) — plus a
-locate over the freshly reallocated arrays.  On the Python-loop-bound
-small-window regime (the E9 family at small ``m``) that fixed cost is
-the largest single per-insert term left.
-
-:class:`PackedProfile` keeps the live profile in **one** contiguous
+:class:`PackedProfile` is the one live-profile layout of the numpy
+insert path (:func:`repro.envelope.flat_splice.insert_segment_flat`,
+the compiled core in :mod:`repro.envelope._ccore`, and the Phase-2
+direct-flat accumulation).  It keeps the profile in **one** contiguous
 ``(5, capacity)`` float64 allocation — the five field columns
 ``ya/za/yb/zb/source`` are row views into it, and ``source`` is the
 same bytes reinterpreted as int64 (both are 8-byte lanes, so one
@@ -33,7 +28,7 @@ moves the buffer and it re-derives them.
 Mutability contract
 -------------------
 
-Unlike its base classes, ``PackedProfile`` is **mutable**:
+Unlike its :class:`FlatEnvelope` base, ``PackedProfile`` is **mutable**:
 :meth:`splice` edits the buffer in place and returns ``self``.  Zero-
 copy window views taken *before* a splice may point at a stale buffer
 (after a reallocation) or at shifted contents (after a slice move)
@@ -49,27 +44,18 @@ are elementary-interval counts (engine- and layout-independent by
 construction), so a ``PackedProfile`` run is bit-exact — visibility
 map, ``ops``, ``max_profile_size``, profile pieces — against
 ``engine="python"``.  The *moved-element* cost of shifts and
-reallocations is a wall-clock-only implementation detail of the
-layout, exactly like the concatenate copies it replaces; in Phase 2's
+reallocations is a wall-clock-only implementation detail; in Phase 2's
 ``direct`` mode the per-merge copy into a fresh packed buffer is what
 ``pieces_materialised`` has always reported (the copied piece count),
 so the E5/E11 sharing-vs-copying semantics are unchanged.
-
-Ship gate: :data:`repro.envelope.engine.USE_PACKED_PROFILE` selects
-this layout for ``SequentialHSR(engine="numpy")`` and the Phase-2
-direct-flat accumulation; the ``sequential-packed-ablation`` bench
-rows keep the PR-4 ``FlatProfile`` cascade measurable.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-
 import numpy as np
 
-from repro.envelope.chain import Envelope, Piece
+from repro.envelope.chain import Envelope
 from repro.envelope.flat import FlatEnvelope
-from repro.envelope.flat_splice import FlatProfile, _line_z
 from repro.errors import KernelFault
 from repro.geometry.primitives import NEG_INF
 from repro.reliability import faultinject as _fi
@@ -77,9 +63,7 @@ from repro.reliability import guard as _guard
 
 __all__ = [
     "PackedProfile",
-    "ChunkedProfile",
     "MIN_CAPACITY",
-    "CHUNK_PIECES",
 ]
 
 _F = np.float64
@@ -89,20 +73,29 @@ _I = np.int64
 #: first handful of inserts of a run without a growth step.
 MIN_CAPACITY = 16
 
-#: Target pieces per :class:`ChunkedProfile` chunk — the same frozen
-#: ``(5, k)`` SoA block shape the persistent rope uses
-#: (:data:`repro.persistence.rope.CHUNK_TARGET`), sized up for the
-#: live profile where per-chunk Python overhead, not sharing
-#: granularity, sets the optimum (512 measured best of 128-1024 on
-#: the wide-strip family at m=8192).  A chunk splits at twice this.
-CHUNK_PIECES = 512
+
+def _line_z(ya: float, za: float, yb: float, zb: float, y: float) -> float:
+    """Supporting-line height at ``y`` — the exact float arithmetic of
+    ``Piece.z_at`` / ``ImageSegment.z_at`` (endpoint shortcuts, then
+    ``lerp`` with its ``t == 0/1`` shortcuts) for non-degenerate spans."""
+    if y == ya:
+        return za
+    if y == yb:
+        return zb
+    t = (y - ya) / (yb - ya)
+    if t == 0.0:
+        return za
+    if t == 1.0:
+        return zb
+    return za + (zb - za) * t
 
 
-class PackedProfile(FlatProfile):
+class PackedProfile(FlatEnvelope):
     """A live profile in one packed buffer; splices mutate in place.
 
-    Same query surface as :class:`FlatProfile` (the five field
-    attributes are live row views into the buffer), but
+    Same query surface as :class:`FlatEnvelope` (the five field
+    attributes are live row views into the buffer) plus the
+    locate/materialise queries the insert path needs, but
     :meth:`splice` **mutates** the receiver and returns it — see the
     module docstring for the view-staleness contract.
 
@@ -171,7 +164,7 @@ class PackedProfile(FlatProfile):
     @classmethod
     def from_splice(
         cls,
-        parent: FlatEnvelope,
+        parent: "PackedProfile",
         lo: int,
         hi: int,
         ya,
@@ -185,7 +178,7 @@ class PackedProfile(FlatProfile):
 
         The parent is only read (Phase-2 left children keep sharing
         it), and the copy is one buffer allocation plus three segment
-        writes instead of five per-field concatenates.  The number of
+        writes.  The number of
         elements moved is exactly the result size — the quantity
         Phase 2 reports as ``pieces_materialised``.
         """
@@ -202,25 +195,11 @@ class PackedProfile(FlatProfile):
         b = a + k
         end = beg + need
         if head:
-            if isinstance(parent, PackedProfile):
-                p = parent._beg
-                ibuf[:, beg:a] = parent._ibuf[:, p : p + head]
-            else:
-                buf[0, beg:a] = parent.ya[:head]
-                buf[1, beg:a] = parent.za[:head]
-                buf[2, beg:a] = parent.yb[:head]
-                buf[3, beg:a] = parent.zb[:head]
-                ibuf[4, beg:a] = parent.source[:head]
+            p = parent._beg
+            ibuf[:, beg:a] = parent._ibuf[:, p : p + head]
         if tail:
-            if isinstance(parent, PackedProfile):
-                p = parent._beg + hi
-                ibuf[:, b:end] = parent._ibuf[:, p : p + tail]
-            else:
-                buf[0, b:end] = parent.ya[hi:]
-                buf[1, b:end] = parent.za[hi:]
-                buf[2, b:end] = parent.yb[hi:]
-                buf[3, b:end] = parent.zb[hi:]
-                ibuf[4, b:end] = parent.source[hi:]
+            p = parent._beg + hi
+            ibuf[:, b:end] = parent._ibuf[:, p : p + tail]
         if k:
             buf[0, a:b] = ya
             buf[1, a:b] = za
@@ -392,7 +371,31 @@ class PackedProfile(FlatProfile):
         self._sync_views()
         return self
 
-    # -- packed-layout fast queries -----------------------------------
+    # -- scalar-parity queries ----------------------------------------
+
+    def value_at(self, y: float) -> float:
+        """Profile height at ``y`` — exact scalar replica of
+        :meth:`Envelope.value_at` (same bisection, same ``z_at``
+        arithmetic), used by the vertical point queries."""
+        n = len(self.ya)
+        if n == 0:
+            return NEG_INF
+        i = int(np.searchsorted(self.ya, y, side="right")) - 1
+        best = NEG_INF
+        if i >= 0:
+            pya = float(self.ya[i])
+            pyb = float(self.yb[i])
+            if pya <= y <= pyb:
+                best = _line_z(pya, float(self.za[i]), pyb, float(self.zb[i]), y)
+            if i >= 1 and float(self.yb[i - 1]) == y:
+                v = float(self.zb[i - 1])
+                if v > best:
+                    best = v
+        if i + 1 < n and float(self.ya[i + 1]) == y:
+            v = float(self.za[i + 1])
+            if v > best:
+                best = v
+        return best
 
     def window_lists(self, lo: int, hi: int) -> tuple[list, list, list, list]:
         """One 2D ``tolist`` off the buffer instead of four per-field
@@ -408,6 +411,7 @@ class PackedProfile(FlatProfile):
         return self._buf[1:4:2, a : self._beg + hi].min()
 
     def window_z_max(self, lo: int, hi: int) -> float:
+        """max analogue of :meth:`window_z_min`."""
         a = self._beg + lo
         return self._buf[1:4:2, a : self._beg + hi].max()
 
@@ -415,349 +419,4 @@ class PackedProfile(FlatProfile):
         return (
             f"PackedProfile({self.size} pieces, capacity"
             f" {self.capacity}, slack {self.slack})"
-        )
-
-
-class _ChunkLane:
-    """Read/write lane facade over a :class:`ChunkedProfile`.
-
-    Serves the raw-lane accesses the insert cascade performs
-    (``profile.ya[lo]``, ``profile.source[lo:hi].tolist()``, the
-    periodic ``check_profile`` tick, ``poison_profile`` writes)
-    without ever materialising the full lane: integer indexing is a
-    two-level lookup, slicing gathers only the requested span, and
-    whole-lane consumers (``np.isfinite``, lane comparisons) go
-    through ``__array__``.
-    """
-
-    __slots__ = ("_prof", "_row")
-
-    _ATTRS = ("ya", "za", "yb", "zb", "source")
-
-    def __init__(self, prof: "ChunkedProfile", row: int):
-        self._prof = prof
-        self._row = row
-
-    def __len__(self) -> int:
-        return self._prof._offsets[-1]
-
-    def __getitem__(self, ix):
-        prof = self._prof
-        attr = self._ATTRS[self._row]
-        if isinstance(ix, slice):
-            start, stop, step = ix.indices(prof._offsets[-1])
-            assert step == 1
-            return prof._gather(attr, start, stop)
-        if ix < 0:
-            ix += prof._offsets[-1]
-        c = bisect_right(prof._offsets, ix) - 1
-        return getattr(prof._chunks[c], attr)[ix - prof._offsets[c]]
-
-    def __setitem__(self, ix: int, value) -> None:
-        # Write-through for the live-profile fault-injection site.
-        prof = self._prof
-        c = bisect_right(prof._offsets, ix) - 1
-        getattr(prof._chunks[c], self._ATTRS[self._row])[
-            ix - prof._offsets[c]
-        ] = value
-
-    def __array__(self, dtype=None, copy=None):
-        out = self._prof._gather(
-            self._ATTRS[self._row], 0, self._prof._offsets[-1]
-        )
-        return out if dtype is None else out.astype(dtype)
-
-    def _nd(self, other):
-        return np.asarray(other) if isinstance(other, _ChunkLane) else other
-
-    def __le__(self, other):
-        return self.__array__() <= self._nd(other)
-
-    def __lt__(self, other):
-        return self.__array__() < self._nd(other)
-
-    def __ge__(self, other):
-        return self.__array__() >= self._nd(other)
-
-    def __gt__(self, other):
-        return self.__array__() > self._nd(other)
-
-    def __eq__(self, other):  # pragma: no cover - completeness
-        return self.__array__() == self._nd(other)
-
-    def __ne__(self, other):  # pragma: no cover - completeness
-        return self.__array__() != self._nd(other)
-
-    __hash__ = None
-
-    def tolist(self) -> list:
-        return self.__array__().tolist()
-
-
-class ChunkedProfile(FlatProfile):
-    """The live profile as a gap buffer of packed chunks.
-
-    The rope's chunked representation (``repro.persistence.rope``)
-    adopted for the *mutable* live profile: pieces live in a short
-    list of independent :class:`PackedProfile` blocks of
-    ~:data:`CHUNK_PIECES` pieces, each with its own two-ended slack.
-    A size-changing splice then moves only within the one or two
-    chunks it touches — O(chunk) instead of the single-buffer
-    layout's O(min(head, tail)) whole-side shift — which is the
-    asymptotic fix for clustered size-changing splices on large
-    profiles.  Point and window queries are two-level: a ``bisect``
-    over the chunk key/offset spines, then array work inside the
-    (small) chunks, exactly like the rope's reads.
-
-    Same mutability contract as :class:`PackedProfile` (:meth:`splice`
-    edits in place and returns ``self``; pre-splice views are stale).
-    Instances are created by :meth:`promote` when a packed profile
-    outgrows :data:`repro.envelope.engine.CHUNKED_PROFILE_CUTOFF`
-    under :data:`repro.envelope.engine.USE_CHUNKED_PROFILE`; results
-    are bit-exact either way, so the toggle is a pure layout ablation
-    (the ``sequential-chunked-ablation`` bench row measures it).
-    """
-
-    __slots__ = ("_chunks", "_offsets", "_keys")
-
-    def __init__(self, chunks: "list[PackedProfile]"):
-        self._chunks = chunks
-        self.ya = _ChunkLane(self, 0)
-        self.za = _ChunkLane(self, 1)
-        self.yb = _ChunkLane(self, 2)
-        self.zb = _ChunkLane(self, 3)
-        self.source = _ChunkLane(self, 4)
-        self._reindex()
-
-    def _reindex(self) -> None:
-        """Rebuild the offset/key spines (O(#chunks) lists)."""
-        offsets = [0]
-        keys = []
-        for ch in self._chunks:
-            offsets.append(offsets[-1] + ch.size)
-            keys.append(float(ch.ya[0]) if ch.size else np.inf)
-        self._offsets = offsets
-        self._keys = keys
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def promote(
-        cls, flat: FlatEnvelope, chunk: int = CHUNK_PIECES
-    ) -> "ChunkedProfile":
-        """Split any flat profile into packed chunks of ``chunk``
-        pieces (the last may be short)."""
-        n = len(flat)
-        chunks = [
-            PackedProfile.pack(flat.window(i, min(i + chunk, n)))
-            for i in range(0, max(n, 1), chunk)
-        ]
-        return cls(chunks)
-
-    @staticmethod
-    def from_envelope(env: Envelope) -> "ChunkedProfile":
-        return ChunkedProfile.promote(FlatEnvelope.from_pieces(env.pieces))
-
-    # -- two-level lookups --------------------------------------------
-
-    def __len__(self) -> int:
-        return self._offsets[-1]
-
-    @property
-    def size(self) -> int:
-        return self._offsets[-1]
-
-    def __bool__(self) -> bool:
-        return self._offsets[-1] > 0
-
-    @property
-    def chunk_count(self) -> int:
-        return len(self._chunks)
-
-    def _rank(self, y: float, side: str) -> int:
-        """Global ``searchsorted`` rank of ``y`` over the conceptual
-        concatenated ``ya`` lane (chunk keys pick the one chunk whose
-        interior can contain the rank)."""
-        keys = self._keys
-        c = (
-            bisect_right(keys, y) if side == "right" else bisect_left(keys, y)
-        ) - 1
-        if c < 0:
-            return 0
-        return self._offsets[c] + int(
-            self._chunks[c].ya.searchsorted(y, side=side)
-        )
-
-    def _get(self, attr: str, i: int) -> float:
-        c = bisect_right(self._offsets, i) - 1
-        return getattr(self._chunks[c], attr)[i - self._offsets[c]]
-
-    def _gather(self, attr: str, lo: int, hi: int) -> np.ndarray:
-        """One contiguous lane copy of global pieces ``[lo, hi)``."""
-        dtype = _I if attr == "source" else _F
-        if hi <= lo:
-            return np.empty(0, dtype)
-        offsets = self._offsets
-        c0 = bisect_right(offsets, lo) - 1
-        parts = []
-        c = c0
-        while c < len(self._chunks) and offsets[c] < hi:
-            lane = getattr(self._chunks[c], attr)
-            parts.append(
-                lane[max(0, lo - offsets[c]) : hi - offsets[c]]
-            )
-            c += 1
-        return parts[0].copy() if len(parts) == 1 else np.concatenate(parts)
-
-    # -- scalar-parity queries ----------------------------------------
-
-    def pieces_overlapping(self, ya: float, yb: float) -> tuple[int, int]:
-        n = self._offsets[-1]
-        if n == 0 or ya >= yb:
-            return (0, 0)
-        lo = self._rank(ya, "right") - 1
-        if lo < 0 or self._get("yb", lo) <= ya:
-            lo += 1
-        hi = self._rank(yb, "left")
-        return (lo, hi)
-
-    def value_at(self, y: float) -> float:
-        n = self._offsets[-1]
-        if n == 0:
-            return NEG_INF
-        i = self._rank(y, "right") - 1
-        best = NEG_INF
-        if i >= 0:
-            pya = float(self._get("ya", i))
-            pyb = float(self._get("yb", i))
-            if pya <= y <= pyb:
-                best = _line_z(
-                    pya, float(self._get("za", i)), pyb,
-                    float(self._get("zb", i)), y,
-                )
-            if i >= 1 and float(self._get("yb", i - 1)) == y:
-                v = float(self._get("zb", i - 1))
-                if v > best:
-                    best = v
-        if i + 1 < n and float(self._get("ya", i + 1)) == y:
-            v = float(self._get("za", i + 1))
-            if v > best:
-                best = v
-        return best
-
-    # -- window materialisation ---------------------------------------
-
-    def window(self, lo: int, hi: int) -> FlatEnvelope:
-        return FlatEnvelope(
-            self._gather("ya", lo, hi),
-            self._gather("za", lo, hi),
-            self._gather("yb", lo, hi),
-            self._gather("zb", lo, hi),
-            self._gather("source", lo, hi),
-        )
-
-    def window_lists(self, lo: int, hi: int) -> tuple[list, list, list, list]:
-        return (
-            self._gather("ya", lo, hi).tolist(),
-            self._gather("za", lo, hi).tolist(),
-            self._gather("yb", lo, hi).tolist(),
-            self._gather("zb", lo, hi).tolist(),
-        )
-
-    def window_z_min(self, lo: int, hi: int) -> float:
-        return min(
-            self._gather("za", lo, hi).min(),
-            self._gather("zb", lo, hi).min(),
-        )
-
-    def window_z_max(self, lo: int, hi: int) -> float:
-        return max(
-            self._gather("za", lo, hi).max(),
-            self._gather("zb", lo, hi).max(),
-        )
-
-    def window_pieces(self, lo: int, hi: int) -> list[Piece]:
-        return list(
-            map(
-                Piece._make,
-                zip(
-                    self._gather("ya", lo, hi).tolist(),
-                    self._gather("za", lo, hi).tolist(),
-                    self._gather("yb", lo, hi).tolist(),
-                    self._gather("zb", lo, hi).tolist(),
-                    self._gather("source", lo, hi).tolist(),
-                ),
-            )
-        )
-
-    def to_envelope(self) -> Envelope:
-        n = self._offsets[-1]
-        return self.window(0, n).to_envelope()
-
-    # -- the chunk-local splice ---------------------------------------
-
-    def splice(self, lo: int, hi: int, ya, za, yb, zb, source) -> "ChunkedProfile":
-        """Replace global pieces ``[lo, hi)`` in place; return ``self``.
-
-        Windows inside one chunk (the overwhelmingly common case —
-        merge windows are a few pieces) delegate to that chunk's
-        :meth:`PackedProfile.splice`, inheriting its slack shifts,
-        amortized growth *and* its ``packed_splice`` guard/fault
-        envelope.  Windows spanning chunks rebuild just the touched
-        chunk range.  An over-full chunk splits, an emptied chunk
-        drops — the spine stays O(pieces / CHUNK_PIECES).
-        """
-        n = self._offsets[-1]
-        if _guard.GUARDS_ENABLED and not (0 <= lo <= hi <= n):
-            _guard.violation(
-                "packed_splice",
-                f"splice range [{lo}, {hi}) outside live range [0, {n})",
-            )
-        offsets = self._offsets
-        chunks = self._chunks
-        c0 = min(bisect_right(offsets, lo) - 1, len(chunks) - 1)
-        if hi <= offsets[c0 + 1]:
-            ch = chunks[c0]
-            ch.splice(lo - offsets[c0], hi - offsets[c0], ya, za, yb, zb, source)
-            if ch.size == 0 and len(chunks) > 1:
-                del chunks[c0]
-            elif ch.size > 2 * CHUNK_PIECES:
-                half = ch.size // 2
-                chunks[c0 : c0 + 1] = [
-                    PackedProfile.pack(ch.window(0, half)),
-                    PackedProfile.pack(ch.window(half, ch.size)),
-                ]
-        else:
-            c1 = bisect_right(offsets, hi - 1) - 1
-            l0 = lo - offsets[c0]
-            l1 = hi - offsets[c1]
-            fresh = [
-                np.concatenate(
-                    [
-                        getattr(chunks[c0], attr)[:l0],
-                        np.asarray(new, _I if attr == "source" else _F),
-                        getattr(chunks[c1], attr)[l1:],
-                    ]
-                )
-                for attr, new in zip(
-                    ("ya", "za", "yb", "zb", "source"),
-                    (ya, za, yb, zb, source),
-                )
-            ]
-            run = FlatEnvelope(*fresh)
-            k = len(fresh[0])
-            repl = [
-                PackedProfile.pack(run.window(i, min(i + CHUNK_PIECES, k)))
-                for i in range(0, k, CHUNK_PIECES)
-            ]
-            if not repl and len(chunks) == c1 - c0 + 1:
-                repl = [PackedProfile.empty()]
-            chunks[c0 : c1 + 1] = repl
-        self._reindex()
-        return self
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"ChunkedProfile({self.size} pieces,"
-            f" {len(self._chunks)} chunks)"
         )

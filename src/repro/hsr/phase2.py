@@ -216,12 +216,12 @@ def _phase2_direct_flat(
     """``direct`` mode on the NumPy kernel.
 
     Inherited profiles stay as
-    :class:`~repro.envelope.flat.FlatEnvelope` arrays through the
+    :class:`~repro.envelope.packed.PackedProfile` arrays through the
     merge cascade.  Each merge is the same local splice as the scalar
     engine's :func:`~repro.envelope.splice.splice_merge` — only the
     window of the inherited profile overlapping the intermediate
-    envelope enters the sweep, located per node and spliced back with
-    array concatenates — and, since a layer's merges are independent,
+    envelope enters the sweep, located per node and spliced into a
+    fresh packed buffer — and, since a layer's merges are independent,
     all of a layer's windows run as *one*
     :func:`~repro.envelope.flat.batch_merge` sweep.  A layer's leaf
     visibility queries are independent too, so they run as one
@@ -231,32 +231,22 @@ def _phase2_direct_flat(
     """
     import numpy as np
 
-    import repro.envelope.engine as _engine
     from repro.envelope.flat import (
         FlatEnvelope,
         batch_merge,
         stack_envelopes,
     )
     from repro.envelope.flat_visibility import batch_visible_parts
+    from repro.envelope.packed import PackedProfile
 
-    packed = (
-        config.packed_profile()
-        if config is not None
-        else _engine.USE_PACKED_PROFILE
-    )
     use_pool = config is not None and config.resolved_workers() > 1
     if use_pool:
         from repro.parallel_exec import maybe_batch_merge
 
-    if packed:
-        from repro.envelope.packed import PackedProfile
-    else:
-        PackedProfile = None
-
     tree = pct.tree
     out = Phase2Result()
-    inherited: dict[int, FlatEnvelope] = {
-        tree.root.index: FlatEnvelope.empty()
+    inherited: dict[int, PackedProfile] = {
+        tree.root.index: PackedProfile.empty()
     }
 
     def intermediate_flat(node) -> "object":
@@ -325,21 +315,15 @@ def _phase2_direct_flat(
                 for g, i in enumerate(live):
                     lo, hi = spans[g]
                     m = groups[g]
-                    if PackedProfile is not None:
-                        # Accumulate the right child's profile into a
-                        # fresh packed buffer: one allocation + three
-                        # segment writes instead of five per-field
-                        # concatenates.  The parent is only read, so
-                        # the left child keeps sharing it; the moved
-                        # element count equals the result size — the
-                        # quantity ``pieces_materialised`` reports.
-                        new = PackedProfile.from_splice(
-                            parents[i], lo, hi, m.ya, m.za, m.yb, m.zb, m.source
-                        )
-                    else:
-                        new = parents[i].splice(
-                            lo, hi, m.ya, m.za, m.yb, m.zb, m.source
-                        )
+                    # Accumulate the right child's profile into a fresh
+                    # packed buffer: one allocation + three segment
+                    # writes.  The parent is only read, so the left
+                    # child keeps sharing it; the moved element count
+                    # equals the result size — the quantity
+                    # ``pieces_materialised`` reports.
+                    new = PackedProfile.from_splice(
+                        parents[i], lo, hi, m.ya, m.za, m.yb, m.zb, m.source
+                    )
                     merged[i] = new
                     ops_l[i] = live_ops[g]
                     cross_l[i] = live_cross[g]
@@ -362,10 +346,7 @@ def _phase2_direct_flat(
                         eps=eps,
                         engine="python",
                     )
-                    env = FlatEnvelope.from_envelope(res.envelope)
-                    if PackedProfile is not None:
-                        env = PackedProfile.pack(env)
-                    merged[i] = env
+                    merged[i] = PackedProfile.from_envelope(res.envelope)
                     ops_l[i] = res.ops
                     cross_l[i] = len(res.crossings)
                     sizes_l[i] = res.materialised

@@ -48,20 +48,18 @@ class SequentialHSR:
         :mod:`repro.envelope.engine`); ``None`` selects the default.
         Under ``"numpy"`` the profile lives in **one packed buffer
         owned for the whole run**
-        (:class:`repro.envelope.packed.PackedProfile`, or the
-        immutable :class:`~repro.envelope.flat_splice.FlatProfile`
-        when :data:`repro.envelope.engine.USE_PACKED_PROFILE` is
-        off): each edge does locate → one *fused* visibility+merge
-        sweep over a zero-copy window view
+        (:class:`repro.envelope.packed.PackedProfile`): each edge is
+        one compiled call when the optional core is built, else
+        locate → one *fused* visibility+merge sweep over the window
         (:mod:`repro.envelope.flat_fused` — with
         all-hidden/fully-visible fast paths that skip the sweep
         outright) → an **in-place** splice into the buffer (at most
         one slice shift into the slack; amortized-doubling growth),
         never materialising piece tuples, so the per-edge cost tracks
         the overlapped window instead of paying Θ(profile) copying.
-        Results are bit-identical either way — the reported ``ops``
-        are elementary-interval counts, independent of how many
-        elements the layout moves.
+        Results are bit-identical to ``"python"`` — the reported
+        ``ops`` are elementary-interval counts, independent of how
+        many elements the layout moves.
     """
 
     def __init__(
@@ -93,21 +91,14 @@ class SequentialHSR:
         config = self.config
         flat = config.resolved_engine() == "numpy"
         if flat:
-            from repro.envelope.flat_splice import (
-                FlatProfile,
-                insert_segment_flat,
-            )
+            from repro.envelope.flat_splice import insert_segment_flat
+            from repro.envelope.packed import PackedProfile
 
-            if config.packed_profile():
-                from repro.envelope.packed import PackedProfile
-
-                # One buffer owned for the whole run: every insert
-                # splices it in place (the loop below re-binds ``env``
-                # to the same object) and windows are re-derived from
-                # it per insert inside ``insert_segment_flat``.
-                env = PackedProfile.empty()
-            else:
-                env = FlatProfile.empty()
+            # One buffer owned for the whole run: every insert splices
+            # it in place (the loop below re-binds ``env`` to the same
+            # object) and windows are re-derived from it per insert
+            # inside ``insert_segment_flat``.
+            env = PackedProfile.empty()
         else:
             env = Envelope.empty()
         ops = 0

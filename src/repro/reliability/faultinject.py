@@ -145,7 +145,7 @@ def armed_site() -> Optional[str]:
 
     Dispatch shortcuts consult this to *decline* while a plan targets
     a site they would bypass: the compiled insert core answers before
-    the scalar/vectorized cascade, so with e.g. ``fused_insert``
+    the scalar/vectorized numpy path, so with e.g. ``fused_insert``
     armed it must stand aside or the injected boundary never runs."""
     return _PLAN.site if ARMED else None
 

@@ -279,17 +279,10 @@ def _insert_loop(segments, config: HsrConfig):
     record = []
     ops = 0
     if config.resolved_engine() == "numpy":
-        from repro.envelope.flat_splice import (
-            FlatProfile,
-            insert_segment_flat,
-        )
+        from repro.envelope.flat_splice import insert_segment_flat
+        from repro.envelope.packed import PackedProfile
 
-        if config.packed_profile():
-            from repro.envelope.packed import PackedProfile
-
-            prof = PackedProfile.empty()
-        else:
-            prof = FlatProfile.empty()
+        prof = PackedProfile.empty()
         for seg in segments:
             res = insert_segment_flat(
                 prof, seg, eps=config.eps, config=config

@@ -87,12 +87,7 @@ _CONFIG_FIELDS = frozenset(
         "engine",
         "eps",
         "workers",
-        "use_packed_profile",
-        "use_fused_insert",
-        "use_scalar_fastpaths",
         "use_compiled_insert",
-        "flat_merge_cutoff",
-        "flat_visibility_cutoff",
         "flat_fused_cutoff",
         "parallel_min_segments",
         "parallel_min_pieces",

@@ -5,7 +5,7 @@ terrains (all-equal elevations), coincident ridges (duplicate
 segments), zero-length and vertical-only segments.  Each case pins
 either a clean :class:`~repro.errors.ValidationError` at the front
 door or bit-exact parity between the python and numpy engines, over
-both live-profile layouts (packed on/off).
+both numpy insert paths (compiled core on/off).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.envelope.chain import Envelope
-from repro.envelope.flat_splice import FlatProfile, insert_segment_flat
+from repro.envelope.flat_splice import insert_segment_flat
 from repro.envelope.packed import PackedProfile
 from repro.envelope.splice import insert_segment
 from repro.errors import ValidationError
@@ -39,7 +39,7 @@ class TestDegenerateTerrainParity:
     the plateau / constant-plateau cases — plus the exact-lattice grid
     (``jitter_seed=None``, coincident-y and collinear on purpose) the
     hand-rolled suite never covered — are matrix axes now, and the
-    packed/flat/forced-flat layout legs are config variants."""
+    compiled/numpy/forced-vectorized insert legs are config variants."""
 
     def test_scenario_covers_degenerate_families(self):
         from repro.scenarios import default_spec
@@ -50,7 +50,7 @@ class TestDegenerateTerrainParity:
             "constant_plateau",
             "lattice_plateau",
         }
-        assert {"numpy-packed", "numpy-flat", "numpy-forced-flat"} <= set(
+        assert {"numpy-packed", "numpy-nocompiled", "numpy-vectorized"} <= set(
             s.config_ids()
         )
 
@@ -74,7 +74,7 @@ class TestDegenerateTerrainParity:
 class TestCoincidentSegments:
     """Thin wrapper over the ``parity-coincident`` scenario: duplicate
     ridges and vertical-only segments (the hardest eps-tie workloads)
-    are matrix axes, and the packed/flat layouts config variants."""
+    are matrix axes, and the two numpy insert paths config variants."""
 
     def test_scenario_covers_coincident_families(self):
         from repro.scenarios import default_spec
@@ -120,13 +120,13 @@ class TestZeroLengthSegments:
 
 @pytest.mark.parametrize(
     "profile_factory",
-    [PackedProfile.empty, FlatProfile.empty],
-    ids=["packed", "flat"],
+    [PackedProfile.empty, lambda: PackedProfile.empty(2)],
+    ids=["packed", "packed-tiny"],
 )
 class TestVerticalOnlySegments:
     """A workload of only vertical (measure-zero) segments: the
     profile must never change, and both engines must agree on every
-    point-query verdict."""
+    point-query verdict (default and minimal initial capacity)."""
 
     def _verticals(self, rng, count):
         out = []
@@ -149,8 +149,8 @@ class TestVerticalOnlySegments:
         assert len(prof.ya) == 0
 
     def test_verticals_over_seeded_profile(self, rng, profile_factory):
-        # Verticals against a real profile: point queries on both
-        # layouts, plus ties at piece boundaries.
+        # Verticals against a real profile: point queries, plus ties
+        # at piece boundaries.
         base = random_image_segments(rng, 30)
         env = Envelope.empty()
         prof = profile_factory()

@@ -2,12 +2,27 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.config import DEFAULT_CONFIG, HsrConfig
 
 
 class TestValueSemantics:
+    def test_field_names_pinned(self):
+        # Every field is a supported front-door knob; a deleted toggle
+        # cannot come back without a diff here.
+        assert {f.name for f in dataclasses.fields(HsrConfig)} == {
+            "engine",
+            "eps",
+            "workers",
+            "use_compiled_insert",
+            "flat_fused_cutoff",
+            "parallel_min_segments",
+            "parallel_min_pieces",
+        }
+
     def test_frozen(self):
         cfg = HsrConfig()
         with pytest.raises(Exception):
@@ -60,39 +75,28 @@ class TestToggleDeferral:
     """``None`` fields track the live module globals; set fields win
     without mutating any process-wide state."""
 
-    def test_packed_profile_tracks_global(self, monkeypatch):
-        import repro.envelope.engine as engine
-
-        cfg = HsrConfig()
-        monkeypatch.setattr(engine, "USE_PACKED_PROFILE", True)
-        assert cfg.packed_profile() is True
-        monkeypatch.setattr(engine, "USE_PACKED_PROFILE", False)
-        assert cfg.packed_profile() is False
-
     def test_explicit_field_wins(self, monkeypatch):
-        import repro.envelope.engine as engine
+        pytest.importorskip("numpy")
+        import repro.envelope.flat_splice as splice
 
-        monkeypatch.setattr(engine, "USE_PACKED_PROFILE", False)
-        assert HsrConfig(use_packed_profile=True).packed_profile() is True
-        assert engine.USE_PACKED_PROFILE is False  # global untouched
+        monkeypatch.setattr(splice, "USE_COMPILED_INSERT", False)
+        assert HsrConfig(use_compiled_insert=True).compiled_insert() is True
+        assert splice.USE_COMPILED_INSERT is False  # global untouched
 
     def test_cutoffs_defer_to_engine_defaults(self):
         import repro.envelope.engine as engine
 
-        cfg = HsrConfig()
-        assert cfg.merge_cutoff() == engine.FLAT_MERGE_CUTOFF
-        assert cfg.visibility_cutoff() == engine.FLAT_VISIBILITY_CUTOFF
-        assert cfg.fused_cutoff() == engine.FLAT_FUSED_CUTOFF
-        assert HsrConfig(flat_merge_cutoff=7).merge_cutoff() == 7
+        assert HsrConfig().fused_cutoff() == engine.FLAT_FUSED_CUTOFF
+        assert HsrConfig(flat_fused_cutoff=7).fused_cutoff() == 7
 
-    def test_fused_toggles_defer_to_splice(self):
+    def test_fused_toggles_defer_to_splice(self, monkeypatch):
         pytest.importorskip("numpy")
         import repro.envelope.flat_splice as splice
 
         cfg = HsrConfig()
-        assert cfg.fused_insert() == splice.USE_FUSED_INSERT
-        assert cfg.scalar_fastpaths() == splice.USE_SCALAR_FASTPATHS
-        assert HsrConfig(use_fused_insert=False).fused_insert() is False
+        for value in (True, False):
+            monkeypatch.setattr(splice, "USE_COMPILED_INSERT", value)
+            assert cfg.compiled_insert() is value
 
 
 class TestConfigThreading:
@@ -106,12 +110,12 @@ class TestConfigThreading:
 
         return fractal_terrain(size=9, seed=5)
 
-    def test_sequential_packed_toggle_parity(self, terrain):
+    def test_sequential_compiled_toggle_parity(self, terrain):
         from repro.hsr.sequential import SequentialHSR
 
         base = SequentialHSR(config=HsrConfig(engine="python")).run(terrain)
-        for packed in (False, True):
-            cfg = HsrConfig(engine="numpy", use_packed_profile=packed)
+        for compiled in (False, True):
+            cfg = HsrConfig(engine="numpy", use_compiled_insert=compiled)
             res = SequentialHSR(config=cfg).run(terrain)
             assert res.k == base.k
             assert (

@@ -1,4 +1,5 @@
-"""Documentation checks: relative links in the markdown docs resolve.
+"""Documentation checks: relative links in the markdown docs resolve,
+and the README's quoted bench table matches the recorded file.
 
 The CI ``docs`` job runs this module on its own; it also rides along
 in tier-1 (stdlib only, no numpy, milliseconds).  Inline markdown
@@ -10,6 +11,7 @@ idiom) that intentionally resolve outside the repository.
 
 from __future__ import annotations
 
+import json
 import re
 from pathlib import Path
 
@@ -65,3 +67,29 @@ def test_readme_points_at_docs():
     readme = (REPO_ROOT / "README.md").read_text()
     assert "docs/ARCHITECTURE.md" in readme
     assert "docs/BENCHMARKS.md" in readme
+
+
+def _readme_table(header: str) -> list[str]:
+    lines = (REPO_ROOT / "README.md").read_text().splitlines()
+    start = lines.index(header) + 2  # skip the header and the rule
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append(line)
+    return rows
+
+
+def test_readme_sequential_table_matches_bench_file():
+    """The README's sequential table quotes the recorded ``sequential``
+    rows of ``BENCH_envelope.json``; re-recording without regenerating
+    the table fails here."""
+    rows = json.loads((REPO_ROOT / "BENCH_envelope.json").read_text())["rows"]
+    expected = [
+        f"| {r['m']} | {r['python_ms']:.1f} | {r['numpy_ms']:.1f}"
+        f" | {r['speedup']:.1f}× |"
+        for r in rows
+        if r["workload"] == "sequential"
+    ]
+    assert expected, "no sequential rows recorded"
+    assert _readme_table("| m | python_ms | numpy_ms | speedup |") == expected

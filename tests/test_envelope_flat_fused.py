@@ -1,14 +1,16 @@
 """Tests for the fused visibility+merge window kernel (flat_fused).
 
-Contract under test: ``insert_segment_flat`` with the fused kernel —
-scalar loop, vectorized sweep, hidden/visible fast paths, and the
-``USE_FUSED_INSERT`` ablation — is *bit-exact* vs the
-``engine="python"`` reference ``insert_segment`` (same visibility
-parts/crossings/ops, same profile pieces, same total ops), and the
-dispatch boundaries at :data:`repro.envelope.engine.FLAT_FUSED_CUTOFF`
-and :data:`~repro.envelope.engine.FLAT_VISIBILITY_CUTOFF` are pinned
+Contract under test: the numpy insert path of ``insert_segment_flat``
+— scalar fused loop, vectorized sweep, hidden/visible fast paths — and
+its reference path are *bit-exact* vs the ``engine="python"``
+reference ``insert_segment`` (same visibility parts/crossings/ops,
+same profile pieces, same total ops), and the dispatch boundaries at
+:data:`repro.envelope.engine.FLAT_FUSED_CUTOFF` and (on the tuple
+path) :data:`~repro.envelope.engine.FLAT_VISIBILITY_CUTOFF` are pinned
 so future re-tuning cannot silently change which kernel answers which
-window — only wall clock may move.
+window — only wall clock may move.  The compiled core is switched off
+here so the numpy path answers every insert; its own parity suite is
+``tests/test_envelope_ccore.py``.
 """
 
 from __future__ import annotations
@@ -21,15 +23,22 @@ import repro.envelope.engine as engine_mod
 import repro.envelope.flat_fused as fused_mod
 import repro.envelope.flat_splice as splice_mod
 from repro.envelope.chain import Envelope
-from repro.envelope.flat_splice import FlatProfile, insert_segment_flat
+from repro.envelope.flat_splice import insert_segment_flat
+from repro.envelope.packed import PackedProfile
 from repro.envelope.splice import insert_segment
+from repro.geometry.primitives import EPS
 from repro.geometry.segments import ImageSegment
 from tests.conftest import random_image_segments
 
 
+@pytest.fixture(autouse=True)
+def _numpy_path(monkeypatch):
+    monkeypatch.setattr(splice_mod, "USE_COMPILED_INSERT", False)
+
+
 def _assert_incremental_parity(segs):
     env = Envelope.empty()
-    prof = FlatProfile.empty()
+    prof = PackedProfile.empty()
     for s in segs:
         rp = insert_segment(env, s, engine="python")
         rf = insert_segment_flat(prof, s)
@@ -82,7 +91,7 @@ class TestFusedInsertParity:
         # Segments re-using existing profile breakpoints hit the
         # coincident-endpoint shortcuts of every kernel.
         env = Envelope.empty()
-        prof = FlatProfile.empty()
+        prof = PackedProfile.empty()
         for j, s in enumerate(random_image_segments(rng, 70)):
             if j % 3 == 2 and env.pieces:
                 p = env.pieces[rng.randrange(len(env.pieces))]
@@ -103,15 +112,24 @@ class TestFusedInsertParity:
 
 
 class TestFusedAblationAndFallbacks:
-    def test_unfused_ablation_matches(self, rng, monkeypatch):
-        # USE_FUSED_INSERT=False must route through PR 3's cascade and
-        # still agree (the bench relies on this toggle).
-        monkeypatch.setattr(splice_mod, "USE_FUSED_INSERT", False)
-        _assert_incremental_parity(random_image_segments(rng, 80))
+    def test_unfused_ablation_matches(self, rng):
+        # The unfused two-pass path (scalar scan, then scalar window
+        # merge) survives as ``_insert_reference`` — the guard retry
+        # and synthetic-window route — and must agree on every insert.
+        env = Envelope.empty()
+        prof = PackedProfile.empty()
+        for s in random_image_segments(rng, 80):
+            rp = insert_segment(env, s, engine="python")
+            rf = splice_mod._insert_reference(prof, s, EPS)
+            assert rf.ops == rp.ops, s
+            assert rf.visibility == rp.visibility, s
+            env = rp.envelope
+        assert prof.to_envelope().pieces == env.pieces
 
     def test_synthetic_source_takes_cascade(self, monkeypatch):
         # Negative sources coalesce on the builder's slope rule; the
-        # fused kernel must not see them.
+        # fused kernel must not see them (they take the reference
+        # path instead).
         calls = []
         orig = fused_mod.fused_insert_window
 
@@ -132,7 +150,7 @@ class TestFusedAblationAndFallbacks:
 
     def test_hidden_insert_shares_profile(self, rng):
         base = ImageSegment(0.0, 50.0, 100.0, 50.0, 0)
-        prof = insert_segment_flat(FlatProfile.empty(), base).profile
+        prof = insert_segment_flat(PackedProfile.empty(), base).profile
         below = ImageSegment(10.0, 5.0, 60.0, 5.0, 1)
         res = insert_segment_flat(prof, below)
         assert res.profile is prof  # no splice on hidden inserts
@@ -144,7 +162,7 @@ class TestFusedAblationAndFallbacks:
 
 def _strip_profile(n):
     """A profile of exactly ``n`` contiguous single-source pieces."""
-    prof = FlatProfile.empty()
+    prof = PackedProfile.empty()
     env = Envelope.empty()
     rng = random.Random(1234 + n)
     for i in range(n):
@@ -169,11 +187,6 @@ class TestCutoffBoundaries:
         win = cutoff + delta
         prof, env = _strip_profile(win)
         scalar_calls, flat_calls = [], []
-        monkeypatch.setattr(
-            splice_mod,
-            "USE_FUSED_INSERT",
-            True,
-        )
         orig_s = fused_mod.fused_insert_window
         orig_f = fused_mod.fused_insert_window_flat
         monkeypatch.setattr(
@@ -201,15 +214,14 @@ class TestCutoffBoundaries:
 
     @pytest.mark.parametrize("delta", [-1, 0, 1])
     def test_visibility_cutoff_boundary(self, delta, monkeypatch):
-        # The unfused cascade still dispatches on
-        # FLAT_VISIBILITY_CUTOFF; pin which kernel answers at the
-        # boundary and that results are identical either way.
+        # The tuple insert path dispatches on FLAT_VISIBILITY_CUTOFF;
+        # pin which kernel answers at the boundary and that results
+        # are identical either way.
         import repro.envelope.flat_visibility as vis_mod
 
-        monkeypatch.setattr(splice_mod, "USE_FUSED_INSERT", False)
         cutoff = engine_mod.FLAT_VISIBILITY_CUTOFF
         win = cutoff + delta
-        prof, env = _strip_profile(win)
+        _prof, env = _strip_profile(win)
         batched = []
         orig = vis_mod.visible_parts_flat
         monkeypatch.setattr(
@@ -218,31 +230,10 @@ class TestCutoffBoundaries:
             lambda *a, **k: (batched.append(1), orig(*a, **k))[1],
         )
         seg = ImageSegment(0.25, 12.0, win - 0.25, 13.0, 6000)
-        assert prof.pieces_overlapping(seg.y1, seg.y2) == (0, win)
-        rf = insert_segment_flat(prof, seg)
+        assert env.pieces_overlapping(seg.y1, seg.y2) == (0, win)
+        rn = insert_segment(env, seg, engine="numpy")
         rp = insert_segment(env, seg, engine="python")
-        assert rf.ops == rp.ops
-        assert rf.visibility == rp.visibility
-        assert rf.profile.to_envelope().pieces == rp.envelope.pieces
+        assert rn.ops == rp.ops
+        assert rn.visibility == rp.visibility
+        assert rn.envelope.pieces == rp.envelope.pieces
         assert bool(batched) == (win >= cutoff)
-
-
-class TestRunEmissionAblation:
-    def test_build_parity_both_emissions(self, rng):
-        import repro.envelope.flat as flat_mod
-        from repro.envelope.build import build_envelope
-
-        old = flat_mod.USE_RUN_EMISSION
-        try:
-            segs = random_image_segments(rng, 180)
-            results = []
-            for toggle in (False, True):
-                flat_mod.USE_RUN_EMISSION = toggle
-                results.append(build_envelope(segs, engine="numpy"))
-            ref = build_envelope(segs, engine="python")
-            for res in results:
-                assert res.envelope.pieces == ref.envelope.pieces
-                assert res.crossings == ref.crossings
-                assert res.ops == ref.ops
-        finally:
-            flat_mod.USE_RUN_EMISSION = old

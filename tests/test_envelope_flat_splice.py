@@ -18,22 +18,23 @@ import repro.envelope.flat as flat_mod
 from repro.envelope.build import build_envelope
 from repro.envelope.chain import Envelope
 from repro.envelope.flat import FlatEnvelope
-from repro.envelope.flat_splice import (
-    FlatProfile,
-    insert_segment_flat,
-)
+from repro.envelope.flat_splice import insert_segment_flat
 from repro.envelope.merge import merge_envelopes
+from repro.envelope.packed import PackedProfile
 from repro.envelope.splice import insert_segment, splice_merge
 from repro.geometry.segments import ImageSegment
 from tests.conftest import random_image_segments
 
 
-class TestFlatProfile:
+class TestLiveProfile:
+    """The packed live profile answers the scalar ``Envelope`` queries
+    bit for bit."""
+
     def test_pieces_overlapping_matches_envelope(self, rng):
         for _ in range(20):
             segs = random_image_segments(rng, rng.randint(0, 60))
             env = build_envelope(segs, engine="python").envelope
-            prof = FlatProfile.from_envelope(env)
+            prof = PackedProfile.from_envelope(env)
             for _q in range(25):
                 y1 = rng.uniform(-10, 110)
                 y2 = y1 + rng.uniform(0, 50)
@@ -49,7 +50,7 @@ class TestFlatProfile:
     def test_value_at_matches_envelope(self, rng):
         segs = random_image_segments(rng, 40)
         env = build_envelope(segs, engine="python").envelope
-        prof = FlatProfile.from_envelope(env)
+        prof = PackedProfile.from_envelope(env)
         ys = [rng.uniform(-10, 110) for _ in range(50)]
         ys += [p.ya for p in env.pieces[:10]]
         ys += [p.yb for p in env.pieces[:10]]
@@ -59,28 +60,16 @@ class TestFlatProfile:
     def test_round_trip(self, rng):
         segs = random_image_segments(rng, 30)
         env = build_envelope(segs, engine="python").envelope
-        assert FlatProfile.from_envelope(env).to_envelope().pieces == (
+        assert PackedProfile.from_envelope(env).to_envelope().pieces == (
             env.pieces
         )
-        assert FlatProfile.empty().to_envelope().pieces == []
+        assert PackedProfile.empty().to_envelope().pieces == []
 
     def test_splice_type_closed(self):
-        prof = FlatProfile.empty()
+        prof = PackedProfile.empty()
         new = prof.splice(0, 0, [0.0], [1.0], [2.0], [1.0], [7])
-        assert isinstance(new, FlatProfile)
+        assert new is prof and isinstance(new, PackedProfile)
         assert new.to_envelope().pieces[0].source == 7
-        # Base-class splice stays a FlatEnvelope.
-        fe = FlatEnvelope.empty().splice(0, 0, [0.0], [1.0], [2.0], [1.0], [7])
-        assert type(fe) is FlatEnvelope
-
-    def test_window_is_zero_copy(self, rng):
-        segs = random_image_segments(rng, 30)
-        prof = FlatProfile.from_envelope(
-            build_envelope(segs, engine="python").envelope
-        )
-        w = prof.window(3, 9)
-        assert w.ya.base is prof.ya
-        assert len(w) == 6
 
 
 class TestInsertSegmentFlat:
@@ -88,7 +77,7 @@ class TestInsertSegmentFlat:
         for _ in range(10):
             segs = random_image_segments(rng, rng.randint(2, 60))
             env = Envelope.empty()
-            prof = FlatProfile.empty()
+            prof = PackedProfile.empty()
             for s in segs:
                 rp = insert_segment(env, s, engine="python")
                 rf = insert_segment_flat(prof, s)
@@ -107,7 +96,7 @@ class TestInsertSegmentFlat:
             ImageSegment(1.0, 2.5, 5.0, 2.5, 3),
         ]
         env = Envelope.empty()
-        prof = FlatProfile.empty()
+        prof = PackedProfile.empty()
         for s in segs:
             rp = insert_segment(env, s, engine="python")
             rf = insert_segment_flat(prof, s)
@@ -117,11 +106,49 @@ class TestInsertSegmentFlat:
         assert prof.to_envelope().pieces == env.pieces
 
 
+class TestSyntheticRouting:
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
+    def test_negative_source_window_routes_to_reference(
+        self, compiled, monkeypatch
+    ):
+        """An insert whose window holds a synthetic (negative-source)
+        piece is answered by ``_insert_reference`` — on both insert
+        paths — and matches ``engine="python"`` bit for bit."""
+        import repro.envelope.flat_splice as splice_mod
+
+        monkeypatch.setattr(splice_mod, "USE_COMPILED_INSERT", compiled)
+        calls = []
+        orig = splice_mod._insert_reference
+
+        def counting(profile, seg, eps):
+            calls.append(seg.source)
+            return orig(profile, seg, eps)
+
+        monkeypatch.setattr(splice_mod, "_insert_reference", counting)
+        segs = [
+            ImageSegment(0.0, 1.0, 4.0, 2.0, -1),
+            ImageSegment(2.0, 0.5, 6.0, 3.0, 7),  # window holds source -1
+            ImageSegment(10.0, 1.0, 12.0, 1.0, 8),  # empty window
+        ]
+        env = Envelope.empty()
+        prof = PackedProfile.empty()
+        for s in segs:
+            rp = insert_segment(env, s, engine="python")
+            rf = insert_segment_flat(prof, s)
+            assert rf.ops == rp.ops
+            assert rf.visibility == rp.visibility
+            env = rp.envelope
+        assert prof.to_envelope().pieces == env.pieces
+        assert calls == [-1, 7]
+
+
 class TestVisibilityDispatchWindow:
     def test_flat_run_never_converts_windows(self, rng, monkeypatch):
         """Regression: the flat sequential path must perform zero
-        ``FlatEnvelope.from_pieces`` conversions — the O(window) cost
-        the pre-flat dispatch paid on every large-window query."""
+        ``FlatEnvelope.from_pieces`` conversions — the vectorized fused
+        kernel runs on zero-copy window views of the live buffer."""
+        import repro.envelope.flat_splice as splice_mod
+
         calls = []
         orig = FlatEnvelope.from_pieces
 
@@ -130,29 +157,15 @@ class TestVisibilityDispatchWindow:
             return orig(pieces)
 
         monkeypatch.setattr(FlatEnvelope, "from_pieces", staticmethod(counting))
-        # Force every non-trivial window through the dispatched kernel.
-        monkeypatch.setattr(engine_mod, "FLAT_VISIBILITY_CUTOFF", 2)
-        monkeypatch.setattr(engine_mod, "FLAT_MERGE_CUTOFF", 2)
+        # Force every non-trivial window through the vectorized kernel.
+        monkeypatch.setattr(splice_mod, "USE_COMPILED_INSERT", False)
+        monkeypatch.setattr(engine_mod, "FLAT_FUSED_CUTOFF", 2)
         segs = random_image_segments(rng, 150)
-        prof = FlatProfile.empty()
+        prof = PackedProfile.empty()
         for s in segs:
             prof = insert_segment_flat(prof, s).profile
         assert calls == []
         assert prof.size > 0
-
-    def test_dispatch_window_param_matches_scalar(self, rng):
-        from repro.envelope.engine import visibility_dispatch
-        from repro.envelope.visibility import visible_parts
-
-        segs = random_image_segments(rng, 200)
-        env = build_envelope(segs, engine="python").envelope
-        prof = FlatProfile.from_envelope(env)
-        for q in random_image_segments(rng, 20):
-            lo, hi = prof.pieces_overlapping(q.y1, q.y2)
-            got = visibility_dispatch(
-                q, None, engine="numpy", window=prof.window(lo, hi)
-            )
-            assert got == visible_parts(q, env)
 
 
 class TestSpliceMerge:
@@ -197,7 +210,7 @@ class TestSpliceMerge:
 class TestSequentialEngineParity:
     """Thin wrapper over the declarative scenario matrix (ISSUE 9):
     the hand-rolled fractal/valley/shielded-basin cases — including
-    the forced-flat kernel variant, now a config axis — live in the
+    the forced-vectorized kernel variant, now a config axis — live in the
     ``parity-terrain`` / ``parity-occlusion`` scenarios of
     ``repro/scenarios/default_scenarios.json``.  The full matrix runs
     in ``tests/test_scenarios.py``; this wrapper pins the historical
@@ -215,8 +228,8 @@ class TestSequentialEngineParity:
         terrain = spec.scenario("parity-terrain")
         families = dict(terrain.cross)["family"]
         assert {"fractal", "valley", "shielded_basin"} <= set(families)
-        # The old `kernels=forced-flat` leg is now a config variant.
-        assert "numpy-forced-flat" in terrain.config_ids()
+        # The old `kernels=forced` leg is now a config variant.
+        assert "numpy-vectorized" in terrain.config_ids()
         occ = spec.scenario("parity-occlusion")
         assert set(dict(occ.cross)["occlusion"]) == {0.3, 1.2}
 
@@ -263,29 +276,20 @@ class TestSequentialEngineParitySlow:
 
 
 class TestStreamMergeAblationStillExact:
-    def test_flat_insert_with_argsort_ordering(self, rng):
-        # The flat merge path must stay exact with the stream-merge
-        # ablation toggled off (PR 2's composite-argsort ordering).
-        old = flat_mod.USE_STREAM_MERGE
-        flat_mod.USE_STREAM_MERGE = False
-        try:
-            segs = random_image_segments(rng, 120)
-            env = Envelope.empty()
-            prof = FlatProfile.empty()
-            old_vis = engine_mod.FLAT_VISIBILITY_CUTOFF
-            old_merge = engine_mod.FLAT_MERGE_CUTOFF
-            engine_mod.FLAT_VISIBILITY_CUTOFF = 1
-            engine_mod.FLAT_MERGE_CUTOFF = 1
-            try:
-                for s in segs:
-                    rp = insert_segment(env, s, engine="python")
-                    rf = insert_segment_flat(prof, s)
-                    assert rf.ops == rp.ops
-                    env = rp.envelope
-                    prof = rf.profile
-            finally:
-                engine_mod.FLAT_VISIBILITY_CUTOFF = old_vis
-                engine_mod.FLAT_MERGE_CUTOFF = old_merge
-            assert prof.to_envelope().pieces == env.pieces
-        finally:
-            flat_mod.USE_STREAM_MERGE = old
+    def test_flat_insert_with_argsort_ordering(self, rng, monkeypatch):
+        # The flat merge kernel behind the numpy tuple insert must stay
+        # exact with the stream-merge ablation toggled off (the
+        # composite-argsort ordering).
+        monkeypatch.setattr(flat_mod, "USE_STREAM_MERGE", False)
+        monkeypatch.setattr(engine_mod, "FLAT_VISIBILITY_CUTOFF", 1)
+        monkeypatch.setattr(engine_mod, "FLAT_MERGE_CUTOFF", 1)
+        segs = random_image_segments(rng, 120)
+        env_p = Envelope.empty()
+        env_n = Envelope.empty()
+        for s in segs:
+            rp = insert_segment(env_p, s, engine="python")
+            rn = insert_segment(env_n, s, engine="numpy")
+            assert rn.ops == rp.ops
+            assert rn.visibility == rp.visibility
+            env_p, env_n = rp.envelope, rn.envelope
+        assert env_n.pieces == env_p.pieces

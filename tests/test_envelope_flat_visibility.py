@@ -246,16 +246,14 @@ def _run_incremental_pair(segments, *, eps=None):
     """Run the python insert loop and the flat-profile loop over the
     same front-to-back sequence, asserting bit-exact agreement at
     every step; returns the final profiles."""
-    from repro.envelope.flat_splice import (
-        FlatProfile,
-        insert_segment_flat,
-    )
+    from repro.envelope.flat_splice import insert_segment_flat
+    from repro.envelope.packed import PackedProfile
     from repro.envelope.splice import insert_segment
     from repro.geometry.primitives import EPS
 
     eps = EPS if eps is None else eps
     env = Envelope.empty()
-    prof = FlatProfile.empty()
+    prof = PackedProfile.empty()
     for i, seg in enumerate(segments):
         ref = insert_segment(env, seg, eps=eps, engine="python")
         got = insert_segment_flat(prof, seg, eps=eps)
@@ -289,17 +287,20 @@ class TestIncrementalRuns:
     @given(adversarial_queries(max_queries=10, allow_vertical=True))
     @settings(max_examples=60, deadline=None)
     def test_adversarial_inserts_forced_flat_kernels(self, segments):
-        # Force every window through the batched kernels (the
-        # large-window dispatch arms) regardless of size.
-        old_vis = engine_mod.FLAT_VISIBILITY_CUTOFF
-        old_merge = engine_mod.FLAT_MERGE_CUTOFF
-        engine_mod.FLAT_VISIBILITY_CUTOFF = 1
-        engine_mod.FLAT_MERGE_CUTOFF = 1
+        # Force every window through the vectorized fused kernel (the
+        # large-window arm of the numpy insert path) regardless of
+        # size, with the compiled core out of the way.
+        import repro.envelope.flat_splice as splice_mod
+
+        old_cut = engine_mod.FLAT_FUSED_CUTOFF
+        old_cc = splice_mod.USE_COMPILED_INSERT
+        engine_mod.FLAT_FUSED_CUTOFF = 1
+        splice_mod.USE_COMPILED_INSERT = False
         try:
             _run_incremental_pair(segments)
         finally:
-            engine_mod.FLAT_VISIBILITY_CUTOFF = old_vis
-            engine_mod.FLAT_MERGE_CUTOFF = old_merge
+            engine_mod.FLAT_FUSED_CUTOFF = old_cut
+            splice_mod.USE_COMPILED_INSERT = old_cc
 
     def test_random_large_run(self, rng):
         segs = random_image_segments(rng, 400)
@@ -318,13 +319,11 @@ class TestIncrementalRuns:
         # Hidden or vertical inserts must return the *same* profile
         # object (no splice performed) — mirroring insert_segment's
         # identity semantics.
-        from repro.envelope.flat_splice import (
-            FlatProfile,
-            insert_segment_flat,
-        )
+        from repro.envelope.flat_splice import insert_segment_flat
+        from repro.envelope.packed import PackedProfile
 
         prof = insert_segment_flat(
-            FlatProfile.empty(), ImageSegment(0.0, 10.0, 10.0, 10.0, 0)
+            PackedProfile.empty(), ImageSegment(0.0, 10.0, 10.0, 10.0, 0)
         ).profile
         hidden = insert_segment_flat(
             prof, ImageSegment(2.0, 1.0, 8.0, 1.0, 1)

@@ -7,12 +7,10 @@ Three contracts:
   shifts into the slack, amortized-doubling growth), pinned by unit
   cases at the slack edges and a hypothesis fuzz against a pure-list
   reference model.
-* **Bit-exact parity** — insert sequences and full ``SequentialHSR``
-  runs on the packed layout produce the identical visibility map,
-  ``ops``, ``max_profile_size`` and profile pieces as
-  ``engine="python"`` and as the immutable ``FlatProfile`` layout,
-  across forced-kernel cutoffs and tiny initial capacities (every
-  insert near a grow boundary).
+* **Bit-exact parity** — insert sequences on the packed layout produce
+  the identical visibility, ``ops`` and profile pieces as
+  ``engine="python"``, across forced-kernel cutoffs and tiny initial
+  capacities (every insert near a grow boundary).
 * **Stale views** — windows taken before a reallocation still see the
   old buffer (they are never silently re-pointed), and the insert path
   re-derives its windows from the live profile per insert, so no
@@ -30,10 +28,7 @@ import repro.envelope.flat_splice as splice_mod
 from repro.envelope.build import build_envelope
 from repro.envelope.chain import Envelope
 from repro.envelope.flat import FlatEnvelope
-from repro.envelope.flat_splice import (
-    FlatProfile,
-    insert_segment_flat,
-)
+from repro.envelope.flat_splice import insert_segment_flat
 from repro.envelope.packed import MIN_CAPACITY, PackedProfile
 from repro.envelope.splice import insert_segment
 from repro.geometry.segments import ImageSegment
@@ -161,9 +156,10 @@ class TestSpliceMechanics:
         assert _rows(child) == pieces[:2] + [_mk_piece(50)] + pieces[4:]
         assert _rows(parent) == pieces  # parent only read
         assert child._buf is not parent._buf
-        # Also works from a plain FlatEnvelope parent.
-        flat = FlatEnvelope.empty()
-        child2 = PackedProfile.from_splice(flat, 0, 0, *_fields(pieces))
+        # An empty parent takes the whole replacement.
+        child2 = PackedProfile.from_splice(
+            PackedProfile.empty(), 0, 0, *_fields(pieces)
+        )
         assert _rows(child2) == pieces
 
     def test_min_capacity_floor(self):
@@ -236,6 +232,7 @@ class TestInsertParity:
     def test_forced_vectorized_dest_path(self, rng, cutoff, monkeypatch):
         # Force the vectorized fused kernel (with its straight-into-
         # the-buffer dest write) onto every window.
+        monkeypatch.setattr(splice_mod, "USE_COMPILED_INSERT", False)
         monkeypatch.setattr(engine_mod, "FLAT_FUSED_CUTOFF", cutoff)
         segs = random_image_segments(rng, 120)
         env = Envelope.empty()
@@ -248,23 +245,6 @@ class TestInsertParity:
             env = rp.envelope
             prof = rf.profile
         assert prof.to_envelope().pieces == env.pieces
-
-    def test_scalar_fastpath_ablation_parity(self, rng, monkeypatch):
-        # USE_SCALAR_FASTPATHS off (the PR-4 cascade shape) must stay
-        # bit-exact on both layouts.
-        monkeypatch.setattr(splice_mod, "USE_SCALAR_FASTPATHS", False)
-        segs = random_image_segments(rng, 100)
-        env = Envelope.empty()
-        packed = PackedProfile.empty()
-        flat = FlatProfile.empty()
-        for s in segs:
-            rp = insert_segment(env, s, engine="python")
-            r1 = insert_segment_flat(packed, s)
-            r2 = insert_segment_flat(flat, s)
-            assert r1.ops == rp.ops == r2.ops
-            assert r1.visibility == rp.visibility == r2.visibility
-            env, packed, flat = rp.envelope, r1.profile, r2.profile
-        assert packed.to_envelope().pieces == env.pieces
 
     def test_churny_occlusion_sequence(self, rng):
         # Repeatedly overwrite the same y-range with rising segments —
@@ -283,55 +263,6 @@ class TestInsertParity:
             assert rf.visibility == rp.visibility
             env = rp.envelope
         assert prof.to_envelope().pieces == env.pieces
-
-
-class TestSequentialAndPhase2Toggles:
-    def _run_sequential(self, terrain, engine, packed):
-        from repro.hsr.sequential import SequentialHSR
-
-        old = engine_mod.USE_PACKED_PROFILE
-        engine_mod.USE_PACKED_PROFILE = packed
-        try:
-            return SequentialHSR(engine=engine).run(terrain)
-        finally:
-            engine_mod.USE_PACKED_PROFILE = old
-
-    def test_sequential_packed_toggle_parity(self):
-        from repro.terrain.generators import fractal_terrain
-
-        terrain = fractal_terrain(size=9, seed=23)
-        rp = self._run_sequential(terrain, "python", True)
-        r_on = self._run_sequential(terrain, "numpy", True)
-        r_off = self._run_sequential(terrain, "numpy", False)
-        for r in (r_on, r_off):
-            assert r.stats.ops == rp.stats.ops
-            assert r.stats.k == rp.stats.k
-            assert r.stats.extra == rp.stats.extra
-            assert r.visibility_map.segments == rp.visibility_map.segments
-
-    def test_phase2_direct_packed_toggle_parity(self, rng):
-        from repro.hsr.pct import build_pct
-        from repro.hsr.phase2 import run_phase2
-        from repro.ordering.separator import SeparatorTree
-
-        segs = random_image_segments(rng, 40)
-        tree = SeparatorTree(list(range(len(segs))))
-        pct = build_pct(tree, segs, engine="numpy")
-        ref = run_phase2(pct, segs, mode="direct", engine="python")
-        old = engine_mod.USE_PACKED_PROFILE
-        try:
-            results = {}
-            for packed in (True, False):
-                engine_mod.USE_PACKED_PROFILE = packed
-                results[packed] = run_phase2(
-                    pct, segs, mode="direct", engine="numpy"
-                )
-        finally:
-            engine_mod.USE_PACKED_PROFILE = old
-        for res in results.values():
-            assert res.visibility == ref.visibility
-            assert res.ops == ref.ops
-            assert res.pieces_materialised == ref.pieces_materialised
 
 
 class TestStaleViews:
@@ -362,7 +293,6 @@ class TestStaleViews:
         the profile's *live* buffer at call time — i.e. windows are
         re-derived after every splice, never cached across inserts."""
         import repro.envelope.flat_fused as fused_mod
-        import repro.envelope.flat_splice as splice_mod
 
         # Pin the vectorized kernel path: the compiled core (when
         # built) would otherwise answer every insert before it.
@@ -407,10 +337,12 @@ class TestStaleViews:
 
 class TestPackedQueries:
     def test_queries_match_flat_profile(self, rng):
+        # The packed buffer's fast queries agree with plain per-field
+        # slices of the same profile's flat arrays.
         segs = random_image_segments(rng, 60)
         env = build_envelope(segs, engine="python").envelope
         packed = PackedProfile.from_envelope(env)
-        flat = FlatProfile.from_envelope(env)
+        flat = FlatEnvelope.from_envelope(env)
         assert packed.to_envelope().pieces == env.pieces
         for _ in range(30):
             y1 = rng.uniform(-10, 110)
@@ -418,14 +350,17 @@ class TestPackedQueries:
             assert packed.pieces_overlapping(y1, y2) == (
                 flat.pieces_overlapping(y1, y2)
             )
-            assert packed.value_at(y1) == flat.value_at(y1)
+            assert packed.value_at(y1) == env.value_at(y1)
         n = packed.size
         for _ in range(10):
             lo = rng.randint(0, n - 1)
             hi = rng.randint(lo + 1, n)
-            assert packed.window_lists(lo, hi) == flat.window_lists(lo, hi)
-            assert packed.window_z_min(lo, hi) == flat.window_z_min(lo, hi)
-            assert packed.window_z_max(lo, hi) == flat.window_z_max(lo, hi)
+            w = flat.window(lo, hi)
+            assert packed.window_lists(lo, hi) == (
+                w.ya.tolist(), w.za.tolist(), w.yb.tolist(), w.zb.tolist()
+            )
+            assert packed.window_z_min(lo, hi) == min(w.za.min(), w.zb.min())
+            assert packed.window_z_max(lo, hi) == max(w.za.max(), w.zb.max())
 
     def test_window_is_zero_copy(self, rng):
         segs = random_image_segments(rng, 30)

@@ -11,6 +11,8 @@ shows up only in ``result.reliability``.  In strict mode
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import repro.envelope.engine as engine_mod
@@ -97,31 +99,51 @@ class TestSequentialInjectionParity:
         assert not res.reliability.degraded
 
 
+def _assert_oracle_parity(terrain, site):
+    """The tuple insert loop behind :class:`VisibilityOracle` (engine
+    auto, so numpy) under the armed plan vs an uninjected python loop,
+    checkpoint by checkpoint."""
+    from repro.envelope.chain import Envelope
+    from repro.envelope.splice import insert_segment
+    from repro.hsr.queries import VisibilityOracle
+
+    oracle = VisibilityOracle(terrain)
+    with fi.suppressed():
+        env = Envelope.empty()
+        ref = [env]
+        for edge in oracle.order:
+            seg = terrain.image_segment(edge)
+            env = insert_segment(env, seg, engine="python").envelope
+            ref.append(env)
+    for cut, prof in zip(oracle._cuts, oracle._profiles):
+        assert prof.pieces == ref[cut].pieces
+    assert guard.current_report().sites[site].count >= 1
+
+
+@pytest.fixture
+def _force_dispatch(monkeypatch):
+    """Engine cutoffs forced to 1, so the tuple path's separate
+    dispatch kernels (and their guards) run on every insert."""
+    monkeypatch.setattr(engine_mod, "FLAT_VISIBILITY_CUTOFF", 1)
+    monkeypatch.setattr(engine_mod, "FLAT_MERGE_CUTOFF", 1)
+
+
+@pytest.mark.usefixtures("_force_dispatch")
 class TestForcedFlatInjectionParity:
-    """Cutoffs forced to 1 — and the fused insert disabled — so the
-    separate dispatch kernels (and their guards) run on every
-    insert."""
-
-    @pytest.fixture(autouse=True)
-    def _force_flat(self, monkeypatch):
-        import repro.envelope.flat_splice as flat_splice_mod
-
-        monkeypatch.setattr(engine_mod, "FLAT_VISIBILITY_CUTOFF", 1)
-        monkeypatch.setattr(engine_mod, "FLAT_MERGE_CUTOFF", 1)
-        monkeypatch.setattr(flat_splice_mod, "USE_FUSED_INSERT", False)
+    """The ``merge_dispatch`` / ``visibility_dispatch`` sites guard the
+    tuple insert path (``splice.insert_segment`` under numpy), which
+    :class:`~repro.hsr.queries.VisibilityOracle` runs per edge."""
 
     @pytest.mark.parametrize("mode", ["raise", "unsorted", "nan"])
     def test_merge_dispatch(self, mode):
-        terrain = _valley()
         with fi.inject("merge_dispatch", mode, nth=2) as plan:
-            _assert_sequential_parity(terrain, "merge_dispatch")
+            _assert_oracle_parity(_valley(), "merge_dispatch")
         assert plan.fired >= 1
 
     @pytest.mark.parametrize("mode", ["raise", "unsorted", "nan"])
     def test_visibility_dispatch(self, mode):
-        terrain = _valley()
         with fi.inject("visibility_dispatch", mode, nth=2) as plan:
-            _assert_sequential_parity(terrain, "visibility_dispatch")
+            _assert_oracle_parity(_valley(), "visibility_dispatch")
         assert plan.fired >= 1
 
 
@@ -140,17 +162,14 @@ class TestStrictMode:
                 SequentialHSR(engine="numpy").run(_fractal())
         assert exc.value.site == site
 
+    @pytest.mark.usefixtures("_force_dispatch")
     def test_strict_merge_dispatch(self, monkeypatch):
-        import repro.envelope.flat_splice as flat_splice_mod
-        from repro.hsr.sequential import SequentialHSR
+        from repro.hsr.queries import VisibilityOracle
 
         monkeypatch.setattr(guard, "GUARDED_DISPATCH", False)
-        monkeypatch.setattr(engine_mod, "FLAT_MERGE_CUTOFF", 1)
-        monkeypatch.setattr(engine_mod, "FLAT_VISIBILITY_CUTOFF", 1)
-        monkeypatch.setattr(flat_splice_mod, "USE_FUSED_INSERT", False)
         with fi.inject("merge_dispatch", "raise", nth=2):
             with pytest.raises(KernelFault) as exc:
-                SequentialHSR(engine="numpy").run(_valley())
+                VisibilityOracle(_valley())
         assert exc.value.site == "merge_dispatch"
 
 
@@ -278,3 +297,82 @@ class TestEnvDrivenInjection:
         assert plan is not None and plan.site == "fused_insert"
         _assert_sequential_parity(_fractal(), "fused_insert")
         assert plan.fired == 1
+
+
+def _run_sequential():
+    from repro.hsr.sequential import SequentialHSR
+
+    SequentialHSR(engine="numpy").run(_fractal())
+
+
+def _run_oracle():
+    from repro.hsr.queries import VisibilityOracle
+
+    VisibilityOracle(_valley())
+
+
+def _run_compiled():
+    from repro.envelope import _ccore
+
+    if not _ccore.HAVE_CCORE:
+        pytest.skip("compiled core not built")
+    _run_sequential()
+
+
+def _run_build():
+    from repro.envelope.build import build_envelope
+
+    build_envelope(random_image_segments(random.Random(5), 120), engine="numpy")
+
+
+def _run_parallel_build():
+    from repro.config import HsrConfig
+    from repro.envelope.build import build_envelope
+
+    cfg = HsrConfig(
+        engine="numpy", workers=2, parallel_min_segments=0, parallel_min_pieces=0
+    )
+    build_envelope(random_image_segments(random.Random(5), 120), config=cfg)
+
+
+def _run_direct():
+    from repro.hsr.parallel import ParallelHSR
+
+    ParallelHSR(mode="direct", engine="numpy").run(_valley())
+
+
+def _run_persistent():
+    from repro.hsr.parallel import ParallelHSR
+
+    ParallelHSR(mode="persistent", engine="numpy").run(_valley())
+
+
+#: One production path per injection site.  ``profile`` is the
+#: detection-only tick (``nan`` plans only; it raises by contract).
+_SITE_PATHS = {
+    "merge_dispatch": ("raise", _run_oracle),
+    "visibility_dispatch": ("raise", _run_oracle),
+    "compiled_insert": ("raise", _run_compiled),
+    "fused_insert": ("raise", _run_sequential),
+    "packed_splice": ("raise", _run_sequential),
+    "build_sweep": ("raise", _run_build),
+    "parallel_exec": ("raise", _run_parallel_build),
+    "phase2_merge": ("raise", _run_direct),
+    "phase2_visibility": ("raise", _run_direct),
+    "rope_splice": ("raise", _run_persistent),
+    "profile": ("nan", _run_sequential),
+}
+
+
+@pytest.mark.usefixtures("_force_dispatch")
+@pytest.mark.parametrize("site", fi.SITES)
+def test_every_site_fires_on_a_production_path(site):
+    """Each injection site is reachable: a plan armed there fires on a
+    real run (a site nothing calls would pass the CI loop silently)."""
+    mode, run = _SITE_PATHS[site]
+    with fi.inject(site, mode) as plan:
+        try:
+            run()
+        except KernelFault as exc:
+            assert site == "profile" and exc.site == "profile"
+    assert plan.fired >= 1
