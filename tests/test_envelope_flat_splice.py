@@ -71,6 +71,20 @@ class TestLiveProfile:
         assert new is prof and isinstance(new, PackedProfile)
         assert new.to_envelope().pieces[0].source == 7
 
+    def test_window_is_zero_copy(self, rng):
+        # Windows of the flat snapshot the live profile converts to
+        # share its arrays rather than copying them.
+        segs = random_image_segments(rng, 30)
+        prof = PackedProfile.from_envelope(
+            build_envelope(segs, engine="python").envelope
+        )
+        flat = FlatEnvelope.from_envelope(prof.to_envelope())
+        w = flat.window(3, 9)
+        assert w.ya.base is flat.ya
+        assert w.source.base is flat.source
+        assert len(w) == 6
+        assert w.to_envelope().pieces == prof.to_envelope().pieces[3:9]
+
 
 class TestInsertSegmentFlat:
     def test_incremental_matches_python_engine(self, rng):
