@@ -1,11 +1,11 @@
-"""Loader + thin wrapper for the compiled fused-insert core.
+"""Loader + thin wrapper for the compiled core.
 
 ``repro.envelope._repro_ccore`` (built by :mod:`._ccore_build`; see
 that module for the bit-exactness and buffer-ownership contracts) is
 an **optional** cffi API-mode extension — compiled wheels ship it, a
 no-compiler install simply doesn't have it, and ``REPRO_COMPILED=0``
 disables it even when present.  This module absorbs all three cases
-behind two flags and two functions:
+behind two flags and these functions:
 
 ``HAVE_CCORE``
     The extension imported.
@@ -29,6 +29,15 @@ behind two flags and two functions:
     validate (and fault injection corrupt) them before the commit goes
     through :meth:`PackedProfile.splice`, keeping the ``packed_splice``
     guard site live under injection.
+
+``front_to_back(x1, y1, x2, y2, src, sign)``
+    The front-to-back ordering in one C call over map-segment lanes
+    (buffers of float64 coordinates and int64 sources).  Returns the
+    order list, or ``None`` when the core declines (scratch OOM, a
+    source outside ``[0, n)``, a NaN sweep ``y``, a missing status
+    entry, a cycle) and the Python sweep should answer.
+    ``order_constraints`` returns the same call's raw constraint list,
+    for the parity tests.
 
 Only :mod:`repro.envelope.visibility` is imported here —
 ``flat_splice`` imports *us*, never the reverse.
@@ -202,6 +211,41 @@ if HAVE_CCORE:
             )
         return None  # ST_FALLBACK
 
+    def _sweep(x1, y1, x2, y2, src, sign: int):
+        n = len(src)
+        if not len(x1) == len(y1) == len(x2) == len(y2) == n:
+            raise ValueError("map-segment lanes differ in length")
+        order = ffi.new("int64_t[]", n)
+        cons = ffi.new("int64_t[]", 6 * n)  # 3n (front, back) pairs
+        ncons = ffi.new("int64_t *")
+        done = lib.repro_front_to_back(
+            n,
+            ffi.from_buffer("double[]", x1),
+            ffi.from_buffer("double[]", y1),
+            ffi.from_buffer("double[]", x2),
+            ffi.from_buffer("double[]", y2),
+            ffi.from_buffer("int64_t[]", src),
+            sign,
+            order,
+            cons,
+            ncons,
+        )
+        return done, order, cons, ncons[0]
+
+    def front_to_back(x1, y1, x2, y2, src, sign: int):
+        """The ordering as a list of edge indices, or ``None`` when the
+        core declines and the Python sweep should answer."""
+        done, order, _cons, _k = _sweep(x1, y1, x2, y2, src, sign)
+        return ffi.unpack(order, done) if done == len(src) else None
+
+    def order_constraints(x1, y1, x2, y2, src):
+        """The sweep's ``(front, back)`` list, or ``None`` on decline."""
+        done, _order, cons, k = _sweep(x1, y1, x2, y2, src, 1)
+        if done < 0:
+            return None
+        flat = ffi.unpack(cons, 2 * k)
+        return list(zip(flat[0::2], flat[1::2]))
+
 else:  # pragma: no cover - the no-compiler install
     ffi = None
     lib = None
@@ -210,4 +254,10 @@ else:  # pragma: no cover - the no-compiler install
         return None
 
     def compute(profile, seg, eps: float):
+        return None
+
+    def front_to_back(x1, y1, x2, y2, src, sign: int):
+        return None
+
+    def order_constraints(x1, y1, x2, y2, src):
         return None

@@ -1,10 +1,11 @@
-"""cffi out-of-line API builder for the compiled fused-insert core.
+"""cffi out-of-line API builder for the compiled core.
 
 Running this module (``python src/repro/envelope/_ccore_build.py``)
-compiles ``repro.envelope._repro_ccore`` — a small C extension holding
-the whole per-insert hot path of the sequential algorithm as **one C
-call** against the :class:`~repro.envelope.packed.PackedProfile`
-``(5, capacity)`` float64 buffer:
+compiles ``repro.envelope._repro_ccore`` — a small C extension with
+two entry points.  ``repro_fused_insert`` holds the whole per-insert
+hot path of the sequential algorithm as **one C call** against the
+:class:`~repro.envelope.packed.PackedProfile` ``(5, capacity)``
+float64 buffer:
 
 * locate — the binary search of
   :meth:`~repro.envelope.flat.FlatEnvelope.pieces_overlapping` on the
@@ -19,6 +20,16 @@ call** against the :class:`~repro.envelope.packed.PackedProfile`
   (``_splice_impl`` semantics: shrink shifts the smaller side inward,
   growth prefers the cheaper fitting side, reallocation is signalled
   back to Python — the amortized-doubling grow stays Python-side).
+
+``repro_front_to_back`` is the front-to-back ordering of
+:func:`~repro.ordering.sweep.front_to_back_order` in one call over
+``(x1, y1, x2, y2, source)`` map-segment lanes: the ``(y, kind, idx)``
+event sort, the status bisection with the ``_StatusEntry.__lt__``
+comparator (``in_front_comparison`` at the common-range midpoint,
+then the source tie-break), the exact-source scan of a removal, and
+Kahn's topological sort with a heap keyed by ``sign * i``.  It
+declines (negative return, or fewer than ``n`` edges ordered on a
+cycle) and the Python sweep answers, raising its own errors.
 
 Bit-exactness contract: every float expression below is a literal
 transcription of the pure-Python scalar loop (``_line_z`` endpoint
@@ -56,6 +67,10 @@ double *repro_parts_ptr(void);
 double *repro_cross_ptr(void);
 double *repro_merged_ptr(int field);
 int64_t *repro_merged_src_ptr(void);
+int64_t repro_front_to_back(
+    int64_t n, const double *x1, const double *y1, const double *x2,
+    const double *y2, const int64_t *src, int64_t sign,
+    int64_t *order, int64_t *cons, int64_t *ncons);
 """
 
 C_SOURCE = r"""
@@ -567,6 +582,246 @@ COMMIT:
     state[1] = end;
     out[O_SYNCED] = synced;
     return ST_DONE;
+}
+
+/* ==== front-to-back ordering (repro/ordering/sweep.py) ============== */
+
+/* Decline codes of repro_front_to_back.  A non-negative return is
+ * the count of ordered edges; a count below n means the constraint
+ * graph has a cycle.  The wrapper treats anything but n as a decline. */
+#define OR_OOM     (-1)  /* scratch allocation failed                 */
+#define OR_INPUT   (-2)  /* a source outside [0, n), or a NaN sweep y */
+#define OR_MISSING (-3)  /* a removal found no status entry           */
+
+typedef struct {
+    const double *x1, *y1, *x2, *y2;
+    const int64_t *src;
+} map_lanes;
+
+/* The (y, kind, idx) event tuple; kinds: 0 removal, 1 horizontal
+ * insert+remove, 2 insertion. */
+typedef struct {
+    double y;
+    int64_t kind, idx;
+} sweep_event;
+
+/* Tuple order of the Python events.sort(); keys are unique. */
+static int event_cmp(const void *pa, const void *pb)
+{
+    const sweep_event *a = (const sweep_event *)pa;
+    const sweep_event *b = (const sweep_event *)pb;
+    if (a->y < b->y) return -1;
+    if (a->y > b->y) return 1;
+    if (a->kind != b->kind) return a->kind < b->kind ? -1 : 1;
+    return (a->idx > b->idx) - (a->idx < b->idx);
+}
+
+/* MapSegment.x_at: horizontal max, endpoint and t == 0/1 shortcuts. */
+static double map_x_at(const map_lanes *L, int64_t i, double y)
+{
+    double xa = L->x1[i], ya = L->y1[i], xb = L->x2[i], yb = L->y2[i];
+    double t;
+    if (ya == yb) return xa >= xb ? xa : xb;
+    if (y == ya) return xa;
+    if (y == yb) return xb;
+    t = (y - ya) / (yb - ya);
+    if (t == 0.0) return xa;
+    if (t == 1.0) return xb;
+    return xa + (xb - xa) * t;
+}
+
+/* in_front_comparison: sign of x(a) - x(b) at the midpoint of the
+ * common y-range (builtin max/min keep the first of equal values). */
+static int in_front(const map_lanes *L, int64_t a, int64_t b)
+{
+    double lo = L->y1[b] > L->y1[a] ? L->y1[b] : L->y1[a];
+    double hi = L->y2[b] < L->y2[a] ? L->y2[b] : L->y2[a];
+    double ym, xa, xb;
+    if (hi <= lo) return 0;
+    ym = 0.5 * (lo + hi);
+    xa = map_x_at(L, a, ym);
+    xb = map_x_at(L, b, ym);
+    if (xa > xb) return 1;
+    if (xa < xb) return -1;
+    return 0;
+}
+
+/* _StatusEntry.__lt__: ascending x, then the source tie-break. */
+static int status_lt(const map_lanes *L, int64_t a, int64_t b)
+{
+    int c = in_front(L, a, b);
+    if (c != 0) return c < 0;
+    return L->src[a] < L->src[b];
+}
+
+/* The sweep's bisection: first position whose entry is not < e. */
+static int64_t status_locate(const map_lanes *L, const int64_t *status,
+                             int64_t len, int64_t e)
+{
+    int64_t lo = 0, hi = len, mid;
+    while (lo < hi) {
+        mid = (lo + hi) >> 1;
+        if (status_lt(L, status[mid], e)) lo = mid + 1; else hi = mid;
+    }
+    return lo;
+}
+
+/* order_constraints: writes (front, back) pairs into cons and returns
+ * their count, or a negative decline code.  cons holds 3n pairs:
+ * at most two per insertion and one per removal. */
+static int64_t sweep_constraints(const map_lanes *L, int64_t n,
+                                 int64_t *cons)
+{
+    sweep_event *ev = (sweep_event *)malloc(
+        (size_t)(2 * n + 1) * sizeof(sweep_event));
+    int64_t *status = (int64_t *)malloc((size_t)(n + 1) * sizeof(int64_t));
+    int64_t ne = 0, len = 0, k = 0, e, i, pos, scan, ret;
+    if (!ev || !status) { ret = OR_OOM; goto DONE; }
+    for (i = 0; i < n; i++) {
+        if (L->y1[i] == L->y2[i]) {
+            ev[ne].y = L->y1[i]; ev[ne].kind = 1; ev[ne].idx = i; ne++;
+        } else {
+            ev[ne].y = L->y1[i]; ev[ne].kind = 2; ev[ne].idx = i; ne++;
+            ev[ne].y = L->y2[i]; ev[ne].kind = 0; ev[ne].idx = i; ne++;
+        }
+    }
+    qsort(ev, (size_t)ne, sizeof(sweep_event), event_cmp);
+
+    for (e = 0; e < ne; e++) {
+        i = ev[e].idx;
+        if (ev[e].kind == 0) {
+            /* remove(): locate, then the exact-source scan right of
+             * pos, else left of it. */
+            pos = status_locate(L, status, len, i);
+            scan = pos;
+            while (scan < len && L->src[status[scan]] != i) scan++;
+            if (scan == len) {
+                scan = pos - 1;
+                while (scan >= 0 && L->src[status[scan]] != i) scan--;
+            }
+            if (scan < 0) { ret = OR_MISSING; goto DONE; }
+            memmove(status + scan, status + scan + 1,
+                    (size_t)(len - scan - 1) * sizeof(int64_t));
+            len--;
+            if (0 < scan && scan < len) {
+                cons[2 * k] = L->src[status[scan]];
+                cons[2 * k + 1] = L->src[status[scan - 1]];
+                k++;
+            }
+            continue;
+        }
+        /* Insertion (kind 2) or a horizontal's insert + remove (1):
+         * record both new neighbours (left is behind, right in front). */
+        pos = status_locate(L, status, len, i);
+        memmove(status + pos + 1, status + pos,
+                (size_t)(len - pos) * sizeof(int64_t));
+        status[pos] = i;
+        len++;
+        if (pos > 0) {
+            cons[2 * k] = i;
+            cons[2 * k + 1] = L->src[status[pos - 1]];
+            k++;
+        }
+        if (pos + 1 < len) {
+            cons[2 * k] = L->src[status[pos + 1]];
+            cons[2 * k + 1] = i;
+            k++;
+        }
+        if (ev[e].kind == 1) {
+            memmove(status + pos, status + pos + 1,
+                    (size_t)(len - pos - 1) * sizeof(int64_t));
+            len--;
+        }
+    }
+    ret = k;
+DONE:
+    free(ev);
+    free(status);
+    return ret;
+}
+
+static void heap_push(int64_t *heap, int64_t *len, int64_t key)
+{
+    int64_t c = (*len)++, p;
+    while (c > 0) {
+        p = (c - 1) >> 1;
+        if (heap[p] <= key) break;
+        heap[c] = heap[p];
+        c = p;
+    }
+    heap[c] = key;
+}
+
+static int64_t heap_pop(int64_t *heap, int64_t *len)
+{
+    int64_t top = heap[0], last = heap[--(*len)], c = 0, m;
+    while ((m = 2 * c + 1) < *len) {
+        if (m + 1 < *len && heap[m + 1] < heap[m]) m++;
+        if (last <= heap[m]) break;
+        heap[c] = heap[m];
+        c = m;
+    }
+    if (*len) heap[c] = last;
+    return top;
+}
+
+/* front_to_back_order: the sweep, then Kahn's topological sort over a
+ * CSR adjacency with a binary heap keyed by sign * i.  Keys are
+ * unique, so the pop sequence is the one heapq produces, and a
+ * duplicate constraint only decrements its target twice in the same
+ * pop — no dedupe is needed.  Constraints stay in cons (*ncons
+ * pairs) for the parity tests. */
+int64_t repro_front_to_back(
+    int64_t n, const double *x1, const double *y1, const double *x2,
+    const double *y2, const int64_t *src, int64_t sign,
+    int64_t *order, int64_t *cons, int64_t *ncons)
+{
+    map_lanes L;
+    int64_t *off = NULL, *adj = NULL, *indeg = NULL, *heap = NULL;
+    int64_t k, i, j, p, hl = 0, done = 0, ret;
+    L.x1 = x1; L.y1 = y1; L.x2 = x2; L.y2 = y2; L.src = src;
+    *ncons = 0;
+    for (i = 0; i < n; i++)
+        if (src[i] < 0 || src[i] >= n || y1[i] != y1[i] || y2[i] != y2[i])
+            return OR_INPUT;
+    k = sweep_constraints(&L, n, cons);
+    if (k < 0) return k;
+    *ncons = k;
+
+    off = (int64_t *)calloc((size_t)(n + 1), sizeof(int64_t));
+    adj = (int64_t *)malloc((size_t)(k + 1) * sizeof(int64_t));
+    indeg = (int64_t *)calloc((size_t)(n + 1), sizeof(int64_t));
+    heap = (int64_t *)malloc((size_t)(n + 1) * sizeof(int64_t));
+    if (!off || !adj || !indeg || !heap) { ret = OR_OOM; goto DONE; }
+    for (p = 0; p < k; p++)
+        if (cons[2 * p] != cons[2 * p + 1]) off[cons[2 * p] + 1]++;
+    for (i = 0; i < n; i++) off[i + 1] += off[i];
+    for (p = 0; p < k; p++) {
+        int64_t f = cons[2 * p], b = cons[2 * p + 1];
+        if (f == b) continue;
+        adj[off[f]++] = b;  /* off[f] ends at the start of f + 1 */
+        indeg[b]++;
+    }
+    for (i = n; i > 0; i--) off[i] = off[i - 1];
+    off[0] = 0;
+
+    for (i = 0; i < n; i++)
+        if (indeg[i] == 0) heap_push(heap, &hl, sign * i);
+    while (hl) {
+        i = sign * heap_pop(heap, &hl);
+        order[done++] = i;
+        for (p = off[i]; p < off[i + 1]; p++) {
+            j = adj[p];
+            if (--indeg[j] == 0) heap_push(heap, &hl, sign * j);
+        }
+    }
+    ret = done;
+DONE:
+    free(off);
+    free(adj);
+    free(indeg);
+    free(heap);
+    return ret;
 }
 """
 

@@ -127,9 +127,9 @@ class ParallelHSR:
                                 n * math.ceil(math.log2(n)),
                                 math.ceil(math.log2(n)),
                             )
-                    order = front_to_back_order(terrain)
+                    order = front_to_back_order(terrain, engine=self.engine)
             else:
-                order = front_to_back_order(terrain)
+                order = front_to_back_order(terrain, engine=self.engine)
         order = list(order)
 
         tree = SeparatorTree(order)

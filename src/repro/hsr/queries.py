@@ -236,7 +236,7 @@ class VisibilityOracle:
         self.terrain = terrain
         self.config = cfg
         self.eps = cfg.eps
-        self.order = front_to_back_order(terrain)
+        self.order = front_to_back_order(terrain, engine=cfg.engine)
         n = len(self.order)
         c = checkpoints or max(1, int(math.isqrt(n)))
         stride = max(1, n // c)

@@ -134,7 +134,7 @@ class SequentialHSR:
         """
         t0 = time.perf_counter()
         if order is None:
-            order = front_to_back_order(terrain)
+            order = front_to_back_order(terrain, engine=self.engine)
         vmap = VisibilityMap()
         with reliability_run() as report:
             _env, ops, max_profile = self._insert_loop(terrain, order, vmap)
@@ -157,7 +157,7 @@ class SequentialHSR:
         resulting profile instead of the visibility map.
         """
         if order is None:
-            order = front_to_back_order(terrain)
+            order = front_to_back_order(terrain, engine=self.engine)
         with reliability_run():
             env, _ops, _max_profile = self._insert_loop(terrain, order, None)
         return env

@@ -26,13 +26,22 @@ Degenerate edges whose projection is horizontal in the map plane
 records their neighbour constraints at that single ``y``; they occlude
 a measure-zero sliver only, and their own visibility is decided by a
 point query downstream.
+
+Under the numpy engine with the optional compiled core built, the
+sweep and the topological sort run as one C call
+(:func:`repro.envelope._ccore.front_to_back`, a literal transcription
+of this module); the Python code here is the ``engine="python"`` path,
+the oracle, and the answer whenever the C call declines.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Sequence
+from array import array
+from typing import Optional, Sequence
 
+from repro.envelope import _ccore
+from repro.envelope.engine import resolve_engine
 from repro.errors import OrderingError
 from repro.geometry.segments import MapSegment
 from repro.terrain.model import Terrain
@@ -160,11 +169,44 @@ def order_constraints(
     return constraints
 
 
+def map_lanes(
+    terrain: Terrain, segments: Sequence[MapSegment] | None = None
+) -> tuple[array, array, array, array, array]:
+    """``(x1, y1, x2, y2, source)`` of the map segments as ``array``
+    buffers (float64 coordinates, int64 sources) — the compiled
+    ordering's input.
+
+    Built from ``segments`` when given, else straight from the
+    terrain's vertices and edges, swapping endpoints exactly where
+    :meth:`MapSegment.make` does, without creating the segments.
+    """
+    if segments is not None:
+        return (
+            array("d", [s.x1 for s in segments]),
+            array("d", [s.y1 for s in segments]),
+            array("d", [s.x2 for s in segments]),
+            array("d", [s.y2 for s in segments]),
+            array("q", [s.source for s in segments]),
+        )
+    xs = [v.x for v in terrain.vertices]
+    ys = [v.y for v in terrain.vertices]
+    a = [j if ys[i] > ys[j] else i for i, j in terrain.edges]
+    b = [i if ys[i] > ys[j] else j for i, j in terrain.edges]
+    return (
+        array("d", [xs[i] for i in a]),
+        array("d", [ys[i] for i in a]),
+        array("d", [xs[j] for j in b]),
+        array("d", [ys[j] for j in b]),
+        array("q", range(len(a))),
+    )
+
+
 def front_to_back_order(
     terrain: Terrain,
     *,
     segments: Sequence[MapSegment] | None = None,
     tie_break: str = "min",
+    engine: Optional[str] = None,
 ) -> list[int]:
     """Front-to-back edge processing order for ``terrain``.
 
@@ -176,20 +218,28 @@ def front_to_back_order(
     order-independent.  Raises :class:`OrderingError` if the
     constraint graph has a cycle (impossible for valid terrains;
     indicates corrupt input).
+
+    ``engine`` resolves like every other front door: under ``"numpy"``
+    the compiled core answers when it is built (and not disabled by
+    ``REPRO_COMPILED=0``); ``"python"`` always runs the Python sweep.
+    Both give the identical order.
     """
     if tie_break not in ("min", "max"):
         raise OrderingError(f"unknown tie_break {tie_break!r}")
     sign = 1 if tie_break == "min" else -1
+    if _ccore.COMPILED_DEFAULT and resolve_engine(engine) == "numpy":
+        order = _ccore.front_to_back(*map_lanes(terrain, segments), sign)
+        if order is not None:
+            return order
     segs = list(segments) if segments is not None else terrain.map_segments()
     n = len(segs)
-    constraints = order_constraints(segs)
     succ: list[list[int]] = [[] for _ in range(n)]
     indeg = [0] * n
-    seen: set[tuple[int, int]] = set()
-    for front, back in constraints:
-        if front == back or (front, back) in seen:
+    # Duplicate (front, back) pairs are kept: both copies decrement
+    # ``back`` when ``front`` pops, so Kahn's output cannot change.
+    for front, back in order_constraints(segs):
+        if front == back:
             continue
-        seen.add((front, back))
         succ[front].append(back)
         indeg[back] += 1
     heap = [sign * i for i in range(n) if indeg[i] == 0]

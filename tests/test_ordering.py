@@ -1,18 +1,24 @@
-"""Tests for front-to-back ordering and the separator tree."""
+"""Tests for front-to-back ordering and the separator tree, including
+the compiled ordering's parity with the Python sweep."""
 
 from __future__ import annotations
 
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.envelope import _ccore
 from repro.errors import OrderingError
 from repro.geometry.primitives import Point3
 from repro.geometry.segments import MapSegment
+from repro.hsr.sequential import SequentialHSR
 from repro.ordering.separator import SeparatorTree
 from repro.ordering.sweep import (
     front_to_back_order,
     in_front_comparison,
+    map_lanes,
     order_constraints,
 )
 from repro.terrain.generators import (
@@ -21,6 +27,40 @@ from repro.terrain.generators import (
     valley_terrain,
 )
 from repro.terrain.model import Terrain
+
+needs_ccore = pytest.mark.skipif(
+    not _ccore.HAVE_CCORE,
+    reason="optional compiled core not built in this environment",
+)
+
+#: Three mutually-overlapping crossing segments (invalid as terrain
+#: projections); the sweep still orders them.
+CROSSING_SEGMENTS = [
+    MapSegment(0.0, 0.0, 10.0, 10.0, 0),
+    MapSegment(10.0, 0.0, 0.0, 10.0, 1),
+    MapSegment(5.0, -1.0, 5.5, 11.0, 2),
+]
+
+#: Crossing segments whose sources are a permutation of their indices:
+#: the recorded constraints form a cycle.
+CYCLE_SEGMENTS = [
+    MapSegment(4.0, 0.0, 1.0, 4.0, 2),
+    MapSegment(3.0, 0.0, 3.0, 2.0, 1),
+    MapSegment(3.0, 0.0, 2.0, 4.0, 0),
+]
+
+#: ``front_to_back_order(fractal_terrain(size=5, seed=2))``, pinned so
+#: every path (compiled, Python sweep, no-compiler install) is checked
+#: against the same answer.
+PINNED_FRACTAL5_ORDER = [
+    52, 42, 39, 40, 27, 28, 43, 53, 44, 54, 55, 49, 48, 45, 46, 41, 32,
+    29, 30, 26, 16, 13, 14, 1, 2, 0, 4, 17, 18, 15, 20, 33, 34, 31, 36,
+    50, 47, 51, 38, 37, 35, 23, 22, 19, 7, 6, 3, 8, 5, 10, 24, 21, 11,
+    9, 12, 25,
+]
+
+#: A terrain with no vertices in use: ``segments=`` supplies the input.
+_BARE = Terrain([Point3(0, 0, 0)], [], validate=False)
 
 
 class TestInFrontComparison:
@@ -104,25 +144,208 @@ class TestOrderCorrectness:
         assert len(cons) <= 3 * t.n_edges
 
     def test_cycle_detection(self):
-        # Fabricated constraint cycle via three mutually-overlapping
-        # crossing segments (invalid as terrain projections).
-        segs = [
-            MapSegment(0.0, 0.0, 10.0, 10.0, 0),
-            MapSegment(10.0, 0.0, 0.0, 10.0, 1),
-            MapSegment(5.0, -1.0, 5.5, 11.0, 2),
-        ]
         # These cross, so the sweep's status order is inconsistent —
         # either an OrderingError is raised or the output is still a
         # permutation (crossings break the in-front premise, both
         # behaviours are acceptable; what must never happen is a hang
         # or a wrong-length result silently).
-        verts = [Point3(0, 0, 0)]
-        t = Terrain(verts, [], validate=False)
         try:
-            order = front_to_back_order(t, segments=segs)
+            order = front_to_back_order(_BARE, segments=CROSSING_SEGMENTS)
             assert sorted(order) == [0, 1, 2]
         except OrderingError:
             pass
+
+    def test_constraint_cycle_raises(self):
+        with pytest.raises(OrderingError, match="cycle"):
+            front_to_back_order(_BARE, segments=CYCLE_SEGMENTS)
+
+    @pytest.mark.parametrize("engine", ["python", "numpy"])
+    def test_pinned_order(self, engine):
+        t = fractal_terrain(size=5, seed=2)
+        assert front_to_back_order(t, engine=engine) == PINNED_FRACTAL5_ORDER
+
+
+def _parity_terrain(case: str) -> Terrain:
+    """The compiled-vs-Python ordering matrix: rotated fractal frames,
+    valley, random Delaunay, the exact lattice (horizontal map edges),
+    the packaged DEM tile and flyover frames."""
+    if case.startswith("fractal"):
+        size, az = (int(v) for v in case[len("fractal"):].split("@"))
+        return fractal_terrain(size=size, seed=3).rotated(az)
+    if case == "valley":
+        return valley_terrain(rows=9, cols=9, seed=3)
+    if case == "delaunay":
+        return random_terrain(n_points=60, seed=4)
+    if case == "lattice":
+        import numpy as np
+
+        from repro.terrain.generators import grid_terrain_from_heights
+
+        return grid_terrain_from_heights(
+            np.arange(36, dtype=float).reshape(6, 6), jitter_seed=None
+        )
+    from repro.scenarios.instances import dem_terrain_for, flyover_terrains
+
+    if case == "dem":
+        return dem_terrain_for(
+            {"path": "data/dem_tile.asc", "format": "esri-ascii"}
+        )
+    frame = int(case[len("flyover"):])
+    return flyover_terrains(
+        {"family": "fractal", "size": 17, "seed": 7, "frames": 4}
+    )[frame]
+
+
+PARITY_CASES = [
+    f"fractal{size}@{az}" for size in (9, 17, 33) for az in (0, 30, 90, 135)
+] + ["valley", "delaunay", "lattice", "dem"] + [
+    f"flyover{i}" for i in range(4)
+]
+
+
+def _outcome(fn):
+    """``("ok", value)`` or ``(exception type, message)``."""
+    try:
+        return ("ok", fn())
+    except Exception as exc:
+        return (type(exc), str(exc))
+
+
+def _assert_compiled_parity(terrain: Terrain, segments=None):
+    lanes = map_lanes(terrain, segments)
+    segs = list(segments) if segments is not None else terrain.map_segments()
+    assert _ccore.order_constraints(*lanes) == order_constraints(segs)
+    for tie_break, sign in (("min", 1), ("max", -1)):
+        ref = front_to_back_order(
+            terrain, segments=segments, tie_break=tie_break, engine="python"
+        )
+        assert _ccore.front_to_back(*lanes, sign) == ref
+        assert (
+            front_to_back_order(
+                terrain, segments=segments, tie_break=tie_break, engine="numpy"
+            )
+            == ref
+        )
+
+
+class TestCompiledOrdering:
+    """The C ordering is a literal transcription of the sweep: identical
+    constraint lists and identical orders for both ``tie_break``s."""
+
+    @pytest.mark.parametrize("case", PARITY_CASES)
+    def test_lanes_match_map_segments(self, case):
+        t = _parity_terrain(case)
+        assert map_lanes(t) == map_lanes(t, t.map_segments())
+
+    @needs_ccore
+    @pytest.mark.parametrize("case", PARITY_CASES)
+    def test_matrix_parity(self, case):
+        _assert_compiled_parity(_parity_terrain(case))
+
+    @needs_ccore
+    def test_parity_from_segment_list(self):
+        t = fractal_terrain(size=9, seed=3).rotated(45)
+        _assert_compiled_parity(t, segments=t.map_segments())
+
+    @needs_ccore
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        azimuth=st.floats(0.0, 360.0, allow_nan=False),
+    )
+    def test_fuzz_random_terrain(self, seed, azimuth):
+        _assert_compiled_parity(
+            random_terrain(n_points=30, seed=seed).rotated(azimuth)
+        )
+
+    @needs_ccore
+    def test_crossing_segments_same_by_either_path(self):
+        _assert_compiled_parity(_BARE, segments=CROSSING_SEGMENTS)
+
+    @needs_ccore
+    def test_cycle_declines_to_the_same_error(self):
+        lanes = map_lanes(_BARE, CYCLE_SEGMENTS)
+        assert _ccore.front_to_back(*lanes, 1) is None
+        outcomes = {
+            engine: _outcome(
+                lambda e=engine: front_to_back_order(
+                    _BARE, segments=CYCLE_SEGMENTS, engine=e
+                )
+            )
+            for engine in ("python", "numpy")
+        }
+        assert outcomes["numpy"] == outcomes["python"]
+        assert outcomes["python"][0] is OrderingError
+
+    @needs_ccore
+    @pytest.mark.parametrize("bad_source", [-1, 2, 99])
+    def test_out_of_range_source_declines(self, bad_source):
+        segs = [
+            MapSegment(0.0, 0.0, 1.0, 1.0, 0),
+            MapSegment(3.0, 0.0, 3.0, 1.0, bad_source),
+        ]
+        assert _ccore.front_to_back(*map_lanes(_BARE, segs), 1) is None
+        assert _ccore.order_constraints(*map_lanes(_BARE, segs)) is None
+        assert _outcome(
+            lambda: front_to_back_order(_BARE, segments=segs, engine="numpy")
+        ) == _outcome(
+            lambda: front_to_back_order(_BARE, segments=segs, engine="python")
+        )
+
+    @needs_ccore
+    def test_nan_sweep_y_declines(self):
+        segs = [
+            MapSegment(0.0, 0.0, 1.0, 1.0, 0),
+            MapSegment(3.0, math.nan, 3.0, 1.0, 1),
+        ]
+        assert _ccore.front_to_back(*map_lanes(_BARE, segs), 1) is None
+        assert _outcome(
+            lambda: front_to_back_order(_BARE, segments=segs, engine="numpy")
+        ) == _outcome(
+            lambda: front_to_back_order(_BARE, segments=segs, engine="python")
+        )
+
+    @needs_ccore
+    def test_empty_input(self):
+        assert front_to_back_order(_BARE, segments=[], engine="numpy") == []
+
+
+class TestOrderingDispatch:
+    """Which path answers: ``engine="python"`` never reaches the C
+    entry; the numpy engine calls it once per run."""
+
+    def _spy(self, monkeypatch, answer):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return answer(*args)
+
+        monkeypatch.setattr(_ccore, "COMPILED_DEFAULT", True)
+        monkeypatch.setattr(_ccore, "front_to_back", spy)
+        return calls
+
+    def test_python_engine_never_reaches_c(self, monkeypatch):
+        calls = self._spy(monkeypatch, lambda *a: None)
+        t = fractal_terrain(size=9, seed=1)
+        SequentialHSR(engine="python").run(t)
+        SequentialHSR(engine="python").final_profile(t)
+        front_to_back_order(t, engine="python")
+        assert calls == []
+
+    @needs_ccore
+    def test_numpy_engine_calls_c_once_per_run(self, monkeypatch):
+        calls = self._spy(monkeypatch, _ccore.front_to_back)
+        t = fractal_terrain(size=9, seed=1)
+        res = SequentialHSR(engine="numpy").run(t)
+        assert len(calls) == 1
+        assert res.order == front_to_back_order(t, engine="python")
+
+    def test_decline_falls_back_to_python_sweep(self, monkeypatch):
+        calls = self._spy(monkeypatch, lambda *a: None)
+        t = fractal_terrain(size=5, seed=2)
+        assert front_to_back_order(t, engine="numpy") == PINNED_FRACTAL5_ORDER
+        assert len(calls) == 1
 
 
 class TestSeparatorTree:
