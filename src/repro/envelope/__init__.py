@@ -16,7 +16,8 @@
 * :mod:`repro.envelope.flat_splice` — flat-native incremental insert
   (:func:`insert_segment_flat`): one compiled call per insert when the
   optional core is built, else locate → fused window kernel →
-  in-place splice; no tuple materialisation either way.
+  in-place splice; no tuple materialisation either way.  Whole runs
+  go through ``insert_run``: one compiled call per 256 inserts.
 * :mod:`repro.envelope.flat_fused` — fused visibility+merge window
   kernel: one sweep (scalar or vectorized, cutoff
   :data:`repro.envelope.engine.FLAT_FUSED_CUTOFF`) answers an

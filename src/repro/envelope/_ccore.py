@@ -30,6 +30,19 @@ behind two flags and these functions:
     through :meth:`PackedProfile.splice`, keeping the ``packed_splice``
     guard site live under injection.
 
+``insert_run(profile, lanes, start, stop, eps, run)``
+    A chunk of a whole sequential run in one C call: inserts
+    ``[start, stop)`` of the front-to-back image ``lanes`` (float64
+    ``y1, z1, y2, z2`` and int64 ``source`` buffers), each exactly as
+    ``insert_packed`` would, adding ops, the max profile size and the
+    clipped visible rows to ``run`` (a
+    :class:`repro.envelope.flat_splice.InsertRun`).  Returns
+    ``(status, next)``: ``ST_DONE`` with ``next == stop``; ``ST_GROW``
+    after committing a reallocating splice through
+    :meth:`PackedProfile.splice` (insert ``next - 1`` done); or
+    ``ST_FALLBACK`` / ``ST_FAULT`` with insert ``next`` untouched, for
+    the caller to run on a Python path.
+
 ``front_to_back(x1, y1, x2, y2, src, sign)``
     The front-to-back ordering in one C call over map-segment lanes
     (buffers of float64 coordinates and int64 sources).  Returns the
@@ -48,6 +61,7 @@ from __future__ import annotations
 import os
 
 from repro.envelope.visibility import VisibilityResult, VisiblePart
+from repro.geometry.primitives import EPS
 
 try:  # pragma: no cover - exercised via the CI wheel/no-compiler legs
     from repro.envelope import _repro_ccore as _cc
@@ -56,13 +70,20 @@ except ImportError:  # no compiler at install time, or build skipped
 
 HAVE_CCORE = _cc is not None
 
-#: Status codes returned by ``repro_fused_insert`` (keep in sync with
-#: the ``ST_*`` defines in ``_ccore_build.py``).
+#: Status codes returned by ``repro_fused_insert`` and
+#: ``repro_insert_run`` (keep in sync with the ``ST_*`` defines in
+#: ``_ccore_build.py``).
 ST_HIDDEN = 0
 ST_DONE = 1
 ST_GROW = 2
 ST_FALLBACK = 3
 ST_FAULT = 5
+
+#: ``acc[]`` slots of ``repro_insert_run`` (the ``R_*`` defines).
+R_OPS = 0
+R_MAX = 1
+R_STATUS = 2
+R_ROWS = 3
 
 
 def _env_enabled() -> bool:
@@ -211,6 +232,81 @@ if HAVE_CCORE:
             )
         return None  # ST_FALLBACK
 
+    _ACC = ffi.new("int64_t[4]")
+    _off = ffi.new("int64_t[]", 257)
+
+    # Lane pointers of the run in progress, cached like ``_buf_ptr``:
+    # flat_splice.insert_run passes one lanes tuple to every call of a run.
+    _last_lanes = None
+    _last_lane_ptrs = None
+
+    def _lane_ptrs(lanes):
+        global _last_lanes, _last_lane_ptrs
+        if lanes is not _last_lanes:
+            ptrs = tuple(
+                ffi.from_buffer("double[]", lane) for lane in lanes[:4]
+            ) + (ffi.from_buffer("int64_t[]", lanes[4]),)
+            # Element counts of an 8-byte view: a lane of another item
+            # size shows up as a length mismatch too.
+            if len({len(p) for p in ptrs}) != 1:
+                raise ValueError("image lanes differ in length or item size")
+            _last_lane_ptrs = ptrs
+            _last_lanes = lanes
+        return _last_lane_ptrs
+
+    def insert_run(profile, lanes, start: int, stop: int, eps: float, run):
+        """Inserts ``[start, stop)`` in one C call; see the module
+        docstring.  ``run`` carries the running ops / max-size totals
+        in and out, and receives the call's rows and offsets."""
+        global _off
+        ptrs = _lane_ptrs(lanes)
+        if not 0 <= start <= stop <= len(ptrs[4]):
+            raise ValueError(f"insert range [{start}, {stop}) outside the lanes")
+        if len(_off) < stop - start + 1:
+            _off = ffi.new("int64_t[]", stop - start + 1)
+        buf = profile._buf
+        _STATE[0] = beg = profile._beg
+        _STATE[1] = end = profile._end
+        _ACC[R_OPS] = run.ops
+        _ACC[R_MAX] = run.max_profile
+        _off[0] = run.offsets[-1]
+        at = lib.repro_insert_run(
+            _buf_ptr(buf),
+            buf.shape[1],
+            _STATE,
+            *ptrs,
+            start,
+            stop,
+            eps,
+            EPS,
+            _off,
+            _ACC,
+            _OUT,
+        )
+        if _STATE[0] != beg or _STATE[1] != end:
+            profile._beg = _STATE[0]
+            profile._end = _STATE[1]
+            profile._sync_views()
+        st = _ACC[R_STATUS]
+        run.ops = _ACC[R_OPS]
+        run.max_profile = _ACC[R_MAX]
+        rows = _ACC[R_ROWS]
+        if rows:
+            run.edge += ffi.unpack(lib.repro_run_edge_ptr(), rows)
+            run.ya += ffi.unpack(lib.repro_run_rows_ptr(0), rows)
+            run.za += ffi.unpack(lib.repro_run_rows_ptr(1), rows)
+            run.yb += ffi.unpack(lib.repro_run_rows_ptr(2), rows)
+            run.zb += ffi.unpack(lib.repro_run_rows_ptr(3), rows)
+        run.offsets += ffi.unpack(_off + 1, at - start + (st == ST_GROW))
+        if st == ST_GROW:
+            # Same handoff as insert_packed: the merged window leaves C
+            # scratch before anything can clobber it, and
+            # PackedProfile.splice owns the reallocation.
+            mya, mza, myb, mzb, msrc = _merged_lists(_OUT)
+            profile.splice(_OUT[5], _OUT[6], mya, mza, myb, mzb, msrc)
+            return st, at + 1
+        return st, at
+
     def _sweep(x1, y1, x2, y2, src, sign: int):
         n = len(src)
         if not len(x1) == len(y1) == len(x2) == len(y2) == n:
@@ -254,6 +350,9 @@ else:  # pragma: no cover - the no-compiler install
         return None
 
     def compute(profile, seg, eps: float):
+        return None
+
+    def insert_run(profile, lanes, start, stop, eps, run):
         return None
 
     def front_to_back(x1, y1, x2, y2, src, sign: int):

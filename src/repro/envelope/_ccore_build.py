@@ -2,7 +2,7 @@
 
 Running this module (``python src/repro/envelope/_ccore_build.py``)
 compiles ``repro.envelope._repro_ccore`` — a small C extension with
-two entry points.  ``repro_fused_insert`` holds the whole per-insert
+three entry points.  ``repro_fused_insert`` holds the whole per-insert
 hot path of the sequential algorithm as **one C call** against the
 :class:`~repro.envelope.packed.PackedProfile` ``(5, capacity)``
 float64 buffer:
@@ -20,6 +20,14 @@ float64 buffer:
   (``_splice_impl`` semantics: shrink shifts the smaller side inward,
   growth prefers the cheaper fitting side, reallocation is signalled
   back to Python — the amortized-doubling grow stays Python-side).
+
+``repro_insert_run`` runs that insert (``fused_sweep`` +
+``commit_window``, the two halves ``repro_fused_insert`` also calls)
+over a chunk of front-to-back image lanes, with the vertical point
+query of ``_visible_vertical_flat`` and the ``ImageSegment.
+visible_piece`` clipping of every visible part into row scratch, so a
+sequential run costs one call per chunk plus one per reallocation or
+declined insert.
 
 ``repro_front_to_back`` is the front-to-back ordering of
 :func:`~repro.ordering.sweep.front_to_back_order` in one call over
@@ -67,6 +75,14 @@ double *repro_parts_ptr(void);
 double *repro_cross_ptr(void);
 double *repro_merged_ptr(int field);
 int64_t *repro_merged_src_ptr(void);
+int64_t repro_insert_run(
+    double *buf, int64_t cap, int64_t *state,
+    const double *y1, const double *z1, const double *y2,
+    const double *z2, const int64_t *src, int64_t start, int64_t stop,
+    double eps, double clip_eps, int64_t *off, int64_t *acc,
+    int64_t *out);
+double *repro_run_rows_ptr(int field);
+int64_t *repro_run_edge_ptr(void);
 int64_t repro_front_to_back(
     int64_t n, const double *x1, const double *y1, const double *x2,
     const double *y2, const int64_t *src, int64_t sign,
@@ -255,26 +271,28 @@ static int merged_ok(int64_t k)
 
 /* ---- the fused insert --------------------------------------------- */
 
-int repro_fused_insert(
-    double *buf, int64_t cap, int64_t *state,
+/* Locate + fused visibility/merge sweep against the live window; no
+ * mutation.  ST_HIDDEN: no parts, nothing to commit.  ST_GROW: visible
+ * parts in g_parts and the merged window in scratch (out[O_LO..O_MK]),
+ * not yet committed.  ST_FALLBACK: unsupported window. */
+static int fused_sweep(
+    const double *buf, int64_t cap, const int64_t *state,
     double y1, double z1, double y2, double z2,
-    int64_t src, double eps, int commit, int64_t *out)
+    int64_t src, double eps, int64_t *out)
 {
     int64_t beg = state[0], end = state[1];
     int64_t n = end - beg;
-    double *rya = buf + beg;
-    double *rza = buf + cap + beg;
-    double *ryb = buf + 2 * cap + beg;
-    double *rzb = buf + 3 * cap + beg;
-    int64_t *rsrc = (int64_t *)(buf + 4 * cap) + beg;
+    const double *rya = buf + beg;
+    const double *rza = buf + cap + beg;
+    const double *ryb = buf + 2 * cap + beg;
+    const double *rzb = buf + 3 * cap + beg;
+    const int64_t *rsrc = (const int64_t *)(buf + 4 * cap) + beg;
     int64_t lo, hi, win, j;
     int64_t np = 0, nc = 0, ko = 0;   /* parts, crossings, merged */
     int64_t vis_ops = 0, merge_ops = 0;
     const double *wya, *wza, *wyb, *wzb;
     const int64_t *wsrc;
     double prev_zs;
-    int64_t d, head, tail, a;
-    int synced = 0;
 
     /* locate: pieces_overlapping(y1, y2) on the live ya row. */
     if (n == 0 || y1 >= y2) {
@@ -536,10 +554,24 @@ int repro_fused_insert(
 
 COMMIT:
     out[O_MK] = ko;
-    if (!commit) return ST_GROW;
-    if (!merged_ok(ko)) return ST_FAULT;
+    return ST_GROW;
+}
 
-    /* ---- PackedProfile._splice_impl, in C ------------------------- */
+/* Commit the merged window fused_sweep left in scratch:
+ * check_merged_lists, then PackedProfile._splice_impl in place.
+ * ST_DONE (state updated, out[O_SYNCED] set when the live range
+ * moved), ST_GROW (no slack: nothing touched, the caller reallocates)
+ * or ST_FAULT (post-condition failed, nothing touched). */
+static int commit_window(double *buf, int64_t cap, int64_t *state,
+                         int64_t *out)
+{
+    int64_t beg = state[0], end = state[1];
+    int64_t n = end - beg;
+    int64_t lo = out[O_LO], hi = out[O_HI], ko = out[O_MK];
+    int64_t d, head, tail, a;
+    int synced = 0;
+
+    if (!merged_ok(ko)) return ST_FAULT;
     d = ko - (hi - lo);
     if (d) {
         head = lo;
@@ -582,6 +614,181 @@ COMMIT:
     state[1] = end;
     out[O_SYNCED] = synced;
     return ST_DONE;
+}
+
+int repro_fused_insert(
+    double *buf, int64_t cap, int64_t *state,
+    double y1, double z1, double y2, double z2,
+    int64_t src, double eps, int commit, int64_t *out)
+{
+    int st = fused_sweep(buf, cap, state, y1, z1, y2, z2, src, eps, out);
+    if (st != ST_GROW || !commit) return st;
+    return commit_window(buf, cap, state, out);
+}
+
+/* ==== the whole insert pass (SequentialHSR._insert_loop) ========== */
+
+/* acc[] layout of repro_insert_run (mirrored in repro/envelope/_ccore.py) */
+#define R_OPS    0  /* running sum of per-insert ops                  */
+#define R_MAX    1  /* running max of the live profile size           */
+#define R_STATUS 2  /* why the last call returned                     */
+#define R_ROWS   3  /* visible rows the last call left in run scratch */
+
+/* Run-row scratch: the clipped visible parts of one call, as
+ * (edge, ya, za, yb, zb) lanes.  Same ownership rule as the insert
+ * scratch: Python copies the rows out right after each call. */
+static double *g_rya = NULL, *g_rza = NULL, *g_ryb = NULL, *g_rzb = NULL;
+static int64_t *g_redge = NULL;
+static int64_t g_rcap = 0;
+
+static int ensure_rows(int64_t need)
+{
+    double *p;
+    int64_t *q;
+    if (g_rcap >= need) return 1;
+    need = need < 256 ? 256 : need + need / 2;
+    p = (double *)realloc(g_rya, (size_t)need * sizeof(double));
+    if (!p) return 0;
+    g_rya = p;
+    p = (double *)realloc(g_rza, (size_t)need * sizeof(double));
+    if (!p) return 0;
+    g_rza = p;
+    p = (double *)realloc(g_ryb, (size_t)need * sizeof(double));
+    if (!p) return 0;
+    g_ryb = p;
+    p = (double *)realloc(g_rzb, (size_t)need * sizeof(double));
+    if (!p) return 0;
+    g_rzb = p;
+    q = (int64_t *)realloc(g_redge, (size_t)need * sizeof(int64_t));
+    if (!q) return 0;
+    g_redge = q;
+    g_rcap = need;
+    return 1;
+}
+
+double *repro_run_rows_ptr(int field)
+{
+    switch (field) {
+    case 0: return g_rya;
+    case 1: return g_rza;
+    case 2: return g_ryb;
+    default: return g_rzb;
+    }
+}
+int64_t *repro_run_edge_ptr(void) { return g_redge; }
+
+/* PackedProfile.value_at on the live range: the searchsorted-right
+ * bisection, the covering piece's line height, then the two
+ * touching-endpoint maxima. */
+static double live_value_at(const double *buf, int64_t cap,
+                            const int64_t *state, double y)
+{
+    int64_t beg = state[0], n = state[1] - beg, i;
+    const double *ya = buf + beg, *za = buf + cap + beg;
+    const double *yb = buf + 2 * cap + beg, *zb = buf + 3 * cap + beg;
+    double best = -INFINITY;
+    if (n == 0) return -INFINITY;
+    i = upper_bound(ya, n, y) - 1;
+    if (i >= 0) {
+        if (ya[i] <= y && y <= yb[i])
+            best = line_z(ya[i], za[i], yb[i], zb[i], y);
+        if (i >= 1 && yb[i - 1] == y && zb[i - 1] > best) best = zb[i - 1];
+    }
+    if (i + 1 < n && ya[i + 1] == y && za[i + 1] > best) best = za[i + 1];
+    return best;
+}
+
+/* VisibilityMap.add_edge_result for one part (a, b) of a non-vertical
+ * segment, written to run row r: a zero-width part is its top point,
+ * else ImageSegment.subsegment (range check, clamp with builtin
+ * max/min, z_at at both ends).  Returns 0 when subsegment would raise. */
+static int clip_row(int64_t r, double a, double b, double y1, double z1,
+                    double y2, double z2, double clip_eps)
+{
+    if (a == b) {
+        double top = z1 >= z2 ? z1 : z2;
+        g_rya[r] = a; g_rza[r] = top;
+        g_ryb[r] = a; g_rzb[r] = top;
+        return 1;
+    }
+    if (a > b || a < y1 - clip_eps || b > y2 + clip_eps) return 0;
+    if (y1 > a) a = y1;
+    if (y2 < b) b = y2;
+    g_rya[r] = a; g_rza[r] = line_z(y1, z1, y2, z2, a);
+    g_ryb[r] = b; g_rzb[r] = line_z(y1, z1, y2, z2, b);
+    return 1;
+}
+
+/* Inserts [start, stop) of the front-to-back image lanes into the
+ * live profile, each exactly as insert_segment_flat would: verticals
+ * by the _visible_vertical_flat point query, the rest by fused_sweep
+ * + commit_window.  Per insert i it adds the ops to acc[R_OPS], the
+ * profile size to the acc[R_MAX] maximum, and the clipped visible
+ * rows to the run scratch, with off[i - start + 1] = off[i - start]
+ * + rows (the caller seeds off[0], so off has stop - start + 1 slots).
+ *
+ * Returns the index it stopped at.  stop: every insert done
+ * (acc[R_STATUS] = ST_DONE).  Otherwise acc[R_STATUS] says why:
+ * ST_GROW -- insert i is fully accounted but its merged window (in
+ * scratch, out[O_LO..O_MK]) still needs a reallocating commit;
+ * ST_FALLBACK (a synthetic source or window, a part subsegment would
+ * reject, scratch OOM) and ST_FAULT (commit post-condition) -- insert
+ * i is untouched and unaccounted.  The caller resumes at i + 1. */
+int64_t repro_insert_run(
+    double *buf, int64_t cap, int64_t *state,
+    const double *y1, const double *z1, const double *y2,
+    const double *z2, const int64_t *src, int64_t start, int64_t stop,
+    double eps, double clip_eps, int64_t *off, int64_t *acc,
+    int64_t *out)
+{
+    int64_t i, j, rows = 0, size;
+    int st = ST_DONE;
+    for (i = start; i < stop; i++) {
+        double a1 = y1[i], c1 = z1[i], a2 = y2[i], c2 = z2[i];
+        int64_t np = 0;
+        if (a1 == a2) {
+            double top = c1 >= c2 ? c1 : c2;
+            double zenv = live_value_at(buf, cap, state, a1);
+            if (zenv == -INFINITY || top > zenv + eps) {
+                if (!ensure_rows(rows + 1)) { st = ST_FALLBACK; break; }
+                g_rya[rows] = a1; g_rza[rows] = top;
+                g_ryb[rows] = a1; g_rzb[rows] = top;
+                g_redge[rows] = src[i];
+                np = 1;
+            }
+            acc[R_OPS] += 1;
+        } else {
+            if (src[i] < 0) { st = ST_FALLBACK; break; }
+            st = fused_sweep(buf, cap, state, a1, c1, a2, c2, src[i], eps,
+                             out);
+            if (st == ST_FALLBACK) break;
+            if (st == ST_GROW) {
+                np = out[O_NPARTS];
+                if (!ensure_rows(rows + np)) { st = ST_FALLBACK; break; }
+                for (j = 0; j < np; j++) {
+                    if (!clip_row(rows + j, g_parts[2 * j],
+                                  g_parts[2 * j + 1], a1, c1, a2, c2,
+                                  clip_eps))
+                        break;
+                    g_redge[rows + j] = src[i];
+                }
+                if (j < np) { st = ST_FALLBACK; break; }
+                st = commit_window(buf, cap, state, out);
+                if (st == ST_FAULT) break;
+            }
+            acc[R_OPS] += out[O_TOTOPS];
+        }
+        rows += np;
+        off[i - start + 1] = off[i - start] + np;
+        size = state[1] - state[0];
+        if (st == ST_GROW) size += out[O_MK] - (out[O_HI] - out[O_LO]);
+        if (size > acc[R_MAX]) acc[R_MAX] = size;
+        if (st == ST_GROW) break;
+        st = ST_DONE;
+    }
+    acc[R_STATUS] = st;
+    acc[R_ROWS] = rows;
+    return i;
 }
 
 /* ==== front-to-back ordering (repro/ordering/sweep.py) ============== */

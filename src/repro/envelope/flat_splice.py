@@ -31,6 +31,12 @@ builder's sequential slope rule, which neither fused kernel
 implements; they — and every guard retry — take
 :func:`_insert_reference`, the scalar scan plus the reference merge.
 
+:func:`insert_run` is the whole-run loop behind ``SequentialHSR``:
+with the compiled core on it hands chunks of up to 256 inserts to one
+C call each (:func:`repro.envelope._ccore.insert_run`, which also
+clips the visible parts into CSR rows) and falls back to
+:func:`insert_segment_flat` per insert otherwise.
+
 Conversion to/from the scalar :class:`Envelope` happens only at run
 boundaries.  Parity contract: for every insert sequence the profile
 pieces, per-edge :class:`VisibilityResult` (parts, crossings, ops) and
@@ -43,6 +49,7 @@ inputs.
 
 from __future__ import annotations
 
+from array import array
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -62,7 +69,10 @@ from repro.reliability import guard as _guard
 
 __all__ = [
     "FlatInsertResult",
+    "InsertRun",
+    "insert_run",
     "insert_segment_flat",
+    "segment_lanes",
     "USE_COMPILED_INSERT",
 ]
 
@@ -801,7 +811,8 @@ def _insert_reference(
 
 #: Insert count between periodic whole-profile validation ticks (site
 #: ``profile``; detection-only — see :func:`repro.reliability.guard.
-#: check_profile`).
+#: check_profile`), and the most inserts one compiled call of
+#: :func:`insert_run` makes.
 _TICK_EVERY = 256
 _tick = 0
 
@@ -847,3 +858,134 @@ def insert_segment_flat(
         _guard.handle_fault(getattr(exc, "site", None) or "fused_insert", exc)
         with _fi.suppressed():
             return _insert_reference(profile, seg, eps)
+
+
+# ---------------------------------------------------------------------------
+# Whole runs
+
+
+class InsertRun:
+    """The outcome of :func:`insert_run`: the final ``profile``, the
+    summed ``ops``, the largest profile size seen (``max_profile``), and
+    the clipped visible parts as CSR rows — insert ``i`` owns rows
+    ``offsets[i]:offsets[i + 1]`` of the ``edge, ya, za, yb, zb`` lanes,
+    each row one :class:`~repro.hsr.result.VisibleSegment`."""
+
+    __slots__ = (
+        "profile", "ops", "max_profile", "offsets", "edge", "ya", "za", "yb", "zb"
+    )
+
+    def __init__(self, profile: PackedProfile):
+        self.profile = profile
+        self.ops = 0
+        self.max_profile = 0
+        self.offsets = [0]
+        self.edge: list[int] = []
+        self.ya: list[float] = []
+        self.za: list[float] = []
+        self.yb: list[float] = []
+        self.zb: list[float] = []
+
+    def add(self, seg: ImageSegment, res: FlatInsertResult) -> None:
+        """Account one insert answered on a Python path."""
+        self.profile = res.profile
+        self.ops += res.ops
+        if res.profile.size > self.max_profile:
+            self.max_profile = res.profile.size
+        for part in res.visibility.parts:
+            ya, za, yb, zb = seg.visible_piece(part.ya, part.yb)
+            self.edge.append(seg.source)
+            self.ya.append(ya)
+            self.za.append(za)
+            self.yb.append(yb)
+            self.zb.append(zb)
+        self.offsets.append(len(self.ya))
+
+
+def segment_lanes(
+    segments: Sequence[ImageSegment],
+) -> tuple[array, array, array, array, array]:
+    """``(y1, z1, y2, z2, source)`` lanes of a segment list, the input
+    of :func:`insert_run`."""
+    return (
+        array("d", [s.y1 for s in segments]),
+        array("d", [s.z1 for s in segments]),
+        array("d", [s.y2 for s in segments]),
+        array("d", [s.z2 for s in segments]),
+        array("q", [s.source for s in segments]),
+    )
+
+
+def _lane_segment(lanes, i: int) -> ImageSegment:
+    y1, z1, y2, z2, src = lanes
+    return ImageSegment(
+        float(y1[i]), float(z1[i]), float(y2[i]), float(z2[i]), int(src[i])
+    )
+
+
+def _run_compiled(config) -> bool:
+    """Whether :func:`insert_run` may hand chunks to the compiled core:
+    it is built and the resolved compiled-insert toggle is on, no fault
+    plan is armed, ``REPRO_GUARD_CHECK_ALL`` is off, and neither insert
+    guard site is quarantined.  Otherwise every insert goes through
+    :func:`insert_segment_flat`, so injection and checks see the same
+    per-insert boundaries as before."""
+    if not _ccore.HAVE_CCORE or _fi.ARMED or _guard.GUARDED_CHECK_ALL:
+        return False
+    if not (USE_COMPILED_INSERT if config is None else config.compiled_insert()):
+        return False
+    return not _guard.ANY_QUARANTINED or not (
+        _guard.is_quarantined("compiled_insert")
+        or _guard.is_quarantined("fused_insert")
+    )
+
+
+def insert_run(lanes, *, eps: float = EPS, config=None) -> InsertRun:
+    """Insert every segment of ``lanes`` (``y1, z1, y2, z2, source``
+    buffers in insertion order, float64 and int64 — see
+    :meth:`repro.terrain.model.Terrain.image_lanes` and
+    :func:`segment_lanes`) into a fresh profile.
+
+    The result is exactly that of calling :func:`insert_segment_flat`
+    per segment and clipping each visible part with
+    :meth:`ImageSegment.visible_piece`.  With the compiled core on
+    (see :func:`_run_compiled`) the inserts run in chunks of at most
+    ``_TICK_EVERY``, one C call each, with the profile check between
+    chunks; the core comes back early only for a reallocating splice
+    (committed here, through :meth:`PackedProfile.splice`), an insert
+    it declines (run by :func:`insert_segment_flat`), or a failed
+    post-condition (recorded at site ``compiled_insert`` and run on the
+    reference path).
+    """
+    n = len(lanes[4])
+    run = InsertRun(PackedProfile.empty())
+    i = 0
+    while i < n:
+        if not _run_compiled(config):
+            for j in range(i, n):
+                seg = _lane_segment(lanes, j)
+                run.add(
+                    seg,
+                    insert_segment_flat(run.profile, seg, eps=eps, config=config),
+                )
+            break
+        if i and not i % _TICK_EVERY and _guard.GUARDS_ENABLED:
+            _guard.check_profile(run.profile)
+        stop = min(n, (i // _TICK_EVERY + 1) * _TICK_EVERY)
+        st, i = _ccore.insert_run(run.profile, lanes, i, stop, eps, run)
+        if st == _ccore.ST_FALLBACK:
+            seg = _lane_segment(lanes, i)
+            run.add(
+                seg, insert_segment_flat(run.profile, seg, eps=eps, config=config)
+            )
+            i += 1
+        elif st == _ccore.ST_FAULT:
+            exc = _ccore.CCoreFault("compiled insert post-condition failed")
+            if not _guard.GUARDS_ENABLED:
+                raise exc
+            _guard.handle_fault("compiled_insert", exc)
+            seg = _lane_segment(lanes, i)
+            with _fi.suppressed():
+                run.add(seg, _insert_reference(run.profile, seg, eps))
+            i += 1
+    return run

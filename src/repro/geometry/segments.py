@@ -104,6 +104,18 @@ class ImageSegment(NamedTuple):
         yb = min(yb, self.y2)
         return ImageSegment(ya, self.z_at(ya), yb, self.z_at(yb), self.source)
 
+    def visible_piece(
+        self, ya: float, yb: float
+    ) -> tuple[float, float, float, float]:
+        """``(ya, za, yb, zb)`` of the visible part ``[ya, yb]`` in the
+        image: the top point when the segment or the part is vertical,
+        else the clipped :meth:`subsegment`."""
+        if self.is_vertical or ya == yb:
+            top = self.top
+            return ya, top, ya, top
+        sub = self.subsegment(ya, yb)
+        return sub.y1, sub.z1, sub.y2, sub.z2
+
     def length(self) -> float:
         """Euclidean length in the image plane."""
         return math.hypot(self.y2 - self.y1, self.z2 - self.z1)

@@ -71,25 +71,24 @@ class VisibilityMap:
         """Record the visible parts of one edge.
 
         ``image_seg`` is the edge's image projection; each visible part
-        is clipped out of it.  Vertical projections store their top
-        point.
+        is clipped out of it (:meth:`ImageSegment.visible_piece`).
+        Vertical projections store their top point.
         """
         for part in result.parts:
-            if image_seg.is_vertical or part.ya == part.yb:
-                self.add_segment(
-                    VisibleSegment(
-                        edge,
-                        part.ya,
-                        image_seg.top,
-                        part.ya,
-                        image_seg.top,
-                    )
-                )
-            else:
-                sub = image_seg.subsegment(part.ya, part.yb)
-                self.add_segment(
-                    VisibleSegment(edge, sub.y1, sub.z1, sub.y2, sub.z2)
-                )
+            self.add_segment(
+                VisibleSegment(edge, *image_seg.visible_piece(part.ya, part.yb))
+            )
+
+    def add_rows(self, edge, ya, za, yb, zb) -> None:
+        """Append already-clipped visible parts in bulk, one
+        :class:`VisibleSegment` per position of the five equal-length
+        lanes (the rows of :func:`repro.envelope.flat_splice.insert_run`)."""
+        rows = list(map(VisibleSegment, edge, ya, za, yb, zb))
+        self.segments += rows
+        by_edge = self._by_edge
+        for seg in rows:
+            by_edge.setdefault(seg.edge, []).append(seg)
+        self._k = None
 
     # -- queries -----------------------------------------------------------
 

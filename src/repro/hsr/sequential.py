@@ -48,9 +48,11 @@ class SequentialHSR:
         :mod:`repro.envelope.engine`); ``None`` selects the default.
         Under ``"numpy"`` the profile lives in **one packed buffer
         owned for the whole run**
-        (:class:`repro.envelope.packed.PackedProfile`): each edge is
-        one compiled call when the optional core is built, else
-        locate → one *fused* visibility+merge sweep over the window
+        (:class:`repro.envelope.packed.PackedProfile`): with the
+        optional core built the whole pass is one compiled loop (a C
+        call per 256 inserts, projection and clipping included), else
+        each edge is locate → one *fused* visibility+merge sweep over
+        the window
         (:mod:`repro.envelope.flat_fused` — with
         all-hidden/fully-visible fast paths that skip the sweep
         outright) → an **in-place** splice into the buffer (at most
@@ -83,42 +85,38 @@ class SequentialHSR:
     ) -> tuple[Envelope, int, int]:
         """The front-to-back insertion loop shared by :meth:`run` and
         :meth:`final_profile`: returns ``(profile, ops, max_profile)``,
-        recording per-edge visibility into ``vmap`` when given.  The
-        profile converts to a scalar :class:`Envelope` only here, at
-        the run boundary.
+        recording per-edge visibility into ``vmap`` when given.
+
+        Under ``"numpy"`` the edges are projected straight into ordered
+        image lanes (:meth:`Terrain.image_lanes`) and the whole pass is
+        one :func:`~repro.envelope.flat_splice.insert_run` — a compiled
+        call per 256 inserts when the core is on — whose visible rows
+        go into ``vmap`` in bulk.  The profile converts to a scalar
+        :class:`Envelope` only here, at the run boundary.
         """
         eps = self.eps
-        config = self.config
-        flat = config.resolved_engine() == "numpy"
-        if flat:
-            from repro.envelope.flat_splice import insert_segment_flat
-            from repro.envelope.packed import PackedProfile
+        if self.config.resolved_engine() == "numpy":
+            from repro.envelope.flat_splice import insert_run
 
-            # One buffer owned for the whole run: every insert splices
-            # it in place (the loop below re-binds ``env`` to the same
-            # object) and windows are re-derived from it per insert
-            # inside ``insert_segment_flat``.
-            env = PackedProfile.empty()
-        else:
-            env = Envelope.empty()
+            run = insert_run(
+                terrain.image_lanes(order), eps=eps, config=self.config
+            )
+            if vmap is not None:
+                vmap.add_rows(run.edge, run.ya, run.za, run.yb, run.zb)
+            return run.profile.to_envelope(), run.ops, run.max_profile
+        env = Envelope.empty()
         ops = 0
         max_profile = 0
         for edge in order:
             seg = terrain.image_segment(edge)
-            if flat:
-                res = insert_segment_flat(env, seg, eps=eps, config=config)
-                env = res.profile
-            else:
-                res = insert_segment(
-                    env, seg, eps=eps, engine=self.engine
-                )
-                env = res.envelope
+            res = insert_segment(env, seg, eps=eps, engine=self.engine)
+            env = res.envelope
             ops += res.ops
             if env.size > max_profile:
                 max_profile = env.size
             if vmap is not None:
                 vmap.add_edge_result(edge, seg, res.visibility)
-        return (env.to_envelope() if flat else env), ops, max_profile
+        return env, ops, max_profile
 
     def run(
         self,

@@ -275,26 +275,26 @@ def _run_signature(terrain, config: HsrConfig):
 
 def _insert_loop(segments, config: HsrConfig):
     """The generic front-to-back insert loop under ``config`` —
-    mirrors ``SequentialHSR._insert_loop`` for bare segment lists."""
-    record = []
-    ops = 0
+    mirrors ``SequentialHSR._insert_loop`` for bare segment lists.
+    Returns ``(profile, ops, record)``, ``record`` holding each
+    insert's visible parts."""
     if config.resolved_engine() == "numpy":
-        from repro.envelope.flat_splice import insert_segment_flat
-        from repro.envelope.packed import PackedProfile
+        from repro.envelope.flat_splice import insert_run, segment_lanes
+        from repro.envelope.visibility import VisiblePart
 
-        prof = PackedProfile.empty()
-        for seg in segments:
-            res = insert_segment_flat(
-                prof, seg, eps=config.eps, config=config
-            )
-            prof = res.profile
-            ops += res.ops
-            record.append(tuple(res.visibility.parts))
-        return prof.to_envelope(), ops, record
+        run = insert_run(segment_lanes(segments), eps=config.eps, config=config)
+        off, ya, yb = run.offsets, run.ya, run.yb
+        record = [
+            tuple(VisiblePart(ya[j], yb[j]) for j in range(off[i], off[i + 1]))
+            for i in range(len(segments))
+        ]
+        return run.profile.to_envelope(), run.ops, record
     from repro.envelope.chain import Envelope
     from repro.envelope.splice import insert_segment
 
     env = Envelope.empty()
+    ops = 0
+    record = []
     for seg in segments:
         res = insert_segment(env, seg, eps=config.eps, engine="python")
         env = res.envelope

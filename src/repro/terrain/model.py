@@ -15,6 +15,7 @@ camera, which keeps the algorithm's coordinate conventions fixed.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Optional, Sequence
 
 from repro.errors import TerrainError
@@ -149,6 +150,42 @@ class Terrain:
         """zy-projection of an edge (for profiles / visibility)."""
         a, b = self.edge_endpoints(edge_index)
         return ImageSegment.make(a.project_zy(), b.project_zy(), edge_index)
+
+    def image_lanes(self, order: Optional[Sequence[int]] = None) -> tuple:
+        """``(y1, z1, y2, z2, source)`` of the image segments of the
+        edges in ``order`` (default: all, by index) as numpy lanes —
+        float64 coordinates, int64 sources.
+
+        Coordinates are gathered, never computed, and the endpoints
+        swap on the comparison of :meth:`ImageSegment.make` (iff
+        ``y_i > y_j``), so the lanes equal the fields of
+        :meth:`image_segment` bit for bit.  Requires numpy.
+        """
+        import numpy as np
+
+        if order is None:
+            order = range(self.n_edges)
+        verts = self.vertices
+        pts = np.fromiter(
+            chain.from_iterable(verts), np.float64, 3 * len(verts)
+        ).reshape(-1, 3)
+        edges = self.edges
+        ends = np.fromiter(
+            chain.from_iterable(map(edges.__getitem__, order)),
+            np.int64,
+            2 * len(order),
+        ).reshape(-1, 2)
+        i, j = ends[:, 0], ends[:, 1]
+        swap = pts[i, 1] > pts[j, 1]
+        lo = np.where(swap, j, i)
+        hi = np.where(swap, i, j)
+        return (
+            pts[lo, 1],
+            pts[lo, 2],
+            pts[hi, 1],
+            pts[hi, 2],
+            np.array(order, dtype=np.int64),
+        )
 
     def map_segments(self) -> list[MapSegment]:
         return [self.map_segment(e) for e in range(self.n_edges)]

@@ -284,15 +284,25 @@ class TestCompiledGuardSite:
             _run_loop(segs, compiled=True)
         assert plan.fired >= 1
 
-    def test_fault_recorded_in_sequential_report(self):
+    def test_fault_recorded_in_sequential_report(self, monkeypatch):
+        # Pinned on, so the site is live under REPRO_COMPILED=0 too.
+        from repro.config import HsrConfig
         from repro.hsr.sequential import SequentialHSR
         from repro.terrain.generators import fractal_terrain
 
+        runs = []
+        real_run = _ccore.insert_run
+        monkeypatch.setattr(
+            _ccore, "insert_run", lambda *a: runs.append(a) or real_run(*a)
+        )
         terrain = fractal_terrain(size=9, seed=23)
+        config = HsrConfig(engine="numpy", use_compiled_insert=True)
         with fi.inject("compiled_insert", "raise", nth=3) as plan:
-            rn = SequentialHSR(engine="numpy").run(terrain)
+            rn = SequentialHSR(config=config).run(terrain)
         with fi.suppressed():
             rp = SequentialHSR(engine="python").run(terrain)
+        # The armed plan sends the run to the per-insert path.
+        assert runs == []
         assert plan.fired >= 1
         assert rn.stats.ops == rp.stats.ops
         assert rn.visibility_map.segments == rp.visibility_map.segments
@@ -309,9 +319,11 @@ class TestFallback:
         # wrappers are the no-op stubs; with it present they are live.
         assert hasattr(_ccore, "insert_packed")
         assert hasattr(_ccore, "compute")
+        assert hasattr(_ccore, "insert_run")
         if not _ccore.HAVE_CCORE:
             assert _ccore.insert_packed(None, None, 1e-9) is None
             assert _ccore.compute(None, None, 1e-9) is None
+            assert _ccore.insert_run(None, None, 0, 0, 1e-9, None) is None
             assert not _ccore.COMPILED_DEFAULT
 
     def test_default_tracks_availability(self):

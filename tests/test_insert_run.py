@@ -1,0 +1,291 @@
+"""Tests for the compiled run path (``flat_splice.insert_run`` +
+``_ccore.insert_run``).
+
+Contract under test: with the core built, a numpy-engine
+``SequentialHSR`` run hands the whole front-to-back pass to the C core,
+one call per chunk of at most 256 inserts plus one per early return
+(reallocating splice, declined insert, failed post-condition), and is
+*bit-exact* against the per-insert numpy path
+(``use_compiled_insert=False``) and ``engine="python"``: the same
+visibility segments, ``ops``, ``k``, ``max_profile_size`` and final
+profile.  Under an armed fault plan, ``REPRO_GUARD_CHECK_ALL`` or a
+quarantined insert site the run stands aside to per-insert inserts.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+import repro.envelope.flat_splice as splice_mod
+from repro.config import HsrConfig
+from repro.envelope import _ccore
+from repro.envelope.flat_splice import insert_run, segment_lanes
+from repro.envelope.packed import MIN_CAPACITY
+from repro.errors import KernelFault
+from repro.geometry.segments import ImageSegment
+from repro.hsr.sequential import SequentialHSR
+from repro.ordering.sweep import front_to_back_order
+from repro.reliability import faultinject as fi
+from repro.reliability import guard
+from repro.scenarios.instances import (
+    dem_terrain_for,
+    flyover_terrains,
+    terrain_for,
+)
+from repro.terrain.generators import fractal_terrain, grid_terrain_from_heights
+
+needs_ccore = pytest.mark.skipif(
+    not _ccore.HAVE_CCORE,
+    reason="optional compiled core not built in this environment",
+)
+
+COMPILED = HsrConfig(engine="numpy", use_compiled_insert=True)
+PER_INSERT = HsrConfig(engine="numpy", use_compiled_insert=False)
+PYTHON = HsrConfig(engine="python")
+
+
+@pytest.fixture(autouse=True)
+def _clean_state(monkeypatch):
+    fi.clear()
+    guard.reset_ambient()
+    monkeypatch.setattr(guard, "GUARDED_DISPATCH", True)
+    yield
+    fi.clear()
+    guard.reset_ambient()
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Spy on the compiled entry points: every ``insert_run`` call as
+    ``(start, stop, status, next)``, and the count of per-insert calls
+    (``insert_packed``, or ``compute`` on the checked path)."""
+    log = {"run": [], "packed": 0}
+    real_run = _ccore.insert_run
+
+    def spy_run(profile, lanes, start, stop, eps, run):
+        out = real_run(profile, lanes, start, stop, eps, run)
+        log["run"].append((start, stop) + tuple(out))
+        return out
+
+    def counting(real):
+        def spy(*a, **k):
+            log["packed"] += 1
+            return real(*a, **k)
+
+        return spy
+
+    monkeypatch.setattr(_ccore, "insert_run", spy_run)
+    for name in ("insert_packed", "compute"):
+        monkeypatch.setattr(_ccore, name, counting(getattr(_ccore, name)))
+    return log
+
+
+def _lattice_fractal(size=17, seed=5):
+    """Fractal heights on an exact lattice: every edge along x projects
+    to a vertical image segment."""
+    t = fractal_terrain(size=size, seed=seed)
+    h = np.array([v.z for v in t.vertices]).reshape(size, size)
+    return grid_terrain_from_heights(h, jitter_seed=None)
+
+
+def _signature(terrain, config, order):
+    seq = SequentialHSR(config=config)
+    res = seq.run(terrain, order=order)
+    return (
+        res.visibility_map.segments,
+        res.stats.ops,
+        res.stats.k,
+        res.stats.extra["max_profile_size"],
+        seq.final_profile(terrain, order=order).pieces,
+    )
+
+
+def _terrains():
+    yield "lattice-fractal", _lattice_fractal()
+    base = fractal_terrain(size=17, seed=11)
+    for az in (20.0, 95.0, 200.0, 317.0):
+        yield f"fractal@{az:g}", base.rotated(az)
+    yield "dem", dem_terrain_for(
+        {"path": "data/dem_tile.asc", "format": "esri-ascii"}
+    )
+    for f, frame in enumerate(
+        flyover_terrains(
+            {"family": "fractal", "size": 17, "seed": 7, "frames": 3}
+        )
+    ):
+        yield f"flyover-{f}", frame
+    for family in ("constant_plateau", "lattice_plateau"):
+        yield family, terrain_for({"family": family, "size": 9})
+
+
+TERRAINS = list(_terrains())
+
+
+@needs_ccore
+class TestRunParity:
+    @pytest.mark.parametrize("tie_break", ["min", "max"])
+    @pytest.mark.parametrize(
+        "name,terrain", TERRAINS, ids=[n for n, _ in TERRAINS]
+    )
+    def test_bit_exact_across_paths(self, name, terrain, tie_break, calls):
+        order = front_to_back_order(terrain, tie_break=tie_break)
+        got = _signature(terrain, COMPILED, order)
+        assert calls["run"], "the compiled run path did not answer"
+        assert got == _signature(terrain, PER_INSERT, order)
+        assert got == _signature(terrain, PYTHON, order)
+
+    def test_lattice_has_vertical_segments(self):
+        lanes = _lattice_fractal().image_lanes()
+        assert int((lanes[0] == lanes[2]).sum()) > 100
+
+    def test_image_lanes_match_image_segments(self):
+        terrain = fractal_terrain(size=9, seed=4).rotated(33.0)
+        order = front_to_back_order(terrain)
+        lanes = terrain.image_lanes(order)
+        got = [
+            ImageSegment(*(float(lane[i]) for lane in lanes[:4]), int(lanes[4][i]))
+            for i in range(len(order))
+        ]
+        assert got == [terrain.image_segment(e) for e in order]
+
+    def test_segment_lanes_record_matches_per_insert(self, rng):
+        from repro.scenarios.instances import _segments_signature
+        from tests.conftest import random_image_segments
+
+        segs = random_image_segments(rng, 300)
+        got = _segments_signature(segs, COMPILED)
+        assert got == _segments_signature(segs, PER_INSERT)
+        assert got == _segments_signature(segs, PYTHON)
+
+
+@needs_ccore
+class TestRunCalls:
+    def test_grows_mid_chunk_from_min_capacity(self, calls, rng):
+        from tests.conftest import random_image_segments
+
+        segs = random_image_segments(rng, 600)
+        run = insert_run(segment_lanes(segs), config=COMPILED)
+        grows = [c for c in calls["run"] if c[2] == _ccore.ST_GROW]
+        assert len(grows) >= 3
+        assert all(c[3] < c[1] for c in grows)  # returned mid-chunk
+        assert run.profile.capacity > MIN_CAPACITY
+        ref = insert_run(segment_lanes(segs), config=PER_INSERT)
+        assert run.profile.to_envelope().pieces == ref.profile.to_envelope().pieces
+        assert (run.ops, run.max_profile, run.offsets) == (
+            ref.ops,
+            ref.max_profile,
+            ref.offsets,
+        )
+        assert (run.ya, run.za, run.yb, run.zb) == (ref.ya, ref.za, ref.yb, ref.zb)
+
+    def test_call_count_pin(self, calls):
+        terrain = fractal_terrain(size=33, seed=2)
+        n = terrain.n_edges
+        SequentialHSR(config=COMPILED).run(terrain)
+        st = [c[2] for c in calls["run"]]
+        grows = st.count(_ccore.ST_GROW)
+        fallbacks = st.count(_ccore.ST_FALLBACK)
+        assert len(st) <= math.ceil(n / 256) + grows + fallbacks
+        assert fallbacks == 0 and calls["packed"] == 0
+        assert all(c[1] - c[0] <= 256 for c in calls["run"])
+
+    def test_declined_inserts_run_per_insert(self, calls):
+        # A synthetic source, then a segment over the synthetic piece:
+        # the core declines both and the per-insert path answers them.
+        segs = [
+            ImageSegment(2.0, 5.0, 8.0, 5.0, -1),
+            ImageSegment(0.0, 3.0, 10.0, 7.0, 7),
+            ImageSegment(11.0, 1.0, 12.0, 2.0, 8),
+        ]
+        run = insert_run(segment_lanes(segs), config=COMPILED)
+        st = [c[2] for c in calls["run"]]
+        assert st.count(_ccore.ST_FALLBACK) == 2
+        ref = insert_run(segment_lanes(segs), config=PER_INSERT)
+        assert run.profile.to_envelope().pieces == ref.profile.to_envelope().pieces
+        assert (run.ops, run.offsets, run.ya, run.yb) == (
+            ref.ops,
+            ref.offsets,
+            ref.ya,
+            ref.yb,
+        )
+
+    def test_rejects_mismatched_lanes(self):
+        y1, z1, y2, z2, src = segment_lanes(
+            [ImageSegment(0.0, 1.0, 2.0, 1.0, 0), ImageSegment(1.0, 2.0, 3.0, 2.0, 1)]
+        )
+        for bad in (
+            (y1, z1, y2, z2[:1], src),
+            (y1, z1, y2, z2, np.asarray(src, dtype=np.int32)),
+        ):
+            with pytest.raises(ValueError, match="lanes"):
+                insert_run(bad, config=COMPILED)
+
+    def _nan_segments(self):
+        # The NaN segment's merged window fails the C post-condition;
+        # the others never overlap it.
+        return [
+            ImageSegment(0.0, math.nan, 1.0, 2.0, 0),
+            ImageSegment(2.0, 1.0, 5.0, 3.0, 1),
+            ImageSegment(3.0, 4.0, 6.0, 0.0, 2),
+        ]
+
+    def test_fault_recorded_and_run_on_reference(self, calls):
+        segs = self._nan_segments()
+        with guard.reliability_run() as rep:
+            run = insert_run(segment_lanes(segs), config=COMPILED)
+        assert rep.sites["compiled_insert"].count == 1
+        assert [c[2] for c in calls["run"]][0] == _ccore.ST_FAULT
+        with guard.reliability_run():
+            ref = insert_run(segment_lanes(segs), config=PER_INSERT)
+        got = run.profile.to_envelope().pieces
+        want = ref.profile.to_envelope().pieces
+        assert repr(got) == repr(want)
+        assert (run.ops, run.offsets) == (ref.ops, ref.offsets)
+
+    def test_fault_strict_mode_raises(self, monkeypatch):
+        monkeypatch.setattr(guard, "GUARDED_DISPATCH", False)
+        with pytest.raises(KernelFault):
+            insert_run(segment_lanes(self._nan_segments()), config=COMPILED)
+
+
+@needs_ccore
+class TestStandAside:
+    def _segments(self, rng):
+        from tests.conftest import random_image_segments
+
+        return random_image_segments(rng, 80)
+
+    def test_armed_plan(self, calls):
+        terrain = fractal_terrain(size=9, seed=23)
+        with fi.inject("compiled_insert", "raise", nth=3) as plan:
+            res = SequentialHSR(config=COMPILED).run(terrain)
+        assert plan.fired == 1
+        assert calls["run"] == [] and calls["packed"] > 0
+        assert res.reliability.sites["compiled_insert"].count == 1
+
+    @pytest.mark.parametrize("site", ["compiled_insert", "fused_insert"])
+    def test_quarantined_site(self, site, calls, rng):
+        segs = self._segments(rng)
+        with guard.reliability_run():
+            for _ in range(guard.FAULT_THRESHOLD):
+                guard.handle_fault(site, RuntimeError("test"))
+            assert guard.is_quarantined(site)
+            run = insert_run(segment_lanes(segs), config=COMPILED)
+        assert calls["run"] == []
+        ref = insert_run(segment_lanes(segs), config=PER_INSERT)
+        assert (run.ops, run.ya, run.yb) == (ref.ops, ref.ya, ref.yb)
+
+    def test_check_all(self, calls, rng, monkeypatch):
+        monkeypatch.setattr(guard, "GUARDED_CHECK_ALL", True)
+        insert_run(segment_lanes(self._segments(rng)), config=COMPILED)
+        assert calls["run"] == [] and calls["packed"] > 0
+
+    def test_toggle_off(self, calls, rng, monkeypatch):
+        insert_run(segment_lanes(self._segments(rng)), config=PER_INSERT)
+        monkeypatch.setattr(splice_mod, "USE_COMPILED_INSERT", False)
+        insert_run(segment_lanes(self._segments(rng)))
+        assert calls["run"] == [] and calls["packed"] == 0
+

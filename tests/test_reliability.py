@@ -314,9 +314,14 @@ def _run_oracle():
 def _run_compiled():
     from repro.envelope import _ccore
 
+    from repro.config import HsrConfig
+    from repro.hsr.sequential import SequentialHSR
+
     if not _ccore.HAVE_CCORE:
         pytest.skip("compiled core not built")
-    _run_sequential()
+    # Pinned on, so the site is live under REPRO_COMPILED=0 too.
+    config = HsrConfig(engine="numpy", use_compiled_insert=True)
+    SequentialHSR(config=config).run(_fractal())
 
 
 def _run_build():
