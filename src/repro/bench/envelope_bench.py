@@ -24,26 +24,20 @@ the two timed variants):
     (``python_ms`` column = composite-argsort ordering, PR 1's path)
     vs enabled (``numpy_ms`` column).
 ``sequential``
-    A full front-to-back insert loop (the SequentialHSR inner loop)
+    A full front-to-back insert pass (the SequentialHSR inner loop)
     over a churny wide-strip workload whose profile size grows with
     ``m`` — the regime where the tuple splice pays Θ(profile) copying
     per edge.  ``python_ms`` = the ``engine="python"`` reference loop;
-    ``numpy_ms`` = the packed single-buffer
-    :class:`~repro.envelope.packed.PackedProfile` loop (the shipped
-    default live layout).
+    ``numpy_ms`` = the shipped run loop
+    :func:`~repro.envelope.flat_splice.insert_run` over
+    :func:`~repro.envelope.flat_splice.segment_lanes` (the compiled
+    core when built, else the per-insert numpy path).
 ``sequential-splice-ablation``
-    The same insert loop, tuple-splice path under ``engine="numpy"``
-    (``python_ms`` column — the pre-flat-profile dispatch path, same
-    kernels) vs the packed loop (``numpy_ms`` column): isolates the
-    cumulative array-layout fixes (flat splice + packed buffer).
-``sequential-compiled-ablation`` / ``sequential-compiled-ablation-wide``
-    The packed insert loop on the E9 family (plain kind) and the
-    wide-strip family (``-wide`` kind) with the compiled insert core
-    off (``python_ms`` column — the numpy path a no-compiler install
-    runs) vs on (``numpy_ms`` column).  Recorded only when the
-    optional extension is built.
+    The same insert pass, tuple-splice path under ``engine="numpy"``
+    (``python_ms`` column — the pre-flat-profile dispatch path) vs
+    the shipped run loop (``numpy_ms`` column).
 ``sequential-guard-ablation`` / ``sequential-guard-ablation-wide``
-    The shipped packed insert loop with the reliability guards off
+    The shipped run loop with the reliability guards off
     (``python_ms`` column) vs on (``numpy_ms`` column).
 ``parallel-build-w2`` / ``parallel-build-w4``
     The multi-core divide-and-conquer build
@@ -367,65 +361,37 @@ def run_envelope_bench(
         return run
 
     if HAVE_NUMPY:
-        import repro.envelope.flat_splice as splice_mod
-        from repro.envelope import _ccore
-        from repro.envelope.flat_splice import insert_segment_flat
-        from repro.envelope.packed import PackedProfile
+        from repro.envelope.flat_splice import insert_run, segment_lanes
 
-        def packed_loop(segs):
-            # The shipped insert loop: the compiled core when built,
-            # else the numpy fused path, in one packed buffer.
-            def run():
-                prof = PackedProfile.empty()
-                for s in segs:
-                    prof = insert_segment_flat(prof, s).profile
-
-            return run
-
-        def packed_nocc_loop(segs):
-            # The packed loop with the compiled core off: the numpy
-            # fused path — the compiled-ablation baseline (and exactly
-            # what a no-compiler install runs).
-            def run():
-                old = splice_mod.USE_COMPILED_INSERT
-                splice_mod.USE_COMPILED_INSERT = False
-                try:
-                    prof = PackedProfile.empty()
-                    for s in segs:
-                        prof = insert_segment_flat(prof, s).profile
-                finally:
-                    splice_mod.USE_COMPILED_INSERT = old
-
-            return run
+        def shipped_loop(segs):
+            # The shipped insert pass: one compiled call per 256
+            # inserts when the core is built, else the numpy path.
+            return lambda: insert_run(segment_lanes(segs))
 
     for m in ms:
         segs = _seq_segments(m)
 
         if HAVE_NUMPY:
-            # Final profile size via the packed loop (bit-identical to
+            # Final profile size via the shipped loop (bit-identical to
             # the python engine's, several times cheaper than an extra
             # untimed run of the quadratic tuple path).
-            prof = PackedProfile.empty()
-            for s in segs:
-                prof = insert_segment_flat(prof, s).profile
-            env_size = prof.size
-
-            loops = {
-                "python": tuple_loop(segs, "python"),
-                "tuple-numpy": tuple_loop(segs, "numpy"),
-                "packed": packed_loop(segs),
-            }
-            if _ccore.HAVE_CCORE:
-                loops["packed-nocc"] = packed_nocc_loop(segs)
-            best = _time_interleaved(loops, seq_repeats)
+            env_size = shipped_loop(segs)().profile.size
+            best = _time_interleaved(
+                {
+                    "python": tuple_loop(segs, "python"),
+                    "tuple-numpy": tuple_loop(segs, "numpy"),
+                    "shipped": shipped_loop(segs),
+                },
+                seq_repeats,
+            )
             rows.append(
                 dict(
                     workload="sequential",
                     m=m,
                     env_size=env_size,
                     python_ms=best["python"] * 1e3,
-                    numpy_ms=best["packed"] * 1e3,
-                    speedup=best["python"] / best["packed"],
+                    numpy_ms=best["shipped"] * 1e3,
+                    speedup=best["python"] / best["shipped"],
                 )
             )
             t.add(**rows[-1])
@@ -435,23 +401,11 @@ def run_envelope_bench(
                     m=m,
                     env_size=env_size,
                     python_ms=best["tuple-numpy"] * 1e3,
-                    numpy_ms=best["packed"] * 1e3,
-                    speedup=best["tuple-numpy"] / best["packed"],
+                    numpy_ms=best["shipped"] * 1e3,
+                    speedup=best["tuple-numpy"] / best["shipped"],
                 )
             )
             t.add(**rows[-1])
-            if "packed-nocc" in best:
-                rows.append(
-                    dict(
-                        workload="sequential-compiled-ablation-wide",
-                        m=m,
-                        env_size=env_size,
-                        python_ms=best["packed-nocc"] * 1e3,
-                        numpy_ms=best["packed"] * 1e3,
-                        speedup=best["packed-nocc"] / best["packed"],
-                    )
-                )
-                t.add(**rows[-1])
         else:  # pragma: no cover - numpy ships in the toolchain
             env = Envelope.empty()
             for s in segs:
@@ -471,35 +425,8 @@ def run_envelope_bench(
             )
             t.add(**rows[-1])
 
-    # Compiled-core ablation on the E9 small-profile family: the
-    # packed loop with the C core off (the numpy path) vs on.
-    if HAVE_NUMPY and _ccore.HAVE_CCORE:
-        for m in ms:
-            segs = _e9_segments(m)
-            prof = PackedProfile.empty()
-            for s in segs:
-                prof = insert_segment_flat(prof, s).profile
-            best = _time_interleaved(
-                {
-                    "packed": packed_loop(segs),
-                    "packed-nocc": packed_nocc_loop(segs),
-                },
-                seq_repeats,
-            )
-            rows.append(
-                dict(
-                    workload="sequential-compiled-ablation",
-                    m=m,
-                    env_size=prof.size,
-                    python_ms=best["packed-nocc"] * 1e3,
-                    numpy_ms=best["packed"] * 1e3,
-                    speedup=best["packed-nocc"] / best["packed"],
-                )
-            )
-            t.add(**rows[-1])
-
-    # Guard-dispatch ablation (reliability layer): the shipped packed
-    # insert loop with the guards on (the default) vs off
+    # Guard-dispatch ablation (reliability layer): the shipped insert
+    # pass with the guards on (the default) vs off
     # (REPRO_GUARDS=0, the zero-overhead baseline).  Ship gate for
     # default-on guards: overhead <= 3% at the largest size, both
     # families (docs/BENCHMARKS.md).
@@ -511,9 +438,7 @@ def run_envelope_bench(
                 old = guard_mod.GUARDS_ENABLED
                 guard_mod.GUARDS_ENABLED = enabled
                 try:
-                    prof = PackedProfile.empty()
-                    for s in segs:
-                        prof = insert_segment_flat(prof, s).profile
+                    insert_run(segment_lanes(segs))
                 finally:
                     guard_mod.GUARDS_ENABLED = old
 
@@ -525,9 +450,7 @@ def run_envelope_bench(
         ):
             for m in ms:
                 segs = family(m)
-                prof = PackedProfile.empty()
-                for s in segs:
-                    prof = insert_segment_flat(prof, s).profile
+                env_size = shipped_loop(segs)().profile.size
                 best = _time_interleaved(
                     {
                         "off": guard_loop(False, segs),
@@ -539,7 +462,7 @@ def run_envelope_bench(
                     dict(
                         workload=workload,
                         m=m,
-                        env_size=prof.size,
+                        env_size=env_size,
                         python_ms=best["off"] * 1e3,
                         numpy_ms=best["on"] * 1e3,
                         speedup=best["off"] / best["on"],
@@ -690,22 +613,13 @@ def run_envelope_bench(
         " argsort) vs on (numpy_ms column)"
     )
     t.notes.append(
-        "sequential rows run the front-to-back insert loop on a"
+        "sequential rows run the front-to-back insert pass on a"
         " wide-strip workload (profile ~ m pieces, seed 29):"
-        " python engine vs the packed single-buffer PackedProfile"
-        " loop (the shipped default); sequential-splice-ablation"
-        " times the tuple-splice path under engine='numpy'"
-        " (pre-flat-profile dispatch, same kernels) vs the packed"
-        " loop, best-of-%d" % seq_repeats
-    )
-    t.notes.append(
-        "sequential-compiled-ablation (E9 family) and"
-        " sequential-compiled-ablation-wide (wide-strip family)"
-        " compare the packed loop with the compiled fused-insert core"
-        " off (python_ms column — the numpy fused path a"
-        " no-compiler install runs) vs on (numpy_ms column, one C"
-        " call per insert); rows recorded only when the optional"
-        " extension is built, best-of-%d" % seq_repeats
+        " python engine vs the shipped run loop"
+        " insert_run(segment_lanes(segs)) (the compiled core when"
+        " built); sequential-splice-ablation times the tuple-splice"
+        " path under engine='numpy' (pre-flat-profile dispatch) vs"
+        " the shipped loop, best-of-%d" % seq_repeats
     )
     t.notes.append(
         "phase2-persistent times run_phase2 mode='persistent'"
@@ -725,7 +639,7 @@ def run_envelope_bench(
     t.notes.append(
         "sequential-guard-ablation (E9 family) and"
         " sequential-guard-ablation-wide (wide-strip family) run the"
-        " shipped packed insert loop with the reliability guards off"
+        " shipped insert pass with the reliability guards off"
         " (python_ms column, REPRO_GUARDS=0 baseline) vs on (numpy_ms"
         " column, the default); speedup just below 1 is the guard"
         " overhead — ship gate for default-on guards is <= 3%% at the"

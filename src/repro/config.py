@@ -15,14 +15,13 @@ compared.
 Resolution rule
 ---------------
 Every optional field defaults to ``None`` meaning *use the library
-default*.  The library defaults remain the documented module globals —
-:data:`repro.envelope.flat_splice.USE_COMPILED_INSERT`,
-:data:`repro.envelope.engine.FLAT_FUSED_CUTOFF` — so existing ablation
-hooks (and the bench toggles) keep working, and a default-constructed
-``HsrConfig()`` changes nothing.  A field that *is* set wins over the
-global for the call it is threaded through, without mutating any
-process-wide state: two sessions with different configs can
-interleave safely.
+default*: :data:`repro.envelope._ccore.COMPILED_DEFAULT` (the built
+core, unless ``REPRO_COMPILED=0``) and the documented module global
+:data:`repro.envelope.engine.FLAT_FUSED_CUTOFF`, so a
+default-constructed ``HsrConfig()`` changes nothing.  A field that
+*is* set wins over the default for the call it is threaded through,
+without mutating any process-wide state: two sessions with different
+configs can interleave safely.
 
 ``workers`` selects real multi-process execution
 (:mod:`repro.parallel_exec`): ``1`` (default) stays in-process,
@@ -59,11 +58,13 @@ class HsrConfig:
         means in-process, ``"auto"`` resolves via
         :func:`repro.parallel_exec.available_workers`.
     use_compiled_insert:
-        The compiled fused-insert core (one C call per packed insert);
-        ``None`` defers to :data:`repro.envelope.flat_splice.
-        USE_COMPILED_INSERT`, which is on exactly when the optional
-        extension compiled at install time.  ``True`` on a no-compiler
-        install is a silent no-op (the numpy path answers, bit-exact).
+        The compiled insert core (one C call per 256 inserts of a
+        sequential run); ``None`` defers to
+        :data:`repro.envelope._ccore.COMPILED_DEFAULT`, which is on
+        exactly when the optional extension compiled at install time
+        and ``REPRO_COMPILED=0`` is not set.  ``True`` on a
+        no-compiler install is a silent no-op (the numpy path answers,
+        bit-exact).
     flat_fused_cutoff:
         Window size at which the numpy insert path switches from the
         scalar to the vectorized fused kernel; ``None`` defers to
@@ -101,9 +102,9 @@ class HsrConfig:
     def compiled_insert(self) -> bool:
         if self.use_compiled_insert is not None:
             return self.use_compiled_insert
-        import repro.envelope.flat_splice as _splice
+        from repro.envelope._ccore import COMPILED_DEFAULT
 
-        return _splice.USE_COMPILED_INSERT
+        return COMPILED_DEFAULT
 
     def fused_cutoff(self) -> int:
         if self.flat_fused_cutoff is not None:

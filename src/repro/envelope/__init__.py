@@ -13,11 +13,11 @@
 * :mod:`repro.envelope.visibility` — visible parts of a segment.
 * :mod:`repro.envelope.splice` — localised single-segment insertion
   and the window-local :func:`splice_merge`.
-* :mod:`repro.envelope.flat_splice` — flat-native incremental insert
-  (:func:`insert_segment_flat`): one compiled call per insert when the
-  optional core is built, else locate → fused window kernel →
-  in-place splice; no tuple materialisation either way.  Whole runs
-  go through ``insert_run``: one compiled call per 256 inserts.
+* :mod:`repro.envelope.flat_splice` — flat-native incremental insert:
+  whole runs go through ``insert_run`` (one compiled call per 256
+  inserts when the optional core is built), single inserts through
+  :func:`insert_segment_flat` (locate → fused window kernel →
+  in-place splice); no tuple materialisation either way.
 * :mod:`repro.envelope.flat_fused` — fused visibility+merge window
   kernel: one sweep (scalar or vectorized, cutoff
   :data:`repro.envelope.engine.FLAT_FUSED_CUTOFF`) answers an

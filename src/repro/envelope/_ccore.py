@@ -11,30 +11,15 @@ behind two flags and these functions:
     The extension imported.
 
 ``COMPILED_DEFAULT``
-    The shipped default for ``flat_splice.USE_COMPILED_INSERT`` —
+    The shipped default of ``HsrConfig.compiled_insert()`` —
     ``HAVE_CCORE`` unless the environment opts out.
-
-``insert_packed(profile, seg, eps)``
-    The hot path: one C call that locates, sweeps and splices in
-    place.  Returns ``(visibility, total_ops, synced)`` or ``None``
-    when the C core declines (synthetic sources in the window, scratch
-    OOM) and the numpy path should run instead.  Raises
-    :class:`CCoreFault` when the C-side post-condition rejects the
-    merged window — nothing was committed, so the caller's guard
-    machinery can retry through the reference path.
-
-``compute(profile, seg, eps)``
-    The checked path: same sweep, ``commit=0`` — **no mutation**.
-    Returns the merged window as Python lists so the guard layer can
-    validate (and fault injection corrupt) them before the commit goes
-    through :meth:`PackedProfile.splice`, keeping the ``packed_splice``
-    guard site live under injection.
 
 ``insert_run(profile, lanes, start, stop, eps, run)``
     A chunk of a whole sequential run in one C call: inserts
     ``[start, stop)`` of the front-to-back image ``lanes`` (float64
-    ``y1, z1, y2, z2`` and int64 ``source`` buffers), each exactly as
-    ``insert_packed`` would, adding ops, the max profile size and the
+    ``y1, z1, y2, z2`` and int64 ``source`` buffers) — each a locate,
+    the fused visibility+merge sweep and an in-place splice, bit-exact
+    with the numpy path — adding ops, the max profile size and the
     clipped visible rows to ``run`` (a
     :class:`repro.envelope.flat_splice.InsertRun`).  Returns
     ``(status, next)``: ``ST_DONE`` with ``next == stop``; ``ST_GROW``
@@ -52,7 +37,6 @@ behind two flags and these functions:
     ``order_constraints`` returns the same call's raw constraint list,
     for the parity tests.
 
-Only :mod:`repro.envelope.visibility` is imported here —
 ``flat_splice`` imports *us*, never the reverse.
 """
 
@@ -60,7 +44,6 @@ from __future__ import annotations
 
 import os
 
-from repro.envelope.visibility import VisibilityResult, VisiblePart
 from repro.geometry.primitives import EPS
 
 try:  # pragma: no cover - exercised via the CI wheel/no-compiler legs
@@ -70,14 +53,18 @@ except ImportError:  # no compiler at install time, or build skipped
 
 HAVE_CCORE = _cc is not None
 
-#: Status codes returned by ``repro_fused_insert`` and
-#: ``repro_insert_run`` (keep in sync with the ``ST_*`` defines in
-#: ``_ccore_build.py``).
-ST_HIDDEN = 0
+#: Status codes of ``repro_insert_run`` (keep in sync with the
+#: ``ST_*`` defines in ``_ccore_build.py``).
 ST_DONE = 1
 ST_GROW = 2
 ST_FALLBACK = 3
 ST_FAULT = 5
+
+#: ``out[]`` slots of a merged window left for a reallocating commit
+#: (the ``O_LO``, ``O_HI``, ``O_MK`` defines).
+O_LO = 2
+O_HI = 3
+O_MK = 4
 
 #: ``acc[]`` slots of ``repro_insert_run`` (the ``R_*`` defines).
 R_OPS = 0
@@ -95,14 +82,12 @@ def _env_enabled() -> bool:
     )
 
 
-#: Shipped default for ``flat_splice.USE_COMPILED_INSERT``.
+#: Shipped default of ``HsrConfig.compiled_insert()``.
 COMPILED_DEFAULT = HAVE_CCORE and _env_enabled()
 
 
 class CCoreFault(RuntimeError):
     """The C-side merged-window post-condition failed pre-commit."""
-
-    site = "compiled_insert"
 
 
 if HAVE_CCORE:
@@ -112,7 +97,7 @@ if HAVE_CCORE:
     # Reusable out-params: the core runs under the GIL and never calls
     # back into Python, so one set per process is safe.
     _STATE = ffi.new("int64_t[2]")
-    _OUT = ffi.new("int64_t[8]")
+    _OUT = ffi.new("int64_t[5]")
 
     # from_buffer is ~µs-scale; cache the cdata pointer per backing
     # buffer (PackedProfile replaces ``_buf`` wholesale on growth, so
@@ -129,19 +114,8 @@ if HAVE_CCORE:
         _last_ptr = ptr
         return ptr
 
-    def _visibility(out) -> VisibilityResult:
-        np_, nc = out[0], out[1]
-        pp = lib.repro_parts_ptr()
-        parts = [VisiblePart(pp[2 * j], pp[2 * j + 1]) for j in range(np_)]
-        if nc:
-            cp = lib.repro_cross_ptr()
-            cross = [(cp[2 * j], cp[2 * j + 1]) for j in range(nc)]
-        else:
-            cross = []
-        return VisibilityResult(parts, cross, out[2])
-
     def _merged_lists(out):
-        k = out[7]
+        k = out[O_MK]
         return (
             list(ffi.unpack(lib.repro_merged_ptr(0), k)),
             list(ffi.unpack(lib.repro_merged_ptr(1), k)),
@@ -149,88 +123,6 @@ if HAVE_CCORE:
             list(ffi.unpack(lib.repro_merged_ptr(3), k)),
             list(ffi.unpack(lib.repro_merged_src_ptr(), k)),
         )
-
-    def insert_packed(profile, seg, eps: float):
-        """One C call: locate + fused sweep + in-place splice.
-
-        Returns ``(VisibilityResult, total_ops)`` on success (the
-        profile is mutated in place; object identity is preserved,
-        matching :meth:`PackedProfile.splice`), or ``None`` when the
-        core declines and the numpy path should handle the insert.
-        """
-        buf = profile._buf
-        _STATE[0] = profile._beg
-        _STATE[1] = profile._end
-        st = lib.repro_fused_insert(
-            _buf_ptr(buf),
-            buf.shape[1],
-            _STATE,
-            seg.y1,
-            seg.z1,
-            seg.y2,
-            seg.z2,
-            seg.source,
-            eps,
-            1,
-            _OUT,
-        )
-        if st == ST_HIDDEN:
-            return _visibility(_OUT), _OUT[3]
-        if st == ST_DONE:
-            if _OUT[4]:
-                profile._beg = _STATE[0]
-                profile._end = _STATE[1]
-                profile._sync_views()
-            return _visibility(_OUT), _OUT[3]
-        if st == ST_GROW:
-            # The packed buffer can't absorb the growth: read the
-            # merged window out of C scratch *before* anything else
-            # can clobber it, then let PackedProfile.splice own the
-            # amortized-doubling reallocation.
-            vis = _visibility(_OUT)
-            mya, mza, myb, mzb, msrc = _merged_lists(_OUT)
-            profile.splice(_OUT[5], _OUT[6], mya, mza, myb, mzb, msrc)
-            return vis, _OUT[3]
-        if st == ST_FAULT:
-            raise CCoreFault("compiled insert post-condition failed")
-        return None  # ST_FALLBACK
-
-    def compute(profile, seg, eps: float):
-        """The sweep without the commit (``commit=0``, no mutation).
-
-        Returns ``(lo, hi, VisibilityResult, merged_lists_or_None,
-        total_ops)`` or ``None`` on fallback.  ``merged_lists`` come
-        back as plain Python lists so the guard layer's checks (and
-        fault injection's corruptions) apply unchanged; the caller
-        commits through :meth:`PackedProfile.splice`.
-        """
-        buf = profile._buf
-        _STATE[0] = profile._beg
-        _STATE[1] = profile._end
-        st = lib.repro_fused_insert(
-            _buf_ptr(buf),
-            buf.shape[1],
-            _STATE,
-            seg.y1,
-            seg.z1,
-            seg.y2,
-            seg.z2,
-            seg.source,
-            eps,
-            0,
-            _OUT,
-        )
-        if st == ST_HIDDEN:
-            return _OUT[5], _OUT[6], _visibility(_OUT), None, _OUT[3]
-        if st == ST_GROW:  # commit=0 always reports GROW when visible
-            return (
-                _OUT[5],
-                _OUT[6],
-                _visibility(_OUT),
-                _merged_lists(_OUT),
-                _OUT[3],
-            )
-        return None  # ST_FALLBACK
 
     _ACC = ffi.new("int64_t[4]")
     _off = ffi.new("int64_t[]", 257)
@@ -299,11 +191,11 @@ if HAVE_CCORE:
             run.zb += ffi.unpack(lib.repro_run_rows_ptr(3), rows)
         run.offsets += ffi.unpack(_off + 1, at - start + (st == ST_GROW))
         if st == ST_GROW:
-            # Same handoff as insert_packed: the merged window leaves C
-            # scratch before anything can clobber it, and
-            # PackedProfile.splice owns the reallocation.
+            # The merged window leaves C scratch before anything can
+            # clobber it, and PackedProfile.splice owns the
+            # reallocation.
             mya, mza, myb, mzb, msrc = _merged_lists(_OUT)
-            profile.splice(_OUT[5], _OUT[6], mya, mza, myb, mzb, msrc)
+            profile.splice(_OUT[O_LO], _OUT[O_HI], mya, mza, myb, mzb, msrc)
             return st, at + 1
         return st, at
 
@@ -345,12 +237,6 @@ if HAVE_CCORE:
 else:  # pragma: no cover - the no-compiler install
     ffi = None
     lib = None
-
-    def insert_packed(profile, seg, eps: float):
-        return None
-
-    def compute(profile, seg, eps: float):
-        return None
 
     def insert_run(profile, lanes, start, stop, eps, run):
         return None

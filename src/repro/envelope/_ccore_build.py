@@ -2,32 +2,29 @@
 
 Running this module (``python src/repro/envelope/_ccore_build.py``)
 compiles ``repro.envelope._repro_ccore`` — a small C extension with
-three entry points.  ``repro_fused_insert`` holds the whole per-insert
-hot path of the sequential algorithm as **one C call** against the
-:class:`~repro.envelope.packed.PackedProfile` ``(5, capacity)``
-float64 buffer:
+two entry points.  ``repro_insert_run`` runs the insert pass of the
+sequential algorithm over a chunk of front-to-back image lanes, each
+insert against the :class:`~repro.envelope.packed.PackedProfile`
+``(5, capacity)`` float64 buffer in two static halves:
 
-* locate — the binary search of
+* ``fused_sweep`` — the locate (the binary search of
   :meth:`~repro.envelope.flat.FlatEnvelope.pieces_overlapping` on the
-  live ``ya`` row (same bisection sides as ``ndarray.searchsorted``);
-* the fused visibility+merge sweep of
+  live ``ya`` row, same bisection sides as ``ndarray.searchsorted``)
+  and the fused visibility+merge sweep of
   :func:`~repro.envelope.flat_fused.fused_insert_window`, including
   the exact all-hidden / fully-visible fast-path predicates of
   ``_insert_fused_small`` (same margin guards, same short-circuit
   order);
-* the in-place window write + single head/tail shift splice of
-  :meth:`~repro.envelope.packed.PackedProfile.splice`
+* ``commit_window`` — the in-place window write + single head/tail
+  shift splice of :meth:`~repro.envelope.packed.PackedProfile.splice`
   (``_splice_impl`` semantics: shrink shifts the smaller side inward,
   growth prefers the cheaper fitting side, reallocation is signalled
   back to Python — the amortized-doubling grow stays Python-side).
 
-``repro_insert_run`` runs that insert (``fused_sweep`` +
-``commit_window``, the two halves ``repro_fused_insert`` also calls)
-over a chunk of front-to-back image lanes, with the vertical point
-query of ``_visible_vertical_flat`` and the ``ImageSegment.
-visible_piece`` clipping of every visible part into row scratch, so a
-sequential run costs one call per chunk plus one per reallocation or
-declined insert.
+Vertical segments take the point query of ``_visible_vertical_flat``,
+and every visible part is clipped by ``ImageSegment.visible_piece``
+into row scratch, so a sequential run costs one call per chunk plus
+one per reallocation or declined insert.
 
 ``repro_front_to_back`` is the front-to-back ordering of
 :func:`~repro.ordering.sweep.front_to_back_order` in one call over
@@ -46,13 +43,13 @@ part/piece coalescing rules), evaluated in the same order on IEEE
 doubles.  ``-ffp-contract=off`` keeps compilers from fusing
 ``a + b * c`` into an FMA (bit-identical results on x86-64 *and*
 aarch64), so the C core, the scalar loop and the numpy kernel all
-produce float-for-float identical profiles, visible parts, crossings
-and ``ops`` — the property ``tests/test_envelope_ccore.py`` fuzzes.
+produce float-for-float identical profiles, visible parts and ``ops``
+— the property ``tests/test_envelope_ccore.py`` fuzzes.
 
 Buffer ownership: the C side **never allocates profile storage**.  It
 mutates the caller's packed buffer in place (under the GIL — cffi API
-calls do not release it) and keeps three small static scratch arrays
-(merged window, visible parts, crossings) that it reallocates itself;
+calls do not release it) and keeps small static scratch arrays
+(merged window, visible parts, run rows) that it reallocates itself;
 Python copies results out immediately after each call, so the scratch
 is dead between calls.  When the packed buffer cannot absorb a growth
 splice the call returns ``GROW`` *without touching the buffer* and the
@@ -67,12 +64,6 @@ and ``REPRO_CCORE_BUILD=0`` skips it entirely.
 import cffi
 
 CDEF = """
-int repro_fused_insert(
-    double *buf, int64_t cap, int64_t *state,
-    double y1, double z1, double y2, double z2,
-    int64_t src, double eps, int commit, int64_t *out);
-double *repro_parts_ptr(void);
-double *repro_cross_ptr(void);
 double *repro_merged_ptr(int field);
 int64_t *repro_merged_src_ptr(void);
 int64_t repro_insert_run(
@@ -102,30 +93,25 @@ C_SOURCE = r"""
 #define ST_FALLBACK 3  /* unsupported window (synthetic source, OOM) */
 #define ST_FAULT    5  /* post-condition failed; nothing committed   */
 
-/* out[] layout */
+/* out[] layout (O_LO, O_HI, O_MK mirrored in repro/envelope/_ccore.py) */
 #define O_NPARTS 0
-#define O_NCROSS 1
-#define O_VISOPS 2
-#define O_TOTOPS 3
-#define O_SYNCED 4
-#define O_LO     5
-#define O_HI     6
-#define O_MK     7
+#define O_TOTOPS 1
+#define O_LO     2
+#define O_HI     3
+#define O_MK     4
 
 /* ---- static result scratch (GIL-serialised; Python copies out
  * immediately after each call) -------------------------------------- */
 static double *g_mya = NULL, *g_mza = NULL, *g_myb = NULL, *g_mzb = NULL;
 static int64_t *g_msrc = NULL;
 static double *g_parts = NULL;   /* (ya, yb) pairs */
-static double *g_cross = NULL;   /* (w, z) pairs   */
 static int64_t g_cap = 0;        /* lanes in every scratch array */
 
 static int ensure_scratch(int64_t win)
 {
     /* Bounds per sweep over a k-piece window: merged <= 3k + 3 adds
      * (head + k-1 gaps + 2 per overlap + tail), parts <= 2k + 2
-     * pairs, crossings <= k pairs.  One shared lane count covers all
-     * three with headroom. */
+     * pairs.  One shared lane count covers both with headroom. */
     int64_t need = 3 * win + 8;
     double *p;
     int64_t *q;
@@ -149,15 +135,10 @@ static int ensure_scratch(int64_t win)
     p = (double *)realloc(g_parts, (size_t)(2 * need) * sizeof(double));
     if (!p) return 0;
     g_parts = p;
-    p = (double *)realloc(g_cross, (size_t)(2 * need) * sizeof(double));
-    if (!p) return 0;
-    g_cross = p;
     g_cap = need;
     return 1;
 }
 
-double *repro_parts_ptr(void) { return g_parts; }
-double *repro_cross_ptr(void) { return g_cross; }
 double *repro_merged_ptr(int field)
 {
     switch (field) {
@@ -288,7 +269,7 @@ static int fused_sweep(
     const double *rzb = buf + 3 * cap + beg;
     const int64_t *rsrc = (const int64_t *)(buf + 4 * cap) + beg;
     int64_t lo, hi, win, j;
-    int64_t np = 0, nc = 0, ko = 0;   /* parts, crossings, merged */
+    int64_t np = 0, ko = 0;   /* parts, merged pieces */
     int64_t vis_ops = 0, merge_ops = 0;
     const double *wya, *wza, *wyb, *wzb;
     const int64_t *wsrc;
@@ -305,8 +286,6 @@ static int fused_sweep(
     win = hi - lo;
     out[O_LO] = lo;
     out[O_HI] = hi;
-    out[O_SYNCED] = 0;
-    out[O_NCROSS] = 0;
 
     if (!ensure_scratch(win)) return ST_FALLBACK;
 
@@ -321,12 +300,10 @@ static int fused_sweep(
             g_msrc[0] = src;
             ko = 1;
             out[O_NPARTS] = 1;
-            out[O_VISOPS] = 1;
             out[O_TOTOPS] = 2;
             goto COMMIT;
         }
         out[O_NPARTS] = 0;
-        out[O_VISOPS] = 1;
         out[O_TOTOPS] = 1;
         out[O_MK] = 0;
         return ST_HIDDEN;
@@ -355,7 +332,6 @@ static int fused_sweep(
                 if (gap_free && minz - top >
                         eps + 1e-12 * (fabs(minz) + fabs(top) + 1.0)) {
                     out[O_NPARTS] = 0;
-                    out[O_VISOPS] = win;
                     out[O_TOTOPS] = win;
                     out[O_MK] = 0;
                     return ST_HIDDEN;
@@ -402,7 +378,6 @@ static int fused_sweep(
                     }
                     g_parts[0] = y1; g_parts[1] = y2;
                     out[O_NPARTS] = 1;
-                    out[O_VISOPS] = fvis;
                     out[O_TOTOPS] = fvis + fmerge;
                     goto COMMIT;
                 }
@@ -506,9 +481,6 @@ static int fused_sweep(
                     m_add(&ko, u, zw_u, w, zw_w, wsrc[j], eps);
                     m_add(&ko, w, zs_w, v, zs_v, src, eps);
                 }
-                g_cross[2 * nc] = w;
-                g_cross[2 * nc + 1] = zs_w;
-                nc++;
             }
         }
         if (j == win - 1) {
@@ -542,8 +514,6 @@ static int fused_sweep(
     }
     if (vis_ops < 1) vis_ops = 1;
     out[O_NPARTS] = np;
-    out[O_NCROSS] = nc;
-    out[O_VISOPS] = vis_ops;
     if (np == 0) {
         /* Fully hidden: no splice, no merge ops charged. */
         out[O_TOTOPS] = vis_ops;
@@ -559,9 +529,9 @@ COMMIT:
 
 /* Commit the merged window fused_sweep left in scratch:
  * check_merged_lists, then PackedProfile._splice_impl in place.
- * ST_DONE (state updated, out[O_SYNCED] set when the live range
- * moved), ST_GROW (no slack: nothing touched, the caller reallocates)
- * or ST_FAULT (post-condition failed, nothing touched). */
+ * ST_DONE (state updated), ST_GROW (no slack: nothing touched, the
+ * caller reallocates) or ST_FAULT (post-condition failed, nothing
+ * touched). */
 static int commit_window(double *buf, int64_t cap, int64_t *state,
                          int64_t *out)
 {
@@ -569,7 +539,6 @@ static int commit_window(double *buf, int64_t cap, int64_t *state,
     int64_t n = end - beg;
     int64_t lo = out[O_LO], hi = out[O_HI], ko = out[O_MK];
     int64_t d, head, tail, a;
-    int synced = 0;
 
     if (!merged_ok(ko)) return ST_FAULT;
     d = ko - (hi - lo);
@@ -601,7 +570,6 @@ static int commit_window(double *buf, int64_t cap, int64_t *state,
                 return ST_GROW;
             }
         }
-        synced = 1;
     }
     a = beg + lo;
     memcpy(buf + a, g_mya, (size_t)ko * sizeof(double));
@@ -612,18 +580,7 @@ static int commit_window(double *buf, int64_t cap, int64_t *state,
            (size_t)ko * sizeof(int64_t));
     state[0] = beg;
     state[1] = end;
-    out[O_SYNCED] = synced;
     return ST_DONE;
-}
-
-int repro_fused_insert(
-    double *buf, int64_t cap, int64_t *state,
-    double y1, double z1, double y2, double z2,
-    int64_t src, double eps, int commit, int64_t *out)
-{
-    int st = fused_sweep(buf, cap, state, y1, z1, y2, z2, src, eps, out);
-    if (st != ST_GROW || !commit) return st;
-    return commit_window(buf, cap, state, out);
 }
 
 /* ==== the whole insert pass (SequentialHSR._insert_loop) ========== */

@@ -31,10 +31,10 @@ profile visibility queries: scalar scan below
 of :mod:`repro.envelope.flat_visibility` above it (vertical queries
 always take the scalar point query — they are O(log m) either way).
 
-The sequential flat insert path does not use the two dispatches:
-:func:`repro.envelope.flat_splice.insert_segment_flat` answers
-visibility *and* the merged window in one compiled call when the
-optional core is built, else in one fused sweep
+The sequential flat insert path does not use the two dispatches: a
+run goes through the compiled run loop when the optional core is
+built, and :func:`repro.envelope.flat_splice.insert_segment_flat`
+answers visibility *and* the merged window in one fused sweep
 (:mod:`repro.envelope.flat_fused`), switching from its scalar fused
 loop to its vectorized fused kernel at :data:`FLAT_FUSED_CUTOFF`
 overlapped pieces.  The two dispatches serve the tuple path
@@ -114,11 +114,11 @@ FLAT_VISIBILITY_CUTOFF: int = 96
 FLAT_FUSED_CUTOFF: int = 64
 
 # When the optional compiled core is built
-# (``repro.envelope._ccore.HAVE_CCORE``), the packed sequential insert
-# bypasses FLAT_FUSED_CUTOFF entirely — one compiled call per insert
-# handles every window size — unless ``flat_splice.USE_COMPILED_INSERT``
-# (env ``REPRO_COMPILED=0`` or ``HsrConfig.use_compiled_insert``) turns
-# it off.  Parity is unconditional.
+# (``repro.envelope._ccore.HAVE_CCORE``), a sequential run bypasses
+# FLAT_FUSED_CUTOFF entirely — the compiled run loop handles every
+# window size — unless ``REPRO_COMPILED=0`` or
+# ``HsrConfig.use_compiled_insert`` turns it off.  Parity is
+# unconditional.
 
 
 def resolve_engine(engine: Optional[str]) -> str:

@@ -61,7 +61,6 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from repro.envelope.flat import FlatEnvelope
-from repro.envelope.flat_splice import _acc_add
 from repro.envelope.packed import _line_z
 from repro.envelope.visibility import VisibilityResult, VisiblePart
 from repro.reliability import faultinject as _fi
@@ -75,6 +74,19 @@ __all__ = [
 
 _F = np.float64
 _I = np.int64
+
+
+def _acc_add(parts: list[list[float]], ya: float, yb: float, eps: float) -> None:
+    """``_PartAccumulator.add`` over mutable ``[ya, yb]`` rows."""
+    if yb < ya:
+        return
+    if parts:
+        last = parts[-1]
+        if ya <= last[1] + eps:
+            if yb > last[1]:
+                last[1] = yb
+            return
+    parts.append([ya, yb])
 
 
 class FusedWindowResult(NamedTuple):

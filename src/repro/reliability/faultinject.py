@@ -144,9 +144,10 @@ def armed_site() -> Optional[str]:
     """The armed plan's target site, or ``None`` when disarmed.
 
     Dispatch shortcuts consult this to *decline* while a plan targets
-    a site they would bypass: the compiled insert core answers before
-    the scalar/vectorized numpy path, so with e.g. ``fused_insert``
-    armed it must stand aside or the injected boundary never runs."""
+    a site they would bypass: the compiled run loop answers inserts
+    without the scalar/vectorized numpy path, so with e.g.
+    ``fused_insert`` armed it must stand aside or the injected
+    boundary never runs."""
     return _PLAN.site if ARMED else None
 
 

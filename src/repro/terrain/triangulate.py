@@ -21,7 +21,11 @@ from __future__ import annotations
 from typing import Literal, Sequence
 
 from repro.errors import GeometryError
-from repro.geometry.predicates import incircle_exact, orient2d_adaptive
+from repro.geometry.predicates import (
+    incircle_exact,
+    orient2d_adaptive,
+    orient2d_exact,
+)
 from repro.geometry.primitives import Point2
 
 __all__ = [
@@ -66,23 +70,75 @@ def _scipy_delaunay(points: Sequence[Point2]) -> list[tuple[int, int, int]]:
     return [tuple(sorted(map(int, simplex))) for simplex in tri.simplices]
 
 
+#: Super-triangle size in input spans on the first attempt, and the
+#: factor it grows by on each retry of :func:`bowyer_watson`.
+_SUPER_SCALE = 50.0
+_SUPER_GROWTH = 1000.0
+_SUPER_ATTEMPTS = 6
+
+
 def bowyer_watson(points: Sequence[Point2]) -> list[tuple[int, int, int]]:
     """Randomised-order Bowyer–Watson with exact predicates.
 
     O(n^2) worst case (linear walk per insertion over bad triangles);
-    intended for n up to a few thousand.  Collinear full inputs raise
-    :class:`GeometryError`.
+    intended for n up to a few thousand.  Collinear full inputs have
+    no triangles.
+
+    A finite super-triangle loses the hull triangles of near-collinear
+    hull sites whose circumcircles reach a super vertex.  So the result
+    must have the triangle count of a full triangulation
+    (:func:`_full_triangle_count`); when it falls short, the insertion
+    reruns with a super-triangle ``_SUPER_GROWTH`` times larger.
     """
     n = len(points)
     if n < 3:
         raise GeometryError("need at least 3 points")
+    full = _full_triangle_count(points)
+    scale = _SUPER_SCALE
+    for _ in range(_SUPER_ATTEMPTS):
+        faces = _insert_all(points, scale)
+        if len(faces) == full:
+            return faces
+        scale *= _SUPER_GROWTH
+    raise GeometryError(
+        f"Delaunay triangulation covers {len(faces)} of {full} triangles"
+    )
+
+
+def _full_triangle_count(points: Sequence[Point2]) -> int:
+    """Triangles in any triangulation of ``points``: ``2n - 2 - h`` with
+    ``h`` sites on the convex-hull boundary (collinear ones included),
+    or 0 when all sites are collinear."""
+    pts = sorted(points, key=lambda p: (p.x, p.y))
+    if all(orient2d_exact(pts[0], pts[-1], p) == 0 for p in pts):
+        return 0
+
+    def chain(seq: Sequence[Point2]) -> int:
+        # Monotone-chain half hull keeping collinear boundary sites.
+        out: list[Point2] = []
+        for p in seq:
+            while len(out) >= 2 and orient2d_exact(out[-2], out[-1], p) < 0:
+                out.pop()
+            out.append(p)
+        return len(out)
+
+    h = chain(pts) + chain(pts[::-1]) - 2
+    return 2 * len(pts) - 2 - h
+
+
+def _insert_all(
+    points: Sequence[Point2], scale: float
+) -> list[tuple[int, int, int]]:
+    """The insertion loop inside a super-triangle ``scale`` input spans
+    across; returns the triangles free of super vertices."""
+    n = len(points)
     # Super-triangle comfortably containing everything.
     xs = [p.x for p in points]
     ys = [p.y for p in points]
     cx = (min(xs) + max(xs)) / 2
     cy = (min(ys) + max(ys)) / 2
     span = max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
-    big = 50.0 * span
+    big = scale * span
     sup = [
         Point2(cx - 3 * big, cy - big),
         Point2(cx + 3 * big, cy - big),

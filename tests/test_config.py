@@ -72,16 +72,16 @@ class TestResolve:
 
 
 class TestToggleDeferral:
-    """``None`` fields track the live module globals; set fields win
+    """``None`` fields track the library defaults; set fields win
     without mutating any process-wide state."""
 
-    def test_explicit_field_wins(self, monkeypatch):
-        pytest.importorskip("numpy")
-        import repro.envelope.flat_splice as splice
+    def test_explicit_field_wins(self):
+        from repro.envelope import _ccore
 
-        monkeypatch.setattr(splice, "USE_COMPILED_INSERT", False)
-        assert HsrConfig(use_compiled_insert=True).compiled_insert() is True
-        assert splice.USE_COMPILED_INSERT is False  # global untouched
+        default = _ccore.COMPILED_DEFAULT
+        for value in (True, False):
+            assert HsrConfig(use_compiled_insert=value).compiled_insert() is value
+        assert _ccore.COMPILED_DEFAULT is default  # default untouched
 
     def test_cutoffs_defer_to_engine_defaults(self):
         import repro.envelope.engine as engine
@@ -89,14 +89,12 @@ class TestToggleDeferral:
         assert HsrConfig().fused_cutoff() == engine.FLAT_FUSED_CUTOFF
         assert HsrConfig(flat_fused_cutoff=7).fused_cutoff() == 7
 
-    def test_fused_toggles_defer_to_splice(self, monkeypatch):
-        pytest.importorskip("numpy")
-        import repro.envelope.flat_splice as splice
+    def test_fused_toggles_defer_to_splice(self):
+        # The compiled-insert default is the built core unless
+        # REPRO_COMPILED=0; no module global can override it.
+        from repro.envelope import _ccore
 
-        cfg = HsrConfig()
-        for value in (True, False):
-            monkeypatch.setattr(splice, "USE_COMPILED_INSERT", value)
-            assert cfg.compiled_insert() is value
+        assert HsrConfig().compiled_insert() is _ccore.COMPILED_DEFAULT
 
 
 class TestConfigThreading:

@@ -1,5 +1,6 @@
 """Documentation checks: relative links in the markdown docs resolve,
-and the README's quoted bench table matches the recorded file.
+and the bench figures the README table and the BENCHMARKS.md
+guard-overhead bullet quote match the recorded file.
 
 The CI ``docs`` job runs this module on its own; it also rides along
 in tier-1 (stdlib only, no numpy, milliseconds).  Inline markdown
@@ -93,3 +94,23 @@ def test_readme_sequential_table_matches_bench_file():
     ]
     assert expected, "no sequential rows recorded"
     assert _readme_table("| m | python_ms | numpy_ms | speedup |") == expected
+
+
+def test_benchmarks_guard_overhead_matches_bench_file():
+    """The guard-overhead figures quoted in ``docs/BENCHMARKS.md`` are
+    the recorded m=8192 ``sequential-guard-ablation`` rows (overhead =
+    guards-on / guards-off − 1)."""
+    rows = json.loads((REPO_ROOT / "BENCH_envelope.json").read_text())["rows"]
+    quoted = {}
+    for r in rows:
+        if r["m"] == 8192 and r["workload"].startswith("sequential-guard-ablation"):
+            overhead = (r["numpy_ms"] / r["python_ms"] - 1.0) * 100.0
+            quoted[r["workload"]] = f"{overhead:+.1f}%"
+    assert len(quoted) == 2, "no m=8192 guard-ablation rows recorded"
+    expected = (
+        f"cost **{quoted['sequential-guard-ablation']}** (E9) and"
+        f" **{quoted['sequential-guard-ablation-wide']}** (wide-strip)"
+        " at m=8192"
+    )
+    text = " ".join((REPO_ROOT / "docs" / "BENCHMARKS.md").read_text().split())
+    assert expected in text

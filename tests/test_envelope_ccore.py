@@ -1,25 +1,29 @@
-"""Tests for the compiled fused-insert core (``repro.envelope._ccore``).
+"""Tests for the compiled insert core (``repro.envelope._ccore``).
 
-Contract under test: with the optional C extension built, the packed
-insert loop answers **every** window size through one compiled call
-per insert — and is *bit-exact* against the scalar/vectorized cascade
-(and, transitively, against ``engine="python"``; the scenario parity
-matrix asserts that leg directly).  Without the extension — or with
-``USE_COMPILED_INSERT`` off — the cascade answers, and the toggle can
-never silently change which kernel handles an insert (the cascade
-pins below).  The ``compiled_insert`` guard site gets the same
-injection/retry/quarantine treatment as every other kernel edge.
+Contract under test: with the optional C extension built, the run loop
+(``flat_splice.insert_run``) answers **every** window size through the
+compiled core, one call per chunk of inserts — and is *bit-exact*
+against the per-insert numpy path (``use_compiled_insert=False``; and,
+transitively, against ``engine="python"``; the scenario parity matrix
+asserts that leg directly).  Without the extension — or with the
+toggle off — the numpy path answers, and the toggle can never silently
+change which kernel handles an insert (the path pins below).  The
+``compiled_insert`` guard site gets the same injection/retry/quarantine
+treatment as every other kernel edge.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.envelope.flat_splice as splice_mod
+from repro.config import HsrConfig
 from repro.envelope import _ccore
-from repro.envelope.flat_splice import insert_segment_flat
+from repro.envelope.flat_splice import insert_run, segment_lanes
 from repro.envelope.packed import PackedProfile
 from repro.geometry.segments import ImageSegment
 from repro.reliability import faultinject as fi
@@ -30,6 +34,9 @@ needs_ccore = pytest.mark.skipif(
     not _ccore.HAVE_CCORE,
     reason="optional compiled core not built in this environment",
 )
+
+COMPILED = HsrConfig(use_compiled_insert=True)
+PER_INSERT = HsrConfig(use_compiled_insert=False)
 
 
 @pytest.fixture(autouse=True)
@@ -42,25 +49,43 @@ def _clean_state(monkeypatch):
     guard.reset_ambient()
 
 
-def _run_loop(segs, *, compiled, capacity=None):
-    """Insert ``segs`` into a fresh PackedProfile; returns the final
-    profile plus the per-insert (visibility, ops) trace."""
-    old = splice_mod.USE_COMPILED_INSERT
-    splice_mod.USE_COMPILED_INSERT = compiled
+@contextmanager
+def _start_capacity(capacity):
+    """Start every run's profile at ``capacity`` slots."""
+    if capacity is None:
+        yield
+        return
+
+    class _Sized:
+        @staticmethod
+        def empty():
+            return PackedProfile.empty(capacity)
+
+    splice_mod.PackedProfile = _Sized
     try:
-        prof = (
-            PackedProfile.empty(capacity)
-            if capacity is not None
-            else PackedProfile.empty()
-        )
-        trace = []
-        for s in segs:
-            res = insert_segment_flat(prof, s)
-            prof = res.profile
-            trace.append((res.visibility, res.ops))
-        return prof, trace
+        yield
     finally:
-        splice_mod.USE_COMPILED_INSERT = old
+        splice_mod.PackedProfile = PackedProfile
+
+
+def _run_loop(segs, *, compiled, capacity=None):
+    """One run of ``segs`` through ``insert_run``; returns the final
+    profile plus the run's totals and visible rows."""
+    with _start_capacity(capacity):
+        run = insert_run(
+            segment_lanes(segs), config=COMPILED if compiled else PER_INSERT
+        )
+    trace = (
+        run.ops,
+        run.max_profile,
+        run.offsets,
+        run.edge,
+        run.ya,
+        run.za,
+        run.yb,
+        run.zb,
+    )
+    return run.profile, trace
 
 
 def _state(prof):
@@ -72,7 +97,7 @@ def _assert_identical(segs, capacity=None):
     p_c, t_c = _run_loop(segs, compiled=True, capacity=capacity)
     p_n, t_n = _run_loop(segs, compiled=False, capacity=capacity)
     assert _state(p_c) == _state(p_n)
-    assert t_c == t_n  # VisibilityResult tuples + ops, float-exact
+    assert t_c == t_n  # ops, sizes and clipped rows, float-exact
 
 
 # -- randomized parity ----------------------------------------------------
@@ -124,14 +149,18 @@ class TestCompiledParity:
         from repro.envelope.splice import insert_segment
 
         segs = random_image_segments(rng, 120)
-        prof, trace = _run_loop(segs, compiled=True)
+        prof, (ops, max_profile, offsets, *_rows) = _run_loop(
+            segs, compiled=True
+        )
         env = Envelope.empty()
-        ref = []
+        ref_ops, ref_max, ref_offsets = 0, 0, [0]
         for s in segs:
             r = insert_segment(env, s, engine="python")
             env = r.envelope
-            ref.append((r.visibility, r.ops))
-        assert trace == ref
+            ref_ops += r.ops
+            ref_max = max(ref_max, env.size)
+            ref_offsets.append(ref_offsets[-1] + len(r.visibility.parts))
+        assert (ops, max_profile, offsets) == (ref_ops, ref_max, ref_offsets)
         assert prof.to_envelope().pieces == env.pieces
 
     def test_eps_degenerate_and_vertical_segments(self):
@@ -144,25 +173,27 @@ class TestCompiledParity:
         _assert_identical(segs)
 
 
-# -- cascade pins ---------------------------------------------------------
+# -- path pins ------------------------------------------------------------
 
 
 @needs_ccore
 class TestCascadePins:
-    """``USE_COMPILED_INSERT`` decides which kernel answers — always,
+    """``use_compiled_insert`` decides which kernel answers — always,
     for every window size, and never silently."""
 
     def _counting(self, monkeypatch):
-        calls = {"ccore": 0, "scalar": 0, "vector": 0}
+        calls = {"ccore": 0, "fallback": 0, "scalar": 0, "vector": 0}
         import repro.envelope.flat_fused as fused_mod
 
-        real_insert = _ccore.insert_packed
+        real_run = _ccore.insert_run
         real_scalar = fused_mod.fused_insert_window
         real_vector = fused_mod.fused_insert_window_flat
 
         def count_ccore(*a, **k):
             calls["ccore"] += 1
-            return real_insert(*a, **k)
+            out = real_run(*a, **k)
+            calls["fallback"] += out[0] == _ccore.ST_FALLBACK
+            return out
 
         def count_scalar(*a, **k):
             calls["scalar"] += 1
@@ -172,7 +203,7 @@ class TestCascadePins:
             calls["vector"] += 1
             return real_vector(*a, **k)
 
-        monkeypatch.setattr(_ccore, "insert_packed", count_ccore)
+        monkeypatch.setattr(_ccore, "insert_run", count_ccore)
         monkeypatch.setattr(fused_mod, "fused_insert_window", count_scalar)
         monkeypatch.setattr(
             fused_mod, "fused_insert_window_flat", count_vector
@@ -193,7 +224,8 @@ class TestCascadePins:
         calls = self._counting(monkeypatch)
         segs = self._mixed_window_segments(rng)
         _run_loop(segs, compiled=True)
-        assert calls["ccore"] == len(segs)
+        assert calls["ccore"] >= 1
+        assert calls["fallback"] == 0
         assert calls["scalar"] == 0
         assert calls["vector"] == 0
 
@@ -206,31 +238,24 @@ class TestCascadePins:
 
     def test_synthetic_source_window_declines(self, rng, monkeypatch):
         # Negative-source pieces coalesce on the builder rule the C
-        # core doesn't implement: it must decline (None), and the
-        # cascade must produce the identical insert.
+        # core doesn't implement: it must hand both inserts back, and
+        # the numpy path must produce the identical run.
         calls = self._counting(monkeypatch)
         synth = ImageSegment(2.0, 5.0, 8.0, 5.0, -1)
         over = ImageSegment(0.0, 3.0, 10.0, 7.0, 7)
         p_c, t_c = _run_loop([synth, over], compiled=True)
-        assert calls["ccore"] == 1  # called for `over`, declined
+        assert calls["fallback"] == 2
         p_n, t_n = _run_loop([synth, over], compiled=False)
         assert _state(p_c) == _state(p_n)
         assert t_c == t_n
 
     def test_config_field_pins_the_path(self, rng, monkeypatch):
-        from repro.config import HsrConfig
-
         calls = self._counting(monkeypatch)
         segs = random_image_segments(rng, 30)
-        for cfg, expect in (
-            (HsrConfig(use_compiled_insert=True), len(segs)),
-            (HsrConfig(use_compiled_insert=False), 0),
-        ):
+        for cfg, on in ((COMPILED, True), (PER_INSERT, False)):
             calls["ccore"] = 0
-            prof = PackedProfile.empty()
-            for s in segs:
-                prof = insert_segment_flat(prof, s, config=cfg).profile
-            assert calls["ccore"] == expect
+            insert_run(segment_lanes(segs), config=cfg)
+            assert (calls["ccore"] > 0) is on
 
     def test_env_opt_out(self, monkeypatch):
         monkeypatch.setenv("REPRO_COMPILED", "0")
@@ -258,7 +283,11 @@ class TestCompiledGuardSite:
         assert _state(p_i) == _state(p_n)
         assert t_i == t_n
 
-    @pytest.mark.parametrize("mode", ["raise", "unsorted", "nan"])
+    # The core hands no merged window to Python, so there is nothing to
+    # corrupt: the site takes raise plans only.  Its C-side merged_ok
+    # post-condition is pinned by the NaN-segment tests in
+    # tests/test_insert_run.py.
+    @pytest.mark.parametrize("mode", ["raise"])
     def test_injected_fault_absorbed_bit_exact(self, rng, mode):
         self._parity_under_plan(rng, mode)
 
@@ -266,11 +295,11 @@ class TestCompiledGuardSite:
         segs = random_image_segments(rng, 120)
         with fi.inject("compiled_insert", "raise", nth=1, repeat=True):
             p_i, t_i = _run_loop(segs, compiled=True)
-            # Breaker tripped after FAULT_THRESHOLD faults; later
-            # inserts decline without tripping the plan again.
+            # Breaker tripped after FAULT_THRESHOLD faults; the rest of
+            # the run stands aside without tripping the plan again.
             assert guard.is_quarantined("compiled_insert")
         rec = guard.current_report().sites["compiled_insert"]
-        assert rec.quarantined and rec.count >= guard.FAULT_THRESHOLD
+        assert rec.quarantined and rec.count == guard.FAULT_THRESHOLD
         with fi.suppressed():
             p_n, t_n = _run_loop(segs, compiled=False)
         assert _state(p_i) == _state(p_n)
@@ -286,14 +315,13 @@ class TestCompiledGuardSite:
 
     def test_fault_recorded_in_sequential_report(self, monkeypatch):
         # Pinned on, so the site is live under REPRO_COMPILED=0 too.
-        from repro.config import HsrConfig
         from repro.hsr.sequential import SequentialHSR
         from repro.terrain.generators import fractal_terrain
 
         runs = []
         real_run = _ccore.insert_run
         monkeypatch.setattr(
-            _ccore, "insert_run", lambda *a: runs.append(a) or real_run(*a)
+            _ccore, "insert_run", lambda *a: runs.append(a[2:4]) or real_run(*a)
         )
         terrain = fractal_terrain(size=9, seed=23)
         config = HsrConfig(engine="numpy", use_compiled_insert=True)
@@ -301,13 +329,13 @@ class TestCompiledGuardSite:
             rn = SequentialHSR(config=config).run(terrain)
         with fi.suppressed():
             rp = SequentialHSR(engine="python").run(terrain)
-        # The armed plan sends the run to the per-insert path.
-        assert runs == []
-        assert plan.fired >= 1
+        # The armed plan keeps the run on the core, one insert a call.
+        assert runs and all(stop - start == 1 for start, stop in runs)
+        assert plan.fired == 1
         assert rn.stats.ops == rp.stats.ops
         assert rn.visibility_map.segments == rp.visibility_map.segments
         assert rn.reliability is not None
-        assert rn.reliability.sites["compiled_insert"].count >= 1
+        assert rn.reliability.sites["compiled_insert"].count == 1
 
 
 # -- fallback installs ----------------------------------------------------
@@ -317,13 +345,11 @@ class TestFallback:
     def test_module_imports_without_extension(self):
         # Meaningful on both legs: with the extension absent the
         # wrappers are the no-op stubs; with it present they are live.
-        assert hasattr(_ccore, "insert_packed")
-        assert hasattr(_ccore, "compute")
         assert hasattr(_ccore, "insert_run")
+        assert hasattr(_ccore, "front_to_back")
         if not _ccore.HAVE_CCORE:
-            assert _ccore.insert_packed(None, None, 1e-9) is None
-            assert _ccore.compute(None, None, 1e-9) is None
             assert _ccore.insert_run(None, None, 0, 0, 1e-9, None) is None
+            assert _ccore.front_to_back(None, None, None, None, None, 1) is None
             assert not _ccore.COMPILED_DEFAULT
 
     def test_default_tracks_availability(self):

@@ -31,11 +31,6 @@ from repro.geometry.segments import ImageSegment
 from tests.conftest import random_image_segments
 
 
-@pytest.fixture(autouse=True)
-def _numpy_path(monkeypatch):
-    monkeypatch.setattr(splice_mod, "USE_COMPILED_INSERT", False)
-
-
 def _assert_incremental_parity(segs):
     env = Envelope.empty()
     prof = PackedProfile.empty()

@@ -126,11 +126,12 @@ class TestSyntheticRouting:
         self, compiled, monkeypatch
     ):
         """An insert whose window holds a synthetic (negative-source)
-        piece is answered by ``_insert_reference`` — on both insert
-        paths — and matches ``engine="python"`` bit for bit."""
+        piece is answered by ``_insert_reference`` — from the compiled
+        run loop (the core hands it back) and from the numpy path —
+        and matches ``engine="python"`` bit for bit."""
         import repro.envelope.flat_splice as splice_mod
+        from repro.config import HsrConfig
 
-        monkeypatch.setattr(splice_mod, "USE_COMPILED_INSERT", compiled)
         calls = []
         orig = splice_mod._insert_reference
 
@@ -144,15 +145,21 @@ class TestSyntheticRouting:
             ImageSegment(2.0, 0.5, 6.0, 3.0, 7),  # window holds source -1
             ImageSegment(10.0, 1.0, 12.0, 1.0, 8),  # empty window
         ]
+        run = splice_mod.insert_run(
+            splice_mod.segment_lanes(segs),
+            config=HsrConfig(use_compiled_insert=compiled),
+        )
         env = Envelope.empty()
-        prof = PackedProfile.empty()
+        ops = 0
+        parts = []
         for s in segs:
             rp = insert_segment(env, s, engine="python")
-            rf = insert_segment_flat(prof, s)
-            assert rf.ops == rp.ops
-            assert rf.visibility == rp.visibility
             env = rp.envelope
-        assert prof.to_envelope().pieces == env.pieces
+            ops += rp.ops
+            parts += [s.visible_piece(p.ya, p.yb) for p in rp.visibility.parts]
+        assert run.ops == ops
+        assert list(zip(run.ya, run.za, run.yb, run.zb)) == parts
+        assert run.profile.to_envelope().pieces == env.pieces
         assert calls == [-1, 7]
 
 
@@ -161,8 +168,6 @@ class TestVisibilityDispatchWindow:
         """Regression: the flat sequential path must perform zero
         ``FlatEnvelope.from_pieces`` conversions — the vectorized fused
         kernel runs on zero-copy window views of the live buffer."""
-        import repro.envelope.flat_splice as splice_mod
-
         calls = []
         orig = FlatEnvelope.from_pieces
 
@@ -172,7 +177,6 @@ class TestVisibilityDispatchWindow:
 
         monkeypatch.setattr(FlatEnvelope, "from_pieces", staticmethod(counting))
         # Force every non-trivial window through the vectorized kernel.
-        monkeypatch.setattr(splice_mod, "USE_COMPILED_INSERT", False)
         monkeypatch.setattr(engine_mod, "FLAT_FUSED_CUTOFF", 2)
         segs = random_image_segments(rng, 150)
         prof = PackedProfile.empty()

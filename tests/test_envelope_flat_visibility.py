@@ -289,18 +289,13 @@ class TestIncrementalRuns:
     def test_adversarial_inserts_forced_flat_kernels(self, segments):
         # Force every window through the vectorized fused kernel (the
         # large-window arm of the numpy insert path) regardless of
-        # size, with the compiled core out of the way.
-        import repro.envelope.flat_splice as splice_mod
-
+        # size.
         old_cut = engine_mod.FLAT_FUSED_CUTOFF
-        old_cc = splice_mod.USE_COMPILED_INSERT
         engine_mod.FLAT_FUSED_CUTOFF = 1
-        splice_mod.USE_COMPILED_INSERT = False
         try:
             _run_incremental_pair(segments)
         finally:
             engine_mod.FLAT_FUSED_CUTOFF = old_cut
-            splice_mod.USE_COMPILED_INSERT = old_cc
 
     def test_random_large_run(self, rng):
         segs = random_image_segments(rng, 400)

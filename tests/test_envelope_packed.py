@@ -24,7 +24,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.envelope.engine as engine_mod
-import repro.envelope.flat_splice as splice_mod
 from repro.envelope.build import build_envelope
 from repro.envelope.chain import Envelope
 from repro.envelope.flat import FlatEnvelope
@@ -232,7 +231,6 @@ class TestInsertParity:
     def test_forced_vectorized_dest_path(self, rng, cutoff, monkeypatch):
         # Force the vectorized fused kernel (with its straight-into-
         # the-buffer dest write) onto every window.
-        monkeypatch.setattr(splice_mod, "USE_COMPILED_INSERT", False)
         monkeypatch.setattr(engine_mod, "FLAT_FUSED_CUTOFF", cutoff)
         segs = random_image_segments(rng, 120)
         env = Envelope.empty()
@@ -294,9 +292,7 @@ class TestStaleViews:
         re-derived after every splice, never cached across inserts."""
         import repro.envelope.flat_fused as fused_mod
 
-        # Pin the vectorized kernel path: the compiled core (when
-        # built) would otherwise answer every insert before it.
-        monkeypatch.setattr(splice_mod, "USE_COMPILED_INSERT", False)
+        # Pin the vectorized kernel path.
         monkeypatch.setattr(engine_mod, "FLAT_FUSED_CUTOFF", 1)
         orig = fused_mod.fused_insert_window_flat
         checked = []

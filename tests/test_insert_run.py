@@ -8,8 +8,10 @@ one call per chunk of at most 256 inserts plus one per early return
 *bit-exact* against the per-insert numpy path
 (``use_compiled_insert=False``) and ``engine="python"``: the same
 visibility segments, ``ops``, ``k``, ``max_profile_size`` and final
-profile.  Under an armed fault plan, ``REPRO_GUARD_CHECK_ALL`` or a
-quarantined insert site the run stands aside to per-insert inserts.
+profile.  Under a ``compiled_insert`` fault plan the core runs one
+insert per call, so the plan counts inserts.  Under a plan at any other
+site, ``REPRO_GUARD_CHECK_ALL`` or a quarantined insert site the run
+stands aside to the per-insert numpy path.
 """
 
 from __future__ import annotations
@@ -59,27 +61,24 @@ def _clean_state(monkeypatch):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Spy on the compiled entry points: every ``insert_run`` call as
-    ``(start, stop, status, next)``, and the count of per-insert calls
-    (``insert_packed``, or ``compute`` on the checked path)."""
-    log = {"run": [], "packed": 0}
+    """Spy on both insert paths: every compiled ``insert_run`` call as
+    ``(start, stop, status, next)``, and the count of per-insert
+    ``insert_segment_flat`` calls (the numpy path)."""
+    log = {"run": [], "per_insert": 0}
     real_run = _ccore.insert_run
+    real_flat = splice_mod.insert_segment_flat
 
     def spy_run(profile, lanes, start, stop, eps, run):
         out = real_run(profile, lanes, start, stop, eps, run)
         log["run"].append((start, stop) + tuple(out))
         return out
 
-    def counting(real):
-        def spy(*a, **k):
-            log["packed"] += 1
-            return real(*a, **k)
-
-        return spy
+    def spy_flat(*a, **k):
+        log["per_insert"] += 1
+        return real_flat(*a, **k)
 
     monkeypatch.setattr(_ccore, "insert_run", spy_run)
-    for name in ("insert_packed", "compute"):
-        monkeypatch.setattr(_ccore, name, counting(getattr(_ccore, name)))
+    monkeypatch.setattr(splice_mod, "insert_segment_flat", spy_flat)
     return log
 
 
@@ -189,7 +188,7 @@ class TestRunCalls:
         grows = st.count(_ccore.ST_GROW)
         fallbacks = st.count(_ccore.ST_FALLBACK)
         assert len(st) <= math.ceil(n / 256) + grows + fallbacks
-        assert fallbacks == 0 and calls["packed"] == 0
+        assert fallbacks == 0 and calls["per_insert"] == 0
         assert all(c[1] - c[0] <= 256 for c in calls["run"])
 
     def test_declined_inserts_run_per_insert(self, calls):
@@ -250,6 +249,35 @@ class TestRunCalls:
         with pytest.raises(KernelFault):
             insert_run(segment_lanes(self._nan_segments()), config=COMPILED)
 
+    def test_compiled_insert_plan_steps_one_insert(self, calls, monkeypatch):
+        # A compiled_insert plan keeps the run on the core, one insert
+        # per call, and trips the site before each: the third insert
+        # is recorded and answered on the reference path.
+        terrain = fractal_terrain(size=9, seed=23)
+        order = front_to_back_order(terrain)
+        with fi.inject("compiled_insert", "raise", nth=3) as plan:
+            res = SequentialHSR(config=COMPILED).run(terrain, order=order)
+            got = (
+                res.visibility_map.segments,
+                res.stats.ops,
+                res.stats.k,
+                res.stats.extra["max_profile_size"],
+            )
+        assert plan.fired == 1
+        assert calls["run"] and all(c[1] - c[0] == 1 for c in calls["run"])
+        assert calls["run"][0][:2] == (0, 1) and (2, 3) not in {
+            c[:2] for c in calls["run"]
+        }
+        assert calls["per_insert"] == 0
+        assert res.reliability.sites["compiled_insert"].count == 1
+        for config in (PER_INSERT, PYTHON):
+            assert got == _signature(terrain, config, order)[:4]
+        monkeypatch.setattr(guard, "GUARDED_DISPATCH", False)
+        with fi.inject("compiled_insert", "raise", nth=3):
+            with pytest.raises(KernelFault) as exc:
+                SequentialHSR(config=COMPILED).run(terrain, order=order)
+        assert exc.value.site == "compiled_insert"
+
 
 @needs_ccore
 class TestStandAside:
@@ -259,12 +287,14 @@ class TestStandAside:
         return random_image_segments(rng, 80)
 
     def test_armed_plan(self, calls):
+        # A plan at a numpy-path site: the run stands aside so the
+        # armed boundary actually runs.
         terrain = fractal_terrain(size=9, seed=23)
-        with fi.inject("compiled_insert", "raise", nth=3) as plan:
+        with fi.inject("fused_insert", "raise", nth=3) as plan:
             res = SequentialHSR(config=COMPILED).run(terrain)
         assert plan.fired == 1
-        assert calls["run"] == [] and calls["packed"] > 0
-        assert res.reliability.sites["compiled_insert"].count == 1
+        assert calls["run"] == [] and calls["per_insert"] > 0
+        assert res.reliability.sites["fused_insert"].count == 1
 
     @pytest.mark.parametrize("site", ["compiled_insert", "fused_insert"])
     def test_quarantined_site(self, site, calls, rng):
@@ -281,11 +311,12 @@ class TestStandAside:
     def test_check_all(self, calls, rng, monkeypatch):
         monkeypatch.setattr(guard, "GUARDED_CHECK_ALL", True)
         insert_run(segment_lanes(self._segments(rng)), config=COMPILED)
-        assert calls["run"] == [] and calls["packed"] > 0
+        assert calls["run"] == [] and calls["per_insert"] > 0
 
     def test_toggle_off(self, calls, rng, monkeypatch):
         insert_run(segment_lanes(self._segments(rng)), config=PER_INSERT)
-        monkeypatch.setattr(splice_mod, "USE_COMPILED_INSERT", False)
+        # No config: the default, here as if REPRO_COMPILED=0 was set.
+        monkeypatch.setattr(_ccore, "COMPILED_DEFAULT", False)
         insert_run(segment_lanes(self._segments(rng)))
-        assert calls["run"] == [] and calls["packed"] == 0
+        assert calls["run"] == [] and calls["per_insert"] == 160
 

@@ -53,6 +53,15 @@ class TestBowyerWatson:
         with pytest.raises(GeometryError):
             bowyer_watson([Point2(0, 0), Point2(1, 1)])
 
+    def test_near_collinear_sites_keep_their_triangle(self):
+        # The sliver's circumcircle reaches the first super-triangle's
+        # vertices, which used to swallow the only triangle.
+        pts = [Point2(0, 0), Point2(50, 0.01), Point2(100, 0)]
+        assert bowyer_watson(pts) == [(0, 1, 2)]
+
+    def test_collinear_sites_have_no_triangles(self):
+        assert bowyer_watson([Point2(0, 0), Point2(1, 1), Point2(2, 2)]) == []
+
     def test_delaunay_property_random(self):
         rng = random.Random(3)
         pts = random_points(rng, 40)
