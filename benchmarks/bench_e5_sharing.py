@@ -10,8 +10,8 @@ from repro.hsr.parallel import ParallelHSR
 
 def test_e5_persistent_phase2(benchmark, fractal_small):
     def run():
-        # Backend-agnostic: phase 2 reports its own allocation delta
-        # (treap nodes or rope chunk slots — same unit).
+        # Phase 2 reports its own allocation delta (piece slots
+        # written into fresh rope chunks).
         res = ParallelHSR(mode="persistent").run(fractal_small)
         return res.stats.extra["nodes_allocated"]
 

@@ -1,10 +1,11 @@
-"""E8 — Lemma 2.1/2.2 scheduling: speedup curves (cost model) and real
-process-pool Phase-1 execution.
+"""E8 — Lemma 2.1/2.2 scheduling: speedup curves from the cost model.
 
 The PRAM speedup curve comes from the cost model (the GIL makes
-thread-level emulation meaningless — DESIGN.md §2); the process-pool
-benchmark shows genuine multi-core execution of a Phase-1 layer,
-including the honest serialisation overhead.
+thread-level emulation meaningless — DESIGN.md §2); the serial
+Phase-1 benchmark is its wall-clock baseline.  Real multi-core
+execution is ``HsrConfig(workers=N)`` through
+:mod:`repro.parallel_exec`, measured by the ``parallel-build-wN``
+rows of ``python -m repro bench envelope``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from benchmarks.conftest import attach_table
 from repro.bench.harness import run_experiment
 from repro.hsr.parallel import ParallelHSR
-from repro.pram.pool import ProcessBackend, available_workers
 
 
 def test_e8_speedup_table(benchmark):
@@ -27,13 +27,3 @@ def test_e8_speedup_table(benchmark):
 
 def test_e8_serial_phase1(benchmark, fractal_medium):
     benchmark(lambda: ParallelHSR().run(fractal_medium))
-
-
-def test_e8_process_pool_phase1(benchmark, fractal_medium):
-    workers = min(4, available_workers())
-    with ProcessBackend(workers=workers) as backend:
-        res = benchmark(
-            lambda: ParallelHSR(backend=backend).run(fractal_medium)
-        )
-    benchmark.extra_info["workers"] = workers
-    benchmark.extra_info["k"] = res.k

@@ -26,14 +26,14 @@ and the query service façade::
 Everything configurable goes through one frozen
 :class:`~repro.config.HsrConfig` threaded through every front door
 (algorithms, queries, sessions, the ``repro serve`` CLI); see
-``docs/API.md`` for the full façade and the deprecation table.
+``docs/API.md`` for the full façade and the migration table.
 
 Subpackages
 -----------
 ``repro.geometry``       geometry kernel (points, segments, hulls, predicates)
 ``repro.envelope``       upper-profile algebra
-``repro.persistence``    persistent treap & envelope store
-``repro.pram``           simulated CREW PRAM (work/depth, scheduling, pools)
+``repro.persistence``    persistent chunked-rope profile store
+``repro.pram``           simulated CREW PRAM (work/depth, scheduling)
 ``repro.parallel_exec``  real multi-core build/merge execution (shared memory)
 ``repro.terrain``        TIN model, generators, triangulation, DEM, I/O
 ``repro.ordering``       front-to-back ordering & separator tree

@@ -2,8 +2,8 @@
 
 Times both envelope engines on E9-style workloads (random segment
 sets, the Lemma 3.1 construction, a large pairwise merge, batched
-``visible_parts`` queries, and the stream-merge ablation inside the
-batched build) and writes the rows to ``BENCH_envelope.json`` so
+``visible_parts`` queries, the sequential insert pass, Phase 2 and
+the service) and writes the rows to ``BENCH_envelope.json`` so
 later PRs have a perf trajectory to compare against.
 
 Row kinds (all share the six columns; ``python_ms``/``numpy_ms`` name
@@ -19,10 +19,6 @@ the two timed variants):
     batched :func:`~repro.envelope.flat_visibility.batch_visible_parts`
     sweep *including* materialisation back to scalar-API results
     (``numpy_ms``).
-``build-stream-merge-ablation``
-    The numpy build with the segmented stream merge disabled
-    (``python_ms`` column = composite-argsort ordering, PR 1's path)
-    vs enabled (``numpy_ms`` column).
 ``sequential``
     A full front-to-back insert pass (the SequentialHSR inner loop)
     over a churny wide-strip workload whose profile size grows with
@@ -32,10 +28,6 @@ the two timed variants):
     :func:`~repro.envelope.flat_splice.insert_run` over
     :func:`~repro.envelope.flat_splice.segment_lanes` (the compiled
     core when built, else the per-insert numpy path).
-``sequential-splice-ablation``
-    The same insert pass, tuple-splice path under ``engine="numpy"``
-    (``python_ms`` column — the pre-flat-profile dispatch path) vs
-    the shipped run loop (``numpy_ms`` column).
 ``sequential-guard-ablation`` / ``sequential-guard-ablation-wide``
     The shipped run loop with the reliability guards off
     (``python_ms`` column) vs on (``numpy_ms`` column).
@@ -53,15 +45,12 @@ the two timed variants):
     column) vs one coalesced
     :meth:`~repro.service.ViewshedSession.query_batch` launch
     (``numpy_ms`` column) against the same cached horizon.
-``phase2-persistent``
-    Phase 2 over a PCT built from the E9 segments: ``python_ms`` =
-    ``mode="persistent"`` on the treap backend, ``numpy_ms`` =
-    ``mode="direct"`` on the numpy engine (batched window merges into
-    packed buffers).  The speedup column reads "how much the treap
-    bound costs".
 ``phase2-rope``
-    The same persistent run on the default rope backend
-    (``python_ms``) vs the same direct run (``numpy_ms``).
+    Phase 2 over a PCT built from the E9 segments: ``python_ms`` =
+    ``mode="persistent"`` (the chunked-rope store), ``numpy_ms`` =
+    ``mode="direct"`` on the numpy engine (batched window merges into
+    packed buffers).  The speedup column reads "how much persistence
+    costs".
 
 Engines are timed interleaved (python, numpy, python, ...) and the
 per-engine minimum is reported, which keeps the ratio honest on
@@ -105,9 +94,8 @@ def _time_interleaved(fns: dict[str, "object"], repeats: int) -> dict[str, float
     best: dict[str, float] = {label: float("inf") for label in fns}
     for _ in range(repeats):
         for label, fn in fns.items():
-            # An allocation-heavy variant (the treap column of
-            # phase2-persistent) leaves the cyclic-GC generation
-            # counters primed; without a reset the *next* variant pays
+            # An allocation-heavy variant leaves the cyclic-GC
+            # generation counters primed; without a reset the *next* variant pays
             # its full collections inside the timed region (measured
             # 2.5-10x inflation on the direct column).  Collect
             # outside the clock so each variant starts clean.
@@ -143,17 +131,12 @@ def run_envelope_bench(
     )
     rows: list[dict] = []
 
-    # Phase-2 persistent-vs-direct, recorded FIRST so the rows match a
+    # Phase-2 persistent-vs-direct, recorded FIRST so the row matches a
     # fresh process: late in the pipeline the direct column inflates
     # 40-70% (allocator/GC state accumulated by fifty earlier rows
     # hits its large per-layer temporaries harder than the rope's
     # small chunk commits), which once flipped the recorded rope ratio
-    # below 1.0.  The treap backend is additionally quarantined into
-    # its own timing loop: a 20s treap run between pair-mates both
-    # warms `pct.envelope_of`'s scalar cache for the rope column and
-    # perturbs the direct column (measured swings of +-40% on the
-    # pair's ratio).  The rope/direct pair interleaves cleanly; the
-    # treap row reuses the pair's direct best as its denominator.
+    # below 1.0.
     if HAVE_NUMPY:
         from repro.hsr.pct import build_pct
         from repro.hsr.phase2 import run_phase2
@@ -166,34 +149,13 @@ def run_envelope_bench(
         p2_repeats = max(1, repeats // 3)
         best = _time_interleaved(
             {
-                "rope": lambda: run_phase2(
-                    pct, p2_segs, mode="persistent", backend="rope"
-                ),
+                "rope": lambda: run_phase2(pct, p2_segs, mode="persistent"),
                 "direct": lambda: run_phase2(
                     pct, p2_segs, mode="direct", engine="numpy"
                 ),
             },
             p2_repeats,
         )
-        best_treap = _time_interleaved(
-            {
-                "treap": lambda: run_phase2(
-                    pct, p2_segs, mode="persistent", backend="treap"
-                ),
-            },
-            p2_repeats,
-        )
-        rows.append(
-            dict(
-                workload="phase2-persistent",
-                m=m_p2,
-                env_size=pct.total_profile_pieces(),
-                python_ms=best_treap["treap"] * 1e3,
-                numpy_ms=best["direct"] * 1e3,
-                speedup=best_treap["treap"] / best["direct"],
-            )
-        )
-        t.add(**rows[-1])
         rows.append(
             dict(
                 workload="phase2-rope",
@@ -306,49 +268,10 @@ def run_envelope_bench(
         rows.append(row)
         t.add(**row)
 
-    # Stream-merge ablation inside the batched build (largest size):
-    # python_ms column = composite argsort (PR 1), numpy_ms = merge.
-    if HAVE_NUMPY:
-        import repro.envelope.flat as flat_mod
-
-        m_abl = max(ms)
-        segs = _e9_segments(m_abl)
-        env_size = build_envelope(segs, engine="numpy").envelope.size
-
-        def build_with(attr, toggle, segs=segs):
-            def run():
-                old = getattr(flat_mod, attr)
-                setattr(flat_mod, attr, toggle)
-                try:
-                    build_envelope(segs, engine="numpy")
-                finally:
-                    setattr(flat_mod, attr, old)
-
-            return run
-
-        best = _time_interleaved(
-            {
-                "argsort": build_with("USE_STREAM_MERGE", False),
-                "merge": build_with("USE_STREAM_MERGE", True),
-            },
-            repeats,
-        )
-        row = dict(
-            workload="build-stream-merge-ablation",
-            m=m_abl,
-            env_size=env_size,
-            python_ms=best["argsort"] * 1e3,
-            numpy_ms=best["merge"] * 1e3,
-            speedup=best["argsort"] / best["merge"],
-        )
-        rows.append(row)
-        t.add(**row)
-
     # Sequential insert loops on the churny wide-strip family: the
-    # python engine vs the flat-native profile, plus the splice
-    # ablation (tuple path vs flat path under the same numpy kernels).
-    # Heavier per repeat than the kernel rows (the tuple path is the
-    # quadratic regime being measured), so fewer repeats.
+    # python engine vs the shipped run loop.  Heavier per repeat than
+    # the kernel rows (the python tuple path is the quadratic regime
+    # being measured), so fewer repeats.
     seq_repeats = max(1, repeats // 3)
     from repro.envelope.splice import insert_segment
 
@@ -379,7 +302,6 @@ def run_envelope_bench(
             best = _time_interleaved(
                 {
                     "python": tuple_loop(segs, "python"),
-                    "tuple-numpy": tuple_loop(segs, "numpy"),
                     "shipped": shipped_loop(segs),
                 },
                 seq_repeats,
@@ -392,17 +314,6 @@ def run_envelope_bench(
                     python_ms=best["python"] * 1e3,
                     numpy_ms=best["shipped"] * 1e3,
                     speedup=best["python"] / best["shipped"],
-                )
-            )
-            t.add(**rows[-1])
-            rows.append(
-                dict(
-                    workload="sequential-splice-ablation",
-                    m=m,
-                    env_size=env_size,
-                    python_ms=best["tuple-numpy"] * 1e3,
-                    numpy_ms=best["shipped"] * 1e3,
-                    speedup=best["tuple-numpy"] / best["shipped"],
                 )
             )
             t.add(**rows[-1])
@@ -470,8 +381,8 @@ def run_envelope_bench(
                 )
                 t.add(**rows[-1])
 
-    # (phase2-persistent / phase2-rope are recorded at the top of this
-    # function — see the fresh-process rationale there.)
+    # (phase2-rope is recorded at the top of this function — see the
+    # fresh-process rationale there.)
 
     # Multi-core build scaling: the in-process numpy build vs the
     # shared-memory process pool at 2 and 4 workers (largest size).
@@ -565,7 +476,7 @@ def run_envelope_bench(
     # Scenario-matrix rows (declarative; see repro.scenarios and
     # docs/SCENARIOS.md): every bench-role scenario of the packaged
     # default spec, timed through the same interleaved best-of loop.
-    # Appended LAST on purpose — the phase2 pair must keep its
+    # Appended LAST on purpose — the phase2 row must keep its
     # fresh-process slot at the top (see the rationale there), and
     # these rows feed the perf gate, which compares speedup *ratios*,
     # not absolute times, so late-pipeline allocator state is benign.
@@ -608,30 +519,17 @@ def run_envelope_bench(
         " results; the raw array sweep is faster still"
     )
     t.notes.append(
-        "build-stream-merge-ablation compares the numpy build with"
-        " the segmented stream merge off (python_ms column, composite"
-        " argsort) vs on (numpy_ms column)"
-    )
-    t.notes.append(
         "sequential rows run the front-to-back insert pass on a"
         " wide-strip workload (profile ~ m pieces, seed 29):"
         " python engine vs the shipped run loop"
         " insert_run(segment_lanes(segs)) (the compiled core when"
-        " built); sequential-splice-ablation times the tuple-splice"
-        " path under engine='numpy' (pre-flat-profile dispatch) vs"
-        " the shipped loop, best-of-%d" % seq_repeats
+        " built), best-of-%d" % seq_repeats
     )
     t.notes.append(
-        "phase2-persistent times run_phase2 mode='persistent'"
-        " backend='treap' (python_ms column) vs mode='direct' on the"
+        "phase2-rope times run_phase2 mode='persistent' on the"
+        " chunked-rope store (python_ms column) vs mode='direct' on the"
         " numpy engine (numpy_ms column) over a PCT of the E9"
-        " segments; the ratio quantifies the treap bound no flat"
-        " kernel reaches — the historical baseline the rope replaces"
-    )
-    t.notes.append(
-        "phase2-rope times the same persistent run on the default"
-        " rope backend (python_ms column) vs the same direct run"
-        " (numpy_ms column); the per-layer merges and leaf visibility"
+        " segments; the per-layer merges and leaf visibility"
         " run through the batched numpy kernels on rope chunk"
         " windows, so the speedup column is the honest"
         " persistence-overhead ratio (ROADMAP target ~1.5)"

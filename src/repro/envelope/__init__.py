@@ -5,7 +5,7 @@
   (the pure-Python reference kernel).
 * :mod:`repro.envelope.flat` — vectorized NumPy kernel:
   :class:`FlatEnvelope` structure-of-arrays, batched merge sweeps,
-  segmented stream merge, level-batched construction.
+  level-batched construction.
 * :mod:`repro.envelope.flat_visibility` — batched NumPy visibility
   kernel (many segment-vs-profile queries in one sweep).
 * :mod:`repro.envelope.engine` — kernel selection.
@@ -117,7 +117,6 @@ if HAVE_NUMPY:  # pragma: no branch - numpy ships in the toolchain
         FlatMergeResult,
         build_envelope_flat,
         merge_envelopes_flat,
-        merge_sorted_streams,
     )
     from repro.envelope.flat_fused import (  # noqa: F401
         FusedWindowResult,
@@ -150,6 +149,5 @@ if HAVE_NUMPY:  # pragma: no branch - numpy ships in the toolchain
         "fused_insert_window_flat",
         "insert_segment_flat",
         "merge_envelopes_flat",
-        "merge_sorted_streams",
         "visible_parts_flat",
     ]

@@ -94,8 +94,10 @@ if HAVE_CCORE:
     ffi = _cc.ffi
     lib = _cc.lib
 
-    # Reusable out-params: the core runs under the GIL and never calls
-    # back into Python, so one set per process is safe.
+    # Reusable out-params, one set per process.  Like the C core's
+    # static scratch they are not reentrant: cffi releases the GIL
+    # around each call, so callers must not run the core from two
+    # threads.
     _STATE = ffi.new("int64_t[2]")
     _OUT = ffi.new("int64_t[5]")
 

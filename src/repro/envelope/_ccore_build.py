@@ -47,11 +47,16 @@ produce float-for-float identical profiles, visible parts and ``ops``
 — the property ``tests/test_envelope_ccore.py`` fuzzes.
 
 Buffer ownership: the C side **never allocates profile storage**.  It
-mutates the caller's packed buffer in place (under the GIL — cffi API
-calls do not release it) and keeps small static scratch arrays
-(merged window, visible parts, run rows) that it reallocates itself;
-Python copies results out immediately after each call, so the scratch
-is dead between calls.  When the packed buffer cannot absorb a growth
+mutates the caller's packed buffer in place and keeps small static
+scratch arrays (merged window, visible parts, run rows) that it
+reallocates itself; Python copies results out immediately after each
+call, so the scratch is dead between calls.
+
+Concurrency: the core is **not reentrant**.  cffi API-mode wrappers
+release the GIL around each call, and ``repro_insert_run`` keeps its
+scratch in static globals, so two threads inside the core at once
+corrupt each other's results or the heap.  Callers must not run it
+from two threads; making it reentrant is an open ROADMAP item.  When the packed buffer cannot absorb a growth
 splice the call returns ``GROW`` *without touching the buffer* and the
 wrapper commits through :meth:`PackedProfile.splice`, which owns the
 amortized-doubling reallocation policy.
@@ -100,8 +105,9 @@ C_SOURCE = r"""
 #define O_HI     3
 #define O_MK     4
 
-/* ---- static result scratch (GIL-serialised; Python copies out
- * immediately after each call) -------------------------------------- */
+/* ---- static result scratch (shared by every call: not reentrant, and
+ * cffi releases the GIL around calls, so never call the core from two
+ * threads; Python copies out immediately after each call) ----------- */
 static double *g_mya = NULL, *g_mza = NULL, *g_myb = NULL, *g_mzb = NULL;
 static int64_t *g_msrc = NULL;
 static double *g_parts = NULL;   /* (ya, yb) pairs */

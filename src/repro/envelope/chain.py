@@ -8,8 +8,8 @@ present.  This is the paper's "upper profile" / "silhouette".
 Envelopes here are array-backed and immutable-by-convention: all
 mutating algorithms (:mod:`repro.envelope.merge`,
 ``Envelope.insert_segment``) return new envelopes.  The persistent
-treap-backed representation used by the ACG phase-2 path lives in
-:mod:`repro.persistence`.
+chunked-rope representation used by the persistent and ACG phase-2
+modes lives in :mod:`repro.persistence`.
 """
 
 from __future__ import annotations

@@ -8,13 +8,11 @@ array programs:
   (``ya/za/yb/zb`` float64 + ``source`` int64), losslessly
   round-trippable to/from :class:`repro.envelope.chain.Envelope`;
 * :func:`merge_envelopes_flat` — the pairwise merge: union breakpoints
-  by a segmented two-way merge of the already-sorted per-side endpoint
-  streams (:func:`merge_sorted_streams`; the composite argsort of PR 1
-  remains as the :data:`USE_STREAM_MERGE` ablation), covering-piece
-  location by segmented running maxima over piece-start markers,
-  vectorized linear interpolation per unique bound, dominance
-  resolution with sign arrays, and crossing/output emission with
-  boolean masks — no per-interval Python loop;
+  by one composite (group, y) argsort of the per-side endpoint
+  streams, covering-piece location by segmented running maxima over
+  piece-start markers, vectorized linear interpolation per unique
+  bound, dominance resolution with sign arrays, and crossing/output
+  emission with boolean masks — no per-interval Python loop;
 * :func:`batch_merge` — the same sweep over *many independent merges
   at once* (a "stacked" set of envelope pairs keyed by a group-id
   array).  The divide-and-conquer construction and the PCT Phase-1
@@ -53,7 +51,6 @@ __all__ = [
     "FlatEnvelope",
     "FlatMergeResult",
     "merge_envelopes_flat",
-    "merge_sorted_streams",
     "batch_merge",
     "stack_envelopes",
     "build_envelope_flat",
@@ -76,18 +73,6 @@ def _tuples_to_matrix(rows: Sequence) -> np.ndarray:
 
 #: Sign bit of an IEEE-754 double, as the uint64 bit pattern.
 _SIGN_BIT = np.uint64(0x8000000000000000)
-
-#: Ablation switch for the segmented stream merge in :func:`_sweep`
-#: (the bench toggles it to measure the argsort-vs-merge delta; both
-#: paths produce identical results).
-USE_STREAM_MERGE = True
-
-#: Event count below which :func:`_sweep` prefers the composite
-#: argsort even when :data:`USE_STREAM_MERGE` is on: the merge path
-#: runs more (cheaper) array ops, so per-call overhead dominates on
-#: small levels while the argsort's O(E log E) comparison cost is
-#: still negligible there.
-STREAM_MERGE_MIN_EVENTS = 4096
 
 class FlatEnvelope:
     """Structure-of-arrays envelope: parallel ``ya/za/yb/zb/source``.
@@ -535,36 +520,6 @@ def _group_offsets(groups: np.ndarray, n_groups: int) -> np.ndarray:
     return np.searchsorted(groups, np.arange(n_groups + 1))
 
 
-def _pack_group_keys(
-    n_groups: int,
-    streams: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
-) -> Optional[list[np.ndarray]]:
-    """Shift each group's keys into disjoint consecutive uint64 ranges.
-
-    ``streams`` is a sequence of ``(keys, groups, offsets)`` triples —
-    uint64 key arrays sorted within each group, the per-element group
-    ids, and group segment ``offsets`` of length ``n_groups + 1``.  All
-    streams share one group numbering; the per-group key range is taken
-    over the union of the streams.  Returns the shifted key arrays,
-    whose *global* numeric order equals the lexicographic
-    ``(group, key)`` order — so a single flat ``searchsorted`` performs
-    a segmented per-group search — or ``None`` when the combined
-    per-group spans exceed 64 bits of key space (common once groups are
-    numerous: each group's span covers its coordinates' exponent
-    range).
-    """
-    mn = np.full(n_groups, np.uint64(0xFFFFFFFFFFFFFFFF), _U)
-    mx = np.zeros(n_groups, _U)
-    for keys, _groups, offs in streams:
-        ne = offs[1:] > offs[:-1]
-        mn[ne] = np.minimum(mn[ne], keys[offs[:-1][ne]])
-        mx[ne] = np.maximum(mx[ne], keys[offs[1:][ne] - 1])
-    adj = _pack_range_adjust(mn, mx, n_groups)
-    if adj is None:
-        return None
-    return [keys + adj[groups] for keys, groups, _offs in streams]
-
-
 def _pack_range_adjust(
     mn: np.ndarray, mx: np.ndarray, n_groups: int
 ) -> Optional[np.ndarray]:
@@ -594,12 +549,12 @@ def _pack_range_adjust(
 def _composite_argsort(
     ys: np.ndarray, gs: np.ndarray, n_groups: int
 ) -> np.ndarray:
-    """Composite (group, y) ordering as two argsort passes — the
-    reference ordering for :func:`merge_sorted_streams` and its
-    fallback.  Equivalent to ``np.lexsort((ys, gs))`` but faster: the
-    group pass radix-sorts narrow integers.  Only the *second* pass
-    must be stable (it preserves the y-order within each group); the
-    y pass may reorder exact ties freely."""
+    """Composite (group, y) ordering as two argsort passes — the event
+    ordering of :func:`_sweep`.  Equivalent to
+    ``np.lexsort((ys, gs))`` but faster: the group pass radix-sorts
+    narrow integers.  Only the *second* pass must be stable (it
+    preserves the y-order within each group); the y pass may reorder
+    exact ties freely."""
     o1 = np.argsort(ys)
     gdt = np.int16 if n_groups < 2**15 else np.int32
     o2 = np.argsort(gs[o1].astype(gdt), kind="stable")
@@ -619,8 +574,8 @@ def _segmented_searchsorted(
     search with per-element bounds.  Values may be any comparable
     dtype (raw floats are fine: comparisons never cross group
     boundaries).  Runs ``ceil(log2(max segment size))`` cheap array
-    passes, so it is the fast path exactly when segments are small —
-    deep build levels, and the regime where key packing overflows."""
+    passes; the batched visibility kernel falls back to it when its
+    key packing overflows."""
     lo = b_off[a_groups]
     size = b_off[a_groups + 1] - lo
     if len(b_vals) == 0 or len(a_vals) == 0:
@@ -636,96 +591,6 @@ def _segmented_searchsorted(
         lo = np.where(cond, mid + 1, lo)
         size = np.where(cond, size - half - 1, half)
     return lo
-
-
-#: Largest per-group segment for which the raw-float bounded binary
-#: search beats the key-packed flat ``searchsorted`` (the search runs
-#: ``ceil(log2(size))`` array passes, so small segments need few).
-_BINSEARCH_MAX_SEGMENT = 16
-
-
-def _merge_stream_positions(
-    a_vals: np.ndarray,
-    a_groups: np.ndarray,
-    b_vals: np.ndarray,
-    b_groups: np.ndarray,
-    n_groups: int,
-    a_off: Optional[np.ndarray] = None,
-    b_off: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merged positions of two (group, value)-sorted streams.
-
-    Returns ``(pos_a, pos_b)`` — for each element of either stream,
-    its index in the (group, value)-sorted union.  This is the
-    segmented two-way merge that replaces the per-level composite
-    argsort in :func:`_sweep`: each side's breakpoint stream is already
-    sorted within every group, so ordering their union is a merge, not
-    a sort.  Elements of ``a`` precede equal elements of ``b``; the
-    relative order of exact ties is otherwise unspecified (the merge
-    sweep is insensitive to intra-``(group, value)`` event order).
-
-    Only one side is actually searched, and ``pos_b`` is the
-    complement — ``b`` fills the free slots in stream order.  The rank
-    search of ``a`` into ``b`` picks its strategy by segment size:
-    small ``b`` segments (deep build levels — the expensive ones) use
-    the bounded raw-float binary search of
-    :func:`_segmented_searchsorted` directly; large segments use
-    one flat ``searchsorted`` over range-packed uint64 keys, falling
-    back to the bounded search when the packing overflows.
-    """
-    na, nb = len(a_vals), len(b_vals)
-    if a_off is None:
-        a_off = _group_offsets(a_groups, n_groups)
-    if b_off is None:
-        b_off = _group_offsets(b_groups, n_groups)
-    max_seg = int(np.max(np.diff(b_off))) if nb else 0
-    if max_seg <= _BINSEARCH_MAX_SEGMENT:
-        # Raw float comparisons are valid here: the search never
-        # compares across group boundaries.
-        pa = _segmented_searchsorted(
-            b_vals, b_off, a_vals, a_groups
-        )
-    else:
-        ka = _order_keys(a_vals)
-        kb = _order_keys(b_vals)
-        packed = _pack_group_keys(
-            n_groups, ((ka, a_groups, a_off), (kb, b_groups, b_off))
-        )
-        if packed is not None:
-            pa = np.searchsorted(packed[1], packed[0], side="left")
-        else:
-            pa = _segmented_searchsorted(kb, b_off, ka, a_groups)
-    pos_a = np.arange(na, dtype=np.intp) + pa
-    free = np.ones(na + nb, bool)
-    free[pos_a] = False
-    pos_b = np.flatnonzero(free)
-    return pos_a, pos_b
-
-
-def merge_sorted_streams(
-    a_vals: np.ndarray,
-    a_groups: np.ndarray,
-    b_vals: np.ndarray,
-    b_groups: np.ndarray,
-    n_groups: int,
-) -> np.ndarray:
-    """Merge permutation of two (group, value)-sorted float streams.
-
-    Both streams must already be sorted by ``(group, value)``
-    lexicographically (group ids in ``[0, n_groups)``).  Returns
-    ``order`` such that ``np.concatenate([a_vals, b_vals])[order]`` is
-    (group, value)-sorted.  See :func:`_merge_stream_positions` for
-    the mechanics and tie conventions; this wrapper materialises the
-    permutation for callers that want ``argsort``-shaped output.
-    """
-    pos_a, pos_b = _merge_stream_positions(
-        a_vals, a_groups, b_vals, b_groups, n_groups
-    )
-    na, nb = len(a_vals), len(b_vals)
-    order = np.empty(na + nb, np.intp)
-    order[pos_a] = np.arange(na, dtype=np.intp)
-    order[pos_b] = np.arange(na, na + nb, dtype=np.intp)
-    return order
 
 
 def _sweep(
@@ -828,59 +693,24 @@ def _sweep(
         ea, ga_s, ma = _endpoint_stream(a_live.ya, a_live.yb, ag, na)
         eb, gb_s, mb = _endpoint_stream(b_live.ya, b_live.yb, bg, nb)
         n_ev = len(ea) + len(eb)
-        # Each side's stream is (group, y)-sorted, so the composite
-        # order is a segmented two-way *merge* rather than a sort, the
-        # merged event arrays assemble by scatter stores (no
-        # permutation gathers), and merged group boundaries come from
-        # stream-offset arithmetic — no per-event group array is ever
-        # materialised.  The ablation toggle keeps the composite
-        # argsort path of PR 1 measurable.
-        if USE_STREAM_MERGE and n_ev >= STREAM_MERGE_MIN_EVENTS:
-            a_off = _group_offsets(ga_s, n_live)
-            b_off = _group_offsets(gb_s, n_live)
-            pos_a, pos_b = _merge_stream_positions(
-                ea, ga_s, eb, gb_s, n_live, a_off, b_off
-            )
-            ys_s = np.empty(n_ev, _F)
-            ys_s[pos_a] = ea
-            ys_s[pos_b] = eb
-            mark_a = np.full(n_ev, -1, _I)
-            mark_a[pos_a] = ma
-            mark_b = np.full(n_ev, -1, _I)
-            mark_b[pos_b] = mb
-            # Merged group segment g is [a_off[g]+b_off[g], ...); every
-            # live group has events, so all boundaries are in range.
-            ev_off = a_off + b_off
-            keep = np.empty(n_ev, bool)
-            keep[0] = True
-            keep[1:] = ys_s[1:] != ys_s[:-1]
-            keep[ev_off[:-1]] = True  # group starts always survive
-            starts = np.flatnonzero(keep)
-            ends = np.concatenate([starts[1:], [n_ev]]) - 1
-            ysu = ys_s[starts]
-            # Group of each unique bound, from the (exact) positions of
-            # the group boundaries among the kept events.
-            ub_off = np.searchsorted(starts, ev_off)
-            gsu = np.repeat(np.arange(n_live, dtype=_I), np.diff(ub_off))
-        else:
-            ys = np.concatenate([ea, eb])
-            gs = np.concatenate([ga_s, gb_s])
-            order = _composite_argsort(ys, gs, n_live)
-            ys_s = ys[order]
-            gs_s = gs[order]
-            mark_a = np.full(n_ev, -1, _I)
-            mark_a[: len(ea)] = ma
-            mark_a = mark_a[order]
-            mark_b = np.full(n_ev, -1, _I)
-            mark_b[len(ea) :] = mb
-            mark_b = mark_b[order]
-            keep = np.empty(n_ev, bool)
-            keep[0] = True
-            keep[1:] = (ys_s[1:] != ys_s[:-1]) | (gs_s[1:] != gs_s[:-1])
-            starts = np.flatnonzero(keep)
-            ends = np.concatenate([starts[1:], [n_ev]]) - 1
-            ysu = ys_s[starts]
-            gsu = gs_s[starts]
+        ys = np.concatenate([ea, eb])
+        gs = np.concatenate([ga_s, gb_s])
+        order = _composite_argsort(ys, gs, n_live)
+        ys_s = ys[order]
+        gs_s = gs[order]
+        mark_a = np.full(n_ev, -1, _I)
+        mark_a[: len(ea)] = ma
+        mark_a = mark_a[order]
+        mark_b = np.full(n_ev, -1, _I)
+        mark_b[len(ea) :] = mb
+        mark_b = mark_b[order]
+        keep = np.empty(n_ev, bool)
+        keep[0] = True
+        keep[1:] = (ys_s[1:] != ys_s[:-1]) | (gs_s[1:] != gs_s[:-1])
+        starts = np.flatnonzero(keep)
+        ends = np.concatenate([starts[1:], [n_ev]]) - 1
+        ysu = ys_s[starts]
+        gsu = gs_s[starts]
         # Piece indices increase along the sorted order within a group
         # (stacks are (group, ya)-sorted), so the running max is "the
         # most recent"; taking it at the *end* of each equal-(g, y) run

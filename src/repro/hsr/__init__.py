@@ -7,13 +7,6 @@
 * :class:`ZBufferHSR` — image-space (device-dependent) baseline.
 """
 
-from repro.hsr.acg import (
-    acg_splice_merge,
-    collect_flip_candidates,
-    collect_gaps,
-    get_augment,
-    winner_regions,
-)
 from repro.hsr.cg import CGNode, ProfileIndex
 from repro.hsr.graph import graph_summary, visibility_graph
 from repro.hsr.intersect import all_intersections_lemma32
@@ -44,18 +37,13 @@ __all__ = [
     "VisibilityMap",
     "VisibilityOracle",
     "VisibleSegment",
-    "acg_splice_merge",
     "all_intersections_lemma32",
     "build_pct",
-    "collect_flip_candidates",
-    "collect_gaps",
-    "get_augment",
     "graph_summary",
     "point_visible",
     "run_phase2",
     "visibility_graph",
     "visible_many",
-    "winner_regions",
 ]
 
 try:  # the image-space baseline is array-based; optional without numpy

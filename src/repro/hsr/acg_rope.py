@@ -1,27 +1,37 @@
 """Chunk-augmented Chazelle–Guibas search on rope profile versions.
 
-The rope analogue of :mod:`repro.hsr.acg`: where the treap memoises a
-hull augmentation per *node*, the rope memoises one per *chunk*
-(:attr:`repro.persistence.rope.Chunk._aug`).  Chunks are immutable and
-shared between versions, so — exactly like the treap's node
-augmentations — a chunk augmentation computed for one profile version
-is reused by every layer-mate sharing that chunk (the paper's "single
-ACG structure for all the profiles", §3.1).
+The paper (§3.1, Figs. 2–3) detects segment/profile intersections with
+a balanced structure whose edges carry *lower convex chains* of the
+profile vertices they span, searched level by level in ``O(log²)``.
+Instead of keeping one such structure per profile, it keeps a single
+shared one for all profiles of a PCT layer, with the chains stored
+persistently.
 
-The search itself is a pruned scan over the (short) chunk spine
-instead of a tree descent: a chunk wholly inside the query range whose
-lower hull lies strictly above the segment's supporting line (or upper
-hull strictly below) is skipped without opening its pieces; only
-inconclusive chunks are opened.  Junction candidates at chunk seams
-are always checked — a pruned chunk's *interior* junctions cannot
-straddle the line (every vertex is strictly on one side), but its
-boundary vertex pairs with a neighbouring chunk's vertex, which may
-sit on the other side.
+Here the rope that *is* the profile version doubles as that
+structure: every (immutable) chunk lazily memoises an augmentation
+(:attr:`repro.persistence.rope.Chunk._aug`) —
 
-Event emission differs from the treap walk only in degenerate
-tangencies (the treap clamps candidate endpoints by ancestor spans,
-which is tree-shape-dependent); region outputs agree — the phase-2
-mode tests compare visibility across all engines.
+    (support span, first/last values, contiguity flag,
+     lower hull, upper hull of the chunk's piece vertices)
+
+Because chunks are immutable and shared between versions, an
+augmentation computed for one profile version is reused by every
+layer-mate sharing that chunk — the paper's "single ACG structure for
+all the profiles".
+
+Queries prune chunks by evaluating the linear functional
+``z - line(y)`` at hull extremes.  The search is a scan over the
+(short) chunk spine: a chunk wholly inside the query range whose
+every vertex lies strictly above the query segment's line (lower hull
+above) cannot contribute a visibility flip — the segment is hidden
+throughout; strictly below (upper hull below) likewise — the segment
+is exposed throughout, and flips can only occur at support gaps,
+which are collected separately (contiguous chunks are skipped without
+opening their pieces).  Only inconclusive chunks are opened, giving
+the output-sensitive search of Lemma 3.6.  Junction candidates at
+chunk seams are always checked: a pruned chunk's *interior* junctions
+cannot straddle the line, but its boundary vertex pairs with a
+neighbouring chunk's vertex, which may sit on the other side.
 """
 
 from __future__ import annotations
@@ -32,12 +42,12 @@ from typing import NamedTuple, Optional
 from repro.envelope.chain import Envelope, Piece
 from repro.envelope.merge import Crossing, MergeResult
 from repro.geometry.convex import (
+    hull_extreme_index,
     lower_hull_presorted,
     upper_hull_presorted,
 )
 from repro.geometry.primitives import EPS, Point2
 from repro.geometry.segments import ImageSegment
-from repro.hsr.acg import _hull_max, _hull_min, _ProbeCounter
 from repro.persistence.rope import (
     Chunk,
     Rope,
@@ -57,8 +67,7 @@ __all__ = [
 
 
 class ChunkAugment(NamedTuple):
-    """Memoised chunk summary (the treap's per-node ``Augment``,
-    lifted to a whole chunk)."""
+    """Memoised chunk summary (see module docstring)."""
 
     ya_min: float
     za_first: float
@@ -96,6 +105,27 @@ def chunk_augment(chunk: Chunk) -> ChunkAugment:
     return aug
 
 
+def _hull_min(hull: tuple[Point2, ...], a: float, b: float) -> float:
+    """min over hull points of ``z - (a*y + b)``; hull points are
+    stored as ``(y, z)`` so the functional is ``p.y - (a*p.x + b)``."""
+    i = hull_extreme_index(hull, lambda p: p.y - (a * p.x + b), maximize=False)
+    p = hull[i]
+    return p.y - (a * p.x + b)
+
+
+def _hull_max(hull: tuple[Point2, ...], a: float, b: float) -> float:
+    i = hull_extreme_index(hull, lambda p: p.y - (a * p.x + b), maximize=True)
+    p = hull[i]
+    return p.y - (a * p.x + b)
+
+
+class _ProbeCounter:
+    __slots__ = ("probes",)
+
+    def __init__(self) -> None:
+        self.probes = 0
+
+
 def _first_chunk(rope: Rope, lo: float) -> int:
     """Index of the first chunk that can overlap ``(lo, ...)``."""
     return max(0, bisect_right(rope.starts, lo) - 1)
@@ -108,8 +138,8 @@ def collect_gaps_rope(
     counter: Optional[_ProbeCounter] = None,
 ) -> list[tuple[float, float]]:
     """Maximal sub-intervals of ``[lo, hi]`` not covered by any piece —
-    the rope analogue of :func:`repro.hsr.acg.collect_gaps`.  Cost
-    O(log chunks + touched chunks); contiguous chunks are skipped
+    each boundary is a visibility flip for a segment spanning it.
+    Cost O(log chunks + touched chunks); contiguous chunks are skipped
     without opening their pieces."""
     out: list[tuple[float, float]] = []
     a = lo
@@ -160,8 +190,9 @@ def collect_flip_candidates_rope(
 ) -> list[float]:
     """y-values in ``(lo, hi)`` where ``seg`` may exchange dominance
     with the profile — transversal crossings, tangential contacts and
-    straddled jump junctions, hull-pruned per chunk (Lemma 3.6's
-    search on the chunk spine)."""
+    straddled jump junctions (inclusive straddle: grazing the top or
+    bottom of a jump is a tangency and must split regions too),
+    hull-pruned per chunk (Lemma 3.6's search on the chunk spine)."""
     sa = seg.slope
     sb = seg.z1 - sa * seg.y1
     out: list[float] = []
@@ -223,9 +254,11 @@ def collect_flip_candidates_rope(
                         w = pu + t * (pv - pu)
                         if pu < w < pv:
                             out.append(w)
-                    # Tangential contacts (see the treap version): emit
-                    # the endpoint so region-midpoint probes never land
-                    # on a zero of the difference.
+                    # Tangential contacts: the difference vanishes at a
+                    # piece endpoint without a strict sign flip.  Emit
+                    # the endpoint so the region-midpoint probe never
+                    # lands on a zero of the difference and
+                    # misclassifies the whole region.
                     if su == 0 and lo < pu < hi:
                         out.append(pu)
                     if sv == 0 and lo < pv < hi:
@@ -241,9 +274,13 @@ def winner_regions_rope(
     rope: Rope, seg: ImageSegment, *, eps: float = EPS
 ) -> tuple[list[tuple[float, float, bool]], list[float], int]:
     """Partition ``[seg.y1, seg.y2]`` into maximal regions where
-    either the profile or the segment dominates — the rope analogue of
-    :func:`repro.hsr.acg.winner_regions`, same return convention
-    ``(regions, crossings, probes)``."""
+    either the profile or the segment dominates.
+
+    Returns ``(regions, crossings, probes)``: regions as
+    ``(ya, yb, seg_wins)``, the transversal crossing ordinates (flip
+    candidates that separate regions with opposite winners), and the
+    number of chunk/piece probes performed (the measured query cost).
+    """
     counter = _ProbeCounter()
     lo, hi = seg.y1, seg.y2
     events: set = {lo, hi}
@@ -274,10 +311,17 @@ def winner_regions_rope(
 def acg_rope_splice_merge(
     rope: Rope, other: Envelope, *, eps: float = EPS
 ) -> tuple[Rope, MergeResult]:
-    """Merge ``other`` into a rope version using chunk-ACG searches —
-    the rope analogue of :func:`repro.hsr.acg.acg_splice_merge`
-    (functionally identical results; the test suite asserts parity
-    against the plain merge)."""
+    """Merge ``other`` into a rope version using chunk-ACG searches.
+
+    Functionally identical to
+    :func:`~repro.persistence.rope.rope_splice_merge` (the test suite
+    asserts it), but locates the changed regions by hull-pruned search
+    instead of sweeping the whole overlap range — the paper's
+    output-sensitive Phase-2 engine.  Each region where a piece of
+    ``other`` wins is spliced in as its own clipped piece; eps-narrow
+    regions are kept, since the midpoint test already required the
+    segment to dominate by more than ``eps`` in height.
+    """
     if not other.pieces:
         return rope, MergeResult(Envelope.empty(), [], 0)
     if rope.total == 0:

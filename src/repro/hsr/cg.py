@@ -19,7 +19,7 @@ Supported queries:
   parallel tasks of the paper's processor allocation).
 
 This static structure is the validation/benchmark twin of the
-shared persistent variant in :mod:`repro.hsr.acg`; construction cost
+shared persistent variant in :mod:`repro.hsr.acg_rope`; construction cost
 and query probes here correspond to Lemmas 3.3–3.5 (E7).
 """
 

@@ -13,8 +13,8 @@
 Execution is sequential Python, but every step charges the CREW-PRAM
 cost tracker, so a run yields the (work, depth) pair Theorem 3.1
 bounds; :mod:`repro.pram.schedule` turns those into time-on-p curves.
-A process-pool backend can execute Phase-1 layers genuinely in
-parallel.
+A config with ``workers > 1`` executes the level merges on real cores
+(:mod:`repro.parallel_exec`).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from repro.hsr.phase2 import PHASE2_MODES, run_phase2
 from repro.hsr.result import HsrResult, HsrStats, VisibilityMap
 from repro.ordering.separator import SeparatorTree
 from repro.ordering.sweep import front_to_back_order
-from repro.pram.pool import ExecutionBackend
 from repro.pram.tracker import PramTracker
 from repro.reliability import reliability_run
 from repro.terrain.model import Terrain
@@ -43,9 +42,10 @@ class ParallelHSR:
     ----------
     mode:
         Phase-2 engine: ``"direct"`` (array merges), ``"persistent"``
-        (treap splice merges; default) or ``"acg"`` (hull-pruned
-        searches on the shared persistent structure — the paper's
-        full machinery).  All three produce the same visibility map.
+        (splice merges into the chunked-rope store; default) or
+        ``"acg"`` (hull-pruned searches on the shared persistent
+        structure — the paper's full machinery).  All three produce
+        the same visibility map.
     config:
         :class:`repro.config.HsrConfig` — the unified front door.  A
         config with ``workers > 1`` executes the Phase-1 and Phase-2
@@ -54,11 +54,6 @@ class ParallelHSR:
         keywords remain as shorthand and override the config fields.
     eps:
         Geometric tolerance.
-    backend:
-        Deprecated — the per-node pickling
-        :class:`repro.pram.pool.ExecutionBackend` lost to the batched
-        sweeps (experiment E8); use ``config=HsrConfig(workers=N)``
-        for real multi-core execution.  Still honoured when passed.
     measure_sharing:
         Record the Fig.-1/Fig.-3 sharing statistics (adds a full-tree
         traversal per layer; off by default).
@@ -74,29 +69,19 @@ class ParallelHSR:
         *,
         mode: str = "persistent",
         eps: Optional[float] = None,
-        backend: Optional[ExecutionBackend] = None,
         measure_sharing: bool = False,
         engine: Optional[str] = None,
         config: Optional["HsrConfig"] = None,
     ):
-        from repro._compat import warn_once
         from repro.config import HsrConfig
 
         if mode not in PHASE2_MODES:
             raise ValueError(
                 f"unknown mode {mode!r}; choose from {PHASE2_MODES}"
             )
-        if backend is not None:
-            warn_once(
-                "ParallelHSR.backend",
-                "ParallelHSR(backend=...) is deprecated; use"
-                " config=HsrConfig(workers=N) for multi-core"
-                " execution via repro.parallel_exec",
-            )
         self.mode = mode
         self.config = HsrConfig.resolve(config, engine=engine, eps=eps)
         self.eps = self.config.eps
-        self.backend = backend
         self.measure_sharing = measure_sharing
         self.engine = self.config.engine
 
@@ -142,7 +127,6 @@ class ParallelHSR:
                         image_segments,
                         eps=self.eps,
                         tracker=tracker,
-                        backend=self.backend,
                         measure_sharing=self.measure_sharing,
                         engine=self.engine,
                         config=self.config,
@@ -163,7 +147,6 @@ class ParallelHSR:
                     tree,
                     image_segments,
                     eps=self.eps,
-                    backend=self.backend,
                     measure_sharing=self.measure_sharing,
                     engine=self.engine,
                     config=self.config,

@@ -5,7 +5,7 @@ profile of the edges in the leaves of the subtree rooted at v"
 (paper §3, step 2a).  Bottom-up, layer by layer: a node's intermediate
 profile is the merge of its children's.  All merges of a layer are
 independent — a parallel region in the cost model, and optionally a
-real process-pool fan-out.
+real multi-core fan-out (:mod:`repro.parallel_exec`).
 
 Lemma 3.1 gives the construction O(log² n) depth; the tracker
 measures it (experiment E9 on the construction in isolation, E1 on
@@ -17,10 +17,7 @@ layer as *one* batched array sweep over all of its merges
 (:func:`repro.envelope.flat.batch_merge`) instead of per-node Python
 sweeps, holding profiles as :class:`~repro.envelope.flat.FlatEnvelope`
 arrays and materialising :class:`Envelope` objects lazily on access.
-Results and PRAM charges are identical between engines.  A real
-process-pool ``backend`` executes per-node tasks instead (arrays
-would be pickled per task, wasting the batch), using the kernel
-dispatch per merge.
+Results and PRAM charges are identical between engines.
 
 The PCT also exposes the Fig. 1 statistic: how many pieces of each
 intermediate profile are *shared* (geometrically identical) with a
@@ -38,22 +35,16 @@ from repro.envelope.engine import merge_dispatch, resolve_engine
 from repro.geometry.primitives import EPS
 from repro.geometry.segments import ImageSegment
 from repro.ordering.separator import SeparatorNode, SeparatorTree
-from repro.pram.pool import ExecutionBackend, SerialBackend
 from repro.pram.tracker import PramTracker
 
 __all__ = ["PCT", "build_pct"]
 
 
 def _merge_task(
-    args: "tuple[Envelope, Envelope, float] | tuple[Envelope, Envelope, float, Optional[str]]",
+    a: Envelope, b: Envelope, eps: float, engine: Optional[str]
 ) -> tuple[Envelope, int, int]:
-    """Worker task for process-pool layers (module-level: picklable).
-
-    The trailing engine element is optional for compatibility with
-    3-tuple callers (``None`` selects the default kernel).
-    """
-    a, b, eps, *rest = args
-    engine = rest[0] if rest else None
+    """One Phase-1 merge on the scalar path: ``(envelope, ops,
+    crossings)``."""
     res = merge_dispatch(
         a, b, eps=eps, record_crossings=False, engine=engine
     )
@@ -107,7 +98,6 @@ def build_pct(
     *,
     eps: float = EPS,
     tracker: Optional[PramTracker] = None,
-    backend: Optional[ExecutionBackend] = None,
     measure_sharing: bool = False,
     engine: Optional[str] = None,
     config=None,
@@ -118,20 +108,17 @@ def build_pct(
     front-to-back position... precisely: leaf with order-range
     ``[i, i+1)`` takes ``image_segments[tree.order[i]]``.
 
-    ``backend`` executes each layer's merges concurrently when
-    provided (Phase-1 layers are embarrassingly parallel); the cost
-    model is charged identically either way.  ``engine`` selects the
-    merge kernel (see :mod:`repro.envelope.engine`); without a
-    process-pool backend the NumPy engine batches each layer into one
-    array sweep.  A ``config`` (:class:`repro.config.HsrConfig`) with
-    ``workers > 1`` splits each layer's batched sweep across the
-    :mod:`repro.parallel_exec` process pool, bit-exact.
+    ``engine`` selects the merge kernel (see
+    :mod:`repro.envelope.engine`); the NumPy engine batches each layer
+    into one array sweep.  A ``config``
+    (:class:`repro.config.HsrConfig`) with ``workers > 1`` splits each
+    layer's batched sweep across the :mod:`repro.parallel_exec`
+    process pool, bit-exact.
     """
-    use_batch = resolve_engine(engine) == "numpy" and backend is None
+    use_batch = resolve_engine(engine) == "numpy"
     use_pool = (
         use_batch and config is not None and config.resolved_workers() > 1
     )
-    backend = backend or SerialBackend()
     pct = PCT(tree)
 
     if use_batch:
@@ -199,8 +186,8 @@ def build_pct(
                         for ops in ops_list:
                             par.spawn(ops, max(1.0, math.log2(ops + 1)))
             else:
-                tasks = [
-                    (
+                results = [
+                    _merge_task(
                         pct.envelopes[node.left.index],  # type: ignore[union-attr]
                         pct.envelopes[node.right.index],  # type: ignore[union-attr]
                         eps,
@@ -208,7 +195,6 @@ def build_pct(
                     )
                     for node in internals
                 ]
-                results = backend.map(_merge_task, tasks)
                 if tracker is not None:
                     with tracker.parallel() as par:
                         for (_env, ops, _nx) in results:

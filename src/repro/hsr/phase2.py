@@ -24,20 +24,21 @@ cost profile — experiment E11's ablation):
     reported as ``pieces_materialised`` — the cost the persistent
     representation is there to avoid).
 ``persistent``
-    Profiles are persistent versions; a merge splices only the
-    y-range of the intermediate profile and shares the rest (paper
-    Figs. 1/3 — this is where the persistent structure earns the
-    output-sensitive work bound).  Left children share their parent's
-    version outright: zero copying.  Two store backends
-    (:data:`repro.persistence.envelope_store.BACKENDS`): the default
-    chunked **rope** drives each layer's merges and leaf queries
-    through the batched numpy kernels on the chunks' cached lane
-    blocks; the per-node **treap** is the scalar parity oracle.
+    Profiles are persistent versions in the chunked rope
+    (:mod:`repro.persistence.rope`); a merge splices only the y-range
+    of the intermediate profile and shares the rest (paper Figs. 1/3 —
+    this is where the persistent structure earns the output-sensitive
+    work bound).  Left children share their parent's version outright:
+    zero copying.  On the numpy engine a layer's merges and leaf
+    queries run through the batched kernels on the chunks' cached lane
+    blocks; on the python engine each node runs the scalar
+    :func:`~repro.persistence.rope.rope_splice_merge` /
+    :func:`~repro.persistence.rope.rope_visible_parts` — the reference
+    the batched path is bit-exact against.
 ``acg``
     Like ``persistent``, but crossings inside the spliced range are
-    located by hull-pruned searches on the augmented (Chazelle–Guibas
-    style) structure instead of a linear sweep — per treap node
-    (:mod:`repro.hsr.acg`) or per rope chunk
+    located by hull-pruned searches on the chunk-augmented
+    (Chazelle–Guibas style) structure instead of a linear sweep
     (:mod:`repro.hsr.acg_rope`).
 """
 
@@ -56,12 +57,6 @@ from repro.geometry.primitives import EPS
 from repro.geometry.segments import ImageSegment
 from repro.hsr.pct import PCT
 from repro.persistence import rope as _rope
-from repro.persistence import treap
-from repro.persistence.envelope_store import (
-    penv_splice_merge,
-    penv_visible_parts,
-    resolve_backend,
-)
 from repro.pram.tracker import PramTracker
 from repro.reliability import faultinject as _fi
 from repro.reliability import guard as _guard
@@ -93,8 +88,8 @@ class Phase2Result:
     ops: int = 0
     crossings: int = 0
     layers: list[LayerStats] = field(default_factory=list)
-    #: persistent modes: piece slots allocated during phase 2 (treap
-    #: nodes, or slots written into fresh rope chunks — same unit).
+    #: persistent modes: piece slots written into fresh rope chunks
+    #: during phase 2.
     nodes_allocated: int = 0
     #: direct mode: envelope pieces materialised (the copying cost).
     pieces_materialised: int = 0
@@ -110,16 +105,12 @@ def run_phase2(
     measure_sharing: bool = False,
     engine: Optional[str] = None,
     config=None,
-    backend: Optional[str] = None,
 ) -> Phase2Result:
     """Run Phase 2 over a built PCT (see module docstring).
 
     ``engine`` selects the envelope merge kernel for the ``direct``
-    mode's array merges and for the rope backend's batched layer
-    merges (see :mod:`repro.envelope.engine`).  ``backend`` selects
-    the persistent store for the ``persistent``/``acg`` modes
-    (``"rope"``/``"treap"``; defaults to the process-wide
-    :data:`~repro.persistence.envelope_store.PERSISTENT_BACKEND`).
+    mode's array merges and for the ``persistent`` mode's batched
+    layer merges (see :mod:`repro.envelope.engine`).
     A ``config`` (:class:`repro.config.HsrConfig`) with ``workers > 1``
     splits the ``direct`` mode's level merges across the
     :mod:`repro.parallel_exec` process pool, bit-exact.
@@ -132,23 +123,14 @@ def run_phase2(
         return _phase2_direct(
             pct, image_segments, eps, tracker, engine, config
         )
-    if resolve_backend(backend) == "rope":
-        return _phase2_persistent_rope(
-            pct,
-            image_segments,
-            eps,
-            tracker,
-            use_acg=(mode == "acg"),
-            measure_sharing=measure_sharing,
-            engine=engine,
-        )
-    return _phase2_persistent(
+    return _phase2_persistent_rope(
         pct,
         image_segments,
         eps,
         tracker,
         use_acg=(mode == "acg"),
         measure_sharing=measure_sharing,
+        engine=engine,
     )
 
 
@@ -426,82 +408,10 @@ def _phase2_direct_flat(
     return out
 
 
-def _phase2_persistent(
-    pct: PCT,
-    image_segments: Sequence[ImageSegment],
-    eps: float,
-    tracker: Optional[PramTracker],
-    *,
-    use_acg: bool,
-    measure_sharing: bool,
-) -> Phase2Result:
-    from repro.hsr.acg import acg_splice_merge  # local: avoid cycle
-
-    tree = pct.tree
-    out = Phase2Result()
-    alloc_before = treap.allocation_count()
-    inherited: dict[int, treap.Root] = {tree.root.index: None}
-
-    for level in tree.levels():
-        stats = LayerStats(depth=level[0].depth)
-        par_ctx = tracker.parallel() if tracker is not None else None
-        par = par_ctx.__enter__() if par_ctx is not None else None
-        for node in level:
-            root = inherited.pop(node.index)
-            if node.is_leaf:
-                edge = tree.order[node.lo]
-                vis = penv_visible_parts(
-                    root, image_segments[edge], eps=eps
-                )
-                out.visibility[edge] = vis
-                cost = vis.ops + _locate_cost(root)
-                out.ops += cost
-                stats.ops += cost
-                if par is not None:
-                    par.spawn(cost, _merge_depth(cost))
-            else:
-                assert node.left is not None and node.right is not None
-                inherited[node.left.index] = root  # shared version
-                intermediate = pct.envelope_of(node.left)
-                if use_acg:
-                    new_root, res = acg_splice_merge(
-                        root, intermediate, eps=eps
-                    )
-                else:
-                    new_root, res = penv_splice_merge(
-                        root, intermediate, eps=eps
-                    )
-                inherited[node.right.index] = new_root
-                cost = res.ops + _locate_cost(root)
-                out.ops += cost
-                out.crossings += len(res.crossings)
-                stats.merges += 1
-                stats.ops += cost
-                stats.crossings += len(res.crossings)
-                if par is not None:
-                    par.spawn(cost, _merge_depth(cost))
-        if par_ctx is not None:
-            par_ctx.__exit__(None, None, None)
-        if measure_sharing:
-            roots = list(inherited.values())
-            total, shared = treap.count_shared_nodes(*roots)
-            stats.total_nodes = total
-            stats.shared_nodes = shared
-        out.layers.append(stats)
-    out.nodes_allocated = treap.allocation_count() - alloc_before
-    return out
-
-
-def _locate_cost(root: treap.Root) -> int:
-    """O(log n) tree-descent charge for splice boundary location."""
-    return _size_locate_cost(treap.size(root))
-
-
 def _size_locate_cost(n: int) -> int:
-    """The boundary-location charge as a function of the profile's
-    piece count only — identical for both persistent backends (the
-    rope's two-level bisect is the same O(log n)), keeping the
-    phase-2 ``ops`` accounting bit-exact across them."""
+    """O(log n) charge for locating a splice boundary in a profile of
+    ``n`` pieces (the rope's two-level bisect), added to every
+    persistent merge and leaf query's ``ops``."""
     return max(1, int(math.log2(n + 1)))
 
 
@@ -515,13 +425,12 @@ def _phase2_persistent_rope(
     measure_sharing: bool,
     engine: Optional[str] = None,
 ) -> Phase2Result:
-    """``persistent``/``acg`` modes on the rope backend.
+    """``persistent``/``acg`` modes on the rope store.
 
-    Identical propagation and accounting to the treap implementation
-    (`ops` adds the same :func:`_size_locate_cost` charge; sharing is
-    metered piece-weighted by
-    :func:`~repro.persistence.rope.count_shared_chunks`), but on the
-    numpy engine a layer's splice merges run as *one*
+    ``ops`` adds the :func:`_size_locate_cost` charge per merge and
+    leaf query; under ``measure_sharing`` each layer's sharing is
+    metered by :func:`~repro.persistence.rope.count_shared_pieces`.
+    On the numpy engine a layer's splice merges run as *one*
     :func:`~repro.envelope.flat.batch_merge` over the ropes' chunk-
     block windows and a layer's leaf queries as one
     :func:`~repro.envelope.flat_visibility.batch_visible_parts` —

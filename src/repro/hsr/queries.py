@@ -29,18 +29,16 @@ Three implementations are provided:
 All three take the observer either as a
 :class:`~repro.geometry.primitives.Point3` or as any ``(x, y, z)``
 sequence — the same observer type :class:`repro.service.
-ViewshedSession` accepts — and an :class:`repro.config.HsrConfig`;
-the old per-function ``eps=`` keyword still works but is deprecated
-(one warning per process) in favour of ``config``.
+ViewshedSession` accepts — and an :class:`repro.config.HsrConfig`
+(its ``eps`` is the query tolerance).
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
-from repro._compat import warn_once
 from repro.envelope.chain import Envelope
 from repro.envelope.splice import insert_segment
 from repro.geometry.primitives import NEG_INF, Point3
@@ -62,24 +60,10 @@ def as_observer(p: Observer) -> Point3:
     return Point3(float(x), float(y), float(z))
 
 
-def _resolve(config, eps, key: str):
-    """Shared ``(config, deprecated eps=)`` normalisation."""
-    from repro.config import HsrConfig
-
-    if eps is not None:
-        warn_once(
-            key,
-            f"{key}(..., eps=...) is deprecated; pass"
-            " config=HsrConfig(eps=...) instead",
-        )
-    return HsrConfig.resolve(config, eps=eps)
-
-
 def point_visible(
     terrain: Terrain,
     p: Observer,
     *,
-    eps: Optional[float] = None,
     config=None,
 ) -> bool:
     """True when ``p`` is visible from ``x = +inf`` (see module doc).
@@ -88,7 +72,9 @@ def point_visible(
     on a front surface (within the config's ``eps``) counts as
     visible — it *is* the surface being seen.
     """
-    cfg = _resolve(config, eps, "point_visible")
+    from repro.config import HsrConfig
+
+    cfg = HsrConfig.resolve(config)
     p = as_observer(p)
     eps_v = cfg.eps
     best = NEG_INF
@@ -220,8 +206,7 @@ class VisibilityOracle:
         Number of prefix profiles to materialise (defaults to
         ``~sqrt(n)``, balancing memory against per-query scan length).
     config:
-        :class:`repro.config.HsrConfig`; the old ``eps=`` keyword is
-        deprecated in its favour.
+        :class:`repro.config.HsrConfig` (engine and tolerance).
     """
 
     def __init__(
@@ -229,10 +214,11 @@ class VisibilityOracle:
         terrain: Terrain,
         *,
         checkpoints: int | None = None,
-        eps: Optional[float] = None,
         config=None,
     ):
-        cfg = _resolve(config, eps, "VisibilityOracle")
+        from repro.config import HsrConfig
+
+        cfg = HsrConfig.resolve(config)
         self.terrain = terrain
         self.config = cfg
         self.eps = cfg.eps

@@ -106,10 +106,9 @@ def available_workers() -> int:
     """Worker count honouring ``REPRO_WORKERS`` (default: the CPUs this
     process may schedule on).
 
-    The canonical home of the helper formerly in
-    :mod:`repro.pram.pool` — the one environment override the config
-    redesign retains, because "how many cores may I use" is a
-    deployment property, not an algorithm parameter.
+    The one environment override the config redesign retains,
+    because "how many cores may I use" is a deployment property, not
+    an algorithm parameter.
     """
     env = os.environ.get("REPRO_WORKERS")
     if env:

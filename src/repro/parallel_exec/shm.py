@@ -7,8 +7,8 @@ cheap: pack the arrays into **one**
 the block *name* plus a small layout spec through the task pickle.  The
 worker maps the same physical pages and slices zero-copy views — no
 per-task array serialisation, which is exactly the cost that made the
-PR-1 pickling :class:`~repro.pram.pool.ProcessBackend` lose to the
-batched in-process sweeps (experiment E8).
+first, per-task-pickling process pool lose to the batched in-process
+sweeps (experiment E8).
 
 Lifecycle contract (enforced by the callers in
 :mod:`repro.parallel_exec.executor`):

@@ -3,28 +3,11 @@ data-structures is somewhat novel in the context of parallel
 algorithms").
 
 * :mod:`repro.persistence.rope` — versioned chunked rope of immutable
-  packed piece blocks (the default store backend).
-* :mod:`repro.persistence.treap` — fully persistent treap primitives
-  (the parity oracle backend).
-* :mod:`repro.persistence.envelope_store` — profile versions that
-  share structure across PCT layer-mates, dispatching between the two
-  backends (``REPRO_PERSISTENT_BACKEND``).
-
-The treap *primitives* formerly re-exported at package level
-(``insert``, ``split``, ``join``, …) are deprecated here — import
-them from :mod:`repro.persistence.treap` directly.  Accessing one
-through the package emits a single :class:`DeprecationWarning` per
-process; plain ``import repro.persistence`` stays warning-clean.
+  packed piece blocks: the one persistent profile store.  Profile
+  versions share every chunk outside a splice's y-range, so PCT
+  layer-mates share structure (paper Figs. 1/3).
 """
 
-from repro.persistence.envelope_store import (
-    BACKENDS,
-    PersistentEnvelope,
-    penv_from_envelope,
-    penv_splice_merge,
-    penv_value_at,
-    resolve_backend,
-)
 from repro.persistence.rope import (
     Chunk,
     Rope,
@@ -36,67 +19,13 @@ from repro.persistence.rope import (
     rope_visible_parts,
 )
 
-#: Treap-era package-level re-exports, now deprecated (resolved
-#: lazily; each warns once, then behaves exactly as before).
-_DEPRECATED_TREAP = (
-    "TreapNode",
-    "allocation_count",
-    "count_nodes",
-    "count_shared_nodes",
-    "delete",
-    "find",
-    "from_sorted",
-    "insert",
-    "iter_nodes",
-    "join",
-    "kth",
-    "range_query",
-    "reset_allocation_count",
-    "size",
-    "split",
-    "to_list",
-    "treap_priority",
-)
-
 __all__ = [
-    "PersistentEnvelope",
-    "BACKENDS",
-    "resolve_backend",
     "Chunk",
     "Rope",
     "count_shared_chunks",
-    "penv_from_envelope",
-    "penv_splice_merge",
-    "penv_value_at",
     "rope_from_envelope",
     "rope_range_pieces",
     "rope_splice_merge",
     "rope_value_at",
     "rope_visible_parts",
-    *_DEPRECATED_TREAP,
 ]
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_TREAP:
-        from repro._compat import warn_once
-        from repro.persistence import treap
-
-        warn_once(
-            f"persistence.{name}",
-            f"'repro.persistence.{name}' is deprecated; import it from"
-            " 'repro.persistence.treap' (the treap is now the parity"
-            " oracle behind the rope store — see"
-            " repro.persistence.envelope_store.BACKENDS)",
-        )
-        # Not cached in globals(): resolution must keep flowing
-        # through the warn-once shim (the registry makes repeat
-        # accesses silent; tests reset it and re-trigger).
-        return getattr(treap, name)
-    raise AttributeError(
-        f"module 'repro.persistence' has no attribute {name!r}"
-    )
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_DEPRECATED_TREAP))

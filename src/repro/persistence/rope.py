@@ -1,11 +1,13 @@
 """Flat-native persistent envelopes: a two-level rope of packed chunks.
 
-The treap store (:mod:`repro.persistence.envelope_store`) made profile
-versions cheap to *share* but expensive to *walk*: every query and
-splice chases one heap-allocated node per piece — the pointer tax the
-flat SoA stack eliminated everywhere else (the ``phase2-persistent``
-bench row measured it at 8.7× direct-flat).  This module keeps the
-sharing and drops the pointers.
+Phase 2 of the algorithm materialises one *actual profile* per PCT
+node, and profiles at the same layer share all structure outside the
+y-range of the intermediate profile merged in (paper Fig. 1: "profiles
+may be shared among the layers").  Array envelopes would copy
+everything; here a profile version shares structure with its
+predecessor and a merge **splices** only the affected y-range — with
+no per-piece pointers to chase, so queries and splices walk packed
+blocks.
 
 A profile version is a :class:`Rope`: an immutable *spine* (a tuple)
 of immutable :class:`Chunk` objects, each chunk a small frozen block
@@ -23,16 +25,13 @@ Version checkout is O(1): a version *is* its spine object — no
 copying, no node materialisation (pinned by an allocation-counter test,
 not wall clock).
 
-Sharing accounting mirrors the treap's:
+Sharing accounting, in piece units:
 
 * :func:`allocation_count` counts **piece slots written into freshly
-  built chunks** — the unit comparable to the treap's one-node-per-
-  piece allocations that experiments E5/E11 report.
+  built chunks** — the allocations experiments E5/E11 report.
 * :func:`count_shared_pieces` counts piece *objects* reachable from
   several versions (splices reuse the same tuples outside the merged
-  range) — the direct analogue of
-  :func:`repro.persistence.treap.count_shared_nodes`, and the layer
-  sharing meter phase 2 reports.
+  range) — the layer sharing meter phase 2 reports.
 * :func:`count_shared_chunks` is the coarser chunk-granular view
   (piece-weighted), measuring the structural block sharing itself.
 
@@ -45,7 +44,7 @@ version (see ``docs/RELIABILITY.md``).
 
 This module is numpy-free at import time and fully functional without
 numpy (the chunk blocks are a lazy, optional acceleration), so the
-no-numpy CI leg runs the whole rope↔treap parity suite.
+no-numpy CI leg runs the whole rope-versus-model parity suite.
 """
 
 from __future__ import annotations
@@ -89,7 +88,7 @@ __all__ = [
 CHUNK_TARGET = 32
 
 #: Piece slots written into freshly constructed chunks — the rope's
-#: allocation meter, comparable to the treap's node counter.
+#: allocation meter.
 _ALLOCATED = 0
 
 
@@ -367,10 +366,9 @@ def _index_gt(rope: Rope, y: float) -> int:
 def rope_value_at(rope: Rope, y: float) -> float:
     """Profile height at ``y`` (``-inf`` in gaps).
 
-    Exact replica of the treap descent's convention
-    (:func:`~repro.persistence.envelope_store.penv_value_at`): the
-    candidate is the piece with the greatest key ``<= y``, taken only
-    when its closed span contains ``y``.
+    The candidate is the piece with the greatest key (``ya``)
+    ``<= y``, taken only when its closed span contains ``y``; a
+    shared endpoint therefore reads from the piece starting there.
     """
     i = _index_gt(rope, y) - 1
     if i < 0:
@@ -384,9 +382,9 @@ def rope_value_at(rope: Rope, y: float) -> float:
 def rope_range_pieces(rope: Rope, ya: float, yb: float) -> list[Piece]:
     """Pieces whose closed span intersects ``[ya, yb]``, in y-order —
     the version's keys in ``[ya, yb)`` plus the one possible straddling
-    predecessor (exact
-    :func:`~repro.persistence.envelope_store.penv_range_pieces`
-    semantics)."""
+    predecessor.  A piece starting exactly at ``yb`` touches the range
+    boundary only and is left out; callers that care about
+    touch-points query :func:`rope_value_at` directly."""
     out: list[Piece] = []
     i0 = _index_ge(rope, ya)
     if i0 > 0:
@@ -477,7 +475,7 @@ class SpliceRange:
 
     def mid_pieces(self) -> list[Piece]:
         """The merge-range pieces as scalar tuples (boundary trims
-        applied) — bit-identical to the treap oracle's extraction."""
+        applied) — the input the scalar merge sweep sees."""
         mid = self.rope.pieces_between(self.i0, self.i1)
         if self.straddle_clip is not None:
             mid.insert(0, self.straddle_clip)
@@ -784,13 +782,17 @@ def rope_splice_merge(
 ) -> tuple[Rope, MergeResult]:
     """Merge an array envelope into a rope version.
 
-    Exact analogue of
-    :func:`~repro.persistence.envelope_store.penv_splice_merge` —
-    same straddle/carry decomposition, same
-    :func:`~repro.envelope.merge.merge_envelopes` sweep over the same
-    local range, so the returned :class:`MergeResult` (pieces, ops,
-    crossings) is bit-identical to the treap oracle's.  Only the
-    commit differs: chunk-granular path copying instead of per-node.
+    Only the pieces overlapping ``other``'s span are extracted — the
+    piece straddling the span's start is clipped into the range and
+    the last piece's overhang past its end is carried out of the
+    merge and re-attached afterwards (:class:`SpliceRange`) — merged
+    with ``other`` by the standard
+    :func:`~repro.envelope.merge.merge_envelopes` sweep, and committed
+    by chunk-granular path copying; everything else is shared with the
+    input version.  Returns ``(new_rope, merge_result)`` where the
+    merge result covers only the affected range.  This scalar path is
+    the reference the batched numpy layer merges of phase 2 are
+    bit-exact against.
     """
     if not other.pieces:
         return rope, MergeResult(Envelope.empty(), [], 0)
@@ -816,10 +818,8 @@ def count_chunks(rope: Optional[Rope]) -> int:
 
 
 def count_shared_pieces(*ropes: Optional[Rope]) -> tuple[int, int]:
-    """Piece-identity ``(total_distinct, shared)`` across versions —
-    the direct analogue of
-    :func:`repro.persistence.treap.count_shared_nodes` (one treap node
-    holds one piece, so the units match).  A splice reuses the *same*
+    """Piece-identity ``(total_distinct, shared)`` across versions.
+    A splice reuses the *same*
     :class:`~repro.envelope.chain.Piece` objects for every slot
     outside the merged range — including slots refolded into fresh
     boundary chunks — so identity counting sees exactly the memory
@@ -844,10 +844,8 @@ def count_shared_pieces(*ropes: Optional[Rope]) -> tuple[int, int]:
 
 def count_shared_chunks(*ropes: Optional[Rope]) -> tuple[int, int]:
     """Piece-weighted ``(total_distinct, shared)`` across versions —
-    the rope analogue of
-    :func:`repro.persistence.treap.count_shared_nodes` (which counts
-    one node per piece, so piece weighting keeps the units
-    comparable).  ``shared`` sums the piece counts of chunk objects
+    the chunk-granular sharing view, in the same piece units as
+    :func:`count_shared_pieces`.  ``shared`` sums the piece counts of chunk objects
     reachable from at least two of the versions."""
     per_rope: list[set[int]] = []
     by_id: dict[int, Chunk] = {}

@@ -1,4 +1,4 @@
-"""Simulated CREW PRAM: cost tracking, scheduling, primitives, backends.
+"""Simulated CREW PRAM: cost tracking, scheduling, primitives.
 
 See DESIGN.md §2 for why the PRAM is simulated (work/depth accounting)
 rather than emulated with threads: the algorithm's guarantees are
@@ -6,13 +6,6 @@ statements about work and depth, and those are machine-measurable;
 thread emulation under the GIL would measure nothing.
 """
 
-from repro.pram.pool import (
-    ExecutionBackend,
-    ProcessBackend,
-    SerialBackend,
-    available_workers,
-    default_backend,
-)
 from repro.pram.schedule import (
     PhaseCost,
     allocation_time,
@@ -24,16 +17,11 @@ from repro.pram.schedule import (
 from repro.pram.tracker import PhaseRecord, PramTracker
 
 __all__ = [
-    "ExecutionBackend",
     "PhaseCost",
     "PhaseRecord",
     "PramTracker",
-    "ProcessBackend",
-    "SerialBackend",
     "allocation_time",
-    "available_workers",
     "brent_time",
-    "default_backend",
     "phases_from_tracker",
     "slowdown_time",
     "speedup_curve",

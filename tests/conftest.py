@@ -34,7 +34,6 @@ if not HAVE_NUMPY:  # pragma: no cover - numpy ships in the toolchain
         "test_ordering.py",
         "test_adversarial.py",
         "test_reliability.py",
-        "test_pram_pool.py",
         "test_pram_primitives.py",
         "test_render.py",
         "test_scenarios.py",

@@ -212,7 +212,7 @@ class TestBenchHygieneRegression:
 
     def test_phase2_rows_recorded_first_scenarios_last(self):
         # Row order is part of the measurement protocol: the phase2
-        # persistent/direct pair must run in a fresh process (first),
+        # persistent/direct row must run in a fresh process (first),
         # and the scenario-matrix rows are appended at the end.
         from repro.bench.envelope_bench import run_envelope_bench
         from repro.envelope.engine import HAVE_NUMPY
@@ -221,8 +221,7 @@ class TestBenchHygieneRegression:
             pytest.skip("phase2/scenario rows need numpy")
         t = run_envelope_bench(quick=True, repeats=1, ms=(16,), output=None)
         workloads = [r["workload"] for r in t.rows]
-        assert workloads[0] == "phase2-persistent"
-        assert workloads[1] == "phase2-rope"
+        assert workloads[0] == "phase2-rope"
         scenario_idx = [
             i for i, w in enumerate(workloads) if w.startswith("scenario:")
         ]

@@ -1,6 +1,7 @@
 """Documentation checks: relative links in the markdown docs resolve,
-and the bench figures the README table and the BENCHMARKS.md
-guard-overhead bullet quote match the recorded file.
+the bench figures the README table and the BENCHMARKS.md
+guard-overhead bullet quote match the recorded file, and the
+BENCHMARKS.md row-kind table names exactly the recorded row kinds.
 
 The CI ``docs`` job runs this module on its own; it also rides along
 in tier-1 (stdlib only, no numpy, milliseconds).  Inline markdown
@@ -114,3 +115,41 @@ def test_benchmarks_guard_overhead_matches_bench_file():
     )
     text = " ".join((REPO_ROOT / "docs" / "BENCHMARKS.md").read_text().split())
     assert expected in text
+
+
+def _documented_row_kinds() -> set[str]:
+    """First-column names of the ``## Row kinds`` table in
+    ``docs/BENCHMARKS.md``.  A cell may list suffix variants after the
+    first name (``parallel-build-w2`` / ``-w4``): each ``-suffix``
+    replaces the last dash-separated part of the name before it."""
+    lines = (REPO_ROOT / "docs" / "BENCHMARKS.md").read_text().splitlines()
+    start = lines.index("## Row kinds")
+    header = next(
+        i for i in range(start, len(lines)) if lines[i].startswith("|")
+    )
+    kinds: set[str] = set()
+    for line in lines[header + 2 :]:
+        if not line.startswith("|"):
+            break
+        names = re.findall(r"`([^`]+)`", line.split("|")[1])
+        assert names, f"row-kind cell without a name: {line!r}"
+        base = names[0]
+        kinds.add(base)
+        for suffix in names[1:]:
+            assert suffix.startswith("-"), line
+            kinds.add(base.rsplit("-", 1)[0] + suffix)
+    return kinds
+
+
+def test_benchmarks_row_kinds_match_bench_file():
+    """Every recorded ``workload`` kind has a row in the BENCHMARKS.md
+    row-kind table, and the table names no kind the file no longer
+    records (``scenario:*`` rows are documented once as
+    ``scenario:<name>``)."""
+    rows = json.loads((REPO_ROOT / "BENCH_envelope.json").read_text())["rows"]
+    recorded = {
+        "scenario:<name>" if r["workload"].startswith("scenario:")
+        else r["workload"]
+        for r in rows
+    }
+    assert _documented_row_kinds() == recorded

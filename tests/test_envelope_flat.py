@@ -327,8 +327,9 @@ class TestMergeMany:
         assert merge_many([]).envelope.size == 0
 
 
-class TestMergeSortedStreams:
-    """The segmented two-way-merge primitive vs a lexsort reference."""
+class TestSegmentedSearch:
+    """The segmented binary search the batched visibility kernel falls
+    back to when its key packing overflows."""
 
     @staticmethod
     def _random_stream(rng, n_groups, max_per_group, lo=-1e3, hi=1e3):
@@ -341,87 +342,6 @@ class TestMergeSortedStreams:
             np.array(vals, np.float64),
             np.array(groups, np.int64),
         )
-
-    def _check(self, a_vals, a_groups, b_vals, b_groups, n_groups):
-        from repro.envelope.flat import merge_sorted_streams
-
-        order = merge_sorted_streams(
-            a_vals, a_groups, b_vals, b_groups, n_groups
-        )
-        vals = np.concatenate([a_vals, b_vals])[order]
-        grps = np.concatenate([a_groups, b_groups])[order]
-        ref = np.lexsort(
-            (
-                np.concatenate([a_vals, b_vals]),
-                np.concatenate([a_groups, b_groups]),
-            )
-        )
-        assert np.array_equal(
-            grps, np.concatenate([a_groups, b_groups])[ref]
-        )
-        assert np.array_equal(
-            vals, np.concatenate([a_vals, b_vals])[ref]
-        )
-        # A valid permutation, (group, value)-sorted.
-        assert sorted(order.tolist()) == list(range(len(order)))
-
-    def test_random_streams(self, rng):
-        for n_groups, max_per in ((1, 40), (7, 9), (64, 3), (256, 2)):
-            a = self._random_stream(rng, n_groups, max_per)
-            b = self._random_stream(rng, n_groups, max_per)
-            self._check(a[0], a[1], b[0], b[1], n_groups)
-
-    def test_exact_ties_prefer_a(self):
-        from repro.envelope.flat import merge_sorted_streams
-
-        a = np.array([1.0, 2.0])
-        b = np.array([1.0, 2.0])
-        g = np.zeros(2, np.int64)
-        order = merge_sorted_streams(a, g, b, g, 1)
-        # a's elements (indices 0..1) precede b's equal elements.
-        assert order.tolist() == [0, 2, 1, 3]
-
-    def test_negative_and_zero_values(self, rng):
-        a = self._random_stream(rng, 5, 6, lo=-10.0, hi=10.0)
-        b_vals = np.array([-0.0, 0.0, 0.0])
-        b_groups = np.array([0, 2, 4], np.int64)
-        self._check(a[0], a[1], b_vals, b_groups, 5)
-
-    def test_packing_overflow_falls_back(self, rng):
-        # Per-group key spans covering the whole double exponent range
-        # across many groups force the packed-range overflow; the
-        # bounded binary search must take over with identical results.
-        # b-segments exceed _BINSEARCH_MAX_SEGMENT so the packed path
-        # is attempted first.
-        n_groups = 40
-        vals, groups = [], []
-        for g in range(n_groups):
-            vals.extend([-1e308, g * 1.0, 1e308])
-            groups.extend([g] * 3)
-        a = (np.array(vals), np.array(groups, np.int64))
-        b = self._random_stream(
-            rng, n_groups, 30, lo=-1e300, hi=1e300
-        )
-        from repro.envelope.flat import (
-            _group_offsets,
-            _order_keys,
-            _pack_group_keys,
-        )
-
-        assert (
-            _pack_group_keys(
-                n_groups,
-                (
-                    (
-                        _order_keys(a[0]),
-                        a[1],
-                        _group_offsets(a[1], n_groups),
-                    ),
-                ),
-            )
-            is None
-        )
-        self._check(a[0], a[1], b[0], b[1], n_groups)
 
     def test_segmented_binsearch_matches_numpy(self, rng):
         from repro.envelope.flat import (

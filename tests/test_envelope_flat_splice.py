@@ -14,7 +14,6 @@ from __future__ import annotations
 import pytest
 
 import repro.envelope.engine as engine_mod
-import repro.envelope.flat as flat_mod
 from repro.envelope.build import build_envelope
 from repro.envelope.chain import Envelope
 from repro.envelope.flat import FlatEnvelope
@@ -293,12 +292,11 @@ class TestSequentialEngineParitySlow:
             )
 
 
-class TestStreamMergeAblationStillExact:
+class TestFlatMergeInsertExact:
     def test_flat_insert_with_argsort_ordering(self, rng, monkeypatch):
-        # The flat merge kernel behind the numpy tuple insert must stay
-        # exact with the stream-merge ablation toggled off (the
-        # composite-argsort ordering).
-        monkeypatch.setattr(flat_mod, "USE_STREAM_MERGE", False)
+        # The flat merge kernel behind the numpy tuple insert (its
+        # composite-argsort event ordering) must stay exact against
+        # the python engine when the cutoffs force it on every insert.
         monkeypatch.setattr(engine_mod, "FLAT_VISIBILITY_CUTOFF", 1)
         monkeypatch.setattr(engine_mod, "FLAT_MERGE_CUTOFF", 1)
         segs = random_image_segments(rng, 120)

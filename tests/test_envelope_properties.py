@@ -1,7 +1,7 @@
 """Algebraic property tests for the envelope (upper-profile) algebra.
 
 The point-wise maximum is associative, commutative and idempotent;
-the array merge, the treap splice merge and the ACG merge must all
+the array merge, the rope splice merge and the rope ACG merge must all
 realise the same algebra.  Hypothesis drives random small envelopes
 through these laws.
 """
@@ -131,22 +131,17 @@ class TestEngineEquivalence:
     @given(envelopes(src_base=0), envelopes(src_base=100))
     @settings(max_examples=60, deadline=None)
     def test_three_merge_engines_agree(self, a, b):
-        from repro.hsr.acg import acg_splice_merge
-        from repro.persistence import treap
-        from repro.persistence.envelope_store import (
-            penv_from_envelope,
-            penv_splice_merge,
+        from repro.hsr.acg_rope import acg_rope_splice_merge
+        from repro.persistence.rope import (
+            rope_from_envelope,
+            rope_splice_merge,
         )
 
         want = merge_envelopes(a, b).envelope
         pts = sample_points(a, b)
 
-        root = penv_from_envelope(a)
-        r1, _ = penv_splice_merge(root, b)
-        got1 = Envelope([p for _, p in treap.to_list(r1)])
-        assert env_close(got1, want, pts)
+        r1, _ = rope_splice_merge(rope_from_envelope(a), b)
+        assert env_close(Envelope(r1.to_pieces()), want, pts)
 
-        root2 = penv_from_envelope(a)
-        r2, _ = acg_splice_merge(root2, b)
-        got2 = Envelope([p for _, p in treap.to_list(r2)])
-        assert env_close(got2, want, pts)
+        r2, _ = acg_rope_splice_merge(rope_from_envelope(a), b)
+        assert env_close(Envelope(r2.to_pieces()), want, pts)

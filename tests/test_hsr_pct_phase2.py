@@ -12,7 +12,6 @@ from repro.hsr.pct import build_pct
 from repro.hsr.phase2 import run_phase2
 from repro.ordering.separator import SeparatorTree
 from repro.ordering.sweep import front_to_back_order
-from repro.pram.pool import SerialBackend
 from repro.pram.tracker import PramTracker
 from repro.terrain.generators import fractal_terrain, valley_terrain
 
@@ -63,12 +62,15 @@ class TestPhase1:
         for depth, frac in pct.layer_sharing:
             assert 0.0 <= frac <= 1.0
 
-    def test_backend_equivalence(self, scene):
+    def test_engine_equivalence(self, scene):
+        # The batched numpy layers against the python engine's
+        # per-node merges: identical profiles and ops.
         _, _, tree, segs = scene
-        a = build_pct(tree, segs)
-        b = build_pct(tree, segs, backend=SerialBackend())
+        a = build_pct(tree, segs, engine="numpy")
+        b = build_pct(tree, segs, engine="python")
+        assert a.ops == b.ops
         for node in tree.nodes():
-            assert a.envelope_of(node).approx_equal(b.envelope_of(node))
+            assert a.envelope_of(node).pieces == b.envelope_of(node).pieces
 
 
 class TestPhase2:

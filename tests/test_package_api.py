@@ -10,7 +10,6 @@ import pytest
 
 import repro
 from repro import errors
-from repro._compat import reset_deprecation_registry
 
 #: The complete top-level surface — an exact pin, so accidental
 #: additions and removals both fail loudly.
@@ -98,87 +97,27 @@ class TestImportIsWarningClean:
         assert "clean" in out.stdout
 
 
-class TestDeprecatedPathsWarnOnce:
-    """Each superseded call path emits exactly one DeprecationWarning
-    per process (warn-once registry), then stays silent."""
-
-    @pytest.fixture(autouse=True)
-    def _fresh_registry(self):
-        reset_deprecation_registry()
-        yield
-        reset_deprecation_registry()
+class TestNoDeprecationWarnings:
+    """Superseded call paths are removed, not shimmed: the supported
+    paths never emit a DeprecationWarning."""
 
     @staticmethod
     def _count_deprecations(fn):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             fn()
-            fn()  # second call must be silent
+            fn()
         return sum(
             1 for w in caught if issubclass(w.category, DeprecationWarning)
         )
 
-    def test_pram_pool_available_workers(self):
-        from repro.pram import pool
-
-        assert self._count_deprecations(pool.available_workers) == 1
-
-    def test_parallel_hsr_backend_kwarg(self):
-        from repro.hsr.parallel import ParallelHSR
-        from repro.pram.pool import SerialBackend
-
-        assert (
-            self._count_deprecations(
-                lambda: ParallelHSR(backend=SerialBackend())
-            )
-            == 1
-        )
-
-    def test_point_visible_eps_kwarg(self):
-        pytest.importorskip("numpy")
-        from repro.hsr.queries import point_visible
-        from repro.terrain.generators import fractal_terrain
-
-        terrain = fractal_terrain(size=5, seed=0)
-        assert (
-            self._count_deprecations(
-                lambda: point_visible(terrain, (1.0, 1.0, 99.0), eps=1e-9)
-            )
-            == 1
-        )
-
-    def test_visibility_oracle_eps_kwarg(self):
-        pytest.importorskip("numpy")
-        from repro.hsr.queries import VisibilityOracle
-        from repro.terrain.generators import fractal_terrain
-
-        terrain = fractal_terrain(size=5, seed=0)
-        assert (
-            self._count_deprecations(
-                lambda: VisibilityOracle(terrain, eps=1e-9)
-            )
-            == 1
-        )
-
-    def test_persistence_treap_reexports(self):
-        # Treap-era primitives re-exported at package level are
-        # deprecated: one warning per name, repeat access silent, and
-        # the resolved object is the real treap function.
-        import repro.persistence as persistence
-        from repro.persistence import treap
-
-        assert self._count_deprecations(lambda: persistence.insert) == 1
-        assert persistence.insert is treap.insert  # repeat: silent
-
     def test_persistence_import_warning_clean(self):
-        # Plain import (and the supported rope/store names) must not
-        # warn — only the deprecated treap re-exports do.
         assert (
             self._count_deprecations(
                 lambda: (
                     __import__("repro.persistence"),
-                    repro.persistence.PersistentEnvelope,
                     repro.persistence.Rope,
+                    repro.persistence.rope_splice_merge,
                 )
             )
             == 0
@@ -247,6 +186,52 @@ class TestSubpackageAll:
         mod = importlib.import_module(module_name)
         for name in mod.__all__:
             assert hasattr(mod, name), f"{module_name}.{name} missing"
+
+    def test_hsr_has_no_acg_reexports(self):
+        # The ACG walker is reached through the Phase-2 modes and its
+        # own module, never through the package surface.
+        import repro.hsr as hsr
+
+        assert not any(
+            "acg" in n or "rope" in n or n.startswith(("collect_", "winner"))
+            for n in hsr.__all__
+        )
+
+    def test_pram_surface(self):
+        import repro.pram as pram
+
+        # The array primitives join only when numpy is importable.
+        primitives = {
+            "parallel_max_index",
+            "parallel_merge_positions",
+            "parallel_prefix",
+            "parallel_reduce",
+            "prefix_combine",
+        }
+        assert sorted(set(pram.__all__) - primitives) == [
+            "PhaseCost",
+            "PhaseRecord",
+            "PramTracker",
+            "allocation_time",
+            "brent_time",
+            "phases_from_tracker",
+            "slowdown_time",
+            "speedup_curve",
+        ]
+
+    def test_persistence_surface(self):
+        import repro.persistence as persistence
+
+        assert sorted(persistence.__all__) == [
+            "Chunk",
+            "Rope",
+            "count_shared_chunks",
+            "rope_from_envelope",
+            "rope_range_pieces",
+            "rope_splice_merge",
+            "rope_value_at",
+            "rope_visible_parts",
+        ]
 
     def test_no_private_leaks_in_all(self):
         import importlib

@@ -58,14 +58,13 @@ class TestAvailableWorkers:
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
         assert available_workers() >= 1
 
-    def test_old_pram_path_forwards_with_warning(self):
-        from repro._compat import reset_deprecation_registry
-        from repro.pram import pool
+    def test_env_invalid_falls_back(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "banana")
+        assert available_workers() >= 1
 
-        reset_deprecation_registry()
-        with pytest.warns(DeprecationWarning, match="parallel_exec"):
-            n = pool.available_workers()
-        assert n == available_workers()
+    def test_env_minimum_one(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "0")
+        assert available_workers() == 1
 
 
 class TestBuildParity:
