@@ -58,8 +58,9 @@ class HsrConfig:
         means in-process, ``"auto"`` resolves via
         :func:`repro.parallel_exec.available_workers`.
     use_compiled_insert:
-        The compiled insert core (one C call per 256 inserts of a
-        sequential run); ``None`` defers to
+        The compiled core: one C call per 256 inserts of a sequential
+        run, and one per PCT layer in each phase of a
+        ``ParallelHSR`` run; ``None`` defers to
         :data:`repro.envelope._ccore.COMPILED_DEFAULT`, which is on
         exactly when the optional extension compiled at install time
         and ``REPRO_COMPILED=0`` is not set.  ``True`` on a

@@ -5,7 +5,7 @@ that module for the bit-exactness and buffer-ownership contracts) is
 an **optional** cffi API-mode extension — compiled wheels ship it, a
 no-compiler install simply doesn't have it, and ``REPRO_COMPILED=0``
 disables it even when present.  This module absorbs all three cases
-behind two flags and these functions:
+behind two flags and these names:
 
 ``HAVE_CCORE``
     The extension imported.
@@ -14,6 +14,13 @@ behind two flags and these functions:
     The shipped default of ``HsrConfig.compiled_insert()`` —
     ``HAVE_CCORE`` unless the environment opts out.
 
+``Core()`` / ``borrowed()``
+    One run's handle: the C scratch context (freed with the handle)
+    and the out-params of its calls.  A run borrows one from a small
+    pool of idle handles for its duration, so the core is reentrant —
+    two threads may run it at once (cffi releases the GIL around
+    every call) and never share a handle.
+
 ``insert_run(profile, lanes, start, stop, eps, run)``
     A chunk of a whole sequential run in one C call: inserts
     ``[start, stop)`` of the front-to-back image ``lanes`` (float64
@@ -21,12 +28,19 @@ behind two flags and these functions:
     the fused visibility+merge sweep and an in-place splice, bit-exact
     with the numpy path — adding ops, the max profile size and the
     clipped visible rows to ``run`` (a
-    :class:`repro.envelope.flat_splice.InsertRun`).  Returns
-    ``(status, next)``: ``ST_DONE`` with ``next == stop``; ``ST_GROW``
-    after committing a reallocating splice through
-    :meth:`PackedProfile.splice` (insert ``next - 1`` done); or
-    ``ST_FALLBACK`` / ``ST_FAULT`` with insert ``next`` untouched, for
-    the caller to run on a Python path.
+    :class:`repro.envelope.flat_splice.InsertRun`, whose ``core`` is
+    the run's handle).  Returns ``(status, next)``: ``ST_DONE`` with
+    ``next == stop``; ``ST_GROW`` after committing a reallocating
+    splice through :meth:`PackedProfile.splice` (insert ``next - 1``
+    done); or ``ST_FALLBACK`` / ``ST_FAULT`` with insert ``next``
+    untouched, for the caller to run on a Python path.
+
+``merge_layer(core, mode, blk, lanes, jobs, eps, record)``
+    One layer of the profile computation tree in one C call: Phase 1's
+    merges (``MODE_PCT``) or Phase 2's splice merges and leaf queries
+    (``MODE_PHASE2``), results left in the handle's lane sets for
+    :meth:`Core.take`.  See :mod:`repro.hsr.pct` and
+    :mod:`repro.hsr.phase2`.
 
 ``front_to_back(x1, y1, x2, y2, src, sign)``
     The front-to-back ordering in one C call over map-segment lanes
@@ -43,6 +57,7 @@ behind two flags and these functions:
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 
 from repro.geometry.primitives import EPS
 
@@ -72,6 +87,20 @@ R_MAX = 1
 R_STATUS = 2
 R_ROWS = 3
 
+#: Lane sets of a context (the ``L_*`` defines) and the rows
+#: :meth:`Core.take` copies of each: double lanes, then int64 lanes.
+L_WIN = 0  # merged window of one insert: ya za yb zb | source
+L_ROWS = 1  # clipped visible rows: ya za yb zb | edge
+L_PROF = 2  # merged profiles: ya za yb zb | source
+L_XING = 3  # merge crossings: y z | front back
+L_PARTS = 4  # visible parts: ya yb
+L_VX = 5  # leaf crossings: y z
+LANE_ROWS = (5, 5, 5, 4, 2, 2)
+
+#: ``repro_merge_layer`` modes (the ``MODE_*`` defines).
+MODE_PCT = 1
+MODE_PHASE2 = 2
+
 
 def _env_enabled() -> bool:
     return os.environ.get("REPRO_COMPILED", "1").strip().lower() not in (
@@ -87,119 +116,208 @@ COMPILED_DEFAULT = HAVE_CCORE and _env_enabled()
 
 
 class CCoreFault(RuntimeError):
-    """The C-side merged-window post-condition failed pre-commit."""
+    """A C-side post-condition (a merged window, a leaf's visible
+    parts) failed before anything was committed."""
 
 
 if HAVE_CCORE:
     ffi = _cc.ffi
     lib = _cc.lib
 
-    # Reusable out-params, one set per process.  Like the C core's
-    # static scratch they are not reentrant: cffi releases the GIL
-    # around each call, so callers must not run the core from two
-    # threads.
-    _STATE = ffi.new("int64_t[2]")
-    _OUT = ffi.new("int64_t[5]")
+    class Core:
+        """One run's handle on the core: a scratch context (freed with
+        the handle) and the out-params of its calls.  Every run
+        borrows its own (:func:`borrowed`), so runs on two threads
+        never share memory."""
 
-    # from_buffer is ~µs-scale; cache the cdata pointer per backing
-    # buffer (PackedProfile replaces ``_buf`` wholesale on growth, so
-    # identity is the correct cache key).
-    _last_buf = None
-    _last_ptr = None
-
-    def _buf_ptr(buf):
-        global _last_buf, _last_ptr
-        if buf is _last_buf:
-            return _last_ptr
-        ptr = ffi.from_buffer("double[]", buf.reshape(-1))
-        _last_buf = buf
-        _last_ptr = ptr
-        return ptr
-
-    def _merged_lists(out):
-        k = out[O_MK]
-        return (
-            list(ffi.unpack(lib.repro_merged_ptr(0), k)),
-            list(ffi.unpack(lib.repro_merged_ptr(1), k)),
-            list(ffi.unpack(lib.repro_merged_ptr(2), k)),
-            list(ffi.unpack(lib.repro_merged_ptr(3), k)),
-            list(ffi.unpack(lib.repro_merged_src_ptr(), k)),
+        __slots__ = (
+            "ctx", "state", "out", "acc", "off",
+            "_buf", "_buf_ptr", "_lanes", "_lane_ptrs",
         )
 
-    _ACC = ffi.new("int64_t[4]")
-    _off = ffi.new("int64_t[]", 257)
+        def __init__(self):
+            ctx = lib.repro_ctx_new()
+            if ctx == ffi.NULL:
+                raise MemoryError("compiled core context")
+            self.ctx = ffi.gc(ctx, lib.repro_ctx_free)
+            self.state = ffi.new("int64_t[2]")
+            self.out = ffi.new("int64_t[5]")
+            self.acc = ffi.new("int64_t[4]")
+            self.off = ffi.new("int64_t[]", 257)
+            self._buf = self._buf_ptr = None
+            self._lanes = self._lane_ptrs = None
 
-    # Lane pointers of the run in progress, cached like ``_buf_ptr``:
-    # flat_splice.insert_run passes one lanes tuple to every call of a run.
-    _last_lanes = None
-    _last_lane_ptrs = None
+        def buf_ptr(self, buf):
+            """The cdata pointer of a packed buffer.  ``from_buffer`` is
+            ~µs-scale, so it is cached per backing buffer
+            (PackedProfile replaces ``_buf`` wholesale on growth, so
+            identity is the correct cache key)."""
+            if buf is not self._buf:
+                self._buf_ptr = ffi.from_buffer("double[]", buf.reshape(-1))
+                self._buf = buf
+            return self._buf_ptr
 
-    def _lane_ptrs(lanes):
-        global _last_lanes, _last_lane_ptrs
-        if lanes is not _last_lanes:
-            ptrs = tuple(
-                ffi.from_buffer("double[]", lane) for lane in lanes[:4]
-            ) + (ffi.from_buffer("int64_t[]", lanes[4]),)
-            # Element counts of an 8-byte view: a lane of another item
-            # size shows up as a length mismatch too.
-            if len({len(p) for p in ptrs}) != 1:
-                raise ValueError("image lanes differ in length or item size")
-            _last_lane_ptrs = ptrs
-            _last_lanes = lanes
-        return _last_lane_ptrs
+        def lane_ptrs(self, lanes):
+            """Pointers of the ``(y1, z1, y2, z2, source)`` image lanes,
+            cached like :meth:`buf_ptr`: a run passes one lanes tuple
+            to every call."""
+            if lanes is not self._lanes:
+                ptrs = tuple(
+                    ffi.from_buffer("double[]", lane) for lane in lanes[:4]
+                ) + (ffi.from_buffer("int64_t[]", lanes[4]),)
+                # Element counts of an 8-byte view: a lane of another
+                # item size shows up as a length mismatch too.
+                if len({len(p) for p in ptrs}) != 1:
+                    raise ValueError("image lanes differ in length or item size")
+                self._lane_ptrs = ptrs
+                self._lanes = lanes
+            return self._lane_ptrs
+
+        def reset(self) -> None:
+            """Empty the lanes (keeping their memory) and drop the
+            cached pointers, so an idle handle pins no caller buffer."""
+            lib.repro_ctx_clear(self.ctx)
+            self._buf = self._buf_ptr = None
+            self._lanes = self._lane_ptrs = None
+
+        def take(self, which: int):
+            """A ``(rows, n)`` float64 copy of lane set ``which``; its
+            int64 lanes are the last rows, read through ``.view``."""
+            import numpy as np
+
+            n = lib.repro_lanes_len(self.ctx, which)
+            out = np.empty((LANE_ROWS[which], n), np.float64)
+            if n:
+                lib.repro_lanes_take(
+                    self.ctx, which, ffi.from_buffer("double[]", out), n
+                )
+            return out
+
+    #: Idle handles, most recently returned last; at most ``_KEEP``.
+    _idle: list = []
+    _KEEP = 2
+
+    @contextmanager
+    def borrowed():
+        """A handle for one run: an idle one when there is one, else a
+        new one; emptied and kept for reuse afterwards.  A reused
+        handle's lanes are already mapped, so a run pays no page
+        faults for scratch an earlier run grew — a Phase-2 run writes
+        every materialised piece into fresh lanes, and on first touch
+        those faults cost more than the merges.  ``list.pop`` and
+        ``append`` are atomic, so threads never share a handle."""
+        try:
+            core = _idle.pop()
+        except IndexError:
+            core = Core()
+        try:
+            yield core
+        finally:
+            core.reset()
+            if len(_idle) < _KEEP:
+                _idle.append(core)
 
     def insert_run(profile, lanes, start: int, stop: int, eps: float, run):
         """Inserts ``[start, stop)`` in one C call; see the module
         docstring.  ``run`` carries the running ops / max-size totals
         in and out, and receives the call's rows and offsets."""
-        global _off
-        ptrs = _lane_ptrs(lanes)
+        core = run.core
+        if core is None:
+            core = run.core = Core()
+        ptrs = core.lane_ptrs(lanes)
         if not 0 <= start <= stop <= len(ptrs[4]):
             raise ValueError(f"insert range [{start}, {stop}) outside the lanes")
-        if len(_off) < stop - start + 1:
-            _off = ffi.new("int64_t[]", stop - start + 1)
+        if len(core.off) < stop - start + 1:
+            core.off = ffi.new("int64_t[]", stop - start + 1)
+        state, out, acc, off, ctx = (
+            core.state, core.out, core.acc, core.off, core.ctx
+        )
         buf = profile._buf
-        _STATE[0] = beg = profile._beg
-        _STATE[1] = end = profile._end
-        _ACC[R_OPS] = run.ops
-        _ACC[R_MAX] = run.max_profile
-        _off[0] = run.offsets[-1]
+        state[0] = beg = profile._beg
+        state[1] = end = profile._end
+        acc[R_OPS] = run.ops
+        acc[R_MAX] = run.max_profile
+        off[0] = run.offsets[-1]
         at = lib.repro_insert_run(
-            _buf_ptr(buf),
+            ctx,
+            core.buf_ptr(buf),
             buf.shape[1],
-            _STATE,
+            state,
             *ptrs,
             start,
             stop,
             eps,
             EPS,
-            _off,
-            _ACC,
-            _OUT,
+            off,
+            acc,
+            out,
         )
-        if _STATE[0] != beg or _STATE[1] != end:
-            profile._beg = _STATE[0]
-            profile._end = _STATE[1]
+        if state[0] != beg or state[1] != end:
+            profile._beg = state[0]
+            profile._end = state[1]
             profile._sync_views()
-        st = _ACC[R_STATUS]
-        run.ops = _ACC[R_OPS]
-        run.max_profile = _ACC[R_MAX]
-        rows = _ACC[R_ROWS]
+        st = acc[R_STATUS]
+        run.ops = acc[R_OPS]
+        run.max_profile = acc[R_MAX]
+        rows = acc[R_ROWS]
         if rows:
-            run.edge += ffi.unpack(lib.repro_run_edge_ptr(), rows)
-            run.ya += ffi.unpack(lib.repro_run_rows_ptr(0), rows)
-            run.za += ffi.unpack(lib.repro_run_rows_ptr(1), rows)
-            run.yb += ffi.unpack(lib.repro_run_rows_ptr(2), rows)
-            run.zb += ffi.unpack(lib.repro_run_rows_ptr(3), rows)
-        run.offsets += ffi.unpack(_off + 1, at - start + (st == ST_GROW))
+            run.edge += ffi.unpack(lib.repro_lane_q(ctx, L_ROWS, 0), rows)
+            run.ya += ffi.unpack(lib.repro_lane(ctx, L_ROWS, 0), rows)
+            run.za += ffi.unpack(lib.repro_lane(ctx, L_ROWS, 1), rows)
+            run.yb += ffi.unpack(lib.repro_lane(ctx, L_ROWS, 2), rows)
+            run.zb += ffi.unpack(lib.repro_lane(ctx, L_ROWS, 3), rows)
+        run.offsets += ffi.unpack(off + 1, at - start + (st == ST_GROW))
         if st == ST_GROW:
-            # The merged window leaves C scratch before anything can
+            # The merged window leaves the context before anything can
             # clobber it, and PackedProfile.splice owns the
             # reallocation.
-            mya, mza, myb, mzb, msrc = _merged_lists(_OUT)
-            profile.splice(_OUT[O_LO], _OUT[O_HI], mya, mza, myb, mzb, msrc)
+            k = out[O_MK]
+            merged = [
+                list(ffi.unpack(lib.repro_lane(ctx, L_WIN, f), k))
+                for f in range(4)
+            ]
+            msrc = list(ffi.unpack(lib.repro_lane_q(ctx, L_WIN, 0), k))
+            profile.splice(out[O_LO], out[O_HI], *merged, msrc)
             return st, at + 1
         return st, at
+
+    def merge_layer(core, mode: int, blk, lanes, jobs, eps: float, record: bool):
+        """One PCT layer of ``jobs`` (an ``(n, 5)`` int64 array of
+        ``kind, a_off, a_len, b_off, b_len`` rows) in one C call; see
+        ``repro_merge_layer`` in ``_ccore_build.py``.  ``blk`` is the
+        ``(5, cap)`` float64 block side b (and, under ``MODE_PCT``,
+        side a) indexes, or ``None``; ``lanes`` the front-to-back image
+        lanes leaf jobs index.  Returns the ``(n, 4)`` int64
+        ``ops, crossings, offset, length`` rows; raises
+        :class:`CCoreFault` when a job fails its post-condition and
+        :class:`MemoryError` when the scratch cannot grow."""
+        import numpy as np
+
+        res = np.empty((len(jobs), 4), np.int64)
+        if blk is None or not blk.shape[1]:
+            blk_ptr, cap = ffi.NULL, 0
+        else:
+            blk_ptr, cap = ffi.from_buffer("double[]", blk), blk.shape[1]
+        st = lib.repro_merge_layer(
+            core.ctx,
+            mode,
+            blk_ptr,
+            cap,
+            *core.lane_ptrs(lanes),
+            len(jobs),
+            ffi.from_buffer("int64_t[]", jobs),
+            int(record),
+            eps,
+            EPS,
+            ffi.from_buffer("int64_t[]", res),
+        )
+        if st == ST_FAULT:
+            raise CCoreFault(
+                f"compiled merge layer post-condition failed at job {res[0, 0]}"
+            )
+        if st != ST_DONE:
+            raise MemoryError("compiled merge layer scratch")
+        return res
 
     def _sweep(x1, y1, x2, y2, src, sign: int):
         n = len(src)
@@ -240,7 +358,16 @@ else:  # pragma: no cover - the no-compiler install
     ffi = None
     lib = None
 
+    Core = None
+
+    @contextmanager
+    def borrowed():
+        yield None
+
     def insert_run(profile, lanes, start, stop, eps, run):
+        return None
+
+    def merge_layer(core, mode, blk, lanes, jobs, eps, record):
         return None
 
     def front_to_back(x1, y1, x2, y2, src, sign: int):

@@ -2,10 +2,12 @@
 
 Running this module (``python src/repro/envelope/_ccore_build.py``)
 compiles ``repro.envelope._repro_ccore`` — a small C extension with
-two entry points.  ``repro_insert_run`` runs the insert pass of the
-sequential algorithm over a chunk of front-to-back image lanes, each
-insert against the :class:`~repro.envelope.packed.PackedProfile`
-``(5, capacity)`` float64 buffer in two static halves:
+three entry points.
+
+``repro_insert_run`` runs the insert pass of the sequential algorithm
+over a chunk of front-to-back image lanes, each insert against the
+:class:`~repro.envelope.packed.PackedProfile` ``(5, capacity)``
+float64 buffer in two halves:
 
 * ``fused_sweep`` — the locate (the binary search of
   :meth:`~repro.envelope.flat.FlatEnvelope.pieces_overlapping` on the
@@ -23,8 +25,20 @@ insert against the :class:`~repro.envelope.packed.PackedProfile`
 
 Vertical segments take the point query of ``_visible_vertical_flat``,
 and every visible part is clipped by ``ImageSegment.visible_piece``
-into row scratch, so a sequential run costs one call per chunk plus
-one per reallocation or declined insert.
+into rows, so a sequential run costs one call per chunk plus one per
+reallocation or declined insert.
+
+``repro_merge_layer`` runs one layer of the profile computation tree
+in one call.  Its merges port the scalar two-envelope sweep of
+:func:`~repro.envelope.merge.merge_envelopes` (breakpoint union, eps
+signs, the ``t = du / (du - dv)`` flip and its clamp,
+``EnvelopeBuilder`` coalescing, the empty-side shortcuts).  For
+Phase 1 (:func:`~repro.hsr.pct.build_pct`) a layer is full merges of
+child profiles plus the leaves' segments.  For Phase 2's ``direct``
+mode it is :func:`~repro.envelope.splice.splice_merge` — window
+locate, merge, and a splice into a fresh profile row — plus the
+leaves' :func:`~repro.envelope.visibility.visible_parts` queries,
+clipped into rows like ``repro_insert_run``'s.
 
 ``repro_front_to_back`` is the front-to-back ordering of
 :func:`~repro.ordering.sweep.front_to_back_order` in one call over
@@ -44,22 +58,25 @@ doubles.  ``-ffp-contract=off`` keeps compilers from fusing
 ``a + b * c`` into an FMA (bit-identical results on x86-64 *and*
 aarch64), so the C core, the scalar loop and the numpy kernel all
 produce float-for-float identical profiles, visible parts and ``ops``
-— the property ``tests/test_envelope_ccore.py`` fuzzes.
+— the property ``tests/test_envelope_ccore.py`` and
+``tests/test_phase2_ccore.py`` fuzz.
 
-Buffer ownership: the C side **never allocates profile storage**.  It
-mutates the caller's packed buffer in place and keeps small static
-scratch arrays (merged window, visible parts, run rows) that it
-reallocates itself; Python copies results out immediately after each
-call, so the scratch is dead between calls.
+Buffer ownership: the caller owns every input buffer; the insert run
+mutates the caller's packed buffer in place but never reallocates it.
+All scratch — merged windows, visible parts, rows, layer profiles —
+lives in a ``repro_ctx`` that Python creates per run
+(:class:`repro.envelope._ccore.Core`) and frees with it, grown by the
+C side as needed.  Python copies results out before the next call on
+the same context; a Phase-2 run keeps its profiles in the context,
+since later layers read them by offset.
 
-Concurrency: the core is **not reentrant**.  cffi API-mode wrappers
-release the GIL around each call, and ``repro_insert_run`` keeps its
-scratch in static globals, so two threads inside the core at once
-corrupt each other's results or the heap.  Callers must not run it
-from two threads; making it reentrant is an open ROADMAP item.  When the packed buffer cannot absorb a growth
-splice the call returns ``GROW`` *without touching the buffer* and the
-wrapper commits through :meth:`PackedProfile.splice`, which owns the
-amortized-doubling reallocation policy.
+Concurrency: nothing is static, so the core is reentrant.  cffi
+API-mode wrappers release the GIL around each call, and two threads
+may run the core at once as long as each uses its own context (every
+run creates its own).  When the packed buffer cannot absorb a growth
+splice the insert run returns ``GROW`` *without touching the buffer*
+and the wrapper commits through :meth:`PackedProfile.splice`, which
+owns the amortized-doubling reallocation policy.
 
 The build is optional end to end: ``setup.py`` marks the extension
 ``optional`` (no compiler → pure-Python/numpy cascade, same results),
@@ -69,16 +86,27 @@ and ``REPRO_CCORE_BUILD=0`` skips it entirely.
 import cffi
 
 CDEF = """
-double *repro_merged_ptr(int field);
-int64_t *repro_merged_src_ptr(void);
+typedef struct repro_ctx repro_ctx;
+repro_ctx *repro_ctx_new(void);
+void repro_ctx_free(repro_ctx *ctx);
+void repro_ctx_clear(repro_ctx *ctx);
+int64_t repro_lanes_len(repro_ctx *ctx, int which);
+double *repro_lane(repro_ctx *ctx, int which, int field);
+int64_t *repro_lane_q(repro_ctx *ctx, int which, int field);
+int64_t repro_lanes_take(repro_ctx *ctx, int which, double *dst,
+                         int64_t stride);
 int64_t repro_insert_run(
-    double *buf, int64_t cap, int64_t *state,
+    repro_ctx *ctx, double *buf, int64_t cap, int64_t *state,
     const double *y1, const double *z1, const double *y2,
     const double *z2, const int64_t *src, int64_t start, int64_t stop,
     double eps, double clip_eps, int64_t *off, int64_t *acc,
     int64_t *out);
-double *repro_run_rows_ptr(int field);
-int64_t *repro_run_edge_ptr(void);
+int64_t repro_merge_layer(
+    repro_ctx *ctx, int64_t mode, const double *blk, int64_t blk_cap,
+    const double *y1, const double *z1, const double *y2,
+    const double *z2, const int64_t *src, int64_t nj,
+    const int64_t *job, int64_t record, double eps, double clip_eps,
+    int64_t *res);
 int64_t repro_front_to_back(
     int64_t n, const double *x1, const double *y1, const double *x2,
     const double *y2, const int64_t *src, int64_t sign,
@@ -105,56 +133,139 @@ C_SOURCE = r"""
 #define O_HI     3
 #define O_MK     4
 
-/* ---- static result scratch (shared by every call: not reentrant, and
- * cffi releases the GIL around calls, so never call the core from two
- * threads; Python copies out immediately after each call) ----------- */
-static double *g_mya = NULL, *g_mza = NULL, *g_myb = NULL, *g_mzb = NULL;
-static int64_t *g_msrc = NULL;
-static double *g_parts = NULL;   /* (ya, yb) pairs */
-static int64_t g_cap = 0;        /* lanes in every scratch array */
+/* ---- the per-call context --------------------------------------------
+ * All scratch lives in a repro_ctx the caller creates, passes to every
+ * call and frees: nothing is static, so two threads with two contexts
+ * never share memory.  A context holds growable lane sets, each some
+ * double lanes and some int64 lanes of one common length n. */
 
-static int ensure_scratch(int64_t win)
+typedef struct {
+    double *d[4];
+    int64_t *q[2];
+    int64_t n, cap;
+} lanes;
+
+#define L_WIN   0  /* merged window of one insert: ya za yb zb | src  */
+#define L_ROWS  1  /* clipped visible rows: ya za yb zb | edge         */
+#define L_PROF  2  /* merged profiles: ya za yb zb | src               */
+#define L_XING  3  /* merge crossings: y z | front back                */
+#define L_PARTS 4  /* visible parts: ya yb                             */
+#define L_VX    5  /* leaf crossings: y z                              */
+#define L_BND   6  /* breakpoint union of one merge: y                 */
+#define N_LANES 7
+
+static const int LANE_ND[N_LANES] = {4, 4, 4, 2, 2, 2, 1};
+static const int LANE_NQ[N_LANES] = {1, 1, 1, 2, 0, 0, 0};
+
+typedef struct repro_ctx {
+    lanes L[N_LANES];
+} repro_ctx;
+
+repro_ctx *repro_ctx_new(void)
 {
-    /* Bounds per sweep over a k-piece window: merged <= 3k + 3 adds
-     * (head + k-1 gaps + 2 per overlap + tail), parts <= 2k + 2
-     * pairs.  One shared lane count covers both with headroom. */
-    int64_t need = 3 * win + 8;
-    double *p;
-    int64_t *q;
-    if (g_cap >= need) return 1;
-    need += need / 2;
-    p = (double *)realloc(g_mya, (size_t)need * sizeof(double));
-    if (!p) return 0;
-    g_mya = p;
-    p = (double *)realloc(g_mza, (size_t)need * sizeof(double));
-    if (!p) return 0;
-    g_mza = p;
-    p = (double *)realloc(g_myb, (size_t)need * sizeof(double));
-    if (!p) return 0;
-    g_myb = p;
-    p = (double *)realloc(g_mzb, (size_t)need * sizeof(double));
-    if (!p) return 0;
-    g_mzb = p;
-    q = (int64_t *)realloc(g_msrc, (size_t)need * sizeof(int64_t));
-    if (!q) return 0;
-    g_msrc = q;
-    p = (double *)realloc(g_parts, (size_t)(2 * need) * sizeof(double));
-    if (!p) return 0;
-    g_parts = p;
-    g_cap = need;
+    return (repro_ctx *)calloc(1, sizeof(repro_ctx));
+}
+
+void repro_ctx_free(repro_ctx *ctx)
+{
+    int w, f;
+    if (!ctx) return;
+    for (w = 0; w < N_LANES; w++) {
+        for (f = 0; f < 4; f++) free(ctx->L[w].d[f]);
+        for (f = 0; f < 2; f++) free(ctx->L[w].q[f]);
+    }
+    free(ctx);
+}
+
+/* Empty every lane set, keeping the memory for the next run. */
+void repro_ctx_clear(repro_ctx *ctx)
+{
+    int w;
+    for (w = 0; w < N_LANES; w++) ctx->L[w].n = 0;
+}
+
+/* Grow lane set `which` to hold at least `need` entries (1.5x). */
+static int reserve(repro_ctx *ctx, int which, int64_t need)
+{
+    lanes *L = &ctx->L[which];
+    int64_t cap;
+    int f;
+    if (L->cap >= need) return 1;
+    cap = need < 64 ? 64 : need + need / 2;
+    for (f = 0; f < LANE_ND[which]; f++) {
+        double *p = (double *)realloc(L->d[f], (size_t)cap * sizeof(double));
+        if (!p) return 0;
+        L->d[f] = p;
+    }
+    for (f = 0; f < LANE_NQ[which]; f++) {
+        int64_t *p = (int64_t *)realloc(L->q[f],
+                                        (size_t)cap * sizeof(int64_t));
+        if (!p) return 0;
+        L->q[f] = p;
+    }
+    L->cap = cap;
     return 1;
 }
 
-double *repro_merged_ptr(int field)
+int64_t repro_lanes_len(repro_ctx *ctx, int which) { return ctx->L[which].n; }
+double *repro_lane(repro_ctx *ctx, int which, int field)
 {
-    switch (field) {
-    case 0: return g_mya;
-    case 1: return g_mza;
-    case 2: return g_myb;
-    default: return g_mzb;
-    }
+    return ctx->L[which].d[field];
 }
-int64_t *repro_merged_src_ptr(void) { return g_msrc; }
+int64_t *repro_lane_q(repro_ctx *ctx, int which, int field)
+{
+    return ctx->L[which].q[field];
+}
+
+/* Copy lane set `which` into dst as consecutive rows `stride` apart:
+ * the double lanes, then the int64 lanes bit for bit.  Returns n. */
+int64_t repro_lanes_take(repro_ctx *ctx, int which, double *dst,
+                         int64_t stride)
+{
+    lanes *L = &ctx->L[which];
+    int f, r = 0;
+    size_t bytes = (size_t)L->n * sizeof(double);
+    if (L->n == 0) return 0;
+    for (f = 0; f < LANE_ND[which]; f++, r++)
+        memcpy(dst + (int64_t)r * stride, L->d[f], bytes);
+    for (f = 0; f < LANE_NQ[which]; f++, r++)
+        memcpy(dst + (int64_t)r * stride, L->q[f], bytes);
+    return L->n;
+}
+
+/* One envelope as five read-only lanes. */
+typedef struct {
+    const double *ya, *za, *yb, *zb;
+    const int64_t *src;
+    int64_t n;
+} view;
+
+/* Pieces [off, off + n) of a (5, cap) packed block. */
+static view block_view(const double *blk, int64_t cap, int64_t off,
+                       int64_t n)
+{
+    view v;
+    v.ya = blk + off;
+    v.za = blk + cap + off;
+    v.yb = blk + 2 * cap + off;
+    v.zb = blk + 3 * cap + off;
+    v.src = (const int64_t *)(blk + 4 * cap) + off;
+    v.n = n;
+    return v;
+}
+
+/* Pieces [off, off + n) of a five-lane set (ya za yb zb | src). */
+static view lanes_view(const lanes *L, int64_t off, int64_t n)
+{
+    view v;
+    v.ya = L->d[0] + off;
+    v.za = L->d[1] + off;
+    v.yb = L->d[2] + off;
+    v.zb = L->d[3] + off;
+    v.src = L->q[0] + off;
+    v.n = n;
+    return v;
+}
 
 /* ---- exact scalar primitives -------------------------------------- */
 
@@ -193,65 +304,154 @@ static int64_t lower_bound(const double *a, int64_t n, double x)
     return lo;
 }
 
-/* _acc_add: the visibility part accumulator (mutable last-row merge). */
-static void acc_add(int64_t *np, double a, double b, double eps)
+/* Envelope.pieces_overlapping(ya, yb): pieces whose interior meets
+ * (ya, yb), as the half-open range [*lo, *hi). */
+static void overlapping(const view *v, double ya, double yb, int64_t *lo,
+                        int64_t *hi)
+{
+    int64_t l;
+    if (v->n == 0 || ya >= yb) {
+        *lo = 0;
+        *hi = 0;
+        return;
+    }
+    l = upper_bound(v->ya, v->n, ya) - 1;
+    if (l < 0 || v->yb[l] <= ya) l += 1;
+    *lo = l;
+    *hi = lower_bound(v->ya, v->n, yb);
+}
+
+/* Envelope.value_at: the searchsorted-right bisection, the covering
+ * piece's line height, then the two touching-endpoint maxima. */
+static double value_at(const view *v, double y)
+{
+    int64_t n = v->n, i;
+    double best = -INFINITY;
+    if (n == 0) return -INFINITY;
+    i = upper_bound(v->ya, n, y) - 1;
+    if (i >= 0) {
+        if (v->ya[i] <= y && y <= v->yb[i])
+            best = line_z(v->ya[i], v->za[i], v->yb[i], v->zb[i], y);
+        if (i >= 1 && v->yb[i - 1] == y && v->zb[i - 1] > best)
+            best = v->zb[i - 1];
+    }
+    if (i + 1 < n && v->ya[i + 1] == y && v->za[i + 1] > best)
+        best = v->za[i + 1];
+    return best;
+}
+
+/* _PartAccumulator.add on the parts lanes: parts from `base` on belong
+ * to the current query (the mutable last-part merge). */
+static void acc_add(lanes *P, int64_t base, double a, double b, double eps)
 {
     if (b < a) return;
-    if (*np) {
-        double *last = g_parts + 2 * (*np - 1);
-        if (a <= last[1] + eps) {
-            if (b > last[1]) last[1] = b;
+    if (P->n > base) {
+        double *last = P->d[1] + P->n - 1;
+        if (a <= *last + eps) {
+            if (b > *last) *last = b;
             return;
         }
     }
-    g_parts[2 * *np] = a;
-    g_parts[2 * *np + 1] = b;
-    (*np)++;
+    P->d[0][P->n] = a;
+    P->d[1][P->n] = b;
+    P->n++;
 }
 
-/* add(): merged-piece emission with the real-source coalescing rule
- * of EnvelopeBuilder (same src, contiguous, heights agree within eps). */
-static void m_add(int64_t *k, double pya, double pza, double pyb,
-                  double pzb, int64_t s, double eps)
+/* Drop the parts from `base` on of width (b - a) <= eps, in place. */
+static void width_filter(lanes *P, int64_t base, double eps)
 {
-    if (pya >= pyb) return;
-    if (*k && g_msrc[*k - 1] == s && g_myb[*k - 1] == pya
-        && fabs(g_mzb[*k - 1] - pza) <= eps) {
-        g_myb[*k - 1] = pyb;
-        g_mzb[*k - 1] = pzb;
+    int64_t j, kept = base;
+    for (j = base; j < P->n; j++) {
+        double pa = P->d[0][j], pb = P->d[1][j];
+        if (pb - pa > eps) {
+            P->d[0][kept] = pa;
+            P->d[1][kept] = pb;
+            kept++;
+        }
+    }
+    P->n = kept;
+}
+
+/* Append one piece verbatim. */
+static void push(lanes *O, double ya, double za, double yb, double zb,
+                 int64_t s)
+{
+    int64_t k = O->n;
+    O->d[0][k] = ya;
+    O->d[1][k] = za;
+    O->d[2][k] = yb;
+    O->d[3][k] = zb;
+    O->q[0][k] = s;
+    O->n = k + 1;
+}
+
+/* Append pieces [lo, hi) of v verbatim. */
+static void push_view(lanes *O, const view *v, int64_t lo, int64_t hi)
+{
+    size_t bytes;
+    int64_t k = O->n;
+    if (hi <= lo) return;
+    bytes = (size_t)(hi - lo) * sizeof(double);
+    memcpy(O->d[0] + k, v->ya + lo, bytes);
+    memcpy(O->d[1] + k, v->za + lo, bytes);
+    memcpy(O->d[2] + k, v->yb + lo, bytes);
+    memcpy(O->d[3] + k, v->zb + lo, bytes);
+    memcpy(O->q[0] + k, v->src + lo, bytes);
+    O->n = k + (hi - lo);
+}
+
+/* EnvelopeBuilder state: pieces from `start` on are this build's; the
+ * cached slope of the last synthetic piece is `slope` when slope_ok. */
+typedef struct {
+    int64_t start;
+    int slope_ok;
+    double slope;
+} builder;
+
+/* EnvelopeBuilder.add: drop empty spans; coalesce a contiguous piece
+ * of the same source whose join heights agree within eps (real
+ * sources always, synthetic ones only when the slopes agree too). */
+static void b_add(lanes *O, builder *B, double ya, double za, double yb,
+                  double zb, int64_t s, double eps)
+{
+    int64_t l = O->n - 1;
+    if (ya >= yb) return;
+    if (l >= B->start && O->q[0][l] == s && O->d[2][l] == ya
+        && fabs(O->d[3][l] - za) <= eps) {
+        double ps, ls;
+        if (s >= 0) {
+            O->d[2][l] = yb;
+            O->d[3][l] = zb;
+            B->slope_ok = 0;
+            return;
+        }
+        ps = (zb - za) / (yb - ya);
+        ls = B->slope_ok ? B->slope
+                         : (O->d[3][l] - O->d[1][l]) / (O->d[2][l] - O->d[0][l]);
+        if (fabs(ls - ps) <= eps) {
+            O->d[2][l] = yb;
+            O->d[3][l] = zb;
+            B->slope_ok = 0;
+            return;
+        }
+        push(O, ya, za, yb, zb, s);
+        B->slope_ok = 1;
+        B->slope = ps;
         return;
     }
-    g_mya[*k] = pya;
-    g_mza[*k] = pza;
-    g_myb[*k] = pyb;
-    g_mzb[*k] = pzb;
-    g_msrc[*k] = s;
-    (*k)++;
+    push(O, ya, za, yb, zb, s);
+    B->slope_ok = 0;
 }
 
-/* One 2D shift over all five rows (the int64-bit-view slice move of
- * _splice_impl, as five memmoves — byte-identical for float lanes). */
-static void shift_rows(double *buf, int64_t cap, int64_t from,
-                       int64_t to, int64_t count)
+/* check_flat on pieces [from, O->n): ya <= yb, sorted and
+ * non-overlapping, finite z lanes. */
+static int pieces_ok(const lanes *O, int64_t from)
 {
-    int r;
-    if (count <= 0 || from == to) return;
-    for (r = 0; r < 5; r++) {
-        double *row = buf + (int64_t)r * cap;
-        memmove(row + to, row + from, (size_t)count * sizeof(double));
-    }
-}
-
-/* check_merged_lists, pre-commit: sorted, non-overlapping, finite z. */
-static int merged_ok(int64_t k)
-{
-    double prev = -INFINITY;
     int64_t j;
-    for (j = 0; j < k; j++) {
-        double a = g_mya[j], b = g_myb[j];
-        if (!(prev <= a && a <= b)) return 0;
-        if (g_mza[j] != g_mza[j] || g_mzb[j] != g_mzb[j]) return 0;
-        prev = b;
+    for (j = from; j < O->n; j++) {
+        if (!(O->d[0][j] <= O->d[2][j])) return 0;
+        if (!isfinite(O->d[1][j]) || !isfinite(O->d[3][j])) return 0;
+        if (j > from && !(O->d[2][j - 1] <= O->d[0][j])) return 0;
     }
     return 1;
 }
@@ -260,51 +460,44 @@ static int merged_ok(int64_t k)
 
 /* Locate + fused visibility/merge sweep against the live window; no
  * mutation.  ST_HIDDEN: no parts, nothing to commit.  ST_GROW: visible
- * parts in g_parts and the merged window in scratch (out[O_LO..O_MK]),
+ * parts in L_PARTS and the merged window in L_WIN (out[O_LO..O_MK]),
  * not yet committed.  ST_FALLBACK: unsupported window. */
 static int fused_sweep(
-    const double *buf, int64_t cap, const int64_t *state,
+    repro_ctx *ctx, const double *buf, int64_t cap, const int64_t *state,
     double y1, double z1, double y2, double z2,
     int64_t src, double eps, int64_t *out)
 {
     int64_t beg = state[0], end = state[1];
-    int64_t n = end - beg;
-    const double *rya = buf + beg;
-    const double *rza = buf + cap + beg;
-    const double *ryb = buf + 2 * cap + beg;
-    const double *rzb = buf + 3 * cap + beg;
-    const int64_t *rsrc = (const int64_t *)(buf + 4 * cap) + beg;
+    view live = block_view(buf, cap, beg, end - beg);
+    lanes *M = &ctx->L[L_WIN], *P = &ctx->L[L_PARTS];
+    builder bl = {0, 0, 0.0};
     int64_t lo, hi, win, j;
-    int64_t np = 0, ko = 0;   /* parts, merged pieces */
     int64_t vis_ops = 0, merge_ops = 0;
     const double *wya, *wza, *wyb, *wzb;
     const int64_t *wsrc;
     double prev_zs;
 
     /* locate: pieces_overlapping(y1, y2) on the live ya row. */
-    if (n == 0 || y1 >= y2) {
-        lo = 0; hi = 0;
-    } else {
-        lo = upper_bound(rya, n, y1) - 1;
-        if (lo < 0 || ryb[lo] <= y1) lo += 1;
-        hi = lower_bound(rya, n, y2);
-    }
+    overlapping(&live, y1, y2, &lo, &hi);
     win = hi - lo;
     out[O_LO] = lo;
     out[O_HI] = hi;
 
-    if (!ensure_scratch(win)) return ST_FALLBACK;
+    /* Bounds per sweep over a k-piece window: merged <= 3k + 3 adds
+     * (head + k-1 gaps + 2 per overlap + tail), parts <= 2k + 2. */
+    if (!reserve(ctx, L_WIN, 3 * win + 8)
+        || !reserve(ctx, L_PARTS, 3 * win + 8))
+        return ST_FALLBACK;
+    M->n = 0;
+    P->n = 0;
 
     if (win == 0) {
         /* Empty window: one trailing scan interval, one merge
          * interval (the segment verbatim) — unless the span is
          * eps-degenerate, which the scan reports hidden. */
         if (y2 - y1 > eps) {
-            g_parts[0] = y1; g_parts[1] = y2;
-            g_mya[0] = y1; g_mza[0] = z1;
-            g_myb[0] = y2; g_mzb[0] = z2;
-            g_msrc[0] = src;
-            ko = 1;
+            acc_add(P, 0, y1, y2, eps);
+            push(M, y1, z1, y2, z2, src);
             out[O_NPARTS] = 1;
             out[O_TOTOPS] = 2;
             goto COMMIT;
@@ -315,9 +508,9 @@ static int fused_sweep(
         return ST_HIDDEN;
     }
 
-    wya = rya + lo; wza = rza + lo;
-    wyb = ryb + lo; wzb = rzb + lo;
-    wsrc = rsrc + lo;
+    wya = live.ya + lo; wza = live.za + lo;
+    wyb = live.yb + lo; wzb = live.zb + lo;
+    wsrc = live.src + lo;
 
     {
         double za0 = wza[0];
@@ -363,26 +556,16 @@ static int fused_sweep(
                     double ya0 = wya[0], yb_l = wyb[win - 1];
                     int64_t fvis = win + gaps + (y1 < ya0) + (y2 > yb_l);
                     int64_t fmerge = win + gaps + (ya0 != y1) + (yb_l != y2);
-                    if (ya0 < y1) {
-                        g_mya[ko] = ya0; g_mza[ko] = za0;
-                        g_myb[ko] = y1;
-                        g_mzb[ko] = line_z(ya0, za0, wyb[0], wzb[0], y1);
-                        g_msrc[ko] = wsrc[0];
-                        ko++;
-                    }
-                    g_mya[ko] = y1; g_mza[ko] = z1;
-                    g_myb[ko] = y2; g_mzb[ko] = z2;
-                    g_msrc[ko] = src;
-                    ko++;
-                    if (yb_l > y2) {
-                        g_mya[ko] = y2;
-                        g_mza[ko] = line_z(wya[win - 1], wza[win - 1],
-                                           yb_l, wzb[win - 1], y2);
-                        g_myb[ko] = yb_l; g_mzb[ko] = wzb[win - 1];
-                        g_msrc[ko] = wsrc[win - 1];
-                        ko++;
-                    }
-                    g_parts[0] = y1; g_parts[1] = y2;
+                    if (ya0 < y1)
+                        push(M, ya0, za0, y1,
+                             line_z(ya0, za0, wyb[0], wzb[0], y1), wsrc[0]);
+                    push(M, y1, z1, y2, z2, src);
+                    if (yb_l > y2)
+                        push(M, y2,
+                             line_z(wya[win - 1], wza[win - 1], yb_l,
+                                    wzb[win - 1], y2),
+                             yb_l, wzb[win - 1], wsrc[win - 1]);
+                    acc_add(P, 0, y1, y2, eps);
                     out[O_NPARTS] = 1;
                     out[O_TOTOPS] = fvis + fmerge;
                     goto COMMIT;
@@ -408,15 +591,15 @@ static int fused_sweep(
             if (y1 < pya) {
                 /* Head gap: the segment alone, visible and emitted. */
                 zs_u = line_z(y1, z1, y2, z2, pya);
-                acc_add(&np, y1, pya, eps);
-                m_add(&ko, y1, z1, pya, zs_u, src, eps);
+                acc_add(P, 0, y1, pya, eps);
+                b_add(M, &bl, y1, z1, pya, zs_u, src, eps);
                 vis_ops += 1;
                 merge_ops += 1;
                 u = pya;
             } else {
                 if (pya < y1) {
                     /* Window-piece head before y1: merge-only. */
-                    m_add(&ko, pya, pza, y1,
+                    b_add(M, &bl, pya, pza, y1,
                           line_z(pya, pza, pyb, pzb, y1), wsrc[j], eps);
                     merge_ops += 1;
                 }
@@ -429,8 +612,8 @@ static int fused_sweep(
             if (g0 < pya) {
                 /* Gap between pieces — always inside (y1, y2). */
                 zs_u = line_z(y1, z1, y2, z2, pya);
-                acc_add(&np, g0, pya, eps);
-                m_add(&ko, g0, prev_zs, pya, zs_u, src, eps);
+                acc_add(P, 0, g0, pya, eps);
+                b_add(M, &bl, g0, prev_zs, pya, zs_u, src, eps);
                 vis_ops += 1;
                 merge_ops += 1;
             } else {
@@ -455,11 +638,11 @@ static int fused_sweep(
         merge_ops += 1;
         if (su >= 0 && sv >= 0 && (su > 0 || sv > 0)) {
             /* Segment strictly above somewhere, never strictly below. */
-            acc_add(&np, u, v, eps);
-            m_add(&ko, u, zs_u, v, zs_v, src, eps);
+            acc_add(P, 0, u, v, eps);
+            b_add(M, &bl, u, zs_u, v, zs_v, src, eps);
         } else if (su <= 0 && sv <= 0) {
             /* Hidden (or coincident — the window wins ties). */
-            m_add(&ko, u, zw_u, v, zw_v, wsrc[j], eps);
+            b_add(M, &bl, u, zw_u, v, zw_v, wsrc[j], eps);
         } else {
             double t = du / (du - dv);
             double w = u + t * (v - u);
@@ -467,60 +650,48 @@ static int fused_sweep(
                 /* Numeric clamp: treat as one-sided. */
                 double wc;
                 if (su < 0 || sv > 0)
-                    m_add(&ko, u, zw_u, v, zw_v, wsrc[j], eps);
+                    b_add(M, &bl, u, zw_u, v, zw_v, wsrc[j], eps);
                 else
-                    m_add(&ko, u, zs_u, v, zs_v, src, eps);
+                    b_add(M, &bl, u, zs_u, v, zs_v, src, eps);
                 wc = w <= u ? u : v;
                 if (su > 0)
-                    acc_add(&np, u, wc, eps);
+                    acc_add(P, 0, u, wc, eps);
                 else
-                    acc_add(&np, wc, v, eps);
+                    acc_add(P, 0, wc, v, eps);
             } else {
                 double zw_w = line_z(pya, pza, pyb, pzb, w);
                 double zs_w = line_z(y1, z1, y2, z2, w);
                 if (su > 0) {
-                    acc_add(&np, u, w, eps);
-                    m_add(&ko, u, zs_u, w, zs_w, src, eps);
-                    m_add(&ko, w, zw_w, v, zw_v, wsrc[j], eps);
+                    acc_add(P, 0, u, w, eps);
+                    b_add(M, &bl, u, zs_u, w, zs_w, src, eps);
+                    b_add(M, &bl, w, zw_w, v, zw_v, wsrc[j], eps);
                 } else {
-                    acc_add(&np, w, v, eps);
-                    m_add(&ko, u, zw_u, w, zw_w, wsrc[j], eps);
-                    m_add(&ko, w, zs_w, v, zs_v, src, eps);
+                    acc_add(P, 0, w, v, eps);
+                    b_add(M, &bl, u, zw_u, w, zw_w, wsrc[j], eps);
+                    b_add(M, &bl, w, zs_w, v, zs_v, src, eps);
                 }
             }
         }
         if (j == win - 1) {
             if (v < y2) {
                 /* Trailing gap past the last piece. */
-                acc_add(&np, v, y2, eps);
-                m_add(&ko, v, zs_v, y2, z2, src, eps);
+                acc_add(P, 0, v, y2, eps);
+                b_add(M, &bl, v, zs_v, y2, z2, src, eps);
                 vis_ops += 1;
                 merge_ops += 1;
             } else if (y2 < pyb) {
                 /* Window-piece tail past y2: merge-only. */
-                m_add(&ko, y2, zw_v, pyb, pzb, wsrc[j], eps);
+                b_add(M, &bl, y2, zw_v, pyb, pzb, wsrc[j], eps);
                 merge_ops += 1;
             }
         }
         prev_zs = zs_v;
     }
 
-    /* Width filter (b - a > eps), compacting in place. */
-    {
-        int64_t kept = 0;
-        for (j = 0; j < np; j++) {
-            double pa = g_parts[2 * j], pb = g_parts[2 * j + 1];
-            if (pb - pa > eps) {
-                g_parts[2 * kept] = pa;
-                g_parts[2 * kept + 1] = pb;
-                kept++;
-            }
-        }
-        np = kept;
-    }
+    width_filter(P, 0, eps);
     if (vis_ops < 1) vis_ops = 1;
-    out[O_NPARTS] = np;
-    if (np == 0) {
+    out[O_NPARTS] = P->n;
+    if (P->n == 0) {
         /* Fully hidden: no splice, no merge ops charged. */
         out[O_TOTOPS] = vis_ops;
         out[O_MK] = 0;
@@ -529,24 +700,46 @@ static int fused_sweep(
     out[O_TOTOPS] = vis_ops + merge_ops;
 
 COMMIT:
-    out[O_MK] = ko;
+    out[O_MK] = M->n;
     return ST_GROW;
 }
 
-/* Commit the merged window fused_sweep left in scratch:
+/* One 2D shift over all five rows (the int64-bit-view slice move of
+ * _splice_impl, as five memmoves — byte-identical for float lanes). */
+static void shift_rows(double *buf, int64_t cap, int64_t from,
+                       int64_t to, int64_t count)
+{
+    int r;
+    if (count <= 0 || from == to) return;
+    for (r = 0; r < 5; r++) {
+        double *row = buf + (int64_t)r * cap;
+        memmove(row + to, row + from, (size_t)count * sizeof(double));
+    }
+}
+
+/* Commit the merged window fused_sweep left in L_WIN:
  * check_merged_lists, then PackedProfile._splice_impl in place.
  * ST_DONE (state updated), ST_GROW (no slack: nothing touched, the
  * caller reallocates) or ST_FAULT (post-condition failed, nothing
  * touched). */
-static int commit_window(double *buf, int64_t cap, int64_t *state,
-                         int64_t *out)
+static int commit_window(repro_ctx *ctx, double *buf, int64_t cap,
+                         int64_t *state, int64_t *out)
 {
+    const lanes *M = &ctx->L[L_WIN];
     int64_t beg = state[0], end = state[1];
     int64_t n = end - beg;
     int64_t lo = out[O_LO], hi = out[O_HI], ko = out[O_MK];
-    int64_t d, head, tail, a;
+    int64_t d, head, tail, a, j;
+    double prev = -INFINITY;
 
-    if (!merged_ok(ko)) return ST_FAULT;
+    /* check_merged_lists: sorted, non-overlapping, no NaN z. */
+    for (j = 0; j < ko; j++) {
+        if (!(prev <= M->d[0][j] && M->d[0][j] <= M->d[2][j]))
+            return ST_FAULT;
+        if (M->d[1][j] != M->d[1][j] || M->d[3][j] != M->d[3][j])
+            return ST_FAULT;
+        prev = M->d[2][j];
+    }
     d = ko - (hi - lo);
     if (d) {
         head = lo;
@@ -578,15 +771,35 @@ static int commit_window(double *buf, int64_t cap, int64_t *state,
         }
     }
     a = beg + lo;
-    memcpy(buf + a, g_mya, (size_t)ko * sizeof(double));
-    memcpy(buf + cap + a, g_mza, (size_t)ko * sizeof(double));
-    memcpy(buf + 2 * cap + a, g_myb, (size_t)ko * sizeof(double));
-    memcpy(buf + 3 * cap + a, g_mzb, (size_t)ko * sizeof(double));
-    memcpy((int64_t *)(buf + 4 * cap) + a, g_msrc,
+    memcpy(buf + a, M->d[0], (size_t)ko * sizeof(double));
+    memcpy(buf + cap + a, M->d[1], (size_t)ko * sizeof(double));
+    memcpy(buf + 2 * cap + a, M->d[2], (size_t)ko * sizeof(double));
+    memcpy(buf + 3 * cap + a, M->d[3], (size_t)ko * sizeof(double));
+    memcpy((int64_t *)(buf + 4 * cap) + a, M->q[0],
            (size_t)ko * sizeof(int64_t));
     state[0] = beg;
     state[1] = end;
     return ST_DONE;
+}
+
+/* VisibilityMap.add_edge_result for one part (a, b) of a non-vertical
+ * segment, appended to L_ROWS: a zero-width part is its top point,
+ * else ImageSegment.subsegment (range check, clamp with builtin
+ * max/min, z_at at both ends).  Returns 0 when subsegment would raise. */
+static int clip_row(lanes *R, double a, double b, double y1, double z1,
+                    double y2, double z2, int64_t edge, double clip_eps)
+{
+    if (a == b) {
+        double top = z1 >= z2 ? z1 : z2;
+        push(R, a, top, a, top, edge);
+        return 1;
+    }
+    if (a > b || a < y1 - clip_eps || b > y2 + clip_eps) return 0;
+    if (y1 > a) a = y1;
+    if (y2 < b) b = y2;
+    push(R, a, line_z(y1, z1, y2, z2, a), b, line_z(y1, z1, y2, z2, b),
+         edge);
+    return 1;
 }
 
 /* ==== the whole insert pass (SequentialHSR._insert_loop) ========== */
@@ -595,154 +808,77 @@ static int commit_window(double *buf, int64_t cap, int64_t *state,
 #define R_OPS    0  /* running sum of per-insert ops                  */
 #define R_MAX    1  /* running max of the live profile size           */
 #define R_STATUS 2  /* why the last call returned                     */
-#define R_ROWS   3  /* visible rows the last call left in run scratch */
-
-/* Run-row scratch: the clipped visible parts of one call, as
- * (edge, ya, za, yb, zb) lanes.  Same ownership rule as the insert
- * scratch: Python copies the rows out right after each call. */
-static double *g_rya = NULL, *g_rza = NULL, *g_ryb = NULL, *g_rzb = NULL;
-static int64_t *g_redge = NULL;
-static int64_t g_rcap = 0;
-
-static int ensure_rows(int64_t need)
-{
-    double *p;
-    int64_t *q;
-    if (g_rcap >= need) return 1;
-    need = need < 256 ? 256 : need + need / 2;
-    p = (double *)realloc(g_rya, (size_t)need * sizeof(double));
-    if (!p) return 0;
-    g_rya = p;
-    p = (double *)realloc(g_rza, (size_t)need * sizeof(double));
-    if (!p) return 0;
-    g_rza = p;
-    p = (double *)realloc(g_ryb, (size_t)need * sizeof(double));
-    if (!p) return 0;
-    g_ryb = p;
-    p = (double *)realloc(g_rzb, (size_t)need * sizeof(double));
-    if (!p) return 0;
-    g_rzb = p;
-    q = (int64_t *)realloc(g_redge, (size_t)need * sizeof(int64_t));
-    if (!q) return 0;
-    g_redge = q;
-    g_rcap = need;
-    return 1;
-}
-
-double *repro_run_rows_ptr(int field)
-{
-    switch (field) {
-    case 0: return g_rya;
-    case 1: return g_rza;
-    case 2: return g_ryb;
-    default: return g_rzb;
-    }
-}
-int64_t *repro_run_edge_ptr(void) { return g_redge; }
-
-/* PackedProfile.value_at on the live range: the searchsorted-right
- * bisection, the covering piece's line height, then the two
- * touching-endpoint maxima. */
-static double live_value_at(const double *buf, int64_t cap,
-                            const int64_t *state, double y)
-{
-    int64_t beg = state[0], n = state[1] - beg, i;
-    const double *ya = buf + beg, *za = buf + cap + beg;
-    const double *yb = buf + 2 * cap + beg, *zb = buf + 3 * cap + beg;
-    double best = -INFINITY;
-    if (n == 0) return -INFINITY;
-    i = upper_bound(ya, n, y) - 1;
-    if (i >= 0) {
-        if (ya[i] <= y && y <= yb[i])
-            best = line_z(ya[i], za[i], yb[i], zb[i], y);
-        if (i >= 1 && yb[i - 1] == y && zb[i - 1] > best) best = zb[i - 1];
-    }
-    if (i + 1 < n && ya[i + 1] == y && za[i + 1] > best) best = za[i + 1];
-    return best;
-}
-
-/* VisibilityMap.add_edge_result for one part (a, b) of a non-vertical
- * segment, written to run row r: a zero-width part is its top point,
- * else ImageSegment.subsegment (range check, clamp with builtin
- * max/min, z_at at both ends).  Returns 0 when subsegment would raise. */
-static int clip_row(int64_t r, double a, double b, double y1, double z1,
-                    double y2, double z2, double clip_eps)
-{
-    if (a == b) {
-        double top = z1 >= z2 ? z1 : z2;
-        g_rya[r] = a; g_rza[r] = top;
-        g_ryb[r] = a; g_rzb[r] = top;
-        return 1;
-    }
-    if (a > b || a < y1 - clip_eps || b > y2 + clip_eps) return 0;
-    if (y1 > a) a = y1;
-    if (y2 < b) b = y2;
-    g_rya[r] = a; g_rza[r] = line_z(y1, z1, y2, z2, a);
-    g_ryb[r] = b; g_rzb[r] = line_z(y1, z1, y2, z2, b);
-    return 1;
-}
+#define R_ROWS   3  /* visible rows the last call left in L_ROWS      */
 
 /* Inserts [start, stop) of the front-to-back image lanes into the
  * live profile, each exactly as insert_segment_flat would: verticals
  * by the _visible_vertical_flat point query, the rest by fused_sweep
  * + commit_window.  Per insert i it adds the ops to acc[R_OPS], the
  * profile size to the acc[R_MAX] maximum, and the clipped visible
- * rows to the run scratch, with off[i - start + 1] = off[i - start]
- * + rows (the caller seeds off[0], so off has stop - start + 1 slots).
+ * rows to L_ROWS, with off[i - start + 1] = off[i - start] + rows
+ * (the caller seeds off[0], so off has stop - start + 1 slots).
  *
  * Returns the index it stopped at.  stop: every insert done
  * (acc[R_STATUS] = ST_DONE).  Otherwise acc[R_STATUS] says why:
  * ST_GROW -- insert i is fully accounted but its merged window (in
- * scratch, out[O_LO..O_MK]) still needs a reallocating commit;
+ * L_WIN, out[O_LO..O_MK]) still needs a reallocating commit;
  * ST_FALLBACK (a synthetic source or window, a part subsegment would
  * reject, scratch OOM) and ST_FAULT (commit post-condition) -- insert
  * i is untouched and unaccounted.  The caller resumes at i + 1. */
 int64_t repro_insert_run(
-    double *buf, int64_t cap, int64_t *state,
+    repro_ctx *ctx, double *buf, int64_t cap, int64_t *state,
     const double *y1, const double *z1, const double *y2,
     const double *z2, const int64_t *src, int64_t start, int64_t stop,
     double eps, double clip_eps, int64_t *off, int64_t *acc,
     int64_t *out)
 {
-    int64_t i, j, rows = 0, size;
+    lanes *R = &ctx->L[L_ROWS], *P = &ctx->L[L_PARTS];
+    int64_t i, j, size;
     int st = ST_DONE;
+    R->n = 0;
     for (i = start; i < stop; i++) {
         double a1 = y1[i], c1 = z1[i], a2 = y2[i], c2 = z2[i];
-        int64_t np = 0;
+        int64_t rows = R->n;
         if (a1 == a2) {
             double top = c1 >= c2 ? c1 : c2;
-            double zenv = live_value_at(buf, cap, state, a1);
+            view live = block_view(buf, cap, state[0], state[1] - state[0]);
+            double zenv = value_at(&live, a1);
             if (zenv == -INFINITY || top > zenv + eps) {
-                if (!ensure_rows(rows + 1)) { st = ST_FALLBACK; break; }
-                g_rya[rows] = a1; g_rza[rows] = top;
-                g_ryb[rows] = a1; g_rzb[rows] = top;
-                g_redge[rows] = src[i];
-                np = 1;
+                if (!reserve(ctx, L_ROWS, rows + 1)) {
+                    st = ST_FALLBACK;
+                    break;
+                }
+                push(R, a1, top, a1, top, src[i]);
             }
             acc[R_OPS] += 1;
         } else {
             if (src[i] < 0) { st = ST_FALLBACK; break; }
-            st = fused_sweep(buf, cap, state, a1, c1, a2, c2, src[i], eps,
-                             out);
+            st = fused_sweep(ctx, buf, cap, state, a1, c1, a2, c2, src[i],
+                             eps, out);
             if (st == ST_FALLBACK) break;
             if (st == ST_GROW) {
-                np = out[O_NPARTS];
-                if (!ensure_rows(rows + np)) { st = ST_FALLBACK; break; }
-                for (j = 0; j < np; j++) {
-                    if (!clip_row(rows + j, g_parts[2 * j],
-                                  g_parts[2 * j + 1], a1, c1, a2, c2,
-                                  clip_eps))
-                        break;
-                    g_redge[rows + j] = src[i];
+                if (!reserve(ctx, L_ROWS, rows + P->n)) {
+                    st = ST_FALLBACK;
+                    break;
                 }
-                if (j < np) { st = ST_FALLBACK; break; }
-                st = commit_window(buf, cap, state, out);
-                if (st == ST_FAULT) break;
+                for (j = 0; j < P->n; j++)
+                    if (!clip_row(R, P->d[0][j], P->d[1][j], a1, c1, a2, c2,
+                                  src[i], clip_eps))
+                        break;
+                if (j < P->n) {
+                    R->n = rows;
+                    st = ST_FALLBACK;
+                    break;
+                }
+                st = commit_window(ctx, buf, cap, state, out);
+                if (st == ST_FAULT) {
+                    R->n = rows;
+                    break;
+                }
             }
             acc[R_OPS] += out[O_TOTOPS];
         }
-        rows += np;
-        off[i - start + 1] = off[i - start] + np;
+        off[i - start + 1] = off[i - start] + (R->n - rows);
         size = state[1] - state[0];
         if (st == ST_GROW) size += out[O_MK] - (out[O_HI] - out[O_LO]);
         if (size > acc[R_MAX]) acc[R_MAX] = size;
@@ -750,8 +886,393 @@ int64_t repro_insert_run(
         st = ST_DONE;
     }
     acc[R_STATUS] = st;
-    acc[R_ROWS] = rows;
+    acc[R_ROWS] = R->n;
     return i;
+}
+
+/* ==== one PCT layer of merges (repro/hsr/pct.py, phase2.py) ======== */
+
+/* Modes of repro_merge_layer (mirrored in repro/envelope/_ccore.py). */
+#define MODE_PCT    1  /* Phase 1: full merges of two child profiles   */
+#define MODE_PHASE2 2  /* Phase 2: splice merges and leaf queries      */
+
+/* job[] and res[] row layouts. */
+#define J_KIND 0  /* 0: merge, 1: leaf                                 */
+#define J_AOFF 1  /* side a: offset, length                            */
+#define J_ALEN 2
+#define J_BOFF 3  /* side b: offset, length; a leaf's lane index       */
+#define J_BLEN 4
+#define J_W    5
+#define X_OPS   0  /* the job's ops                                    */
+#define X_CROSS 1  /* its crossing count                               */
+#define X_OFF   2  /* its output: profile rows, or a leaf's parts      */
+#define X_LEN   3
+#define X_W     4
+
+/* merge_envelopes(a, b): the union of the two endpoint streams, then
+ * one pass over its elementary intervals -- a covering piece per side,
+ * the eps signs at both ends, the a-wins-ties dominance and the flip
+ * at t = du / (du - dv) with its clamp -- through EnvelopeBuilder.
+ * An empty side returns the other verbatim (uncoalesced).  Appends to
+ * L_PROF (and the crossings to L_XING when `record`); the caller has
+ * reserved 4 (na + nb) + 1 pieces, 2 (na + nb) crossings and
+ * breakpoints.  Returns ops. */
+static int64_t merge_sweep(repro_ctx *ctx, const view *A, const view *B,
+                           double eps, int record, int64_t *ncross)
+{
+    lanes *O = &ctx->L[L_PROF], *X = &ctx->L[L_XING];
+    double *bnd = ctx->L[L_BND].d[0];
+    builder bl;
+    int64_t nx = 2 * A->n, ny = 2 * B->n, i = 0, j = 0, nb = 0, t;
+    int64_t ia = 0, ib = 0, ops = 0;
+
+    *ncross = 0;
+    if (A->n == 0) {
+        push_view(O, B, 0, B->n);
+        return B->n;
+    }
+    if (B->n == 0) {
+        push_view(O, A, 0, A->n);
+        return A->n;
+    }
+    /* envelope_breakpoints: each stream ya0, yb0, ya1, ... is sorted;
+     * a two-pointer merge keeps the first of equal values. */
+#define STREAM(V, k) (((k) & 1) ? (V)->yb[(k) >> 1] : (V)->ya[(k) >> 1])
+    while (i < nx && j < ny) {
+        double x = STREAM(A, i), y = STREAM(B, j);
+        if (x <= y) {
+            if (!nb || bnd[nb - 1] != x) bnd[nb++] = x;
+            i++;
+            if (x == y) j++;
+        } else {
+            if (!nb || bnd[nb - 1] != y) bnd[nb++] = y;
+            j++;
+        }
+    }
+    for (; i < nx; i++) {
+        double x = STREAM(A, i);
+        if (!nb || bnd[nb - 1] != x) bnd[nb++] = x;
+    }
+    for (; j < ny; j++) {
+        double y = STREAM(B, j);
+        if (!nb || bnd[nb - 1] != y) bnd[nb++] = y;
+    }
+#undef STREAM
+
+    bl.start = O->n;
+    bl.slope_ok = 0;
+    bl.slope = 0.0;
+    for (t = 0; t + 1 < nb; t++) {
+        double u = bnd[t], v = bnd[t + 1];
+        double pa_u, pa_v, pb_u, pb_v, du, dv;
+        int has_a, has_b, su, sv;
+        if (u >= v) continue;
+        ops++;
+        while (ia < A->n && A->yb[ia] <= u) ia++;
+        while (ib < B->n && B->yb[ib] <= u) ib++;
+        has_a = ia < A->n && A->ya[ia] <= u && v <= A->yb[ia];
+        has_b = ib < B->n && B->ya[ib] <= u && v <= B->yb[ib];
+        if (!has_a && !has_b) continue;
+        if (!has_b) {
+            b_add(O, &bl, u, line_z(A->ya[ia], A->za[ia], A->yb[ia],
+                                    A->zb[ia], u),
+                  v, line_z(A->ya[ia], A->za[ia], A->yb[ia], A->zb[ia], v),
+                  A->src[ia], eps);
+            continue;
+        }
+        if (!has_a) {
+            b_add(O, &bl, u, line_z(B->ya[ib], B->za[ib], B->yb[ib],
+                                    B->zb[ib], u),
+                  v, line_z(B->ya[ib], B->za[ib], B->yb[ib], B->zb[ib], v),
+                  B->src[ib], eps);
+            continue;
+        }
+        pa_u = line_z(A->ya[ia], A->za[ia], A->yb[ia], A->zb[ia], u);
+        pa_v = line_z(A->ya[ia], A->za[ia], A->yb[ia], A->zb[ia], v);
+        pb_u = line_z(B->ya[ib], B->za[ib], B->yb[ib], B->zb[ib], u);
+        pb_v = line_z(B->ya[ib], B->za[ib], B->yb[ib], B->zb[ib], v);
+        du = pa_u - pb_u;
+        dv = pa_v - pb_v;
+        su = fabs(du) <= eps ? 0 : (du > 0 ? 1 : -1);
+        sv = fabs(dv) <= eps ? 0 : (dv > 0 ? 1 : -1);
+        if (su >= 0 && sv >= 0) {
+            b_add(O, &bl, u, pa_u, v, pa_v, A->src[ia], eps);
+        } else if (su <= 0 && sv <= 0) {
+            /* Coincident pieces went to a above: a wins ties. */
+            b_add(O, &bl, u, pb_u, v, pb_v, B->src[ib], eps);
+        } else {
+            /* A transversal flip inside (u, v). */
+            double tt = du / (du - dv);
+            double w = u + tt * (v - u);
+            double zw, zw_b;
+            if (w <= u || w >= v) {
+                /* Numeric clamp: treat as one-sided. */
+                if (su > 0 || sv < 0)
+                    b_add(O, &bl, u, pa_u, v, pa_v, A->src[ia], eps);
+                else
+                    b_add(O, &bl, u, pb_u, v, pb_v, B->src[ib], eps);
+                continue;
+            }
+            zw = line_z(A->ya[ia], A->za[ia], A->yb[ia], A->zb[ia], w);
+            zw_b = line_z(B->ya[ib], B->za[ib], B->yb[ib], B->zb[ib], w);
+            if (su > 0) {
+                b_add(O, &bl, u, pa_u, w, zw, A->src[ia], eps);
+                b_add(O, &bl, w, zw_b, v, pb_v, B->src[ib], eps);
+            } else {
+                b_add(O, &bl, u, pb_u, w, zw_b, B->src[ib], eps);
+                b_add(O, &bl, w, zw, v, pa_v, A->src[ia], eps);
+            }
+            if (record) {
+                int64_t k = X->n;
+                X->d[0][k] = w;
+                X->d[1][k] = zw;
+                X->q[0][k] = su > 0 ? A->src[ia] : B->src[ib];
+                X->q[1][k] = su > 0 ? B->src[ib] : A->src[ia];
+                X->n = k + 1;
+                (*ncross)++;
+            }
+        }
+    }
+    return ops;
+}
+
+/* Reserve room for one merge of na + nb input pieces on top of
+ * `extra` pieces copied verbatim. */
+static int reserve_merge(repro_ctx *ctx, int64_t na, int64_t nb,
+                         int64_t extra)
+{
+    int64_t m = na + nb;
+    return reserve(ctx, L_PROF, ctx->L[L_PROF].n + extra + 4 * m + 1)
+        && reserve(ctx, L_XING, ctx->L[L_XING].n + 2 * m + 1)
+        && reserve(ctx, L_BND, 2 * m + 1);
+}
+
+/* visible_parts(seg, env): the parts of one segment strictly above the
+ * profile, appended to L_PARTS, its crossings to L_VX and its clipped
+ * rows to L_ROWS.  Returns ops, or -1 when a part would fail
+ * subsegment or check_visibility (nothing appended then). */
+static int64_t leaf_query(repro_ctx *ctx, const view *env, double y1,
+                          double z1, double y2, double z2, int64_t edge,
+                          double eps, double clip_eps, int64_t *ncross)
+{
+    lanes *P = &ctx->L[L_PARTS], *V = &ctx->L[L_VX], *R = &ctx->L[L_ROWS];
+    int64_t base = P->n, vbase = V->n, rbase = R->n;
+    int64_t lo, hi, idx, j, ops = 0;
+    double cursor = y1, lim_lo, lim_hi, prev;
+
+    *ncross = 0;
+    if (y1 == y2) {
+        /* _visible_vertical: the top endpoint against value_at. */
+        double top = z1 >= z2 ? z1 : z2;
+        double zenv = value_at(env, y1);
+        if (!reserve(ctx, L_PARTS, base + 1)
+            || !reserve(ctx, L_ROWS, rbase + 1))
+            return -2;
+        if (zenv == -INFINITY || top > zenv + eps) {
+            acc_add(P, base, y1, y1, eps);
+            push(R, y1, top, y1, top, edge);
+        }
+        return 1;
+    }
+    overlapping(env, y1, y2, &lo, &hi);
+    if (!reserve(ctx, L_PARTS, base + 2 * (hi - lo) + 2)
+        || !reserve(ctx, L_VX, vbase + (hi - lo) + 1)
+        || !reserve(ctx, L_ROWS, rbase + 2 * (hi - lo) + 2))
+        return -2;
+    for (idx = lo; idx < hi; idx++) {
+        double pya = env->ya[idx], pza = env->za[idx];
+        double pyb = env->yb[idx], pzb = env->zb[idx];
+        double gap_end = y2 < pya ? y2 : pya;
+        double u, v;
+        if (cursor < gap_end) {
+            acc_add(P, base, cursor, gap_end, eps);
+            ops++;
+        }
+        u = cursor;
+        if (pya > u) u = pya;
+        if (y1 > u) u = y1;
+        v = pyb;
+        if (y2 < v) v = y2;
+        if (u < v) {
+            double du, dv;
+            int su, sv;
+            ops++;
+            du = line_z(y1, z1, y2, z2, u) - line_z(pya, pza, pyb, pzb, u);
+            dv = line_z(y1, z1, y2, z2, v) - line_z(pya, pza, pyb, pzb, v);
+            su = fabs(du) <= eps ? 0 : (du > 0 ? 1 : -1);
+            sv = fabs(dv) <= eps ? 0 : (dv > 0 ? 1 : -1);
+            if (su >= 0 && sv >= 0 && (su > 0 || sv > 0)) {
+                acc_add(P, base, u, v, eps);
+            } else if (su <= 0 && sv <= 0) {
+                /* hidden (or coincident) throughout */
+            } else {
+                double t = du / (du - dv);
+                double w = u + t * (v - u);
+                w = u > w ? u : w;
+                w = v < w ? v : w;
+                if (su > 0)
+                    acc_add(P, base, u, w, eps);
+                else
+                    acc_add(P, base, w, v, eps);
+                if (u < w && w < v) {
+                    V->d[0][V->n] = w;
+                    V->d[1][V->n] = line_z(y1, z1, y2, z2, w);
+                    V->n++;
+                }
+            }
+            if (v > cursor) cursor = v;
+        } else if (gap_end > cursor) {
+            cursor = gap_end;
+        }
+    }
+    if (cursor < y2) {
+        acc_add(P, base, cursor, y2, eps);
+        ops++;
+    }
+    width_filter(P, base, eps);
+
+    /* check_visibility, then the clipped rows. */
+    lim_lo = (y1 <= y2 ? y1 : y2) - eps - 1e-9;
+    lim_hi = (y2 >= y1 ? y2 : y1) + eps + 1e-9;
+    prev = lim_lo;
+    for (j = base; j < P->n; j++) {
+        double a = P->d[0][j], b = P->d[1][j];
+        if (!(prev <= a && a <= b && b <= lim_hi)) goto BAD;
+        prev = b;
+        if (!clip_row(R, a, b, y1, z1, y2, z2, edge, clip_eps)) goto BAD;
+    }
+    for (j = vbase; j < V->n; j++) {
+        double w = V->d[0][j], z = V->d[1][j];
+        if (!(lim_lo <= w && w <= lim_hi) || z != z) goto BAD;
+    }
+    *ncross = V->n - vbase;
+    return ops < 1 ? 1 : ops;
+BAD:
+    P->n = base;
+    V->n = vbase;
+    R->n = rbase;
+    return -1;
+}
+
+/* One PCT layer in one call: nj independent jobs of J_W int64 each,
+ * answered in res[] (X_W each).
+ *
+ * MODE_PCT (build_pct): a merge job is merge_envelopes of pieces
+ * [aoff, aoff + alen) and [boff, boff + blen) of the child layer's
+ * (5, blk_cap) block, record_crossings as `record`; a leaf job emits
+ * the image segment at lane boff (none when vertical).  Every job's
+ * profile lands in L_PROF (emptied first) at res[X_OFF], res[X_LEN].
+ *
+ * MODE_PHASE2 (the direct mode): side a is an inherited profile in
+ * L_PROF itself, which is never emptied -- a run's profiles stay in
+ * it and later layers read them by offset.  A merge job is
+ * splice_merge: locate the window of a overlapping side b (pieces of
+ * blk, the left child's PCT profile), merge it with b, and append
+ * head + merged window + tail as a fresh profile (blen == 0: a is
+ * shared, res[X_OFF..X_LEN] is a itself).  A leaf job runs
+ * visible_parts of the segment at lane boff against a: its parts go
+ * to L_PARTS at res[X_OFF], res[X_LEN], one clipped row each to
+ * L_ROWS at the same index, and its crossings to L_VX.  L_PARTS,
+ * L_ROWS, L_VX and L_XING are emptied first.
+ *
+ * Returns ST_DONE; ST_FAULT when a merged window or a leaf's parts fail
+ * their post-condition (res[0] = the job); ST_FALLBACK on scratch
+ * OOM.  Either way the caller discards the whole call. */
+int64_t repro_merge_layer(
+    repro_ctx *ctx, int64_t mode, const double *blk, int64_t blk_cap,
+    const double *y1, const double *z1, const double *y2,
+    const double *z2, const int64_t *src, int64_t nj,
+    const int64_t *job, int64_t record, double eps, double clip_eps,
+    int64_t *res)
+{
+    lanes *O = &ctx->L[L_PROF];
+    int64_t j;
+    if (mode == MODE_PCT) O->n = 0;
+    ctx->L[L_XING].n = 0;
+    ctx->L[L_PARTS].n = 0;
+    ctx->L[L_ROWS].n = 0;
+    ctx->L[L_VX].n = 0;
+    for (j = 0; j < nj; j++) {
+        const int64_t *J = job + J_W * j;
+        int64_t *X = res + X_W * j;
+        int64_t aoff = J[J_AOFF], alen = J[J_ALEN];
+        int64_t boff = J[J_BOFF], blen = J[J_BLEN];
+        view a, b, win;
+        int64_t lo, hi, from, ops, nx;
+        if (J[J_KIND] == 1 && mode == MODE_PCT) {
+            /* Leaf: FlatEnvelope.from_segment. */
+            if (!reserve(ctx, L_PROF, O->n + 1)) return ST_FALLBACK;
+            X[X_OPS] = 1;
+            X[X_CROSS] = 0;
+            X[X_OFF] = O->n;
+            if (y1[boff] != y2[boff])
+                push(O, y1[boff], z1[boff], y2[boff], z2[boff], src[boff]);
+            X[X_LEN] = O->n - X[X_OFF];
+            continue;
+        }
+        if (J[J_KIND] == 1) {
+            /* Leaf: visible_parts against the inherited profile. */
+            a = lanes_view(O, aoff, alen);
+            X[X_OFF] = ctx->L[L_PARTS].n;
+            ops = leaf_query(ctx, &a, y1[boff], z1[boff], y2[boff],
+                             z2[boff], src[boff], eps, clip_eps, &nx);
+            if (ops == -2) return ST_FALLBACK;
+            if (ops < 0) {
+                res[0] = j;
+                return ST_FAULT;
+            }
+            X[X_OPS] = ops;
+            X[X_CROSS] = nx;
+            X[X_LEN] = ctx->L[L_PARTS].n - X[X_OFF];
+            continue;
+        }
+        b = block_view(blk, blk_cap, boff, blen);
+        if (mode == MODE_PCT) {
+            a = block_view(blk, blk_cap, aoff, alen);
+            if (!reserve_merge(ctx, alen, blen, 0)) return ST_FALLBACK;
+            from = O->n;
+            ops = merge_sweep(ctx, &a, &b, eps, (int)record, &nx);
+            if (!pieces_ok(O, from)) {
+                res[0] = j;
+                return ST_FAULT;
+            }
+            X[X_OPS] = ops;
+            X[X_CROSS] = nx;
+            X[X_OFF] = from;
+            X[X_LEN] = O->n - from;
+            continue;
+        }
+        if (blen == 0) {
+            /* Empty intermediate: the parent passes through shared. */
+            X[X_OPS] = 0;
+            X[X_CROSS] = 0;
+            X[X_OFF] = aoff;
+            X[X_LEN] = alen;
+            continue;
+        }
+        a = lanes_view(O, aoff, alen);
+        overlapping(&a, b.ya[0], b.yb[blen - 1], &lo, &hi);
+        if (!reserve_merge(ctx, hi - lo, blen, alen - (hi - lo)))
+            return ST_FALLBACK;
+        a = lanes_view(O, aoff, alen);  /* L_PROF may have moved */
+        win = a;
+        win.ya += lo; win.za += lo; win.yb += lo; win.zb += lo;
+        win.src += lo;
+        win.n = hi - lo;
+        X[X_OFF] = O->n;
+        push_view(O, &a, 0, lo);
+        from = O->n;
+        ops = merge_sweep(ctx, &win, &b, eps, (int)record, &nx);
+        if (!pieces_ok(O, from)) {
+            res[0] = j;
+            return ST_FAULT;
+        }
+        push_view(O, &a, hi, alen);
+        X[X_OPS] = ops;
+        X[X_CROSS] = nx;
+        X[X_LEN] = O->n - X[X_OFF];
+    }
+    return ST_DONE;
 }
 
 /* ==== front-to-back ordering (repro/ordering/sweep.py) ============== */

@@ -511,10 +511,12 @@ class InsertRun:
     summed ``ops``, the largest profile size seen (``max_profile``), and
     the clipped visible parts as CSR rows — insert ``i`` owns rows
     ``offsets[i]:offsets[i + 1]`` of the ``edge, ya, za, yb, zb`` lanes,
-    each row one :class:`~repro.hsr.result.VisibleSegment`."""
+    each row one :class:`~repro.hsr.result.VisibleSegment`.  ``core``
+    is the compiled-core handle the run borrows while it inserts."""
 
     __slots__ = (
-        "profile", "ops", "max_profile", "offsets", "edge", "ya", "za", "yb", "zb"
+        "profile", "ops", "max_profile", "offsets", "edge", "ya", "za", "yb", "zb",
+        "core",
     )
 
     def __init__(self, profile: PackedProfile):
@@ -527,6 +529,7 @@ class InsertRun:
         self.za: list[float] = []
         self.yb: list[float] = []
         self.zb: list[float] = []
+        self.core = None
 
     def add(self, seg: ImageSegment, res: FlatInsertResult) -> None:
         """Account one insert answered on a Python path."""
@@ -565,24 +568,30 @@ def _lane_segment(lanes, i: int) -> ImageSegment:
     )
 
 
-def _run_compiled(config) -> bool:
-    """Whether :func:`insert_run` may hand inserts to the compiled core:
-    it is built and the resolved compiled-insert toggle is on, no plan
-    at a site other than ``compiled_insert`` is armed,
-    ``REPRO_GUARD_CHECK_ALL`` is off, and neither insert guard site is
-    quarantined.  Otherwise every insert goes through
-    :func:`insert_segment_flat`, so injection and checks see the
-    per-insert boundaries of the numpy path."""
+def compiled_enabled(config, site: str, *sites: str) -> bool:
+    """Whether a compiled entry point guarded at ``site`` may run: the
+    core is built and the resolved compiled toggle is on, no plan is
+    armed except a ``raise`` plan at ``site`` (which the caller trips
+    per call), ``REPRO_GUARD_CHECK_ALL`` is off, and neither ``site``
+    nor any of the ``sites`` its fallback runs through is quarantined.
+    Otherwise the caller takes its numpy path, so injection and checks
+    see the boundaries of that path."""
     if not _ccore.HAVE_CCORE or _guard.GUARDED_CHECK_ALL:
         return False
-    if _fi.ARMED and _fi.armed_site() != "compiled_insert":
+    if _fi.ARMED and (_fi.armed_site() != site or _fi.armed_mode() != "raise"):
         return False
     if not (_ccore.COMPILED_DEFAULT if config is None else config.compiled_insert()):
         return False
-    return not _guard.ANY_QUARANTINED or not (
-        _guard.is_quarantined("compiled_insert")
-        or _guard.is_quarantined("fused_insert")
+    return not _guard.ANY_QUARANTINED or not any(
+        map(_guard.is_quarantined, (site,) + sites)
     )
+
+
+def _run_compiled(config) -> bool:
+    """Whether :func:`insert_run` may hand inserts to the compiled core
+    (see :func:`compiled_enabled`); otherwise every insert goes through
+    :func:`insert_segment_flat`."""
+    return compiled_enabled(config, "compiled_insert", "fused_insert")
 
 
 def _rerun_on_reference(run: InsertRun, lanes, i: int, eps: float, exc) -> None:
@@ -614,8 +623,16 @@ def insert_run(lanes, *, eps: float = EPS, config=None) -> InsertRun:
     covers one insert and trips the site first, so the plan counts
     inserts; a tripped insert is recovered the same way.
     """
-    n = len(lanes[4])
     run = InsertRun(PackedProfile.empty())
+    with _ccore.borrowed() as run.core:
+        _insert_chunks(run, lanes, eps, config)
+    run.core = None
+    return run
+
+
+def _insert_chunks(run: InsertRun, lanes, eps: float, config) -> None:
+    """The loop of :func:`insert_run` (see there)."""
+    n = len(lanes[4])
     i = 0
     while i < n:
         if not _run_compiled(config):
@@ -650,4 +667,3 @@ def insert_run(lanes, *, eps: float = EPS, config=None) -> InsertRun:
                 raise exc
             _rerun_on_reference(run, lanes, i, eps, exc)
             i += 1
-    return run

@@ -98,7 +98,6 @@ class ParallelHSR:
         returned result carries it in ``result.tracker``.
         """
         t0 = time.perf_counter()
-        image_segments = terrain.image_segments()
 
         if order is None:
             if tracker is not None:
@@ -118,6 +117,14 @@ class ParallelHSR:
         order = list(order)
 
         tree = SeparatorTree(order)
+        # The direct mode on the numpy engine projects straight into
+        # front-to-back image lanes, as SequentialHSR does; the other
+        # paths work on segment objects.
+        lanes = image_segments = None
+        if self.mode == "direct" and self.config.resolved_engine() == "numpy":
+            lanes = terrain.image_lanes(order)
+        else:
+            image_segments = terrain.image_segments()
 
         with reliability_run() as report:
             if tracker is not None:
@@ -130,6 +137,7 @@ class ParallelHSR:
                         measure_sharing=self.measure_sharing,
                         engine=self.engine,
                         config=self.config,
+                        lanes=lanes,
                     )
                 with tracker.phase("phase2"):
                     ph2 = run_phase2(
@@ -150,6 +158,7 @@ class ParallelHSR:
                     measure_sharing=self.measure_sharing,
                     engine=self.engine,
                     config=self.config,
+                    lanes=lanes,
                 )
                 ph2 = run_phase2(
                     pct,
@@ -162,9 +171,14 @@ class ParallelHSR:
                 )
 
         vmap = VisibilityMap()
-        for edge in order:
-            vis = ph2.visibility[edge]
-            vmap.add_edge_result(edge, image_segments[edge], vis)
+        if ph2.rows is not None:
+            vmap.add_rows(*ph2.rows)
+        else:
+            if image_segments is None:
+                image_segments = pct.image_segments()
+            for edge in order:
+                vis = ph2.visibility[edge]
+                vmap.add_edge_result(edge, image_segments[edge], vis)
 
         stats = HsrStats(
             n_edges=terrain.n_edges,

@@ -12,12 +12,15 @@ measures it (experiment E9 on the construction in isolation, E1 on
 the full pipeline).
 
 Because a layer's merges are independent, the NumPy engine
-(``engine="numpy"``, the default when NumPy is present) executes each
-layer as *one* batched array sweep over all of its merges
-(:func:`repro.envelope.flat.batch_merge`) instead of per-node Python
-sweeps, holding profiles as :class:`~repro.envelope.flat.FlatEnvelope`
-arrays and materialising :class:`Envelope` objects lazily on access.
-Results and PRAM charges are identical between engines.
+(``engine="numpy"``, the default when NumPy is present) runs each
+layer as *one* call: the compiled core's ``repro_merge_layer`` when it
+is on (:func:`repro.envelope._ccore.merge_layer`), else one batched
+array sweep (:func:`repro.envelope.flat.batch_merge`).  Either way a
+layer's profiles land in one CSR block — a ``(5, n)`` float64 array
+whose last row holds the int64 sources, plus per-node offsets and
+lengths — and :attr:`PCT.flat_envelopes` / :meth:`PCT.envelope_of`
+are lazy views over the blocks.  Results and PRAM charges are
+identical between engines.
 
 The PCT also exposes the Fig. 1 statistic: how many pieces of each
 intermediate profile are *shared* (geometrically identical) with a
@@ -27,7 +30,10 @@ visibility structure.
 
 from __future__ import annotations
 
+import bisect
 import math
+from collections.abc import Mapping
+from contextlib import nullcontext
 from typing import Optional, Sequence
 
 from repro.envelope.chain import Envelope
@@ -51,27 +57,134 @@ def _merge_task(
     return (res.envelope, res.ops, len(res.crossings))
 
 
+def level_spans(n: int) -> list:
+    """The ``(lo, hi)`` order ranges of every layer's nodes, root
+    first, as int64 arrays in node-index order — the shape
+    :class:`SeparatorTree` builds (split at ``(lo + hi) // 2``, children
+    left then right), computed without walking its nodes.  The
+    children of a layer's ``k``-th internal node are the next layer's
+    nodes ``2k`` and ``2k + 1``."""
+    import numpy as np
+
+    lo = np.zeros(1, np.int64)
+    hi = np.full(1, n, np.int64)
+    out = []
+    while len(lo):
+        out.append((lo, hi))
+        inner = hi - lo > 1
+        mid = (lo[inner] + hi[inner]) // 2
+        lo = np.stack([lo[inner], mid], axis=1).reshape(-1)
+        hi = np.stack([mid, hi[inner]], axis=1).reshape(-1)
+    return out
+
+
+def csr_index(starts, counts):
+    """The positions ``starts[i] + j`` for ``j < counts[i]``, ranges
+    concatenated in order — a gather index over CSR rows."""
+    import numpy as np
+
+    firsts = np.zeros(len(counts), np.int64)
+    np.cumsum(counts[:-1], out=firsts[1:])
+    return np.repeat(starts - firsts, counts) + np.arange(int(counts.sum()))
+
+
+def order_lanes(tree: SeparatorTree, image_segments: Sequence[ImageSegment]):
+    """``(y1, z1, y2, z2, source)`` numpy lanes of the leaves' image
+    segments in front-to-back order (lane ``i`` is
+    ``image_segments[tree.order[i]]``) — what
+    :meth:`repro.terrain.model.Terrain.image_lanes` gives for the
+    tree's order."""
+    import numpy as np
+
+    from repro.envelope.flat_splice import segment_lanes
+
+    segs = [image_segments[e] for e in tree.order]
+    return tuple(map(np.asarray, segment_lanes(segs)))
+
+
+class _FlatViews(Mapping):
+    """``node.index -> FlatEnvelope``: zero-copy views of the layer
+    blocks (empty while the PCT holds none), each made on first
+    access."""
+
+    def __init__(self, pct: "PCT"):
+        self._pct = pct
+        self._views: dict = {}
+
+    def __getitem__(self, index: int):
+        from repro.envelope.flat import FlatEnvelope
+
+        view = self._views.get(index)
+        if view is None:
+            found = self._pct._locate(index)
+            if found is None:
+                raise KeyError(index)
+            blk, off, ln, pos = found
+            a = int(off[pos])
+            b = a + int(ln[pos])
+            view = self._views[index] = FlatEnvelope(
+                blk[0, a:b], blk[1, a:b], blk[2, a:b], blk[3, a:b],
+                blk[4, a:b].view("int64"),
+            )
+        return view
+
+    def __iter__(self):
+        bases = self._pct._level_bases()
+        for d, layer in enumerate(self._pct.layers):
+            if layer is not None:
+                yield from range(bases[d], bases[d] + len(layer[1]))
+
+    def __len__(self) -> int:
+        return sum(len(layer[1]) for layer in self._pct.layers if layer)
+
+
 class PCT:
     """The profile computation tree: separator-tree shape + per-node
     intermediate profiles.
 
-    Profiles built by the NumPy engine are held as flat arrays and
-    converted to :class:`Envelope` lazily by :meth:`envelope_of`
-    (conversion is cached) — Phase 2 only ever touches the left-child
-    profiles, so half the tree typically never materialises.
+    The NumPy engine keeps a layer's profiles as one CSR block
+    (``layers[depth] = (block, offsets, lengths)``, nodes in index
+    order); :attr:`flat_envelopes` views them and :meth:`envelope_of`
+    converts to :class:`Envelope` lazily (conversion is cached) —
+    Phase 2 only ever touches the left-child profiles, so half the
+    tree typically never materialises.  The python engine fills
+    :attr:`envelopes` directly.
     """
 
     def __init__(self, tree: SeparatorTree):
         self.tree = tree
         #: node.index -> materialised intermediate profile.
         self.envelopes: dict[int, Envelope] = {}
-        #: node.index -> flat (array) profile, NumPy engine only.
-        self.flat_envelopes: dict[int, "object"] = {}
+        #: per layer (root first): ``(block, offsets, lengths)``, NumPy
+        #: engine only.
+        self.layers: list = [None] * tree.height
+        #: node.index -> flat (array) profile view, NumPy engine only.
+        self.flat_envelopes = _FlatViews(self)
+        #: the leaves' image lanes in front-to-back order, NumPy engine
+        #: only (see :func:`order_lanes`).
+        self.lanes = None
         #: total elementary merge operations performed in Phase 1.
         self.ops: int = 0
         #: per-layer (depth) sharing fraction: pieces of the layer's
         #: profiles identical to a piece of a child profile.
         self.layer_sharing: list[tuple[int, float]] = []
+        self._bases: Optional[list[int]] = None
+        self._segments: Optional[dict] = None
+
+    def _level_bases(self) -> list[int]:
+        """The first node index of every layer (and the node count)."""
+        if self._bases is None:
+            self._bases = [0]
+            for level in self.tree.levels():
+                self._bases.append(self._bases[-1] + len(level))
+        return self._bases
+
+    def _locate(self, index: int):
+        d = bisect.bisect_right(self._level_bases(), index) - 1
+        if not 0 <= d < len(self.layers) or self.layers[d] is None:
+            return None
+        blk, off, ln = self.layers[d]
+        return blk, off, ln, index - self._level_bases()[d]
 
     def envelope_of(self, node: SeparatorNode) -> Envelope:
         env = self.envelopes.get(node.index)
@@ -80,130 +193,66 @@ class PCT:
             self.envelopes[node.index] = env
         return env
 
+    def image_segments(self) -> dict[int, ImageSegment]:
+        """The leaves' image segments by edge, rebuilt once from
+        :attr:`lanes` — for the paths that need segment objects when
+        the caller projected lanes only."""
+        if self._segments is None:
+            rows = zip(*(lane.tolist() for lane in self.lanes))
+            self._segments = {row[4]: ImageSegment(*row) for row in rows}
+        return self._segments
+
     def total_profile_pieces(self) -> int:
         """Σ over nodes of intermediate-profile size — the storage a
         non-persistent representation must copy."""
-        total = sum(env.size for env in self.flat_envelopes.values())
-        total += sum(
-            env.size
-            for idx, env in self.envelopes.items()
-            if idx not in self.flat_envelopes
-        )
-        return total
+        if any(layer is not None for layer in self.layers):
+            return sum(int(layer[2].sum()) for layer in self.layers)
+        return sum(env.size for env in self.envelopes.values())
 
 
 def build_pct(
     tree: SeparatorTree,
-    image_segments: Sequence[ImageSegment],
+    image_segments: Optional[Sequence[ImageSegment]],
     *,
     eps: float = EPS,
     tracker: Optional[PramTracker] = None,
     measure_sharing: bool = False,
     engine: Optional[str] = None,
     config=None,
+    lanes=None,
 ) -> PCT:
     """Run Phase 1 over ``tree``.
 
-    ``image_segments[i]`` must be the image projection of the edge at
-    front-to-back position... precisely: leaf with order-range
-    ``[i, i+1)`` takes ``image_segments[tree.order[i]]``.
+    The leaf with order range ``[i, i+1)`` takes
+    ``image_segments[tree.order[i]]``.  The NumPy engine may be given
+    the leaves' ``lanes`` instead (front-to-back image lanes, see
+    :func:`order_lanes`; ``image_segments`` may then be ``None``).
 
     ``engine`` selects the merge kernel (see
-    :mod:`repro.envelope.engine`); the NumPy engine batches each layer
-    into one array sweep.  A ``config``
+    :mod:`repro.envelope.engine`); the NumPy engine runs each layer as
+    one compiled call or one batched array sweep, under the guard
+    site ``pct_merge``.  A ``config``
     (:class:`repro.config.HsrConfig`) with ``workers > 1`` splits each
     layer's batched sweep across the :mod:`repro.parallel_exec`
     process pool, bit-exact.
     """
-    use_batch = resolve_engine(engine) == "numpy"
-    use_pool = (
-        use_batch and config is not None and config.resolved_workers() > 1
-    )
     pct = PCT(tree)
+    if resolve_engine(engine) == "numpy":
+        from repro.envelope import _ccore
+        from repro.envelope.flat_splice import compiled_enabled
 
-    if use_batch:
-        from repro.envelope.flat import (
-            FlatEnvelope,
-            batch_merge,
-            stack_envelopes,
-        )
-
-    for level in tree.levels_bottom_up():
-        leaves = [node for node in level if node.is_leaf]
-        internals = [node for node in level if not node.is_leaf]
-
-        if leaves:
-            for node in leaves:
-                seg = image_segments[tree.order[node.lo]]
-                if use_batch:
-                    pct.flat_envelopes[node.index] = (
-                        FlatEnvelope.from_segment(seg)
-                    )
-                else:
-                    pct.envelopes[node.index] = Envelope.from_segment(seg)
-                pct.ops += 1
-            if tracker is not None:
-                # All leaf initialisations of a layer run concurrently.
-                with tracker.parallel() as par:
-                    for _ in leaves:
-                        par.spawn(1, 1)
-
-        if internals:
-            if use_batch:
-                lefts = stack_envelopes(
-                    [
-                        pct.flat_envelopes[node.left.index]  # type: ignore[union-attr]
-                        for node in internals
-                    ]
-                )
-                rights = stack_envelopes(
-                    [
-                        pct.flat_envelopes[node.right.index]  # type: ignore[union-attr]
-                        for node in internals
-                    ]
-                )
-                res = None
-                if use_pool:
-                    from repro.parallel_exec import maybe_batch_merge
-
-                    res = maybe_batch_merge(
-                        lefts,
-                        rights,
-                        eps=eps,
-                        record_crossings=False,
-                        config=config,
-                    )
-                if res is None:
-                    res = batch_merge(
-                        lefts, rights, eps=eps, record_crossings=False
-                    )
-                ops_list = res.ops.tolist()
-                for g, node in enumerate(internals):
-                    pct.flat_envelopes[node.index] = res.merged.group(g)
-                    pct.ops += ops_list[g]
-                if tracker is not None:
-                    with tracker.parallel() as par:
-                        for ops in ops_list:
-                            par.spawn(ops, max(1.0, math.log2(ops + 1)))
-            else:
-                results = [
-                    _merge_task(
-                        pct.envelopes[node.left.index],  # type: ignore[union-attr]
-                        pct.envelopes[node.right.index],  # type: ignore[union-attr]
-                        eps,
-                        engine,
-                    )
-                    for node in internals
-                ]
-                if tracker is not None:
-                    with tracker.parallel() as par:
-                        for (_env, ops, _nx) in results:
-                            par.spawn(ops, max(1.0, math.log2(ops + 1)))
-                for node, (env, ops, _nx) in zip(internals, results):
-                    pct.envelopes[node.index] = env
-                    pct.ops += ops
-
-        if measure_sharing and internals:
+        pct.lanes = order_lanes(tree, image_segments) if lanes is None else lanes
+        use_pool = config is not None and config.resolved_workers() > 1
+        compiled = not use_pool and compiled_enabled(config, "pct_merge")
+        with _ccore.borrowed() if compiled else nullcontext() as core:
+            _build_layers(pct, eps, tracker, config, use_pool, core)
+    else:
+        _build_python(pct, image_segments, eps, tracker, engine)
+    if measure_sharing:
+        for level in tree.levels_bottom_up():
+            internals = [node for node in level if not node.is_leaf]
+            if not internals:
+                continue
             shared = 0
             total = 0
             for node in internals:
@@ -218,5 +267,194 @@ def build_pct(
             pct.layer_sharing.append(
                 (depth, shared / total if total else 0.0)
             )
-
     return pct
+
+
+def _charge(tracker: Optional[PramTracker], n_leaves: int, ops_list) -> None:
+    """One layer's PRAM charges: the leaf initialisations in one
+    parallel region, then the merges in another."""
+    if tracker is None:
+        return
+    if n_leaves:
+        with tracker.parallel() as par:
+            for _ in range(n_leaves):
+                par.spawn(1, 1)
+    if ops_list:
+        with tracker.parallel() as par:
+            for ops in ops_list:
+                par.spawn(ops, max(1.0, math.log2(ops + 1)))
+
+
+def _build_python(pct: PCT, image_segments, eps, tracker, engine) -> None:
+    """Phase 1 on the scalar engine: a merge per node."""
+    tree = pct.tree
+    for level in tree.levels_bottom_up():
+        leaves = [node for node in level if node.is_leaf]
+        internals = [node for node in level if not node.is_leaf]
+        for node in leaves:
+            seg = image_segments[tree.order[node.lo]]
+            pct.envelopes[node.index] = Envelope.from_segment(seg)
+            pct.ops += 1
+        results = [
+            _merge_task(
+                pct.envelopes[node.left.index],  # type: ignore[union-attr]
+                pct.envelopes[node.right.index],  # type: ignore[union-attr]
+                eps,
+                engine,
+            )
+            for node in internals
+        ]
+        _charge(tracker, len(leaves), [ops for (_env, ops, _nx) in results])
+        for node, (env, ops, _nx) in zip(internals, results):
+            pct.envelopes[node.index] = env
+            pct.ops += ops
+
+
+def _build_layers(pct: PCT, eps: float, tracker, config, use_pool, core) -> None:
+    """Phase 1 on the NumPy engine, one call per layer (see the module
+    docstring): in the compiled core when ``core`` (the run's handle)
+    is given, else as one ``batch_merge``.  Each layer runs under the
+    ``pct_merge`` guard: the compiled layer falls back to that layer's
+    ``batch_merge``, and ``batch_merge`` to scalar merges — all three
+    fill the same CSR block."""
+    import numpy as np
+
+    from repro.envelope import _ccore
+    from repro.reliability import guard as _guard
+
+    lanes = pct.lanes
+    child = None
+    spans = level_spans(len(pct.tree.order))
+    for d in reversed(range(len(spans))):
+        lo, hi = spans[d]
+        leaf = hi - lo <= 1
+        inner = ~leaf
+        jobs = np.zeros((len(lo), 5), np.int64)
+        jobs[leaf, 0] = 1
+        jobs[leaf, 3] = lo[leaf]
+        if child is not None:
+            _blk, c_off, c_len = child
+            jobs[inner, 1] = c_off[0::2]
+            jobs[inner, 2] = c_len[0::2]
+            jobs[inner, 3] = c_off[1::2]
+            jobs[inner, 4] = c_len[1::2]
+
+        def batch(child=child, jobs=jobs, leaf=leaf):
+            return _batch_layer(child, jobs, leaf, lanes, eps, config, use_pool)
+
+        if core is not None:
+
+            def kernel(child=child, jobs=jobs):
+                res = _ccore.merge_layer(
+                    core, _ccore.MODE_PCT,
+                    None if child is None else child[0],
+                    lanes, jobs, eps, False,
+                )
+                return core.take(_ccore.L_PROF), res[:, 2].copy(), res[:, 3].copy(), res[:, 0]
+
+            blk, off, ln, ops = _guard.guarded_call("pct_merge", kernel, batch)
+        else:
+
+            def scalar(child=child, jobs=jobs, leaf=leaf):
+                return _scalar_layer(child, jobs, leaf, lanes, eps)
+
+            blk, off, ln, ops = _guard.guarded_call("pct_merge", batch, scalar)
+        pct.layers[d] = child = (blk, off, ln)
+        ops_list = ops[inner].tolist()
+        n_leaves = int(leaf.sum())
+        pct.ops += n_leaves + sum(ops_list)
+        _charge(tracker, n_leaves, ops_list)
+
+
+def _rows(child, off, ln):
+    """The pieces of the given ``(offset, length)`` rows of a layer
+    block, stacked (:func:`repro.envelope.flat.stack_envelopes` shape)."""
+    import numpy as np
+
+    from repro.envelope.flat import _Stacked
+
+    offsets = np.zeros(len(ln) + 1, np.int64)
+    np.cumsum(ln, out=offsets[1:])
+    idx = csr_index(off, ln)
+    blk = child[0]
+    return _Stacked(
+        blk[0, idx], blk[1, idx], blk[2, idx], blk[3, idx],
+        blk[4].view(np.int64)[idx], offsets,
+    )
+
+
+def _assemble(jobs, leaf, lanes, merged, counts):
+    """A layer block: each leaf's segment (none when vertical), then —
+    in node order — each internal node's pieces of ``merged`` (stacked
+    ``ya, za, yb, zb, source`` lanes, ``counts`` per node).  Returns
+    ``(block, offsets, lengths)``."""
+    import numpy as np
+
+    y1, z1, y2, z2, s = lanes
+    pos = jobs[leaf, 3]
+    ln = np.zeros(len(jobs), np.int64)
+    ln[leaf] = y1[pos] != y2[pos]
+    ln[~leaf] = counts
+    off = np.zeros(len(jobs), np.int64)
+    np.cumsum(ln[:-1], out=off[1:])
+    blk = np.empty((5, int(ln.sum())), np.float64)
+    iblk = blk[4].view(np.int64)
+    keep = ln[leaf] > 0
+    at, pos = off[leaf][keep], pos[keep]
+    blk[0, at], blk[1, at], blk[2, at], blk[3, at] = y1[pos], z1[pos], y2[pos], z2[pos]
+    iblk[at] = s[pos]
+    at = csr_index(off[~leaf], counts)
+    blk[0, at], blk[1, at] = merged.ya, merged.za
+    blk[2, at], blk[3, at] = merged.yb, merged.zb
+    iblk[at] = merged.source
+    return blk, off, ln
+
+
+def _batch_layer(child, jobs, leaf, lanes, eps, config, use_pool):
+    """One layer as one :func:`~repro.envelope.flat.batch_merge` (or
+    its pool split): ``(block, offsets, lengths, ops)``."""
+    import numpy as np
+
+    from repro.envelope.flat import FlatEnvelope, batch_merge
+
+    ops = np.ones(len(jobs), np.int64)
+    merged, counts = FlatEnvelope.empty(), np.zeros(0, np.int64)
+    if child is not None:  # else a layer of leaves only
+        inner = ~leaf
+        lefts = _rows(child, jobs[inner, 1], jobs[inner, 2])
+        rights = _rows(child, jobs[inner, 3], jobs[inner, 4])
+        res = None
+        if use_pool:
+            from repro.parallel_exec import maybe_batch_merge
+
+            res = maybe_batch_merge(
+                lefts, rights, eps=eps, record_crossings=False, config=config
+            )
+        if res is None:
+            res = batch_merge(lefts, rights, eps=eps, record_crossings=False)
+        merged, counts = res.merged, res.merged.counts()
+        ops[inner] = res.ops
+    return (*_assemble(jobs, leaf, lanes, merged, counts), ops)
+
+
+def _scalar_layer(child, jobs, leaf, lanes, eps):
+    """One layer as scalar :func:`~repro.envelope.merge.merge_envelopes`
+    calls — the reference the batched and compiled layers match."""
+    import numpy as np
+
+    from repro.envelope.flat import FlatEnvelope
+    from repro.envelope.merge import merge_envelopes
+
+    ops = np.ones(len(jobs), np.int64)
+    pieces = []
+    counts = []
+    for j in np.flatnonzero(~leaf).tolist():
+        row = jobs[j : j + 1]
+        a = _rows(child, row[:, 1], row[:, 2]).group(0).to_envelope()
+        b = _rows(child, row[:, 3], row[:, 4]).group(0).to_envelope()
+        res = merge_envelopes(a, b, eps=eps, record_crossings=False)
+        pieces += res.envelope.pieces
+        counts.append(res.envelope.size)
+        ops[j] = res.ops
+    merged = FlatEnvelope.from_pieces(pieces)
+    return (*_assemble(jobs, leaf, lanes, merged, np.array(counts, np.int64)), ops)

@@ -44,14 +44,16 @@ cost profile — experiment E11's ablation):
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.envelope.chain import Envelope, Piece
 from repro.envelope.engine import resolve_engine
 from repro.envelope.splice import splice_merge
-from repro.envelope.visibility import VisibilityResult, visible_parts
+from repro.envelope.visibility import VisibilityResult, VisiblePart, visible_parts
 from repro.errors import HsrError
 from repro.geometry.primitives import EPS
 from repro.geometry.segments import ImageSegment
@@ -93,11 +95,16 @@ class Phase2Result:
     nodes_allocated: int = 0
     #: direct mode: envelope pieces materialised (the copying cost).
     pieces_materialised: int = 0
+    #: compiled direct mode: every edge's clipped visible parts as
+    #: ``(edge, ya, za, yb, zb)`` lists in front-to-back order — the
+    #: rows of :meth:`repro.hsr.result.VisibilityMap.add_rows`; ``None``
+    #: when some leaf was answered on another path.
+    rows: Optional[tuple] = None
 
 
 def run_phase2(
     pct: PCT,
-    image_segments: Sequence[ImageSegment],
+    image_segments: Optional[Sequence[ImageSegment]],
     *,
     mode: str = "persistent",
     eps: float = EPS,
@@ -114,6 +121,8 @@ def run_phase2(
     A ``config`` (:class:`repro.config.HsrConfig`) with ``workers > 1``
     splits the ``direct`` mode's level merges across the
     :mod:`repro.parallel_exec` process pool, bit-exact.
+    ``image_segments`` may be ``None`` when the PCT holds the leaves'
+    lanes (:attr:`PCT.lanes`).
     """
     if mode not in PHASE2_MODES:
         raise HsrError(
@@ -123,6 +132,8 @@ def run_phase2(
         return _phase2_direct(
             pct, image_segments, eps, tracker, engine, config
         )
+    if image_segments is None:
+        image_segments = pct.image_segments()
     return _phase2_persistent_rope(
         pct,
         image_segments,
@@ -147,6 +158,20 @@ def _phase2_direct(
     config=None,
 ) -> Phase2Result:
     if resolve_engine(engine) == "numpy":
+        from repro.envelope import _ccore
+        from repro.envelope.flat_splice import compiled_enabled
+
+        if (
+            pct.layers[0] is not None
+            and (config is None or config.resolved_workers() <= 1)
+            and compiled_enabled(config, "phase2_merge")
+        ):
+            with _ccore.borrowed() as core:
+                return _phase2_direct_compiled(
+                    pct, image_segments, eps, tracker, config, core
+                )
+        if image_segments is None:
+            image_segments = pct.image_segments()
         return _phase2_direct_flat(pct, image_segments, eps, tracker, config)
     tree = pct.tree
     out = Phase2Result()
@@ -194,6 +219,10 @@ def _phase2_direct_flat(
     eps: float,
     tracker: Optional[PramTracker],
     config=None,
+    *,
+    start: int = 0,
+    inherited=None,
+    out: Optional[Phase2Result] = None,
 ) -> Phase2Result:
     """``direct`` mode on the NumPy kernel.
 
@@ -210,6 +239,10 @@ def _phase2_direct_flat(
     :func:`~repro.envelope.flat_visibility.batch_visible_parts` call
     over the stacked inherited profiles (one group per leaf); no
     profile is ever materialised back to piece tuples.
+
+    A compiled run that faults hands over here at layer ``start``,
+    with the layer's ``inherited`` profiles and the result so far in
+    ``out``.
     """
     import numpy as np
 
@@ -226,10 +259,9 @@ def _phase2_direct_flat(
         from repro.parallel_exec import maybe_batch_merge
 
     tree = pct.tree
-    out = Phase2Result()
-    inherited: dict[int, PackedProfile] = {
-        tree.root.index: PackedProfile.empty()
-    }
+    if out is None:
+        out = Phase2Result()
+        inherited = {tree.root.index: PackedProfile.empty()}
 
     def intermediate_flat(node) -> "object":
         flat = pct.flat_envelopes.get(node.index)
@@ -237,7 +269,7 @@ def _phase2_direct_flat(
             flat = FlatEnvelope.from_envelope(pct.envelope_of(node))
         return flat
 
-    for level in tree.levels():
+    for level in itertools.islice(tree.levels(), start, None):
         stats = LayerStats(depth=level[0].depth)
         par_ctx = tracker.parallel() if tracker is not None else None
         par = par_ctx.__enter__() if par_ctx is not None else None
@@ -406,6 +438,199 @@ def _phase2_direct_flat(
             par_ctx.__exit__(None, None, None)
         out.layers.append(stats)
     return out
+
+
+class _LeafResults(Mapping):
+    """``edge -> VisibilityResult`` over the compiled run's CSR leaf
+    lanes, each result built on first access.  Leaves iterate in
+    processing order (layer by layer), like the dict the other paths
+    fill."""
+
+    def __init__(self, edges, ops, nparts, ncross, parts, vx):
+        self._edges = edges
+        self._ops = ops
+        self._poff = [0, *itertools.accumulate(nparts)]
+        self._xoff = [0, *itertools.accumulate(ncross)]
+        self._parts = parts
+        self._vx = vx
+        self._index: Optional[dict] = None
+        self._built: dict[int, VisibilityResult] = {}
+
+    def __getitem__(self, edge: int) -> VisibilityResult:
+        vis = self._built.get(edge)
+        if vis is None:
+            if self._index is None:
+                self._index = {e: i for i, e in enumerate(self._edges)}
+            i = self._index[edge]
+            a, b = self._poff[i], self._poff[i + 1]
+            c, d = self._xoff[i], self._xoff[i + 1]
+            vis = VisibilityResult(
+                list(map(VisiblePart, self._parts[0, a:b].tolist(),
+                         self._parts[1, a:b].tolist())),
+                list(zip(self._vx[0, c:d].tolist(), self._vx[1, c:d].tolist())),
+                self._ops[i],
+            )
+            self._built[edge] = vis
+        return vis
+
+    def __iter__(self):
+        return iter(self._edges)
+
+    def __len__(self) -> int:
+        return len(self._edges)
+
+
+def _phase2_direct_compiled(
+    pct: PCT,
+    image_segments: Optional[Sequence[ImageSegment]],
+    eps: float,
+    tracker: Optional[PramTracker],
+    config,
+    core,
+) -> Phase2Result:
+    """``direct`` mode in the compiled core: one ``repro_merge_layer``
+    call per layer (:func:`repro.envelope._ccore.merge_layer`) does
+    every splice merge of the layer and every leaf's visibility query
+    and clipping, bit-exact with :func:`_phase2_direct_flat`.  The
+    inherited profiles stay in the context of ``core``, the run's
+    handle; Python builds only each layer's job array from the
+    previous layer's results and the PCT block of the layer below (the
+    left children's profiles).
+
+    Each call runs under the ``phase2_merge`` guard.  A fault hands the
+    rest of the run, from the faulting layer on, to
+    :func:`_phase2_direct_flat`.
+    """
+    import numpy as np
+
+    from repro.envelope import _ccore
+    from repro.hsr.pct import csr_index, level_spans
+
+    lanes = pct.lanes
+    out = Phase2Result()
+    inh_off = np.zeros(1, np.int64)
+    inh_len = np.zeros(1, np.int64)
+    leaves: list[tuple] = []  # per layer: (positions, res rows, parts, vx, rows)
+    for d, (lo, hi) in enumerate(level_spans(len(pct.tree.order))):
+        leaf = hi - lo <= 1
+        inner = ~leaf
+        jobs = np.zeros((len(lo), 5), np.int64)
+        jobs[:, 1] = inh_off
+        jobs[:, 2] = inh_len
+        jobs[leaf, 0] = 1
+        jobs[leaf, 3] = lo[leaf]
+        blk = None
+        if inner.any():
+            blk, c_off, c_len = pct.layers[d + 1]
+            jobs[inner, 3] = c_off[0::2]
+            jobs[inner, 4] = c_len[0::2]
+
+        def kernel(blk=blk, jobs=jobs):
+            return _ccore.merge_layer(
+                core, _ccore.MODE_PHASE2, blk, lanes, jobs, eps, True
+            )
+
+        res = _guard.guarded_call("phase2_merge", kernel, lambda: None)
+        if res is None:
+            return _hand_over(
+                pct, image_segments, eps, tracker, config, core, out,
+                leaves, d, inh_off, inh_len,
+            )
+        ops = res[:, 0]
+        merged = res[inner]
+        stats = LayerStats(
+            depth=d,
+            merges=len(merged),
+            ops=int(ops.sum()),
+            crossings=int(merged[:, 1].sum()),
+            inherited_pieces=int(inh_len.sum()),
+        )
+        out.ops += stats.ops
+        out.crossings += stats.crossings
+        out.pieces_materialised += int(merged[jobs[inner, 4] > 0, 3].sum())
+        if tracker is not None:
+            with tracker.parallel() as par:
+                for o in ops.tolist():
+                    par.spawn(o, _merge_depth(o))
+        out.layers.append(stats)
+        if len(merged) < len(res):
+            leaves.append((
+                lo[leaf], res[leaf], core.take(_ccore.L_PARTS),
+                core.take(_ccore.L_VX), core.take(_ccore.L_ROWS),
+            ))
+        # Left children share the parent's profile; right children get
+        # the merge result (the parent again when the merge was empty).
+        inh_off = np.stack([inh_off[inner], merged[:, 2]], axis=1).reshape(-1)
+        inh_len = np.stack([inh_len[inner], merged[:, 3]], axis=1).reshape(-1)
+
+    pos, res, parts, vx, rows = _stack_leaves(leaves)
+    edges = lanes[4][pos]
+    out.visibility = _LeafResults(
+        edges.tolist(), res[:, 0].tolist(), res[:, 3].tolist(),
+        res[:, 1].tolist(), parts, vx,
+    )
+    # The map rows in front-to-back order: leaf position order.
+    by_pos = np.argsort(pos)
+    starts = np.zeros(len(res), np.int64)
+    np.cumsum(res[:-1, 3], out=starts[1:])
+    idx = csr_index(starts[by_pos], res[by_pos, 3])
+    out.rows = (
+        rows[4].view(np.int64)[idx].tolist(),
+        *(rows[f, idx].tolist() for f in range(4)),
+    )
+    return out
+
+
+def _stack_leaves(leaves: list):
+    """Concatenate the per-layer leaf lanes of a compiled run."""
+    import numpy as np
+
+    return (
+        np.concatenate([lv[0] for lv in leaves]),
+        np.concatenate([lv[1] for lv in leaves]),
+        np.concatenate([lv[2] for lv in leaves], axis=1),
+        np.concatenate([lv[3] for lv in leaves], axis=1),
+        np.concatenate([lv[4] for lv in leaves], axis=1),
+    )
+
+
+def _hand_over(
+    pct, image_segments, eps, tracker, config, core, out, leaves, d,
+    inh_off, inh_len,
+) -> Phase2Result:
+    """Finish a compiled run on :func:`_phase2_direct_flat` from layer
+    ``d``: the leaf results so far become a plain dict, and layer
+    ``d``'s inherited profiles leave the core context as packed
+    profiles."""
+    from repro.envelope import _ccore
+    from repro.envelope.flat import FlatEnvelope
+    from repro.envelope.packed import PackedProfile
+
+    if leaves:
+        pos, res, parts, vx, _rows = _stack_leaves(leaves)
+        done = _LeafResults(
+            pct.lanes[4][pos].tolist(), res[:, 0].tolist(),
+            res[:, 3].tolist(), res[:, 1].tolist(), parts, vx,
+        )
+        out.visibility = dict(done.items())
+    arena = core.take(_ccore.L_PROF)
+    src = arena[4].view("int64")
+    inherited = {}
+    level = list(pct.tree.levels())[d]
+    for node, a, n in zip(level, inh_off.tolist(), inh_len.tolist()):
+        b = a + n
+        inherited[node.index] = PackedProfile.pack(
+            FlatEnvelope(
+                arena[0, a:b], arena[1, a:b], arena[2, a:b], arena[3, a:b],
+                src[a:b],
+            )
+        )
+    if image_segments is None:
+        image_segments = pct.image_segments()
+    return _phase2_direct_flat(
+        pct, image_segments, eps, tracker, config,
+        start=d, inherited=inherited, out=out,
+    )
 
 
 def _size_locate_cost(n: int) -> int:

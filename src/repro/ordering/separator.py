@@ -62,9 +62,18 @@ class SeparatorTree:
         if not order:
             raise OrderingError("separator tree over empty edge order")
         self.order: list[int] = list(order)
-        self.root = self._build(0, len(order), 0)
-        self._levels: list[list[SeparatorNode]] = []
-        self._assign_levels()
+        self._levels: Optional[list[list[SeparatorNode]]] = None
+
+    @property
+    def root(self) -> SeparatorNode:
+        return self._node_levels()[0][0]
+
+    def _node_levels(self) -> list[list[SeparatorNode]]:
+        """The node objects, layer by layer — built on first use, since
+        the array paths of Phases 1 and 2 never walk them."""
+        if self._levels is None:
+            self._levels = self._assign_levels(self._build(0, len(self.order), 0))
+        return self._levels
 
     def _build(self, lo: int, hi: int, depth: int) -> SeparatorNode:
         node = SeparatorNode(lo, hi, depth)
@@ -76,11 +85,13 @@ class SeparatorTree:
             node.right.parent = node
         return node
 
-    def _assign_levels(self) -> None:
-        frontier = [self.root]
+    @staticmethod
+    def _assign_levels(root: SeparatorNode) -> list[list[SeparatorNode]]:
+        levels = []
+        frontier = [root]
         idx = 0
         while frontier:
-            self._levels.append(frontier)
+            levels.append(frontier)
             nxt: list[SeparatorNode] = []
             for node in frontier:
                 node.index = idx
@@ -90,24 +101,26 @@ class SeparatorTree:
                 if node.right is not None:
                     nxt.append(node.right)
             frontier = nxt
+        return levels
 
     # -- traversal ------------------------------------------------------
 
     @property
     def height(self) -> int:
-        """Number of layers (root layer = 1)."""
-        return len(self._levels)
+        """Number of layers (root layer = 1): the larger half of a
+        split has ``ceil(n / 2)`` leaves, so ``ceil(log2 n) + 1``."""
+        return (len(self.order) - 1).bit_length() + 1
 
     def levels(self) -> Iterator[list[SeparatorNode]]:
         """Layers root-first — Phase 2's processing order."""
-        return iter(self._levels)
+        return iter(self._node_levels())
 
     def levels_bottom_up(self) -> Iterator[list[SeparatorNode]]:
         """Layers leaves-first — Phase 1's processing order."""
-        return reversed(self._levels)
+        return reversed(self._node_levels())
 
     def nodes(self) -> Iterator[SeparatorNode]:
-        for level in self._levels:
+        for level in self._node_levels():
             yield from level
 
     def leaves(self) -> list[SeparatorNode]:
@@ -124,7 +137,7 @@ class SeparatorTree:
         return len(self.order)
 
     def node_count(self) -> int:
-        return sum(len(level) for level in self._levels)
+        return sum(len(level) for level in self._node_levels())
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -67,6 +67,7 @@ SITES = (
     "packed_splice",
     "build_sweep",
     "parallel_exec",
+    "pct_merge",
     "phase2_merge",
     "phase2_visibility",
     "rope_splice",
@@ -149,6 +150,11 @@ def armed_site() -> Optional[str]:
     ``fused_insert`` armed it must stand aside or the injected
     boundary never runs."""
     return _PLAN.site if ARMED else None
+
+
+def armed_mode() -> Optional[str]:
+    """The armed plan's mode, or ``None`` when disarmed."""
+    return _PLAN.mode if ARMED else None
 
 
 @contextmanager

@@ -406,6 +406,21 @@ def bench_callables(
             )
             for label, c in configs.items()
         }
+    elif op == "parallel":
+        from repro.hsr.parallel import ParallelHSR
+
+        terrain = terrain_for(params)
+        mode = params.get("mode", "direct")
+        m = terrain.n_edges
+        env_size = ParallelHSR(mode=mode, config=configs[var_cfg["id"]]).run(
+            terrain
+        ).stats.k
+        fns = {
+            label: (
+                lambda c=c: ParallelHSR(mode=mode, config=c).run(terrain)
+            )
+            for label, c in configs.items()
+        }
     elif op == "flyover":
         from repro.hsr.sequential import SequentialHSR
 

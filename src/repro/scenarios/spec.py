@@ -33,7 +33,8 @@ Schema (see ``docs/SCENARIOS.md`` for the narrative version)::
           "cross":    {"<factor>": [level, ...], ...},
           "fixed":    {"<param>": value, ...},          # optional
           "configs":  [{"id": "...", <HsrConfig field>: ...}, ...],
-          "op":       "build" | "insert" | "run" | "flyover",  # bench
+          "op":       "build" | "insert" | "run" | "parallel"
+                      | "flyover",                       # bench
           "pinned":   [<m or n_edges level>, ...],      # perf gate
           "requires_ccore": true,                       # optional
         }
@@ -68,7 +69,7 @@ DEFAULT_SPEC_RESOURCE = "default_scenarios.json"
 
 _WORKLOADS = frozenset({"terrain", "segments", "dem-file", "flyover"})
 _ROLES = frozenset({"parity", "bench"})
-_OPS = frozenset({"build", "insert", "run", "flyover"})
+_OPS = frozenset({"build", "insert", "run", "parallel", "flyover"})
 _SCENARIO_KEYS = frozenset(
     {
         "workload",

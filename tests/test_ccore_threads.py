@@ -1,0 +1,63 @@
+"""The compiled core is reentrant: runs on several threads at once
+(cffi releases the GIL around every C call, so they really overlap)
+stay bit-exact against single-threaded runs.  Each run owns its core
+context (:class:`repro.envelope._ccore.Core`); nothing in the C side
+is static."""
+
+from __future__ import annotations
+
+import threading
+
+import pytest
+
+from repro.envelope import _ccore
+from repro.hsr.parallel import ParallelHSR
+from repro.hsr.sequential import SequentialHSR
+from repro.terrain.generators import fractal_terrain
+
+pytestmark = pytest.mark.skipif(
+    not _ccore.HAVE_CCORE,
+    reason="optional compiled core not built in this environment",
+)
+
+
+def _signature(res):
+    return (
+        res.visibility_map.segments,
+        res.k,
+        res.stats.ops,
+        res.stats.extra,
+        res.order,
+    )
+
+
+def test_threads_running_the_core_stay_bit_exact():
+    jobs = [
+        (SequentialHSR(), fractal_terrain(size=65, seed=3), 15),
+        (SequentialHSR(), fractal_terrain(size=65, seed=4), 15),
+        (ParallelHSR(mode="direct"), fractal_terrain(size=33, seed=3), 6),
+        (ParallelHSR(mode="direct"), fractal_terrain(size=33, seed=4), 6),
+    ]
+    refs = [_signature(hsr.run(terrain)) for hsr, terrain, _ in jobs]
+    results: list[list] = [[] for _ in jobs]
+    errors: list[BaseException] = []
+    start = threading.Barrier(len(jobs))
+
+    def work(i):
+        hsr, terrain, runs = jobs[i]
+        try:
+            start.wait()
+            for _ in range(runs):
+                results[i].append(_signature(hsr.run(terrain)))
+        except BaseException as exc:  # reported below, not lost in the thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert not errors, errors
+    for i, (ref, got) in enumerate(zip(refs, results)):
+        assert len(got) == jobs[i][2]
+        assert all(sig == ref for sig in got), f"thread {i} diverged"

@@ -1,0 +1,394 @@
+"""Tests for the compiled PCT layer kernel (``repro_merge_layer``).
+
+Contract under test: with the optional C extension built, Phase 1
+(``build_pct``) and Phase 2's ``direct`` mode run one compiled call per
+PCT layer, and are *bit-exact* against the scalar reference
+(``engine="python"``): the same pieces, ``ops`` and crossings per
+merge; the same visible parts, crossings and ``ops`` per leaf; and the
+same visibility map, ``k``, ``stats.ops``, ``stats.extra`` and layer
+stats per run.  ``persistent`` and ``acg`` read the CSR-backed PCT and
+stay bit-identical.  A post-condition fault (``ST_FAULT``) or an
+injected ``raise`` plan at ``pct_merge`` / ``phase2_merge`` recovers
+through the guard, bit-exactly.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.config import HsrConfig
+from repro.envelope import _ccore
+from repro.envelope.build import build_envelope
+from repro.envelope.chain import Envelope, Piece
+from repro.envelope.flat_splice import segment_lanes
+from repro.envelope.merge import merge_envelopes
+from repro.envelope.splice import splice_merge
+from repro.envelope.visibility import visible_parts
+from repro.geometry.segments import ImageSegment
+from repro.hsr.parallel import ParallelHSR
+from repro.hsr.pct import build_pct, level_spans
+from repro.hsr.phase2 import run_phase2
+from repro.ordering.separator import SeparatorTree
+from repro.ordering.sweep import front_to_back_order
+from repro.pram.tracker import PramTracker
+from repro.reliability import faultinject as fi
+from repro.reliability import guard
+from repro.scenarios.instances import terrain_for
+
+needs_ccore = pytest.mark.skipif(
+    not _ccore.HAVE_CCORE,
+    reason="optional compiled core not built in this environment",
+)
+
+PYTHON = HsrConfig(engine="python")
+COMPILED = HsrConfig(engine="numpy", use_compiled_insert=True)
+NUMPY = HsrConfig(engine="numpy", use_compiled_insert=False)
+
+
+@pytest.fixture(autouse=True)
+def _clean_state(monkeypatch):
+    fi.clear()
+    guard.reset_ambient()
+    monkeypatch.setattr(guard, "GUARDED_DISPATCH", True)
+    yield
+    fi.clear()
+    guard.reset_ambient()
+
+
+# -- the kernel against the scalar sweeps ----------------------------------
+
+#: Coordinates on a coarse grid, so breakpoints are shared and heights
+#: tie, plus small offsets that land within or just past eps.
+_coord = st.one_of(
+    st.integers(0, 8).map(float),
+    st.floats(0.0, 8.0, allow_nan=False, width=32),
+)
+_nudge = st.sampled_from([0.0, 0.0, 5e-10, -5e-10, 2e-9, -2e-9])
+
+
+@st.composite
+def _segment(draw, source):
+    y = draw(_coord)
+    w = draw(st.one_of(st.just(0.0), st.integers(1, 4).map(float), _coord))
+    za = draw(_coord) + draw(_nudge)
+    zb = draw(_coord) + draw(_nudge)
+    src = draw(st.sampled_from([source, source, -1]))
+    return ImageSegment(y, za, y + w, zb, src)
+
+
+@st.composite
+def _envelope(draw, base):
+    """A valid envelope (empty, or the python build of a few segments,
+    vertical ones included — they contribute nothing)."""
+    n = draw(st.integers(0, 6))
+    segs = [draw(_segment(base + i)) for i in range(n)]
+    if not segs:
+        return Envelope.empty()
+    return build_envelope(segs, engine="python").envelope
+
+
+def _block(*envs):
+    """A ``(5, n)`` layer block holding ``envs`` back to back, and the
+    offset of each."""
+    pieces = [p for e in envs for p in e.pieces]
+    blk = np.empty((5, max(1, len(pieces))))
+    for k, p in enumerate(pieces):
+        blk[:4, k] = p[:4]
+        blk[4].view(np.int64)[k] = p.source
+    offs = np.cumsum([0] + [e.size for e in envs])
+    return blk, offs.tolist()
+
+
+def _pieces(lanes_, a, n):
+    src = lanes_[4].view(np.int64)
+    return [
+        Piece(*(float(lanes_[f, k]) for f in range(4)), int(src[k]))
+        for k in range(a, a + n)
+    ]
+
+
+def _crossings(core, a, n):
+    x = core.take(_ccore.L_XING)
+    q = x[2:].view(np.int64)
+    return [
+        (float(x[0, k]), float(x[1, k]), int(q[0, k]), int(q[1, k]))
+        for k in range(a, a + n)
+    ]
+
+
+_NO_LANES = segment_lanes([ImageSegment(0.0, 0.0, 1.0, 0.0, 0)])
+
+
+@needs_ccore
+@settings(max_examples=300, deadline=None)
+@given(
+    a=_envelope(0),
+    b=_envelope(100),
+    eps=st.sampled_from([1e-9, 0.0, 1e-3]),
+)
+def test_merge_sweep_matches_merge_envelopes(a, b, eps):
+    core = _ccore.Core()
+    blk, (oa, ob, _) = _block(a, b)
+    jobs = np.array([[0, oa, a.size, ob, b.size]], np.int64)
+    res = _ccore.merge_layer(core, _ccore.MODE_PCT, blk, _NO_LANES, jobs, eps, True)
+    ref = merge_envelopes(a, b, eps=eps)
+    ops, ncross, off, n = res[0].tolist()
+    assert _pieces(core.take(_ccore.L_PROF), off, n) == ref.envelope.pieces
+    assert ops == ref.ops
+    assert _crossings(core, 0, ncross) == [tuple(c) for c in ref.crossings]
+
+
+@needs_ccore
+@settings(max_examples=200, deadline=None)
+@given(
+    env=_envelope(0),
+    other=_envelope(100),
+    segs=st.lists(_segment(200), min_size=1, max_size=4),
+    eps=st.sampled_from([1e-9, 0.0, 1e-3]),
+)
+def test_phase2_mode_matches_splice_merge_and_visible_parts(env, other, segs, eps):
+    """A Phase-2 call reads its inherited profile from the context: a
+    first call loads ``env`` there (a merge into the empty profile
+    copies it verbatim), a second splices ``other`` into it and queries
+    each segment against it."""
+    core = _ccore.Core()
+    lanes = segment_lanes(segs)
+    blk, _ = _block(env)
+    load = np.array([[0, 0, 0, 0, env.size]], np.int64)
+    res = _ccore.merge_layer(core, _ccore.MODE_PHASE2, blk, lanes, load, eps, True)
+    _, _, at, n = res[0].tolist()
+    assert n == env.size
+    blk, _ = _block(other)
+    jobs = np.array(
+        [[0, at, n, 0, other.size]] + [[1, at, n, i, 0] for i in range(len(segs))],
+        np.int64,
+    )
+    res = _ccore.merge_layer(core, _ccore.MODE_PHASE2, blk, lanes, jobs, eps, True)
+
+    ref = splice_merge(env, other, eps=eps, engine="python")
+    ops, ncross, off, size = res[0].tolist()
+    got = _pieces(core.take(_ccore.L_PROF), off, size)
+    assert got == ref.envelope.pieces
+    assert (ops, ncross) == (ref.ops, len(ref.crossings))
+    assert _crossings(core, 0, ncross) == [tuple(c) for c in ref.crossings]
+    assert size == (ref.materialised or env.size)
+
+    parts = core.take(_ccore.L_PARTS)
+    vx = core.take(_ccore.L_VX)
+    rows = core.take(_ccore.L_ROWS)
+    x = 0
+    for seg, (ops, ncross, p, np_) in zip(segs, res[1:].tolist()):
+        vis = visible_parts(seg, env, eps=eps)
+        assert ops == vis.ops
+        assert list(zip(parts[0, p:p + np_].tolist(), parts[1, p:p + np_].tolist())) == [
+            tuple(part) for part in vis.parts
+        ]
+        assert list(zip(vx[0, x:x + ncross].tolist(), vx[1, x:x + ncross].tolist())) == (
+            vis.crossings
+        )
+        x += ncross
+        clipped = [tuple(seg.visible_piece(q.ya, q.yb)) for q in vis.parts]
+        assert [tuple(rows[:4, k].tolist()) for k in range(p, p + np_)] == clipped
+        assert rows[4, p:p + np_].view(np.int64).tolist() == [seg.source] * np_
+
+
+@needs_ccore
+def test_nan_window_faults():
+    bad = Envelope([Piece(0.0, math.nan, 2.0, 1.0, 0)])
+    other = Envelope([Piece(1.0, 0.0, 3.0, 0.0, 1)])
+    blk, (oa, ob, _) = _block(bad, other)
+    jobs = np.array([[0, oa, 1, ob, 1]], np.int64)
+    with pytest.raises(_ccore.CCoreFault):
+        _ccore.merge_layer(_ccore.Core(), _ccore.MODE_PCT, blk, _NO_LANES, jobs, 1e-9, False)
+
+
+# -- whole runs ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 100, 1025])
+def test_level_spans_match_the_tree_nodes(n):
+    """The layer arrays both phases index with describe the nodes
+    :class:`SeparatorTree` builds, and its height needs no nodes."""
+    tree = SeparatorTree(list(range(n)))
+    levels = list(tree.levels())
+    assert tree.height == len(levels) == len(level_spans(n))
+    for (lo, hi), level in zip(level_spans(n), levels):
+        assert lo.tolist() == [node.lo for node in level]
+        assert hi.tolist() == [node.hi for node in level]
+
+
+def _run_signature(res):
+    ph2 = res.phase2
+    return (
+        res.visibility_map.segments,
+        res.k,
+        res.stats.ops,
+        res.stats.extra,
+        ph2.layers,
+        {e: (v.parts, v.crossings, v.ops) for e, v in ph2.visibility.items()},
+        list(ph2.visibility),
+    )
+
+
+def _terrain(family, size):
+    return terrain_for(
+        dict(family=family, size=size, seed=23, observer=0.0, occlusion=1.2)
+    )
+
+
+CASES = [
+    (family, size)
+    for family in ("fractal", "valley", "shielded_basin")
+    for size in (9, 17, 33)
+]
+
+
+@needs_ccore
+@pytest.mark.parametrize("family,size", CASES, ids=[f"{f}-{s}" for f, s in CASES])
+def test_direct_bit_exact_against_python(family, size, monkeypatch):
+    terrain = _terrain(family, size)
+    order = front_to_back_order(terrain)
+    calls = []
+    real = _ccore.merge_layer
+    monkeypatch.setattr(
+        _ccore, "merge_layer", lambda core, mode, *a: calls.append(mode) or real(core, mode, *a)
+    )
+    ta, tb = PramTracker(), PramTracker()
+    got = ParallelHSR(mode="direct", config=COMPILED).run(terrain, order=order, tracker=ta)
+    ref = ParallelHSR(mode="direct", config=PYTHON).run(terrain, order=order, tracker=tb)
+    tree = SeparatorTree(order)
+    # One call per layer in each phase; every leaf answered in C.
+    assert calls == [_ccore.MODE_PCT] * tree.height + [_ccore.MODE_PHASE2] * tree.height
+    assert got.phase2.rows is not None
+    assert _run_signature(got) == _run_signature(ref)
+    assert got.phase2.crossings == ref.phase2.crossings
+    assert (ta.work, ta.depth) == (tb.work, tb.depth)
+    assert not got.reliability.degraded
+
+
+@needs_ccore
+@pytest.mark.parametrize("size", [9, 33])
+def test_compiled_pct_matches_batched_pct(size):
+    terrain = _terrain("fractal", size)
+    tree = SeparatorTree(front_to_back_order(terrain))
+    segs = terrain.image_segments()
+    a = build_pct(tree, segs, config=COMPILED)
+    b = build_pct(tree, segs, config=NUMPY)
+    c = build_pct(tree, segs, engine="python")
+    assert a.ops == b.ops == c.ops
+    assert a.total_profile_pieces() == b.total_profile_pieces() == c.total_profile_pieces()
+    for node in tree.nodes():
+        assert a.envelope_of(node).pieces == c.envelope_of(node).pieces
+    for (ba, oa, la), (bb, ob, lb) in zip(a.layers, b.layers):
+        assert (oa.tolist(), la.tolist()) == (ob.tolist(), lb.tolist())
+        assert ba.tobytes() == bb.tobytes()
+
+
+@needs_ccore
+@pytest.mark.parametrize("mode", ["persistent", "acg"])
+def test_rope_modes_read_the_csr_pct_bit_identically(mode):
+    terrain = _terrain("fractal", 17)
+    tree = SeparatorTree(front_to_back_order(terrain))
+    segs = terrain.image_segments()
+    outs = []
+    for cfg in (COMPILED, PYTHON):
+        pct = build_pct(tree, segs, engine=cfg.engine, config=cfg)
+        ph2 = run_phase2(pct, segs, mode=mode, engine=cfg.engine, config=cfg)
+        outs.append(
+            (
+                ph2.ops,
+                ph2.crossings,
+                ph2.nodes_allocated,
+                ph2.layers,
+                {e: tuple(v) for e, v in ph2.visibility.items()},
+            )
+        )
+    assert outs[0] == outs[1]
+
+
+# -- guard recovery -------------------------------------------------------------
+
+
+class _FaultingLib:
+    """``_ccore.lib`` with ``repro_merge_layer`` answering ``ST_FAULT``
+    on its ``nth`` call in ``mode`` — a post-condition failure."""
+
+    def __init__(self, lib, mode, nth):
+        self._lib = lib
+        self._mode = mode
+        self._left = nth
+
+    def __getattr__(self, name):
+        return getattr(self._lib, name)
+
+    def repro_merge_layer(self, ctx, mode, *args):
+        if mode == self._mode:
+            self._left -= 1
+            if self._left == 0:
+                return _ccore.ST_FAULT
+        return self._lib.repro_merge_layer(ctx, mode, *args)
+
+
+def _assert_recovered(terrain, site):
+    order = front_to_back_order(terrain)
+    got = ParallelHSR(mode="direct", config=COMPILED).run(terrain, order=order)
+    with fi.suppressed():
+        ref = ParallelHSR(mode="direct", config=PYTHON).run(terrain, order=order)
+    assert _run_signature(got) == _run_signature(ref)
+    assert got.reliability.sites[site].count == 1
+
+
+@needs_ccore
+@pytest.mark.parametrize(
+    "mode,site",
+    [(_ccore.MODE_PCT, "pct_merge"), (_ccore.MODE_PHASE2, "phase2_merge")],
+    ids=["pct", "phase2"],
+)
+@pytest.mark.parametrize("nth", [1, 2, 5])
+def test_kernel_fault_recovers_bit_exact(mode, site, nth, monkeypatch):
+    monkeypatch.setattr(_ccore, "lib", _FaultingLib(_ccore.lib, mode, nth))
+    _assert_recovered(_terrain("fractal", 17), site)
+
+
+@needs_ccore
+@pytest.mark.parametrize("site", ["pct_merge", "phase2_merge"])
+def test_raise_plan_recovers_bit_exact(site, monkeypatch):
+    calls = []
+    real = _ccore.merge_layer
+    monkeypatch.setattr(
+        _ccore, "merge_layer", lambda *a: calls.append(a[1]) or real(*a)
+    )
+    with fi.inject(site, "raise", nth=2) as plan:
+        _assert_recovered(_terrain("valley", 17), site)
+    assert plan.fired == 1
+    assert calls  # the kernel ran on the other layers
+
+
+@needs_ccore
+def test_kernel_fault_strict_mode_raises(monkeypatch):
+    from repro.errors import KernelFault
+
+    monkeypatch.setattr(guard, "GUARDED_DISPATCH", False)
+    monkeypatch.setattr(_ccore, "lib", _FaultingLib(_ccore.lib, _ccore.MODE_PHASE2, 2))
+    with pytest.raises(KernelFault) as exc:
+        ParallelHSR(mode="direct", config=COMPILED).run(_terrain("fractal", 9))
+    assert exc.value.site == "phase2_merge"
+
+
+def test_core_off_takes_the_numpy_layers(monkeypatch):
+    """Without the core (or with it switched off) both phases run the
+    batched numpy layers, with the same results."""
+    calls = []
+    monkeypatch.setattr(_ccore, "merge_layer", lambda *a: calls.append(a))
+    terrain = _terrain("fractal", 9)
+    order = front_to_back_order(terrain)
+    got = ParallelHSR(mode="direct", config=NUMPY).run(terrain, order=order)
+    ref = ParallelHSR(mode="direct", config=PYTHON).run(terrain, order=order)
+    assert not calls
+    assert got.phase2.rows is None
+    assert _run_signature(got) == _run_signature(ref)

@@ -362,6 +362,7 @@ _SITE_PATHS = {
     "packed_splice": ("raise", _run_sequential),
     "build_sweep": ("raise", _run_build),
     "parallel_exec": ("raise", _run_parallel_build),
+    "pct_merge": ("raise", _run_direct),
     "phase2_merge": ("raise", _run_direct),
     "phase2_visibility": ("raise", _run_direct),
     "rope_splice": ("raise", _run_persistent),

@@ -122,7 +122,9 @@ class TestMaterialisers:
             flyover_terrains({"family": "fractal", "frames": 0})
 
 
-def _mini_bench_spec(m=48, pinned=None, requires_ccore=False):
+def _mini_bench_spec(
+    m=48, pinned=None, requires_ccore=False, op="insert", family="wide-strip"
+):
     return ScenarioSpec.from_data(
         {
             "format": "repro-scenarios",
@@ -130,10 +132,10 @@ def _mini_bench_spec(m=48, pinned=None, requires_ccore=False):
                 "gate-demo": {
                     "workload": "segments",
                     "roles": ["bench"],
-                    "op": "insert",
+                    "op": op,
                     "requires_ccore": requires_ccore,
                     "cross": {
-                        "family": ["wide-strip"],
+                        "family": [family],
                         "m": [m],
                         "seed": [29],
                     },
@@ -242,10 +244,14 @@ class TestPerfGate:
         # Self-recorded baseline: time the pinned row for real, then
         # run the gate with the canary's injected regression (variant
         # config replaced by the baseline config).  The fresh ratio
-        # drops to ~1x, far below the measured floor.
+        # drops to ~1x, far below the measured floor.  The workload is
+        # the D&C build, whose numpy margin (~4x at m=1024) does not
+        # depend on the compiled core: the insert loop's margin
+        # without the core (~1.4x at m=512) sat so close to the 1.3
+        # check and the 15% floor that timing noise failed the test.
         from repro.bench.envelope_bench import _time_interleaved
 
-        spec = _mini_bench_spec(m=512)
+        spec = _mini_bench_spec(m=1024, op="build", family="e9")
         [(scenario, inst)] = spec.pinned_rows()
         fns, m, _ = bench_callables(scenario, inst)
         best = _time_interleaved(fns, 3)
@@ -307,9 +313,9 @@ class TestPerfGate:
     def test_default_spec_pinned_rows_recorded(self):
         # The shipped BENCH_envelope.json must contain every pinned
         # row of the shipped spec — otherwise CI's gate would die with
-        # a config error instead of gating.  (Both pinned scenarios
-        # are segment workloads, where the recorded m is the declared
-        # m factor.)
+        # a config error instead of gating.  (A segment workload's
+        # recorded m is its declared m factor; a terrain's is its edge
+        # count, which only materialising the instance tells.)
         from pathlib import Path
 
         rows = json.loads(Path("BENCH_envelope.json").read_text())["rows"]
@@ -317,7 +323,7 @@ class TestPerfGate:
         pinned = SPEC.pinned_rows()
         assert pinned
         for scenario, inst in pinned:
-            assert (
-                f"scenario:{scenario.name}",
-                inst.factor("m"),
-            ) in keys
+            m = inst.factor("m")
+            if m is None:
+                m = bench_callables(scenario, inst)[1]
+            assert (f"scenario:{scenario.name}", m) in keys

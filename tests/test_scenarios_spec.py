@@ -96,9 +96,10 @@ class TestDefaultSpec:
             "bench-build-e9",
             "bench-insert-e9",
             "bench-insert-wide",
+            "bench-paper-direct",
         }
         for s, inst in pinned:
-            assert inst.factor("m") in s.pinned
+            assert inst.factor("m", inst.factor("size")) in s.pinned
 
     def test_bench_scenarios_have_two_configs(self):
         for s in default_spec().by_role("bench"):
