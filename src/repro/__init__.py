@@ -34,7 +34,7 @@ Subpackages
 ``repro.envelope``       upper-profile algebra
 ``repro.persistence``    persistent chunked-rope profile store
 ``repro.pram``           simulated CREW PRAM (work/depth, scheduling)
-``repro.parallel_exec``  real multi-core build/merge execution (shared memory)
+``repro.parallel_exec``  real multi-core D&C envelope builds (shared memory)
 ``repro.terrain``        TIN model, generators, triangulation, DEM, I/O
 ``repro.ordering``       front-to-back ordering & separator tree
 ``repro.hsr``            the paper's algorithm + baselines

@@ -23,9 +23,11 @@ default-constructed ``HsrConfig()`` changes nothing.  A field that
 without mutating any process-wide state: two sessions with different
 configs can interleave safely.
 
-``workers`` selects real multi-process execution
-(:mod:`repro.parallel_exec`): ``1`` (default) stays in-process,
-``N > 1`` dispatches independent D&C merge groups to a process pool,
+``workers`` selects real multi-process execution of the D&C envelope
+build (:mod:`repro.parallel_exec`, used by
+:func:`~repro.envelope.build.build_envelope` and
+:class:`~repro.service.ViewshedSession`): ``1`` (default) stays
+in-process, ``N > 1`` builds the subtrees in a process pool,
 ``"auto"`` asks :func:`repro.parallel_exec.available_workers` (which
 honours ``REPRO_WORKERS``, the one environment override retained —
 documented in ``docs/API.md``).
@@ -54,9 +56,11 @@ class HsrConfig:
     eps:
         Geometric tolerance shared by every predicate.
     workers:
-        Process count for the :mod:`repro.parallel_exec` layers; ``1``
-        means in-process, ``"auto"`` resolves via
-        :func:`repro.parallel_exec.available_workers`.
+        Process count for the D&C envelope build
+        (:mod:`repro.parallel_exec`); ``1`` means in-process,
+        ``"auto"`` resolves via
+        :func:`repro.parallel_exec.available_workers`.  The HSR
+        classes ignore it.
     use_compiled_insert:
         The compiled core: one C call per 256 inserts of a sequential
         run, and one per PCT layer in each phase of a
@@ -70,11 +74,11 @@ class HsrConfig:
         Window size at which the numpy insert path switches from the
         scalar to the vectorized fused kernel; ``None`` defers to
         :data:`repro.envelope.engine.FLAT_FUSED_CUTOFF`.
-    parallel_min_segments / parallel_min_pieces:
-        Input-size floors below which the parallel executor declines
-        (IPC would dominate); ``None`` defers to
-        :mod:`repro.parallel_exec` defaults.  Tests set them to ``0``
-        to exercise the pool on small fixtures.
+    parallel_min_segments:
+        Build size below which the parallel executor declines (IPC
+        would dominate); ``None`` defers to
+        :data:`repro.parallel_exec.PARALLEL_BUILD_MIN_SEGMENTS`.  Tests
+        set it to ``0`` to exercise the pool on small fixtures.
     """
 
     engine: Optional[str] = None
@@ -83,7 +87,6 @@ class HsrConfig:
     use_compiled_insert: Optional[bool] = None
     flat_fused_cutoff: Optional[int] = None
     parallel_min_segments: Optional[int] = None
-    parallel_min_pieces: Optional[int] = None
 
     # -- resolution helpers (read the documented defaults lazily, so a
     # -- default config always tracks the live module globals) --------

@@ -10,17 +10,20 @@
    at the leaves (:mod:`repro.hsr.phase2`, the systolic prefix);
 4. assembly of the object-space visibility map.
 
-Execution is sequential Python, but every step charges the CREW-PRAM
-cost tracker, so a run yields the (work, depth) pair Theorem 3.1
-bounds; :mod:`repro.pram.schedule` turns those into time-on-p curves.
-A config with ``workers > 1`` executes the level merges on real cores
-(:mod:`repro.parallel_exec`).
+Each PCT layer of Phase 1, and of the Phase-2 ``direct`` mode, runs
+as one compiled call when the compiled core is on (else one batched
+numpy sweep); the layers themselves run one after another in this
+process, and ``HsrConfig.workers`` does not affect this class.  Every
+step charges the CREW-PRAM cost tracker, so a run yields the (work,
+depth) pair Theorem 3.1 bounds; :mod:`repro.pram.schedule` turns
+those into time-on-p curves.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from contextlib import nullcontext
 from typing import Optional, Sequence
 
 from repro.hsr.pct import build_pct
@@ -47,11 +50,11 @@ class ParallelHSR:
         structure — the paper's full machinery).  All three produce
         the same visibility map.
     config:
-        :class:`repro.config.HsrConfig` — the unified front door.  A
-        config with ``workers > 1`` executes the Phase-1 and Phase-2
-        level merges across real cores (:mod:`repro.parallel_exec`),
-        bit-exact with the in-process run.  The ``eps=`` / ``engine=``
-        keywords remain as shorthand and override the config fields.
+        :class:`repro.config.HsrConfig` — the unified front door.
+        ``use_compiled_insert`` switches the one-call-per-layer
+        compiled kernel; ``workers`` has no effect here.  The
+        ``eps=`` / ``engine=`` keywords remain as shorthand and
+        override the config fields.
     eps:
         Geometric tolerance.
     measure_sharing:
@@ -60,8 +63,8 @@ class ParallelHSR:
     engine:
         Envelope merge kernel for Phase 1 (and the ``direct`` Phase-2
         mode); see :mod:`repro.envelope.engine`.  ``None`` selects the
-        default (NumPy when available) — Phase-1 layers then execute
-        as single batched array sweeps.
+        default (NumPy when available) — each Phase-1 layer then runs
+        as one compiled call or one batched array sweep.
     """
 
     def __init__(
@@ -99,20 +102,18 @@ class ParallelHSR:
         """
         t0 = time.perf_counter()
 
+        def phase(name):
+            return tracker.phase(name) if tracker is not None else nullcontext()
+
         if order is None:
-            if tracker is not None:
-                with tracker.phase("ordering"):
+            with phase("ordering"):
+                if tracker is not None:
                     # The Tamassia–Vitter construction is O(log n) deep
                     # with n processors (paper Fact 1); charge that.
                     n = max(terrain.n_edges, 2)
+                    depth = math.ceil(math.log2(n))
                     with tracker.parallel() as par:
-                        for _ in range(1):
-                            par.spawn(
-                                n * math.ceil(math.log2(n)),
-                                math.ceil(math.log2(n)),
-                            )
-                    order = front_to_back_order(terrain, engine=self.engine)
-            else:
+                        par.spawn(n * depth, depth)
                 order = front_to_back_order(terrain, engine=self.engine)
         order = list(order)
 
@@ -127,44 +128,24 @@ class ParallelHSR:
             image_segments = terrain.image_segments()
 
         with reliability_run() as report:
-            if tracker is not None:
-                with tracker.phase("phase1"):
-                    pct = build_pct(
-                        tree,
-                        image_segments,
-                        eps=self.eps,
-                        tracker=tracker,
-                        measure_sharing=self.measure_sharing,
-                        engine=self.engine,
-                        config=self.config,
-                        lanes=lanes,
-                    )
-                with tracker.phase("phase2"):
-                    ph2 = run_phase2(
-                        pct,
-                        image_segments,
-                        mode=self.mode,
-                        eps=self.eps,
-                        tracker=tracker,
-                        measure_sharing=self.measure_sharing,
-                        engine=self.engine,
-                        config=self.config,
-                    )
-            else:
+            with phase("phase1"):
                 pct = build_pct(
                     tree,
                     image_segments,
                     eps=self.eps,
+                    tracker=tracker,
                     measure_sharing=self.measure_sharing,
                     engine=self.engine,
                     config=self.config,
                     lanes=lanes,
                 )
+            with phase("phase2"):
                 ph2 = run_phase2(
                     pct,
                     image_segments,
                     mode=self.mode,
                     eps=self.eps,
+                    tracker=tracker,
                     measure_sharing=self.measure_sharing,
                     engine=self.engine,
                     config=self.config,

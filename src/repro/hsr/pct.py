@@ -4,8 +4,7 @@
 profile of the edges in the leaves of the subtree rooted at v"
 (paper §3, step 2a).  Bottom-up, layer by layer: a node's intermediate
 profile is the merge of its children's.  All merges of a layer are
-independent — a parallel region in the cost model, and optionally a
-real multi-core fan-out (:mod:`repro.parallel_exec`).
+independent — one parallel region in the cost model.
 
 Lemma 3.1 gives the construction O(log² n) depth; the tracker
 measures it (experiment E9 on the construction in isolation, E1 on
@@ -231,10 +230,8 @@ def build_pct(
     ``engine`` selects the merge kernel (see
     :mod:`repro.envelope.engine`); the NumPy engine runs each layer as
     one compiled call or one batched array sweep, under the guard
-    site ``pct_merge``.  A ``config``
-    (:class:`repro.config.HsrConfig`) with ``workers > 1`` splits each
-    layer's batched sweep across the :mod:`repro.parallel_exec`
-    process pool, bit-exact.
+    site ``pct_merge``.  A ``config`` (:class:`repro.config.HsrConfig`)
+    can switch the compiled core off; its ``workers`` has no effect.
     """
     pct = PCT(tree)
     if resolve_engine(engine) == "numpy":
@@ -242,10 +239,9 @@ def build_pct(
         from repro.envelope.flat_splice import compiled_enabled
 
         pct.lanes = order_lanes(tree, image_segments) if lanes is None else lanes
-        use_pool = config is not None and config.resolved_workers() > 1
-        compiled = not use_pool and compiled_enabled(config, "pct_merge")
+        compiled = compiled_enabled(config, "pct_merge")
         with _ccore.borrowed() if compiled else nullcontext() as core:
-            _build_layers(pct, eps, tracker, config, use_pool, core)
+            _build_layers(pct, eps, tracker, core)
     else:
         _build_python(pct, image_segments, eps, tracker, engine)
     if measure_sharing:
@@ -310,7 +306,7 @@ def _build_python(pct: PCT, image_segments, eps, tracker, engine) -> None:
             pct.ops += ops
 
 
-def _build_layers(pct: PCT, eps: float, tracker, config, use_pool, core) -> None:
+def _build_layers(pct: PCT, eps: float, tracker, core) -> None:
     """Phase 1 on the NumPy engine, one call per layer (see the module
     docstring): in the compiled core when ``core`` (the run's handle)
     is given, else as one ``batch_merge``.  Each layer runs under the
@@ -340,7 +336,7 @@ def _build_layers(pct: PCT, eps: float, tracker, config, use_pool, core) -> None
             jobs[inner, 4] = c_len[1::2]
 
         def batch(child=child, jobs=jobs, leaf=leaf):
-            return _batch_layer(child, jobs, leaf, lanes, eps, config, use_pool)
+            return _batch_layer(child, jobs, leaf, lanes, eps)
 
         if core is not None:
 
@@ -410,9 +406,9 @@ def _assemble(jobs, leaf, lanes, merged, counts):
     return blk, off, ln
 
 
-def _batch_layer(child, jobs, leaf, lanes, eps, config, use_pool):
-    """One layer as one :func:`~repro.envelope.flat.batch_merge` (or
-    its pool split): ``(block, offsets, lengths, ops)``."""
+def _batch_layer(child, jobs, leaf, lanes, eps):
+    """One layer as one :func:`~repro.envelope.flat.batch_merge`:
+    ``(block, offsets, lengths, ops)``."""
     import numpy as np
 
     from repro.envelope.flat import FlatEnvelope, batch_merge
@@ -423,15 +419,7 @@ def _batch_layer(child, jobs, leaf, lanes, eps, config, use_pool):
         inner = ~leaf
         lefts = _rows(child, jobs[inner, 1], jobs[inner, 2])
         rights = _rows(child, jobs[inner, 3], jobs[inner, 4])
-        res = None
-        if use_pool:
-            from repro.parallel_exec import maybe_batch_merge
-
-            res = maybe_batch_merge(
-                lefts, rights, eps=eps, record_crossings=False, config=config
-            )
-        if res is None:
-            res = batch_merge(lefts, rights, eps=eps, record_crossings=False)
+        res = batch_merge(lefts, rights, eps=eps, record_crossings=False)
         merged, counts = res.merged, res.merged.counts()
         ops[inner] = res.ops
     return (*_assemble(jobs, leaf, lanes, merged, counts), ops)

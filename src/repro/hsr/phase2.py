@@ -118,9 +118,9 @@ def run_phase2(
     ``engine`` selects the envelope merge kernel for the ``direct``
     mode's array merges and for the ``persistent`` mode's batched
     layer merges (see :mod:`repro.envelope.engine`).
-    A ``config`` (:class:`repro.config.HsrConfig`) with ``workers > 1``
-    splits the ``direct`` mode's level merges across the
-    :mod:`repro.parallel_exec` process pool, bit-exact.
+    A ``config`` (:class:`repro.config.HsrConfig`) can switch the
+    ``direct`` mode's compiled layer kernel off; its ``workers`` has
+    no effect.
     ``image_segments`` may be ``None`` when the PCT holds the leaves'
     lanes (:attr:`PCT.lanes`).
     """
@@ -161,18 +161,16 @@ def _phase2_direct(
         from repro.envelope import _ccore
         from repro.envelope.flat_splice import compiled_enabled
 
-        if (
-            pct.layers[0] is not None
-            and (config is None or config.resolved_workers() <= 1)
-            and compiled_enabled(config, "phase2_merge")
+        if pct.layers[0] is not None and compiled_enabled(
+            config, "phase2_merge"
         ):
             with _ccore.borrowed() as core:
                 return _phase2_direct_compiled(
-                    pct, image_segments, eps, tracker, config, core
+                    pct, image_segments, eps, tracker, core
                 )
         if image_segments is None:
             image_segments = pct.image_segments()
-        return _phase2_direct_flat(pct, image_segments, eps, tracker, config)
+        return _phase2_direct_flat(pct, image_segments, eps, tracker)
     tree = pct.tree
     out = Phase2Result()
     inherited: dict[int, Envelope] = {tree.root.index: Envelope.empty()}
@@ -218,7 +216,6 @@ def _phase2_direct_flat(
     image_segments: Sequence[ImageSegment],
     eps: float,
     tracker: Optional[PramTracker],
-    config=None,
     *,
     start: int = 0,
     inherited=None,
@@ -253,10 +250,6 @@ def _phase2_direct_flat(
     )
     from repro.envelope.flat_visibility import batch_visible_parts
     from repro.envelope.packed import PackedProfile
-
-    use_pool = config is not None and config.resolved_workers() > 1
-    if use_pool:
-        from repro.parallel_exec import maybe_batch_merge
 
     tree = pct.tree
     if out is None:
@@ -303,13 +296,7 @@ def _phase2_direct_flat(
                     ]
                 )
                 rights = stack_envelopes([inters[i] for i in live])
-                res = None
-                if use_pool:
-                    res = maybe_batch_merge(
-                        lefts, rights, eps=eps, config=config
-                    )
-                if res is None:
-                    res = batch_merge(lefts, rights, eps=eps)
+                res = batch_merge(lefts, rights, eps=eps)
                 live_ops = res.ops.tolist()
                 live_cross = np.diff(
                     np.searchsorted(
@@ -485,7 +472,6 @@ def _phase2_direct_compiled(
     image_segments: Optional[Sequence[ImageSegment]],
     eps: float,
     tracker: Optional[PramTracker],
-    config,
     core,
 ) -> Phase2Result:
     """``direct`` mode in the compiled core: one ``repro_merge_layer``
@@ -533,8 +519,8 @@ def _phase2_direct_compiled(
         res = _guard.guarded_call("phase2_merge", kernel, lambda: None)
         if res is None:
             return _hand_over(
-                pct, image_segments, eps, tracker, config, core, out,
-                leaves, d, inh_off, inh_len,
+                pct, image_segments, eps, tracker, core, out, leaves, d,
+                inh_off, inh_len,
             )
         ops = res[:, 0]
         merged = res[inner]
@@ -595,8 +581,8 @@ def _stack_leaves(leaves: list):
 
 
 def _hand_over(
-    pct, image_segments, eps, tracker, config, core, out, leaves, d,
-    inh_off, inh_len,
+    pct, image_segments, eps, tracker, core, out, leaves, d, inh_off,
+    inh_len,
 ) -> Phase2Result:
     """Finish a compiled run on :func:`_phase2_direct_flat` from layer
     ``d``: the leaf results so far become a plain dict, and layer
@@ -628,7 +614,7 @@ def _hand_over(
     if image_segments is None:
         image_segments = pct.image_segments()
     return _phase2_direct_flat(
-        pct, image_segments, eps, tracker, config,
+        pct, image_segments, eps, tracker,
         start=d, inherited=inherited, out=out,
     )
 

@@ -1,28 +1,23 @@
-"""Multi-core execution of the level-batched D&C layers.
+"""Multi-core execution of the divide-and-conquer envelope build.
 
-Two parallel kernels, both bit-exact with the in-process engines:
+:func:`build_envelope_parallel` splits the build at the reference
+recursion's own ``mid = (lo + hi) // 2`` boundaries: the top
+``log2(chunks)`` tree levels stay in the parent, every subtree below
+them builds in a worker process
+(:func:`repro.envelope.flat.build_envelope_flat` on its contiguous
+segment range — the relative splits coincide with the global ones
+because ``(2·lo + n) // 2 == lo + n // 2``), and the parent merges the
+chunk envelopes up with
+:func:`~repro.envelope.flat.merge_envelopes_flat`.  Crossings
+concatenate in the reference post-order (left subtree, right subtree,
+node), and ``ops`` telescopes to leaf charges plus every merge's
+elementary-interval count — the exact
+:func:`~repro.envelope.build.build_envelope` contract, bit-exact with
+the in-process engines.
 
-:func:`build_envelope_parallel`
-    The divide-and-conquer envelope build split at the reference
-    recursion's own ``mid = (lo + hi) // 2`` boundaries: the top
-    ``log2(chunks)`` tree levels stay in the parent, every subtree
-    below them builds in a worker process
-    (:func:`repro.envelope.flat.build_envelope_flat` on its contiguous
-    segment range — the relative splits coincide with the global ones
-    because ``(2·lo + n) // 2 == lo + n // 2``), and the parent merges
-    the chunk envelopes up with
-    :func:`~repro.envelope.flat.merge_envelopes_flat`.  Crossings
-    concatenate in the reference post-order (left subtree, right
-    subtree, node), and ``ops`` telescopes to leaf charges plus every
-    merge's elementary-interval count — the exact
-    :func:`~repro.envelope.build.build_envelope` contract.
-
-:func:`parallel_batch_merge`
-    One D&C level's independent merge groups
-    (:func:`repro.envelope.flat.batch_merge` semantics) partitioned
-    into contiguous, piece-balanced group ranges, one range per
-    worker.  Group independence is the existing batch invariant, so a
-    chunked run returns byte-identical arrays to the single sweep.
+The PCT layer merges of :class:`~repro.hsr.parallel.ParallelHSR` stay
+in-process: each layer is one compiled call (or one ``batch_merge``),
+too short for the fork-and-ship round trip to pay off.
 
 Inputs ride :mod:`multiprocessing.shared_memory` blocks
 (:class:`~repro.parallel_exec.shm.ShmBundle`): the flat SoA arrays are
@@ -34,7 +29,7 @@ making warm dispatch latency sub-millisecond.
 
 Failure model (the PR-6 guard-site pattern, site ``parallel_exec``):
 *unavailability* — no ``fork`` start method, pool creation failure, or
-an input below the IPC-amortisation floors — declines silently and the
+an input below the IPC-amortisation floor — declines silently and the
 caller's in-process path runs; a *worker fault* mid-task is recorded
 via :func:`repro.reliability.guard.handle_fault` (strict mode raises
 :class:`~repro.errors.KernelFault`; guarded mode falls back bit-exact,
@@ -63,34 +58,28 @@ from repro.reliability import guard as _guard
 __all__ = [
     "available_workers",
     "build_envelope_parallel",
-    "parallel_batch_merge",
     "maybe_build_envelope",
-    "maybe_batch_merge",
     "shutdown",
     "parallel_stats",
     "reset_stats",
     "PARALLEL_BUILD_MIN_SEGMENTS",
-    "PARALLEL_MERGE_MIN_PIECES",
 ]
 
 _F = np.float64
-_I = np.int64
 
 SITE = "parallel_exec"
 
-#: Below these input sizes the in-process batched sweeps win outright
-#: (pool dispatch + page mapping cost ~100µs per level); measured on
-#: the E9 build workload, see ``docs/BENCHMARKS.md``.  Overridable per
-#: run via :class:`repro.config.HsrConfig` (tests set them to 0).
+#: Below this input size the in-process build wins outright (pool
+#: dispatch + page mapping cost ~100µs per level); measured on the E9
+#: build workload, see ``docs/BENCHMARKS.md``.  Overridable per run via
+#: :class:`repro.config.HsrConfig` (tests set it to 0).
 PARALLEL_BUILD_MIN_SEGMENTS: int = 2048
-PARALLEL_MERGE_MIN_PIECES: int = 8192
 
 #: Observability counters (reset with :func:`reset_stats`): how often
 #: the pool engaged, declined, or faulted — the parity tests assert the
 #: parallel path actually executed rather than silently falling back.
 parallel_stats: dict[str, int] = {
     "builds": 0,
-    "batched_merges": 0,
     "chunks": 0,
     "declined": 0,
     "faults": 0,
@@ -166,9 +155,6 @@ atexit.register(shutdown)
 
 # -- worker tasks (module level: picklable by reference) ---------------
 
-_STACK_FIELDS = ("ya", "za", "yb", "zb", "source", "offsets")
-
-
 def _build_chunk_task(args: tuple) -> tuple:
     """Worker: build the envelope of one contiguous segment chunk.
 
@@ -209,61 +195,6 @@ def _build_chunk_task(args: tuple) -> tuple:
     else:
         crossings = []
     return (out_name, out_spec, crossings, fb.n_segments + fb.total_merge_ops)
-
-
-def _slice_stack(stack, g_lo: int, g_hi: int):
-    """Groups ``[g_lo, g_hi)`` of a stacked set as a zero-copy
-    sub-stack with rebased offsets."""
-    from repro.envelope.flat import _Stacked
-
-    lo = int(stack.offsets[g_lo])
-    hi = int(stack.offsets[g_hi])
-    return _Stacked(
-        stack.ya[lo:hi],
-        stack.za[lo:hi],
-        stack.yb[lo:hi],
-        stack.zb[lo:hi],
-        stack.source[lo:hi],
-        np.asarray(stack.offsets[g_lo : g_hi + 1]) - lo,
-    )
-
-
-def _merge_chunk_task(args: tuple) -> tuple:
-    """Worker: run one contiguous group range of a batched merge.
-
-    The output arrays of :func:`~repro.envelope.flat.batch_merge` are
-    freshly allocated (never views of the input block), so they return
-    through the result pickle after the input mapping closes.
-    """
-    name, spec, g_lo, g_hi, eps, record = args
-    from repro.envelope.flat import _Stacked, batch_merge
-
-    bundle = ShmBundle.attach(name, spec)
-    try:
-        a = _slice_stack(
-            _Stacked(*(bundle["a_" + f] for f in _STACK_FIELDS)), g_lo, g_hi
-        )
-        b = _slice_stack(
-            _Stacked(*(bundle["b_" + f] for f in _STACK_FIELDS)), g_lo, g_hi
-        )
-        res = batch_merge(a, b, eps=eps, record_crossings=record)
-        m = res.merged
-        return (
-            np.ascontiguousarray(m.ya),
-            np.ascontiguousarray(m.za),
-            np.ascontiguousarray(m.yb),
-            np.ascontiguousarray(m.zb),
-            np.ascontiguousarray(m.source),
-            np.ascontiguousarray(m.offsets),
-            res.ops,
-            res.cross_group,
-            res.cross_y,
-            res.cross_z,
-            res.cross_front,
-            res.cross_back,
-        )
-    finally:
-        bundle.close()
 
 
 # -- parallel D&C build ------------------------------------------------
@@ -384,105 +315,6 @@ def build_envelope_parallel(
     return env, crossings, total_ops
 
 
-# -- parallel batched level merge --------------------------------------
-
-
-def parallel_batch_merge(
-    a,
-    b,
-    *,
-    eps: float = EPS,
-    record_crossings: bool = True,
-    workers: int,
-    min_pieces: Optional[int] = None,
-):
-    """One level's independent merge groups across real cores.
-
-    Byte-identical to :func:`repro.envelope.flat.batch_merge` on the
-    same stacks (group independence is the batch invariant); returns
-    ``None`` when the pool is unavailable or the level is below the
-    IPC floor.  Worker exceptions propagate; wrap via
-    :func:`maybe_batch_merge` for the guarded call sites.
-    """
-    from repro.envelope.flat import _BatchOut, _Stacked
-
-    G = a.n_groups
-    total_pieces = len(a.ya) + len(b.ya)
-    floor = PARALLEL_MERGE_MIN_PIECES if min_pieces is None else min_pieces
-    if workers < 2 or G < 2 or total_pieces < max(floor, 2):
-        parallel_stats["declined"] += 1
-        return None
-
-    # Contiguous group ranges balanced by total piece count (a level's
-    # group sizes are highly skewed near the recursion root).
-    weights = np.diff(np.asarray(a.offsets)) + np.diff(
-        np.asarray(b.offsets)
-    )
-    cum = np.cumsum(weights)
-    n_chunks = min(workers, G)
-    targets = np.arange(1, n_chunks) * (float(cum[-1]) / n_chunks)
-    cuts = np.searchsorted(cum, targets, side="left") + 1
-    bounds_g = sorted({0, G, *(int(c) for c in cuts if 0 < int(c) < G)})
-    pairs = list(zip(bounds_g[:-1], bounds_g[1:]))
-    if len(pairs) < 2:
-        parallel_stats["declined"] += 1
-        return None
-    pool = _get_pool(min(workers, len(pairs)))
-    if pool is None:  # pragma: no cover - platform without fork
-        parallel_stats["declined"] += 1
-        return None
-
-    payload = {}
-    for prefix, stack in (("a_", a), ("b_", b)):
-        for field in _STACK_FIELDS:
-            payload[prefix + field] = np.ascontiguousarray(
-                getattr(stack, field)
-            )
-    bundle = ShmBundle.create(payload)
-    try:
-        futures = [
-            pool.submit(
-                _merge_chunk_task,
-                (bundle.name, bundle.spec, g_lo, g_hi, eps, record_crossings),
-            )
-            for g_lo, g_hi in pairs
-        ]
-        results = [f.result() for f in futures]
-    finally:
-        bundle.unlink()
-
-    off_parts = [np.zeros(1, _I)]
-    base = 0
-    for r in results:
-        off = r[5]
-        off_parts.append(off[1:] + base)
-        base += int(off[-1])
-    merged = _Stacked(
-        np.concatenate([r[0] for r in results]),
-        np.concatenate([r[1] for r in results]),
-        np.concatenate([r[2] for r in results]),
-        np.concatenate([r[3] for r in results]),
-        np.concatenate([r[4] for r in results]),
-        np.concatenate(off_parts),
-    )
-    ops = np.concatenate([r[6] for r in results])
-    cross_group = np.concatenate(
-        [r[7] + g_lo for r, (g_lo, _g_hi) in zip(results, pairs)]
-    )
-    out = _BatchOut(
-        merged,
-        ops,
-        cross_group,
-        np.concatenate([r[8] for r in results]),
-        np.concatenate([r[9] for r in results]),
-        np.concatenate([r[10] for r in results]),
-        np.concatenate([r[11] for r in results]),
-    )
-    parallel_stats["batched_merges"] += 1
-    parallel_stats["chunks"] += len(pairs)
-    return out
-
-
 # -- guarded front doors ----------------------------------------------
 
 
@@ -526,38 +358,3 @@ def maybe_build_envelope(
         parallel_stats["faults"] += 1
         return None
 
-
-def maybe_batch_merge(
-    a, b, *, eps: float, record_crossings: bool = True, config=None
-):
-    """Guard-site wrapper around :func:`parallel_batch_merge` for the
-    Phase-1/Phase-2 level merges: ``None`` means "run the in-process
-    :func:`~repro.envelope.flat.batch_merge`"."""
-    workers = config.resolved_workers() if config is not None else 1
-    if workers < 2:
-        return None
-    if _guard.GUARDS_ENABLED and (
-        _guard.ANY_QUARANTINED and _guard.is_quarantined(SITE)
-    ):
-        return None
-    try:
-        if _fi.ARMED:
-            _fi.trip(SITE)
-        return parallel_batch_merge(
-            a,
-            b,
-            eps=eps,
-            record_crossings=record_crossings,
-            workers=workers,
-            min_pieces=(
-                config.parallel_min_pieces if config is not None else None
-            ),
-        )
-    except KernelFault:
-        raise
-    except Exception as exc:
-        if not _guard.GUARDS_ENABLED:
-            raise
-        _guard.handle_fault(SITE, exc)
-        parallel_stats["faults"] += 1
-        return None

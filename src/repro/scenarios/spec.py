@@ -91,7 +91,6 @@ _CONFIG_FIELDS = frozenset(
         "use_compiled_insert",
         "flat_fused_cutoff",
         "parallel_min_segments",
-        "parallel_min_pieces",
     }
 )
 

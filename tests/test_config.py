@@ -20,7 +20,6 @@ class TestValueSemantics:
             "use_compiled_insert",
             "flat_fused_cutoff",
             "parallel_min_segments",
-            "parallel_min_pieces",
         }
 
     def test_frozen(self):

@@ -117,6 +117,25 @@ def test_benchmarks_guard_overhead_matches_bench_file():
     assert expected in text
 
 
+def test_benchmarks_parallel_build_matches_bench_file():
+    """The ``parallel-build-w2`` / ``-w4`` ratios quoted in
+    ``docs/BENCHMARKS.md`` are the recorded rows' ``speedup``
+    (in-process / pool)."""
+    rows = json.loads((REPO_ROOT / "BENCH_envelope.json").read_text())["rows"]
+    ratio = {
+        r["workload"]: r["speedup"]
+        for r in rows
+        if r["workload"].startswith("parallel-build-w")
+    }
+    assert set(ratio) == {"parallel-build-w2", "parallel-build-w4"}
+    expected = (
+        f"`parallel-build-w2` / `-w4`: **{ratio['parallel-build-w2']:.2f}×"
+        f" / {ratio['parallel-build-w4']:.2f}×** as recorded"
+    )
+    text = " ".join((REPO_ROOT / "docs" / "BENCHMARKS.md").read_text().split())
+    assert expected in text
+
+
 def _documented_row_kinds() -> set[str]:
     """First-column names of the ``## Row kinds`` table in
     ``docs/BENCHMARKS.md``.  A cell may list suffix variants after the

@@ -1,4 +1,4 @@
-"""Tests for :mod:`repro.parallel_exec` — real multi-core build/merge.
+"""Tests for :mod:`repro.parallel_exec` — real multi-core D&C builds.
 
 Everything here runs with **2+ real worker processes** (the CI floor)
 and pins bit-exactness against the in-process kernels: identical
@@ -12,12 +12,11 @@ import numpy as np
 import pytest
 
 from repro.config import HsrConfig
-from repro.envelope.flat import batch_merge, build_envelope_flat, stack_envelopes
+from repro.envelope.flat import build_envelope_flat
 from repro.errors import KernelFault
 from repro.parallel_exec import (
     available_workers,
     build_envelope_parallel,
-    parallel_batch_merge,
     parallel_stats,
     reset_stats,
 )
@@ -28,16 +27,11 @@ from tests.conftest import random_image_segments
 
 EPS = 1e-9
 
-#: Floors zeroed so the pool engages on test-sized fixtures.
-POOL2 = HsrConfig(
-    engine="numpy",
-    workers=2,
-    parallel_min_segments=0,
-    parallel_min_pieces=0,
-)
+#: Floor zeroed so the pool engages on test-sized fixtures.
+POOL2 = HsrConfig(engine="numpy", workers=2, parallel_min_segments=0)
 
 
-def _fractal(size=9, seed=3):
+def _fractal(size=17, seed=3):
     from repro.terrain.generators import fractal_terrain
 
     return fractal_terrain(size=size, seed=seed)
@@ -104,91 +98,43 @@ class TestBuildParity:
         assert parallel_stats["declined"] == 1
 
 
-class TestBatchMergeParity:
-    @staticmethod
-    def _stacks(rng, groups=12, per=8):
-        def one():
-            return stack_envelopes(
-                [
-                    build_envelope_flat(
-                        random_image_segments(rng, per), eps=EPS
-                    ).envelope
-                    for _ in range(groups)
-                ]
-            )
-
-        return one(), one()
-
-    def test_merge_matches_batch_merge(self, rng):
-        a, b = self._stacks(rng)
-        ref = batch_merge(a, b, eps=EPS, record_crossings=True)
-        out = parallel_batch_merge(
-            a, b, eps=EPS, record_crossings=True, workers=3, min_pieces=0
-        )
-        assert out is not None
-        np.testing.assert_array_equal(ref.ops, out.ops)
-        for field in ("ya", "za", "yb", "zb", "source", "offsets"):
-            np.testing.assert_array_equal(
-                getattr(ref.merged, field), getattr(out.merged, field)
-            )
-        for field in (
-            "cross_group",
-            "cross_y",
-            "cross_z",
-            "cross_front",
-            "cross_back",
-        ):
-            np.testing.assert_array_equal(
-                getattr(ref, field), getattr(out, field)
-            )
-
-    def test_declines_on_single_group(self, rng):
-        a = stack_envelopes(
-            [build_envelope_flat(random_image_segments(rng, 8), eps=EPS).envelope]
-        )
-        b = stack_envelopes(
-            [build_envelope_flat(random_image_segments(rng, 8), eps=EPS).envelope]
-        )
-        reset_stats()
-        assert (
-            parallel_batch_merge(
-                a, b, eps=EPS, record_crossings=False, workers=2, min_pieces=0
-            )
-            is None
-        )
-        assert parallel_stats["declined"] == 1
-
-
 class TestPipelineParity:
-    """End-to-end: a 2-worker run is bit-exact with the python engine,
-    and the pool demonstrably engaged."""
+    """End-to-end: the D&C build front door is bit-exact with 2
+    workers, and the HSR classes ignore ``workers`` — their PCT layers
+    run in-process, so a 2-worker config answers on the same path with
+    the same bits and never touches the pool."""
 
-    @pytest.mark.parametrize("terrain_fn", [_fractal, _valley])
-    def test_parallel_hsr_two_workers(self, terrain_fn):
-        from repro.hsr.parallel import ParallelHSR
-
-        terrain = terrain_fn()
-        reset_stats()
-        ref = ParallelHSR(mode="direct", engine="python").run(terrain)
-        par = ParallelHSR(mode="direct", config=POOL2).run(terrain)
-        assert par.k == ref.k
-        assert par.stats.ops == ref.stats.ops
+    @staticmethod
+    def _assert_workers_ignored(make, terrain):
+        ref = make(HsrConfig(engine="numpy")).run(terrain)
+        before = dict(parallel_stats)
+        par = make(POOL2).run(terrain)
+        assert parallel_stats == before  # the pool never engaged
         assert par.visibility_map.segments == ref.visibility_map.segments
-        assert parallel_stats["batched_merges"] > 0  # pool actually ran
-        assert (
-            parallel_stats["chunks"] >= 2 * parallel_stats["batched_merges"]
+        assert (par.k, par.stats.ops, par.stats.extra) == (
+            ref.k, ref.stats.ops, ref.stats.extra
         )
+        return par
 
     def test_sequential_hsr_config_ignores_workers(self):
-        # SequentialHSR inserts one segment at a time — no batched
-        # level merges — so a workers>1 config must be a no-op.
         from repro.hsr.sequential import SequentialHSR
 
-        terrain = _fractal(size=9, seed=7)
-        ref = SequentialHSR(config=HsrConfig(engine="numpy")).run(terrain)
-        par = SequentialHSR(config=POOL2).run(terrain)
-        assert par.k == ref.k
-        assert par.visibility_map.segments == ref.visibility_map.segments
+        for terrain in (_fractal(seed=7), _valley()):
+            self._assert_workers_ignored(
+                lambda cfg: SequentialHSR(config=cfg), terrain
+            )
+
+    @pytest.mark.parametrize("terrain_fn", [_fractal, _valley])
+    @pytest.mark.parametrize("mode", ["direct", "persistent", "acg"])
+    def test_parallel_hsr_config_ignores_workers(self, mode, terrain_fn):
+        from repro.envelope.flat_splice import compiled_enabled
+        from repro.hsr.parallel import ParallelHSR
+
+        par = self._assert_workers_ignored(
+            lambda cfg: ParallelHSR(mode=mode, config=cfg), terrain_fn()
+        )
+        if mode == "direct" and compiled_enabled(POOL2, "phase2_merge"):
+            assert par.phase2.rows is not None  # the compiled layers answered
 
     def test_build_envelope_front_door(self, rng):
         from repro.envelope.build import build_envelope

@@ -334,9 +334,7 @@ def _run_parallel_build():
     from repro.config import HsrConfig
     from repro.envelope.build import build_envelope
 
-    cfg = HsrConfig(
-        engine="numpy", workers=2, parallel_min_segments=0, parallel_min_pieces=0
-    )
+    cfg = HsrConfig(engine="numpy", workers=2, parallel_min_segments=0)
     build_envelope(random_image_segments(random.Random(5), 120), config=cfg)
 
 
