@@ -37,8 +37,10 @@ behind two flags and these names:
 
 ``merge_layer(core, mode, blk, lanes, jobs, eps, record)``
     One layer of the profile computation tree in one C call: Phase 1's
-    merges (``MODE_PCT``) or Phase 2's splice merges and leaf queries
-    (``MODE_PHASE2``), results left in the handle's lane sets for
+    merges (``MODE_PCT``), Phase 2's ``direct`` splice merges and leaf
+    queries (``MODE_PHASE2``), or its ``persistent`` rope splice merges
+    and leaf queries over the rope versions the handle keeps
+    (``MODE_ROPE``); results left in the handle's lane sets for
     :meth:`Core.take`.  See :mod:`repro.hsr.pct` and
     :mod:`repro.hsr.phase2`.
 
@@ -95,11 +97,14 @@ L_PROF = 2  # merged profiles: ya za yb zb | source
 L_XING = 3  # merge crossings: y z | front back
 L_PARTS = 4  # visible parts: ya yb
 L_VX = 5  # leaf crossings: y z
-LANE_ROWS = (5, 5, 5, 4, 2, 2)
+L_BND = 6  # breakpoint union of one merge: y
+L_SPINE = 7  # rope spines, one entry a chunk: | offset length start
+LANE_ROWS = (5, 5, 5, 4, 2, 2, 1, 3)
 
 #: ``repro_merge_layer`` modes (the ``MODE_*`` defines).
 MODE_PCT = 1
 MODE_PHASE2 = 2
+MODE_ROPE = 3
 
 
 def _env_enabled() -> bool:
@@ -288,12 +293,14 @@ if HAVE_CCORE:
         ``(5, cap)`` float64 block side b (and, under ``MODE_PCT``,
         side a) indexes, or ``None``; ``lanes`` the front-to-back image
         lanes leaf jobs index.  Returns the ``(n, 4)`` int64
-        ``ops, crossings, offset, length`` rows; raises
-        :class:`CCoreFault` when a job fails its post-condition and
-        :class:`MemoryError` when the scratch cannot grow."""
+        ``ops, crossings, offset, length`` rows (``MODE_ROPE``: ``(n,
+        6)``, a merge's new version's piece count and fresh slots
+        appended); raises :class:`CCoreFault` when a job fails its
+        post-condition and :class:`MemoryError` when the scratch cannot
+        grow."""
         import numpy as np
 
-        res = np.empty((len(jobs), 4), np.int64)
+        res = np.empty((len(jobs), 6 if mode == MODE_ROPE else 4), np.int64)
         if blk is None or not blk.shape[1]:
             blk_ptr, cap = ffi.NULL, 0
         else:

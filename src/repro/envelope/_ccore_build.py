@@ -38,7 +38,15 @@ child profiles plus the leaves' segments.  For Phase 2's ``direct``
 mode it is :func:`~repro.envelope.splice.splice_merge` — window
 locate, merge, and a splice into a fresh profile row — plus the
 leaves' :func:`~repro.envelope.visibility.visible_parts` queries,
-clipped into rows like ``repro_insert_run``'s.
+clipped into rows like ``repro_insert_run``'s.  For the ``persistent``
+mode it is :func:`~repro.persistence.rope.rope_splice_merge` and
+:func:`~repro.persistence.rope.rope_visible_parts` on the chunked rope,
+whose versions the context keeps: chunks are ``(offset, length)`` runs
+of a piece arena, a version is a spine of chunks, and a successor
+shares every chunk outside its fresh run (the ``SpliceRange`` cuts in
+``Piece.clipped`` arithmetic, fresh runs balanced into chunks of at
+most ``CHUNK_TARGET`` pieces — the Python rope's chunk boundaries, so
+its fresh slot count too).
 
 ``repro_front_to_back`` is the front-to-back ordering of
 :func:`~repro.ordering.sweep.front_to_back_order` in one call over
@@ -67,8 +75,9 @@ All scratch — merged windows, visible parts, rows, layer profiles —
 lives in a ``repro_ctx`` that Python creates per run
 (:class:`repro.envelope._ccore.Core`) and frees with it, grown by the
 C side as needed.  Python copies results out before the next call on
-the same context; a Phase-2 run keeps its profiles in the context,
-since later layers read them by offset.
+the same context; a Phase-2 run keeps its profiles (or its rope's
+pieces and spines) in the context, since later layers read them by
+offset.
 
 Concurrency: nothing is static, so the core is reentrant.  cffi
 API-mode wrappers release the GIL around each call, and two threads
@@ -141,7 +150,7 @@ C_SOURCE = r"""
 
 typedef struct {
     double *d[4];
-    int64_t *q[2];
+    int64_t *q[3];
     int64_t n, cap;
 } lanes;
 
@@ -152,10 +161,11 @@ typedef struct {
 #define L_PARTS 4  /* visible parts: ya yb                             */
 #define L_VX    5  /* leaf crossings: y z                              */
 #define L_BND   6  /* breakpoint union of one merge: y                 */
-#define N_LANES 7
+#define L_SPINE 7  /* rope spines, one entry a chunk: | off len start  */
+#define N_LANES 8
 
-static const int LANE_ND[N_LANES] = {4, 4, 4, 2, 2, 2, 1};
-static const int LANE_NQ[N_LANES] = {1, 1, 1, 2, 0, 0, 0};
+static const int LANE_ND[N_LANES] = {4, 4, 4, 2, 2, 2, 1, 0};
+static const int LANE_NQ[N_LANES] = {1, 1, 1, 2, 0, 0, 0, 3};
 
 typedef struct repro_ctx {
     lanes L[N_LANES];
@@ -172,7 +182,7 @@ void repro_ctx_free(repro_ctx *ctx)
     if (!ctx) return;
     for (w = 0; w < N_LANES; w++) {
         for (f = 0; f < 4; f++) free(ctx->L[w].d[f]);
-        for (f = 0; f < 2; f++) free(ctx->L[w].q[f]);
+        for (f = 0; f < 3; f++) free(ctx->L[w].q[f]);
     }
     free(ctx);
 }
@@ -895,6 +905,7 @@ int64_t repro_insert_run(
 /* Modes of repro_merge_layer (mirrored in repro/envelope/_ccore.py). */
 #define MODE_PCT    1  /* Phase 1: full merges of two child profiles   */
 #define MODE_PHASE2 2  /* Phase 2: splice merges and leaf queries      */
+#define MODE_ROPE   3  /* Phase 2 on the rope: persistent splice merges */
 
 /* job[] and res[] row layouts. */
 #define J_KIND 0  /* 0: merge, 1: leaf                                 */
@@ -1154,6 +1165,344 @@ BAD:
     return -1;
 }
 
+/* ---- the persistent Phase 2: the chunked rope in the context -------
+ * A profile version of repro/persistence/rope.py lives here as a spine:
+ * a run of L_SPINE entries, one per chunk, holding the chunk's first
+ * piece in the L_PROF arena, its piece count and its first global piece
+ * index.  Chunks are never written once committed, so a successor
+ * version copies the entries of every untouched chunk and shares its
+ * pieces; only the fresh run around a splice is written anew. */
+
+#define CHUNK_TARGET 32  /* repro.persistence.rope.CHUNK_TARGET        */
+
+/* res[] row of a MODE_ROPE job: X_OPS .. X_LEN as above, then these. */
+#define X_TOTAL 4  /* a merge's new version: its piece count           */
+#define X_FRESH 5  /* the piece slots written into its fresh chunks    */
+#define RX_W    6
+
+typedef struct {
+    const int64_t *off, *len, *start;
+    int64_t n, total;
+} spine;
+
+typedef struct {
+    double ya, za, yb, zb;
+    int64_t src;
+} piece;
+
+/* The version whose spine is entries [at, at + n) of L_SPINE. */
+static spine spine_view(const lanes *S, int64_t at, int64_t n)
+{
+    spine s;
+    s.off = s.len = s.start = NULL;
+    s.n = n;
+    s.total = 0;
+    if (n > 0) {
+        s.off = S->q[0] + at;
+        s.len = S->q[1] + at;
+        s.start = S->q[2] + at;
+        s.total = s.start[n - 1] + s.len[n - 1];
+    }
+    return s;
+}
+
+/* bisect_right(offsets, i) - 1 of the Python rope, whose offsets end
+ * with the total: the chunk holding global piece i, or s->n when
+ * i >= total. */
+static int64_t chunk_of(const spine *s, int64_t i)
+{
+    int64_t lo = 0, hi = s->n, mid;
+    if (i >= s->total) return s->n;
+    while (lo < hi) {
+        mid = (lo + hi) >> 1;
+        if (s->start[mid] <= i) lo = mid + 1; else hi = mid;
+    }
+    return lo - 1;
+}
+
+/* _index_ge: the first global index with key >= y -- the spine bisect
+ * on the chunks' first keys, then the chunk's own. */
+static int64_t rope_index_ge(const lanes *A, const spine *s, double y)
+{
+    int64_t lo = 0, hi = s->n, mid;
+    while (lo < hi) {
+        mid = (lo + hi) >> 1;
+        if (A->d[0][s->off[mid]] <= y) lo = mid + 1; else hi = mid;
+    }
+    if (lo == 0) return 0;
+    lo--;
+    return s->start[lo] + lower_bound(A->d[0] + s->off[lo], s->len[lo], y);
+}
+
+/* Rope.piece_at(i). */
+static piece rope_piece(const lanes *A, const spine *s, int64_t i)
+{
+    int64_t c = chunk_of(s, i), k = s->off[c] + (i - s->start[c]);
+    piece p;
+    p.ya = A->d[0][k];
+    p.za = A->d[1][k];
+    p.yb = A->d[2][k];
+    p.zb = A->d[3][k];
+    p.src = A->q[0][k];
+    return p;
+}
+
+/* Piece.clipped(u, v) on a piece the caller knows covers [u, v]: the
+ * builtin max/min clamps, then z_at at both ends. */
+static piece clip_piece(piece p, double u, double v)
+{
+    piece c;
+    if (p.ya > u) u = p.ya;
+    if (p.yb < v) v = p.yb;
+    c.ya = u;
+    c.za = line_z(p.ya, p.za, p.yb, p.zb, u);
+    c.yb = v;
+    c.zb = line_z(p.ya, p.za, p.yb, p.zb, v);
+    c.src = p.src;
+    return c;
+}
+
+static void push_piece(lanes *O, piece p)
+{
+    push(O, p.ya, p.za, p.yb, p.zb, p.src);
+}
+
+/* Pieces [i, j) of a version appended to O, whole chunk runs at a time
+ * (Rope.pieces_between); O has room. */
+static void rope_copy(lanes *O, const lanes *A, const spine *s, int64_t i,
+                      int64_t j)
+{
+    int64_t c, hi;
+    view v;
+    if (i >= j) return;
+    c = chunk_of(s, i);
+    while (i < j) {
+        v = lanes_view(A, s->off[c], s->len[c]);
+        hi = j - s->start[c];
+        if (hi > s->len[c]) hi = s->len[c];
+        push_view(O, &v, i - s->start[c], hi);
+        i = s->start[c] + hi;
+        c++;
+    }
+}
+
+/* _check_splice_lanes on the fresh run [from, O->n): strictly positive
+ * widths, sorted, no NaN heights, between the kept neighbours. */
+static int splice_ok(const lanes *O, int64_t from, double prev_yb,
+                     double next_ya)
+{
+    int64_t j;
+    if (O->n == from) return 1;
+    for (j = from; j < O->n; j++) {
+        if (!(O->d[0][j] < O->d[2][j])) return 0;
+        if (O->d[1][j] != O->d[1][j] || O->d[3][j] != O->d[3][j]) return 0;
+        if (j > from && !(O->d[2][j - 1] <= O->d[0][j])) return 0;
+    }
+    return prev_yb <= O->d[0][from] && !(O->d[2][O->n - 1] > next_ya);
+}
+
+/* rope_splice_merge of pieces [boff, boff + blen) of blk (the left
+ * child's PCT profile) into the version at spine [aoff, aoff + alen):
+ * the SpliceRange decomposition (left cut and straddle clip, tail trim
+ * and carry), merge_sweep over the window, and commit_splice_lanes --
+ * the left fragment, left cut, merged run, carry and right fragment
+ * written to L_PROF as one fresh run in balanced chunks of at most
+ * CHUNK_TARGET pieces, and the successor's spine appended to L_SPINE
+ * (shared chunks before and after it).  An empty b shares the version
+ * itself.  Returns ST_DONE, ST_FAULT (merged window or fresh run fails
+ * its check) or ST_FALLBACK (OOM). */
+static int rope_merge(repro_ctx *ctx, int64_t aoff, int64_t alen,
+                      const double *blk, int64_t blk_cap, int64_t boff,
+                      int64_t blen, double eps, int64_t *X)
+{
+    lanes *A = &ctx->L[L_PROF], *W = &ctx->L[L_WIN], *S = &ctx->L[L_SPINE];
+    spine s = spine_view(S, aoff, alen);
+    piece q, cut = {0}, straddle = {0}, last = {0}, carry = {0};
+    int has_cut = 0, has_last = 0, has_carry = 0;
+    int64_t i0, i1, cl, nl, cr, at, nr, right, fresh, from, ops, nx;
+    int64_t parts, size, extra, p, c, g;
+    double ya, yb, prev_yb, next_ya;
+    view b, win;
+
+    X[X_OPS] = X[X_CROSS] = X[X_FRESH] = 0;
+    X[X_OFF] = aoff;
+    X[X_LEN] = alen;
+    X[X_TOTAL] = s.total;
+    if (blen == 0) return ST_DONE;
+    b = block_view(blk, blk_cap, boff, blen);
+    ya = b.ya[0];
+    yb = b.yb[blen - 1];
+
+    /* SpliceRange(rope, ya, yb). */
+    i0 = rope_index_ge(A, &s, ya);
+    if (i0 > 0) {
+        q = rope_piece(A, &s, i0 - 1);
+        if (q.yb > ya) {
+            cut = clip_piece(q, q.ya, ya);
+            straddle = clip_piece(q, ya, q.yb);
+            has_cut = 1;
+        }
+    }
+    i1 = rope_index_ge(A, &s, yb);
+    if (i1 > i0) {
+        last = rope_piece(A, &s, i1 - 1);
+        has_last = 1;
+    } else if (has_cut) {
+        last = straddle;
+        has_last = 1;
+    }
+
+    /* window_lanes: the straddle clip, pieces [i0, i1), the tail trim. */
+    if (!reserve(ctx, L_WIN, has_cut + (i1 - i0))) return ST_FALLBACK;
+    W->n = 0;
+    if (has_cut) push_piece(W, straddle);
+    rope_copy(W, A, &s, i0, i1);
+    if (has_last && last.yb > yb) {
+        piece trim = clip_piece(last, last.ya, yb);
+        carry = clip_piece(last, yb, last.yb);
+        has_carry = carry.ya < carry.yb;
+        W->d[2][W->n - 1] = trim.yb;
+        W->d[3][W->n - 1] = trim.zb;
+    }
+
+    /* The kept prefix ends at i0 (before the straddler when cut), the
+     * kept suffix starts at i1; their boundary chunks' fragments fold
+     * into the fresh run. */
+    cl = chunk_of(&s, i0 - has_cut);
+    nl = cl < s.n ? i0 - has_cut - s.start[cl] : 0;
+    cr = chunk_of(&s, i1);
+    nr = 0;
+    right = cr;
+    if (cr < s.n && i1 > s.start[cr]) {
+        nr = s.start[cr] + s.len[cr] - i1;
+        right = cr + 1;
+    }
+    if (!reserve_merge(ctx, W->n, blen, nl + has_cut + 1 + nr))
+        return ST_FALLBACK;
+
+    at = A->n;
+    if (nl) {
+        view v = lanes_view(A, s.off[cl], nl);
+        push_view(A, &v, 0, nl);
+    }
+    if (has_cut) push_piece(A, cut);
+    from = A->n;
+    win = lanes_view(W, 0, W->n);
+    ops = merge_sweep(ctx, &win, &b, eps, 1, &nx);
+    if (!pieces_ok(A, from)) return ST_FAULT;
+    if (has_carry) push_piece(A, carry);
+    if (nr) {
+        view v = lanes_view(A, s.off[cr], s.len[cr]);
+        push_view(A, &v, s.len[cr] - nr, s.len[cr]);
+    }
+    fresh = A->n - at;
+    prev_yb = cl > 0 ? A->d[2][s.off[cl - 1] + s.len[cl - 1] - 1] : -INFINITY;
+    next_ya = right < s.n ? A->d[0][s.off[right]] : INFINITY;
+    if (!splice_ok(A, at, prev_yb, next_ya)) return ST_FAULT;
+
+    /* The successor's spine: shared prefix, balanced fresh chunks
+     * (_chunked_block), shared suffix. */
+    parts = (fresh + CHUNK_TARGET - 1) / CHUNK_TARGET;
+    if (!reserve(ctx, L_SPINE, S->n + cl + parts + (s.n - right)))
+        return ST_FALLBACK;
+    s = spine_view(S, aoff, alen);  /* L_SPINE may have moved */
+    X[X_OFF] = S->n;
+    for (c = 0; c < cl; c++) {
+        S->q[0][S->n] = s.off[c];
+        S->q[1][S->n] = s.len[c];
+        S->q[2][S->n++] = s.start[c];
+    }
+    g = cl < s.n ? s.start[cl] : s.total;
+    size = parts ? fresh / parts : 0;
+    extra = parts ? fresh % parts : 0;
+    for (p = 0; p < parts; p++) {
+        int64_t k = size + (p < extra);
+        S->q[0][S->n] = at;
+        S->q[1][S->n] = k;
+        S->q[2][S->n++] = g;
+        at += k;
+        g += k;
+    }
+    for (c = right; c < s.n; c++) {
+        S->q[0][S->n] = s.off[c];
+        S->q[1][S->n] = s.len[c];
+        S->q[2][S->n++] = g;
+        g += s.len[c];
+    }
+    X[X_OPS] = ops;
+    X[X_CROSS] = nx;
+    X[X_LEN] = S->n - X[X_OFF];
+    X[X_TOTAL] = g;
+    X[X_FRESH] = fresh;
+    return ST_DONE;
+}
+
+/* rope_visible_parts of the segment at lane k against the version at
+ * spine [aoff, aoff + alen): the range_lanes window (the straddling
+ * predecessor whole, through the keys below the segment's end; a
+ * vertical segment spans [y1, y1 + 1e-12]) copied to L_WIN, then
+ * leaf_query over it.  Returns what leaf_query returns. */
+static int64_t rope_leaf(repro_ctx *ctx, int64_t aoff, int64_t alen,
+                         const double *y1, const double *z1,
+                         const double *y2, const double *z2,
+                         const int64_t *src, int64_t k, double eps,
+                         double clip_eps, int64_t *ncross)
+{
+    lanes *A = &ctx->L[L_PROF], *W = &ctx->L[L_WIN];
+    spine s = spine_view(&ctx->L[L_SPINE], aoff, alen);
+    double ya = y1[k], yb = y1[k] == y2[k] ? y1[k] + 1e-12 : y2[k];
+    int64_t i0 = rope_index_ge(A, &s, ya), i1;
+    view win;
+    if (i0 > 0 && rope_piece(A, &s, i0 - 1).yb >= ya) i0--;
+    i1 = rope_index_ge(A, &s, yb);
+    if (!reserve(ctx, L_WIN, i1 - i0)) return -2;
+    W->n = 0;
+    rope_copy(W, A, &s, i0, i1);
+    win = lanes_view(W, 0, W->n);
+    return leaf_query(ctx, &win, y1[k], z1[k], y2[k], z2[k], src[k], eps,
+                      clip_eps, ncross);
+}
+
+/* MODE_ROPE of repro_merge_layer; res rows are RX_W wide. */
+static int64_t rope_layer(repro_ctx *ctx, const double *blk, int64_t blk_cap,
+                          const double *y1, const double *z1,
+                          const double *y2, const double *z2,
+                          const int64_t *src, int64_t nj, const int64_t *job,
+                          double eps, double clip_eps, int64_t *res)
+{
+    int64_t j;
+    ctx->L[L_XING].n = 0;
+    ctx->L[L_PARTS].n = 0;
+    ctx->L[L_ROWS].n = 0;
+    ctx->L[L_VX].n = 0;
+    for (j = 0; j < nj; j++) {
+        const int64_t *J = job + J_W * j;
+        int64_t *X = res + RX_W * j;
+        int64_t ops, nx;
+        int st;
+        if (J[J_KIND] == 1) {
+            X[X_OFF] = ctx->L[L_PARTS].n;
+            ops = rope_leaf(ctx, J[J_AOFF], J[J_ALEN], y1, z1, y2, z2, src,
+                            J[J_BOFF], eps, clip_eps, &nx);
+            if (ops == -2) return ST_FALLBACK;
+            if (ops < 0) {
+                res[0] = j;
+                return ST_FAULT;
+            }
+            X[X_OPS] = ops;
+            X[X_CROSS] = nx;
+            X[X_LEN] = ctx->L[L_PARTS].n - X[X_OFF];
+            X[X_TOTAL] = X[X_FRESH] = 0;
+            continue;
+        }
+        st = rope_merge(ctx, J[J_AOFF], J[J_ALEN], blk, blk_cap, J[J_BOFF],
+                        J[J_BLEN], eps, X);
+        if (st == ST_FAULT) res[0] = j;
+        if (st != ST_DONE) return st;
+    }
+    return ST_DONE;
+}
+
 /* One PCT layer in one call: nj independent jobs of J_W int64 each,
  * answered in res[] (X_W each).
  *
@@ -1175,9 +1524,18 @@ BAD:
  * L_ROWS at the same index, and its crossings to L_VX.  L_PARTS,
  * L_ROWS, L_VX and L_XING are emptied first.
  *
- * Returns ST_DONE; ST_FAULT when a merged window or a leaf's parts fail
- * their post-condition (res[0] = the job); ST_FALLBACK on scratch
- * OOM.  Either way the caller discards the whole call. */
+ * MODE_ROPE (the persistent mode): side a is a rope version, its spine
+ * at [aoff, aoff + alen) of L_SPINE; L_PROF (the piece arena) and
+ * L_SPINE are never emptied.  A merge job is rope_splice_merge of side
+ * b into it (rope_merge), its res row RX_W wide: the successor's spine
+ * at res[X_OFF], res[X_LEN] (a itself when blen == 0), its piece count
+ * and fresh slots.  A leaf job is rope_visible_parts (rope_leaf), its
+ * outputs as in MODE_PHASE2.
+ *
+ * Returns ST_DONE; ST_FAULT when a merged window, a fresh rope run or
+ * a leaf's parts fail their post-condition (res[0] = the job);
+ * ST_FALLBACK on scratch OOM.  Either way the caller discards the whole
+ * call. */
 int64_t repro_merge_layer(
     repro_ctx *ctx, int64_t mode, const double *blk, int64_t blk_cap,
     const double *y1, const double *z1, const double *y2,
@@ -1187,6 +1545,9 @@ int64_t repro_merge_layer(
 {
     lanes *O = &ctx->L[L_PROF];
     int64_t j;
+    if (mode == MODE_ROPE)
+        return rope_layer(ctx, blk, blk_cap, y1, z1, y2, z2, src, nj, job,
+                          eps, clip_eps, res);
     if (mode == MODE_PCT) O->n = 0;
     ctx->L[L_XING].n = 0;
     ctx->L[L_PARTS].n = 0;

@@ -10,13 +10,13 @@
    at the leaves (:mod:`repro.hsr.phase2`, the systolic prefix);
 4. assembly of the object-space visibility map.
 
-Each PCT layer of Phase 1, and of the Phase-2 ``direct`` mode, runs
-as one compiled call when the compiled core is on (else one batched
-numpy sweep); the layers themselves run one after another in this
-process, and ``HsrConfig.workers`` does not affect this class.  Every
-step charges the CREW-PRAM cost tracker, so a run yields the (work,
-depth) pair Theorem 3.1 bounds; :mod:`repro.pram.schedule` turns
-those into time-on-p curves.
+Each PCT layer of Phase 1, and of the Phase-2 ``direct`` and
+``persistent`` modes, runs as one compiled call when the compiled core
+is on (else one batched numpy sweep); the layers themselves run one
+after another in this process, and ``HsrConfig.workers`` does not
+affect this class.  Every step charges the CREW-PRAM cost tracker, so
+a run yields the (work, depth) pair Theorem 3.1 bounds;
+:mod:`repro.pram.schedule` turns those into time-on-p curves.
 """
 
 from __future__ import annotations
@@ -48,7 +48,10 @@ class ParallelHSR:
         (splice merges into the chunked-rope store; default) or
         ``"acg"`` (hull-pruned searches on the shared persistent
         structure — the paper's full machinery).  All three produce
-        the same visibility map.
+        the same visibility map.  With the compiled core, ``direct``
+        and ``persistent`` run each layer in C (the rope's versions
+        kept in the run's core context); ``acg`` and
+        ``measure_sharing`` keep the Python rope.
     config:
         :class:`repro.config.HsrConfig` — the unified front door.
         ``use_compiled_insert`` switches the one-call-per-layer
@@ -118,11 +121,11 @@ class ParallelHSR:
         order = list(order)
 
         tree = SeparatorTree(order)
-        # The direct mode on the numpy engine projects straight into
-        # front-to-back image lanes, as SequentialHSR does; the other
-        # paths work on segment objects.
+        # The direct and persistent modes on the numpy engine project
+        # straight into front-to-back image lanes, as SequentialHSR
+        # does; the other paths work on segment objects.
         lanes = image_segments = None
-        if self.mode == "direct" and self.config.resolved_engine() == "numpy":
+        if self.mode != "acg" and self.config.resolved_engine() == "numpy":
             lanes = terrain.image_lanes(order)
         else:
             image_segments = terrain.image_segments()

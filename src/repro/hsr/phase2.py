@@ -29,12 +29,15 @@ cost profile — experiment E11's ablation):
     of the intermediate profile and shares the rest (paper Figs. 1/3 —
     this is where the persistent structure earns the output-sensitive
     work bound).  Left children share their parent's version outright:
-    zero copying.  On the numpy engine a layer's merges and leaf
-    queries run through the batched kernels on the chunks' cached lane
-    blocks; on the python engine each node runs the scalar
+    zero copying.  On the numpy engine with the compiled core, a
+    layer's merges and leaf queries run as one ``repro_merge_layer``
+    call whose context keeps the rope's versions (chunks as runs of a
+    piece arena, versions as spines of chunks); without the core they
+    run through the batched kernels on the chunks' cached lane blocks;
+    on the python engine each node runs the scalar
     :func:`~repro.persistence.rope.rope_splice_merge` /
     :func:`~repro.persistence.rope.rope_visible_parts` — the reference
-    the batched path is bit-exact against.
+    both are bit-exact against, ``nodes_allocated`` included.
 ``acg``
     Like ``persistent``, but crossings inside the spliced range are
     located by hull-pruned searches on the chunk-augmented
@@ -95,10 +98,11 @@ class Phase2Result:
     nodes_allocated: int = 0
     #: direct mode: envelope pieces materialised (the copying cost).
     pieces_materialised: int = 0
-    #: compiled direct mode: every edge's clipped visible parts as
-    #: ``(edge, ya, za, yb, zb)`` lists in front-to-back order — the
-    #: rows of :meth:`repro.hsr.result.VisibilityMap.add_rows`; ``None``
-    #: when some leaf was answered on another path.
+    #: compiled direct and persistent modes: every edge's clipped
+    #: visible parts as ``(edge, ya, za, yb, zb)`` lists in
+    #: front-to-back order — the rows of
+    #: :meth:`repro.hsr.result.VisibilityMap.add_rows`; ``None`` when
+    #: some leaf was answered on another path.
     rows: Optional[tuple] = None
 
 
@@ -116,11 +120,13 @@ def run_phase2(
     """Run Phase 2 over a built PCT (see module docstring).
 
     ``engine`` selects the envelope merge kernel for the ``direct``
-    mode's array merges and for the ``persistent`` mode's batched
-    layer merges (see :mod:`repro.envelope.engine`).
+    mode's array merges and for the ``persistent`` mode's layer
+    merges (see :mod:`repro.envelope.engine`).
     A ``config`` (:class:`repro.config.HsrConfig`) can switch the
-    ``direct`` mode's compiled layer kernel off; its ``workers`` has
-    no effect.
+    compiled layer kernel of ``direct`` and ``persistent`` off; its
+    ``workers`` has no effect.  ``measure_sharing`` keeps
+    ``persistent`` on the Python rope, whose piece objects the
+    sharing meter counts.
     ``image_segments`` may be ``None`` when the PCT holds the leaves'
     lanes (:attr:`PCT.lanes`).
     """
@@ -132,6 +138,20 @@ def run_phase2(
         return _phase2_direct(
             pct, image_segments, eps, tracker, engine, config
         )
+    if (
+        mode == "persistent"
+        and not measure_sharing
+        and pct.layers[0] is not None
+        and resolve_engine(engine) == "numpy"
+    ):
+        from repro.envelope import _ccore
+        from repro.envelope.flat_splice import compiled_enabled
+
+        if compiled_enabled(config, "phase2_merge"):
+            with _ccore.borrowed() as core:
+                out = _phase2_persistent_compiled(pct, eps, tracker, core)
+            if out is not None:
+                return out
     if image_segments is None:
         image_segments = pct.image_segments()
     return _phase2_persistent_rope(
@@ -490,38 +510,23 @@ def _phase2_direct_compiled(
     import numpy as np
 
     from repro.envelope import _ccore
-    from repro.hsr.pct import csr_index, level_spans
+    from repro.hsr.pct import level_spans
 
-    lanes = pct.lanes
     out = Phase2Result()
     inh_off = np.zeros(1, np.int64)
     inh_len = np.zeros(1, np.int64)
     leaves: list[tuple] = []  # per layer: (positions, res rows, parts, vx, rows)
     for d, (lo, hi) in enumerate(level_spans(len(pct.tree.order))):
-        leaf = hi - lo <= 1
-        inner = ~leaf
-        jobs = np.zeros((len(lo), 5), np.int64)
-        jobs[:, 1] = inh_off
-        jobs[:, 2] = inh_len
-        jobs[leaf, 0] = 1
-        jobs[leaf, 3] = lo[leaf]
-        blk = None
-        if inner.any():
-            blk, c_off, c_len = pct.layers[d + 1]
-            jobs[inner, 3] = c_off[0::2]
-            jobs[inner, 4] = c_len[0::2]
-
-        def kernel(blk=blk, jobs=jobs):
-            return _ccore.merge_layer(
-                core, _ccore.MODE_PHASE2, blk, lanes, jobs, eps, True
-            )
-
-        res = _guard.guarded_call("phase2_merge", kernel, lambda: None)
-        if res is None:
+        step = _compiled_layer(
+            pct, core, _ccore.MODE_PHASE2, d, lo, hi, inh_off, inh_len,
+            eps, leaves,
+        )
+        if step is None:
             return _hand_over(
                 pct, image_segments, eps, tracker, core, out, leaves, d,
                 inh_off, inh_len,
             )
+        jobs, res, inner = step
         ops = res[:, 0]
         merged = res[inner]
         stats = LayerStats(
@@ -539,15 +544,60 @@ def _phase2_direct_compiled(
                 for o in ops.tolist():
                     par.spawn(o, _merge_depth(o))
         out.layers.append(stats)
-        if len(merged) < len(res):
-            leaves.append((
-                lo[leaf], res[leaf], core.take(_ccore.L_PARTS),
-                core.take(_ccore.L_VX), core.take(_ccore.L_ROWS),
-            ))
         # Left children share the parent's profile; right children get
         # the merge result (the parent again when the merge was empty).
         inh_off = np.stack([inh_off[inner], merged[:, 2]], axis=1).reshape(-1)
         inh_len = np.stack([inh_len[inner], merged[:, 3]], axis=1).reshape(-1)
+
+    _leaf_outputs(out, pct.lanes, leaves)
+    return out
+
+
+def _compiled_layer(pct, core, mode, d, lo, hi, a_off, a_len, eps, leaves):
+    """Phase-2 layer ``d`` in one ``merge_layer`` call in ``mode``,
+    under the ``phase2_merge`` guard.  Every node's side a is its
+    inherited profile (``a_off``/``a_len`` in node order); an internal
+    node merges its left child's PCT profile, the next layer's node
+    ``2k``, and a leaf queries the image lane of its order position.
+    Appends the layer's leaf lanes to ``leaves``.  Returns ``(jobs,
+    res, inner)``, or ``None`` when the call faulted."""
+    import numpy as np
+
+    from repro.envelope import _ccore
+
+    leaf = hi - lo <= 1
+    inner = ~leaf
+    jobs = np.zeros((len(lo), 5), np.int64)
+    jobs[:, 1] = a_off
+    jobs[:, 2] = a_len
+    jobs[leaf, 0] = 1
+    jobs[leaf, 3] = lo[leaf]
+    blk = None
+    if inner.any():
+        blk, c_off, c_len = pct.layers[d + 1]
+        jobs[inner, 3] = c_off[0::2]
+        jobs[inner, 4] = c_len[0::2]
+
+    def kernel():
+        return _ccore.merge_layer(core, mode, blk, pct.lanes, jobs, eps, True)
+
+    res = _guard.guarded_call("phase2_merge", kernel, lambda: None)
+    if res is None:
+        return None
+    if leaf.any():
+        leaves.append((
+            lo[leaf], res[leaf], core.take(_ccore.L_PARTS),
+            core.take(_ccore.L_VX), core.take(_ccore.L_ROWS),
+        ))
+    return jobs, res, inner
+
+
+def _leaf_outputs(out: Phase2Result, lanes, leaves: list) -> None:
+    """Fill ``out.visibility`` (lazily) and ``out.rows`` from a
+    compiled run's per-layer leaf lanes."""
+    import numpy as np
+
+    from repro.hsr.pct import csr_index
 
     pos, res, parts, vx, rows = _stack_leaves(leaves)
     edges = lanes[4][pos]
@@ -564,7 +614,6 @@ def _phase2_direct_compiled(
         rows[4].view(np.int64)[idx].tolist(),
         *(rows[f, idx].tolist() for f in range(4)),
     )
-    return out
 
 
 def _stack_leaves(leaves: list):
@@ -624,6 +673,86 @@ def _size_locate_cost(n: int) -> int:
     ``n`` pieces (the rope's two-level bisect), added to every
     persistent merge and leaf query's ``ops``."""
     return max(1, int(math.log2(n + 1)))
+
+
+def _size_locate_costs(sizes):
+    """:func:`_size_locate_cost` of an int64 array of sizes: the
+    exponent of ``frexp(n + 1)`` less one is ``floor(log2(n + 1))``
+    exactly (sizes stay far below 2**53)."""
+    import numpy as np
+
+    return np.maximum(1, np.frexp(sizes + 1.0)[1] - 1)
+
+
+def _phase2_persistent_compiled(
+    pct: PCT,
+    eps: float,
+    tracker: Optional[PramTracker],
+    core,
+) -> Optional[Phase2Result]:
+    """``persistent`` mode in the compiled core: one
+    ``repro_merge_layer`` call per layer in ``MODE_ROPE`` does every
+    rope splice merge of the layer and every leaf's visibility query
+    and clipping, bit-exact with :func:`_phase2_persistent_rope` —
+    ``ops``, crossings and ``nodes_allocated`` included, since the
+    kernel cuts the same chunks.  Every profile version stays in the
+    context of ``core`` as a spine of shared chunks; Python only builds
+    each layer's job array from the previous layer's versions and the
+    PCT block of the layer below, and adds the
+    :func:`_size_locate_cost` charges.
+
+    Each call runs under the ``phase2_merge`` guard.  A fault returns
+    ``None`` and the caller reruns Phase 2 from the root on the numpy
+    rope layers, so the tracker is charged only once the last layer
+    is done.
+    """
+    import numpy as np
+
+    from repro.envelope import _ccore
+    from repro.hsr.pct import level_spans
+
+    out = Phase2Result()
+    # The inherited versions of a layer's nodes: spine offset, spine
+    # length and piece count.  The root inherits the empty version.
+    ver_off = np.zeros(1, np.int64)
+    ver_len = np.zeros(1, np.int64)
+    ver_tot = np.zeros(1, np.int64)
+    leaves: list[tuple] = []
+    costs = []
+    for d, (lo, hi) in enumerate(level_spans(len(pct.tree.order))):
+        step = _compiled_layer(
+            pct, core, _ccore.MODE_ROPE, d, lo, hi, ver_off, ver_len, eps,
+            leaves,
+        )
+        if step is None:
+            return None
+        _jobs, res, inner = step
+        cost = res[:, 0] + _size_locate_costs(ver_tot)
+        merged = res[inner]
+        stats = LayerStats(
+            depth=d,
+            merges=len(merged),
+            ops=int(cost.sum()),
+            crossings=int(merged[:, 1].sum()),
+        )
+        out.ops += stats.ops
+        out.crossings += stats.crossings
+        out.nodes_allocated += int(merged[:, 5].sum())
+        out.layers.append(stats)
+        costs.append(cost)
+        # Left children share the parent's version; right children get
+        # the merge's successor (the parent again when it was empty).
+        ver_off = np.stack([ver_off[inner], merged[:, 2]], axis=1).reshape(-1)
+        ver_len = np.stack([ver_len[inner], merged[:, 3]], axis=1).reshape(-1)
+        ver_tot = np.stack([ver_tot[inner], merged[:, 4]], axis=1).reshape(-1)
+
+    if tracker is not None:
+        for cost in costs:
+            with tracker.parallel() as par:
+                for o in cost.tolist():
+                    par.spawn(o, _merge_depth(o))
+    _leaf_outputs(out, pct.lanes, leaves)
+    return out
 
 
 def _phase2_persistent_rope(
@@ -761,37 +890,65 @@ def _rope_layer_merges(
         batch_merge,
         stack_envelopes,
     )
+    from repro.hsr.pct import _rows
 
     results: dict[int, tuple["_rope.Rope", int, int]] = {}
-    live: list[tuple] = []  # (node, root, SpliceRange, inter, flat)
-    for node in level:
-        if node.is_leaf:
-            continue
+    internals = [node for node in level if not node.is_leaf]
+    if not internals:
+        return results
+    # Each merge needs its intermediate's size and span: read them off
+    # the CSR block of the next layer (the left children are its nodes
+    # 2k), with no Envelope per merge.
+    if pct.layers[0] is not None:
+        layer = pct.layers[internals[0].depth + 1]
+        blk, c_off, c_len = layer
+        l_off, l_len = c_off[0::2], c_len[0::2]
+        full = l_len > 0
+        ya_l = np.zeros(len(l_len))
+        yb_l = np.zeros(len(l_len))
+        ya_l[full] = blk[0, l_off[full]]
+        yb_l[full] = blk[2, l_off[full] + l_len[full] - 1]
+
+        def rights_of(keep):
+            return _rows(layer, l_off[keep], l_len[keep])
+
+    else:  # PCT built by the python engine
+        flats = [
+            FlatEnvelope.from_envelope(pct.envelope_of(node.left))
+            for node in internals
+        ]
+        l_len = np.array([len(f) for f in flats], np.int64)
+        ya_l = np.array([f.ya[0] if len(f) else 0.0 for f in flats])
+        yb_l = np.array([f.yb[-1] if len(f) else 0.0 for f in flats])
+
+        def rights_of(keep):
+            return stack_envelopes([flats[k] for k in keep])
+
+    sizes, ya_l, yb_l = l_len.tolist(), ya_l.tolist(), yb_l.tolist()
+    live: list[tuple] = []  # (node, root, SpliceRange)
+    keep: list[int] = []  # their positions in ``internals``
+    for k, node in enumerate(internals):
         root = inherited[node.index]
-        inter = pct.envelope_of(node.left)
-        if not inter.pieces:
+        if not sizes[k]:
             results[node.index] = (root, 0, 0)
-            continue
-        if root.total == 0:
+        elif root.total == 0:
+            inter = pct.envelope_of(node.left)
             results[node.index] = (
                 _rope.rope_from_envelope(inter),
                 inter.size,
                 0,
             )
-            continue
-        ya, yb = inter.y_span()
-        flat = pct.flat_envelopes.get(node.left.index)
-        if flat is None:  # PCT built by the python engine
-            flat = FlatEnvelope.from_envelope(inter)
-        live.append((node, root, _rope.SpliceRange(root, ya, yb), flat))
+        else:
+            keep.append(k)
+            live.append((node, root, _rope.SpliceRange(root, ya_l[k], yb_l[k])))
     if not live:
         return results
+    rights = rights_of(keep)
 
     def kernel():
         lefts = stack_envelopes(
-            [FlatEnvelope(*sr.window_lanes()) for _, _, sr, _ in live]
+            [FlatEnvelope(*sr.window_lanes()) for _, _, sr in live]
         )
-        rights = stack_envelopes([flat for *_, flat in live])
         res = batch_merge(lefts, rights, eps=eps)
         ops = res.ops.tolist()
         cross = np.diff(
@@ -826,9 +983,11 @@ def _rope_layer_merges(
         from repro.envelope.merge import merge_envelopes
 
         out = []
-        for _, _, sr, flat in live:
+        for g, (_, _, sr) in enumerate(live):
             res = merge_envelopes(
-                Envelope(sr.mid_pieces()), flat.to_envelope(), eps=eps
+                Envelope(sr.mid_pieces()),
+                rights.group(g).to_envelope(),
+                eps=eps,
             )
             out.append(
                 (list(res.envelope.pieces), res.ops, len(res.crossings))
@@ -836,9 +995,7 @@ def _rope_layer_merges(
         return out
 
     per_node = _guard.guarded_call("phase2_merge", kernel, fallback)
-    for (node, root, sr, _), (payload, ops, n_cross) in zip(
-        live, per_node
-    ):
+    for (node, root, sr), (payload, ops, n_cross) in zip(live, per_node):
         carry = sr.carry
         if carry is not None and not (carry.ya < carry.yb):
             carry = None

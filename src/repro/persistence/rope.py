@@ -28,7 +28,8 @@ not wall clock).
 Sharing accounting, in piece units:
 
 * :func:`allocation_count` counts **piece slots written into freshly
-  built chunks** — the allocations experiments E5/E11 report.
+  built chunks** by the calling thread — the allocations experiments
+  E5/E11 report.
 * :func:`count_shared_pieces` counts piece *objects* reachable from
   several versions (splices reuse the same tuples outside the merged
   range) — the layer sharing meter phase 2 reports.
@@ -49,6 +50,7 @@ no-numpy CI leg runs the whole rope-versus-model parity suite.
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_left, bisect_right
 from typing import Iterable, Optional
 
@@ -87,19 +89,26 @@ __all__ = [
 #: leaves single-piece runts behind.
 CHUNK_TARGET = 32
 
-#: Piece slots written into freshly constructed chunks — the rope's
-#: allocation meter.
-_ALLOCATED = 0
+
+class _Meter(threading.local):
+    """Piece slots written into freshly constructed chunks — the rope's
+    allocation meter.  Per thread: a run reads it as a before/after
+    delta, and runs on other threads must not leak into that delta."""
+
+    slots = 0
+
+
+_METER = _Meter()
 
 
 def allocation_count() -> int:
-    """Total piece slots written into fresh chunks so far."""
-    return _ALLOCATED
+    """Total piece slots written into fresh chunks so far by this
+    thread."""
+    return _METER.slots
 
 
 def reset_allocation_count() -> None:
-    global _ALLOCATED
-    _ALLOCATED = 0
+    _METER.slots = 0
 
 
 class Chunk:
@@ -123,7 +132,6 @@ class Chunk:
                  "_key", "_last_yb", "_aug")
 
     def __init__(self, pieces: tuple[Piece, ...]):
-        global _ALLOCATED
         self._pieces = pieces
         self._starts = None
         self._block = None
@@ -132,14 +140,13 @@ class Chunk:
         self._key = pieces[0].ya
         self._last_yb = pieces[-1].yb
         self._aug = None
-        _ALLOCATED += len(pieces)
+        _METER.slots += len(pieces)
 
     @classmethod
     def from_block(cls, block) -> "Chunk":
         """A chunk over a read-only ``(5, k)`` column block (typically
         a slice view of one frozen commit buffer) — the lane-native
         constructor; no :class:`Piece` objects are touched."""
-        global _ALLOCATED
         self = object.__new__(cls)
         self._pieces = None
         self._starts = None
@@ -149,7 +156,7 @@ class Chunk:
         self._key = float(block[0, 0])
         self._last_yb = float(block[2, -1])
         self._aug = None
-        _ALLOCATED += self._n
+        _METER.slots += self._n
         return self
 
     def __len__(self) -> int:

@@ -37,6 +37,8 @@ def test_threads_running_the_core_stay_bit_exact():
         (SequentialHSR(), fractal_terrain(size=65, seed=4), 15),
         (ParallelHSR(mode="direct"), fractal_terrain(size=33, seed=3), 6),
         (ParallelHSR(mode="direct"), fractal_terrain(size=33, seed=4), 6),
+        (ParallelHSR(mode="persistent"), fractal_terrain(size=33, seed=3), 6),
+        (ParallelHSR(mode="persistent"), fractal_terrain(size=33, seed=4), 6),
     ]
     refs = [_signature(hsr.run(terrain)) for hsr, terrain, _ in jobs]
     results: list[list] = [[] for _ in jobs]

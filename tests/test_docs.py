@@ -1,6 +1,6 @@
 """Documentation checks: relative links in the markdown docs resolve,
-the bench figures the README table and the BENCHMARKS.md
-guard-overhead bullet quote match the recorded file, and the
+the bench figures the README table, the BENCHMARKS.md guard-overhead
+bullet and the ``phase2-rope`` ratio quote match the recorded file, and the
 BENCHMARKS.md row-kind table names exactly the recorded row kinds.
 
 The CI ``docs`` job runs this module on its own; it also rides along
@@ -115,6 +115,18 @@ def test_benchmarks_guard_overhead_matches_bench_file():
     )
     text = " ".join((REPO_ROOT / "docs" / "BENCHMARKS.md").read_text().split())
     assert expected in text
+
+
+def test_phase2_rope_ratio_matches_bench_file():
+    """The ``phase2-rope`` ratio (persistent / direct Phase 2) quoted in
+    ``docs/BENCHMARKS.md`` and the README is the recorded row's
+    ``speedup``."""
+    rows = json.loads((REPO_ROOT / "BENCH_envelope.json").read_text())["rows"]
+    (ratio,) = [r["speedup"] for r in rows if r["workload"] == "phase2-rope"]
+    bench = " ".join((REPO_ROOT / "docs" / "BENCHMARKS.md").read_text().split())
+    assert f"persistent store runs Phase 2 at **{ratio:.2f}× direct**" in bench
+    readme = " ".join((REPO_ROOT / "README.md").read_text().split())
+    assert f"**{ratio:.2f}×** the time of direct for the rope-backed" in readme
 
 
 def test_benchmarks_parallel_build_matches_bench_file():

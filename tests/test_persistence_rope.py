@@ -234,6 +234,20 @@ class TestCheckoutAndAllocation:
         R.rope_from_envelope(env)
         assert R.allocation_count() == env.size
 
+    def test_meter_is_per_thread(self, rng):
+        # A run reads the meter as a delta, so chunks another thread
+        # builds meanwhile must not show up in it.
+        import threading
+
+        env = env_of(random_image_segments(rng, 80))
+        R.reset_allocation_count()
+        other = threading.Thread(target=R.rope_from_envelope, args=(env,))
+        other.start()
+        other.join()
+        assert R.allocation_count() == 0
+        R.rope_from_envelope(env)
+        assert R.allocation_count() == env.size
+
 
 class TestSharingMeters:
     def test_narrow_splice_shares(self):

@@ -1,15 +1,17 @@
 """Tests for the compiled PCT layer kernel (``repro_merge_layer``).
 
 Contract under test: with the optional C extension built, Phase 1
-(``build_pct``) and Phase 2's ``direct`` mode run one compiled call per
-PCT layer, and are *bit-exact* against the scalar reference
-(``engine="python"``): the same pieces, ``ops`` and crossings per
-merge; the same visible parts, crossings and ``ops`` per leaf; and the
-same visibility map, ``k``, ``stats.ops``, ``stats.extra`` and layer
-stats per run.  ``persistent`` and ``acg`` read the CSR-backed PCT and
-stay bit-identical.  A post-condition fault (``ST_FAULT``) or an
-injected ``raise`` plan at ``pct_merge`` / ``phase2_merge`` recovers
-through the guard, bit-exactly.
+(``build_pct``) and Phase 2's ``direct`` and ``persistent`` modes run
+one compiled call per PCT layer, and are *bit-exact* against the
+scalar reference (``engine="python"``): the same pieces, ``ops`` and
+crossings per merge; the same visible parts, crossings and ``ops`` per
+leaf; and the same visibility map, ``k``, ``stats.ops``,
+``stats.extra`` (``nodes_allocated`` included) and layer stats per
+run.  The rope mode cuts the Python rope's chunks: the same pieces,
+chunk boundaries and fresh slot counts per splice.  ``acg`` reads the
+CSR-backed PCT and stays bit-identical.  A post-condition fault
+(``ST_FAULT``) or an injected ``raise`` plan at ``pct_merge`` /
+``phase2_merge`` recovers through the guard, bit-exactly.
 """
 
 from __future__ import annotations
@@ -32,9 +34,10 @@ from repro.envelope.visibility import visible_parts
 from repro.geometry.segments import ImageSegment
 from repro.hsr.parallel import ParallelHSR
 from repro.hsr.pct import build_pct, level_spans
-from repro.hsr.phase2 import run_phase2
+from repro.hsr.phase2 import _size_locate_cost, _size_locate_costs, run_phase2
 from repro.ordering.separator import SeparatorTree
 from repro.ordering.sweep import front_to_back_order
+from repro.persistence import rope
 from repro.pram.tracker import PramTracker
 from repro.reliability import faultinject as fi
 from repro.reliability import guard
@@ -197,6 +200,101 @@ def test_phase2_mode_matches_splice_merge_and_visible_parts(env, other, segs, ep
         assert rows[4, p:p + np_].view(np.int64).tolist() == [seg.source] * np_
 
 
+EPS_FUZZ = 1e-9
+
+
+@st.composite
+def _chain(draw, base):
+    """A valid envelope of up to 150 pieces — several rope chunks — on
+    a coarse grid: sorted, non-overlapping pieces, some touching, some
+    with gaps between, some synthetic (source -1).  Spans range from a
+    sliver to the whole grid, so splices cut into the middle of a rope
+    as well as cover it."""
+    n = draw(st.integers(0, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    step = draw(st.sampled_from([0.5, 0.125, 0.01]))
+    shift = draw(st.integers(0, 120)) * 0.5 + draw(_nudge)
+    ys = np.cumsum(rng.integers(1, 3, 2 * n)) * step + shift
+    ya, yb = ys[0::2], ys[1::2]
+    touch = rng.random(n) < 0.5
+    yb[:-1] = np.where(touch[:-1], ya[1:], yb[:-1])
+    z = np.round(rng.uniform(0.0, 8.0, (2, n)) * 2) / 2
+    src = np.where(rng.random(n) < 0.1, -1, base + np.arange(n))
+    return Envelope([
+        Piece(float(a), float(za), float(b), float(zb), int(s))
+        for a, b, za, zb, s in zip(ya, yb, z[0], z[1], src)
+    ])
+
+
+def _version(core, off, n):
+    """The pieces and chunk lengths of the context version whose spine
+    is ``L_SPINE`` entries ``[off, off + n)``."""
+    spine = core.take(_ccore.L_SPINE).view(np.int64)
+    arena = core.take(_ccore.L_PROF)
+    pieces, lengths = [], []
+    for c in range(off, off + n):
+        at, k = int(spine[0, c]), int(spine[1, c])
+        pieces += _pieces(arena, at, k)
+        lengths.append(k)
+    return pieces, lengths
+
+
+def _splice(rope_, env):
+    """``rope_splice_merge`` plus its fresh slot count."""
+    before = rope.allocation_count()
+    new, res = rope.rope_splice_merge(rope_, env, eps=EPS_FUZZ)
+    return new, res, rope.allocation_count() - before
+
+
+@needs_ccore
+@settings(max_examples=200, deadline=None)
+@given(
+    envs=st.tuples(_chain(0), _chain(1000), _chain(2000)),
+    segs=st.lists(_segment(5000), min_size=1, max_size=4),
+)
+def test_rope_mode_matches_the_python_rope(envs, segs):
+    """Three splices into the empty version (the third one next to the
+    leaf queries) against ``rope_splice_merge`` / ``rope_visible_parts``:
+    pieces, chunk boundaries, version sizes, fresh slots, ``ops`` and
+    crossings agree after every call."""
+    core = _ccore.Core()
+    lanes = segment_lanes(segs)
+    blk, offs = _block(*envs)
+    ref = rope.EMPTY
+    at, n = 0, 0
+    for i, env in enumerate(envs):
+        jobs = [[0, at, n, offs[i], env.size]]
+        if i == 2:
+            jobs += [[1, at, n, k, 0] for k in range(len(segs))]
+        res = _ccore.merge_layer(
+            core, _ccore.MODE_ROPE, blk, lanes, np.array(jobs, np.int64), EPS_FUZZ, True
+        )
+        if i == 2:
+            parts = core.take(_ccore.L_PARTS)
+            rows = core.take(_ccore.L_ROWS)
+            for seg, (ops, _ncross, p, np_, _, _) in zip(segs, res[1:].tolist()):
+                vis = rope.rope_visible_parts(ref, seg, eps=EPS_FUZZ)
+                assert ops == vis.ops
+                got = list(zip(parts[0, p:p + np_].tolist(), parts[1, p:p + np_].tolist()))
+                assert got == [tuple(part) for part in vis.parts]
+                clipped = [tuple(seg.visible_piece(q.ya, q.yb)) for q in vis.parts]
+                assert [tuple(rows[:4, k].tolist()) for k in range(p, p + np_)] == clipped
+        ref, merge, fresh = _splice(ref, env)
+        ops, ncross, at, n, total, slots = res[0].tolist()
+        pieces, lengths = _version(core, at, n)
+        assert pieces == ref.to_pieces()
+        assert lengths == [len(c) for c in ref.chunks]
+        assert total == ref.total
+        assert slots == fresh
+        assert (ops, ncross) == (merge.ops, len(merge.crossings))
+
+
+def test_vectorised_locate_cost_matches_the_scalar_charge():
+    sizes = [0, 1, 2, 3, 6, 7, 8, 255, 256, 511, 512, 4095, 10**6, 2**40 - 1]
+    got = _size_locate_costs(np.array(sizes, np.int64)).tolist()
+    assert got == [_size_locate_cost(n) for n in sizes]
+
+
 @needs_ccore
 def test_nan_window_faults():
     bad = Envelope([Piece(0.0, math.nan, 2.0, 1.0, 0)])
@@ -248,27 +346,71 @@ CASES = [
 ]
 
 
-@needs_ccore
-@pytest.mark.parametrize("family,size", CASES, ids=[f"{f}-{s}" for f, s in CASES])
-def test_direct_bit_exact_against_python(family, size, monkeypatch):
+def _assert_compiled_run_bit_exact(family, size, mode, kernel, monkeypatch):
+    """One ``kernel``-mode call per Phase-2 layer, every leaf answered
+    in C, and the run bit-exact with the python engine."""
     terrain = _terrain(family, size)
     order = front_to_back_order(terrain)
     calls = []
     real = _ccore.merge_layer
     monkeypatch.setattr(
-        _ccore, "merge_layer", lambda core, mode, *a: calls.append(mode) or real(core, mode, *a)
+        _ccore, "merge_layer", lambda core, m, *a: calls.append(m) or real(core, m, *a)
     )
     ta, tb = PramTracker(), PramTracker()
-    got = ParallelHSR(mode="direct", config=COMPILED).run(terrain, order=order, tracker=ta)
-    ref = ParallelHSR(mode="direct", config=PYTHON).run(terrain, order=order, tracker=tb)
+    got = ParallelHSR(mode=mode, config=COMPILED).run(terrain, order=order, tracker=ta)
+    ref = ParallelHSR(mode=mode, config=PYTHON).run(terrain, order=order, tracker=tb)
     tree = SeparatorTree(order)
-    # One call per layer in each phase; every leaf answered in C.
-    assert calls == [_ccore.MODE_PCT] * tree.height + [_ccore.MODE_PHASE2] * tree.height
+    assert calls == [_ccore.MODE_PCT] * tree.height + [kernel] * tree.height
     assert got.phase2.rows is not None
     assert _run_signature(got) == _run_signature(ref)
     assert got.phase2.crossings == ref.phase2.crossings
     assert (ta.work, ta.depth) == (tb.work, tb.depth)
     assert not got.reliability.degraded
+    return got, ref
+
+
+@needs_ccore
+@pytest.mark.parametrize("family,size", CASES, ids=[f"{f}-{s}" for f, s in CASES])
+def test_direct_bit_exact_against_python(family, size, monkeypatch):
+    _assert_compiled_run_bit_exact(family, size, "direct", _ccore.MODE_PHASE2, monkeypatch)
+
+
+@needs_ccore
+@pytest.mark.parametrize("family,size", CASES, ids=[f"{f}-{s}" for f, s in CASES])
+def test_persistent_bit_exact_against_python(family, size, monkeypatch):
+    got, ref = _assert_compiled_run_bit_exact(
+        family, size, "persistent", _ccore.MODE_ROPE, monkeypatch
+    )
+    assert got.phase2.nodes_allocated == ref.phase2.nodes_allocated > 0
+    assert all(layer.inherited_pieces == 0 for layer in got.phase2.layers)
+
+
+@needs_ccore
+@pytest.mark.parametrize(
+    "mode,kwargs",
+    [("acg", {}), ("persistent", {"measure_sharing": True}),
+     ("persistent", {"engine": "python"}),
+     ("persistent", {"config": NUMPY})],
+    ids=["acg", "measure-sharing", "python", "core-off"],
+)
+def test_python_rope_keeps_its_runs(mode, kwargs, monkeypatch):
+    """ACG, the sharing meter, the python engine and a switched-off
+    core keep the Python rope (the reference), with the same results."""
+    calls = []
+    real = _ccore.merge_layer
+    monkeypatch.setattr(
+        _ccore, "merge_layer", lambda core, m, *a: calls.append(m) or real(core, m, *a)
+    )
+    terrain = _terrain("valley", 9)
+    order = front_to_back_order(terrain)
+    got = ParallelHSR(mode=mode, **kwargs).run(terrain, order=order)
+    assert _ccore.MODE_ROPE not in calls
+    assert got.phase2.rows is None
+    sharing = kwargs.get("measure_sharing", False)
+    ref = ParallelHSR(mode=mode, measure_sharing=sharing, config=PYTHON).run(
+        terrain, order=order
+    )
+    assert _run_signature(got) == _run_signature(ref)
 
 
 @needs_ccore
@@ -334,12 +476,13 @@ class _FaultingLib:
         return self._lib.repro_merge_layer(ctx, mode, *args)
 
 
-def _assert_recovered(terrain, site):
+def _assert_recovered(terrain, site, mode="direct"):
     order = front_to_back_order(terrain)
-    got = ParallelHSR(mode="direct", config=COMPILED).run(terrain, order=order)
+    got = ParallelHSR(mode=mode, config=COMPILED).run(terrain, order=order)
     with fi.suppressed():
-        ref = ParallelHSR(mode="direct", config=PYTHON).run(terrain, order=order)
+        ref = ParallelHSR(mode=mode, config=PYTHON).run(terrain, order=order)
     assert _run_signature(got) == _run_signature(ref)
+    assert got.phase2.nodes_allocated == ref.phase2.nodes_allocated
     assert got.reliability.sites[site].count == 1
 
 
@@ -367,6 +510,36 @@ def test_raise_plan_recovers_bit_exact(site, monkeypatch):
         _assert_recovered(_terrain("valley", 17), site)
     assert plan.fired == 1
     assert calls  # the kernel ran on the other layers
+
+
+@needs_ccore
+@pytest.mark.parametrize("nth", [1, 2, 5])
+def test_rope_kernel_fault_reruns_bit_exact(nth, monkeypatch):
+    """A faulting rope layer reruns Phase 2 from the root on the numpy
+    rope layers, and charges the tracker once."""
+    terrain = _terrain("fractal", 17)
+    lib = _ccore.lib
+    monkeypatch.setattr(_ccore, "lib", _FaultingLib(lib, _ccore.MODE_ROPE, nth))
+    _assert_recovered(terrain, "phase2_merge", "persistent")
+    order = front_to_back_order(terrain)
+    ta, tb = PramTracker(), PramTracker()
+    monkeypatch.setattr(_ccore, "lib", _FaultingLib(lib, _ccore.MODE_ROPE, nth))
+    ParallelHSR(mode="persistent", config=COMPILED).run(terrain, order=order, tracker=ta)
+    ParallelHSR(mode="persistent", config=PYTHON).run(terrain, order=order, tracker=tb)
+    assert (ta.work, ta.depth) == (tb.work, tb.depth)
+
+
+@needs_ccore
+def test_rope_raise_plan_recovers_bit_exact(monkeypatch):
+    calls = []
+    real = _ccore.merge_layer
+    monkeypatch.setattr(
+        _ccore, "merge_layer", lambda *a: calls.append(a[1]) or real(*a)
+    )
+    with fi.inject("phase2_merge", "raise", nth=2) as plan:
+        _assert_recovered(_terrain("valley", 17), "phase2_merge", "persistent")
+    assert plan.fired == 1
+    assert calls.count(_ccore.MODE_ROPE) == 1  # the second layer faulted
 
 
 @needs_ccore

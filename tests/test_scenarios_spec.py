@@ -97,6 +97,7 @@ class TestDefaultSpec:
             "bench-insert-e9",
             "bench-insert-wide",
             "bench-paper-direct",
+            "bench-paper-persistent",
         }
         for s, inst in pinned:
             assert inst.factor("m", inst.factor("size")) in s.pinned
