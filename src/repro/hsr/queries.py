@@ -15,11 +15,16 @@ Three implementations are provided:
 * :func:`point_visible` — direct evaluation: scan the edges once,
   O(n) per query, exact.  The reference.
 * :func:`visible_many` — the batch form: under ``engine="numpy"``
-  the per-edge scan vectorises over observer blocks (bit-exact with
-  the scalar scan — the running maximum is order-independent and the
-  interpolation replicates :meth:`~repro.geometry.segments.MapSegment.
-  x_at` / ``z_at`` including their endpoint shortcuts); under
-  ``engine="python"`` it is the scalar loop.
+  only the edges whose y-range can cover ``p.y`` are scanned — a
+  window of the edges sorted by low ordinate, ``py - span <= y1 <=
+  py`` for the largest edge y-extent ``span`` — vectorised over
+  observer blocks, with the reference's exact ``covers`` test
+  rejecting the window's extras.  Bit-exact with the scalar scan: the
+  running maximum is order-independent and the interpolation
+  replicates :meth:`~repro.geometry.segments.MapSegment.x_at` /
+  ``z_at`` including their endpoint shortcuts.  One edge spanning the
+  whole y-range widens every window to all ``n`` edges, the cost of a
+  dense scan.  Under ``engine="python"`` it is the scalar loop.
 * :class:`VisibilityOracle` — batch preprocessing: sorts edges front
   to back once and builds *prefix profiles* at checkpoints, answering
   each query from the nearest checkpoint profile plus a local scan —
@@ -91,9 +96,14 @@ def point_visible(
     return best == NEG_INF or p.z >= best - eps_v
 
 
-#: Observers per vectorized block: bounds the (block × edges) broadcast
+#: Observers per vectorized block: bounds the (block × window)
 #: temporaries to a few MB on realistic terrains.
 _POINT_BLOCK = 256
+
+#: Relative widening of a window's lower bound: far above the few
+#: rounding steps of ``py - span`` (each ~1e-16 relative), so every
+#: edge with ``y1 <= py <= y2`` provably lies inside the window.
+_WINDOW_SLACK = 1e-12
 
 
 def visible_many(
@@ -104,95 +114,152 @@ def visible_many(
 ) -> list[bool]:
     """Batch :func:`point_visible` over many observers.
 
-    Under the numpy engine the scan runs as blocked array sweeps over
-    (observer × edge) panels; results are bit-exact with the scalar
-    reference (asserted in ``tests/test_service.py``).
+    Under the numpy engine each observer scans only a window of the
+    edges sorted by their low ordinate ``y1``: those with
+    ``py - span <= y1 <= py``, ``span`` the largest y-extent of any
+    edge — a superset of the edges whose y-range covers ``py``.  The
+    exact ``covers`` test of the reference then rejects the extras, so
+    results are bit-exact with the scalar reference (asserted in
+    ``tests/test_hsr_queries.py``).  The point lanes are built once per
+    call (:class:`repro.service.ViewshedSession` keeps them).  Worst
+    case, one edge spanning the whole y-range, the window holds every
+    edge and the scan costs the dense (observer × edge) sweep.
     """
     from repro.config import HsrConfig
 
     cfg = HsrConfig.resolve(config)
     points = [as_observer(p) for p in observers]
-    if cfg.resolved_engine() != "numpy" or terrain.n_edges == 0:
+    if cfg.resolved_engine() != "numpy" or terrain.n_edges == 0 or not points:
         return [point_visible(terrain, p, config=cfg) for p in points]
-    return _visible_many_numpy(terrain, points, cfg.eps)
+    return _PointLanes(terrain).visible(points, cfg.eps)
 
 
-def _terrain_query_arrays(terrain: Terrain):
-    """The per-edge lanes the vectorized point kernel scans: map-
-    segment endpoints (front test) and image-segment endpoints
-    (height evaluation), one row per edge."""
-    import numpy as np
+class _PointLanes:
+    """A terrain's edges as the 8 lanes the vectorized point scan
+    reads — map-segment endpoints ``(mx1, my1, mx2, my2)`` for the
+    front test and image-segment endpoints ``(sy1, sz1, sy2, sz2)``
+    for the height — one column per edge, sorted by ``my1``.
 
-    n = terrain.n_edges
-    mat = np.empty((n, 8), dtype=np.float64)
-    for e in range(n):
-        m = terrain.map_segment(e)
-        s = terrain.image_segment(e)
-        mat[e] = (m.x1, m.y1, m.x2, m.y2, s.y1, s.z1, s.y2, s.z2)
-    return mat
-
-
-def _visible_many_numpy(
-    terrain: Terrain, points: Sequence[Point3], eps: float
-) -> list[bool]:
-    """Blocked vectorization of the reference scan.
-
-    Replicates the scalar float arithmetic exactly: ``lerp``'s
-    ``t == 0 / t == 1`` endpoint shortcuts become ``where`` selects
-    (``y == y1`` makes ``t`` exactly ``0.0`` and ``y == y2`` exactly
-    ``1.0``, so selecting on ``t`` covers the ``x_at``/``z_at``
-    shortcuts too), horizontal map segments and vertical image
-    segments take their max-endpoint branches, and every divide runs
-    on a masked-safe denominator (the numpy CI leg promotes
-    RuntimeWarning to error).  The reference's running ``max`` is
-    order-independent, so one array reduction matches it bitwise.
+    Gathered in one pass from the vertex and edge arrays
+    (:meth:`Terrain._lane_endpoints`): both segment kinds swap their
+    ends on the same comparison, so ``my1 == sy1`` and ``my2 == sy2``.
+    ``span`` is the largest ``my2 - my1``.  Requires numpy and at
+    least one edge.
     """
-    import numpy as np
 
-    mat = _terrain_query_arrays(terrain)
-    mx1, my1, mx2, my2 = mat[:, 0], mat[:, 1], mat[:, 2], mat[:, 3]
-    sy1, sz1, sy2, sz2 = mat[:, 4], mat[:, 5], mat[:, 6], mat[:, 7]
-    m_horiz = my1 == my2
-    s_vert = sy1 == sy2
-    m_top = np.maximum(mx1, mx2)
-    s_top = np.maximum(sz1, sz2)
-    md = np.where(m_horiz, 1.0, my2 - my1)
-    sd = np.where(s_vert, 1.0, sy2 - sy1)
+    __slots__ = ("lanes", "span")
 
-    out: list[bool] = []
-    for base in range(0, len(points), _POINT_BLOCK):
-        block = points[base : base + _POINT_BLOCK]
-        py = np.array([p.y for p in block])[:, None]
-        px = np.array([p.x for p in block])[:, None]
-        pz = np.array([p.z for p in block])[:, None]
+    def __init__(self, terrain: Terrain):
+        import numpy as np
 
-        covers = (my1 <= py) & (py <= my2)
-        tm = (py - my1) / md
-        xv = np.where(
-            m_horiz,
-            m_top,
-            np.where(
-                tm == 0.0,
-                mx1,
-                np.where(tm == 1.0, mx2, mx1 + (mx2 - mx1) * tm),
-            ),
+        pts, lo, hi = terrain._lane_endpoints()
+        y1, y2 = pts[lo, 1], pts[hi, 1]
+        lanes = np.stack(
+            (pts[lo, 0], y1, pts[hi, 0], y2, y1, pts[lo, 2], y2, pts[hi, 2])
         )
-        front = covers & (xv > px + eps)
+        self.lanes = lanes[:, np.argsort(y1, kind="stable")]
+        self.span = float((y2 - y1).max())
 
-        ts = (py - sy1) / sd
-        zv = np.where(
-            s_vert,
-            s_top,
-            np.where(
-                ts == 0.0,
-                sz1,
-                np.where(ts == 1.0, sz2, sz1 + (sz2 - sz1) * ts),
-            ),
-        )
-        best = np.where(front, zv, NEG_INF).max(axis=1)
-        vis = (best == NEG_INF) | (pz[:, 0] >= best - eps)
-        out.extend(bool(v) for v in vis)
-    return out
+    def windows(self, py):
+        """``(lo, hi)``: each observer's column range ``[lo, hi)``,
+        holding every edge whose y-range covers its ordinate ``py``.
+
+        The lower bound ``py - span`` is widened by
+        :data:`_WINDOW_SLACK` and one more ulp, so rounding can only
+        add edges.  A non-finite ordinate covers no finite edge and
+        gets an empty window.  A non-finite ``span`` (an edge with a
+        non-finite ordinate) makes every window the whole array — the
+        dense sweep.
+        """
+        import numpy as np
+
+        y1 = self.lanes[1]
+        if not math.isfinite(self.span):
+            return np.zeros(py.size, np.int64), np.full(py.size, y1.size)
+        finite = np.isfinite(py)
+        py = np.where(finite, py, 0.0)
+        span = self.span
+        with np.errstate(over="ignore"):
+            low = (py - span) - (np.abs(py) + span) * _WINDOW_SLACK
+        lo = np.searchsorted(y1, np.nextafter(low, -np.inf), side="left")
+        hi = np.searchsorted(y1, py, side="right")
+        return lo, np.where(finite, hi, lo)
+
+    def visible(self, points: Sequence[Point3], eps: float) -> list[bool]:
+        """:func:`point_visible` of every point, as blocked array
+        sweeps over (observer × window) panels.
+
+        Each block gathers its observers' windows into panels as wide
+        as its widest window; the exact covers test drops every entry
+        that does not cover its observer, which then evaluates at its
+        own ``y1``.  The kernel replicates the
+        scalar float arithmetic exactly: ``lerp``'s ``t == 0 / t == 1``
+        endpoint shortcuts become ``where`` selects (``y == y1`` makes
+        ``t`` exactly ``0.0`` and ``y == y2`` exactly ``1.0``, so
+        selecting on ``t`` covers the ``x_at``/``z_at`` shortcuts
+        too), horizontal map segments and vertical image segments take
+        their max-endpoint branches, and every divide runs on a
+        masked-safe denominator (the numpy CI leg promotes
+        RuntimeWarning to error).  The reference's running ``max`` is
+        order-independent, so one array reduction over a window
+        matches it bitwise.
+        """
+        import numpy as np
+
+        n = self.lanes.shape[1]
+        out: list[bool] = []
+        for base in range(0, len(points), _POINT_BLOCK):
+            block = points[base : base + _POINT_BLOCK]
+            py = np.array([p.y for p in block])
+            lo, hi = self.windows(py)
+            # A row past its own window reads further real edges (the
+            # last one repeated at the end): their y1 exceeds py, so
+            # the covers test below drops them and needs no mask.
+            idx = np.minimum(lo[:, None] + np.arange((hi - lo).max()), n - 1)
+            mx1, my1, mx2, my2, sy1, sz1, sy2, sz2 = self.lanes[:, idx]
+            py = py[:, None]
+            px = np.array([p.x for p in block])[:, None]
+            pz = np.array([p.z for p in block])[:, None]
+
+            m_horiz = my1 == my2
+            s_vert = sy1 == sy2
+            m_top = np.maximum(mx1, mx2)
+            s_top = np.maximum(sz1, sz2)
+            md = np.where(m_horiz, 1.0, my2 - my1)
+            sd = np.where(s_vert, 1.0, sy2 - sy1)
+
+            covers = (my1 <= py) & (py <= my2)
+            # Entries that do not cover evaluate at their own y1
+            # (t = 0), so no observer ordinate can overflow the panels.
+            ye = np.where(covers, py, my1)
+            tm = (ye - my1) / md
+            xv = np.where(
+                m_horiz,
+                m_top,
+                np.where(
+                    tm == 0.0,
+                    mx1,
+                    np.where(tm == 1.0, mx2, mx1 + (mx2 - mx1) * tm),
+                ),
+            )
+            # The reference skips an edge iff ``x <= px + eps``: negate
+            # that test, so a NaN ``px`` keeps the edge in front too.
+            front = covers & ~(xv <= px + eps)
+
+            ts = (ye - sy1) / sd
+            zv = np.where(
+                s_vert,
+                s_top,
+                np.where(
+                    ts == 0.0,
+                    sz1,
+                    np.where(ts == 1.0, sz2, sz1 + (sz2 - sz1) * ts),
+                ),
+            )
+            best = np.where(front, zv, NEG_INF).max(axis=1, initial=NEG_INF)
+            vis = (best == NEG_INF) | (pz[:, 0] >= best - eps)
+            out.extend(bool(v) for v in vis)
+        return out
 
 
 class VisibilityOracle:

@@ -36,6 +36,7 @@ __all__ = [
     "vertical_segments",
     "segments_for",
     "terrain_for",
+    "observers_for",
     "dem_terrain_for",
     "flyover_terrains",
     "config_of",
@@ -190,6 +191,18 @@ def terrain_for(params: dict[str, Any]):
         )
     observer = float(params.get("observer", 0.0))
     return terrain.rotated(observer) if observer else terrain
+
+
+def observers_for(terrain, params: dict[str, Any]) -> list[tuple]:
+    """``points`` seeded observers ``(x, y, z)`` drawn uniformly over
+    the terrain's xy bounds and height range (the ``points`` op)."""
+    rng = random.Random(int(params.get("seed", 0)))
+    x0, y0, x1, y1 = terrain.xy_bounds()
+    z0, z1 = terrain.height_range()
+    return [
+        (rng.uniform(x0, x1), rng.uniform(y0, y1), rng.uniform(z0, z1))
+        for _ in range(int(params.get("points", 32)))
+    ]
 
 
 def dem_terrain_for(params: dict[str, Any]):
@@ -437,6 +450,19 @@ def bench_callables(
 
         fns = {
             label: (lambda c=c: loop(c)) for label, c in configs.items()
+        }
+    elif op == "points":
+        from repro.hsr.queries import visible_many
+
+        terrain = terrain_for(params)
+        observers = observers_for(terrain, params)
+        m = terrain.n_edges
+        env_size = sum(
+            visible_many(terrain, observers, config=configs[var_cfg["id"]])
+        )
+        fns = {
+            label: (lambda c=c: visible_many(terrain, observers, config=c))
+            for label, c in configs.items()
         }
     else:  # pragma: no cover - spec validation rejects unknown ops
         raise ScenarioError(f"unknown bench op {op!r}")

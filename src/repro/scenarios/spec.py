@@ -34,7 +34,7 @@ Schema (see ``docs/SCENARIOS.md`` for the narrative version)::
           "fixed":    {"<param>": value, ...},          # optional
           "configs":  [{"id": "...", <HsrConfig field>: ...}, ...],
           "op":       "build" | "insert" | "run" | "parallel"
-                      | "flyover",                       # bench
+                      | "flyover" | "points",            # bench
           "pinned":   [<m or n_edges level>, ...],      # perf gate
           "requires_ccore": true,                       # optional
         }
@@ -69,7 +69,7 @@ DEFAULT_SPEC_RESOURCE = "default_scenarios.json"
 
 _WORKLOADS = frozenset({"terrain", "segments", "dem-file", "flyover"})
 _ROLES = frozenset({"parity", "bench"})
-_OPS = frozenset({"build", "insert", "run", "parallel", "flyover"})
+_OPS = frozenset({"build", "insert", "run", "parallel", "flyover", "points"})
 _SCENARIO_KEYS = frozenset(
     {
         "workload",

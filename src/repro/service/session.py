@@ -24,8 +24,8 @@ Query forms:
   throughput multiple;
 * :meth:`ViewshedSession.point_visible` /
   :meth:`ViewshedSession.points_visible` — observer-point queries
-  delegating to :mod:`repro.hsr.queries` (the batched form uses the
-  blocked vectorized scan).
+  delegating to :mod:`repro.hsr.queries` (the batched form runs the
+  windowed point scan over y-sorted edge lanes the session keeps).
 
 The asyncio front end in :mod:`repro.service.server` coalesces
 concurrent client requests into :meth:`query_batch` launches on top of
@@ -43,7 +43,7 @@ from typing import Optional, Sequence, Union
 from repro.envelope.chain import Envelope
 from repro.envelope.visibility import VisibilityResult, visible_parts
 from repro.geometry.segments import ImageSegment
-from repro.hsr.queries import Observer, visible_many
+from repro.hsr.queries import Observer, _PointLanes, as_observer, visible_many
 from repro.hsr.queries import point_visible as _point_visible
 from repro.terrain.model import Terrain
 
@@ -154,6 +154,12 @@ class ViewshedSession:
     cache:
         :class:`EnvelopeCache` override (defaults to the process-wide
         cache).
+
+    Opening a session computes only the fingerprint.  Each query form
+    builds what it scans on first use and keeps it: the horizon
+    envelope (through the cache) for :meth:`query`, its flat arrays
+    for :meth:`query_batch`, and the terrain's edges as point lanes
+    sorted by low ordinate for :meth:`points_visible` (numpy engine).
     """
 
     def __init__(
@@ -171,6 +177,7 @@ class ViewshedSession:
         self.fingerprint = terrain_fingerprint(terrain)
         self._envelope: Optional[Envelope] = None
         self._flat = None
+        self._point_lanes: Optional[_PointLanes] = None
         self.stats = {"queries": 0, "batches": 0, "batched_queries": 0}
 
     # -- the horizon envelope -----------------------------------------
@@ -244,7 +251,19 @@ class ViewshedSession:
         return _point_visible(self.terrain, observer, config=self.config)
 
     def points_visible(self, observers: Sequence[Observer]) -> list[bool]:
-        """Many observer points, via the blocked vectorized scan."""
+        """Many observer points, via the windowed point scan of
+        :func:`~repro.hsr.queries.visible_many`; the session builds the
+        y-sorted point lanes on its first call and keeps them."""
         self.stats["batches"] += 1
         self.stats["batched_queries"] += len(observers)
-        return visible_many(self.terrain, observers, config=self.config)
+        cfg = self.config
+        points = [as_observer(p) for p in observers]
+        if (
+            cfg.resolved_engine() != "numpy"
+            or self.terrain.n_edges == 0
+            or not points
+        ):
+            return visible_many(self.terrain, points, config=cfg)
+        if self._point_lanes is None:
+            self._point_lanes = _PointLanes(self.terrain)
+        return self._point_lanes.visible(points, cfg.eps)

@@ -151,15 +151,16 @@ class Terrain:
         a, b = self.edge_endpoints(edge_index)
         return ImageSegment.make(a.project_zy(), b.project_zy(), edge_index)
 
-    def image_lanes(self, order: Optional[Sequence[int]] = None) -> tuple:
-        """``(y1, z1, y2, z2, source)`` of the image segments of the
-        edges in ``order`` (default: all, by index) as numpy lanes —
-        float64 coordinates, int64 sources.
+    def _lane_endpoints(self, order: Optional[Sequence[int]] = None):
+        """``(pts, lo, hi)``: the vertices as an ``(n_vertices, 3)``
+        float64 array and, for each edge in ``order`` (default: all, by
+        index), the vertex indices of its low-``y`` and high-``y`` ends.
 
-        Coordinates are gathered, never computed, and the endpoints
-        swap on the comparison of :meth:`ImageSegment.make` (iff
-        ``y_i > y_j``), so the lanes equal the fields of
-        :meth:`image_segment` bit for bit.  Requires numpy.
+        The ends swap iff ``y_i > y_j`` — the comparison of both
+        :meth:`ImageSegment.make` and :meth:`MapSegment.make` — so
+        coordinates gathered through ``lo``/``hi`` equal the fields of
+        :meth:`image_segment` and :meth:`map_segment` bit for bit.
+        Requires numpy.
         """
         import numpy as np
 
@@ -177,8 +178,22 @@ class Terrain:
         ).reshape(-1, 2)
         i, j = ends[:, 0], ends[:, 1]
         swap = pts[i, 1] > pts[j, 1]
-        lo = np.where(swap, j, i)
-        hi = np.where(swap, i, j)
+        return pts, np.where(swap, j, i), np.where(swap, i, j)
+
+    def image_lanes(self, order: Optional[Sequence[int]] = None) -> tuple:
+        """``(y1, z1, y2, z2, source)`` of the image segments of the
+        edges in ``order`` (default: all, by index) as numpy lanes —
+        float64 coordinates, int64 sources.
+
+        Coordinates are gathered, never computed
+        (:meth:`_lane_endpoints`), so the lanes equal the fields of
+        :meth:`image_segment` bit for bit.  Requires numpy.
+        """
+        import numpy as np
+
+        if order is None:
+            order = range(self.n_edges)
+        pts, lo, hi = self._lane_endpoints(order)
         return (
             pts[lo, 1],
             pts[lo, 2],

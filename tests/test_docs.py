@@ -1,7 +1,8 @@
 """Documentation checks: relative links in the markdown docs resolve,
 the bench figures the README table, the BENCHMARKS.md guard-overhead
-bullet and the ``phase2-rope`` ratio quote match the recorded file, and the
-BENCHMARKS.md row-kind table names exactly the recorded row kinds.
+bullet, the ``phase2-rope`` ratio quote and the ``bench-points`` ratio
+match the recorded file, and the BENCHMARKS.md row-kind table names
+exactly the recorded row kinds.
 
 The CI ``docs`` job runs this module on its own; it also rides along
 in tier-1 (stdlib only, no numpy, milliseconds).  Inline markdown
@@ -127,6 +128,18 @@ def test_phase2_rope_ratio_matches_bench_file():
     assert f"persistent store runs Phase 2 at **{ratio:.2f}× direct**" in bench
     readme = " ".join((REPO_ROOT / "README.md").read_text().split())
     assert f"**{ratio:.2f}×** the time of direct for the rope-backed" in readme
+
+
+def test_points_ratio_matches_bench_file():
+    """The headline ratio of the ``viewshed-observers`` section in
+    ``docs/BENCHMARKS.md`` is the recorded ``scenario:bench-points``
+    row's ``speedup`` (python-engine scan / windowed numpy scan)."""
+    rows = json.loads((REPO_ROOT / "BENCH_envelope.json").read_text())["rows"]
+    (ratio,) = [
+        r["speedup"] for r in rows if r["workload"] == "scenario:bench-points"
+    ]
+    bench = " ".join((REPO_ROOT / "docs" / "BENCHMARKS.md").read_text().split())
+    assert f"the windowed scan answers at **{ratio:.1f}× the python engine**" in bench
 
 
 def test_benchmarks_parallel_build_matches_bench_file():

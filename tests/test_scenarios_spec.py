@@ -98,6 +98,7 @@ class TestDefaultSpec:
             "bench-insert-wide",
             "bench-paper-direct",
             "bench-paper-persistent",
+            "bench-points",
         }
         for s, inst in pinned:
             assert inst.factor("m", inst.factor("size")) in s.pinned

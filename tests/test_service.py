@@ -141,6 +141,28 @@ class TestSessionQueries:
         assert any(batched) and not all(batched)
 
 
+    def test_point_lanes_built_once_and_not_at_open(self, terrain, monkeypatch):
+        from repro.hsr import queries
+
+        built = []
+        init = queries._PointLanes.__init__
+
+        def spy(lanes, t):
+            built.append(t)
+            init(lanes, t)
+
+        monkeypatch.setattr(queries._PointLanes, "__init__", spy)
+        session = ViewshedSession(terrain, cache=EnvelopeCache())
+        session.envelope()
+        session.query_batch(_query_segments(terrain, count=4))
+        assert built == []
+        pts = [(2.0, 5.0, 50.0), (2.0, 5.0, -50.0), (8.0, 1.0, 2.0)]
+        first = session.points_visible(pts)
+        second = session.points_visible(pts[::-1])
+        assert built == [terrain]
+        assert second == first[::-1]
+
+
 class TestVisibleManyParity:
     def test_numpy_matches_scalar(self):
         from repro.hsr.queries import point_visible, visible_many
