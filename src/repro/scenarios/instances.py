@@ -273,10 +273,17 @@ def config_of(cfg: dict[str, Any]) -> HsrConfig:
     return HsrConfig(**fields)
 
 
-def _run_signature(terrain, config: HsrConfig):
-    from repro.hsr.sequential import SequentialHSR
+def _run_signature(terrain, config: HsrConfig, mode: Optional[str] = None):
+    """The signature of one HSR run: ``SequentialHSR``, or
+    ``ParallelHSR`` with the Phase-2 ``mode`` when one is given."""
+    if mode is None:
+        from repro.hsr.sequential import SequentialHSR
 
-    res = SequentialHSR(config=config).run(terrain)
+        res = SequentialHSR(config=config).run(terrain)
+    else:
+        from repro.hsr.parallel import ParallelHSR
+
+        res = ParallelHSR(mode=mode, config=config).run(terrain)
     return (
         res.stats.k,
         res.stats.ops,
@@ -323,19 +330,22 @@ def _segments_signature(segments, config: HsrConfig):
 
 def parity_signature(inst: ScenarioInstance, cfg: dict[str, Any]):
     """Run ``inst`` under one config variant; the returned value is
-    equality-comparable across variants (bit-exact parity contract)."""
+    equality-comparable across variants (bit-exact parity contract).
+    A terrain instance with a ``mode`` param runs ``ParallelHSR`` in
+    that Phase-2 mode, else ``SequentialHSR``."""
     params = inst.params()
     config = config_of(cfg)
+    mode = params.get("mode")
     kind = inst.scenario.workload
     if kind == "terrain":
-        return _run_signature(terrain_for(params), config)
+        return _run_signature(terrain_for(params), config, mode)
     if kind == "segments":
         return _segments_signature(segments_for(params), config)
     if kind == "dem-file":
-        return _run_signature(dem_terrain_for(params), config)
+        return _run_signature(dem_terrain_for(params), config, mode)
     if kind == "flyover":
         return tuple(
-            _run_signature(frame, config)
+            _run_signature(frame, config, mode)
             for frame in flyover_terrains(params)
         )
     raise ScenarioError(f"unknown workload kind {kind!r}")

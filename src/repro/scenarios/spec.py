@@ -89,7 +89,6 @@ _CONFIG_FIELDS = frozenset(
         "eps",
         "workers",
         "use_compiled_insert",
-        "flat_fused_cutoff",
         "parallel_min_segments",
     }
 )

@@ -39,7 +39,7 @@ class TestDegenerateTerrainParity:
     the plateau / constant-plateau cases — plus the exact-lattice grid
     (``jitter_seed=None``, coincident-y and collinear on purpose) the
     hand-rolled suite never covered — are matrix axes now, and the
-    compiled/numpy/forced-vectorized insert legs are config variants."""
+    compiled and no-core insert legs are config variants."""
 
     def test_scenario_covers_degenerate_families(self):
         from repro.scenarios import default_spec
@@ -50,9 +50,7 @@ class TestDegenerateTerrainParity:
             "constant_plateau",
             "lattice_plateau",
         }
-        assert {"numpy-packed", "numpy-nocompiled", "numpy-vectorized"} <= set(
-            s.config_ids()
-        )
+        assert {"numpy-packed", "numpy-nocompiled"} <= set(s.config_ids())
 
     def test_degenerate_matrix_parity(self):
         from repro.scenarios import default_spec

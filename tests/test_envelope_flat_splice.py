@@ -226,8 +226,8 @@ class TestSpliceMerge:
 
 class TestSequentialEngineParity:
     """Thin wrapper over the declarative scenario matrix (ISSUE 9):
-    the hand-rolled fractal/valley/shielded-basin cases — including
-    the forced-vectorized kernel variant, now a config axis — live in the
+    the hand-rolled fractal/valley/shielded-basin cases — with the
+    compiled and no-core legs as a config axis — live in the
     ``parity-terrain`` / ``parity-occlusion`` scenarios of
     ``repro/scenarios/default_scenarios.json``.  The full matrix runs
     in ``tests/test_scenarios.py``; this wrapper pins the historical
@@ -245,8 +245,9 @@ class TestSequentialEngineParity:
         terrain = spec.scenario("parity-terrain")
         families = dict(terrain.cross)["family"]
         assert {"fractal", "valley", "shielded_basin"} <= set(families)
-        # The old `kernels=forced` leg is now a config variant.
-        assert "numpy-vectorized" in terrain.config_ids()
+        assert {"numpy-packed", "numpy-nocompiled"} <= set(
+            terrain.config_ids()
+        )
         occ = spec.scenario("parity-occlusion")
         assert set(dict(occ.cross)["occlusion"]) == {0.3, 1.2}
 

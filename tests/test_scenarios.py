@@ -51,6 +51,17 @@ class TestParityMatrix:
         kinds = {i.scenario.workload for i in PARITY_INSTANCES}
         assert kinds == {"terrain", "segments", "dem-file", "flyover"}
 
+    def test_paper_algorithm_in_matrix(self):
+        # ParallelHSR is signed in both compiled Phase-2 modes, on
+        # every terrain family, with the core on and off.
+        paper = SPEC.scenario("parity-paper")
+        cross = dict(paper.cross)
+        assert set(cross["mode"]) == {"direct", "persistent"}
+        families = set(dict(SPEC.scenario("parity-terrain").cross)["family"])
+        families |= set(dict(SPEC.scenario("parity-degenerate").cross)["family"])
+        assert families <= set(cross["family"])
+        assert paper.config_ids() == ["python", "numpy", "numpy-nocompiled"]
+
 
 class TestMaterialisers:
     def test_segment_families_match_bench_aliases(self):
