@@ -4,8 +4,8 @@ build of the optional compiled core.
 ``pytest --doctest-modules src/repro/envelope`` collects library
 modules directly; on the no-numpy CI leg the ``flat*`` kernel modules
 cannot even import, so they are excluded here (their doctests are
-numpy-only by definition).  Numpy-dependent doctests in modules that
-*do* import without numpy (e.g. ``engine.py``) guard themselves with
+numpy-only by definition).  A numpy-dependent doctest in a module that
+*does* import without numpy must guard itself with
 ``pytest.importorskip``.
 """
 

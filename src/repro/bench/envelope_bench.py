@@ -1,18 +1,16 @@
 """``bench envelope`` — python-vs-numpy kernel comparison.
 
 Times both envelope engines on E9-style workloads (random segment
-sets, the Lemma 3.1 construction, a large pairwise merge, batched
-``visible_parts`` queries, the sequential insert pass, Phase 2 and
-the service) and writes the rows to ``BENCH_envelope.json`` so
-later PRs have a perf trajectory to compare against.
+sets, the Lemma 3.1 construction, batched ``visible_parts`` queries,
+the sequential insert pass, Phase 2 and the service) and writes the
+rows to ``BENCH_envelope.json`` so later PRs have a perf trajectory
+to compare against.
 
 Row kinds (all share the six columns; ``python_ms``/``numpy_ms`` name
 the two timed variants):
 
 ``build``
     ``build_envelope`` python engine vs numpy engine.
-``pairwise-merge``
-    One large envelope merge, kernel only.
 ``visibility``
     ``visible_parts`` of ``m`` query segments against the profile of
     ``m`` segments: scalar per-query loop (``python_ms``) vs one
@@ -27,7 +25,7 @@ the two timed variants):
     ``numpy_ms`` = the shipped run loop
     :func:`~repro.envelope.flat_splice.insert_run` over
     :func:`~repro.envelope.flat_splice.segment_lanes` (the compiled
-    core when built, else the per-insert numpy path).
+    core when built, else the reference insert per edge).
 ``sequential-guard-ablation`` / ``sequential-guard-ablation-wide``
     The shipped run loop with the reliability guards off
     (``python_ms`` column) vs on (``numpy_ms`` column).
@@ -48,9 +46,9 @@ the two timed variants):
 ``phase2-rope``
     Phase 2 over a PCT built from the E9 segments: ``python_ms`` =
     ``mode="persistent"`` (the chunked-rope store), ``numpy_ms`` =
-    ``mode="direct"`` on the numpy engine (batched window merges into
-    packed buffers).  The speedup column reads "how much persistence
-    costs".
+    ``mode="direct"`` on the numpy engine (one compiled call per
+    layer when the core is built).  The speedup column reads "how much
+    persistence costs".
 
 Engines are timed interleaved (python, numpy, python, ...) and the
 per-engine minimum is reported, which keeps the ratio honest on
@@ -71,7 +69,6 @@ from repro.bench.harness import Table
 from repro.envelope.build import build_envelope
 from repro.envelope.chain import Envelope
 from repro.envelope.engine import HAVE_NUMPY
-from repro.envelope.merge import merge_envelopes
 from repro.envelope.visibility import visible_parts
 
 __all__ = ["run_envelope_bench", "DEFAULT_OUTPUT"]
@@ -200,33 +197,6 @@ def run_envelope_bench(
         rows.append(row)
         t.add(**row)
 
-    # One large pairwise merge: the kernel in isolation, no recursion.
-    m_pair = max(ms)
-    segs = _e9_segments(m_pair)
-    a = build_envelope(segs[: m_pair // 2], engine="python").envelope
-    b = build_envelope(segs[m_pair // 2 :], engine="python").envelope
-    if HAVE_NUMPY:
-        from repro.envelope.flat import FlatEnvelope, merge_envelopes_flat
-
-        fa, fb = FlatEnvelope.from_envelope(a), FlatEnvelope.from_envelope(b)
-        best = _time_interleaved(
-            {
-                "python": lambda: merge_envelopes(a, b),
-                "numpy": lambda: merge_envelopes_flat(fa, fb),
-            },
-            repeats,
-        )
-        row = dict(
-            workload="pairwise-merge",
-            m=a.size + b.size,
-            env_size=merge_envelopes(a, b).envelope.size,
-            python_ms=best["python"] * 1e3,
-            numpy_ms=best["numpy"] * 1e3,
-            speedup=best["python"] / best["numpy"],
-        )
-        rows.append(row)
-        t.add(**row)
-
     # Batched visibility: m queries against the profile of m segments.
     for m in ms:
         segs = _e9_segments(m)
@@ -275,11 +245,11 @@ def run_envelope_bench(
     seq_repeats = max(1, repeats // 3)
     from repro.envelope.splice import insert_segment
 
-    def tuple_loop(segs, engine):
+    def tuple_loop(segs):
         def run():
             env = Envelope.empty()
             for s in segs:
-                env = insert_segment(env, s, engine=engine).envelope
+                env = insert_segment(env, s).envelope
 
         return run
 
@@ -288,7 +258,8 @@ def run_envelope_bench(
 
         def shipped_loop(segs):
             # The shipped insert pass: one compiled call per 256
-            # inserts when the core is built, else the numpy path.
+            # inserts when the core is built, else the reference
+            # insert on the packed profile.
             return lambda: insert_run(segment_lanes(segs))
 
     for m in ms:
@@ -301,7 +272,7 @@ def run_envelope_bench(
             env_size = shipped_loop(segs)().profile.size
             best = _time_interleaved(
                 {
-                    "python": tuple_loop(segs, "python"),
+                    "python": tuple_loop(segs),
                     "shipped": shipped_loop(segs),
                 },
                 seq_repeats,
@@ -320,9 +291,9 @@ def run_envelope_bench(
         else:  # pragma: no cover - numpy ships in the toolchain
             env = Envelope.empty()
             for s in segs:
-                env = insert_segment(env, s, engine="python").envelope
+                env = insert_segment(env, s).envelope
             best = _time_interleaved(
-                {"python": tuple_loop(segs, "python")}, seq_repeats
+                {"python": tuple_loop(segs)}, seq_repeats
             )
             rows.append(
                 dict(
@@ -529,9 +500,8 @@ def run_envelope_bench(
         "phase2-rope times run_phase2 mode='persistent' on the"
         " chunked-rope store (python_ms column) vs mode='direct' on the"
         " numpy engine (numpy_ms column) over a PCT of the E9"
-        " segments; the per-layer merges and leaf visibility"
-        " run through the batched numpy kernels on rope chunk"
-        " windows, so the speedup column is the honest"
+        " segments; with the compiled core both modes run one call"
+        " per layer, so the speedup column is the honest"
         " persistence-overhead ratio (ROADMAP target ~1.5)"
     )
     t.notes.append(

@@ -16,9 +16,8 @@ Resolution rule
 ---------------
 Every optional field defaults to ``None`` meaning *use the library
 default*: :data:`repro.envelope._ccore.COMPILED_DEFAULT` (the built
-core, unless ``REPRO_COMPILED=0``) and the documented module global
-:data:`repro.envelope.engine.FLAT_FUSED_CUTOFF`, so a
-default-constructed ``HsrConfig()`` changes nothing.  A field that
+core, unless ``REPRO_COMPILED=0``), so a default-constructed
+``HsrConfig()`` changes nothing.  A field that
 *is* set wins over the default for the call it is threaded through,
 without mutating any process-wide state: two sessions with different
 configs can interleave safely.
@@ -68,12 +67,8 @@ class HsrConfig:
         :data:`repro.envelope._ccore.COMPILED_DEFAULT`, which is on
         exactly when the optional extension compiled at install time
         and ``REPRO_COMPILED=0`` is not set.  ``True`` on a
-        no-compiler install is a silent no-op (the numpy path answers,
-        bit-exact).
-    flat_fused_cutoff:
-        Window size at which the numpy insert path switches from the
-        scalar to the vectorized fused kernel; ``None`` defers to
-        :data:`repro.envelope.engine.FLAT_FUSED_CUTOFF`.
+        no-compiler install is a silent no-op (the python reference
+        answers, bit-exact).
     parallel_min_segments:
         Build size below which the parallel executor declines (IPC
         would dominate); ``None`` defers to
@@ -85,7 +80,6 @@ class HsrConfig:
     eps: float = EPS
     workers: Union[int, str] = 1
     use_compiled_insert: Optional[bool] = None
-    flat_fused_cutoff: Optional[int] = None
     parallel_min_segments: Optional[int] = None
 
     # -- resolution helpers (read the documented defaults lazily, so a
@@ -109,13 +103,6 @@ class HsrConfig:
         from repro.envelope._ccore import COMPILED_DEFAULT
 
         return COMPILED_DEFAULT
-
-    def fused_cutoff(self) -> int:
-        if self.flat_fused_cutoff is not None:
-            return self.flat_fused_cutoff
-        import repro.envelope.engine as _engine
-
-        return _engine.FLAT_FUSED_CUTOFF
 
     # -- construction helpers -----------------------------------------
 

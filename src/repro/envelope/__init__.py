@@ -16,12 +16,9 @@
 * :mod:`repro.envelope.flat_splice` — flat-native incremental insert:
   whole runs go through ``insert_run`` (one compiled call per 256
   inserts when the optional core is built), single inserts through
-  :func:`insert_segment_flat` (locate → fused window kernel →
-  in-place splice); no tuple materialisation either way.
-* :mod:`repro.envelope.flat_fused` — fused visibility+merge window
-  kernel: one sweep (scalar or vectorized, cutoff
-  :data:`repro.envelope.engine.FLAT_FUSED_CUTOFF`) answers an
-  insert's visibility *and* merged window together.
+  :func:`insert_segment_flat` (locate → the reference scan and merge
+  of the window → in-place splice); the live profile stays one packed
+  buffer either way.
 * :mod:`repro.envelope.packed` — packed single-buffer live profile
   (:class:`PackedProfile`): one ``(5, capacity)`` allocation with
   slack at both ends, splices edit it in place (the one live-profile
@@ -37,19 +34,22 @@ CLI a ``--engine`` flag):
     The reference sweep: walks elementary intervals one at a time.
     Semantic ground truth, zero dependencies.
 ``"numpy"``
-    The flat kernel: union breakpoints by sorted events, covering
-    pieces by segmented running maxima, all interval evaluations as
-    single array expressions, crossings and output pieces by boolean
-    masks.  Independent merges (a divide-and-conquer level, a PCT
-    layer) batch into *one* sweep.  Default when NumPy is available.
+    The array engine: the packed live profile of a sequential run,
+    the level-batched divide-and-conquer build (union breakpoints by
+    sorted events, covering pieces by segmented running maxima,
+    crossings and output pieces by boolean masks), the batched query
+    kernels and — when the optional compiled core is built — one C
+    call per 256 inserts or per PCT layer.  Default when NumPy is
+    available.
 ``None`` / ``"auto"``
     :data:`repro.envelope.engine.DEFAULT_ENGINE`.
 
-The two kernels are exact replicas of each other: same pieces, same
+The two engines are exact replicas of each other: same pieces, same
 sources, same crossings, same ``ops`` (elementary-interval counts, so
-PRAM work/depth accounting is engine-independent).  The property suite
-in ``tests/test_envelope_flat.py`` enforces this equivalence on
-adversarial inputs; pick an engine purely on wall-clock grounds.
+PRAM work/depth accounting is engine-independent).  The parity suites
+(``tests/test_envelope_flat.py``, the scenario matrix) enforce this
+equivalence on adversarial inputs; pick an engine purely on
+wall-clock grounds.
 
 NumPy is an optional dependency: everything except
 :mod:`repro.envelope.flat` works without it, and ``engine=None``
@@ -62,9 +62,7 @@ from repro.envelope.engine import (
     DEFAULT_ENGINE,
     ENGINES,
     HAVE_NUMPY,
-    merge_dispatch,
     resolve_engine,
-    visibility_dispatch,
 )
 from repro.envelope.merge import (
     Crossing,
@@ -102,12 +100,10 @@ __all__ = [
     "build_envelope_sequential",
     "envelope_breakpoints",
     "insert_segment",
-    "merge_dispatch",
     "merge_envelopes",
     "merge_many",
     "resolve_engine",
     "splice_merge",
-    "visibility_dispatch",
     "visible_parts",
 ]
 
@@ -118,11 +114,6 @@ if HAVE_NUMPY:  # pragma: no branch - numpy ships in the toolchain
         build_envelope_flat,
         merge_envelopes_flat,
     )
-    from repro.envelope.flat_fused import (  # noqa: F401
-        FusedWindowResult,
-        fused_insert_window,
-        fused_insert_window_flat,
-    )
     from repro.envelope.flat_splice import (  # noqa: F401
         FlatInsertResult,
         insert_segment_flat,
@@ -130,7 +121,6 @@ if HAVE_NUMPY:  # pragma: no branch - numpy ships in the toolchain
     from repro.envelope.flat_visibility import (  # noqa: F401
         FlatVisibility,
         batch_visible_parts,
-        visible_parts_flat,
     )
     from repro.envelope.packed import (  # noqa: F401
         PackedProfile,
@@ -142,12 +132,8 @@ if HAVE_NUMPY:  # pragma: no branch - numpy ships in the toolchain
         "FlatMergeResult",
         "PackedProfile",
         "FlatVisibility",
-        "FusedWindowResult",
         "batch_visible_parts",
         "build_envelope_flat",
-        "fused_insert_window",
-        "fused_insert_window_flat",
         "insert_segment_flat",
         "merge_envelopes_flat",
-        "visible_parts_flat",
     ]

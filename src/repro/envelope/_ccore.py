@@ -14,6 +14,11 @@ behind two flags and these names:
     The shipped default of ``HsrConfig.compiled_insert()`` —
     ``HAVE_CCORE`` unless the environment opts out.
 
+``compiled_enabled(config, *sites)``
+    Whether a compiled entry point may run: the core is on for
+    ``config`` and no fault plan, check-all mode or quarantine at its
+    guard ``sites`` stands in the way.
+
 ``Core()`` / ``borrowed()``
     One run's handle: the C scratch context (freed with the handle)
     and the out-params of its calls.  A run borrows one from a small
@@ -25,8 +30,8 @@ behind two flags and these names:
     A chunk of a whole sequential run in one C call: inserts
     ``[start, stop)`` of the front-to-back image ``lanes`` (float64
     ``y1, z1, y2, z2`` and int64 ``source`` buffers) — each a locate,
-    the fused visibility+merge sweep and an in-place splice, bit-exact
-    with the numpy path — adding ops, the max profile size and the
+    one fused visibility+merge sweep and an in-place splice, bit-exact
+    with the reference insert — adding ops, the max profile size and the
     clipped visible rows to ``run`` (a
     :class:`repro.envelope.flat_splice.InsertRun`, whose ``core`` is
     the run's handle).  Returns ``(status, next)``: ``ST_DONE`` with
@@ -62,6 +67,8 @@ import os
 from contextlib import contextmanager
 
 from repro.geometry.primitives import EPS
+from repro.reliability import faultinject as _fi
+from repro.reliability import guard as _guard
 
 try:  # pragma: no cover - exercised via the CI wheel/no-compiler legs
     from repro.envelope import _repro_ccore as _cc
@@ -118,6 +125,24 @@ def _env_enabled() -> bool:
 
 #: Shipped default of ``HsrConfig.compiled_insert()``.
 COMPILED_DEFAULT = HAVE_CCORE and _env_enabled()
+
+
+def compiled_enabled(config, *sites: str) -> bool:
+    """Whether a compiled entry point guarded at ``sites`` may run: the
+    core is built and ``config``'s compiled toggle (the shipped
+    default when ``config`` is ``None``) is on, no plan is armed
+    except a ``raise`` plan at one of ``sites`` (which the caller
+    trips per call), ``REPRO_GUARD_CHECK_ALL`` is off, and none of
+    ``sites`` is quarantined.  Otherwise the caller takes its
+    reference path, so injection and checks see the boundaries of
+    that path."""
+    if not HAVE_CCORE or _guard.GUARDED_CHECK_ALL:
+        return False
+    if _fi.ARMED and (_fi.armed_site() not in sites or _fi.armed_mode() != "raise"):
+        return False
+    if not (COMPILED_DEFAULT if config is None else config.compiled_insert()):
+        return False
+    return not _guard.ANY_QUARANTINED or not any(map(_guard.is_quarantined, sites))
 
 
 class CCoreFault(RuntimeError):

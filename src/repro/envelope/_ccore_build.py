@@ -12,11 +12,12 @@ float64 buffer in two halves:
 * ``fused_sweep`` — the locate (the binary search of
   :meth:`~repro.envelope.flat.FlatEnvelope.pieces_overlapping` on the
   live ``ya`` row, same bisection sides as ``ndarray.searchsorted``)
-  and the fused visibility+merge sweep of
-  :func:`~repro.envelope.flat_fused.fused_insert_window`, including
-  the exact all-hidden / fully-visible fast-path predicates of
-  ``_insert_fused_small`` (same margin guards, same short-circuit
-  order);
+  and one sweep over the window that answers both halves of the
+  reference insert (:func:`~repro.envelope.flat_splice._insert_reference`):
+  the :func:`~repro.envelope.visibility.visible_parts` scan and the
+  :func:`~repro.envelope.merge.merge_envelopes` window merge, with
+  all-hidden / fully-visible shortcuts whose margin guards keep them
+  exact;
 * ``commit_window`` — the in-place window write + single head/tail
   shift splice of :meth:`~repro.envelope.packed.PackedProfile.splice`
   (``_splice_impl`` semantics: shrink shifts the smaller side inward,
@@ -64,9 +65,8 @@ shortcuts, sign predicates, ``t = du / (du - dv)`` crossing parameter,
 part/piece coalescing rules), evaluated in the same order on IEEE
 doubles.  ``-ffp-contract=off`` keeps compilers from fusing
 ``a + b * c`` into an FMA (bit-identical results on x86-64 *and*
-aarch64), so the C core, the scalar loop and the numpy kernel all
-produce float-for-float identical profiles, visible parts and ``ops``
-— the property ``tests/test_envelope_ccore.py`` and
+aarch64), so the C core and the scalar loop produce float-for-float
+identical profiles, visible parts and ``ops`` — the property ``tests/test_envelope_ccore.py`` and
 ``tests/test_phase2_ccore.py`` fuzz.
 
 Buffer ownership: the caller owns every input buffer; the insert run
@@ -88,7 +88,7 @@ and the wrapper commits through :meth:`PackedProfile.splice`, which
 owns the amortized-doubling reallocation policy.
 
 The build is optional end to end: ``setup.py`` marks the extension
-``optional`` (no compiler → pure-Python/numpy cascade, same results),
+``optional`` (no compiler → the Python reference, same results),
 and ``REPRO_CCORE_BUILD=0`` skips it entirely.
 """
 
@@ -585,12 +585,12 @@ static int fused_sweep(
     }
 
     /* Synthetic (negative-source) pieces coalesce on a different
-     * builder rule: fall back to the Python cascade (checked after
-     * the fast paths, exactly like the scalar loop). */
+     * builder rule: fall back to the Python reference (checked after
+     * the fast paths, which are exact either way). */
     for (j = 0; j < win; j++)
         if (wsrc[j] < 0) return ST_FALLBACK;
 
-    /* ---- the fused visibility+merge sweep (fused_insert_window) --- */
+    /* ---- the fused visibility+merge sweep ---------------------------- */
     prev_zs = z1;
     for (j = 0; j < win; j++) {
         double pya = wya[j], pza = wza[j];
@@ -728,7 +728,7 @@ static void shift_rows(double *buf, int64_t cap, int64_t from,
 }
 
 /* Commit the merged window fused_sweep left in L_WIN:
- * check_merged_lists, then PackedProfile._splice_impl in place.
+ * the merged-window check, then PackedProfile._splice_impl in place.
  * ST_DONE (state updated), ST_GROW (no slack: nothing touched, the
  * caller reallocates) or ST_FAULT (post-condition failed, nothing
  * touched). */
@@ -742,7 +742,7 @@ static int commit_window(repro_ctx *ctx, double *buf, int64_t cap,
     int64_t d, head, tail, a, j;
     double prev = -INFINITY;
 
-    /* check_merged_lists: sorted, non-overlapping, no NaN z. */
+    /* The merged-window check: sorted, non-overlapping, no NaN z. */
     for (j = 0; j < ko; j++) {
         if (!(prev <= M->d[0][j] && M->d[0][j] <= M->d[2][j]))
             return ST_FAULT;
@@ -821,7 +821,7 @@ static int clip_row(lanes *R, double a, double b, double y1, double z1,
 #define R_ROWS   3  /* visible rows the last call left in L_ROWS      */
 
 /* Inserts [start, stop) of the front-to-back image lanes into the
- * live profile, each exactly as insert_segment_flat would: verticals
+ * live profile, each exactly as _insert_reference would: verticals
  * by the _visible_vertical_flat point query, the rest by fused_sweep
  * + commit_window.  Per insert i it adds the ops to acc[R_OPS], the
  * profile size to the acc[R_MAX] maximum, and the clipped visible
@@ -1061,7 +1061,7 @@ static int reserve_merge(repro_ctx *ctx, int64_t na, int64_t nb,
 /* visible_parts(seg, env): the parts of one segment strictly above the
  * profile, appended to L_PARTS, its crossings to L_VX and its clipped
  * rows to L_ROWS.  Returns ops, or -1 when a part would fail
- * subsegment or check_visibility (nothing appended then). */
+ * subsegment or the visible-parts check (nothing appended then). */
 static int64_t leaf_query(repro_ctx *ctx, const view *env, double y1,
                           double z1, double y2, double z2, int64_t edge,
                           double eps, double clip_eps, int64_t *ncross)
@@ -1142,7 +1142,8 @@ static int64_t leaf_query(repro_ctx *ctx, const view *env, double y1,
     }
     width_filter(P, base, eps);
 
-    /* check_visibility, then the clipped rows. */
+    /* The visible-parts check (sorted, inside the span, finite
+     * crossings), then the clipped rows. */
     lim_lo = (y1 <= y2 ? y1 : y2) - eps - 1e-9;
     lim_hi = (y2 >= y1 ? y2 : y1) + eps + 1e-9;
     prev = lim_lo;
@@ -1286,7 +1287,7 @@ static void rope_copy(lanes *O, const lanes *A, const spine *s, int64_t i,
     }
 }
 
-/* _check_splice_lanes on the fresh run [from, O->n): strictly positive
+/* _check_splice_pieces on the fresh run [from, O->n): strictly positive
  * widths, sorted, no NaN heights, between the kept neighbours. */
 static int splice_ok(const lanes *O, int64_t from, double prev_yb,
                      double next_ya)
@@ -1304,7 +1305,7 @@ static int splice_ok(const lanes *O, int64_t from, double prev_yb,
 /* rope_splice_merge of pieces [boff, boff + blen) of blk (the left
  * child's PCT profile) into the version at spine [aoff, aoff + alen):
  * the SpliceRange decomposition (left cut and straddle clip, tail trim
- * and carry), merge_sweep over the window, and commit_splice_lanes --
+ * and carry), merge_sweep over the window, and commit_splice --
  * the left fragment, left cut, merged run, carry and right fragment
  * written to L_PROF as one fresh run in balanced chunks of at most
  * CHUNK_TARGET pieces, and the successor's spine appended to L_SPINE
@@ -1352,7 +1353,7 @@ static int rope_merge(repro_ctx *ctx, int64_t aoff, int64_t alen,
         has_last = 1;
     }
 
-    /* window_lanes: the straddle clip, pieces [i0, i1), the tail trim. */
+    /* mid_pieces: the straddle clip, pieces [i0, i1), the tail trim. */
     if (!reserve(ctx, L_WIN, has_cut + (i1 - i0))) return ST_FALLBACK;
     W->n = 0;
     if (has_cut) push_piece(W, straddle);
@@ -1401,7 +1402,7 @@ static int rope_merge(repro_ctx *ctx, int64_t aoff, int64_t alen,
     if (!splice_ok(A, at, prev_yb, next_ya)) return ST_FAULT;
 
     /* The successor's spine: shared prefix, balanced fresh chunks
-     * (_chunked_block), shared suffix. */
+     * (_chunked), shared suffix. */
     parts = (fresh + CHUNK_TARGET - 1) / CHUNK_TARGET;
     if (!reserve(ctx, L_SPINE, S->n + cl + parts + (s.n - right)))
         return ST_FALLBACK;
@@ -1438,7 +1439,7 @@ static int rope_merge(repro_ctx *ctx, int64_t aoff, int64_t alen,
 }
 
 /* rope_visible_parts of the segment at lane k against the version at
- * spine [aoff, aoff + alen): the range_lanes window (the straddling
+ * spine [aoff, aoff + alen): the rope_range_pieces window (the straddling
  * predecessor whole, through the keys below the segment's end; a
  * vertical segment spans [y1, y1 + 1e-12]) copied to L_WIN, then
  * leaf_query over it.  Returns what leaf_query returns. */

@@ -26,13 +26,11 @@ including the :func:`_visible_vertical` point-query degeneracies.
 ``tests/test_envelope_flat_visibility.py`` enforces this on
 adversarial inputs.
 
-Role after the fused insert kernel: the *many-queries* sweeps here
-remain the kernel for Phase-2 direct-flat leaves (one batched call per
-layer) and for :func:`repro.envelope.engine.visibility_dispatch`
-callers that want a visibility verdict alone.  The sequential flat
-insert path no longer launches this kernel per edge — its
-visibility-and-merge question is answered in one pass by
-:mod:`repro.envelope.flat_fused`.
+Role: the *many-queries* sweep here is the kernel of the service's
+``query_batch`` (many sight lines against one horizon) and of the
+``visibility`` bench rows.  The sequential insert path and the HSR
+phases never launch it: the compiled core answers them, and the
+python reference answers whatever the core does not.
 
 View lifetime: the envelopes handed in here are often zero-copy
 window views, and with the packed live-profile layout
@@ -67,7 +65,6 @@ from repro.geometry.segments import ImageSegment
 __all__ = [
     "FlatVisibility",
     "batch_visible_parts",
-    "visible_parts_flat",
 ]
 
 _F = np.float64
@@ -511,15 +508,3 @@ def batch_visible_parts(
     return FlatVisibility(
         part_query, part_ya, part_yb, cross_q_nv, cross_y, cross_z, ops
     )
-
-
-def visible_parts_flat(
-    seg: ImageSegment,
-    env: Union[FlatEnvelope, Envelope],
-    *,
-    eps: float = EPS,
-) -> VisibilityResult:
-    """Single-query convenience wrapper over
-    :func:`batch_visible_parts` (exact
-    :func:`~repro.envelope.visibility.visible_parts` semantics)."""
-    return batch_visible_parts(env, (seg,), eps=eps).result_of(0)

@@ -217,7 +217,6 @@ def merge_many(
     envs: Sequence[Envelope],
     *,
     eps: float = EPS,
-    engine: Optional[str] = None,
 ) -> MergeResult:
     """k-way merge of several envelopes by balanced tournament
     reduction.
@@ -231,46 +230,20 @@ def merge_many(
     (eps-tie resolution is not associative) and the ``ops`` total
     differs (the fold's initial empty-accumulator merge is gone); the
     result is the same envelope up to eps everywhere.
-
-    ``engine`` selects the merge kernel (see
-    :mod:`repro.envelope.engine`); with ``"numpy"`` the reduction runs
-    entirely on :class:`repro.envelope.flat.FlatEnvelope` arrays and
-    converts back once at the end.
     """
     if not envs:
         return MergeResult(Envelope.empty(), [], 0)
     crossings: list[Crossing] = []
     ops = 0
-
-    def reduce(level: list, pair_merge) -> "object":
-        # Adjacent pairing with odd-tail passthrough: earlier
-        # envelopes keep tie-breaking precedence over later ones —
-        # the invariant both engines must share.
-        nonlocal ops
-        while len(level) > 1:
-            nxt = []
-            for i in range(0, len(level) - 1, 2):
-                res = pair_merge(level[i], level[i + 1])
-                nxt.append(res.envelope)
-                crossings.extend(res.crossings)
-                ops += res.ops
-            if len(level) % 2:
-                nxt.append(level[-1])
-            level = nxt
-        return level[0]
-
-    from repro.envelope.engine import resolve_engine
-
-    if resolve_engine(engine) == "numpy":
-        from repro.envelope.flat import FlatEnvelope, merge_envelopes_flat
-
-        flat = reduce(
-            [FlatEnvelope.from_envelope(e) for e in envs],
-            lambda a, b: merge_envelopes_flat(a, b, eps=eps),
-        )
-        return MergeResult(flat.to_envelope(), crossings, ops)
-
-    env = reduce(
-        list(envs), lambda a, b: merge_envelopes(a, b, eps=eps)
-    )
-    return MergeResult(env, crossings, ops)
+    level = list(envs)
+    while len(level) > 1:
+        nxt = []
+        for i in range(0, len(level) - 1, 2):
+            res = merge_envelopes(level[i], level[i + 1], eps=eps)
+            nxt.append(res.envelope)
+            crossings.extend(res.crossings)
+            ops += res.ops
+        if len(level) % 2:
+            nxt.append(level[-1])
+        level = nxt
+    return MergeResult(level[0], crossings, ops)

@@ -1,9 +1,9 @@
 """Packed single-buffer live profile: in-place splices for the flat stack.
 
-:class:`PackedProfile` is the one live-profile layout of the numpy
-insert path (:func:`repro.envelope.flat_splice.insert_segment_flat`,
-the compiled core in :mod:`repro.envelope._ccore`, and the Phase-2
-direct-flat accumulation).  It keeps the profile in **one** contiguous
+:class:`PackedProfile` is the one live-profile layout of a sequential
+run on the numpy engine (:func:`repro.envelope.flat_splice.insert_run`:
+the compiled core in :mod:`repro.envelope._ccore`, and the reference
+insert for whatever the core does not answer).  It keeps the profile in **one** contiguous
 ``(5, capacity)`` float64 allocation — the five field columns
 ``ya/za/yb/zb/source`` are row views into it, and ``source`` is the
 same bytes reinterpreted as int64 (both are 8-byte lanes, so one
@@ -35,8 +35,8 @@ copy window views taken *before* a splice may point at a stale buffer
 — consumers must re-derive windows from the live profile after every
 insert and never read a pre-splice view afterwards.
 ``repro.envelope.flat_splice.insert_segment_flat`` observes this by
-construction (all window reads happen before the single splice at the
-end of each insert); ``tests/test_envelope_packed.py`` pins the
+construction (its window is copied out before the single splice at
+the end of each insert); ``tests/test_envelope_packed.py`` pins the
 contract with stale-view regression tests.
 
 ``ops`` accounting is unaffected by the layout: the reported ``ops``
@@ -44,17 +44,14 @@ are elementary-interval counts (engine- and layout-independent by
 construction), so a ``PackedProfile`` run is bit-exact — visibility
 map, ``ops``, ``max_profile_size``, profile pieces — against
 ``engine="python"``.  The *moved-element* cost of shifts and
-reallocations is a wall-clock-only implementation detail; in Phase 2's
-``direct`` mode the per-merge copy into a fresh packed buffer is what
-``pieces_materialised`` has always reported (the copied piece count),
-so the E5/E11 sharing-vs-copying semantics are unchanged.
+reallocations is a wall-clock-only implementation detail.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.envelope.chain import Envelope
+from repro.envelope.chain import Envelope, Piece
 from repro.envelope.flat import FlatEnvelope
 from repro.errors import KernelFault
 from repro.geometry.primitives import NEG_INF
@@ -174,13 +171,10 @@ class PackedProfile(FlatEnvelope):
         source,
     ) -> "PackedProfile":
         """A *new* packed profile equal to ``parent`` with pieces
-        ``[lo, hi)`` replaced — the Phase-2 accumulation constructor.
+        ``[lo, hi)`` replaced — the recovery path of :meth:`splice`.
 
-        The parent is only read (Phase-2 left children keep sharing
-        it), and the copy is one buffer allocation plus three segment
-        writes.  The number of
-        elements moved is exactly the result size — the quantity
-        Phase 2 reports as ``pieces_materialised``.
+        The parent is only read, and the copy is one buffer allocation
+        plus three segment writes.
         """
         k = len(ya)
         head = lo
@@ -234,9 +228,8 @@ class PackedProfile(FlatEnvelope):
 
         Guard site ``packed_splice``: a bounds violation escalates as
         an :class:`~repro.reliability.guard.InvariantViolation` (the
-        caller's window is wrong — re-splicing cannot help, the
-        insert-level guard must recompute it); any other fault is
-        recorded and the splice retried through the read-only
+        caller's window is wrong — re-splicing cannot help); any other
+        fault is recorded and the splice retried through the read-only
         :meth:`from_splice` rebuild, which works off buffer truth.
         """
         if not _guard.GUARDS_ENABLED:
@@ -397,23 +390,13 @@ class PackedProfile(FlatEnvelope):
                 best = v
         return best
 
-    def window_lists(self, lo: int, hi: int) -> tuple[list, list, list, list]:
-        """One 2D ``tolist`` off the buffer instead of four per-field
-        slice+``tolist`` round trips (the scalar fused loop's feed)."""
+    def window_envelope(self, lo: int, hi: int) -> Envelope:
+        """Pieces ``[lo, hi)`` as an :class:`Envelope` — one 2D
+        ``tolist`` off the buffer (the reference insert's window)."""
         a = self._beg + lo
-        rows = self._buf[:4, a : self._beg + hi].tolist()
-        return rows[0], rows[1], rows[2], rows[3]
-
-    def window_z_min(self, lo: int, hi: int) -> float:
-        """min over both z columns of pieces ``[lo, hi)`` — a single
-        strided 2D reduction over the packed z rows."""
-        a = self._beg + lo
-        return self._buf[1:4:2, a : self._beg + hi].min()
-
-    def window_z_max(self, lo: int, hi: int) -> float:
-        """max analogue of :meth:`window_z_min`."""
-        a = self._beg + lo
-        return self._buf[1:4:2, a : self._beg + hi].max()
+        b = self._beg + hi
+        ya, za, yb, zb = self._buf[:4, a:b].tolist()
+        return Envelope(list(map(Piece, ya, za, yb, zb, self._ibuf[4, a:b].tolist())))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

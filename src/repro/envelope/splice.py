@@ -11,12 +11,11 @@ what makes the sequential algorithm output-sensitive in aggregate.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from repro.envelope.chain import Envelope
-from repro.envelope.engine import merge_dispatch, visibility_dispatch
-from repro.envelope.merge import Crossing
-from repro.envelope.visibility import VisibilityResult
+from repro.envelope.merge import Crossing, merge_envelopes
+from repro.envelope.visibility import VisibilityResult, visible_parts
 from repro.geometry.primitives import EPS
 from repro.geometry.segments import ImageSegment
 
@@ -51,17 +50,13 @@ def insert_segment(
     seg: ImageSegment,
     *,
     eps: float = EPS,
-    engine: Optional[str] = None,
 ) -> InsertResult:
     """Insert ``seg`` into profile ``env``; see module docstring.
 
     Vertical projections never alter the profile (measure-zero image)
-    but still get a visibility verdict via point query.  ``engine``
-    selects the kernel for both the visibility scan and the local
-    merge (the overlapped window can span many pieces on churny
-    profiles; see :mod:`repro.envelope.engine`).
+    but still get a visibility verdict via point query.
     """
-    vis = visibility_dispatch(seg, env, eps=eps, engine=engine)
+    vis = visible_parts(seg, env, eps=eps)
     if seg.is_vertical:
         return InsertResult(env, vis, vis.ops)
     if vis.fully_hidden:
@@ -69,12 +64,8 @@ def insert_segment(
 
     lo, hi = env.pieces_overlapping(seg.y1, seg.y2)
     local = Envelope(env.pieces[lo:hi])
-    merged = merge_dispatch(
-        local,
-        Envelope.from_segment(seg),
-        eps=eps,
-        record_crossings=False,
-        engine=engine,
+    merged = merge_envelopes(
+        local, Envelope.from_segment(seg), eps=eps, record_crossings=False
     )
     new_pieces = (
         env.pieces[:lo] + merged.envelope.pieces + env.pieces[hi:]
@@ -115,7 +106,6 @@ def splice_merge(
     *,
     eps: float = EPS,
     record_crossings: bool = True,
-    engine: Optional[str] = None,
 ) -> SpliceMergeResult:
     """Merge ``other`` into ``env`` touching only the overlapped window.
 
@@ -134,12 +124,8 @@ def splice_merge(
     s, t = other.y_span()
     lo, hi = env.pieces_overlapping(s, t)
     local = Envelope(env.pieces[lo:hi])
-    res = merge_dispatch(
-        local,
-        other,
-        eps=eps,
-        record_crossings=record_crossings,
-        engine=engine,
+    res = merge_envelopes(
+        local, other, eps=eps, record_crossings=record_crossings
     )
     pieces = env.pieces[:lo] + res.envelope.pieces + env.pieces[hi:]
     return SpliceMergeResult(

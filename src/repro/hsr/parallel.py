@@ -12,9 +12,9 @@
 
 Each PCT layer of Phase 1, and of the Phase-2 ``direct`` and
 ``persistent`` modes, runs as one compiled call when the compiled core
-is on (else one batched numpy sweep); the layers themselves run one
-after another in this process, and ``HsrConfig.workers`` does not
-affect this class.  Every step charges the CREW-PRAM cost tracker, so
+is on; without it every phase runs the Python reference, merge by
+merge.  The layers run one after another in this process, and
+``HsrConfig.workers`` does not affect this class.  Every step charges the CREW-PRAM cost tracker, so
 a run yields the (work, depth) pair Theorem 3.1 bounds;
 :mod:`repro.pram.schedule` turns those into time-on-p curves.
 """
@@ -26,6 +26,7 @@ import time
 from contextlib import nullcontext
 from typing import Optional, Sequence
 
+from repro.envelope import _ccore
 from repro.hsr.pct import build_pct
 from repro.hsr.phase2 import PHASE2_MODES, run_phase2
 from repro.hsr.result import HsrResult, HsrStats, VisibilityMap
@@ -64,10 +65,10 @@ class ParallelHSR:
         Record the Fig.-1/Fig.-3 sharing statistics (adds a full-tree
         traversal per layer; off by default).
     engine:
-        Envelope merge kernel for Phase 1 (and the ``direct`` Phase-2
-        mode); see :mod:`repro.envelope.engine`.  ``None`` selects the
-        default (NumPy when available) — each Phase-1 layer then runs
-        as one compiled call or one batched array sweep.
+        Envelope kernel; see :mod:`repro.envelope.engine`.  ``None``
+        selects the default (NumPy when available) — with the compiled
+        core on, each PCT layer then runs as one compiled call; else,
+        and under ``"python"``, every merge runs the reference.
     """
 
     def __init__(
@@ -121,11 +122,16 @@ class ParallelHSR:
         order = list(order)
 
         tree = SeparatorTree(order)
-        # The direct and persistent modes on the numpy engine project
-        # straight into front-to-back image lanes, as SequentialHSR
-        # does; the other paths work on segment objects.
+        # When the compiled core runs the layers of the direct and
+        # persistent modes, project straight into front-to-back image
+        # lanes, as SequentialHSR does; the reference paths work on
+        # segment objects.
         lanes = image_segments = None
-        if self.mode != "acg" and self.config.resolved_engine() == "numpy":
+        if (
+            self.mode != "acg"
+            and self.config.resolved_engine() == "numpy"
+            and _ccore.compiled_enabled(self.config, "pct_merge", "phase2_merge")
+        ):
             lanes = terrain.image_lanes(order)
         else:
             image_segments = terrain.image_segments()

@@ -10,16 +10,16 @@ Lemma 3.1 gives the construction O(log² n) depth; the tracker
 measures it (experiment E9 on the construction in isolation, E1 on
 the full pipeline).
 
-Because a layer's merges are independent, the NumPy engine
-(``engine="numpy"``, the default when NumPy is present) runs each
-layer as *one* call: the compiled core's ``repro_merge_layer`` when it
-is on (:func:`repro.envelope._ccore.merge_layer`), else one batched
-array sweep (:func:`repro.envelope.flat.batch_merge`).  Either way a
-layer's profiles land in one CSR block — a ``(5, n)`` float64 array
-whose last row holds the int64 sources, plus per-node offsets and
-lengths — and :attr:`PCT.flat_envelopes` / :meth:`PCT.envelope_of`
-are lazy views over the blocks.  Results and PRAM charges are
-identical between engines.
+Because a layer's merges are independent, the NumPy engine with the
+compiled core on runs each layer as *one* call
+(:func:`repro.envelope._ccore.merge_layer`); a layer whose call
+faults is redone by scalar merges.  A layer's profiles land in one CSR
+block — a ``(5, n)`` float64 array whose last row holds the int64
+sources, plus per-node offsets and lengths — and
+:attr:`PCT.flat_envelopes` / :meth:`PCT.envelope_of` are lazy views
+over the blocks.  Without the core a merge per node runs
+:func:`~repro.envelope.merge.merge_envelopes`, the reference.  Results
+and PRAM charges are identical either way.
 
 The PCT also exposes the Fig. 1 statistic: how many pieces of each
 intermediate profile are *shared* (geometrically identical) with a
@@ -32,28 +32,17 @@ from __future__ import annotations
 import bisect
 import math
 from collections.abc import Mapping
-from contextlib import nullcontext
 from typing import Optional, Sequence
 
 from repro.envelope.chain import Envelope
-from repro.envelope.engine import merge_dispatch, resolve_engine
+from repro.envelope.engine import resolve_engine
+from repro.envelope.merge import merge_envelopes
 from repro.geometry.primitives import EPS
 from repro.geometry.segments import ImageSegment
 from repro.ordering.separator import SeparatorNode, SeparatorTree
 from repro.pram.tracker import PramTracker
 
 __all__ = ["PCT", "build_pct"]
-
-
-def _merge_task(
-    a: Envelope, b: Envelope, eps: float, engine: Optional[str]
-) -> tuple[Envelope, int, int]:
-    """One Phase-1 merge on the scalar path: ``(envelope, ops,
-    crossings)``."""
-    res = merge_dispatch(
-        a, b, eps=eps, record_crossings=False, engine=engine
-    )
-    return (res.envelope, res.ops, len(res.crossings))
 
 
 def level_spans(n: int) -> list:
@@ -141,12 +130,12 @@ class PCT:
     """The profile computation tree: separator-tree shape + per-node
     intermediate profiles.
 
-    The NumPy engine keeps a layer's profiles as one CSR block
+    The compiled build keeps a layer's profiles as one CSR block
     (``layers[depth] = (block, offsets, lengths)``, nodes in index
     order); :attr:`flat_envelopes` views them and :meth:`envelope_of`
     converts to :class:`Envelope` lazily (conversion is cached) —
     Phase 2 only ever touches the left-child profiles, so half the
-    tree typically never materialises.  The python engine fills
+    tree typically never materialises.  The reference build fills
     :attr:`envelopes` directly.
     """
 
@@ -154,13 +143,13 @@ class PCT:
         self.tree = tree
         #: node.index -> materialised intermediate profile.
         self.envelopes: dict[int, Envelope] = {}
-        #: per layer (root first): ``(block, offsets, lengths)``, NumPy
-        #: engine only.
+        #: per layer (root first): ``(block, offsets, lengths)``,
+        #: compiled build only.
         self.layers: list = [None] * tree.height
-        #: node.index -> flat (array) profile view, NumPy engine only.
+        #: node.index -> flat (array) profile view, compiled build only.
         self.flat_envelopes = _FlatViews(self)
-        #: the leaves' image lanes in front-to-back order, NumPy engine
-        #: only (see :func:`order_lanes`).
+        #: the leaves' image lanes in front-to-back order, when the
+        #: build was given or gathered them (see :func:`order_lanes`).
         self.lanes = None
         #: total elementary merge operations performed in Phase 1.
         self.ops: int = 0
@@ -223,27 +212,32 @@ def build_pct(
     """Run Phase 1 over ``tree``.
 
     The leaf with order range ``[i, i+1)`` takes
-    ``image_segments[tree.order[i]]``.  The NumPy engine may be given
-    the leaves' ``lanes`` instead (front-to-back image lanes, see
-    :func:`order_lanes`; ``image_segments`` may then be ``None``).
+    ``image_segments[tree.order[i]]``.  The leaves' ``lanes`` may be
+    given instead (front-to-back image lanes, see :func:`order_lanes`;
+    ``image_segments`` may then be ``None``).
 
-    ``engine`` selects the merge kernel (see
-    :mod:`repro.envelope.engine`); the NumPy engine runs each layer as
-    one compiled call or one batched array sweep, under the guard
-    site ``pct_merge``.  A ``config`` (:class:`repro.config.HsrConfig`)
-    can switch the compiled core off; its ``workers`` has no effect.
+    On the NumPy engine with the compiled core on (see
+    :func:`repro.envelope._ccore.compiled_enabled`; a
+    ``config`` can switch it off) each layer runs as one compiled
+    call under the guard site ``pct_merge``; otherwise, and on the
+    python engine, each node runs the reference merge.  The
+    ``config``'s ``workers`` has no effect.
     """
-    pct = PCT(tree)
-    if resolve_engine(engine) == "numpy":
-        from repro.envelope import _ccore
-        from repro.envelope.flat_splice import compiled_enabled
+    from repro.envelope import _ccore
 
-        pct.lanes = order_lanes(tree, image_segments) if lanes is None else lanes
-        compiled = compiled_enabled(config, "pct_merge")
-        with _ccore.borrowed() if compiled else nullcontext() as core:
+    pct = PCT(tree)
+    pct.lanes = lanes
+    if resolve_engine(engine) == "numpy" and _ccore.compiled_enabled(
+        config, "pct_merge", "phase2_merge"
+    ):
+        if lanes is None:
+            pct.lanes = order_lanes(tree, image_segments)
+        with _ccore.borrowed() as core:
             _build_layers(pct, eps, tracker, core)
     else:
-        _build_python(pct, image_segments, eps, tracker, engine)
+        if image_segments is None:
+            image_segments = pct.image_segments()
+        _build_python(pct, image_segments, eps, tracker)
     if measure_sharing:
         for level in tree.levels_bottom_up():
             internals = [node for node in level if not node.is_leaf]
@@ -281,8 +275,8 @@ def _charge(tracker: Optional[PramTracker], n_leaves: int, ops_list) -> None:
                 par.spawn(ops, max(1.0, math.log2(ops + 1)))
 
 
-def _build_python(pct: PCT, image_segments, eps, tracker, engine) -> None:
-    """Phase 1 on the scalar engine: a merge per node."""
+def _build_python(pct: PCT, image_segments, eps, tracker) -> None:
+    """Phase 1 on the reference path: a merge per node."""
     tree = pct.tree
     for level in tree.levels_bottom_up():
         leaves = [node for node in level if node.is_leaf]
@@ -292,27 +286,25 @@ def _build_python(pct: PCT, image_segments, eps, tracker, engine) -> None:
             pct.envelopes[node.index] = Envelope.from_segment(seg)
             pct.ops += 1
         results = [
-            _merge_task(
+            merge_envelopes(
                 pct.envelopes[node.left.index],  # type: ignore[union-attr]
                 pct.envelopes[node.right.index],  # type: ignore[union-attr]
-                eps,
-                engine,
+                eps=eps,
+                record_crossings=False,
             )
             for node in internals
         ]
-        _charge(tracker, len(leaves), [ops for (_env, ops, _nx) in results])
-        for node, (env, ops, _nx) in zip(internals, results):
-            pct.envelopes[node.index] = env
-            pct.ops += ops
+        _charge(tracker, len(leaves), [res.ops for res in results])
+        for node, res in zip(internals, results):
+            pct.envelopes[node.index] = res.envelope
+            pct.ops += res.ops
 
 
 def _build_layers(pct: PCT, eps: float, tracker, core) -> None:
-    """Phase 1 on the NumPy engine, one call per layer (see the module
-    docstring): in the compiled core when ``core`` (the run's handle)
-    is given, else as one ``batch_merge``.  Each layer runs under the
-    ``pct_merge`` guard: the compiled layer falls back to that layer's
-    ``batch_merge``, and ``batch_merge`` to scalar merges — all three
-    fill the same CSR block."""
+    """Phase 1 in the compiled core, one call per layer on ``core``
+    (the run's handle).  Each layer runs under the ``pct_merge``
+    guard: a faulting call falls back to that layer's
+    :func:`_scalar_layer`, which fills the same CSR block."""
     import numpy as np
 
     from repro.envelope import _ccore
@@ -335,26 +327,18 @@ def _build_layers(pct: PCT, eps: float, tracker, core) -> None:
             jobs[inner, 3] = c_off[1::2]
             jobs[inner, 4] = c_len[1::2]
 
-        def batch(child=child, jobs=jobs, leaf=leaf):
-            return _batch_layer(child, jobs, leaf, lanes, eps)
+        def kernel(child=child, jobs=jobs):
+            res = _ccore.merge_layer(
+                core, _ccore.MODE_PCT,
+                None if child is None else child[0],
+                lanes, jobs, eps, False,
+            )
+            return core.take(_ccore.L_PROF), res[:, 2].copy(), res[:, 3].copy(), res[:, 0]
 
-        if core is not None:
+        def scalar(child=child, jobs=jobs, leaf=leaf):
+            return _scalar_layer(child, jobs, leaf, lanes, eps)
 
-            def kernel(child=child, jobs=jobs):
-                res = _ccore.merge_layer(
-                    core, _ccore.MODE_PCT,
-                    None if child is None else child[0],
-                    lanes, jobs, eps, False,
-                )
-                return core.take(_ccore.L_PROF), res[:, 2].copy(), res[:, 3].copy(), res[:, 0]
-
-            blk, off, ln, ops = _guard.guarded_call("pct_merge", kernel, batch)
-        else:
-
-            def scalar(child=child, jobs=jobs, leaf=leaf):
-                return _scalar_layer(child, jobs, leaf, lanes, eps)
-
-            blk, off, ln, ops = _guard.guarded_call("pct_merge", batch, scalar)
+        blk, off, ln, ops = _guard.guarded_call("pct_merge", kernel, scalar)
         pct.layers[d] = child = (blk, off, ln)
         ops_list = ops[inner].tolist()
         n_leaves = int(leaf.sum())
@@ -406,32 +390,12 @@ def _assemble(jobs, leaf, lanes, merged, counts):
     return blk, off, ln
 
 
-def _batch_layer(child, jobs, leaf, lanes, eps):
-    """One layer as one :func:`~repro.envelope.flat.batch_merge`:
-    ``(block, offsets, lengths, ops)``."""
-    import numpy as np
-
-    from repro.envelope.flat import FlatEnvelope, batch_merge
-
-    ops = np.ones(len(jobs), np.int64)
-    merged, counts = FlatEnvelope.empty(), np.zeros(0, np.int64)
-    if child is not None:  # else a layer of leaves only
-        inner = ~leaf
-        lefts = _rows(child, jobs[inner, 1], jobs[inner, 2])
-        rights = _rows(child, jobs[inner, 3], jobs[inner, 4])
-        res = batch_merge(lefts, rights, eps=eps, record_crossings=False)
-        merged, counts = res.merged, res.merged.counts()
-        ops[inner] = res.ops
-    return (*_assemble(jobs, leaf, lanes, merged, counts), ops)
-
-
 def _scalar_layer(child, jobs, leaf, lanes, eps):
     """One layer as scalar :func:`~repro.envelope.merge.merge_envelopes`
-    calls — the reference the batched and compiled layers match."""
+    calls — the reference the compiled layer matches."""
     import numpy as np
 
     from repro.envelope.flat import FlatEnvelope
-    from repro.envelope.merge import merge_envelopes
 
     ops = np.ones(len(jobs), np.int64)
     pieces = []

@@ -51,14 +51,11 @@ class SequentialHSR:
         (:class:`repro.envelope.packed.PackedProfile`): with the
         optional core built the whole pass is one compiled loop (a C
         call per 256 inserts, projection and clipping included), else
-        each edge is locate → one *fused* visibility+merge sweep over
-        the window
-        (:mod:`repro.envelope.flat_fused` — with
-        all-hidden/fully-visible fast paths that skip the sweep
-        outright) → an **in-place** splice into the buffer (at most
-        one slice shift into the slack; amortized-doubling growth),
-        never materialising piece tuples, so the per-edge cost tracks
-        the overlapped window instead of paying Θ(profile) copying.
+        each edge is locate → the reference visibility scan and merge
+        over the overlapped window → an **in-place** splice into the
+        buffer (at most one slice shift into the slack;
+        amortized-doubling growth), so the per-edge cost tracks the
+        overlapped window instead of paying Θ(profile) copying.
         Results are bit-identical to ``"python"`` — the reported
         ``ops`` are elementary-interval counts, independent of how
         many elements the layout moves.
@@ -109,7 +106,7 @@ class SequentialHSR:
         max_profile = 0
         for edge in order:
             seg = terrain.image_segment(edge)
-            res = insert_segment(env, seg, eps=eps, engine=self.engine)
+            res = insert_segment(env, seg, eps=eps)
             env = res.envelope
             ops += res.ops
             if env.size > max_profile:

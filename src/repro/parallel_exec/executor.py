@@ -16,8 +16,9 @@ elementary-interval count — the exact
 the in-process engines.
 
 The PCT layer merges of :class:`~repro.hsr.parallel.ParallelHSR` stay
-in-process: each layer is one compiled call (or one ``batch_merge``),
-too short for the fork-and-ship round trip to pay off.
+in-process: each layer is one compiled call (or the reference merges
+without the core), too short for the fork-and-ship round trip to pay
+off.
 
 Inputs ride :mod:`multiprocessing.shared_memory` blocks
 (:class:`~repro.parallel_exec.shm.ShmBundle`): the flat SoA arrays are

@@ -1,4 +1,4 @@
-"""Flat-native persistent envelopes: a two-level rope of packed chunks.
+"""Persistent envelopes: a two-level rope of shared piece chunks.
 
 Phase 2 of the algorithm materialises one *actual profile* per PCT
 node, and profiles at the same layer share all structure outside the
@@ -6,16 +6,12 @@ y-range of the intermediate profile merged in (paper Fig. 1: "profiles
 may be shared among the layers").  Array envelopes would copy
 everything; here a profile version shares structure with its
 predecessor and a merge **splices** only the affected y-range — with
-no per-piece pointers to chase, so queries and splices walk packed
-blocks.
+no per-piece pointers to chase, so queries and splices walk whole
+chunks.
 
 A profile version is a :class:`Rope`: an immutable *spine* (a tuple)
-of immutable :class:`Chunk` objects, each chunk a small frozen block
-of consecutive pieces in the ``PackedProfile`` field layout — five
-columns ``ya/za/yb/zb/source``, materialised on demand as one frozen
-``(5, k)`` float64 block whose ``source`` row is the same bytes viewed
-as int64 (exactly the packed live-profile layout, so phase-2's batched
-kernels consume chunk views directly).
+of immutable :class:`Chunk` objects, each chunk a small frozen run of
+consecutive :class:`~repro.envelope.chain.Piece` tuples.
 
 Path copying happens at **chunk granularity**: a splice over
 ``[ya, yb]`` rebuilds only the chunks overlapping that range plus the
@@ -43,9 +39,10 @@ and any fault degrades to an unshared full rebuild from the intact
 piece lists — results identical, sharing sacrificed for that one
 version (see ``docs/RELIABILITY.md``).
 
-This module is numpy-free at import time and fully functional without
-numpy (the chunk blocks are a lazy, optional acceleration), so the
-no-numpy CI leg runs the whole rope-versus-model parity suite.
+This module is numpy-free, so the no-numpy CI leg runs the whole
+rope-versus-model parity suite.  It is the reference the compiled
+``persistent`` layers (:mod:`repro.hsr.phase2`) are bit-exact
+against.
 """
 
 from __future__ import annotations
@@ -66,7 +63,6 @@ __all__ = [
     "EMPTY",
     "Rope",
     "SpliceRange",
-    "range_lanes",
     "rope_from_envelope",
     "rope_from_pieces",
     "rope_value_at",
@@ -74,7 +70,6 @@ __all__ = [
     "rope_visible_parts",
     "rope_splice_merge",
     "commit_splice",
-    "commit_splice_lanes",
     "allocation_count",
     "reset_allocation_count",
     "count_chunks",
@@ -114,81 +109,31 @@ def reset_allocation_count() -> None:
 class Chunk:
     """An immutable run of consecutive envelope pieces.
 
-    A chunk is born in one of two equivalent forms: from scalar
-    :class:`Piece` tuples (the canonical, numpy-free path) or — on the
-    batched phase-2 commit path — straight from a ``(5, k)`` column
-    slice of a frozen lane block, with **no per-piece python at all**.
-    Whichever form is absent is derived lazily and cached: ``pieces``
-    / ``starts`` materialise from the block on first access (and stay
-    cached, so piece-identity sharing accounting keeps seeing one
-    object per slot), and the block materialises from the pieces.  The
-    chunk-level ACG augmentation (:mod:`repro.hsr.acg_rope`) caches on
-    ``_aug``.  Because chunks are immutable and shared across
-    versions, every cache is computed once per chunk — all versions
-    sharing the chunk reuse them.
+    The chunk-level ACG augmentation (:mod:`repro.hsr.acg_rope`)
+    caches on ``_aug``; because chunks are immutable and shared across
+    versions, it is computed once per chunk and reused by every
+    version sharing the chunk.
     """
 
-    __slots__ = ("_pieces", "_starts", "_block", "_lanes", "_n",
-                 "_key", "_last_yb", "_aug")
+    __slots__ = ("pieces", "_starts", "_key", "_last_yb", "_aug")
 
     def __init__(self, pieces: tuple[Piece, ...]):
-        self._pieces = pieces
+        self.pieces = pieces
         self._starts = None
-        self._block = None
-        self._lanes = None
-        self._n = len(pieces)
         self._key = pieces[0].ya
         self._last_yb = pieces[-1].yb
         self._aug = None
         _METER.slots += len(pieces)
 
-    @classmethod
-    def from_block(cls, block) -> "Chunk":
-        """A chunk over a read-only ``(5, k)`` column block (typically
-        a slice view of one frozen commit buffer) — the lane-native
-        constructor; no :class:`Piece` objects are touched."""
-        self = object.__new__(cls)
-        self._pieces = None
-        self._starts = None
-        self._block = block
-        self._lanes = None
-        self._n = block.shape[1]
-        self._key = float(block[0, 0])
-        self._last_yb = float(block[2, -1])
-        self._aug = None
-        _METER.slots += self._n
-        return self
-
     def __len__(self) -> int:
-        return self._n
-
-    @property
-    def pieces(self) -> tuple[Piece, ...]:
-        ps = self._pieces
-        if ps is None:
-            lanes = self.lanes()
-            ps = tuple(
-                map(
-                    Piece,
-                    lanes[0].tolist(),
-                    lanes[1].tolist(),
-                    lanes[2].tolist(),
-                    lanes[3].tolist(),
-                    lanes[4].tolist(),
-                )
-            )
-            self._pieces = ps
-        return ps
+        return len(self.pieces)
 
     @property
     def starts(self) -> tuple[float, ...]:
+        """The pieces' first keys, built on first use."""
         st = self._starts
         if st is None:
-            if self._pieces is not None:
-                st = tuple(p.ya for p in self._pieces)
-            else:
-                st = tuple(self._block[0].tolist())
-            self._starts = st
+            st = self._starts = tuple(p.ya for p in self.pieces)
         return st
 
     @property
@@ -199,59 +144,8 @@ class Chunk:
     def yb_max(self) -> float:
         return self._last_yb
 
-    def piece_local(self, j: int) -> Piece:
-        """Piece ``j`` of this chunk *without* materialising the whole
-        piece tuple — boundary probes (splice decomposition, range
-        straddle checks) touch one or two slots of a lane-born chunk
-        and must not pay for all of them."""
-        ps = self._pieces
-        if ps is not None:
-            return ps[j]
-        lanes = self.lanes()
-        return Piece(
-            lanes[0][j].item(),
-            lanes[1][j].item(),
-            lanes[2][j].item(),
-            lanes[3][j].item(),
-            lanes[4][j].item(),
-        )
-
-    def block(self):
-        """The chunk as one read-only ``(5, k)`` float64 block in the
-        packed-profile layout (``source`` row: same bytes as int64),
-        built once and shared by every version holding this chunk."""
-        b = self._block
-        if b is None:
-            import numpy as np
-
-            k = self._n
-            buf = np.empty((5, k), np.float64)
-            ibuf = buf.view(np.int64)
-            for j, p in enumerate(self._pieces):
-                buf[0, j] = p.ya
-                buf[1, j] = p.za
-                buf[2, j] = p.yb
-                buf[3, j] = p.zb
-                ibuf[4, j] = p.source
-            buf.flags.writeable = False
-            self._block = buf
-            b = buf
-        return b
-
-    def lanes(self):
-        """The chunk as five frozen column arrays
-        ``(ya, za, yb, zb, source)`` — views into :meth:`block`."""
-        lanes = self._lanes
-        if lanes is None:
-            import numpy as np
-
-            b = self.block()
-            lanes = (b[0], b[1], b[2], b[3], b.view(np.int64)[4])
-            self._lanes = lanes
-        return lanes
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Chunk({self._n} pieces @ {self._key:.4g})"
+        return f"Chunk({len(self.pieces)} pieces @ {self._key:.4g})"
 
 
 class Rope:
@@ -280,7 +174,7 @@ class Rope:
     def piece_at(self, i: int) -> Piece:
         """Global piece ``i`` (two bisect-free index steps)."""
         c = bisect_right(self.offsets, i) - 1
-        return self.chunks[c].piece_local(i - self.offsets[c])
+        return self.chunks[c].pieces[i - self.offsets[c]]
 
     def pieces_between(self, i: int, j: int) -> list[Piece]:
         """Pieces ``[i, j)`` in y-order, walking whole chunks."""
@@ -430,8 +324,7 @@ class SpliceRange:
     merge (``tail_trim`` replaces it there) and re-attached after.
 
     The in-range pieces themselves are *not* materialised here — the
-    scalar path takes :meth:`mid_pieces`, phase 2's batched path takes
-    :meth:`window_lanes` straight off the chunk blocks.
+    merge takes :meth:`mid_pieces`.
     """
 
     __slots__ = (
@@ -489,66 +382,6 @@ class SpliceRange:
         if self.tail_trim is not None and mid:
             mid[-1] = self.tail_trim
         return mid
-
-    def window_lanes(self):
-        """The merge-range pieces as five fresh numpy lanes
-        ``(ya, za, yb, zb, source)``, assembled from the chunks'
-        cached blocks (one concatenate, two scalar boundary fixups) —
-        value-identical to :meth:`mid_pieces`, no per-piece python."""
-        win, iwin = _block_between(
-            self.rope, self.i0, self.i1, head=self.straddle_clip
-        )
-        if self.tail_trim is not None:
-            t = self.tail_trim
-            win[2, -1] = t.yb
-            win[3, -1] = t.zb
-        return win[0], win[1], win[2], win[3], iwin[4]
-
-
-def _block_between(rope: Rope, i: int, j: int, head: Optional[Piece] = None):
-    """A fresh, writable ``(5, n)`` block (plus its int64 view) of the
-    pieces ``[i, j)``, optionally preceded by a ``head`` piece column —
-    copied from the chunks' cached read-only lane blocks."""
-    import numpy as np
-
-    blocks = []
-    if head is not None:
-        col = np.empty((5, 1), np.float64)
-        col[0, 0] = head.ya
-        col[1, 0] = head.za
-        col[2, 0] = head.yb
-        col[3, 0] = head.zb
-        col.view(np.int64)[4, 0] = head.source
-        blocks.append(col)
-    c = bisect_right(rope.offsets, i) - 1 if i < j else 0
-    while i < j:
-        chunk = rope.chunks[c]
-        base = rope.offsets[c]
-        lo = i - base
-        hi = min(j - base, len(chunk))
-        block = chunk.block()  # materialise + cache the (5, k) block
-        blocks.append(block if lo == 0 and hi == len(chunk)
-                      else block[:, lo:hi])
-        i = base + hi
-        c += 1
-    if not blocks:
-        buf = np.empty((5, 0), np.float64)
-    elif len(blocks) > 1:
-        buf = np.concatenate(blocks, axis=1)
-    else:
-        buf = np.array(blocks[0])  # fresh copy: chunk blocks are frozen
-    return buf, buf.view(np.int64)
-
-
-def range_lanes(rope: Rope, ya: float, yb: float):
-    """The :func:`rope_range_pieces` window as five fresh numpy lanes —
-    the straddling predecessor rides along *whole* (it is piece
-    ``i0 - 1``), so the window is one contiguous global index range."""
-    i0 = _index_ge(rope, ya)
-    if i0 > 0 and rope.piece_at(i0 - 1).yb >= ya:
-        i0 -= 1
-    buf, ibuf = _block_between(rope, i0, _index_ge(rope, yb))
-    return buf[0], buf[1], buf[2], buf[3], ibuf[4]
 
 
 def _check_splice_pieces(
@@ -644,146 +477,6 @@ def commit_splice(rope: Rope, sr: SpliceRange, merged: list[Piece]) -> Rope:
     return _guard.guarded_call("rope_splice", kernel, fallback)
 
 
-def _chunked_block(block) -> list[Chunk]:
-    """Balance a frozen ``(5, n)`` lane block into near-equal
-    :meth:`Chunk.from_block` column slices of at most
-    :data:`CHUNK_TARGET` pieces — the lane-native :func:`_chunked`."""
-    n = block.shape[1]
-    if n == 0:
-        return []
-    parts = -(-n // CHUNK_TARGET)  # ceil
-    out: list[Chunk] = []
-    base, extra = divmod(n, parts)
-    i = 0
-    for p in range(parts):
-        k = base + (1 if p < extra else 0)
-        out.append(Chunk.from_block(block[:, i : i + k]))
-        i += k
-    return out
-
-
-def _check_splice_lanes(buf, prev_yb: float, next_ya: float) -> None:
-    """Vectorised twin of :func:`_check_splice_pieces` over a fresh
-    ``(5, n)`` commit block: sorted, non-overlapping, NaN-free z, and
-    fits between the kept neighbours.  Same guard site, same
-    violations — only the arithmetic is batched."""
-    import numpy as np
-
-    ya, za, yb, zb = buf[0], buf[1], buf[2], buf[3]
-    n = buf.shape[1]
-    if n == 0:
-        return
-    ok = (
-        bool((ya < yb).all())
-        and bool((yb[:-1] <= ya[1:]).all())
-        and not bool(np.isnan(za).any())
-        and not bool(np.isnan(zb).any())
-        and prev_yb <= float(ya[0])
-    )
-    if not ok:
-        _guard.violation(
-            "rope_splice",
-            "fresh lane block unsorted, overlapping or non-finite",
-        )
-    if float(yb[-1]) > next_ya:
-        _guard.violation(
-            "rope_splice",
-            f"fresh run overruns right neighbour"
-            f" ({float(yb[-1])!r} > {next_ya!r})",
-        )
-
-
-def commit_splice_lanes(rope: Rope, sr: SpliceRange, lanes, carry) -> Rope:
-    """Lane-native :func:`commit_splice`: the merged run arrives as
-    five fresh arrays ``(ya, za, yb, zb, source)`` straight off the
-    batched merge kernel, and the successor version's fresh chunks are
-    column slices of one frozen commit block — **no** :class:`Piece`
-    tuple is materialised on the happy path.  ``carry`` is the
-    :class:`SpliceRange` overhang to re-attach past the merge (or
-    ``None``).
-
-    Same ``rope_splice`` guard envelope as the scalar commit: the
-    block is validated against its kept neighbours before the spine is
-    assembled, and any fault degrades to the unshared scalar rebuild
-    from the intact piece lists.
-    """
-    import numpy as np
-
-    keep_left = sr.i0 - (1 if sr.left_cut is not None else 0)
-    keep_right = sr.i1
-    offsets = rope.offsets
-    # Boundary-chunk fragments as block slices — no Piece round-trip.
-    cl = bisect_right(offsets, keep_left) - 1
-    shared_left = rope.chunks[:cl]
-    nl = keep_left - offsets[cl]
-    left_block = rope.chunks[cl].block()[:, :nl] if nl else None
-    cr = bisect_right(offsets, keep_right) - 1
-    if cr == len(rope.chunks):  # splice reaches the end
-        right_block = None
-        shared_right: tuple[Chunk, ...] = ()
-    else:
-        cut = keep_right - offsets[cr]
-        right_block = rope.chunks[cr].block()[:, cut:] if cut else None
-        shared_right = rope.chunks[cr + 1 :] if cut else rope.chunks[cr:]
-    mya, mza, myb, mzb, msrc = lanes
-    nm = len(mya)
-    nc = 1 if carry is not None else 0
-    nr = right_block.shape[1] if right_block is not None else 0
-
-    def _put_piece(buf, ibuf, j, p) -> None:
-        buf[0, j] = p.ya
-        buf[1, j] = p.za
-        buf[2, j] = p.yb
-        buf[3, j] = p.zb
-        ibuf[4, j] = p.source
-
-    def kernel() -> Rope:
-        nlc = 1 if sr.left_cut is not None else 0
-        buf = np.empty((5, nl + nlc + nm + nc + nr), np.float64)
-        ibuf = buf.view(np.int64)
-        if left_block is not None:
-            # Same-dtype row copies move the int64 source bits intact.
-            buf[:, :nl] = left_block
-        if sr.left_cut is not None:
-            _put_piece(buf, ibuf, nl, sr.left_cut)
-        a = nl + nlc
-        buf[0, a : a + nm] = mya
-        buf[1, a : a + nm] = mza
-        buf[2, a : a + nm] = myb
-        buf[3, a : a + nm] = mzb
-        ibuf[4, a : a + nm] = msrc
-        if carry is not None:
-            _put_piece(buf, ibuf, a + nm, carry)
-        if right_block is not None:
-            buf[:, a + nm + nc :] = right_block
-        if _fi.ARMED:
-            _fi.corrupt_lane_block("rope_splice", buf, ibuf)
-        prev_yb = shared_left[-1].yb_max if shared_left else NEG_INF
-        next_ya = shared_right[0].ya_min if shared_right else float("inf")
-        _check_splice_lanes(buf, prev_yb, next_ya)
-        buf.flags.writeable = False
-        return Rope(
-            shared_left + tuple(_chunked_block(buf)) + shared_right
-        )
-
-    def fallback() -> Rope:
-        # Unshared scalar rebuild from the intact piece lists — shares
-        # no lane arithmetic with the kernel.
-        pieces = rope.pieces_between(0, keep_left)
-        if sr.left_cut is not None:
-            pieces.append(sr.left_cut)
-        pieces.extend(
-            map(Piece, mya.tolist(), mza.tolist(), myb.tolist(),
-                mzb.tolist(), msrc.tolist())
-        )
-        if carry is not None:
-            pieces.append(carry)
-        pieces.extend(rope.pieces_between(keep_right, rope.total))
-        return rope_from_pieces(pieces)
-
-    return _guard.guarded_call("rope_splice", kernel, fallback)
-
-
 def rope_splice_merge(
     rope: Rope, other: Envelope, *, eps: float = EPS
 ) -> tuple[Rope, MergeResult]:
@@ -798,7 +491,7 @@ def rope_splice_merge(
     by chunk-granular path copying; everything else is shared with the
     input version.  Returns ``(new_rope, merge_result)`` where the
     merge result covers only the affected range.  This scalar path is
-    the reference the batched numpy layer merges of phase 2 are
+    the reference the compiled ``persistent`` layers of phase 2 are
     bit-exact against.
     """
     if not other.pieces:

@@ -31,7 +31,7 @@ Environment variable format (parsed once at import, and on demand via
 
     REPRO_FAULT_INJECT="site:mode[:nth[+]]"
 
-e.g. ``fused_insert:raise`` (first call), ``merge_dispatch:nan:2``
+e.g. ``compiled_insert:raise`` (first call), ``build_sweep:nan:2``
 (second call), ``packed_splice:raise:1+`` (every call — the circuit-
 breaker exercise).  This module never imports numpy at module level
 and stays importable on the no-numpy leg.
@@ -60,16 +60,12 @@ __all__ = [
 #: periodic whole-profile validation tick (detection-only — see
 #: ``docs/RELIABILITY.md``).
 SITES = (
-    "merge_dispatch",
-    "visibility_dispatch",
     "compiled_insert",
-    "fused_insert",
     "packed_splice",
     "build_sweep",
     "parallel_exec",
     "pct_merge",
     "phase2_merge",
-    "phase2_visibility",
     "rope_splice",
     "profile",
 )
@@ -146,8 +142,8 @@ def armed_site() -> Optional[str]:
 
     Dispatch shortcuts consult this to *decline* while a plan targets
     a site they would bypass: the compiled run loop answers inserts
-    without the scalar/vectorized numpy path, so with e.g.
-    ``fused_insert`` armed it must stand aside or the injected
+    without the reference path's splice, so with e.g.
+    ``packed_splice`` armed it must stand aside or the injected
     boundary never runs."""
     return _PLAN.site if ARMED else None
 
@@ -268,55 +264,6 @@ def _nan_index(n: int) -> int:
     return random.Random(p.seed * 1000003 + p.calls).randrange(n)
 
 
-def corrupt_visibility(site: str, vis):
-    """Corrupt a freshly-built ``VisibilityResult`` (parts list)."""
-    if not _fires(site, ("unsorted", "nan"), bool(vis.parts)):
-        return vis
-    from repro.envelope.visibility import VisibilityResult, VisiblePart
-
-    parts = list(vis.parts)
-    if _PLAN.mode == "unsorted":  # type: ignore[union-attr]
-        if len(parts) >= 2:
-            parts.reverse()
-        else:
-            p0 = parts[0]
-            parts[0] = VisiblePart(p0.yb + 1.0, p0.ya)
-    else:
-        i = _nan_index(len(parts))
-        parts[i] = VisiblePart(float("nan"), parts[i].yb)
-    return VisibilityResult(parts, vis.crossings, vis.ops)
-
-
-def corrupt_vis_list(site: str, results: list) -> list:
-    """Corrupt the first non-empty result of a batched visibility
-    answer (one eligible call per batch)."""
-    idx = next(
-        (i for i, r in enumerate(results) if r is not None and r.parts), None
-    )
-    if idx is None:
-        _fires(site, ("unsorted", "nan"), False)
-        return results
-    out = list(results)
-    out[idx] = corrupt_visibility(site, out[idx])
-    return out
-
-
-def corrupt_merged_lists(site: str, merged: tuple) -> tuple:
-    """Corrupt scalar merged-window lists ``(ya, za, yb, zb, src)``."""
-    if not _fires(site, ("unsorted", "nan"), len(merged[0]) > 0):
-        return merged
-    oya, oza, oyb, ozb, osrc = (list(x) for x in merged)
-    if _PLAN.mode == "unsorted":  # type: ignore[union-attr]
-        if len(oya) >= 2:
-            for lane in (oya, oza, oyb, ozb, osrc):
-                lane[0], lane[1] = lane[1], lane[0]
-        else:
-            oya[0], oyb[0] = oyb[0] + 1.0, oya[0]
-    else:
-        oza[_nan_index(len(oza))] = float("nan")
-    return (oya, oza, oyb, ozb, osrc)
-
-
 def corrupt_lanes(site: str, ya, za, yb, zb, src):
     """Corrupt freshly-built flat output arrays (copies, never views)."""
     if not _fires(site, ("unsorted", "nan"), len(ya) > 0):
@@ -380,44 +327,6 @@ def corrupt_piece_list(site: str, pieces: list) -> list:
     else:
         i = _nan_index(len(out))
         out[i] = out[i]._replace(za=float("nan"))
-    return out
-
-
-def corrupt_lane_block(site: str, buf, ibuf) -> None:
-    """Corrupt a freshly-assembled ``(5, n)`` rope commit block in
-    place (``buf`` float64 view, ``ibuf`` its int64 alias).  The block
-    is a fresh allocation — never a view of a live chunk — so the
-    fallback's rebuild from the intact piece lists is unaffected."""
-    n = buf.shape[1]
-    if not _fires(site, ("unsorted", "nan"), n > 0):
-        return
-    if _PLAN.mode == "unsorted":  # type: ignore[union-attr]
-        if n >= 2:
-            col0 = buf[:, 0].copy()
-            icol0 = ibuf[4, 0]
-            buf[:, 0] = buf[:, 1]
-            ibuf[4, 0] = ibuf[4, 1]
-            buf[:, 1] = col0
-            ibuf[4, 1] = icol0
-        else:
-            ya0, yb0 = float(buf[0, 0]), float(buf[2, 0])
-            buf[0, 0] = yb0 + 1.0
-            buf[2, 0] = ya0
-    else:
-        buf[1, _nan_index(n)] = float("nan")
-
-
-def corrupt_env_list(site: str, envs: list) -> list:
-    """Corrupt the first non-trivial envelope of a batched merge
-    answer (one eligible call per batch)."""
-    idx = next(
-        (i for i, e in enumerate(envs) if e is not None and len(e)), None
-    )
-    if idx is None:
-        _fires(site, ("unsorted", "nan"), False)
-        return envs
-    out = list(envs)
-    out[idx] = corrupt_flat(site, out[idx])
     return out
 
 

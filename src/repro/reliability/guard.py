@@ -1,12 +1,11 @@
 """Guarded kernel dispatch: invariant checks, python-path retry,
 circuit breaker.
 
-Five PRs of kernel work gave every numpy↔python boundary a bit-exact
-python twin (the parity contract of :mod:`repro.envelope.engine`).
-This module turns that twin into a runtime safety net.  Each guarded
-boundary — ``merge_dispatch``, ``visibility_dispatch``, the fused
-insert kernels, ``PackedProfile.splice`` and the batched build /
-phase-2 sweeps — runs under a guard that
+Every fast boundary has a bit-exact python twin (the parity contract
+of :mod:`repro.envelope.engine`).  This module turns that twin into a
+runtime safety net.  Each guarded boundary — the compiled insert run
+and PCT layers, ``PackedProfile.splice``, the rope splice commit and
+the batched build — runs under a guard that
 
 1. **checks** cheap post-conditions on the kernel's freshly-built
    output *before* it is committed anywhere (sorted ``ya`` lanes,
@@ -71,8 +70,6 @@ __all__ = [
     "handle_fault",
     "violation",
     "is_quarantined",
-    "check_visibility",
-    "check_merged_lists",
     "check_flat",
     "check_profile",
 ]
@@ -94,10 +91,10 @@ GUARDS_ENABLED: bool = _env_flag("REPRO_GUARDS", True)
 #: the site on the first fault.
 GUARDED_DISPATCH: bool = _env_flag("REPRO_GUARDED_DISPATCH", True)
 
-#: Run post-condition checks even on the scalar (python-twin) fast
-#: paths, where a check can approach the kernel's own cost.  Off by
-#: default — the scalar paths *are* the retry target, so checking them
-#: buys detection, not recovery.  Env ``REPRO_GUARD_CHECK_ALL``.
+#: Stand the compiled core aside (see
+#: :func:`repro.envelope._ccore.compiled_enabled`), so every insert and
+#: layer runs on the python reference.  Off by default.  Env
+#: ``REPRO_GUARD_CHECK_ALL``.
 GUARDED_CHECK_ALL: bool = _env_flag("REPRO_GUARD_CHECK_ALL", False)
 
 #: Faults at one site within one run after which the circuit breaker
@@ -312,47 +309,11 @@ def guarded_call(
 # ---------------------------------------------------------------------------
 
 
-def check_visibility(site: str, vis, y1: float, y2: float, eps: float) -> None:
-    """Visible parts sorted, disjoint, finite and inside the query
-    span; crossings finite.  Scalar — parts lists are short."""
-    lo = (y1 if y1 <= y2 else y2) - eps - 1e-9
-    hi = (y2 if y2 >= y1 else y1) + eps + 1e-9
-    prev = lo
-    for p in vis.parts:
-        a = p.ya
-        b = p.yb
-        if not (prev <= a <= b <= hi):
-            violation(
-                site,
-                f"visible part ({a!r}, {b!r}) unsorted or outside"
-                f" span ({y1!r}, {y2!r})",
-            )
-        prev = b
-    for w, z in vis.crossings:
-        if not (lo <= w <= hi) or z != z:
-            violation(site, f"crossing ({w!r}, {z!r}) non-finite or out of span")
-
-
-def check_merged_lists(site: str, oya, oza, oyb, ozb) -> None:
-    """Merged-window piece lists: sorted, non-overlapping, finite
-    ``z`` lanes.  Scalar — used by the small-window fused path."""
-    prev = float("-inf")
-    for j in range(len(oya)):
-        a = oya[j]
-        b = oyb[j]
-        if not (prev <= a <= b) or oza[j] != oza[j] or ozb[j] != ozb[j]:
-            violation(
-                site,
-                f"merged piece {j} ({a!r}..{b!r}) unsorted or"
-                " non-finite",
-            )
-        prev = b
-
-
 def check_flat(site: str, ya, za, yb, zb) -> None:
     """Vectorized envelope-lane check: ``ya <= yb``, pieces sorted and
     non-overlapping, finite ``z`` lanes.  A handful of array
-    reductions — used on the large-window / batched kernel outputs."""
+    reductions — used on the batched build's outputs and on the live
+    profile."""
     n = len(ya)
     if n == 0:
         return
@@ -368,7 +329,7 @@ def check_flat(site: str, ya, za, yb, zb) -> None:
 
 
 def check_profile(profile) -> None:
-    """Validate a live profile's lanes (the periodic tick).
+    """Validate a live profile's lanes (the check every 256 inserts).
 
     Detection-only: a live profile failing validation means corruption
     was already committed by an earlier splice, so this raises

@@ -316,7 +316,7 @@ def _insert_loop(segments, config: HsrConfig):
     ops = 0
     record = []
     for seg in segments:
-        res = insert_segment(env, seg, eps=config.eps, engine="python")
+        res = insert_segment(env, seg, eps=config.eps)
         env = res.envelope
         ops += res.ops
         record.append(tuple(res.visibility.parts))

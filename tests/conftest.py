@@ -20,7 +20,6 @@ if not HAVE_NUMPY:  # pragma: no cover - numpy ships in the toolchain
         "test_cli.py",
         "test_envelope_ccore.py",
         "test_envelope_flat.py",
-        "test_envelope_flat_fused.py",
         "test_envelope_flat_splice.py",
         "test_envelope_flat_visibility.py",
         "test_envelope_packed.py",

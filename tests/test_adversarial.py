@@ -138,7 +138,7 @@ class TestVerticalOnlySegments:
         env = Envelope.empty()
         prof = profile_factory()
         for seg in self._verticals(rng, 25):
-            rp = insert_segment(env, seg, engine="python")
+            rp = insert_segment(env, seg)
             rf = insert_segment_flat(prof, seg)
             assert rf.visibility.parts == rp.visibility.parts
             assert rf.ops == rp.ops
@@ -153,12 +153,12 @@ class TestVerticalOnlySegments:
         env = Envelope.empty()
         prof = profile_factory()
         for seg in base:
-            env = insert_segment(env, seg, engine="python").envelope
+            env = insert_segment(env, seg).envelope
             prof = insert_segment_flat(prof, seg).profile
         n_before = len(prof.ya)
         for piece in env.pieces[:10]:
             v = ImageSegment(piece.ya, 0.0, piece.ya, 100.0, 999)
-            rp = insert_segment(env, v, engine="python")
+            rp = insert_segment(env, v)
             rf = insert_segment_flat(prof, v)
             assert rf.visibility.parts == rp.visibility.parts
             assert rf.ops == rp.ops

@@ -175,13 +175,13 @@ class TestRobustExit:
             ["run", "ridge", "--json", "--algorithm", "sequential",
              "--engine", "numpy"],
             tmp_path,
-            env_extra={"REPRO_FAULT_INJECT": "fused_insert:raise:2"},
+            env_extra={"REPRO_FAULT_INJECT": "packed_splice:raise:2"},
         )
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert payload["k"] > 0
         assert "reliability:" in proc.stderr
-        assert "fused_insert" in proc.stderr
+        assert "packed_splice" in proc.stderr
 
     def test_serve_unknown_kind_clean_exit(self, tmp_path):
         # `repro serve` fails during terrain loading, long before any
@@ -207,11 +207,11 @@ class TestRobustExit:
              "--engine", "numpy"],
             tmp_path,
             env_extra={
-                "REPRO_FAULT_INJECT": "fused_insert:raise:2",
+                "REPRO_FAULT_INJECT": "packed_splice:raise:2",
                 "REPRO_GUARDED_DISPATCH": "0",
             },
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
-        assert "fused_insert" in proc.stderr
+        assert "packed_splice" in proc.stderr
         assert "Traceback" not in proc.stderr

@@ -18,7 +18,6 @@ class TestValueSemantics:
             "eps",
             "workers",
             "use_compiled_insert",
-            "flat_fused_cutoff",
             "parallel_min_segments",
         }
 
@@ -81,12 +80,6 @@ class TestToggleDeferral:
         for value in (True, False):
             assert HsrConfig(use_compiled_insert=value).compiled_insert() is value
         assert _ccore.COMPILED_DEFAULT is default  # default untouched
-
-    def test_cutoffs_defer_to_engine_defaults(self):
-        import repro.envelope.engine as engine
-
-        assert HsrConfig().fused_cutoff() == engine.FLAT_FUSED_CUTOFF
-        assert HsrConfig(flat_fused_cutoff=7).fused_cutoff() == 7
 
     def test_fused_toggles_defer_to_splice(self):
         # The compiled-insert default is the built core unless

@@ -197,3 +197,69 @@ def test_benchmarks_row_kinds_match_bench_file():
         for r in rows
     }
     assert _documented_row_kinds() == recorded
+
+
+def _recorded(workload: str) -> dict:
+    """``m -> speedup`` of the recorded ``workload`` rows."""
+    rows = json.loads((REPO_ROOT / "BENCH_envelope.json").read_text())["rows"]
+    return {r["m"]: r["speedup"] for r in rows if r["workload"] == workload}
+
+
+def _benchmarks_text() -> str:
+    return " ".join((REPO_ROOT / "docs" / "BENCHMARKS.md").read_text().split())
+
+
+def test_benchmarks_build_bullet_matches_bench_file():
+    b = _recorded("build")
+    assert (
+        f"`build`: {b[2048]:.1f}×→**{b[8192]:.1f}×** numpy over the"
+        " optimized python engine at m=2048→8192"
+    ) in _benchmarks_text()
+
+
+def test_benchmarks_visibility_bullet_matches_bench_file():
+    v = [s for m, s in _recorded("visibility").items() if m >= 1024]
+    assert (
+        f"`visibility`: ~{min(v):.1f}–{max(v):.1f}× for the batched sweep"
+        " incl. materialisation from m≥1024"
+    ) in _benchmarks_text()
+
+
+def test_benchmarks_sequential_bullet_matches_bench_file():
+    s = _recorded("sequential")
+    assert (
+        f"`sequential` (wide-strip): {s[1024]:.1f}× at m=1024,"
+        f" {s[2048]:.1f}× at m=2048, {s[4096]:.1f}× at m=4096,"
+        f" **{s[8192]:.1f}× at m=8192** over the python engine"
+    ) in _benchmarks_text()
+
+
+def test_benchmarks_service_qps_bullet_matches_bench_file():
+    q = _recorded("service-qps")
+    assert f"`service-qps`: **{q[8192]:.1f}× at m=8192**" in _benchmarks_text()
+
+
+def test_benchmarks_scenario_ratios_match_bench_file():
+    """The ``scenario:*`` bullet and the pinned-row paragraph quote the
+    recorded rows' ``speedup``."""
+    text = _benchmarks_text()
+    build = _recorded("scenario:bench-build-e9")
+    insert = _recorded("scenario:bench-insert-e9")
+    wide = _recorded("scenario:bench-insert-wide")
+    (flyover,) = _recorded("scenario:bench-flyover").values()
+    (dem,) = _recorded("scenario:bench-dem").values()
+    (direct,) = _recorded("scenario:bench-paper-direct").values()
+    (persistent,) = _recorded("scenario:bench-paper-persistent").values()
+    for quote in (
+        f"`bench-build-e9` {build[1024]:.1f}×@1024 / {build[4096]:.1f}×@4096",
+        f"`bench-insert-e9` {insert[256]:.1f}×@256 / {insert[1024]:.1f}×@1024",
+        f"`bench-insert-wide` {wide[1024]:.1f}×@1024 / {wide[2048]:.1f}×@2048",
+        f"`bench-flyover` **{flyover:.1f}×**",
+        f"`bench-dem` {dem:.1f}×",
+        f"`scenario:bench-build-e9` at m=4096 (~{build[4096]:.1f}×)",
+        f"`scenario:bench-insert-wide` at m=2048 ({wide[2048]:.1f}×",
+        f"no-compiler install runs; {insert[1024]:.1f}×)",
+        f"compiled PCT layers ({direct:.1f}×, the lowest of six",
+        f"core too ({persistent:.1f}×, the lowest of six",
+    ):
+        assert quote in text, quote

@@ -3,10 +3,10 @@
 Contract under test: with the optional C extension built, the run loop
 (``flat_splice.insert_run``) answers **every** window size through the
 compiled core, one call per chunk of inserts — and is *bit-exact*
-against the per-insert numpy path (``use_compiled_insert=False``; and,
-transitively, against ``engine="python"``; the scenario parity matrix
-asserts that leg directly).  Without the extension — or with the
-toggle off — the numpy path answers, and the toggle can never silently
+against the per-insert reference path (``use_compiled_insert=False``;
+and, transitively, against ``engine="python"``; the scenario parity
+matrix asserts that leg directly).  Without the extension — or with
+the toggle off — the reference path answers, and the toggle can never silently
 change which kernel handles an insert (the path pins below).  The
 ``compiled_insert`` guard site gets the same injection/retry/quarantine
 treatment as every other kernel edge.
@@ -89,8 +89,9 @@ def _run_loop(segs, *, compiled, capacity=None):
 
 
 def _state(prof):
-    n = prof.size
-    return (prof.window_lists(0, n), prof.source[:n].tolist())
+    w = prof.window(0, prof.size)
+    return ([w.ya.tolist(), w.za.tolist(), w.yb.tolist(), w.zb.tolist()],
+            w.source.tolist())
 
 
 def _assert_identical(segs, capacity=None):
@@ -155,7 +156,7 @@ class TestCompiledParity:
         env = Envelope.empty()
         ref_ops, ref_max, ref_offsets = 0, 0, [0]
         for s in segs:
-            r = insert_segment(env, s, engine="python")
+            r = insert_segment(env, s)
             env = r.envelope
             ref_ops += r.ops
             ref_max = max(ref_max, env.size)
@@ -182,12 +183,11 @@ class TestCascadePins:
     for every window size, and never silently."""
 
     def _counting(self, monkeypatch):
-        calls = {"ccore": 0, "fallback": 0, "scalar": 0, "vector": 0}
-        import repro.envelope.flat_fused as fused_mod
+        calls = {"ccore": 0, "fallback": 0, "reference": 0}
+        import repro.envelope.flat_splice as splice_mod
 
         real_run = _ccore.insert_run
-        real_scalar = fused_mod.fused_insert_window
-        real_vector = fused_mod.fused_insert_window_flat
+        real_reference = splice_mod._insert_reference
 
         def count_ccore(*a, **k):
             calls["ccore"] += 1
@@ -195,24 +195,17 @@ class TestCascadePins:
             calls["fallback"] += out[0] == _ccore.ST_FALLBACK
             return out
 
-        def count_scalar(*a, **k):
-            calls["scalar"] += 1
-            return real_scalar(*a, **k)
-
-        def count_vector(*a, **k):
-            calls["vector"] += 1
-            return real_vector(*a, **k)
+        def count_reference(*a, **k):
+            calls["reference"] += 1
+            return real_reference(*a, **k)
 
         monkeypatch.setattr(_ccore, "insert_run", count_ccore)
-        monkeypatch.setattr(fused_mod, "fused_insert_window", count_scalar)
-        monkeypatch.setattr(
-            fused_mod, "fused_insert_window_flat", count_vector
-        )
+        monkeypatch.setattr(splice_mod, "_insert_reference", count_reference)
         return calls
 
     def _mixed_window_segments(self, rng):
         # Many narrow segments build a wide profile; the late spanning
-        # segments then open windows far above FLAT_FUSED_CUTOFF.
+        # segments then open windows of well over a hundred pieces.
         segs = random_image_segments(rng, 150, min_width=0.5)
         wide = [
             ImageSegment(0.0, 60.0 + i, 100.0, 60.5 + i, 1000 + i)
@@ -226,20 +219,19 @@ class TestCascadePins:
         _run_loop(segs, compiled=True)
         assert calls["ccore"] >= 1
         assert calls["fallback"] == 0
-        assert calls["scalar"] == 0
-        assert calls["vector"] == 0
+        assert calls["reference"] == 0
 
     def test_compiled_off_runs_the_cascade(self, rng, monkeypatch):
         calls = self._counting(monkeypatch)
         segs = self._mixed_window_segments(rng)
         _run_loop(segs, compiled=False)
         assert calls["ccore"] == 0
-        assert calls["scalar"] + calls["vector"] > 0
+        assert calls["reference"] == len(segs)
 
     def test_synthetic_source_window_declines(self, rng, monkeypatch):
         # Negative-source pieces coalesce on the builder rule the C
         # core doesn't implement: it must hand both inserts back, and
-        # the numpy path must produce the identical run.
+        # the reference path must produce the identical run.
         calls = self._counting(monkeypatch)
         synth = ImageSegment(2.0, 5.0, 8.0, 5.0, -1)
         over = ImageSegment(0.0, 3.0, 10.0, 7.0, 7)
@@ -306,10 +298,10 @@ class TestCompiledGuardSite:
         assert t_i == t_n
 
     def test_other_site_plans_reach_their_kernel(self, rng):
-        # With e.g. fused_insert armed, the compiled core must stand
+        # With e.g. packed_splice armed, the compiled core must stand
         # aside so the injected boundary actually runs.
         segs = random_image_segments(rng, 60)
-        with fi.inject("fused_insert", "raise", nth=2) as plan:
+        with fi.inject("packed_splice", "raise", nth=2) as plan:
             _run_loop(segs, compiled=True)
         assert plan.fired >= 1
 

@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 
 from repro.envelope.build import build_envelope, build_envelope_sequential
 from repro.envelope.chain import Envelope, Piece
-from repro.envelope.engine import FLAT_MERGE_CUTOFF, merge_dispatch
 from repro.envelope.flat import (
     FlatEnvelope,
     build_envelope_flat,
@@ -191,27 +190,6 @@ class TestMergeParity:
         assert_merge_identical(a, b)
 
 
-class TestDispatch:
-    def test_dispatch_matches_both_sides_of_cutoff(self, rng):
-        small = env_of(random_image_segments(rng, 4))
-        big_a = env_of(random_image_segments(rng, FLAT_MERGE_CUTOFF * 2))
-        big_b = env_of(
-            [
-                ImageSegment(s.y1, s.z1, s.y2, s.z2, 500 + i)
-                for i, s in enumerate(
-                    random_image_segments(rng, FLAT_MERGE_CUTOFF * 2)
-                )
-            ]
-        )
-        for a, b in ((small, small), (big_a, big_b)):
-            ref = merge_envelopes(a, b)
-            for engine in ("python", "numpy", None):
-                got = merge_dispatch(a, b, engine=engine)
-                assert got.envelope.pieces == ref.envelope.pieces
-                assert got.crossings == ref.crossings
-                assert got.ops == ref.ops
-
-
 class TestBuildParity:
     @given(adversarial_segments(max_segments=20))
     @settings(max_examples=100, deadline=None)
@@ -290,28 +268,16 @@ class TestMergeMany:
     def test_balanced_matches_brute_force(self, rng):
         segs = random_image_segments(rng, 24)
         envs = [Envelope.from_segment(s) for s in segs]
-        for engine in ("python", "numpy"):
-            res = merge_many(envs, engine=engine)
-            res.envelope.validate()
-            for _ in range(60):
-                y = rng.uniform(0, 100)
-                want = max(
-                    (e.value_at(y) for e in envs), default=NEG_INF
-                )
-                got = res.envelope.value_at(y)
-                if want == NEG_INF:
-                    assert got == NEG_INF
-                else:
-                    assert abs(got - want) <= 1e-7
-
-    def test_engines_identical(self, rng):
-        segs = random_image_segments(rng, 17)
-        envs = [Envelope.from_segment(s) for s in segs]
-        rp = merge_many(envs, engine="python")
-        rn = merge_many(envs, engine="numpy")
-        assert rn.envelope.pieces == rp.envelope.pieces
-        assert rn.crossings == rp.crossings
-        assert rn.ops == rp.ops
+        res = merge_many(envs)
+        res.envelope.validate()
+        for _ in range(60):
+            y = rng.uniform(0, 100)
+            want = max((e.value_at(y) for e in envs), default=NEG_INF)
+            got = res.envelope.value_at(y)
+            if want == NEG_INF:
+                assert got == NEG_INF
+            else:
+                assert abs(got - want) <= 1e-7
 
     def test_earlier_envelope_wins_ties(self):
         # Same geometry in all inputs: the first source must win, as
@@ -319,9 +285,7 @@ class TestMergeMany:
         envs = [
             Envelope([Piece(0.0, 1.0, 2.0, 1.0, s)]) for s in (3, 5, 9)
         ]
-        for engine in ("python", "numpy"):
-            res = merge_many(envs, engine=engine)
-            assert res.envelope.sources() == {3}
+        assert merge_many(envs).envelope.sources() == {3}
 
     def test_empty(self):
         assert merge_many([]).envelope.size == 0

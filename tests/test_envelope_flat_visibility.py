@@ -14,15 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.envelope.engine as engine_mod
 from repro.envelope.build import build_envelope
 from repro.envelope.chain import Envelope
-from repro.envelope.engine import visibility_dispatch
 from repro.envelope.flat import FlatEnvelope, stack_envelopes
-from repro.envelope.flat_visibility import (
-    batch_visible_parts,
-    visible_parts_flat,
-)
+from repro.envelope.flat_visibility import batch_visible_parts
 from repro.envelope.visibility import visible_parts
 from repro.errors import EnvelopeError
 from repro.geometry.segments import ImageSegment
@@ -155,7 +150,7 @@ class TestBatchParity:
         env = build_envelope(segs, engine="python").envelope
         q = ImageSegment(10.0, 20.0, 80.0, 21.0, 999)
         assert_query_identical(
-            visible_parts_flat(q, env), visible_parts(q, env)
+            batch_visible_parts(env, (q,)).result_of(0), visible_parts(q, env)
         )
 
 
@@ -224,24 +219,6 @@ class TestGroupedParity:
             )
 
 
-class TestDispatch:
-    def test_matches_both_sides_of_cutoff(self, rng, monkeypatch):
-        segs = random_image_segments(rng, 200)
-        env = build_envelope(segs, engine="python").envelope
-        queries = random_image_segments(rng, 30) + [
-            ImageSegment(50.0, 0.0, 50.0, 99.0, 998)  # vertical
-        ]
-        for cutoff in (1, 10**9):
-            monkeypatch.setattr(
-                engine_mod, "FLAT_VISIBILITY_CUTOFF", cutoff
-            )
-            for q in queries:
-                ref = visible_parts(q, env)
-                for engine in ("python", "numpy", None):
-                    got = visibility_dispatch(q, env, engine=engine)
-                    assert_query_identical(got, ref)
-
-
 def _run_incremental_pair(segments, *, eps=None):
     """Run the python insert loop and the flat-profile loop over the
     same front-to-back sequence, asserting bit-exact agreement at
@@ -255,7 +232,7 @@ def _run_incremental_pair(segments, *, eps=None):
     env = Envelope.empty()
     prof = PackedProfile.empty()
     for i, seg in enumerate(segments):
-        ref = insert_segment(env, seg, eps=eps, engine="python")
+        ref = insert_segment(env, seg, eps=eps)
         got = insert_segment_flat(prof, seg, eps=eps)
         assert_query_identical(got.visibility, ref.visibility)
         assert got.ops == ref.ops, f"step {i}: ops drift"
@@ -283,19 +260,6 @@ class TestIncrementalRuns:
     @settings(max_examples=300, deadline=None)
     def test_adversarial_inserts_deep(self, segments):
         _run_incremental_pair(segments)
-
-    @given(adversarial_queries(max_queries=10, allow_vertical=True))
-    @settings(max_examples=60, deadline=None)
-    def test_adversarial_inserts_forced_flat_kernels(self, segments):
-        # Force every window through the vectorized fused kernel (the
-        # large-window arm of the numpy insert path) regardless of
-        # size.
-        old_cut = engine_mod.FLAT_FUSED_CUTOFF
-        engine_mod.FLAT_FUSED_CUTOFF = 1
-        try:
-            _run_incremental_pair(segments)
-        finally:
-            engine_mod.FLAT_FUSED_CUTOFF = old_cut
 
     def test_random_large_run(self, rng):
         segs = random_image_segments(rng, 400)
@@ -333,11 +297,10 @@ class TestIncrementalRuns:
 
 
 class TestSequentialThreading:
-    def test_sequential_hsr_engine_parity(self, monkeypatch):
+    def test_sequential_hsr_engine_parity(self):
         from repro.hsr.sequential import SequentialHSR
         from repro.terrain.generators import fractal_terrain
 
-        monkeypatch.setattr(engine_mod, "FLAT_VISIBILITY_CUTOFF", 1)
         terrain = fractal_terrain(size=9, seed=11)
         rp = SequentialHSR(engine="python").run(terrain)
         rn = SequentialHSR(engine="numpy").run(terrain)

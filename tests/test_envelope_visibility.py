@@ -37,7 +37,8 @@ def flat(z, y1=0.0, y2=10.0, src=0):
     ]
 )
 def vis(request):
-    """``visible_parts`` on the selected engine.
+    """``visible_parts`` on the selected engine (numpy: a one-query
+    :func:`~repro.envelope.flat_visibility.batch_visible_parts`).
 
     Both engines must return identical parts, crossings and ops —
     the vertical/eps edge-case classes below run under each.
@@ -45,10 +46,10 @@ def vis(request):
     if request.param == "python":
         return visible_parts
 
-    from repro.envelope.flat_visibility import visible_parts_flat
+    from repro.envelope.flat_visibility import batch_visible_parts
 
     def flat_vis(s, env, *, eps=EPS):
-        return visible_parts_flat(s, env, eps=eps)
+        return batch_visible_parts(env, (s,), eps=eps).result_of(0)
 
     return flat_vis
 

@@ -5,18 +5,19 @@ Contract under test: with the core built, a numpy-engine
 ``SequentialHSR`` run hands the whole front-to-back pass to the C core,
 one call per chunk of at most 256 inserts plus one per early return
 (reallocating splice, declined insert, failed post-condition), and is
-*bit-exact* against the per-insert numpy path
+*bit-exact* against the per-insert reference path
 (``use_compiled_insert=False``) and ``engine="python"``: the same
 visibility segments, ``ops``, ``k``, ``max_profile_size`` and final
 profile.  Under a ``compiled_insert`` fault plan the core runs one
 insert per call, so the plan counts inserts.  Under a plan at any other
-site, ``REPRO_GUARD_CHECK_ALL`` or a quarantined insert site the run
-stands aside to the per-insert numpy path.
+site, ``REPRO_GUARD_CHECK_ALL`` or a quarantined ``compiled_insert``
+site the run stands aside to the per-insert reference path.
 """
 
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -63,10 +64,10 @@ def _clean_state(monkeypatch):
 def calls(monkeypatch):
     """Spy on both insert paths: every compiled ``insert_run`` call as
     ``(start, stop, status, next)``, and the count of per-insert
-    ``insert_segment_flat`` calls (the numpy path)."""
+    ``_insert_reference`` calls (the reference path)."""
     log = {"run": [], "per_insert": 0}
     real_run = _ccore.insert_run
-    real_flat = splice_mod.insert_segment_flat
+    real_flat = splice_mod._insert_reference
 
     def spy_run(profile, lanes, start, stop, eps, run):
         out = real_run(profile, lanes, start, stop, eps, run)
@@ -78,7 +79,7 @@ def calls(monkeypatch):
         return real_flat(*a, **k)
 
     monkeypatch.setattr(_ccore, "insert_run", spy_run)
-    monkeypatch.setattr(splice_mod, "insert_segment_flat", spy_flat)
+    monkeypatch.setattr(splice_mod, "_insert_reference", spy_flat)
     return log
 
 
@@ -149,6 +150,52 @@ class TestRunParity:
             for i in range(len(order))
         ]
         assert got == [terrain.image_segment(e) for e in order]
+
+    def test_layered_bands_exercise_fast_paths(self, calls):
+        # Alternating z bands: many fully-hidden and fully-visible
+        # inserts, the regimes the core's shortcuts answer without a
+        # sweep.
+        from repro.scenarios.instances import _segments_signature
+
+        rng = random.Random(97)
+        segs = []
+        for i, band in enumerate((50.0, 10.0, 90.0, 30.0, 70.0) * 30):
+            y1 = rng.uniform(0, 95)
+            segs.append(
+                ImageSegment(
+                    y1,
+                    band + rng.uniform(-3, 3),
+                    y1 + rng.uniform(0.6, 30),
+                    band + rng.uniform(-3, 3),
+                    i,
+                )
+            )
+        got = _segments_signature(segs, COMPILED)
+        assert calls["run"] and calls["per_insert"] == 0
+        assert got == _segments_signature(segs, PER_INSERT)
+        assert got == _segments_signature(segs, PYTHON)
+
+    def test_exact_breakpoint_touches(self, rng):
+        # Segments re-using existing profile breakpoints hit the
+        # coincident-endpoint shortcuts of the core's sweep.
+        from repro.envelope.chain import Envelope
+        from repro.envelope.splice import insert_segment
+        from repro.scenarios.instances import _segments_signature
+        from tests.conftest import random_image_segments
+
+        env = Envelope.empty()
+        segs = []
+        for j, s in enumerate(random_image_segments(rng, 70)):
+            if j % 3 == 2 and env.pieces:
+                p = env.pieces[rng.randrange(len(env.pieces))]
+                s = ImageSegment(
+                    p.ya, rng.uniform(0, 120), p.yb, rng.uniform(0, 120), 1000 + j
+                )
+            env = insert_segment(env, s).envelope
+            segs.append(s)
+        got = _segments_signature(segs, COMPILED)
+        assert got == _segments_signature(segs, PER_INSERT)
+        assert got == _segments_signature(segs, PYTHON)
 
     def test_segment_lanes_record_matches_per_insert(self, rng):
         from repro.scenarios.instances import _segments_signature
@@ -268,7 +315,7 @@ class TestRunCalls:
         assert calls["run"][0][:2] == (0, 1) and (2, 3) not in {
             c[:2] for c in calls["run"]
         }
-        assert calls["per_insert"] == 0
+        assert calls["per_insert"] == 1  # the tripped insert
         assert res.reliability.sites["compiled_insert"].count == 1
         for config in (PER_INSERT, PYTHON):
             assert got == _signature(terrain, config, order)[:4]
@@ -287,16 +334,16 @@ class TestStandAside:
         return random_image_segments(rng, 80)
 
     def test_armed_plan(self, calls):
-        # A plan at a numpy-path site: the run stands aside so the
+        # A plan at a reference-path site: the run stands aside so the
         # armed boundary actually runs.
         terrain = fractal_terrain(size=9, seed=23)
-        with fi.inject("fused_insert", "raise", nth=3) as plan:
+        with fi.inject("packed_splice", "raise", nth=3) as plan:
             res = SequentialHSR(config=COMPILED).run(terrain)
         assert plan.fired == 1
         assert calls["run"] == [] and calls["per_insert"] > 0
-        assert res.reliability.sites["fused_insert"].count == 1
+        assert res.reliability.sites["packed_splice"].count == 1
 
-    @pytest.mark.parametrize("site", ["compiled_insert", "fused_insert"])
+    @pytest.mark.parametrize("site", ["compiled_insert"])
     def test_quarantined_site(self, site, calls, rng):
         segs = self._segments(rng)
         with guard.reliability_run():

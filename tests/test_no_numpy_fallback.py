@@ -80,7 +80,7 @@ class TestPurePythonPipeline:
         b = build_envelope(
             [ImageSegment(3.0, 3.0, 7.0, 0.0, 2)], engine="python"
         ).envelope
-        res = splice_merge(a, b, engine="python")
+        res = splice_merge(a, b)
         res.envelope.validate()
         assert res.ops > 0
         assert res.materialised == res.envelope.size

@@ -127,7 +127,7 @@ class TestPipelineParity:
     @pytest.mark.parametrize("terrain_fn", [_fractal, _valley])
     @pytest.mark.parametrize("mode", ["direct", "persistent", "acg"])
     def test_parallel_hsr_config_ignores_workers(self, mode, terrain_fn):
-        from repro.envelope.flat_splice import compiled_enabled
+        from repro.envelope._ccore import compiled_enabled
         from repro.hsr.parallel import ParallelHSR
 
         par = self._assert_workers_ignored(

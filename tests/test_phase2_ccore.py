@@ -42,6 +42,7 @@ from repro.pram.tracker import PramTracker
 from repro.reliability import faultinject as fi
 from repro.reliability import guard
 from repro.scenarios.instances import terrain_for
+from repro.terrain.model import Terrain
 
 needs_ccore = pytest.mark.skipif(
     not _ccore.HAVE_CCORE,
@@ -173,7 +174,7 @@ def test_phase2_mode_matches_splice_merge_and_visible_parts(env, other, segs, ep
     )
     res = _ccore.merge_layer(core, _ccore.MODE_PHASE2, blk, lanes, jobs, eps, True)
 
-    ref = splice_merge(env, other, eps=eps, engine="python")
+    ref = splice_merge(env, other, eps=eps)
     ops, ncross, off, size = res[0].tolist()
     got = _pieces(core.take(_ccore.L_PROF), off, size)
     assert got == ref.envelope.pieces
@@ -415,12 +416,19 @@ def test_python_rope_keeps_its_runs(mode, kwargs, monkeypatch):
 
 @needs_ccore
 @pytest.mark.parametrize("size", [9, 33])
-def test_compiled_pct_matches_batched_pct(size):
+def test_compiled_pct_matches_scalar_layers(size):
+    # Every compiled layer against the CSR block its fault fallback,
+    # _scalar_layer, fills (a repeating plan quarantines the site after
+    # FAULT_THRESHOLD layers, so the rest go straight to the fallback),
+    # and every node against the reference build.
     terrain = _terrain("fractal", size)
     tree = SeparatorTree(front_to_back_order(terrain))
     segs = terrain.image_segments()
     a = build_pct(tree, segs, config=COMPILED)
-    b = build_pct(tree, segs, config=NUMPY)
+    with guard.reliability_run() as rep:
+        with fi.inject("pct_merge", "raise", nth=1, repeat=True):
+            b = build_pct(tree, segs, config=COMPILED)
+    assert rep.sites["pct_merge"].quarantined
     c = build_pct(tree, segs, engine="python")
     assert a.ops == b.ops == c.ops
     assert a.total_profile_pieces() == b.total_profile_pieces() == c.total_profile_pieces()
@@ -478,11 +486,14 @@ class _FaultingLib:
 
 def _assert_recovered(terrain, site, mode="direct"):
     order = front_to_back_order(terrain)
-    got = ParallelHSR(mode=mode, config=COMPILED).run(terrain, order=order)
+    tg, tr = PramTracker(), PramTracker()
+    got = ParallelHSR(mode=mode, config=COMPILED).run(terrain, order=order, tracker=tg)
     with fi.suppressed():
-        ref = ParallelHSR(mode=mode, config=PYTHON).run(terrain, order=order)
+        ref = ParallelHSR(mode=mode, config=PYTHON).run(terrain, order=order, tracker=tr)
     assert _run_signature(got) == _run_signature(ref)
     assert got.phase2.nodes_allocated == ref.phase2.nodes_allocated
+    # A Phase-2 rerun from the root charges the tracker once.
+    assert (tg.work, tg.depth) == (tr.work, tr.depth)
     assert got.reliability.sites[site].count == 1
 
 
@@ -515,18 +526,12 @@ def test_raise_plan_recovers_bit_exact(site, monkeypatch):
 @needs_ccore
 @pytest.mark.parametrize("nth", [1, 2, 5])
 def test_rope_kernel_fault_reruns_bit_exact(nth, monkeypatch):
-    """A faulting rope layer reruns Phase 2 from the root on the numpy
-    rope layers, and charges the tracker once."""
-    terrain = _terrain("fractal", 17)
-    lib = _ccore.lib
-    monkeypatch.setattr(_ccore, "lib", _FaultingLib(lib, _ccore.MODE_ROPE, nth))
-    _assert_recovered(terrain, "phase2_merge", "persistent")
-    order = front_to_back_order(terrain)
-    ta, tb = PramTracker(), PramTracker()
-    monkeypatch.setattr(_ccore, "lib", _FaultingLib(lib, _ccore.MODE_ROPE, nth))
-    ParallelHSR(mode="persistent", config=COMPILED).run(terrain, order=order, tracker=ta)
-    ParallelHSR(mode="persistent", config=PYTHON).run(terrain, order=order, tracker=tb)
-    assert (ta.work, ta.depth) == (tb.work, tb.depth)
+    """A faulting rope layer reruns Phase 2 from the root on the Python
+    rope, and charges the tracker once."""
+    monkeypatch.setattr(
+        _ccore, "lib", _FaultingLib(_ccore.lib, _ccore.MODE_ROPE, nth)
+    )
+    _assert_recovered(_terrain("fractal", 17), "phase2_merge", "persistent")
 
 
 @needs_ccore
@@ -553,15 +558,22 @@ def test_kernel_fault_strict_mode_raises(monkeypatch):
     assert exc.value.site == "phase2_merge"
 
 
-def test_core_off_takes_the_numpy_layers(monkeypatch):
+@pytest.mark.parametrize("mode", ["direct", "persistent"])
+def test_core_off_takes_the_reference(mode, monkeypatch):
     """Without the core (or with it switched off) both phases run the
-    batched numpy layers, with the same results."""
+    Python reference from image segments, with the same results."""
     calls = []
     monkeypatch.setattr(_ccore, "merge_layer", lambda *a: calls.append(a))
+    lanes = []
+    real_lanes = Terrain.image_lanes
+    monkeypatch.setattr(
+        Terrain, "image_lanes", lambda self, *a: lanes.append(a) or real_lanes(self, *a)
+    )
     terrain = _terrain("fractal", 9)
     order = front_to_back_order(terrain)
-    got = ParallelHSR(mode="direct", config=NUMPY).run(terrain, order=order)
-    ref = ParallelHSR(mode="direct", config=PYTHON).run(terrain, order=order)
-    assert not calls
+    got = ParallelHSR(mode=mode, config=NUMPY).run(terrain, order=order)
+    ref = ParallelHSR(mode=mode, config=PYTHON).run(terrain, order=order)
+    assert not calls and not lanes
     assert got.phase2.rows is None
+    assert all(layer is None for layer in got.pct.layers)
     assert _run_signature(got) == _run_signature(ref)

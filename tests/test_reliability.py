@@ -15,9 +15,9 @@ import random
 
 import pytest
 
-import repro.envelope.engine as engine_mod
+from repro.config import HsrConfig
+from repro.envelope import _ccore
 from repro.errors import KernelFault
-from repro.geometry.segments import ImageSegment
 from repro.reliability import faultinject as fi
 from repro.reliability import guard
 from tests.conftest import random_image_segments
@@ -73,16 +73,9 @@ def _assert_sequential_parity(terrain, site, *, expect_record=True):
 
 
 class TestSequentialInjectionParity:
-    """Default cutoffs: the scalar fused insert and the packed splice
-    are the hot sites."""
-
-    @pytest.mark.parametrize("mode", ["raise", "unsorted", "nan"])
-    @pytest.mark.parametrize("suite", SUITES, ids=["fractal", "valley", "basin"])
-    def test_fused_insert(self, suite, mode):
-        terrain = suite()
-        with fi.inject("fused_insert", mode, nth=3) as plan:
-            _assert_sequential_parity(terrain, "fused_insert")
-        assert plan.fired >= 1
+    """The packed splice is the hot site of the reference insert path,
+    which a plan at any site but ``compiled_insert`` puts every insert
+    on."""
 
     @pytest.mark.parametrize("suite", SUITES, ids=["fractal", "valley", "basin"])
     def test_packed_splice_raise(self, suite):
@@ -99,60 +92,8 @@ class TestSequentialInjectionParity:
         assert not res.reliability.degraded
 
 
-def _assert_oracle_parity(terrain, site):
-    """The tuple insert loop behind :class:`VisibilityOracle` (engine
-    auto, so numpy) under the armed plan vs an uninjected python loop,
-    checkpoint by checkpoint."""
-    from repro.envelope.chain import Envelope
-    from repro.envelope.splice import insert_segment
-    from repro.hsr.queries import VisibilityOracle
-
-    oracle = VisibilityOracle(terrain)
-    with fi.suppressed():
-        env = Envelope.empty()
-        ref = [env]
-        for edge in oracle.order:
-            seg = terrain.image_segment(edge)
-            env = insert_segment(env, seg, engine="python").envelope
-            ref.append(env)
-    for cut, prof in zip(oracle._cuts, oracle._profiles):
-        assert prof.pieces == ref[cut].pieces
-    assert guard.current_report().sites[site].count >= 1
-
-
-@pytest.fixture
-def _force_dispatch(monkeypatch):
-    """Engine cutoffs forced to 1, so the tuple path's separate
-    dispatch kernels (and their guards) run on every insert."""
-    monkeypatch.setattr(engine_mod, "FLAT_VISIBILITY_CUTOFF", 1)
-    monkeypatch.setattr(engine_mod, "FLAT_MERGE_CUTOFF", 1)
-
-
-@pytest.mark.usefixtures("_force_dispatch")
-class TestForcedFlatInjectionParity:
-    """The ``merge_dispatch`` / ``visibility_dispatch`` sites guard the
-    tuple insert path (``splice.insert_segment`` under numpy), which
-    :class:`~repro.hsr.queries.VisibilityOracle` runs per edge."""
-
-    @pytest.mark.parametrize("mode", ["raise", "unsorted", "nan"])
-    def test_merge_dispatch(self, mode):
-        with fi.inject("merge_dispatch", mode, nth=2) as plan:
-            _assert_oracle_parity(_valley(), "merge_dispatch")
-        assert plan.fired >= 1
-
-    @pytest.mark.parametrize("mode", ["raise", "unsorted", "nan"])
-    def test_visibility_dispatch(self, mode):
-        with fi.inject("visibility_dispatch", mode, nth=2) as plan:
-            _assert_oracle_parity(_valley(), "visibility_dispatch")
-        assert plan.fired >= 1
-
-
 class TestStrictMode:
-    @pytest.mark.parametrize(
-        "site,mode",
-        [("fused_insert", "raise"), ("fused_insert", "nan"),
-         ("packed_splice", "raise")],
-    )
+    @pytest.mark.parametrize("site,mode", [("packed_splice", "raise")])
     def test_strict_raises_naming_site(self, monkeypatch, site, mode):
         from repro.hsr.sequential import SequentialHSR
 
@@ -161,16 +102,6 @@ class TestStrictMode:
             with pytest.raises(KernelFault) as exc:
                 SequentialHSR(engine="numpy").run(_fractal())
         assert exc.value.site == site
-
-    @pytest.mark.usefixtures("_force_dispatch")
-    def test_strict_merge_dispatch(self, monkeypatch):
-        from repro.hsr.queries import VisibilityOracle
-
-        monkeypatch.setattr(guard, "GUARDED_DISPATCH", False)
-        with fi.inject("merge_dispatch", "raise", nth=2):
-            with pytest.raises(KernelFault) as exc:
-                VisibilityOracle(_valley())
-        assert exc.value.site == "merge_dispatch"
 
 
 class TestProfileTick:
@@ -197,23 +128,51 @@ class TestProfileTick:
                 SequentialHSR(engine="numpy").run(_fractal())
         assert exc.value.site == "profile"
 
+    @pytest.mark.parametrize("mode", ["unsorted", "nan"])
+    def test_no_core_poison_checked_at_once(self, mode, monkeypatch):
+        # Without the core every insert takes the reference path; the
+        # poisoned profile is checked before the next insert, not at
+        # the next 256-insert chunk boundary.
+        import repro.envelope.flat_splice as splice_mod
+        from repro.config import HsrConfig
+        from repro.envelope.flat_splice import insert_run, segment_lanes
+
+        done = []
+        real = splice_mod._insert_reference
+
+        def counting(*a):
+            done.append(1)
+            return real(*a)
+
+        monkeypatch.setattr(splice_mod, "_insert_reference", counting)
+        segs = random_image_segments(random.Random(3), 40)
+        config = HsrConfig(engine="numpy", use_compiled_insert=False)
+        with fi.inject("profile", mode, nth=10) as plan:
+            with pytest.raises(KernelFault) as exc:
+                insert_run(segment_lanes(segs), config=config)
+        assert exc.value.site == "profile"
+        assert plan.fired == 1
+        # The first insert meets an empty profile (not eligible), so
+        # the 10th eligible poison lands before insert 10.
+        assert len(done) == 10
+
 
 class TestCircuitBreaker:
     def test_repeat_plan_quarantines_and_stays_exact(self):
-        with fi.inject("fused_insert", "raise", nth=1, repeat=True):
-            res = _assert_sequential_parity(_fractal(), "fused_insert")
-        rec = res.reliability.sites["fused_insert"]
+        with fi.inject("packed_splice", "raise", nth=1, repeat=True):
+            res = _assert_sequential_parity(_fractal(), "packed_splice")
+        rec = res.reliability.sites["packed_splice"]
         assert rec.quarantined
         # The breaker opened after FAULT_THRESHOLD faults; the rest of
         # the run routed straight to the python path, so the fault
         # count stays pinned at the threshold.
         assert rec.count == guard.FAULT_THRESHOLD
-        assert res.reliability.quarantined_sites() == {"fused_insert"}
+        assert res.reliability.quarantined_sites() == {"packed_splice"}
 
     def test_quarantine_does_not_leak_across_runs(self):
         from repro.hsr.sequential import SequentialHSR
 
-        with fi.inject("fused_insert", "raise", nth=1, repeat=True):
+        with fi.inject("packed_splice", "raise", nth=1, repeat=True):
             SequentialHSR(engine="numpy").run(_fractal())
         res = SequentialHSR(engine="numpy").run(_fractal())
         assert not res.reliability.degraded
@@ -249,15 +208,22 @@ class TestBuildSweep:
         assert exc.value.site == "build_sweep"
 
 
+#: The compiled core pinned on, so its sites are live under
+#: ``REPRO_COMPILED=0`` too.
+CORE = HsrConfig(engine="numpy", use_compiled_insert=True)
+
+
+@pytest.mark.skipif(not _ccore.HAVE_CCORE, reason="compiled core not built")
 class TestPhase2Injection:
-    """Direct-mode phase 2 batches its merges and visibility queries —
-    the two ``phase2_*`` guard sites."""
+    """Direct-mode phase 2 runs one compiled call per layer under the
+    ``phase2_merge`` guard; a fault reruns Phase 2 from the root on
+    the reference."""
 
     def _assert_parallel_parity(self, site):
         from repro.hsr.parallel import ParallelHSR
 
         terrain = _valley()
-        rn = ParallelHSR(mode="direct", engine="numpy").run(terrain)
+        rn = ParallelHSR(mode="direct", config=CORE).run(terrain)
         with fi.suppressed():
             rp = ParallelHSR(mode="direct", engine="python").run(terrain)
         assert rn.stats.ops == rp.stats.ops
@@ -268,16 +234,10 @@ class TestPhase2Injection:
         assert rn.reliability.sites[site].count >= 1
         return rn
 
-    @pytest.mark.parametrize("mode", ["raise", "unsorted", "nan"])
+    @pytest.mark.parametrize("mode", ["raise"])
     def test_phase2_merge(self, mode):
         with fi.inject("phase2_merge", mode) as plan:
             self._assert_parallel_parity("phase2_merge")
-        assert plan.fired >= 1
-
-    @pytest.mark.parametrize("mode", ["raise", "unsorted", "nan"])
-    def test_phase2_visibility(self, mode):
-        with fi.inject("phase2_visibility", mode) as plan:
-            self._assert_parallel_parity("phase2_visibility")
         assert plan.fired >= 1
 
     def test_phase2_strict_raises(self, monkeypatch):
@@ -286,16 +246,16 @@ class TestPhase2Injection:
         monkeypatch.setattr(guard, "GUARDED_DISPATCH", False)
         with fi.inject("phase2_merge", "raise"):
             with pytest.raises(KernelFault) as exc:
-                ParallelHSR(mode="direct", engine="numpy").run(_valley())
+                ParallelHSR(mode="direct", config=CORE).run(_valley())
         assert exc.value.site == "phase2_merge"
 
 
 class TestEnvDrivenInjection:
     def test_env_spec_installs_plan(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_INJECT", "fused_insert:raise:2")
+        monkeypatch.setenv("REPRO_FAULT_INJECT", "packed_splice:raise:2")
         plan = fi.configure_from_env()
-        assert plan is not None and plan.site == "fused_insert"
-        _assert_sequential_parity(_fractal(), "fused_insert")
+        assert plan is not None and plan.site == "packed_splice"
+        _assert_sequential_parity(_fractal(), "packed_splice")
         assert plan.fired == 1
 
 
@@ -303,12 +263,6 @@ def _run_sequential():
     from repro.hsr.sequential import SequentialHSR
 
     SequentialHSR(engine="numpy").run(_fractal())
-
-
-def _run_oracle():
-    from repro.hsr.queries import VisibilityOracle
-
-    VisibilityOracle(_valley())
 
 
 def _run_compiled():
@@ -341,7 +295,9 @@ def _run_parallel_build():
 def _run_direct():
     from repro.hsr.parallel import ParallelHSR
 
-    ParallelHSR(mode="direct", engine="numpy").run(_valley())
+    if not _ccore.HAVE_CCORE:
+        pytest.skip("compiled core not built")
+    ParallelHSR(mode="direct", config=CORE).run(_valley())
 
 
 def _run_persistent():
@@ -353,22 +309,17 @@ def _run_persistent():
 #: One production path per injection site.  ``profile`` is the
 #: detection-only tick (``nan`` plans only; it raises by contract).
 _SITE_PATHS = {
-    "merge_dispatch": ("raise", _run_oracle),
-    "visibility_dispatch": ("raise", _run_oracle),
     "compiled_insert": ("raise", _run_compiled),
-    "fused_insert": ("raise", _run_sequential),
     "packed_splice": ("raise", _run_sequential),
     "build_sweep": ("raise", _run_build),
     "parallel_exec": ("raise", _run_parallel_build),
     "pct_merge": ("raise", _run_direct),
     "phase2_merge": ("raise", _run_direct),
-    "phase2_visibility": ("raise", _run_direct),
     "rope_splice": ("raise", _run_persistent),
     "profile": ("nan", _run_sequential),
 }
 
 
-@pytest.mark.usefixtures("_force_dispatch")
 @pytest.mark.parametrize("site", fi.SITES)
 def test_every_site_fires_on_a_production_path(site):
     """Each injection site is reachable: a plan armed there fires on a

@@ -12,6 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.envelope.chain import Piece
 from repro.errors import KernelFault, ValidationError
 from repro.geometry.primitives import Point3
 from repro.geometry.segments import ImageSegment
@@ -48,22 +49,22 @@ class TestReliabilityReport:
 
     def test_record_tallies_per_site(self):
         rep = guard.ReliabilityReport()
-        rep.record("fused_insert", ValueError("boom"))
-        rep.record("fused_insert", ValueError("boom again"))
+        rep.record("compiled_insert", ValueError("boom"))
+        rep.record("compiled_insert", ValueError("boom again"))
         rep.record("packed_splice", RuntimeError("oops"))
         assert rep.faults == 3
         assert rep.degraded
-        assert rep.sites["fused_insert"].count == 2
+        assert rep.sites["compiled_insert"].count == 2
         assert rep.sites["packed_splice"].count == 1
-        assert "ValueError: boom" in rep.sites["fused_insert"].causes
+        assert "ValueError: boom" in rep.sites["compiled_insert"].causes
 
     def test_quarantine_at_threshold(self):
         rep = guard.ReliabilityReport()
         for _ in range(guard.FAULT_THRESHOLD - 1):
-            rep.record("merge_dispatch", ValueError("x"))
+            rep.record("pct_merge", ValueError("x"))
         assert rep.quarantined_sites() == set()
-        rep.record("merge_dispatch", ValueError("x"))
-        assert rep.quarantined_sites() == {"merge_dispatch"}
+        rep.record("pct_merge", ValueError("x"))
+        assert rep.quarantined_sites() == {"pct_merge"}
 
     def test_causes_capped_count_keeps_going(self):
         rep = guard.ReliabilityReport()
@@ -76,9 +77,9 @@ class TestReliabilityReport:
     def test_summary_names_site_and_quarantine(self):
         rep = guard.ReliabilityReport()
         for _ in range(guard.FAULT_THRESHOLD):
-            rep.record("fused_insert", ValueError("bad lanes"))
+            rep.record("compiled_insert", ValueError("bad lanes"))
         text = rep.summary()
-        assert "fused_insert" in text
+        assert "compiled_insert" in text
         assert "[quarantined]" in text
         assert "bad lanes" in text
 
@@ -104,7 +105,7 @@ class TestReportStack:
     def test_inner_faults_visible_in_outer_report(self):
         with guard.reliability_run() as outer:
             with guard.reliability_run() as inner:
-                guard.handle_fault("fused_insert", ValueError("x"))
+                guard.handle_fault("compiled_insert", ValueError("x"))
             assert inner.faults == 1
             assert outer.faults == 1
         # The ambient report saw it too.
@@ -113,18 +114,18 @@ class TestReportStack:
     def test_breaker_scoped_to_innermost_run(self):
         with guard.reliability_run():
             for _ in range(guard.FAULT_THRESHOLD):
-                guard.handle_fault("fused_insert", ValueError("x"))
-            assert guard.is_quarantined("fused_insert")
+                guard.handle_fault("compiled_insert", ValueError("x"))
+            assert guard.is_quarantined("compiled_insert")
             assert guard.ANY_QUARANTINED
             with guard.reliability_run():
                 # A fresh run starts with a closed breaker.
-                assert not guard.is_quarantined("fused_insert")
+                assert not guard.is_quarantined("compiled_insert")
                 assert not guard.ANY_QUARANTINED
-            assert guard.is_quarantined("fused_insert")
+            assert guard.is_quarantined("compiled_insert")
 
     def test_reset_ambient_clears_quarantine(self):
         for _ in range(guard.FAULT_THRESHOLD):
-            guard.handle_fault("fused_insert", ValueError("x"))
+            guard.handle_fault("compiled_insert", ValueError("x"))
         assert guard.ANY_QUARANTINED
         guard.reset_ambient()
         assert not guard.ANY_QUARANTINED
@@ -149,7 +150,7 @@ class TestHandleFault:
 
 class TestGuardedCall:
     def test_kernel_result_passes_through(self):
-        out = guard.guarded_call("fused_insert", lambda: 42, lambda: -1)
+        out = guard.guarded_call("compiled_insert", lambda: 42, lambda: -1)
         assert out == 42
         assert not guard.current_report().degraded
 
@@ -157,16 +158,16 @@ class TestGuardedCall:
         def kernel():
             raise ValueError("kernel died")
 
-        out = guard.guarded_call("fused_insert", kernel, lambda: "fallback")
+        out = guard.guarded_call("compiled_insert", kernel, lambda: "fallback")
         assert out == "fallback"
-        assert guard.current_report().sites["fused_insert"].count == 1
+        assert guard.current_report().sites["compiled_insert"].count == 1
 
     def test_check_violation_falls_back(self):
         def check(result):
-            guard.violation("fused_insert", "bad result")
+            guard.violation("compiled_insert", "bad result")
 
         out = guard.guarded_call(
-            "fused_insert", lambda: "raw", lambda: "fallback", check=check
+            "compiled_insert", lambda: "raw", lambda: "fallback", check=check
         )
         assert out == "fallback"
 
@@ -177,8 +178,8 @@ class TestGuardedCall:
             raise ValueError("kernel died")
 
         with pytest.raises(KernelFault) as exc:
-            guard.guarded_call("fused_insert", kernel, lambda: "fallback")
-        assert exc.value.site == "fused_insert"
+            guard.guarded_call("compiled_insert", kernel, lambda: "fallback")
+        assert exc.value.site == "compiled_insert"
 
     def test_guards_disabled_runs_raw(self, monkeypatch):
         monkeypatch.setattr(guard, "GUARDS_ENABLED", False)
@@ -187,7 +188,7 @@ class TestGuardedCall:
             raise ValueError("kernel died")
 
         with pytest.raises(ValueError):
-            guard.guarded_call("fused_insert", kernel, lambda: "fallback")
+            guard.guarded_call("compiled_insert", kernel, lambda: "fallback")
 
     def test_quarantined_site_skips_kernel(self):
         calls = {"kernel": 0, "fallback": 0}
@@ -203,20 +204,20 @@ class TestGuardedCall:
         with guard.reliability_run():
             for _ in range(guard.FAULT_THRESHOLD):
                 assert (
-                    guard.guarded_call("fused_insert", kernel, fallback)
+                    guard.guarded_call("compiled_insert", kernel, fallback)
                     == "py"
                 )
             kernel_calls = calls["kernel"]
-            assert guard.guarded_call("fused_insert", kernel, fallback) == "py"
+            assert guard.guarded_call("compiled_insert", kernel, fallback) == "py"
             assert calls["kernel"] == kernel_calls  # breaker open: not tried
             assert calls["fallback"] == guard.FAULT_THRESHOLD + 1
 
     def test_injected_raise_attributes_and_recovers(self):
-        with fi.inject("fused_insert", "raise") as plan:
-            out = guard.guarded_call("fused_insert", lambda: "raw", lambda: "py")
+        with fi.inject("compiled_insert", "raise") as plan:
+            out = guard.guarded_call("compiled_insert", lambda: "raw", lambda: "py")
         assert out == "py"
         assert plan.fired == 1
-        assert guard.current_report().sites["fused_insert"].count == 1
+        assert guard.current_report().sites["compiled_insert"].count == 1
 
 
 # ---------------------------------------------------------------------------
@@ -231,45 +232,45 @@ class TestFaultInjection:
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown injection mode"):
-            fi.install("fused_insert", "explode")
+            fi.install("compiled_insert", "explode")
 
     def test_armed_flag_tracks_plan(self):
         assert not fi.ARMED
-        with fi.inject("fused_insert", "raise"):
+        with fi.inject("compiled_insert", "raise"):
             assert fi.ARMED
         assert not fi.ARMED
 
     def test_trip_fires_on_nth_call_only(self):
-        with fi.inject("fused_insert", "raise", nth=3) as plan:
-            fi.trip("fused_insert")
-            fi.trip("fused_insert")
+        with fi.inject("compiled_insert", "raise", nth=3) as plan:
+            fi.trip("compiled_insert")
+            fi.trip("compiled_insert")
             with pytest.raises(fi.InjectedFault) as exc:
-                fi.trip("fused_insert")
-            assert exc.value.site == "fused_insert"
-            fi.trip("fused_insert")  # one-shot: fires once
+                fi.trip("compiled_insert")
+            assert exc.value.site == "compiled_insert"
+            fi.trip("compiled_insert")  # one-shot: fires once
         assert plan.fired == 1
         assert plan.calls == 4
 
     def test_repeat_plan_fires_every_call_from_nth(self):
-        with fi.inject("fused_insert", "raise", nth=2, repeat=True) as plan:
-            fi.trip("fused_insert")
+        with fi.inject("compiled_insert", "raise", nth=2, repeat=True) as plan:
+            fi.trip("compiled_insert")
             for _ in range(3):
                 with pytest.raises(fi.InjectedFault):
-                    fi.trip("fused_insert")
+                    fi.trip("compiled_insert")
         assert plan.fired == 3
 
     def test_other_sites_unaffected(self):
-        with fi.inject("fused_insert", "raise") as plan:
-            fi.trip("merge_dispatch")
+        with fi.inject("compiled_insert", "raise") as plan:
+            fi.trip("pct_merge")
             fi.trip("packed_splice")
         assert plan.fired == 0
         assert plan.calls == 0
 
     def test_suppressed_blocks_firing(self):
-        with fi.inject("fused_insert", "raise") as plan:
+        with fi.inject("compiled_insert", "raise") as plan:
             with fi.suppressed():
                 assert not fi.ARMED
-                fi.trip("fused_insert")
+                fi.trip("compiled_insert")
             assert fi.ARMED
         assert plan.fired == 0
 
@@ -281,7 +282,7 @@ class TestFaultInjection:
         assert not plan.repeat
 
     def test_configure_from_env_repeat_suffix(self):
-        plan = fi.configure_from_env("fused_insert:raise:1+")
+        plan = fi.configure_from_env("compiled_insert:raise:1+")
         assert plan.repeat
         assert plan.nth == 1
 
@@ -297,30 +298,32 @@ class TestFaultInjection:
             fi.configure_from_env(spec)
 
     def test_corrupt_helpers_need_matching_site(self):
-        with fi.inject("fused_insert", "nan"):
-            merged = ([0.0], [1.0], [2.0], [3.0], [0])
-            assert fi.corrupt_merged_lists("packed_splice", merged) is merged
+        with fi.inject("rope_splice", "nan"):
+            pieces = [Piece(0.0, 1.0, 2.0, 3.0, 0)]
+            assert fi.corrupt_piece_list("packed_splice", pieces) is pieces
 
-    def test_corrupt_merged_lists_nan_poisons_z(self):
-        with fi.inject("fused_insert", "nan") as plan:
-            oya, oza, oyb, ozb, osrc = fi.corrupt_merged_lists(
-                "fused_insert", ([0.0, 2.0], [1.0, 1.0], [1.0, 3.0], [1.0, 1.0], [0, 1])
+    def test_corrupt_piece_list_nan_poisons_z(self):
+        with fi.inject("rope_splice", "nan") as plan:
+            out = fi.corrupt_piece_list(
+                "rope_splice",
+                [Piece(0.0, 1.0, 1.0, 1.0, 0), Piece(2.0, 1.0, 3.0, 1.0, 1)],
             )
         assert plan.fired == 1
-        assert any(z != z for z in oza)
+        assert any(p.za != p.za for p in out)
 
-    def test_corrupt_merged_lists_unsorted_swaps(self):
-        with fi.inject("fused_insert", "unsorted") as plan:
-            oya, oza, oyb, ozb, osrc = fi.corrupt_merged_lists(
-                "fused_insert", ([0.0, 2.0], [1.0, 1.0], [1.0, 3.0], [1.0, 1.0], [0, 1])
+    def test_corrupt_piece_list_unsorted_swaps(self):
+        with fi.inject("rope_splice", "unsorted") as plan:
+            out = fi.corrupt_piece_list(
+                "rope_splice",
+                [Piece(0.0, 1.0, 1.0, 1.0, 0), Piece(2.0, 1.0, 3.0, 1.0, 1)],
             )
         assert plan.fired == 1
-        assert oya[0] > oya[1]
+        assert out[0].ya > out[1].ya
 
     def test_empty_result_not_eligible(self):
-        with fi.inject("fused_insert", "nan") as plan:
-            merged = ([], [], [], [], [])
-            assert fi.corrupt_merged_lists("fused_insert", merged) is merged
+        with fi.inject("rope_splice", "nan") as plan:
+            pieces = []
+            assert fi.corrupt_piece_list("rope_splice", pieces) is pieces
         assert plan.calls == 0
 
 
