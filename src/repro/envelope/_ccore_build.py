@@ -66,8 +66,9 @@ part/piece coalescing rules), evaluated in the same order on IEEE
 doubles.  ``-ffp-contract=off`` keeps compilers from fusing
 ``a + b * c`` into an FMA (bit-identical results on x86-64 *and*
 aarch64), so the C core and the scalar loop produce float-for-float
-identical profiles, visible parts and ``ops`` — the property ``tests/test_envelope_ccore.py`` and
-``tests/test_phase2_ccore.py`` fuzz.
+identical profiles, visible parts and ``ops`` — the property
+``tests/test_envelope_ccore.py`` and ``tests/test_phase2_ccore.py``
+fuzz.
 
 Buffer ownership: the caller owns every input buffer; the insert run
 mutates the caller's packed buffer in place but never reallocates it.

@@ -3,13 +3,13 @@
 :class:`PackedProfile` is the one live-profile layout of a sequential
 run on the numpy engine (:func:`repro.envelope.flat_splice.insert_run`:
 the compiled core in :mod:`repro.envelope._ccore`, and the reference
-insert for whatever the core does not answer).  It keeps the profile in **one** contiguous
-``(5, capacity)`` float64 allocation — the five field columns
-``ya/za/yb/zb/source`` are row views into it, and ``source`` is the
-same bytes reinterpreted as int64 (both are 8-byte lanes, so one
-buffer serves all five fields).  The live pieces occupy a window
-``[beg, end)`` of the capacity with **slack at both ends**, so a
-splice is:
+insert for whatever the core does not answer).  It keeps the profile
+in **one** contiguous ``(5, capacity)`` float64 allocation — the five
+field columns ``ya/za/yb/zb/source`` are row views into it, and
+``source`` is the same bytes reinterpreted as int64 (both are 8-byte
+lanes, so one buffer serves all five fields).  The live pieces occupy
+a window ``[beg, end)`` of the capacity with **slack at both ends**,
+so a splice is:
 
 * *no size change* — an in-place window write, zero moves;
 * *size change* — **one** ``memmove``-style 2D slice shift of the

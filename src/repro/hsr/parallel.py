@@ -14,8 +14,9 @@ Each PCT layer of Phase 1, and of the Phase-2 ``direct`` and
 ``persistent`` modes, runs as one compiled call when the compiled core
 is on; without it every phase runs the Python reference, merge by
 merge.  The layers run one after another in this process, and
-``HsrConfig.workers`` does not affect this class.  Every step charges the CREW-PRAM cost tracker, so
-a run yields the (work, depth) pair Theorem 3.1 bounds;
+``HsrConfig.workers`` does not affect this class.  Every step charges
+the CREW-PRAM cost tracker, so a run yields the (work, depth) pair
+Theorem 3.1 bounds;
 :mod:`repro.pram.schedule` turns those into time-on-p curves.
 """
 

@@ -12,7 +12,7 @@ At a leaf with front-to-back position ``i`` the inherited profile is
 exactly ``P_{i-1}``, and the visible portion of edge ``e_i`` is the
 part of its projection above it.
 
-Two interchangeable engines compute the merges (same output, different
+Three interchangeable modes compute the merges (same output, different
 cost profile — experiment E11's ablation):
 
 ``direct``
