@@ -279,6 +279,21 @@ class TestMergeMany:
             else:
                 assert abs(got - want) <= 1e-7
 
+    def test_engines_identical(self, rng):
+        # Inputs built by either engine (the numpy one by the batched
+        # sweep) merge to the same envelope, crossings and ops.
+        segs = random_image_segments(rng, 51)
+        groups = [segs[i:i + 3] for i in range(0, len(segs), 3)]
+        rp = merge_many(
+            [build_envelope(g, engine="python").envelope for g in groups]
+        )
+        rn = merge_many(
+            [build_envelope(g, engine="numpy").envelope for g in groups]
+        )
+        assert rn.envelope.pieces == rp.envelope.pieces
+        assert rn.crossings == rp.crossings
+        assert rn.ops == rp.ops
+
     def test_earlier_envelope_wins_ties(self):
         # Same geometry in all inputs: the first source must win, as
         # it did under the left fold.

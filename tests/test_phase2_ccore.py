@@ -510,6 +510,25 @@ def test_kernel_fault_recovers_bit_exact(mode, site, nth, monkeypatch):
 
 
 @needs_ccore
+@pytest.mark.parametrize("family", ["fractal", "valley", "shielded_basin"])
+@pytest.mark.parametrize(
+    "kernel,site,mode",
+    [(_ccore.MODE_PCT, "pct_merge", "direct"),
+     (_ccore.MODE_PHASE2, "phase2_merge", "direct"),
+     (_ccore.MODE_ROPE, "phase2_merge", "persistent")],
+    ids=["pct", "phase2", "rope"],
+)
+def test_fault_on_the_last_layer_recovers(kernel, site, mode, family, monkeypatch):
+    """A fault on the last compiled layer — after every other layer of
+    the phase ran in C, and where ``direct`` releases its held-back
+    tracker charges — still recovers bit for bit and charges once."""
+    terrain = _terrain(family, 17)
+    height = SeparatorTree(front_to_back_order(terrain)).height
+    monkeypatch.setattr(_ccore, "lib", _FaultingLib(_ccore.lib, kernel, height))
+    _assert_recovered(terrain, site, mode)
+
+
+@needs_ccore
 @pytest.mark.parametrize("site", ["pct_merge", "phase2_merge"])
 def test_raise_plan_recovers_bit_exact(site, monkeypatch):
     calls = []

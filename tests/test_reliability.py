@@ -157,6 +157,81 @@ class TestProfileTick:
         assert len(done) == 10
 
 
+def _reference_checkpoints(segs):
+    """The reference profile after every ``_CHUNK``-th insert."""
+    from repro.envelope.chain import Envelope
+    from repro.envelope.flat_splice import _CHUNK
+    from repro.envelope.splice import insert_segment
+
+    env, want = Envelope.empty(), []
+    for i, s in enumerate(segs, 1):
+        env = insert_segment(env, s).envelope
+        if i % _CHUNK == 0:
+            want.append(env.pieces)
+    return want
+
+
+class TestProfileCheckCadence:
+    """The whole-profile check of a run lands after its own 256th,
+    512th, ... insert: neither earlier runs nor runs on other threads
+    shift its phase."""
+
+    @pytest.mark.parametrize("prior", [0, 1, 255, 300])
+    @pytest.mark.parametrize("compiled", [True, False], ids=["core", "reference"])
+    def test_cadence_is_per_run(self, compiled, prior, monkeypatch):
+        from repro.envelope.flat_splice import insert_run, segment_lanes
+
+        config = HsrConfig(engine="numpy", use_compiled_insert=compiled)
+        rng = random.Random(11)
+        if prior:
+            insert_run(
+                segment_lanes(random_image_segments(rng, prior)), config=config
+            )
+        segs = random_image_segments(rng, 600)
+        want = _reference_checkpoints(segs)
+        assert len(want) == 2
+        real = guard.check_profile
+        seen = []
+        monkeypatch.setattr(
+            guard,
+            "check_profile",
+            lambda p: seen.append(p.to_envelope().pieces) or real(p),
+        )
+        insert_run(segment_lanes(segs), config=config)
+        assert seen == want
+
+    def test_cadence_is_per_thread(self, monkeypatch):
+        import threading
+
+        from repro.envelope.flat_splice import insert_run, segment_lanes
+
+        rng = random.Random(12)
+        runs = [random_image_segments(rng, n) for n in (600, 530, 777)]
+        seen: dict = {}
+        real = guard.check_profile
+
+        def spy(profile):
+            seen[threading.get_ident()].append(profile.to_envelope().pieces)
+            return real(profile)
+
+        monkeypatch.setattr(guard, "check_profile", spy)
+        start = threading.Barrier(len(runs), timeout=60)
+        got = [None] * len(runs)
+
+        def work(j):
+            mine = seen[threading.get_ident()] = []
+            start.wait()
+            insert_run(segment_lanes(runs[j]))
+            got[j] = mine
+
+        threads = [threading.Thread(target=work, args=(j,)) for j in range(len(runs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert got == [_reference_checkpoints(segs) for segs in runs]
+
+
 class TestCircuitBreaker:
     def test_repeat_plan_quarantines_and_stays_exact(self):
         with fi.inject("packed_splice", "raise", nth=1, repeat=True):
@@ -331,3 +406,55 @@ def test_every_site_fires_on_a_production_path(site):
         except KernelFault as exc:
             assert site == "profile" and exc.site == "profile"
     assert plan.fired >= 1
+
+
+def _build_signature(config):
+    """Two builds: a build trips its site once, so the second one
+    meets an ``nth=2`` plan."""
+    from repro.envelope.build import build_envelope
+
+    out = []
+    for seed in (5, 6):
+        segs = random_image_segments(random.Random(seed), 120)
+        res = build_envelope(segs, config=config)
+        out.append((res.envelope.pieces, res.ops))
+    return out
+
+
+def _hsr_signature(terrain, mode=None):
+    from repro.scenarios.instances import _run_signature
+
+    return lambda config: _run_signature(terrain(), config, mode)
+
+
+NUMPY = HsrConfig(engine="numpy")
+
+#: One production path per ``raise``-capable site, with the config
+#: that puts the site on it: ``(signature of the run, config)``.
+_RAISE_PATHS = {
+    "compiled_insert": (_hsr_signature(_fractal), CORE),
+    "packed_splice": (_hsr_signature(_fractal), NUMPY),
+    "build_sweep": (_build_signature, NUMPY),
+    "parallel_exec": (
+        _build_signature,
+        HsrConfig(engine="numpy", workers=2, parallel_min_segments=0),
+    ),
+    "pct_merge": (_hsr_signature(_valley, "direct"), CORE),
+    "phase2_merge": (_hsr_signature(_valley, "direct"), CORE),
+    "rope_splice": (_hsr_signature(_valley, "persistent"), NUMPY),
+}
+
+
+@pytest.mark.parametrize("site", [s for s in fi.SITES if s != "profile"])
+def test_every_raise_site_recovers_bit_exact(site):
+    """``<site>:raise:2`` — one step of the CI fault loop — on the
+    site's production path leaves the result bit-exact with the python
+    engine."""
+    run, config = _RAISE_PATHS[site]
+    if config is CORE and not _ccore.HAVE_CCORE:
+        pytest.skip("compiled core not built")
+    with fi.inject(site, "raise", nth=2) as plan:
+        got = run(config)
+    assert plan.fired == 1
+    with fi.suppressed():
+        assert got == run(HsrConfig(engine="python"))
