@@ -132,11 +132,10 @@ def compiled_enabled(config, *sites: str) -> bool:
     core is built and ``config``'s compiled toggle (the shipped
     default when ``config`` is ``None``) is on, no plan is armed
     except a ``raise`` plan at one of ``sites`` (which the caller
-    trips per call), ``REPRO_GUARD_CHECK_ALL`` is off, and none of
-    ``sites`` is quarantined.  Otherwise the caller takes its
-    reference path, so injection and checks see the boundaries of
-    that path."""
-    if not HAVE_CCORE or _guard.GUARDED_CHECK_ALL:
+    trips per call), and none of ``sites`` is quarantined.  Otherwise
+    the caller takes its reference path, so injection and checks see
+    the boundaries of that path."""
+    if not HAVE_CCORE:
         return False
     if _fi.ARMED and (_fi.armed_site() not in sites or _fi.armed_mode() != "raise"):
         return False

@@ -59,7 +59,6 @@ __all__ = [
 
 _F = np.float64
 _I = np.int64
-_U = np.uint64
 
 
 def _tuples_to_matrix(rows: Sequence) -> np.ndarray:
@@ -70,9 +69,6 @@ def _tuples_to_matrix(rows: Sequence) -> np.ndarray:
         itertools.chain.from_iterable(rows), _F, count=5 * len(rows)
     ).reshape(-1, 5)
 
-
-#: Sign bit of an IEEE-754 double, as the uint64 bit pattern.
-_SIGN_BIT = np.uint64(0x8000000000000000)
 
 class FlatEnvelope:
     """Structure-of-arrays envelope: parallel ``ya/za/yb/zb/source``.
@@ -499,53 +495,6 @@ def _endpoint_stream(
     return ev[keep], gv[keep], mk[keep]
 
 
-def _order_keys(vals: np.ndarray) -> np.ndarray:
-    """Map float64 values to uint64 keys with the same total order.
-
-    The IEEE-754 bit pattern is order-preserving for non-negative
-    doubles; setting the sign bit lifts them above the negatives, whose
-    sign-magnitude encoding is order-*reversed* and is fixed by a full
-    bit flip.  ``-0.0`` and ``+0.0`` map to adjacent keys — callers
-    only rely on the key order being *consistent with* float order, so
-    equal floats may order either way.  NaNs are not handled (envelope
-    coordinates are always comparable).
-    """
-    u = np.ascontiguousarray(vals).view(_U)
-    return np.where(u & _SIGN_BIT, ~u, u | _SIGN_BIT)
-
-
-def _group_offsets(groups: np.ndarray, n_groups: int) -> np.ndarray:
-    """Segment boundaries (length ``n_groups + 1``) of a sorted
-    group-id array."""
-    return np.searchsorted(groups, np.arange(n_groups + 1))
-
-
-def _pack_range_adjust(
-    mn: np.ndarray, mx: np.ndarray, n_groups: int
-) -> Optional[np.ndarray]:
-    """Per-group additive shifts that pack key ranges ``[mn_g, mx_g]``
-    into disjoint consecutive uint64 intervals: ``key + adj[g]`` is
-    globally ordered by ``(group, key)``.  Mutates ``mn``/``mx`` for
-    empty groups (``mn > mx``).  Returns ``None`` when the combined
-    spans overflow 64 bits — detected by a zero span size (a
-    full-range group wraps ``span + 1`` to 0) or a non-increasing
-    cumulative sum (a wrapping step strictly decreases, since every
-    size is below 2**64)."""
-    empty = mn > mx
-    if empty.any():
-        mn[empty] = 0
-        mx[empty] = 0
-    sizes = (mx - mn) + np.uint64(1)  # wraps to 0 on a full-range span
-    cs = np.cumsum(sizes)
-    if n_groups > 1 and (
-        bool((sizes == 0).any()) or not bool(np.all(cs[1:] > cs[:-1]))
-    ):
-        return None  # packed ranges overflow 64 bits
-    # ``key - mn[g] + base[g]``: the result is always in range, so
-    # wrapping uint64 arithmetic on the folded constant is exact.
-    return (cs - sizes) - mn
-
-
 def _composite_argsort(
     ys: np.ndarray, gs: np.ndarray, n_groups: int
 ) -> np.ndarray:
@@ -559,38 +508,6 @@ def _composite_argsort(
     gdt = np.int16 if n_groups < 2**15 else np.int32
     o2 = np.argsort(gs[o1].astype(gdt), kind="stable")
     return o1[o2]
-
-
-def _segmented_searchsorted(
-    b_vals: np.ndarray,
-    b_off: np.ndarray,
-    a_vals: np.ndarray,
-    a_groups: np.ndarray,
-    side: str = "left",
-) -> np.ndarray:
-    """For each ``a_vals[i]`` (group ``a_groups[i]``), the global index
-    in ``b_vals`` where it would insert within its group segment — a
-    segmented ``searchsorted`` as a vectorized branch-free binary
-    search with per-element bounds.  Values may be any comparable
-    dtype (raw floats are fine: comparisons never cross group
-    boundaries).  Runs ``ceil(log2(max segment size))`` cheap array
-    passes; the batched visibility kernel falls back to it when its
-    key packing overflows."""
-    lo = b_off[a_groups]
-    size = b_off[a_groups + 1] - lo
-    if len(b_vals) == 0 or len(a_vals) == 0:
-        return lo
-    bp = np.append(b_vals, b_vals[:1])  # pad: converged lanes read past
-    for _ in range(int(size.max()).bit_length()):
-        half = size >> 1
-        mid = lo + half
-        if side == "left":
-            cond = (bp[mid] < a_vals) & (size > 0)
-        else:
-            cond = (bp[mid] <= a_vals) & (size > 0)
-        lo = np.where(cond, mid + 1, lo)
-        size = np.where(cond, size - half - 1, half)
-    return lo
 
 
 def _sweep(

@@ -16,8 +16,7 @@ The whole scan therefore vectorizes with no sequential state: one
 (query, piece) pair table, ``z_at_many``-style batched line evaluation
 on its endpoints, dominance signs, and boolean-mask emission of gap /
 visible / crossing candidates — for *many* query segments against one
-:class:`~repro.envelope.flat.FlatEnvelope`, or one query per group of
-a stacked envelope set (the Phase-2 leaf layout), in a single sweep.
+:class:`~repro.envelope.flat.FlatEnvelope`, in a single sweep.
 
 Parity contract: identical ``parts`` (after the same eps-merge and
 ``width > eps`` filtering), ``crossings`` and ``ops`` as
@@ -43,22 +42,13 @@ profile after each splice, and never cache one across inserts.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
 from repro.envelope.chain import Envelope
-from repro.envelope.flat import (
-    FlatEnvelope,
-    _group_offsets,
-    _order_keys,
-    _pack_range_adjust,
-    _segmented_searchsorted,
-    _tuples_to_matrix,
-    _z_eval,
-)
+from repro.envelope.flat import FlatEnvelope, _tuples_to_matrix, _z_eval
 from repro.envelope.visibility import VisibilityResult, VisiblePart
-from repro.errors import EnvelopeError
 from repro.geometry.primitives import EPS, NEG_INF
 from repro.geometry.segments import ImageSegment
 
@@ -150,104 +140,42 @@ class FlatVisibility(NamedTuple):
 def _locate(
     p_ya: np.ndarray,
     p_yb: np.ndarray,
-    p_off: np.ndarray,
     q_y1: np.ndarray,
     q_y2: np.ndarray,
-    q_groups: np.ndarray,
-    n_groups: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-query piece range, replicating ``pieces_overlapping`` (and
     the raw ``bisect_right - 1`` index that ``value_at`` needs).
 
-    Returns global piece indices ``(i_raw, lo, hi)``:
+    Returns piece indices ``(i_raw, lo, hi)``:
 
-    * ``i_raw`` — last piece of the query's group with ``ya <= y1``,
-      or ``group_start - 1`` when none;
+    * ``i_raw`` — last piece with ``ya <= y1``, or ``-1`` when none;
     * ``lo``/``hi`` — half-open overlap range of the query's
       ``(y1, y2)`` span, empty when ``y1 == y2`` is outside any piece.
     """
     n = len(p_ya)
-    if n_groups == 1:
-        # One envelope: its ``ya`` array is globally sorted.
-        count_le = np.searchsorted(p_ya, q_y1, side="right")
-        hi = np.searchsorted(p_ya, q_y2, side="left")
-    else:
-        q_off = _group_offsets(q_groups, n_groups)
-        # ``+ 0.0`` collapses -0.0 to +0.0 before keying: bisect
-        # treats the zeros as equal, and distinct keys would shift the
-        # piece counts (every other value is unchanged by the add).
-        kp = _order_keys(p_ya + 0.0)
-        k1 = _order_keys(q_y1 + 0.0)
-        k2 = _order_keys(q_y2 + 0.0)
-        # Packed-key group ranges must cover the queries too; the
-        # query streams need not be y-sorted within a group, so their
-        # per-group extremes come from segmented reductions
-        # (``y1 <= y2`` per query, so min(k1)/max(k2) suffice).
-        mn = np.full(n_groups, np.uint64(0xFFFFFFFFFFFFFFFF), np.uint64)
-        mx = np.zeros(n_groups, np.uint64)
-        pne = p_off[1:] > p_off[:-1]
-        mn[pne] = kp[p_off[:-1][pne]]
-        mx[pne] = kp[p_off[1:][pne] - 1]
-        qne = q_off[1:] > q_off[:-1]
-        if qne.any():
-            starts = q_off[:-1][qne]
-            mn[qne] = np.minimum(
-                mn[qne], np.minimum.reduceat(k1, starts)
-            )
-            mx[qne] = np.maximum(
-                mx[qne], np.maximum.reduceat(k2, starts)
-            )
-        adj = _pack_range_adjust(mn, mx, n_groups)
-        if adj is not None:
-            sp = kp + adj[_piece_groups(p_off, n)]
-            count_le = np.searchsorted(
-                sp, k1 + adj[q_groups], side="right"
-            )
-            hi = np.searchsorted(sp, k2 + adj[q_groups], side="left")
-        else:  # pragma: no cover - needs ~1e19 coordinate spread
-            count_le = _segmented_searchsorted(
-                kp, p_off, k1, q_groups, side="right"
-            )
-            hi = _segmented_searchsorted(kp, p_off, k2, q_groups)
-    i_raw = count_le - 1
+    i_raw = np.searchsorted(p_ya, q_y1, side="right") - 1
+    hi = np.searchsorted(p_ya, q_y2, side="left")
     # ``pieces_overlapping`` adjustment: step past a piece ending at or
-    # before ``y1`` (and past the start when the group has no piece
-    # at or before ``y1``).
-    if n_groups == 1:
-        group_start = np.zeros(len(q_y1), _I)
-    else:
-        group_start = p_off[q_groups]
-    valid = i_raw >= group_start
+    # before ``y1`` (and past the start when no piece starts at or
+    # before ``y1``).
     if n:
         ends = p_yb[np.clip(i_raw, 0, n - 1)]
-        lo = np.where(valid & (ends > q_y1), i_raw, i_raw + 1)
+        lo = np.where((i_raw >= 0) & (ends > q_y1), i_raw, i_raw + 1)
     else:
         lo = i_raw + 1
     return i_raw, lo, hi
 
 
-def _piece_groups(p_off: np.ndarray, n: int) -> np.ndarray:
-    """Group id per piece from group offsets."""
-    return np.repeat(
-        np.arange(len(p_off) - 1, dtype=_I), np.diff(p_off)
-    )
-
-
 def batch_visible_parts(
-    env: Union[FlatEnvelope, Envelope, tuple],
+    env: Union[FlatEnvelope, Envelope],
     segments: Union[Sequence[ImageSegment], np.ndarray],
-    groups: Optional[np.ndarray] = None,
     *,
     eps: float = EPS,
 ) -> FlatVisibility:
     """Visible parts of many query segments, in one batched sweep.
 
-    ``env`` is a single envelope (:class:`FlatEnvelope` or
-    :class:`Envelope`) that every query is tested against, or a
-    stacked envelope set (``repro.envelope.flat.stack_envelopes``
-    output) with ``groups`` giving each query's group id — the
-    Phase-2 leaf layout, one inherited profile per leaf.  ``groups``
-    must be sorted ascending (queries grouped by envelope).
+    ``env`` is the envelope (:class:`FlatEnvelope` or
+    :class:`Envelope`) that every query is tested against.
 
     ``segments`` is a sequence of :class:`ImageSegment` or a prebuilt
     ``(Q, 5)`` float64 matrix.  Vertical queries (``y1 == y2``) take
@@ -258,15 +186,7 @@ def batch_visible_parts(
     """
     if isinstance(env, Envelope):
         env = FlatEnvelope.from_envelope(env)
-    if isinstance(env, FlatEnvelope):
-        p_ya, p_za = env.ya, env.za
-        p_yb, p_zb = env.yb, env.zb
-        p_off = np.array([0, len(p_ya)], _I)
-        n_groups = 1
-    else:  # a stacked envelope set
-        p_ya, p_za, p_yb, p_zb = env.ya, env.za, env.yb, env.zb
-        p_off = np.asarray(env.offsets, _I)
-        n_groups = len(p_off) - 1
+    p_ya, p_za, p_yb, p_zb = env.ya, env.za, env.yb, env.zb
 
     if isinstance(segments, np.ndarray):
         seg_mat = segments
@@ -282,19 +202,6 @@ def batch_visible_parts(
     q_y2 = np.ascontiguousarray(seg_mat[:, 2])
     q_z2 = np.ascontiguousarray(seg_mat[:, 3])
 
-    if groups is None:
-        q_groups = np.zeros(nq, _I)
-    else:
-        q_groups = np.asarray(groups, _I)
-        if len(q_groups) != nq:
-            raise EnvelopeError(
-                f"groups length {len(q_groups)} != {nq} queries"
-            )
-        if nq and bool(np.any(q_groups[1:] < q_groups[:-1])):
-            raise EnvelopeError(
-                "batch_visible_parts requires group-sorted queries"
-            )
-
     e_f = np.empty(0, _F)
     e_i = np.empty(0, _I)
     if nq == 0:
@@ -302,9 +209,7 @@ def batch_visible_parts(
             e_i, e_f, e_f, e_i, e_f, e_f, np.empty(0, _I)
         )
 
-    i_raw, lo, hi = _locate(
-        p_ya, p_yb, p_off, q_y1, q_y2, q_groups, n_groups
-    )
+    i_raw, lo, hi = _locate(p_ya, p_yb, q_y1, q_y2)
     ops = np.ones(nq, _I)
 
     vertical = q_y1 == q_y2
@@ -459,27 +364,21 @@ def batch_visible_parts(
         n = len(p_ya)
         y = q_y1[vt]
         i = i_raw[vt]
-        if n_groups == 1:
-            g_lo = np.zeros(len(vt), _I)
-            g_hi = np.full(len(vt), n, _I)
-        else:
-            g_lo = p_off[q_groups[vt]]
-            g_hi = p_off[q_groups[vt] + 1]
         if n:
             ic = np.clip(i, 0, n - 1)
-            inside = (i >= g_lo) & (p_ya[ic] <= y) & (y <= p_yb[ic])
+            inside = (i >= 0) & (p_ya[ic] <= y) & (y <= p_yb[ic])
             best = np.where(
                 inside,
                 _z_eval(p_ya[ic], p_za[ic], p_yb[ic], p_zb[ic], y),
                 NEG_INF,
             )
             ip = np.clip(i - 1, 0, n - 1)
-            prev_ok = (i - 1 >= g_lo) & (p_yb[ip] == y)
+            prev_ok = (i >= 1) & (p_yb[ip] == y)
             best = np.maximum(
                 best, np.where(prev_ok, p_zb[ip], NEG_INF)
             )
             inx = np.clip(i + 1, 0, n - 1)
-            next_ok = (i + 1 < g_hi) & (p_ya[inx] == y)
+            next_ok = (i + 1 < n) & (p_ya[inx] == y)
             best = np.maximum(
                 best, np.where(next_ok, p_za[inx], NEG_INF)
             )

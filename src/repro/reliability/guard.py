@@ -59,7 +59,6 @@ from repro.reliability import faultinject as _fi
 __all__ = [
     "GUARDS_ENABLED",
     "GUARDED_DISPATCH",
-    "GUARDED_CHECK_ALL",
     "FAULT_THRESHOLD",
     "InvariantViolation",
     "ReliabilityReport",
@@ -90,12 +89,6 @@ GUARDS_ENABLED: bool = _env_flag("REPRO_GUARDS", True)
 #: them.  ``False``: strict mode — raise :class:`KernelFault` naming
 #: the site on the first fault.
 GUARDED_DISPATCH: bool = _env_flag("REPRO_GUARDED_DISPATCH", True)
-
-#: Stand the compiled core aside (see
-#: :func:`repro.envelope._ccore.compiled_enabled`), so every insert and
-#: layer runs on the python reference.  Off by default.  Env
-#: ``REPRO_GUARD_CHECK_ALL``.
-GUARDED_CHECK_ALL: bool = _env_flag("REPRO_GUARD_CHECK_ALL", False)
 
 #: Faults at one site within one run after which the circuit breaker
 #: quarantines the site: the guard stops trying the kernel and routes

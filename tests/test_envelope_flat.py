@@ -279,21 +279,6 @@ class TestMergeMany:
             else:
                 assert abs(got - want) <= 1e-7
 
-    def test_engines_identical(self, rng):
-        # Inputs built by either engine (the numpy one by the batched
-        # sweep) merge to the same envelope, crossings and ops.
-        segs = random_image_segments(rng, 51)
-        groups = [segs[i:i + 3] for i in range(0, len(segs), 3)]
-        rp = merge_many(
-            [build_envelope(g, engine="python").envelope for g in groups]
-        )
-        rn = merge_many(
-            [build_envelope(g, engine="numpy").envelope for g in groups]
-        )
-        assert rn.envelope.pieces == rp.envelope.pieces
-        assert rn.crossings == rp.crossings
-        assert rn.ops == rp.ops
-
     def test_earlier_envelope_wins_ties(self):
         # Same geometry in all inputs: the first source must win, as
         # it did under the left fold.
@@ -304,44 +289,6 @@ class TestMergeMany:
 
     def test_empty(self):
         assert merge_many([]).envelope.size == 0
-
-
-class TestSegmentedSearch:
-    """The segmented binary search the batched visibility kernel falls
-    back to when its key packing overflows."""
-
-    @staticmethod
-    def _random_stream(rng, n_groups, max_per_group, lo=-1e3, hi=1e3):
-        groups, vals = [], []
-        for g in range(n_groups):
-            k = rng.randint(0, max_per_group)
-            groups.extend([g] * k)
-            vals.extend(sorted(rng.uniform(lo, hi) for _ in range(k)))
-        return (
-            np.array(vals, np.float64),
-            np.array(groups, np.int64),
-        )
-
-    def test_segmented_binsearch_matches_numpy(self, rng):
-        from repro.envelope.flat import (
-            _group_offsets,
-            _segmented_searchsorted,
-        )
-
-        b_vals, b_groups = self._random_stream(rng, 9, 12)
-        a_vals, a_groups = self._random_stream(rng, 9, 12)
-        b_off = _group_offsets(b_groups, 9)
-        got = _segmented_searchsorted(
-            b_vals, b_off, a_vals, a_groups
-        )
-        for i, (v, g) in enumerate(
-            zip(a_vals.tolist(), a_groups.tolist())
-        ):
-            seg = b_vals[b_off[g] : b_off[g + 1]]
-            want = int(b_off[g]) + int(
-                np.searchsorted(seg, v, side="left")
-            )
-            assert got[i] == want
 
 
 class TestSequentialGuard:

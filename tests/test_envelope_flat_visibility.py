@@ -9,17 +9,15 @@ near-parallel crossings.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.envelope.build import build_envelope
 from repro.envelope.chain import Envelope
-from repro.envelope.flat import FlatEnvelope, stack_envelopes
+from repro.envelope.flat import FlatEnvelope
 from repro.envelope.flat_visibility import batch_visible_parts
 from repro.envelope.visibility import visible_parts
-from repro.errors import EnvelopeError
 from repro.geometry.segments import ImageSegment
 from tests.conftest import random_image_segments
 
@@ -153,70 +151,22 @@ class TestBatchParity:
             batch_visible_parts(env, (q,)).result_of(0), visible_parts(q, env)
         )
 
-
-class TestGroupedParity:
-    def test_stacked_groups(self, rng):
-        envs, queries = [], []
-        for g in range(40):
-            n = rng.randint(0, 10)
-            env = build_envelope(
-                random_image_segments(rng, n), engine="python"
-            ).envelope
-            envs.append(FlatEnvelope.from_envelope(env))
-            q = random_image_segments(rng, 1)[0]
-            if g % 5 == 0:  # vertical point queries too
-                q = ImageSegment(q.y1, q.z1, q.y1, q.z1 + 2.0, 900 + g)
-            queries.append(q)
-        res = batch_visible_parts(
-            stack_envelopes(envs), queries, groups=np.arange(40)
-        )
-        for g in range(40):
-            assert_query_identical(
-                res.result_of(g),
-                visible_parts(queries[g], envs[g].to_envelope()),
-            )
-
     def test_negative_zero_boundary(self):
-        # A piece starting at -0.0 queried up to +0.0: bisect treats
-        # the zeros as equal, so the packed-key locate must too —
-        # distinct order keys would shift the overlap range and break
-        # exact ops parity (regression: multi-group path only).
-        envs = [
-            FlatEnvelope.from_envelope(
-                build_envelope(
-                    [ImageSegment(-0.0, 1.0, 5.0, 1.0, 0)],
-                    engine="python",
-                ).envelope
-            ),
-            FlatEnvelope.from_envelope(
-                build_envelope(
-                    [ImageSegment(0.0, 2.0, 3.0, 2.0, 1)],
-                    engine="python",
-                ).envelope
-            ),
-        ]
-        queries = [
-            ImageSegment(-3.0, 9.0, 0.0, 9.0, 100),
-            ImageSegment(-1.0, 9.0, -0.0, 9.0, 101),
-        ]
-        res = batch_visible_parts(
-            stack_envelopes(envs), queries, groups=np.array([0, 1])
-        )
-        for g in range(2):
-            assert_query_identical(
-                res.result_of(g),
-                visible_parts(queries[g], envs[g].to_envelope()),
-            )
-
-    def test_group_validation(self):
-        env = stack_envelopes([FlatEnvelope.empty()])
-        seg = ImageSegment(0.0, 0.0, 1.0, 1.0, 0)
-        with pytest.raises(EnvelopeError, match="length"):
-            batch_visible_parts(env, [seg], groups=np.array([0, 0]))
-        with pytest.raises(EnvelopeError, match="group-sorted"):
-            batch_visible_parts(
-                env, [seg, seg], groups=np.array([1, 0])
-            )
+        # Pieces starting at -0.0 and +0.0, queried up to the other
+        # zero: bisect treats the zeros as equal, so the batched
+        # locate must too, or the overlap range and ops shift.
+        for start in (-0.0, 0.0):
+            env = build_envelope(
+                [ImageSegment(start, 1.0, 5.0, 1.0, 0)], engine="python"
+            ).envelope
+            queries = [
+                ImageSegment(-3.0, 9.0, 0.0, 9.0, 100),
+                ImageSegment(-1.0, 9.0, -0.0, 9.0, 101),
+                ImageSegment(-0.0, 0.0, 0.0, 9.0, 102),
+            ]
+            res = batch_visible_parts(FlatEnvelope.from_envelope(env), queries)
+            for k, q in enumerate(queries):
+                assert_query_identical(res.result_of(k), visible_parts(q, env))
 
 
 def _run_incremental_pair(segments, *, eps=None):

@@ -10,8 +10,8 @@ one call per chunk of at most 256 inserts plus one per early return
 visibility segments, ``ops``, ``k``, ``max_profile_size`` and final
 profile.  Under a ``compiled_insert`` fault plan the core runs one
 insert per call, so the plan counts inserts.  Under a plan at any other
-site, ``REPRO_GUARD_CHECK_ALL`` or a quarantined ``compiled_insert``
-site the run stands aside to the per-insert reference path.
+site or a quarantined ``compiled_insert`` site the run stands aside to
+the per-insert reference path.
 """
 
 from __future__ import annotations
@@ -354,11 +354,6 @@ class TestStandAside:
         assert calls["run"] == []
         ref = insert_run(segment_lanes(segs), config=PER_INSERT)
         assert (run.ops, run.ya, run.yb) == (ref.ops, ref.ya, ref.yb)
-
-    def test_check_all(self, calls, rng, monkeypatch):
-        monkeypatch.setattr(guard, "GUARDED_CHECK_ALL", True)
-        insert_run(segment_lanes(self._segments(rng)), config=COMPILED)
-        assert calls["run"] == [] and calls["per_insert"] > 0
 
     def test_toggle_off(self, calls, rng, monkeypatch):
         insert_run(segment_lanes(self._segments(rng)), config=PER_INSERT)

@@ -140,6 +140,57 @@ class TestNoDeprecationWarnings:
         )
 
 
+class TestRemovedPaths:
+    """Rows of the docs/API.md migration table: a removed name is gone
+    and a removed keyword is no parameter, with no shim left behind."""
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "repro.envelope.flat_fused",
+            "repro.envelope.engine:merge_dispatch",
+            "repro.envelope.engine:visibility_dispatch",
+            "repro.envelope.engine:FLAT_FUSED_CUTOFF",
+            "repro.envelope.flat_visibility:visible_parts_flat",
+            "repro.config:HsrConfig.fused_cutoff",
+            "repro.reliability.guard:GUARDED_CHECK_ALL",
+        ],
+    )
+    def test_name_is_gone(self, path):
+        import importlib
+
+        pytest.importorskip("numpy")
+        module_name, _, attrs = path.partition(":")
+        if not attrs:
+            with pytest.raises(ImportError):
+                importlib.import_module(module_name)
+            return
+        obj = importlib.import_module(module_name)
+        *owners, last = attrs.split(".")
+        for name in owners:
+            obj = getattr(obj, name)
+        assert not hasattr(obj, last)
+
+    @pytest.mark.parametrize(
+        "path,keyword",
+        [
+            ("repro.envelope.splice:insert_segment", "engine"),
+            ("repro.envelope.splice:splice_merge", "engine"),
+            ("repro.envelope.merge:merge_many", "engine"),
+            ("repro.envelope.flat_visibility:batch_visible_parts", "groups"),
+            ("repro.config:HsrConfig", "flat_fused_cutoff"),
+        ],
+    )
+    def test_keyword_is_gone(self, path, keyword):
+        import importlib
+        import inspect
+
+        pytest.importorskip("numpy")
+        module_name, _, name = path.partition(":")
+        fn = getattr(importlib.import_module(module_name), name)
+        assert keyword not in inspect.signature(fn).parameters
+
+
 class TestErrorHierarchy:
     def test_all_derive_from_repro_error(self):
         for name in errors.__all__:

@@ -484,6 +484,15 @@ class _FaultingLib:
         return self._lib.repro_merge_layer(ctx, mode, *args)
 
 
+def _fault_at(nth, terrain):
+    """``nth`` as a layer call count; ``"last"`` is the tree height,
+    the last compiled layer of each phase (where ``direct`` releases
+    its held-back tracker charges)."""
+    if nth == "last":
+        return SeparatorTree(front_to_back_order(terrain)).height
+    return nth
+
+
 def _assert_recovered(terrain, site, mode="direct"):
     order = front_to_back_order(terrain)
     tg, tr = PramTracker(), PramTracker()
@@ -503,29 +512,13 @@ def _assert_recovered(terrain, site, mode="direct"):
     [(_ccore.MODE_PCT, "pct_merge"), (_ccore.MODE_PHASE2, "phase2_merge")],
     ids=["pct", "phase2"],
 )
-@pytest.mark.parametrize("nth", [1, 2, 5])
+@pytest.mark.parametrize("nth", [1, 2, 5, "last"])
 def test_kernel_fault_recovers_bit_exact(mode, site, nth, monkeypatch):
-    monkeypatch.setattr(_ccore, "lib", _FaultingLib(_ccore.lib, mode, nth))
-    _assert_recovered(_terrain("fractal", 17), site)
-
-
-@needs_ccore
-@pytest.mark.parametrize("family", ["fractal", "valley", "shielded_basin"])
-@pytest.mark.parametrize(
-    "kernel,site,mode",
-    [(_ccore.MODE_PCT, "pct_merge", "direct"),
-     (_ccore.MODE_PHASE2, "phase2_merge", "direct"),
-     (_ccore.MODE_ROPE, "phase2_merge", "persistent")],
-    ids=["pct", "phase2", "rope"],
-)
-def test_fault_on_the_last_layer_recovers(kernel, site, mode, family, monkeypatch):
-    """A fault on the last compiled layer — after every other layer of
-    the phase ran in C, and where ``direct`` releases its held-back
-    tracker charges — still recovers bit for bit and charges once."""
-    terrain = _terrain(family, 17)
-    height = SeparatorTree(front_to_back_order(terrain)).height
-    monkeypatch.setattr(_ccore, "lib", _FaultingLib(_ccore.lib, kernel, height))
-    _assert_recovered(terrain, site, mode)
+    terrain = _terrain("fractal", 17)
+    monkeypatch.setattr(
+        _ccore, "lib", _FaultingLib(_ccore.lib, mode, _fault_at(nth, terrain))
+    )
+    _assert_recovered(terrain, site)
 
 
 @needs_ccore
@@ -543,14 +536,17 @@ def test_raise_plan_recovers_bit_exact(site, monkeypatch):
 
 
 @needs_ccore
-@pytest.mark.parametrize("nth", [1, 2, 5])
+@pytest.mark.parametrize("nth", [1, 2, 5, "last"])
 def test_rope_kernel_fault_reruns_bit_exact(nth, monkeypatch):
     """A faulting rope layer reruns Phase 2 from the root on the Python
     rope, and charges the tracker once."""
+    terrain = _terrain("fractal", 17)
     monkeypatch.setattr(
-        _ccore, "lib", _FaultingLib(_ccore.lib, _ccore.MODE_ROPE, nth)
+        _ccore,
+        "lib",
+        _FaultingLib(_ccore.lib, _ccore.MODE_ROPE, _fault_at(nth, terrain)),
     )
-    _assert_recovered(_terrain("fractal", 17), "phase2_merge", "persistent")
+    _assert_recovered(terrain, "phase2_merge", "persistent")
 
 
 @needs_ccore
