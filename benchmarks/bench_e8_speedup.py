@@ -2,10 +2,10 @@
 
 The PRAM speedup curve comes from the cost model (the GIL makes
 thread-level emulation meaningless — DESIGN.md §2); the serial
-Phase-1 benchmark is its wall-clock baseline.  Real multi-core
-execution is ``HsrConfig(workers=N)`` through
-:mod:`repro.parallel_exec`, measured by the ``parallel-build-wN``
-rows of ``python -m repro bench envelope``.
+Phase-1 benchmark is its wall-clock baseline.  There is no multi-core
+executor: each PCT layer and each level of the Lemma 3.1 envelope
+build is one compiled call in the calling thread, which outran the
+process pool it replaced on two cores.
 """
 
 from __future__ import annotations

@@ -13,9 +13,8 @@ exchange format), imports it as a TIN, and computes:
   z-buffer at several resolutions.
 
 Everything runs through the unified front door: one
-:class:`repro.HsrConfig` threads engine / eps / worker choices to the
-algorithms and the query service alike (``--workers 2`` builds the
-horizon envelope across real cores).
+:class:`repro.HsrConfig` threads engine / eps / core choices to the
+algorithms and the query service alike.
 
     python examples/gis_viewshed.py [--direction 90] [--rows 40]
 """
@@ -65,14 +64,8 @@ def main() -> None:
     )
     parser.add_argument("--seed", type=int, default=5)
     parser.add_argument("--outdir", default=".")
-    parser.add_argument(
-        "--workers",
-        default="1",
-        help="envelope-build process count ('auto' = all cores)",
-    )
     args = parser.parse_args()
-    workers = args.workers if args.workers == "auto" else int(args.workers)
-    config = HsrConfig(workers=workers)
+    config = HsrConfig()
 
     heights = synthetic_dem(args.rows, args.cols, args.seed)
     with tempfile.TemporaryDirectory() as tmp:

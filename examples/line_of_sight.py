@@ -51,7 +51,7 @@ def main() -> None:
     parser.add_argument("--candidates", type=int, default=6)
     args = parser.parse_args()
 
-    config = HsrConfig()  # one front door: engine/eps/workers in one place
+    config = HsrConfig()  # one front door: engine/eps/core in one place
     terrain = generate_terrain("fractal", size=args.size, seed=args.seed)
     oracle = VisibilityOracle(terrain, config=config)
     print(f"terrain: {terrain}  (oracle: {oracle.n_checkpoints} checkpoints)")

@@ -33,7 +33,7 @@ def main() -> None:
     terrain = generate_terrain("fractal", size=args.size, seed=args.seed)
     print(f"terrain: {terrain}")
 
-    config = HsrConfig()  # one front door: engine / eps / workers
+    config = HsrConfig()  # one front door: engine / eps / compiled core
     tracker = PramTracker()
     result = ParallelHSR(mode="persistent", config=config).run(
         terrain, tracker=tracker

@@ -11,7 +11,7 @@ Top-level convenience API (full API in the subpackages)::
     from repro import HsrConfig, ParallelHSR, generate_terrain
 
     terrain = generate_terrain("fractal", n_points=500, seed=7)
-    config = HsrConfig(workers=4)        # multi-core envelope builds
+    config = HsrConfig(engine="numpy")   # compiled core when built
     result = ParallelHSR(config=config).run(terrain)
     print(result.visibility_map.summary())
 
@@ -34,7 +34,6 @@ Subpackages
 ``repro.envelope``       upper-profile algebra
 ``repro.persistence``    persistent chunked-rope profile store
 ``repro.pram``           simulated CREW PRAM (work/depth, scheduling)
-``repro.parallel_exec``  real multi-core D&C envelope builds (shared memory)
 ``repro.terrain``        TIN model, generators, triangulation, DEM, I/O
 ``repro.ordering``       front-to-back ordering & separator tree
 ``repro.hsr``            the paper's algorithm + baselines

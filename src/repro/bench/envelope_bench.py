@@ -10,7 +10,9 @@ Row kinds (all share the six columns; ``python_ms``/``numpy_ms`` name
 the two timed variants):
 
 ``build``
-    ``build_envelope`` python engine vs numpy engine.
+    ``build_envelope`` python engine vs numpy engine (one compiled
+    call per recursion level when the core is built, else the same
+    reference recursion).
 ``visibility``
     ``visible_parts`` of ``m`` query segments against the profile of
     ``m`` segments: scalar per-query loop (``python_ms``) vs one
@@ -29,14 +31,6 @@ the two timed variants):
 ``sequential-guard-ablation`` / ``sequential-guard-ablation-wide``
     The shipped run loop with the reliability guards off
     (``python_ms`` column) vs on (``numpy_ms`` column).
-``parallel-build-w2`` / ``parallel-build-w4``
-    The multi-core divide-and-conquer build
-    (:func:`repro.parallel_exec.build_envelope_parallel`, shared-
-    memory inputs, pool pre-warmed) with 2 / 4 worker processes
-    (``numpy_ms`` column) vs the in-process numpy build (``python_ms``
-    column).  Bit-exact by the chunk-parity argument; the speedup
-    column only reads above 1 when the machine actually has the
-    cores — see the core-count caveat in ``docs/BENCHMARKS.md``.
 ``service-qps``
     ``m`` viewshed queries through the service façade: sequential
     :meth:`~repro.service.ViewshedSession.query` calls (``python_ms``
@@ -355,47 +349,6 @@ def run_envelope_bench(
     # (phase2-rope is recorded at the top of this function — see the
     # fresh-process rationale there.)
 
-    # Multi-core build scaling: the in-process numpy build vs the
-    # shared-memory process pool at 2 and 4 workers (largest size).
-    # Honest rows: on a single-core machine the pool pays IPC without
-    # gaining cores, so the speedup column reads below 1 there — the
-    # correctness story (bit-exact parity) is CI's 2-worker leg, and
-    # the scaling decomposition lives in docs/BENCHMARKS.md.
-    if HAVE_NUMPY:
-        from repro.geometry.primitives import EPS
-        from repro.parallel_exec import build_envelope_parallel
-
-        m_par = max(ms)
-        segs = _e9_segments(m_par)
-        env_size = build_envelope(segs, engine="numpy").envelope.size
-        for w in (2, 4):
-            # Warm the pool so fork cost is not billed to a repeat.
-            warm = build_envelope_parallel(
-                segs, eps=EPS, workers=w, min_segments=0
-            )
-            if warm is None:  # pragma: no cover - platform without fork
-                continue
-            best = _time_interleaved(
-                {
-                    "inproc": lambda: build_envelope(segs, engine="numpy"),
-                    "pool": lambda w=w: build_envelope_parallel(
-                        segs, eps=EPS, workers=w, min_segments=0
-                    ),
-                },
-                seq_repeats,
-            )
-            rows.append(
-                dict(
-                    workload=f"parallel-build-w{w}",
-                    m=m_par,
-                    env_size=env_size,
-                    python_ms=best["inproc"] * 1e3,
-                    numpy_ms=best["pool"] * 1e3,
-                    speedup=best["inproc"] / best["pool"],
-                )
-            )
-            t.add(**rows[-1])
-
     # Service throughput: m coalesced queries through one
     # ViewshedSession.query_batch launch vs m sequential query()
     # calls against the same cached horizon (answers bit-exact).
@@ -512,16 +465,6 @@ def run_envelope_bench(
         " column, the default); speedup just below 1 is the guard"
         " overhead — ship gate for default-on guards is <= 3%% at the"
         " largest size, best-of-%d" % seq_repeats
-    )
-    t.notes.append(
-        "parallel-build-wN times build_envelope_parallel with N"
-        " worker processes (shared-memory inputs, floors zeroed,"
-        " pool pre-warmed) against the in-process numpy build"
-        " (python_ms column); results are bit-exact"
-        " (tests/test_parallel_exec.py).  Speedup below 1 means the"
-        " recording machine had fewer than N schedulable cores and"
-        " the row is measuring IPC overhead — see docs/BENCHMARKS.md"
-        " for the core-count caveat and scaling decomposition"
     )
     t.notes.append(
         "service-qps times m sequential ViewshedSession.query calls"

@@ -111,11 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument(
         "--engine", choices=["auto", "python", "numpy"], default="auto"
     )
-    srv.add_argument(
-        "--workers",
-        default="1",
-        help="process count for the envelope build ('auto' = all cores)",
-    )
     srv.add_argument("--max-batch", type=int, default=256)
     srv.add_argument(
         "--coalesce-ms",
@@ -323,11 +318,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import ViewshedSession, serve
 
     terrain = _load_terrain(args.terrain, args.seed)
-    workers = args.workers if args.workers == "auto" else int(args.workers)
-    config = HsrConfig(
-        engine=None if args.engine == "auto" else args.engine,
-        workers=workers,
-    )
+    config = HsrConfig(engine=None if args.engine == "auto" else args.engine)
     session = ViewshedSession(terrain, config=config)
     try:
         asyncio.run(

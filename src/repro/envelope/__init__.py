@@ -3,9 +3,8 @@
 * :mod:`repro.envelope.chain` — representation (:class:`Envelope`).
 * :mod:`repro.envelope.merge` — point-wise max with crossing detection
   (the pure-Python reference kernel).
-* :mod:`repro.envelope.flat` — vectorized NumPy kernel:
-  :class:`FlatEnvelope` structure-of-arrays, batched merge sweeps,
-  level-batched construction.
+* :mod:`repro.envelope.flat` — :class:`FlatEnvelope`, the
+  structure-of-arrays envelope the array kernels share.
 * :mod:`repro.envelope.flat_visibility` — batched NumPy visibility
   kernel (many segment-vs-profile queries in one sweep).
 * :mod:`repro.envelope.engine` — kernel selection.
@@ -35,11 +34,10 @@ CLI a ``--engine`` flag):
     Semantic ground truth, zero dependencies.
 ``"numpy"``
     The array engine: the packed live profile of a sequential run,
-    the level-batched divide-and-conquer build (union breakpoints by
-    sorted events, covering pieces by segmented running maxima,
-    crossings and output pieces by boolean masks), the batched query
-    kernels and — when the optional compiled core is built — one C
-    call per 256 inserts or per PCT layer.  Default when NumPy is
+    the batched query kernels and — when the optional compiled core
+    is built — one C call per 256 inserts, per PCT layer or per
+    level of the divide-and-conquer build; what the core does not
+    run takes the python reference.  Default when NumPy is
     available.
 ``None`` / ``"auto"``
     :data:`repro.envelope.engine.DEFAULT_ENGINE`.
@@ -110,9 +108,6 @@ __all__ = [
 if HAVE_NUMPY:  # pragma: no branch - numpy ships in the toolchain
     from repro.envelope.flat import (  # noqa: F401
         FlatEnvelope,
-        FlatMergeResult,
-        build_envelope_flat,
-        merge_envelopes_flat,
     )
     from repro.envelope.flat_splice import (  # noqa: F401
         FlatInsertResult,
@@ -129,11 +124,8 @@ if HAVE_NUMPY:  # pragma: no branch - numpy ships in the toolchain
     __all__ += [
         "FlatEnvelope",
         "FlatInsertResult",
-        "FlatMergeResult",
         "PackedProfile",
         "FlatVisibility",
         "batch_visible_parts",
-        "build_envelope_flat",
         "insert_segment_flat",
-        "merge_envelopes_flat",
     ]

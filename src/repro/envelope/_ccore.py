@@ -42,12 +42,13 @@ behind two flags and these names:
 
 ``merge_layer(core, mode, blk, lanes, jobs, eps, record)``
     One layer of the profile computation tree in one C call: Phase 1's
-    merges (``MODE_PCT``), Phase 2's ``direct`` splice merges and leaf
-    queries (``MODE_PHASE2``), or its ``persistent`` rope splice merges
-    and leaf queries over the rope versions the handle keeps
+    merges (``MODE_PCT``, also one recursion level of the D&C envelope
+    build, crossings recorded), Phase 2's ``direct`` splice merges and
+    leaf queries (``MODE_PHASE2``), or its ``persistent`` rope splice
+    merges and leaf queries over the rope versions the handle keeps
     (``MODE_ROPE``); results left in the handle's lane sets for
-    :meth:`Core.take`.  See :mod:`repro.hsr.pct` and
-    :mod:`repro.hsr.phase2`.
+    :meth:`Core.take`.  See :mod:`repro.hsr.pct`,
+    :mod:`repro.hsr.phase2` and :mod:`repro.envelope.build`.
 
 ``front_to_back(x1, y1, x2, y2, src, sign)``
     The front-to-back ordering in one C call over map-segment lanes

@@ -13,14 +13,17 @@ branches of a parallel region, and each merge charges work equal to
 its elementary-interval count with depth ``log2`` of that count.
 Experiment E9 verifies the measured depth is Θ(log^2 m).
 
-Two kernels compute the merges (``engine`` parameter, see
-:mod:`repro.envelope.engine`): the reference per-interval Python sweep
-runs the recursion as written, while the NumPy kernel executes every
-recursion *level* as one batched array sweep
-(:func:`repro.envelope.flat.build_envelope_flat`) and then replays the
-recursion's exact PRAM charge sequence from the per-node
-elementary-interval counts — identical envelope, crossings, ``ops``,
-work and depth, at a fraction of the wall clock.
+Two paths compute the build.  On the numpy engine with the compiled
+core on, every recursion level is one compiled call
+(:func:`repro.envelope._ccore.merge_layer` in ``MODE_PCT``, the same
+layer kernel as Phase 1), bottom-up over the levels of
+:func:`repro.hsr.pct.level_spans`; the crossings come from the
+kernel's record path and the tracker replays the recursion's exact
+charge sequence from the per-node ``ops``.  Otherwise — no core,
+``use_compiled_insert=False``, ``engine="python"``, or a faulting
+call — the reference recursion runs as written.  Both give the same
+envelope, crossings (in the recursion's post-order), ``ops``, work and
+depth.
 """
 
 from __future__ import annotations
@@ -31,12 +34,10 @@ from typing import Optional, Sequence
 
 from repro.envelope.chain import Envelope
 from repro.envelope.merge import Crossing, MergeResult, merge_envelopes
-from repro.errors import EnvelopeError, KernelFault
+from repro.errors import EnvelopeError
 from repro.geometry.primitives import EPS
 from repro.geometry.segments import ImageSegment
 from repro.pram.tracker import PramTracker
-from repro.reliability import faultinject as _fi
-from repro.reliability import guard as _guard
 
 __all__ = ["build_envelope", "build_envelope_sequential"]
 
@@ -47,12 +48,13 @@ def _merge_depth(ops: int) -> float:
 
 
 def build_envelope(
-    segments: Sequence[ImageSegment],
+    segments: Optional[Sequence[ImageSegment]],
     *,
     tracker: Optional[PramTracker] = None,
     eps: Optional[float] = None,
     engine: Optional[str] = None,
     config: Optional["HsrConfig"] = None,
+    lanes=None,
 ) -> MergeResult:
     """Upper envelope of ``segments`` by parallel divide and conquer.
 
@@ -60,51 +62,50 @@ def build_envelope(
     see :meth:`Envelope.from_segment`).  Returns the envelope together
     with every crossing discovered on the way up and the total merge
     work performed.  ``config`` (:class:`repro.config.HsrConfig`) is
-    the front door for engine/eps/worker selection; the ``engine=`` /
+    the front door for engine/eps/core selection; the ``engine=`` /
     ``eps=`` keywords remain as shorthand and override the config.
-    Both engines return identical results and tracker charges.
 
-    A config with ``workers > 1`` dispatches the D&C subtrees to the
-    :mod:`repro.parallel_exec` process pool (bit-exact, guard site
-    ``parallel_exec``), falling back here when workers are unavailable
-    or the input is small.  Tracked runs stay in-process: the charge
-    replay needs the per-node ops the chunked build does not retain.
+    The segments' ``(y1, z1, y2, z2, source)`` numpy ``lanes`` may be
+    given instead (``segments`` may then be ``None``), as
+    :meth:`repro.terrain.model.Terrain.image_lanes` returns them; the
+    reference rebuilds :class:`ImageSegment` objects from them only
+    when it runs.
 
-    The numpy path runs under guard site ``build_sweep``: its final
-    envelope is validated (and any kernel exception caught) *before*
-    crossings are collected or the tracker is replayed, so a faulted
-    sweep degrades to the reference recursion with no double-charging.
+    The compiled build runs under guard site ``build_sweep``, tripped
+    once per build: a fault reruns the whole build on the reference
+    (strict mode raises :class:`~repro.errors.KernelFault`), and the
+    tracker is charged only after the last compiled layer, so a fault
+    never charges twice.
     """
     from repro.config import HsrConfig
+    from repro.envelope import _ccore
+    from repro.reliability import guard as _guard
 
     cfg = HsrConfig.resolve(config, engine=engine, eps=eps)
     eps = cfg.eps
-    if cfg.resolved_engine() == "numpy":
-        if tracker is None and cfg.resolved_workers() > 1:
-            from repro.parallel_exec import maybe_build_envelope
 
-            par = maybe_build_envelope(segments, eps=eps, config=cfg)
-            if par is not None:
-                fe, crossings, total_ops = par
-                return MergeResult(fe.to_envelope(), crossings, total_ops)
-        if not _guard.GUARDS_ENABLED:
-            return _build_envelope_numpy(segments, tracker=tracker, eps=eps)
-        if not (
-            _guard.ANY_QUARANTINED and _guard.is_quarantined("build_sweep")
-        ):
-            try:
-                if _fi.ARMED:
-                    _fi.trip("build_sweep")
-                return _build_envelope_numpy(
-                    segments, tracker=tracker, eps=eps
-                )
-            except KernelFault:
-                raise
-            except Exception as exc:
-                _guard.handle_fault("build_sweep", exc)
-        with _fi.suppressed():
-            return _build_envelope_python(segments, tracker=tracker, eps=eps)
-    return _build_envelope_python(segments, tracker=tracker, eps=eps)
+    def reference():
+        segs = segments if segments is not None else _lane_segments(lanes)
+        return _build_envelope_python(segs, tracker=tracker, eps=eps)
+
+    if cfg.resolved_engine() != "numpy" or not _ccore.compiled_enabled(
+        cfg, "build_sweep"
+    ):
+        return reference()
+    if lanes is None:
+        import numpy as np
+
+        from repro.envelope.flat_splice import segment_lanes
+
+        lanes = tuple(map(np.asarray, segment_lanes(segments)))
+    return _guard.guarded_call(
+        "build_sweep", lambda: _build_compiled(lanes, tracker, eps), reference
+    )
+
+
+def _lane_segments(lanes) -> list[ImageSegment]:
+    rows = zip(*(lane.tolist() for lane in lanes))
+    return [ImageSegment(*row) for row in rows]
 
 
 def _build_envelope_python(
@@ -148,44 +149,58 @@ def _build_envelope_python(
     return MergeResult(env, crossings, total_ops)
 
 
-def _build_envelope_numpy(
-    segments: Sequence[ImageSegment],
-    *,
-    tracker: Optional[PramTracker],
-    eps: float,
+def _build_compiled(
+    lanes, tracker: Optional[PramTracker], eps: float
 ) -> MergeResult:
-    """Level-batched construction + exact replay of the reference
-    recursion's crossing order and PRAM charge sequence."""
-    from repro.envelope.flat import build_envelope_flat
+    """The recursion one level per compiled call, bottom-up.
 
-    fb = build_envelope_flat(segments, eps=eps)
-    m = fb.n_segments
+    Verticals are dropped first, as the reference does, so ``m`` and
+    the recursion shape match it.  A node's crossings sit in its
+    layer's ``L_XING`` block (per-job counts in ``res[:, 1]``); the
+    reference collects them in post-order — children before the node,
+    left subtree first — which is ascending ``hi`` with nested nodes
+    (equal ``hi``) smallest first, i.e. the key ``hi·(m+1) − lo``.
+    """
+    import numpy as np
+
+    from repro.envelope import _ccore
+    from repro.hsr.pct import block_view, layer_jobs, level_spans
+
+    keep = lanes[0] != lanes[2]
+    if not keep.all():
+        lanes = tuple(lane[keep] for lane in lanes)
+    m = len(lanes[4])
     if m == 0:
         return MergeResult(Envelope.empty(), [], 0)
-
-    # Guard site ``build_sweep``: corrupt (under an armed injection
-    # plan) and validate the freshly-built envelope before crossings
-    # are collected or the tracker is replayed.
-    fe = fb.envelope
-    if _fi.ARMED:
-        fe = _fi.corrupt_flat("build_sweep", fe)
-    if _guard.GUARDS_ENABLED:
-        _guard.check_flat("build_sweep", fe.ya, fe.za, fe.yb, fe.zb)
-
-    # Post-order (children of ``(lo, hi)`` before it, left subtree
-    # first) is the exact crossing collection order of the reference
-    # recursion; every leaf charges 1 op exactly as the recursion does.
-    # Only the (sparse) crossing-bearing nodes need ordering.
-    from repro.envelope.flat import _postorder_index
-
-    total_ops = m + fb.total_merge_ops
-    order = _postorder_index(m)
-    crossings = fb.collect_crossings(
-        sorted(fb.node_crossings, key=order.__getitem__)
-    )
-
+    child = None
+    total_ops = 0
+    xings, keys, node_ops = [], [], {}
+    with _ccore.borrowed() as core:
+        for lo, hi in reversed(level_spans(m)):
+            jobs, leaf = layer_jobs(lo, hi, child)
+            res = _ccore.merge_layer(
+                core, _ccore.MODE_PCT, None if child is None else child[0],
+                lanes, jobs, eps, True,
+            )
+            child = (core.take(_ccore.L_PROF), res[:, 2], res[:, 3])
+            total_ops += int(res[:, 0].sum())
+            if res[:, 1].any():
+                xings.append(core.take(_ccore.L_XING))
+                keys.append(np.repeat(hi * (m + 1) - lo, res[:, 1]))
+            if tracker is not None:
+                inner = ~leaf
+                spans = zip(lo[inner].tolist(), hi[inner].tolist())
+                node_ops.update(zip(spans, res[inner, 0].tolist()))
+    blk, off, ln = child
+    env = block_view(blk, off[0], ln[0]).to_envelope()
+    crossings: list[Crossing] = []
+    if xings:
+        order = np.argsort(np.concatenate(keys), kind="stable")
+        x = np.concatenate(xings, axis=1)[:, order]
+        y, z = x[:2].tolist()
+        front, back = x[2:].view(np.int64).tolist()
+        crossings = list(map(Crossing._make, zip(y, z, front, back)))
     if tracker is not None:
-        node_ops = fb.node_ops
 
         def replay(lo: int, hi: int) -> None:
             if hi - lo == 1:
@@ -201,8 +216,7 @@ def _build_envelope_numpy(
             tracker.charge(ops, _merge_depth(ops))
 
         replay(0, m)
-
-    return MergeResult(fe.to_envelope(), crossings, total_ops)
+    return MergeResult(env, crossings, total_ops)
 
 
 def build_envelope_sequential(

@@ -9,16 +9,15 @@ Two engines produce bit-identical results:
     semantic ground truth.
 ``"numpy"``
     The array kernels: the packed live profile of the sequential run
-    (:mod:`repro.envelope.flat_splice`), the level-batched
-    divide-and-conquer build (:mod:`repro.envelope.flat`), the batched
-    query kernels (:mod:`repro.envelope.flat_visibility`) and, when the
-    optional compiled core is built, the C loops behind the insert
-    run, the PCT layers and the ordering
-    (:mod:`repro.envelope._ccore`).
+    (:mod:`repro.envelope.flat_splice`), the batched query kernels
+    (:mod:`repro.envelope.flat_visibility`) and, when the optional
+    compiled core is built, the C loops behind the insert run, the PCT
+    layers, the levels of the divide-and-conquer build and the
+    ordering (:mod:`repro.envelope._ccore`).
 
 Each HSR boundary has one fast path and one reference: the compiled
-core, and — for every insert or layer it does not answer, and on an
-install without it — the python reference on the same data.  PRAM
+core, and — for every insert, layer or build it does not answer, and
+on an install without it — the python reference on the same data.  PRAM
 ``ops`` charges are engine-independent by construction
 (elementary-interval counts), so cost accounting is unaffected by
 kernel choice.

@@ -13,11 +13,10 @@
 Each PCT layer of Phase 1, and of the Phase-2 ``direct`` and
 ``persistent`` modes, runs as one compiled call when the compiled core
 is on; without it every phase runs the Python reference, merge by
-merge.  The layers run one after another in this process, and
-``HsrConfig.workers`` does not affect this class.  Every step charges
-the CREW-PRAM cost tracker, so a run yields the (work, depth) pair
-Theorem 3.1 bounds;
-:mod:`repro.pram.schedule` turns those into time-on-p curves.
+merge.  The layers run one after another in this process.  Every
+step charges the CREW-PRAM cost tracker, so a run yields the (work,
+depth) pair Theorem 3.1 bounds; :mod:`repro.pram.schedule` turns
+those into time-on-p curves.
 """
 
 from __future__ import annotations
@@ -57,9 +56,8 @@ class ParallelHSR:
     config:
         :class:`repro.config.HsrConfig` — the unified front door.
         ``use_compiled_insert`` switches the one-call-per-layer
-        compiled kernel; ``workers`` has no effect here.  The
-        ``eps=`` / ``engine=`` keywords remain as shorthand and
-        override the config fields.
+        compiled kernel.  The ``eps=`` / ``engine=`` keywords remain
+        as shorthand and override the config fields.
     eps:
         Geometric tolerance.
     measure_sharing:

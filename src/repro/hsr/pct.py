@@ -100,20 +100,13 @@ class _FlatViews(Mapping):
         self._views: dict = {}
 
     def __getitem__(self, index: int):
-        from repro.envelope.flat import FlatEnvelope
-
         view = self._views.get(index)
         if view is None:
             found = self._pct._locate(index)
             if found is None:
                 raise KeyError(index)
             blk, off, ln, pos = found
-            a = int(off[pos])
-            b = a + int(ln[pos])
-            view = self._views[index] = FlatEnvelope(
-                blk[0, a:b], blk[1, a:b], blk[2, a:b], blk[3, a:b],
-                blk[4, a:b].view("int64"),
-            )
+            view = self._views[index] = block_view(blk, off[pos], ln[pos])
         return view
 
     def __iter__(self):
@@ -220,8 +213,7 @@ def build_pct(
     :func:`repro.envelope._ccore.compiled_enabled`; a
     ``config`` can switch it off) each layer runs as one compiled
     call under the guard site ``pct_merge``; otherwise, and on the
-    python engine, each node runs the reference merge.  The
-    ``config``'s ``workers`` has no effect.
+    python engine, each node runs the reference merge.
     """
     from repro.envelope import _ccore
 
@@ -300,13 +292,33 @@ def _build_python(pct: PCT, image_segments, eps, tracker) -> None:
             pct.ops += res.ops
 
 
+def layer_jobs(lo, hi, child):
+    """The ``repro_merge_layer`` job rows of one layer whose nodes span
+    ``lo, hi`` (a :func:`level_spans` entry), and its leaf mask: a
+    leaf reads lane ``lo``; a merge, its two children's rows of the
+    ``child`` layer ``(block, offsets, lengths)`` below (``None`` for
+    the deepest layer, which holds leaves only)."""
+    import numpy as np
+
+    leaf = hi - lo <= 1
+    inner = ~leaf
+    jobs = np.zeros((len(lo), 5), np.int64)
+    jobs[leaf, 0] = 1
+    jobs[leaf, 3] = lo[leaf]
+    if child is not None:
+        _blk, c_off, c_len = child
+        jobs[inner, 1] = c_off[0::2]
+        jobs[inner, 2] = c_len[0::2]
+        jobs[inner, 3] = c_off[1::2]
+        jobs[inner, 4] = c_len[1::2]
+    return jobs, leaf
+
+
 def _build_layers(pct: PCT, eps: float, tracker, core) -> None:
     """Phase 1 in the compiled core, one call per layer on ``core``
     (the run's handle).  Each layer runs under the ``pct_merge``
     guard: a faulting call falls back to that layer's
     :func:`_scalar_layer`, which fills the same CSR block."""
-    import numpy as np
-
     from repro.envelope import _ccore
     from repro.reliability import guard as _guard
 
@@ -314,18 +326,8 @@ def _build_layers(pct: PCT, eps: float, tracker, core) -> None:
     child = None
     spans = level_spans(len(pct.tree.order))
     for d in reversed(range(len(spans))):
-        lo, hi = spans[d]
-        leaf = hi - lo <= 1
+        jobs, leaf = layer_jobs(*spans[d], child)
         inner = ~leaf
-        jobs = np.zeros((len(lo), 5), np.int64)
-        jobs[leaf, 0] = 1
-        jobs[leaf, 3] = lo[leaf]
-        if child is not None:
-            _blk, c_off, c_len = child
-            jobs[inner, 1] = c_off[0::2]
-            jobs[inner, 2] = c_len[0::2]
-            jobs[inner, 3] = c_off[1::2]
-            jobs[inner, 4] = c_len[1::2]
 
         def kernel(child=child, jobs=jobs):
             res = _ccore.merge_layer(
@@ -346,20 +348,15 @@ def _build_layers(pct: PCT, eps: float, tracker, core) -> None:
         _charge(tracker, n_leaves, ops_list)
 
 
-def _rows(child, off, ln):
-    """The pieces of the given ``(offset, length)`` rows of a layer
-    block, stacked (:func:`repro.envelope.flat.stack_envelopes` shape)."""
-    import numpy as np
+def block_view(blk, off, n):
+    """Pieces ``[off, off + n)`` of a layer block as a zero-copy
+    :class:`~repro.envelope.flat.FlatEnvelope`."""
+    from repro.envelope.flat import FlatEnvelope
 
-    from repro.envelope.flat import _Stacked
-
-    offsets = np.zeros(len(ln) + 1, np.int64)
-    np.cumsum(ln, out=offsets[1:])
-    idx = csr_index(off, ln)
-    blk = child[0]
-    return _Stacked(
-        blk[0, idx], blk[1, idx], blk[2, idx], blk[3, idx],
-        blk[4].view(np.int64)[idx], offsets,
+    a, b = int(off), int(off + n)
+    return FlatEnvelope(
+        blk[0, a:b], blk[1, a:b], blk[2, a:b], blk[3, a:b],
+        blk[4, a:b].view("int64"),
     )
 
 
@@ -401,9 +398,9 @@ def _scalar_layer(child, jobs, leaf, lanes, eps):
     pieces = []
     counts = []
     for j in np.flatnonzero(~leaf).tolist():
-        row = jobs[j : j + 1]
-        a = _rows(child, row[:, 1], row[:, 2]).group(0).to_envelope()
-        b = _rows(child, row[:, 3], row[:, 4]).group(0).to_envelope()
+        _kind, a_off, a_len, b_off, b_len = jobs[j]
+        a = block_view(child[0], a_off, a_len).to_envelope()
+        b = block_view(child[0], b_off, b_len).to_envelope()
         res = merge_envelopes(a, b, eps=eps, record_crossings=False)
         pieces += res.envelope.pieces
         counts.append(res.envelope.size)

@@ -127,8 +127,7 @@ def run_phase2(
     ``engine`` and ``config`` (:class:`repro.config.HsrConfig`) select
     the compiled layer kernel of ``direct`` and ``persistent``: it
     runs on the numpy engine when the core is on and the PCT was built
-    in it (its CSR layers); the ``config``'s ``workers`` has no
-    effect.  ``measure_sharing`` keeps ``persistent`` on the Python
+    in it (its CSR layers).  ``measure_sharing`` keeps ``persistent`` on the Python
     rope, whose piece objects the sharing meter counts.
     ``image_segments`` may be ``None`` when the PCT holds the leaves'
     lanes (:attr:`PCT.lanes`).

@@ -31,7 +31,7 @@ Environment variable format (parsed once at import, and on demand via
 
     REPRO_FAULT_INJECT="site:mode[:nth[+]]"
 
-e.g. ``compiled_insert:raise`` (first call), ``build_sweep:nan:2``
+e.g. ``compiled_insert:raise`` (first call), ``rope_splice:nan:2``
 (second call), ``packed_splice:raise:1+`` (every call — the circuit-
 breaker exercise).  This module never imports numpy at module level
 and stays importable on the no-numpy leg.
@@ -63,7 +63,6 @@ SITES = (
     "compiled_insert",
     "packed_splice",
     "build_sweep",
-    "parallel_exec",
     "pct_merge",
     "phase2_merge",
     "rope_splice",
@@ -262,34 +261,6 @@ def _nan_index(n: int) -> int:
     p = _PLAN
     assert p is not None
     return random.Random(p.seed * 1000003 + p.calls).randrange(n)
-
-
-def corrupt_lanes(site: str, ya, za, yb, zb, src):
-    """Corrupt freshly-built flat output arrays (copies, never views)."""
-    if not _fires(site, ("unsorted", "nan"), len(ya) > 0):
-        return ya, za, yb, zb, src
-    ya, za, yb, zb, src = (a.copy() for a in (ya, za, yb, zb, src))
-    if _PLAN.mode == "unsorted":  # type: ignore[union-attr]
-        if len(ya) >= 2:
-            for lane in (ya, za, yb, zb, src):
-                lane[0], lane[1] = lane[1], lane[0]
-        else:
-            ya[0], yb[0] = yb[0] + 1.0, ya[0]
-    else:
-        za[_nan_index(len(za))] = float("nan")
-    return ya, za, yb, zb, src
-
-
-def corrupt_flat(site: str, flat):
-    """Corrupt a freshly-built ``FlatEnvelope`` (returns a new one)."""
-    ya, za, yb, zb, src = corrupt_lanes(
-        site, flat.ya, flat.za, flat.yb, flat.zb, flat.source
-    )
-    if ya is flat.ya:
-        return flat
-    from repro.envelope.flat import FlatEnvelope
-
-    return FlatEnvelope(ya, za, yb, zb, src)
 
 
 def poison_profile(site: str, profile) -> bool:

@@ -87,9 +87,7 @@ _CONFIG_FIELDS = frozenset(
     {
         "engine",
         "eps",
-        "workers",
         "use_compiled_insert",
-        "parallel_min_segments",
     }
 )
 

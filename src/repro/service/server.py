@@ -24,9 +24,7 @@ requests are already batches and run directly.
 
 The compute itself is synchronous (numpy sweeps release little of the
 GIL and the session core is plain code); the event loop's job here is
-coalescing and connection plumbing, not parallelism — worker-level
-parallelism lives in :mod:`repro.parallel_exec` underneath the same
-session.
+coalescing and connection plumbing, not parallelism.
 """
 
 from __future__ import annotations

@@ -3,10 +3,10 @@
 A :class:`ViewshedSession` binds one terrain to one
 :class:`~repro.config.HsrConfig` and answers visibility queries
 against the terrain's upper profile (the horizon envelope).  The
-envelope is built once — by
-:func:`repro.envelope.build.build_envelope`, which itself uses the
-multi-core executor when the config asks for workers — and cached in a
-process-wide :class:`EnvelopeCache` keyed by *terrain content hash*
+envelope is built once — by :func:`repro.envelope.build.build_envelope`
+from the terrain's image lanes (one compiled call per recursion level
+when the core is built) — and cached in a process-wide
+:class:`EnvelopeCache` keyed by *terrain content hash*
 (:func:`terrain_fingerprint`), resolved engine and eps: two sessions
 on equal terrains share one build, and a re-generated but identical
 DEM is a cache hit.
@@ -148,9 +148,8 @@ class ViewshedSession:
     terrain:
         The scene.
     config:
-        :class:`repro.config.HsrConfig`; engine/eps select the kernels
-        and ``workers > 1`` builds the horizon envelope across real
-        cores.
+        :class:`repro.config.HsrConfig`; engine, eps and the core
+        toggle select the kernels.
     cache:
         :class:`EnvelopeCache` override (defaults to the process-wide
         cache).
@@ -197,9 +196,16 @@ class ViewshedSession:
             if env is None:
                 from repro.envelope.build import build_envelope
 
-                env = build_envelope(
-                    self.terrain.image_segments(), config=self.config
-                ).envelope
+                terrain = self.terrain
+                if self.config.resolved_engine() == "numpy":
+                    res = build_envelope(
+                        None, lanes=terrain.image_lanes(), config=self.config
+                    )
+                else:
+                    res = build_envelope(
+                        terrain.image_segments(), config=self.config
+                    )
+                env = res.envelope
                 self.cache.store(self.cache_key, env)
             self._envelope = env
         return self._envelope

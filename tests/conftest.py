@@ -17,6 +17,7 @@ from repro.geometry.segments import ImageSegment
 if not HAVE_NUMPY:  # pragma: no cover - numpy ships in the toolchain
     collect_ignore = [
         "test_bench.py",
+        "test_build_ccore.py",
         "test_cli.py",
         "test_envelope_ccore.py",
         "test_envelope_flat.py",
@@ -29,7 +30,6 @@ if not HAVE_NUMPY:  # pragma: no cover - numpy ships in the toolchain
         "test_hsr_property.py",
         "test_hsr_queries.py",
         "test_hsr_zbuffer.py",
-        "test_parallel_exec.py",
         "test_ordering.py",
         "test_adversarial.py",
         "test_reliability.py",

@@ -1,8 +1,8 @@
-"""The compiled core is reentrant: runs on several threads at once
-(cffi releases the GIL around every C call, so they really overlap)
-stay bit-exact against single-threaded runs.  Each run owns its core
-context (:class:`repro.envelope._ccore.Core`); nothing in the C side
-is static."""
+"""The compiled core is reentrant: runs and envelope builds on several
+threads at once (cffi releases the GIL around every C call, so they
+really overlap) stay bit-exact against single-threaded ones.  Each run
+owns its core context (:class:`repro.envelope._ccore.Core`); nothing
+in the C side is static."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import threading
 import pytest
 
 from repro.envelope import _ccore
+from repro.envelope.build import build_envelope
 from repro.hsr.parallel import ParallelHSR
 from repro.hsr.sequential import SequentialHSR
 from repro.terrain.generators import fractal_terrain
@@ -21,36 +22,52 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-def _signature(res):
-    return (
-        res.visibility_map.segments,
-        res.k,
-        res.stats.ops,
-        res.stats.extra,
-        res.order,
-    )
+def _run(hsr, terrain):
+    def run():
+        res = hsr.run(terrain)
+        return (
+            res.visibility_map.segments,
+            res.k,
+            res.stats.ops,
+            res.stats.extra,
+            res.order,
+        )
+
+    return run
+
+
+def _build(terrain):
+    lanes = terrain.image_lanes()
+
+    def run():
+        res = build_envelope(None, lanes=lanes, engine="numpy")
+        return res.envelope.pieces, res.crossings, res.ops
+
+    return run
 
 
 def test_threads_running_the_core_stay_bit_exact():
     jobs = [
-        (SequentialHSR(), fractal_terrain(size=65, seed=3), 15),
-        (SequentialHSR(), fractal_terrain(size=65, seed=4), 15),
-        (ParallelHSR(mode="direct"), fractal_terrain(size=33, seed=3), 6),
-        (ParallelHSR(mode="direct"), fractal_terrain(size=33, seed=4), 6),
-        (ParallelHSR(mode="persistent"), fractal_terrain(size=33, seed=3), 6),
-        (ParallelHSR(mode="persistent"), fractal_terrain(size=33, seed=4), 6),
+        (_run(SequentialHSR(), fractal_terrain(size=65, seed=3)), 15),
+        (_run(SequentialHSR(), fractal_terrain(size=65, seed=4)), 15),
+        (_run(ParallelHSR(mode="direct"), fractal_terrain(size=33, seed=3)), 6),
+        (_run(ParallelHSR(mode="direct"), fractal_terrain(size=33, seed=4)), 6),
+        (_run(ParallelHSR(mode="persistent"), fractal_terrain(size=33, seed=3)), 6),
+        (_run(ParallelHSR(mode="persistent"), fractal_terrain(size=33, seed=4)), 6),
+        (_build(fractal_terrain(size=65, seed=3)), 15),
+        (_build(fractal_terrain(size=65, seed=4)), 15),
     ]
-    refs = [_signature(hsr.run(terrain)) for hsr, terrain, _ in jobs]
+    refs = [run() for run, _ in jobs]
     results: list[list] = [[] for _ in jobs]
     errors: list[BaseException] = []
     start = threading.Barrier(len(jobs))
 
     def work(i):
-        hsr, terrain, runs = jobs[i]
+        run, runs = jobs[i]
         try:
             start.wait()
             for _ in range(runs):
-                results[i].append(_signature(hsr.run(terrain)))
+                results[i].append(run())
         except BaseException as exc:  # reported below, not lost in the thread
             errors.append(exc)
 
@@ -61,5 +78,5 @@ def test_threads_running_the_core_stay_bit_exact():
         t.join()
     assert not errors, errors
     for i, (ref, got) in enumerate(zip(refs, results)):
-        assert len(got) == jobs[i][2]
+        assert len(got) == jobs[i][1]
         assert all(sig == ref for sig in got), f"thread {i} diverged"

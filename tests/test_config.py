@@ -16,9 +16,7 @@ class TestValueSemantics:
         assert {f.name for f in dataclasses.fields(HsrConfig)} == {
             "engine",
             "eps",
-            "workers",
             "use_compiled_insert",
-            "parallel_min_segments",
         }
 
     def test_frozen(self):
@@ -27,16 +25,16 @@ class TestValueSemantics:
             cfg.eps = 1.0  # type: ignore[misc]
 
     def test_hashable_and_comparable(self):
-        assert HsrConfig(workers=2) == HsrConfig(workers=2)
-        assert HsrConfig(workers=2) != HsrConfig(workers=3)
+        assert HsrConfig(eps=1e-6) == HsrConfig(eps=1e-6)
+        assert HsrConfig(eps=1e-6) != HsrConfig(eps=1e-7)
         assert hash(HsrConfig(eps=1e-9)) == hash(HsrConfig(eps=1e-9))
         assert len({HsrConfig(), HsrConfig(), HsrConfig(engine="python")}) == 2
 
     def test_replace(self):
         cfg = HsrConfig(engine="python")
-        out = cfg.replace(workers=4)
-        assert out.engine == "python" and out.workers == 4
-        assert cfg.workers == 1  # original untouched
+        out = cfg.replace(use_compiled_insert=False)
+        assert out.engine == "python" and out.use_compiled_insert is False
+        assert cfg.use_compiled_insert is None  # original untouched
 
 
 class TestResolve:
@@ -44,7 +42,7 @@ class TestResolve:
         assert HsrConfig.resolve(None) is DEFAULT_CONFIG
 
     def test_passthrough_without_overrides(self):
-        cfg = HsrConfig(workers=2)
+        cfg = HsrConfig(use_compiled_insert=False)
         assert HsrConfig.resolve(cfg) is cfg
 
     def test_keyword_overrides_win(self):
@@ -52,14 +50,6 @@ class TestResolve:
         out = HsrConfig.resolve(cfg, engine="python", eps=1e-6)
         assert out.engine == "python" and out.eps == 1e-6
         assert cfg.engine == "numpy"  # original untouched
-
-    def test_resolved_workers(self):
-        assert HsrConfig(workers=3).resolved_workers() == 3
-        assert HsrConfig(workers=0).resolved_workers() == 1
-
-    def test_workers_auto_honours_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "5")
-        assert HsrConfig(workers="auto").resolved_workers() == 5
 
     def test_resolved_engine_python(self):
         assert HsrConfig(engine="python").resolved_engine() == "python"

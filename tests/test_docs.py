@@ -142,29 +142,10 @@ def test_points_ratio_matches_bench_file():
     assert f"the windowed scan answers at **{ratio:.1f}× the python engine**" in bench
 
 
-def test_benchmarks_parallel_build_matches_bench_file():
-    """The ``parallel-build-w2`` / ``-w4`` ratios quoted in
-    ``docs/BENCHMARKS.md`` are the recorded rows' ``speedup``
-    (in-process / pool)."""
-    rows = json.loads((REPO_ROOT / "BENCH_envelope.json").read_text())["rows"]
-    ratio = {
-        r["workload"]: r["speedup"]
-        for r in rows
-        if r["workload"].startswith("parallel-build-w")
-    }
-    assert set(ratio) == {"parallel-build-w2", "parallel-build-w4"}
-    expected = (
-        f"`parallel-build-w2` / `-w4`: **{ratio['parallel-build-w2']:.2f}×"
-        f" / {ratio['parallel-build-w4']:.2f}×** as recorded"
-    )
-    text = " ".join((REPO_ROOT / "docs" / "BENCHMARKS.md").read_text().split())
-    assert expected in text
-
-
 def _documented_row_kinds() -> set[str]:
     """First-column names of the ``## Row kinds`` table in
     ``docs/BENCHMARKS.md``.  A cell may list suffix variants after the
-    first name (``parallel-build-w2`` / ``-w4``): each ``-suffix``
+    first name (``kind-a`` / ``-b``): each ``-suffix``
     replaces the last dash-separated part of the name before it."""
     lines = (REPO_ROOT / "docs" / "BENCHMARKS.md").read_text().splitlines()
     start = lines.index("## Row kinds")

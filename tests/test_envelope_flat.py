@@ -1,11 +1,12 @@
-"""Engine-equivalence suite: the NumPy kernel must be an exact replica
+"""Engine-equivalence suite: the array engine must be an exact replica
 of the pure-Python reference.
 
 Unlike the tolerance-based comparisons elsewhere in the test suite,
 these assertions are *exact*: same pieces (bit-for-bit floats), same
-sources, same crossings, same ``ops``.  The flat kernel mirrors the
-scalar arithmetic operation for operation, so anything weaker would
-hide a divergence.
+sources, same crossings, same ``ops``.  The array engine's pairwise
+merge is the compiled core's (one job of the layer kernel), which
+mirrors the scalar arithmetic operation for operation, so anything
+weaker would hide a divergence.
 
 The hypothesis strategies are deliberately adversarial: endpoint
 coordinates come from a small shared pool with jitters of ``0``,
@@ -24,19 +25,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.envelope import _ccore
 from repro.envelope.build import build_envelope, build_envelope_sequential
 from repro.envelope.chain import Envelope, Piece
-from repro.envelope.flat import (
-    FlatEnvelope,
-    build_envelope_flat,
-    merge_envelopes_flat,
-)
-from repro.envelope.merge import merge_envelopes, merge_many
+from repro.envelope.flat import FlatEnvelope
+from repro.envelope.merge import Crossing, MergeResult, merge_envelopes, merge_many
 from repro.errors import EnvelopeError
 from repro.geometry.primitives import NEG_INF
 from repro.geometry.segments import ImageSegment
 from repro.pram.tracker import PramTracker
 from tests.conftest import random_image_segments
+from tests.test_phase2_ccore import _NO_LANES, _block, _crossings, _pieces
 
 # A coarse coordinate pool plus eps-scale jitters: exact coincidences
 # and barely-separated endpoints appear with high probability.
@@ -73,10 +72,23 @@ def env_of(segs):
     return build_envelope(segs, engine="python").envelope
 
 
+def compiled_merge(a: Envelope, b: Envelope) -> MergeResult:
+    """``merge_envelopes(a, b)`` as one merge job of the compiled layer
+    kernel, crossings recorded."""
+    core = _ccore.Core()
+    blk, (oa, ob, _) = _block(a, b)
+    jobs = np.array([[0, oa, a.size, ob, b.size]], np.int64)
+    res = _ccore.merge_layer(core, _ccore.MODE_PCT, blk, _NO_LANES, jobs, 1e-9, True)
+    ops, ncross, off, n = res[0].tolist()
+    env = Envelope(_pieces(core.take(_ccore.L_PROF), off, n))
+    crossings = [Crossing(*c) for c in _crossings(core, 0, ncross)]
+    return MergeResult(env, crossings, ops)
+
+
 def assert_merge_identical(a: Envelope, b: Envelope) -> None:
     ref = merge_envelopes(a, b)
-    got = merge_envelopes_flat(a, b)
-    assert got.envelope.to_envelope().pieces == ref.envelope.pieces
+    got = compiled_merge(a, b)
+    assert got.envelope.pieces == ref.envelope.pieces
     assert got.crossings == ref.crossings
     assert got.ops == ref.ops
 
@@ -106,6 +118,7 @@ class TestRoundTrip:
             bad.validate()
 
 
+@pytest.mark.skipif(not _ccore.HAVE_CCORE, reason="compiled core not built")
 class TestMergeParity:
     @given(
         adversarial_segments(src_base=0),
@@ -130,8 +143,8 @@ class TestMergeParity:
         a = env_of([ImageSegment(0.0, 1.0, 4.0, 3.0, 7)])
         b = env_of([ImageSegment(0.0, 1.0, 4.0, 3.0, 8)])
         assert_merge_identical(a, b)
-        res = merge_envelopes_flat(a, b)
-        assert res.envelope.to_envelope().sources() == {7}
+        res = compiled_merge(a, b)
+        assert res.envelope.sources() == {7}
         assert res.crossings == []
 
     def test_eps_touching_endpoints(self):
@@ -159,7 +172,7 @@ class TestMergeParity:
         a = env_of([ImageSegment(0.0, 0.0, 10.0, 10.0, 0)])
         b = env_of([ImageSegment(0.0, 10.0, 10.0, 0.0, 1)])
         assert_merge_identical(a, b)
-        res = merge_envelopes_flat(a, b)
+        res = compiled_merge(a, b)
         assert len(res.crossings) == 1
 
     def test_empty_sides(self):
@@ -168,21 +181,11 @@ class TestMergeParity:
         for x, y in ((a, e), (e, a), (e, e)):
             assert_merge_identical(x, y)
         # Empty-side fast path returns the other side verbatim.
-        res = merge_envelopes_flat(e, a)
+        res = compiled_merge(e, a)
         assert res.ops == a.size and res.crossings == []
 
-    def test_flat_inputs_accepted(self):
-        a = env_of([ImageSegment(0.0, 0.0, 4.0, 4.0, 0)])
-        b = env_of([ImageSegment(0.0, 4.0, 4.0, 0.0, 1)])
-        ref = merge_envelopes_flat(a, b)
-        got = merge_envelopes_flat(
-            FlatEnvelope.from_envelope(a), FlatEnvelope.from_envelope(b)
-        )
-        assert got.envelope.to_envelope().pieces == ref.envelope.to_envelope().pieces
-        assert got.crossings == ref.crossings and got.ops == ref.ops
-
     def test_synthetic_source_coalescing(self):
-        # Source -1 pieces exercise the sequential-coalesce fallback.
+        # Synthetic (source -1) pieces on one side.
         a = Envelope(
             [Piece(0.0, 1.0, 2.0, 1.0, -1), Piece(2.0, 1.0, 4.0, 1.0, -1)]
         )
@@ -233,13 +236,6 @@ class TestBuildParity:
 
     def test_empty_input(self):
         assert build_envelope([], engine="numpy").envelope.size == 0
-
-    def test_flat_build_result_ops(self, rng):
-        segs = random_image_segments(rng, 100)
-        fb = build_envelope_flat(segs)
-        ref = build_envelope(segs, engine="python")
-        assert fb.n_segments + fb.total_merge_ops == ref.ops
-        assert fb.n_segments + sum(fb.node_ops.values()) == ref.ops
 
 
 class TestZAtMany:

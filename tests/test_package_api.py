@@ -5,6 +5,7 @@ from __future__ import annotations
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -154,6 +155,12 @@ class TestRemovedPaths:
             "repro.envelope.flat_visibility:visible_parts_flat",
             "repro.config:HsrConfig.fused_cutoff",
             "repro.reliability.guard:GUARDED_CHECK_ALL",
+            "repro.parallel_exec",
+            "repro.config:HsrConfig.resolved_workers",
+            "repro.envelope:FlatMergeResult",
+            "repro.envelope:build_envelope_flat",
+            "repro.envelope:merge_envelopes_flat",
+            "repro.reliability.faultinject:corrupt_flat",
         ],
     )
     def test_name_is_gone(self, path):
@@ -179,6 +186,8 @@ class TestRemovedPaths:
             ("repro.envelope.merge:merge_many", "engine"),
             ("repro.envelope.flat_visibility:batch_visible_parts", "groups"),
             ("repro.config:HsrConfig", "flat_fused_cutoff"),
+            ("repro.config:HsrConfig", "workers"),
+            ("repro.config:HsrConfig", "parallel_min_segments"),
         ],
     )
     def test_keyword_is_gone(self, path, keyword):
@@ -189,6 +198,29 @@ class TestRemovedPaths:
         module_name, _, name = path.partition(":")
         fn = getattr(importlib.import_module(module_name), name)
         assert keyword not in inspect.signature(fn).parameters
+
+    def test_serve_workers_flag_is_gone(self, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "fractal", "--workers", "2"])
+        assert "--workers" in capsys.readouterr().err
+
+    def test_guard_site_is_gone(self):
+        from repro.reliability import faultinject
+
+        assert "parallel_exec" not in faultinject.SITES
+        with pytest.raises(ValueError):
+            faultinject.install("parallel_exec", "raise")
+
+    @pytest.mark.parametrize("name", ["REPRO_WORKERS", "--workers"])
+    def test_nothing_reads_the_removed_switch(self, name):
+        """No library module or example reads the removed environment
+        variable or flag."""
+        root = Path(__file__).resolve().parent.parent
+        files = [*(root / "src" / "repro").rglob("*.py"), *(root / "examples").glob("*.py")]
+        assert files
+        assert [str(f) for f in files if name in f.read_text()] == []
 
 
 class TestErrorHierarchy:
@@ -225,14 +257,13 @@ class TestSubpackageAll:
             "repro.render",
             "repro.bench",
             "repro.service",
-            "repro.parallel_exec",
         ],
     )
     def test_all_names_exist(self, module_name):
         import importlib
 
-        if module_name in ("repro.bench", "repro.parallel_exec"):
-            # The experiment harness and the executor are array-based.
+        if module_name == "repro.bench":
+            # The experiment harness is array-based.
             pytest.importorskip("numpy")
         mod = importlib.import_module(module_name)
         for name in mod.__all__:

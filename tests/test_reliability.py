@@ -253,25 +253,57 @@ class TestCircuitBreaker:
         assert not res.reliability.degraded
 
 
+#: The compiled core pinned on, so its sites are live under
+#: ``REPRO_COMPILED=0`` too.
+CORE = HsrConfig(engine="numpy", use_compiled_insert=True)
+
+
+@pytest.mark.skipif(not _ccore.HAVE_CCORE, reason="compiled core not built")
 class TestBuildSweep:
-    """`build_envelope(engine="numpy")` is the batched build guard."""
+    """The compiled ``build_envelope`` runs under guard site
+    ``build_sweep`` (raise-only: its kernel validates every merge in C
+    and a plan of another mode stands the core aside): a fault reruns
+    the whole build on the reference recursion."""
 
     def _segments(self, rng):
         return random_image_segments(rng, 120)
 
-    @pytest.mark.parametrize("mode", ["raise", "unsorted", "nan"])
-    def test_guarded_recovers_bit_exact(self, rng, mode):
+    def _assert_recovered(self, segs):
         from repro.envelope.build import build_envelope
+        from repro.pram.tracker import PramTracker
 
-        segs = self._segments(rng)
-        rp = build_envelope(segs, engine="python")
-        with fi.inject("build_sweep", mode) as plan:
-            rn = build_envelope(segs, engine="numpy")
-        assert plan.fired >= 1
+        tp, tn = PramTracker(), PramTracker()
+        with fi.suppressed():
+            rp = build_envelope(segs, engine="python", tracker=tp)
+        rn = build_envelope(segs, config=CORE, tracker=tn)
         assert rn.envelope.pieces == rp.envelope.pieces
         assert rn.ops == rp.ops
         assert rn.crossings == rp.crossings
-        assert guard.current_report().sites["build_sweep"].count >= 1
+        # Charged once, by the rerun: the faulted build charged nothing.
+        assert (tn.work, tn.depth) == (tp.work, tp.depth)
+        assert guard.current_report().sites["build_sweep"].count == 1
+
+    @pytest.mark.parametrize("mode", ["raise"])
+    def test_guarded_recovers_bit_exact(self, rng, mode):
+        with fi.inject("build_sweep", mode) as plan:
+            self._assert_recovered(self._segments(rng))
+        assert plan.fired == 1
+
+    @pytest.mark.parametrize("nth", [1, 4, "last"])
+    def test_kernel_fault_recovers_bit_exact(self, rng, nth, monkeypatch):
+        """A post-condition fault (``CCoreFault``) on the build's
+        ``nth`` level call, bottom-up (``"last"``: the root merge),
+        reruns the build on the reference."""
+        from repro.hsr.pct import level_spans
+        from tests.test_phase2_ccore import _FaultingLib
+
+        segs = self._segments(rng)
+        if nth == "last":
+            nth = len(level_spans(len(segs)))
+        monkeypatch.setattr(
+            _ccore, "lib", _FaultingLib(_ccore.lib, _ccore.MODE_PCT, nth)
+        )
+        self._assert_recovered(segs)
 
     def test_strict_raises(self, rng, monkeypatch):
         from repro.envelope.build import build_envelope
@@ -279,13 +311,8 @@ class TestBuildSweep:
         monkeypatch.setattr(guard, "GUARDED_DISPATCH", False)
         with fi.inject("build_sweep", "raise"):
             with pytest.raises(KernelFault) as exc:
-                build_envelope(self._segments(rng), engine="numpy")
+                build_envelope(self._segments(rng), config=CORE)
         assert exc.value.site == "build_sweep"
-
-
-#: The compiled core pinned on, so its sites are live under
-#: ``REPRO_COMPILED=0`` too.
-CORE = HsrConfig(engine="numpy", use_compiled_insert=True)
 
 
 @pytest.mark.skipif(not _ccore.HAVE_CCORE, reason="compiled core not built")
@@ -356,15 +383,9 @@ def _run_compiled():
 def _run_build():
     from repro.envelope.build import build_envelope
 
-    build_envelope(random_image_segments(random.Random(5), 120), engine="numpy")
-
-
-def _run_parallel_build():
-    from repro.config import HsrConfig
-    from repro.envelope.build import build_envelope
-
-    cfg = HsrConfig(engine="numpy", workers=2, parallel_min_segments=0)
-    build_envelope(random_image_segments(random.Random(5), 120), config=cfg)
+    if not _ccore.HAVE_CCORE:
+        pytest.skip("compiled core not built")
+    build_envelope(random_image_segments(random.Random(5), 120), config=CORE)
 
 
 def _run_direct():
@@ -387,7 +408,6 @@ _SITE_PATHS = {
     "compiled_insert": ("raise", _run_compiled),
     "packed_splice": ("raise", _run_sequential),
     "build_sweep": ("raise", _run_build),
-    "parallel_exec": ("raise", _run_parallel_build),
     "pct_merge": ("raise", _run_direct),
     "phase2_merge": ("raise", _run_direct),
     "rope_splice": ("raise", _run_persistent),
@@ -417,7 +437,7 @@ def _build_signature(config):
     for seed in (5, 6):
         segs = random_image_segments(random.Random(seed), 120)
         res = build_envelope(segs, config=config)
-        out.append((res.envelope.pieces, res.ops))
+        out.append((res.envelope.pieces, res.crossings, res.ops))
     return out
 
 
@@ -434,11 +454,7 @@ NUMPY = HsrConfig(engine="numpy")
 _RAISE_PATHS = {
     "compiled_insert": (_hsr_signature(_fractal), CORE),
     "packed_splice": (_hsr_signature(_fractal), NUMPY),
-    "build_sweep": (_build_signature, NUMPY),
-    "parallel_exec": (
-        _build_signature,
-        HsrConfig(engine="numpy", workers=2, parallel_min_segments=0),
-    ),
+    "build_sweep": (_build_signature, CORE),
     "pct_merge": (_hsr_signature(_valley, "direct"), CORE),
     "phase2_merge": (_hsr_signature(_valley, "direct"), CORE),
     "rope_splice": (_hsr_signature(_valley, "persistent"), NUMPY),

@@ -134,20 +134,26 @@ class TestMaterialisers:
 
 
 def _mini_bench_spec(
-    m=48, pinned=None, requires_ccore=False, op="insert", family="wide-strip"
+    m=48,
+    pinned=None,
+    requires_ccore=False,
+    op="insert",
+    family="wide-strip",
+    workload="segments",
 ):
+    size = "m" if workload == "segments" else "size"
     return ScenarioSpec.from_data(
         {
             "format": "repro-scenarios",
             "scenarios": {
                 "gate-demo": {
-                    "workload": "segments",
+                    "workload": workload,
                     "roles": ["bench"],
                     "op": op,
                     "requires_ccore": requires_ccore,
                     "cross": {
                         "family": [family],
-                        "m": [m],
+                        size: [m],
                         "seed": [29],
                     },
                     "pinned": pinned if pinned is not None else [m],
@@ -256,13 +262,15 @@ class TestPerfGate:
         # run the gate with the canary's injected regression (variant
         # config replaced by the baseline config).  The fresh ratio
         # drops to ~1x, far below the measured floor.  The workload is
-        # the D&C build, whose numpy margin (~4x at m=1024) does not
-        # depend on the compiled core: the insert loop's margin
-        # without the core (~1.4x at m=512) sat so close to the 1.3
-        # check and the 15% floor that timing noise failed the test.
+        # the observer-point scan on a small fractal, whose numpy
+        # margin (the windowed scan over y-sorted lanes) does not
+        # depend on the compiled core; the insert loop and the D&C
+        # build run the python reference on both sides without it.
         from repro.bench.envelope_bench import _time_interleaved
 
-        spec = _mini_bench_spec(m=1024, op="build", family="e9")
+        spec = _mini_bench_spec(
+            m=17, op="points", family="fractal", workload="terrain"
+        )
         [(scenario, inst)] = spec.pinned_rows()
         fns, m, _ = bench_callables(scenario, inst)
         best = _time_interleaved(fns, 3)
