@@ -54,8 +54,8 @@ behind two flags and these names:
     The front-to-back ordering in one C call over map-segment lanes
     (buffers of float64 coordinates and int64 sources).  Returns the
     order list, or ``None`` when the core declines (scratch OOM, a
-    source outside ``[0, n)``, a NaN sweep ``y``, a missing status
-    entry, a cycle) and the Python sweep should answer.
+    source other than its lane index, a NaN sweep ``y``, a missing
+    status entry) and the Python sweep should answer.
     ``order_constraints`` returns the same call's raw constraint list,
     for the parity tests.
 

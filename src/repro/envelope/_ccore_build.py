@@ -1,7 +1,8 @@
 """cffi out-of-line API builder for the compiled core.
 
 Running this module (``python src/repro/envelope/_ccore_build.py``)
-compiles ``repro.envelope._repro_ccore`` — a small C extension with
+runs ``setup.py build_ext --inplace``, which compiles
+``repro.envelope._repro_ccore`` — a small C extension with
 three entry points.
 
 ``repro_insert_run`` runs the insert pass of the sequential algorithm
@@ -51,13 +52,18 @@ its fresh slot count too).
 
 ``repro_front_to_back`` is the front-to-back ordering of
 :func:`~repro.ordering.sweep.front_to_back_order` in one call over
-``(x1, y1, x2, y2, source)`` map-segment lanes: the ``(y, kind, idx)``
-event sort, the status bisection with the ``_StatusEntry.__lt__``
+``(x1, y1, x2, y2, source)`` map-segment lanes whose sources are the
+lane indices (a terrain's lanes; anything else is declined): the
+``(y, kind, idx)`` event order — a counting pass by kind in idx
+order, then a stable LSD radix sort on the orderable bits of
+``y + 0.0`` — the status bisection with the ``_StatusEntry.__lt__``
 comparator (``in_front_comparison`` at the common-range midpoint,
-then the source tie-break), the exact-source scan of a removal, and
-Kahn's topological sort with a heap keyed by ``sign * i``.  It
-declines (negative return, or fewer than ``n`` edges ordered on a
-cycle) and the Python sweep answers, raising its own errors.
+then the source tie-break), a removal found by its lane index (the
+one entry the Python sweep's exact-source scan finds), and Kahn's
+topological sort with a heap keyed by ``sign * i``.  It declines
+(negative return) and the Python sweep answers, raising its own
+errors; a constraint cycle needs permuted sources, so the C sweep
+never meets one.
 
 Bit-exactness contract: every float expression below is a literal
 transcription of the pure-Python scalar loop (``_line_z`` endpoint
@@ -1641,33 +1647,100 @@ int64_t repro_merge_layer(
 /* ==== front-to-back ordering (repro/ordering/sweep.py) ============== */
 
 /* Decline codes of repro_front_to_back.  A non-negative return is
- * the count of ordered edges; a count below n means the constraint
- * graph has a cycle.  The wrapper treats anything but n as a decline. */
-#define OR_OOM     (-1)  /* scratch allocation failed                 */
-#define OR_INPUT   (-2)  /* a source outside [0, n), or a NaN sweep y */
-#define OR_MISSING (-3)  /* a removal found no status entry           */
+ * the count of ordered edges.  With sources equal to lane indices the
+ * constraint graph has no cycle, so that count is n: every constraint
+ * (f, b) has f after b in the order in which the status list ever held
+ * its entries — an insertion lands between its live neighbours and
+ * entries never swap — and a cycle needs permuted sources, which
+ * OR_INPUT declines.  The wrapper still treats anything but n as a
+ * decline. */
+#define OR_OOM     (-1)  /* scratch allocation failed                  */
+#define OR_INPUT   (-2)  /* a source other than its lane index, or a
+                          * NaN sweep y                                */
+#define OR_MISSING (-3)  /* a removal found no status entry            */
 
+/* Map-segment lanes.  Sources equal lane indices (checked by the
+ * entry point), so a status entry's lane is its source. */
 typedef struct {
     const double *x1, *y1, *x2, *y2;
-    const int64_t *src;
 } map_lanes;
 
-/* The (y, kind, idx) event tuple; kinds: 0 removal, 1 horizontal
- * insert+remove, 2 insertion. */
+/* One sweep event: the orderable bits of its y and ev = idx * 4 +
+ * kind; kinds: 0 removal, 1 horizontal insert+remove, 2 insertion. */
 typedef struct {
-    double y;
-    int64_t kind, idx;
+    uint64_t key;
+    int64_t ev;
 } sweep_event;
 
-/* Tuple order of the Python events.sort(); keys are unique. */
-static int event_cmp(const void *pa, const void *pb)
+/* Bits of y + 0.0 whose unsigned order is the float order of non-NaN
+ * doubles (-0.0 folds onto +0.0, which compares equal to it). */
+static uint64_t y_key(double y)
 {
-    const sweep_event *a = (const sweep_event *)pa;
-    const sweep_event *b = (const sweep_event *)pb;
-    if (a->y < b->y) return -1;
-    if (a->y > b->y) return 1;
-    if (a->kind != b->kind) return a->kind < b->kind ? -1 : 1;
-    return (a->idx > b->idx) - (a->idx < b->idx);
+    uint64_t u;
+    y += 0.0;
+    memcpy(&u, &y, sizeof u);
+    return (u >> 63) ? ~u : (u | 0x8000000000000000ULL);
+}
+
+#define RADIX_BITS 11
+#define RADIX_PASSES 6  /* 6 * 11 >= 64 */
+#define RADIX_SIZE (1 << RADIX_BITS)
+
+/* Stable LSD radix sort of ev[0..ne) by key; tmp holds ne events.
+ * A pass whose digit is the same for every event is skipped. */
+static int radix_sort_events(sweep_event *ev, sweep_event *tmp, int64_t ne)
+{
+    int64_t *cnt = (int64_t *)calloc(
+        (size_t)RADIX_PASSES * RADIX_SIZE, sizeof(int64_t));
+    sweep_event *from = ev, *to = tmp, *sw;
+    int64_t e, d, sum, c;
+    int p, shift;
+    if (!cnt) return 0;
+    if (ne == 0) { free(cnt); return 1; }
+    for (e = 0; e < ne; e++)
+        for (p = 0; p < RADIX_PASSES; p++)
+            cnt[p * RADIX_SIZE
+                + ((ev[e].key >> (p * RADIX_BITS)) & (RADIX_SIZE - 1))]++;
+    for (p = 0; p < RADIX_PASSES; p++) {
+        int64_t *h = cnt + p * RADIX_SIZE;
+        shift = p * RADIX_BITS;
+        if (h[(from[0].key >> shift) & (RADIX_SIZE - 1)] == ne) continue;
+        for (sum = 0, d = 0; d < RADIX_SIZE; d++) {
+            c = h[d];
+            h[d] = sum;
+            sum += c;
+        }
+        for (e = 0; e < ne; e++)
+            to[h[(from[e].key >> shift) & (RADIX_SIZE - 1)]++] = from[e];
+        sw = from; from = to; to = sw;
+    }
+    if (from != ev) memcpy(ev, from, (size_t)ne * sizeof(sweep_event));
+    free(cnt);
+    return 1;
+}
+
+/* The events of the Python sweep in its events.sort() order — (y,
+ * kind, idx) tuples: a counting pass lays them out by kind, each
+ * kind in idx order, and the stable radix sort on y keeps that order
+ * among equal y (keys are unique tuples; NaN y is declined). */
+static int64_t sweep_events(const map_lanes *L, int64_t n, sweep_event *ev,
+                            sweep_event *tmp)
+{
+    int64_t i, nh = 0, pos[3];
+    for (i = 0; i < n; i++) nh += L->y1[i] == L->y2[i];
+    pos[0] = 0;
+    pos[1] = n - nh;
+    pos[2] = n;
+    for (i = 0; i < n; i++) {
+        if (L->y1[i] == L->y2[i]) {
+            ev[pos[1]].key = y_key(L->y1[i]); ev[pos[1]++].ev = 4 * i + 1;
+        } else {
+            ev[pos[2]].key = y_key(L->y1[i]); ev[pos[2]++].ev = 4 * i + 2;
+            ev[pos[0]].key = y_key(L->y2[i]); ev[pos[0]++].ev = 4 * i;
+        }
+    }
+    if (!radix_sort_events(ev, tmp, 2 * n - nh)) return -1;
+    return 2 * n - nh;
 }
 
 /* MapSegment.x_at: horizontal max, endpoint and t == 0/1 shortcuts. */
@@ -1705,7 +1778,7 @@ static int status_lt(const map_lanes *L, int64_t a, int64_t b)
 {
     int c = in_front(L, a, b);
     if (c != 0) return c < 0;
-    return L->src[a] < L->src[b];
+    return a < b;
 }
 
 /* The sweep's bisection: first position whose entry is not < e. */
@@ -1727,39 +1800,27 @@ static int64_t sweep_constraints(const map_lanes *L, int64_t n,
                                  int64_t *cons)
 {
     sweep_event *ev = (sweep_event *)malloc(
-        (size_t)(2 * n + 1) * sizeof(sweep_event));
+        (size_t)(4 * n + 2) * sizeof(sweep_event));
     int64_t *status = (int64_t *)malloc((size_t)(n + 1) * sizeof(int64_t));
-    int64_t ne = 0, len = 0, k = 0, e, i, pos, scan, ret;
+    int64_t ne, len = 0, k = 0, e, i, pos, scan, ret;
     if (!ev || !status) { ret = OR_OOM; goto DONE; }
-    for (i = 0; i < n; i++) {
-        if (L->y1[i] == L->y2[i]) {
-            ev[ne].y = L->y1[i]; ev[ne].kind = 1; ev[ne].idx = i; ne++;
-        } else {
-            ev[ne].y = L->y1[i]; ev[ne].kind = 2; ev[ne].idx = i; ne++;
-            ev[ne].y = L->y2[i]; ev[ne].kind = 0; ev[ne].idx = i; ne++;
-        }
-    }
-    qsort(ev, (size_t)ne, sizeof(sweep_event), event_cmp);
+    ne = sweep_events(L, n, ev, ev + 2 * n + 1);
+    if (ne < 0) { ret = OR_OOM; goto DONE; }
 
     for (e = 0; e < ne; e++) {
-        i = ev[e].idx;
-        if (ev[e].kind == 0) {
-            /* remove(): locate, then the exact-source scan right of
-             * pos, else left of it. */
-            pos = status_locate(L, status, len, i);
-            scan = pos;
-            while (scan < len && L->src[status[scan]] != i) scan++;
-            if (scan == len) {
-                scan = pos - 1;
-                while (scan >= 0 && L->src[status[scan]] != i) scan--;
-            }
-            if (scan < 0) { ret = OR_MISSING; goto DONE; }
+        i = ev[e].ev >> 2;
+        if ((ev[e].ev & 3) == 0) {
+            /* remove(): the Python sweep bisects, then scans for the
+             * exact source; a lane is in the status at most once, so
+             * the scan's answer is the lane's only position. */
+            for (scan = 0; scan < len && status[scan] != i; scan++) {}
+            if (scan == len) { ret = OR_MISSING; goto DONE; }
             memmove(status + scan, status + scan + 1,
                     (size_t)(len - scan - 1) * sizeof(int64_t));
             len--;
             if (0 < scan && scan < len) {
-                cons[2 * k] = L->src[status[scan]];
-                cons[2 * k + 1] = L->src[status[scan - 1]];
+                cons[2 * k] = status[scan];
+                cons[2 * k + 1] = status[scan - 1];
                 k++;
             }
             continue;
@@ -1773,15 +1834,15 @@ static int64_t sweep_constraints(const map_lanes *L, int64_t n,
         len++;
         if (pos > 0) {
             cons[2 * k] = i;
-            cons[2 * k + 1] = L->src[status[pos - 1]];
+            cons[2 * k + 1] = status[pos - 1];
             k++;
         }
         if (pos + 1 < len) {
-            cons[2 * k] = L->src[status[pos + 1]];
+            cons[2 * k] = status[pos + 1];
             cons[2 * k + 1] = i;
             k++;
         }
-        if (ev[e].kind == 1) {
+        if ((ev[e].ev & 3) == 1) {
             memmove(status + pos, status + pos + 1,
                     (size_t)(len - pos - 1) * sizeof(int64_t));
             len--;
@@ -1833,10 +1894,10 @@ int64_t repro_front_to_back(
     map_lanes L;
     int64_t *off = NULL, *adj = NULL, *indeg = NULL, *heap = NULL;
     int64_t k, i, j, p, hl = 0, done = 0, ret;
-    L.x1 = x1; L.y1 = y1; L.x2 = x2; L.y2 = y2; L.src = src;
+    L.x1 = x1; L.y1 = y1; L.x2 = x2; L.y2 = y2;
     *ncons = 0;
     for (i = 0; i < n; i++)
-        if (src[i] < 0 || src[i] >= n || y1[i] != y1[i] || y2[i] != y2[i])
+        if (src[i] != i || y1[i] != y1[i] || y2[i] != y2[i])
             return OR_INPUT;
     k = sweep_constraints(&L, n, cons);
     if (k < 0) return k;
@@ -1890,10 +1951,19 @@ ffibuilder.set_source(
 
 if __name__ == "__main__":
     import os
+    import subprocess
+    import sys
 
-    # In-place build: drop the extension next to this file so the
+    # In-place build: the one route setup.py takes (and perfbench runs),
+    # so a single ``_repro_ccore`` binary lands next to this file and the
     # PYTHONPATH=src layout imports it without an install step.
-    src_dir = os.path.dirname(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    root = os.path.dirname(
+        os.path.dirname(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        )
     )
-    ffibuilder.compile(tmpdir=src_dir, verbose=True)
+    subprocess.run(
+        [sys.executable, "setup.py", "build_ext", "--inplace"],
+        cwd=root,
+        check=True,
+    )

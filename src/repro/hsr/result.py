@@ -12,8 +12,10 @@ Theorem 3.1's bound is sensitive to.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, NamedTuple, Optional
 
+from repro.envelope.engine import HAVE_NUMPY
 from repro.envelope.visibility import VisibilityResult
 from repro.geometry.segments import ImageSegment
 
@@ -55,15 +57,23 @@ class VisibilityMap:
 
     def __init__(self) -> None:
         self.segments: list[VisibleSegment] = []
-        self._by_edge: dict[int, list[VisibleSegment]] = {}
+        #: Segments per edge, in insertion order; built on first query.
+        self._by_edge: Optional[dict[int, list[VisibleSegment]]] = None
         self._k: Optional[int] = None
+        #: Copies of the ``(ya, za, yb, zb)`` lanes of every
+        #: :meth:`add_rows` call, while no segment came any other way
+        #: (``None`` after one did, and without numpy): ``k`` is then
+        #: counted on them.
+        self._lanes: Optional[list[tuple]] = [] if HAVE_NUMPY else None
 
     # -- construction ----------------------------------------------------
 
     def add_segment(self, seg: VisibleSegment) -> None:
         self.segments.append(seg)
-        self._by_edge.setdefault(seg.edge, []).append(seg)
+        if self._by_edge is not None:
+            self._by_edge.setdefault(seg.edge, []).append(seg)
         self._k = None
+        self._lanes = None
 
     def add_edge_result(
         self, edge: int, image_seg: ImageSegment, result: VisibilityResult
@@ -82,13 +92,24 @@ class VisibilityMap:
     def add_rows(self, edge, ya, za, yb, zb) -> None:
         """Append already-clipped visible parts in bulk, one
         :class:`VisibleSegment` per position of the five equal-length
-        lanes (the rows of :func:`repro.envelope.flat_splice.insert_run`)."""
-        rows = list(map(VisibleSegment, edge, ya, za, yb, zb))
+        lanes (the rows of :func:`repro.envelope.flat_splice.insert_run`).
+        Copies of the coordinate lanes are kept to count :attr:`k`, so
+        any iterables will do and later changes to them do not count."""
+        lanes = (list(ya), list(za), list(yb), list(zb))
+        # tuple.__new__ builds the same named tuples without a Python
+        # call per row.
+        rows = list(
+            map(tuple.__new__, repeat(VisibleSegment), zip(edge, *lanes))
+        )
         self.segments += rows
-        by_edge = self._by_edge
-        for seg in rows:
-            by_edge.setdefault(seg.edge, []).append(seg)
+        if self._by_edge is not None:
+            _index_by_edge(self._by_edge, rows)
         self._k = None
+        if self._lanes is not None:
+            if all(len(lane) == len(rows) for lane in lanes):
+                self._lanes.append(lanes)
+            else:  # unequal lanes: rows stop at the shortest
+                self._lanes = None
 
     # -- queries -----------------------------------------------------------
 
@@ -96,18 +117,23 @@ class VisibilityMap:
     def n_segments(self) -> int:
         return len(self.segments)
 
+    def _edge_index(self) -> dict[int, list[VisibleSegment]]:
+        if self._by_edge is None:
+            self._by_edge = _index_by_edge({}, self.segments)
+        return self._by_edge
+
     def visible_edges(self) -> set[int]:
         """Terrain edges with at least one visible part."""
-        return set(self._by_edge)
+        return set(self._edge_index())
 
     def edge_intervals(self, edge: int) -> list[tuple[float, float]]:
         """Visible y-intervals of one edge, sorted."""
         return sorted(
-            (s.ya, s.yb) for s in self._by_edge.get(edge, [])
+            (s.ya, s.yb) for s in self._edge_index().get(edge, [])
         )
 
     def per_edge_intervals(self) -> dict[int, list[tuple[float, float]]]:
-        return {e: self.edge_intervals(e) for e in self._by_edge}
+        return {e: self.edge_intervals(e) for e in self._edge_index()}
 
     def vertices(self) -> set[tuple[float, float]]:
         """Distinct image vertices (quantised endpoint coordinates)."""
@@ -120,11 +146,18 @@ class VisibilityMap:
 
     @property
     def k(self) -> int:
-        """Output size: image vertices + image edges (paper §1.1)."""
+        """Output size: image vertices + image edges (paper §1.1).
+
+        Counted on the :meth:`add_rows` lanes when every segment came
+        from them (:func:`_k_of_lanes`), else over :meth:`vertices`;
+        both give the same count."""
         if self._k is None:
-            n_points = sum(1 for s in self.segments if s.is_point)
-            proper = self.n_segments - n_points
-            self._k = len(self.vertices()) + proper
+            k = _k_of_lanes(self._lanes) if self._lanes else None
+            if k is None:
+                n_points = sum(1 for s in self.segments if s.is_point)
+                proper = self.n_segments - n_points
+                k = len(self.vertices()) + proper
+            self._k = k
         return self._k
 
     def total_visible_length(self) -> float:
@@ -186,6 +219,50 @@ class VisibilityMap:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{self.summary()}>"
+
+
+def _index_by_edge(by_edge: dict, segments) -> dict:
+    """Append each of ``segments`` to its edge's list in ``by_edge``."""
+    for seg in segments:
+        by_edge.setdefault(seg.edge, []).append(seg)
+    return by_edge
+
+
+def _k_of_lanes(lanes: list[tuple]) -> Optional[int]:
+    """``k`` of rows given as ``(ya, za, yb, zb)`` lanes, vectorised
+    (numpy); ``None`` when a quotient ``v / q`` is not finite
+    (the scalar count raises on it, as ``round`` does).
+
+    Each endpoint coordinate snaps as ``np.rint(v / q) * q``, which is
+    ``round(v / q) * q`` bit for bit (both round half to even, and
+    ``v / q`` already holds an integer beyond 2**52); ``+ 0.0`` folds
+    ``-0.0`` onto ``0.0``, which the set of :meth:`VisibilityMap.vertices`
+    treats as one, so equal snapped values are equal bit patterns and
+    sort together.  Distinct snapped ``(y, z)`` pairs are the image
+    vertices, and rows with ``ya != yb`` the image edges.
+    """
+    import numpy as np
+
+    ya, za, yb, zb = (
+        np.concatenate([np.asarray(lane[f], dtype=np.float64) for lane in lanes])
+        for f in range(4)
+    )
+    if not ya.size:
+        return 0
+    q = _VERTEX_QUANTUM
+    with np.errstate(over="ignore", invalid="ignore"):
+        quot = np.stack((np.concatenate((ya, yb)), np.concatenate((za, zb)))) / q
+    if not np.isfinite(quot).all():
+        return None
+    y, z = np.rint(quot) * q + 0.0
+    # Distinct (y, z) pairs: rank each coordinate among its distinct
+    # values, then count distinct rank pairs as sorted int64 keys.
+    _, ry = np.unique(y, return_inverse=True)
+    _, rz = np.unique(z, return_inverse=True)
+    keys = ry.astype(np.int64) * (int(rz.max()) + 1) + rz
+    keys.sort()
+    vertices = 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
+    return vertices + int(np.count_nonzero(ya != yb))
 
 
 def _merge_intervals(

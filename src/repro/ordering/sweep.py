@@ -169,35 +169,22 @@ def order_constraints(
     return constraints
 
 
-def map_lanes(
-    terrain: Terrain, segments: Sequence[MapSegment] | None = None
-) -> tuple[array, array, array, array, array]:
-    """``(x1, y1, x2, y2, source)`` of the map segments as ``array``
-    buffers (float64 coordinates, int64 sources) — the compiled
-    ordering's input.
+def map_lanes(terrain: Terrain, segments: Sequence[MapSegment] | None = None):
+    """``(x1, y1, x2, y2, source)`` of the map segments — float64
+    coordinate and int64 source lanes: the compiled ordering's input.
 
-    Built from ``segments`` when given, else straight from the
-    terrain's vertices and edges, swapping endpoints exactly where
-    :meth:`MapSegment.make` does, without creating the segments.
+    Built from ``segments`` when given (``array`` buffers), else
+    :meth:`Terrain.map_lanes` (numpy lanes gathered from the terrain's
+    buffers, sources equal to the lane indices).
     """
-    if segments is not None:
-        return (
-            array("d", [s.x1 for s in segments]),
-            array("d", [s.y1 for s in segments]),
-            array("d", [s.x2 for s in segments]),
-            array("d", [s.y2 for s in segments]),
-            array("q", [s.source for s in segments]),
-        )
-    xs = [v.x for v in terrain.vertices]
-    ys = [v.y for v in terrain.vertices]
-    a = [j if ys[i] > ys[j] else i for i, j in terrain.edges]
-    b = [i if ys[i] > ys[j] else j for i, j in terrain.edges]
+    if segments is None:
+        return terrain.map_lanes()
     return (
-        array("d", [xs[i] for i in a]),
-        array("d", [ys[i] for i in a]),
-        array("d", [xs[j] for j in b]),
-        array("d", [ys[j] for j in b]),
-        array("q", range(len(a))),
+        array("d", [s.x1 for s in segments]),
+        array("d", [s.y1 for s in segments]),
+        array("d", [s.x2 for s in segments]),
+        array("d", [s.y2 for s in segments]),
+        array("q", [s.source for s in segments]),
     )
 
 

@@ -70,18 +70,18 @@ def as_query_segment(seg: QuerySegment) -> ImageSegment:
 def terrain_fingerprint(terrain: Terrain) -> str:
     """Content hash of a terrain (vertices + faces), hex-encoded.
 
-    Struct-packs the exact float64 vertex coordinates and the sorted
-    face index triples, so the fingerprint is byte-stable across
-    processes and equal exactly when the geometry is equal — the
-    envelope-cache key and the wire name for a terrain in the query
-    service.
+    Hashes the vertex and face counts, then the vertex buffer as
+    little-endian float64 bytes and the sorted face triples as
+    little-endian int64 bytes — the bytes ``struct.pack("<3d", ...)``
+    and ``struct.pack("<3q", ...)`` give per row — so the fingerprint
+    is byte-stable across processes and hosts and equal exactly when
+    the geometry is equal: the envelope-cache key and the wire name
+    for a terrain in the query service.
     """
     h = hashlib.sha256()
-    h.update(struct.pack("<2q", len(terrain.vertices), len(terrain.faces)))
-    for v in terrain.vertices:
-        h.update(struct.pack("<3d", v.x, v.y, v.z))
-    for f in terrain.faces:
-        h.update(struct.pack("<3q", *f))
+    h.update(struct.pack("<2q", terrain.n_vertices, terrain.n_faces))
+    for buf in terrain.buffer_bytes():
+        h.update(buf)
     return h.hexdigest()
 
 

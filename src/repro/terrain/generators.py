@@ -100,13 +100,10 @@ def grid_terrain_from_heights(
     else:
         rng = np.random.default_rng(jitter_seed)
         xy = _jitter_grid_xy(rows, cols, spacing, rng)
-    verts = [
-        Point3(float(xy[r, c, 1]), float(xy[r, c, 0]), float(h[r, c]))
-        for r in range(rows)
-        for c in range(cols)
-    ]
-    # Note the swap above: grid rows advance along +x (toward the
-    # viewer at +inf), columns along +y (across the image).
+    # Vertex (r, c) is row r * cols + c.  Note the swap: grid rows
+    # advance along +x (toward the viewer at +inf), columns along +y
+    # (across the image).
+    verts = np.stack((xy[..., 1], xy[..., 0], h), axis=-1).reshape(-1, 3)
     return Terrain(verts, grid_faces(rows, cols), validate=True)
 
 

@@ -6,6 +6,14 @@ exactly one point: ``z = f(x, y)``.  We store it as the paper does —
 correspond to the segments of the polyhedral surface" — concretely a
 vertex array plus triangle list (a TIN).
 
+Storage is columnar: one float64 vertex buffer (``n × 3``) and int64
+face and edge buffers (numpy arrays, or flat ``array('d')`` /
+``array('q')`` buffers when numpy is absent).  The ``vertices``,
+``faces`` and ``edges`` lists are views built from the buffers on
+first use, for the scalar code paths; the projections the HSR runs
+consume (:meth:`Terrain.image_lanes`, :meth:`Terrain.map_lanes`)
+gather from the buffers directly.
+
 The viewer is at ``x = +inf`` looking along ``-x``; the image plane is
 the zy-plane.  :meth:`Terrain.rotated` lets callers view a scene from
 any horizontal direction by rotating the terrain instead of the
@@ -15,6 +23,9 @@ camera, which keeps the algorithm's coordinate conventions fixed.
 from __future__ import annotations
 
 import math
+import operator
+import sys
+from array import array
 from itertools import chain
 from typing import Optional, Sequence
 
@@ -23,7 +34,26 @@ from repro.geometry.predicates import segments_intersect_exact
 from repro.geometry.primitives import Point2, Point3
 from repro.geometry.segments import ImageSegment, MapSegment
 
+try:  # pragma: no cover - numpy ships with the toolchain
+    import numpy as _np
+except ImportError:  # pragma: no cover - the no-numpy install
+    _np = None
+
 __all__ = ["Terrain"]
+
+
+class _Topology:
+    """A terrain's face buffer, its edge buffer (derived on first use)
+    and their list views.  Transforms move vertices, never topology, so
+    a terrain and every terrain derived from it share one instance."""
+
+    __slots__ = ("faces", "edges", "face_list", "edge_list")
+
+    def __init__(self, faces):
+        self.faces = faces
+        self.edges = None
+        self.face_list: Optional[list[tuple[int, int, int]]] = None
+        self.edge_list: Optional[list[tuple[int, int]]] = None
 
 
 class Terrain:
@@ -32,18 +62,19 @@ class Terrain:
     Parameters
     ----------
     vertices:
-        Surface points; their xy-projections must be pairwise distinct
-        (checked — duplicate xy with different z would violate
-        ``z = f(x, y)``).
+        Surface points — ``(x, y, z)`` triples or an ``(n, 3)`` array;
+        their xy-projections must be pairwise distinct (checked —
+        duplicate xy with different z would violate ``z = f(x, y)``).
     faces:
-        Triangles as vertex index triples.  Edges are derived.
+        Triangles as vertex index triples (or an ``(m, 3)`` integer
+        array).  Edges are derived.
     validate:
         When true (default) performs the cheap invariant checks; the
         expensive planarity check is separate
         (:meth:`check_planarity`) because it is quadratic.
     """
 
-    __slots__ = ("vertices", "faces", "_edges")
+    __slots__ = ("_xyz", "_topo", "_vertices")
 
     def __init__(
         self,
@@ -52,28 +83,37 @@ class Terrain:
         *,
         validate: bool = True,
     ):
-        self.vertices: list[Point3] = [Point3(*v) for v in vertices]
-        self.faces: list[tuple[int, int, int]] = [
-            tuple(sorted(f)) for f in faces  # type: ignore[misc]
-        ]
+        self._xyz = _vertex_buffer(vertices)
+        self._topo = _Topology(_face_buffer(faces))
+        self._vertices: Optional[list[Point3]] = None
         if validate:
             self._validate()
-        self._edges: Optional[list[tuple[int, int]]] = None
+
+    @classmethod
+    def _derived(cls, xyz, topo: _Topology) -> "Terrain":
+        """A terrain over vertex buffer ``xyz`` sharing ``topo``."""
+        t = cls.__new__(cls)
+        t._xyz = _frozen(xyz)
+        t._topo = topo
+        t._vertices = None
+        return t
 
     # -- invariants ----------------------------------------------------
 
     def _validate(self) -> None:
-        n = len(self.vertices)
+        n = self.n_vertices
         seen_xy: dict[tuple[float, float], int] = {}
-        for i, v in enumerate(self.vertices):
-            key = (v.x, v.y)
+        it = iter(_flat_list(self._xyz))
+        for i, (x, y, _z) in enumerate(zip(it, it, it)):
+            key = (x, y)
             if key in seen_xy:
                 raise TerrainError(
                     f"vertices {seen_xy[key]} and {i} share xy {key}:"
                     " not a function z = f(x, y)"
                 )
             seen_xy[key] = i
-        for f in self.faces:
+        it = iter(_flat_list(self._topo.faces))
+        for f in zip(it, it, it):
             a, b, c = f
             if not (0 <= a < n and 0 <= b < n and 0 <= c < n):
                 raise TerrainError(f"face {f} references missing vertex")
@@ -108,32 +148,69 @@ class Terrain:
                         f"edges {ea} and {eb} cross in xy-projection"
                     )
 
-    # -- derived structure ----------------------------------------------
+    # -- buffers and their views ----------------------------------------
+
+    @property
+    def vertex_buffer(self):
+        """The float64 vertex coordinates: an ``(n, 3)`` read-only
+        array, or a flat ``array('d')`` of ``x, y, z`` runs without
+        numpy."""
+        return self._xyz
+
+    @property
+    def face_buffer(self):
+        """The faces as sorted int64 index triples: an ``(m, 3)``
+        read-only array, or a flat ``array('q')`` without numpy."""
+        return self._topo.faces
+
+    @property
+    def edge_buffer(self):
+        """The sorted unique edges ``(i, j)``, ``i < j``, as int64
+        pairs: an ``(e, 2)`` read-only array, or a flat ``array('q')``
+        without numpy.  Derived from the faces on first use."""
+        topo = self._topo
+        if topo.edges is None:
+            topo.edges = _edge_buffer(topo.faces)
+        return topo.edges
+
+    @property
+    def vertices(self) -> list[Point3]:
+        """The vertex buffer as :class:`Point3` rows (built once)."""
+        if self._vertices is None:
+            it = iter(_flat_list(self._xyz))
+            self._vertices = list(map(Point3, it, it, it))
+        return self._vertices
+
+    @property
+    def faces(self) -> list[tuple[int, int, int]]:
+        """Sorted vertex index triples (built once per topology)."""
+        topo = self._topo
+        if topo.face_list is None:
+            it = iter(_flat_list(topo.faces))
+            topo.face_list = list(zip(it, it, it))
+        return topo.face_list
 
     @property
     def edges(self) -> list[tuple[int, int]]:
         """Sorted unique undirected edges ``(i, j)`` with ``i < j``."""
-        if self._edges is None:
-            seen: set[tuple[int, int]] = set()
-            for a, b, c in self.faces:
-                seen.add((a, b) if a < b else (b, a))
-                seen.add((b, c) if b < c else (c, b))
-                seen.add((a, c) if a < c else (c, a))
-            self._edges = sorted(seen)
-        return self._edges
+        topo = self._topo
+        if topo.edge_list is None:
+            it = iter(_flat_list(self.edge_buffer))
+            topo.edge_list = list(zip(it, it))
+        return topo.edge_list
 
     @property
     def n_vertices(self) -> int:
-        return len(self.vertices)
+        return _rows(self._xyz, 3)
 
     @property
     def n_edges(self) -> int:
         """The paper's input size ``n``."""
-        return len(self.edges)
+        return _rows(self.edge_buffer, 2)
 
     @property
     def n_faces(self) -> int:
-        return len(self.faces)
+        return _rows(self._topo.faces, 3)
 
     # -- projections -----------------------------------------------------
 
@@ -151,9 +228,9 @@ class Terrain:
         a, b = self.edge_endpoints(edge_index)
         return ImageSegment.make(a.project_zy(), b.project_zy(), edge_index)
 
-    def _lane_endpoints(self, order: Optional[Sequence[int]] = None):
-        """``(pts, lo, hi)``: the vertices as an ``(n_vertices, 3)``
-        float64 array and, for each edge in ``order`` (default: all, by
+    def _lane_endpoints(self, order=None):
+        """``(pts, lo, hi)``: the ``(n_vertices, 3)`` vertex buffer and,
+        for each edge in ``order`` (an int64 array; default: all, by
         index), the vertex indices of its low-``y`` and high-``y`` ends.
 
         The ends swap iff ``y_i > y_j`` — the comparison of both
@@ -162,45 +239,58 @@ class Terrain:
         :meth:`image_segment` and :meth:`map_segment` bit for bit.
         Requires numpy.
         """
-        import numpy as np
-
-        if order is None:
-            order = range(self.n_edges)
-        verts = self.vertices
-        pts = np.fromiter(
-            chain.from_iterable(verts), np.float64, 3 * len(verts)
-        ).reshape(-1, 3)
-        edges = self.edges
-        ends = np.fromiter(
-            chain.from_iterable(map(edges.__getitem__, order)),
-            np.int64,
-            2 * len(order),
-        ).reshape(-1, 2)
+        pts = self._xyz
+        ends = self.edge_buffer
+        if order is not None:
+            ends = ends[order]
         i, j = ends[:, 0], ends[:, 1]
         swap = pts[i, 1] > pts[j, 1]
-        return pts, np.where(swap, j, i), np.where(swap, i, j)
+        return pts, _np.where(swap, j, i), _np.where(swap, i, j)
 
     def image_lanes(self, order: Optional[Sequence[int]] = None) -> tuple:
         """``(y1, z1, y2, z2, source)`` of the image segments of the
         edges in ``order`` (default: all, by index) as numpy lanes —
         float64 coordinates, int64 sources.
 
-        Coordinates are gathered, never computed
+        Coordinates are gathered from the vertex buffer, never computed
         (:meth:`_lane_endpoints`), so the lanes equal the fields of
         :meth:`image_segment` bit for bit.  Requires numpy.
         """
-        import numpy as np
-
         if order is None:
-            order = range(self.n_edges)
-        pts, lo, hi = self._lane_endpoints(order)
-        return (
-            pts[lo, 1],
-            pts[lo, 2],
-            pts[hi, 1],
-            pts[hi, 2],
-            np.array(order, dtype=np.int64),
-        )
+            src = _np.arange(self.n_edges, dtype=_np.int64)
+            pts, lo, hi = self._lane_endpoints()
+        else:
+            src = _np.array(order, dtype=_np.int64)
+            pts, lo, hi = self._lane_endpoints(src)
+        return pts[lo, 1], pts[lo, 2], pts[hi, 1], pts[hi, 2], src
+
+    def map_lanes(self) -> tuple:
+        """``(x1, y1, x2, y2, source)`` of the map segments of all
+        edges, by index, as numpy lanes — float64 coordinates, int64
+        sources equal to the lane indices: the compiled ordering's
+        input.  Gathered like :meth:`image_lanes`, so the lanes equal
+        the fields of :meth:`map_segment` bit for bit.  Requires numpy.
+        """
+        pts, lo, hi = self._lane_endpoints()
+        src = _np.arange(len(lo), dtype=_np.int64)
+        return pts[lo, 0], pts[lo, 1], pts[hi, 0], pts[hi, 1], src
+
+    def buffer_bytes(self) -> tuple[bytes, bytes]:
+        """The vertex buffer as little-endian float64 bytes and the
+        face buffer as little-endian int64 bytes: per row, what
+        ``struct.pack("<3d", ...)`` and ``struct.pack("<3q", ...)``
+        give."""
+        xyz, faces = self._xyz, self._topo.faces
+        if not isinstance(xyz, array):
+            return (
+                xyz.astype("<f8", copy=False).tobytes(),
+                faces.astype("<i8", copy=False).tobytes(),
+            )
+        if sys.byteorder == "big":
+            xyz, faces = array("d", xyz), array("q", faces)
+            xyz.byteswap()
+            faces.byteswap()
+        return xyz.tobytes(), faces.tobytes()
 
     def map_segments(self) -> list[MapSegment]:
         return [self.map_segment(e) for e in range(self.n_edges)]
@@ -209,6 +299,10 @@ class Terrain:
         return [self.image_segment(e) for e in range(self.n_edges)]
 
     # -- transforms -------------------------------------------------------
+    #
+    # Each computes the scalar formula element-wise on the vertex
+    # buffer (one IEEE operation per scalar one, so bit-identical) and
+    # shares this terrain's topology.
 
     def rotated(self, azimuth_degrees: float) -> "Terrain":
         """The terrain rotated about the z-axis.
@@ -218,40 +312,53 @@ class Terrain:
         """
         t = math.radians(azimuth_degrees)
         c, s = math.cos(t), math.sin(t)
-        verts = [
-            Point3(c * v.x - s * v.y, s * v.x + c * v.y, v.z)
-            for v in self.vertices
-        ]
-        return Terrain(verts, self.faces, validate=False)
+        xyz = self._xyz
+        if isinstance(xyz, array):
+            it = iter(xyz)
+            out = array(
+                "d",
+                chain.from_iterable(
+                    (c * x - s * y, s * x + c * y, z)
+                    for x, y, z in zip(it, it, it)
+                ),
+            )
+        else:
+            x, y = xyz[:, 0], xyz[:, 1]
+            out = _np.empty_like(xyz)
+            out[:, 0] = c * x - s * y
+            out[:, 1] = s * x + c * y
+            out[:, 2] = xyz[:, 2]
+        return self._derived(out, self._topo)
 
     def scaled(self, *, xy: float = 1.0, z: float = 1.0) -> "Terrain":
         """Anisotropic scaling (z exaggeration is common for DEMs)."""
         if xy <= 0 or z <= 0:
             raise TerrainError("scale factors must be positive")
-        verts = [
-            Point3(v.x * xy, v.y * xy, v.z * z) for v in self.vertices
-        ]
-        return Terrain(verts, self.faces, validate=False)
+        return self._derived(_affine(self._xyz, (xy, xy, z), operator.mul), self._topo)
 
     def translated(self, dx: float, dy: float, dz: float) -> "Terrain":
-        verts = [
-            Point3(v.x + dx, v.y + dy, v.z + dz) for v in self.vertices
-        ]
-        return Terrain(verts, self.faces, validate=False)
+        return self._derived(_affine(self._xyz, (dx, dy, dz), operator.add), self._topo)
 
     # -- queries ----------------------------------------------------------
 
+    def _column(self, k: int):
+        """Column ``k`` (0 x, 1 y, 2 z) of the vertex buffer, for
+        Python's ``min``/``max`` (whose first-wins ties and NaN handling
+        the queries keep)."""
+        xyz = self._xyz
+        return xyz[k::3] if isinstance(xyz, array) else xyz[:, k].tolist()
+
     def height_range(self) -> tuple[float, float]:
-        zs = [v.z for v in self.vertices]
-        if not zs:
+        if not self.n_vertices:
             raise TerrainError("empty terrain")
+        zs = self._column(2)
         return (min(zs), max(zs))
 
     def xy_bounds(self) -> tuple[float, float, float, float]:
-        if not self.vertices:
+        if not self.n_vertices:
             raise TerrainError("empty terrain")
-        xs = [v.x for v in self.vertices]
-        ys = [v.y for v in self.vertices]
+        xs = self._column(0)
+        ys = self._column(1)
         return (min(xs), min(ys), max(xs), max(ys))
 
     def surface_height_at(self, x: float, y: float) -> Optional[float]:
@@ -275,6 +382,133 @@ class Terrain:
             f"Terrain({self.n_vertices} vertices, {self.n_edges} edges,"
             f" {self.n_faces} faces)"
         )
+
+
+# -- buffer helpers ----------------------------------------------------------
+
+
+def _rows(buf, width: int) -> int:
+    """Row count of a buffer (a flat ``array`` holds ``width`` values
+    per row)."""
+    return len(buf) // width if isinstance(buf, array) else len(buf)
+
+
+def _flat_list(buf) -> list:
+    """A buffer's values as one flat list of Python scalars."""
+    return buf.tolist() if isinstance(buf, array) else buf.ravel().tolist()
+
+
+def _frozen(arr):
+    """``arr`` made read-only (numpy arrays; an ``array`` is returned
+    as is)."""
+    if not isinstance(arr, array):
+        arr.setflags(write=False)
+    return arr
+
+
+def _listed(items):
+    """``items`` as a sequence the converters can take twice."""
+    if _np is not None and isinstance(items, _np.ndarray):
+        return items
+    return items if isinstance(items, (list, tuple)) else list(items)
+
+
+def _vertex_buffer(vertices):
+    vertices = _listed(vertices)
+    if _np is None:
+        return array("d", chain.from_iterable(Point3(*v) for v in vertices))
+    try:
+        xyz = _np.array(vertices, dtype=_np.float64, order="C")
+    except ValueError as exc:  # ragged rows
+        raise TerrainError(f"vertices must be (x, y, z) triples: {exc}") from exc
+    if xyz.size == 0:
+        xyz = xyz.reshape(0, 3)
+    if xyz.ndim != 2 or xyz.shape[1] != 3:
+        raise TerrainError(
+            f"vertices must be (x, y, z) triples, got shape {xyz.shape}"
+        )
+    return _frozen(xyz)
+
+
+def _sorted_faces(faces):
+    """The faces' index triples, each sorted, flattened (ints only)."""
+    return array("q", chain.from_iterable(map(_sorted_triple, faces)))
+
+
+def _sorted_triple(face) -> list:
+    out = sorted(face)
+    if len(out) != 3:
+        raise TerrainError(f"face {tuple(face)} is not a vertex index triple")
+    return out
+
+
+def _face_buffer(faces):
+    faces = _listed(faces)
+    if _np is None:
+        return _sorted_faces(faces)
+    try:
+        arr = _np.asarray(faces)
+    except ValueError:  # ragged rows
+        arr = None
+    if arr is not None and arr.size == 0:
+        arr = _np.empty((0, 3), _np.int64)
+    elif arr is None or arr.dtype.kind not in "iu":
+        # Not an integer array (floats, mixed or ragged rows): convert
+        # face by face, which rejects non-integers and non-triples.
+        arr = _np.frombuffer(_sorted_faces(faces), dtype=_np.int64)
+        arr = arr.reshape(-1, 3)
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise TerrainError(
+            f"faces must be vertex index triples, got shape {arr.shape}"
+        )
+    return _frozen(_np.sort(arr.astype(_np.int64, copy=False), axis=1))
+
+
+def _edge_pairs(flat_faces) -> list[tuple[int, int]]:
+    """Sorted unique edges of sorted face triples (the scalar path)."""
+    seen: set[tuple[int, int]] = set()
+    it = iter(flat_faces)
+    for a, b, c in zip(it, it, it):
+        seen.add((a, b) if a < b else (b, a))
+        seen.add((b, c) if b < c else (c, b))
+        seen.add((a, c) if a < c else (c, a))
+    return sorted(seen)
+
+
+def _edge_buffer(faces):
+    """The sorted unique edges of the face buffer, as a buffer of the
+    same kind.
+
+    With numpy: faces are sorted triples ``a <= b <= c``, so every edge
+    is already ``(low, high)``; the unique sorted keys ``low * base +
+    high`` (``base`` above every index) come out in the ``(i, j)``
+    tuple order of ``sorted(set)``.
+    """
+    flat = isinstance(faces, array)
+    if (min(faces, default=0) if flat else faces.min(initial=0)) < 0:
+        # Only an unvalidated terrain gets here.
+        raise TerrainError("a face references a negative vertex index")
+    if flat:
+        return array("q", chain.from_iterable(_edge_pairs(faces)))
+    if faces.size == 0:
+        return _frozen(_np.empty((0, 2), _np.int64))
+    a, b, c = faces[:, 0], faces[:, 1], faces[:, 2]
+    base = int(faces.max()) + 1
+    keys = _np.unique(_np.concatenate((a * base + b, b * base + c, a * base + c)))
+    out = _np.empty((keys.size, 2), _np.int64)
+    out[:, 0], out[:, 1] = _np.divmod(keys, base)
+    return _frozen(out)
+
+
+def _affine(xyz, factors, op):
+    """``op(v, f)`` per coordinate of every vertex (``operator.mul``
+    scales, ``operator.add`` translates)."""
+    if isinstance(xyz, array):
+        fx, fy, fz = factors
+        it = iter(xyz)
+        rows = ((op(x, fx), op(y, fy), op(z, fz)) for x, y, z in zip(it, it, it))
+        return array("d", chain.from_iterable(rows))
+    return op(xyz, _np.array(factors, dtype=_np.float64))
 
 
 def _barycentric_height(

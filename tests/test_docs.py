@@ -231,16 +231,18 @@ def test_benchmarks_scenario_ratios_match_bench_file():
     (dem,) = _recorded("scenario:bench-dem").values()
     (direct,) = _recorded("scenario:bench-paper-direct").values()
     (persistent,) = _recorded("scenario:bench-paper-persistent").values()
+    (sequential,) = _recorded("scenario:bench-sequential").values()
     for quote in (
         f"`bench-build-e9` {build[1024]:.1f}×@1024 / {build[4096]:.1f}×@4096",
         f"`bench-insert-e9` {insert[256]:.1f}×@256 / {insert[1024]:.1f}×@1024",
         f"`bench-insert-wide` {wide[1024]:.1f}×@1024 / {wide[2048]:.1f}×@2048",
-        f"`bench-flyover` **{flyover:.1f}×**",
+        f"`bench-flyover` reads **{flyover:.1f}×**",
         f"`bench-dem` {dem:.1f}×",
         f"`scenario:bench-build-e9` at m=4096 (~{build[4096]:.1f}×)",
         f"`scenario:bench-insert-wide` at m=2048 ({wide[2048]:.1f}×",
         f"no-compiler install runs; {insert[1024]:.1f}×)",
         f"compiled PCT layers ({direct:.1f}×, the lowest of six",
         f"core too ({persistent:.1f}×, the lowest of six",
+        f"against the compiled ordering and insert run ({sequential:.1f}×,",
     ):
         assert quote in text, quote

@@ -4,9 +4,19 @@ from __future__ import annotations
 
 import math
 
+import pytest
+
+from repro.envelope.engine import HAVE_NUMPY
 from repro.envelope.visibility import VisibilityResult, VisiblePart
 from repro.geometry.segments import ImageSegment
-from repro.hsr.result import HsrStats, VisibilityMap, VisibleSegment
+from repro.hsr import result as result_mod
+from repro.hsr.result import (
+    _VERTEX_QUANTUM,
+    HsrStats,
+    VisibilityMap,
+    VisibleSegment,
+    _k_of_lanes,
+)
 
 
 def vm_with(*segs):
@@ -105,3 +115,133 @@ class TestHsrStats:
         assert row["n"] == 10
         assert row["k"] == 5
         assert row["foo"] == 1.0
+
+
+def _ties() -> list[float]:
+    """Coordinates ``v`` with ``v / q`` exactly halfway between two
+    integers, both parities and signs: ``round`` and ``np.rint`` must
+    both pick the even neighbour."""
+    q = _VERTEX_QUANTUM
+    out = [v for v in ((k + 0.5) * q for k in range(-40, 40)) if (v / q) % 1 == 0.5]
+    assert len(out) > 20
+    return out
+
+
+def _rows_map(rows) -> VisibilityMap:
+    vm = VisibilityMap()
+    if rows:
+        vm.add_rows(*(list(lane) for lane in zip(*rows)))
+    return vm
+
+
+def _scalar_k(rows) -> int:
+    return vm_with(*rows).k
+
+
+class TestKOnRows:
+    """``k`` of an ``add_rows`` map is counted on the row lanes
+    (:func:`repro.hsr.result._k_of_lanes`); it must equal the scalar
+    count over the set of rounded vertex tuples."""
+
+    def _check(self, rows, monkeypatch=None):
+        rows = [tuple(r) for r in rows]
+        if HAVE_NUMPY:
+            lanes = [tuple(list(c) for c in list(zip(*rows))[1:])] if rows else []
+            assert (_k_of_lanes(lanes) if lanes else 0) == _scalar_k(rows)
+        assert _rows_map(rows).k == _scalar_k(rows)
+
+    def test_half_quantum_ties(self):
+        ties = _ties()
+        rows = [(i, y, z, y + 1.0, z) for i, (y, z) in enumerate(zip(ties, ties[::-1]))]
+        rows += [(99, t, 0.0, t, 0.0) for t in ties]  # point rows on ties
+        self._check(rows)
+
+    def test_signed_zeros(self):
+        q = _VERTEX_QUANTUM
+        rows = [
+            (0, -0.0, 0.0, 1.0, 1.0),
+            (1, 0.0, -0.0, 1.0, 1.0),
+            (2, -0.3 * q, 0.4 * q, -0.0, -0.0),  # rounds to -0.0
+            (3, -0.0, -0.0, -0.0, -0.0),  # a point row
+        ]
+        self._check(rows)
+        assert _rows_map(rows).k == 2 + 3
+
+    def test_points_and_duplicate_endpoints(self):
+        rows = [
+            (0, 0.0, 0.0, 1.0, 1.0),
+            (1, 1.0, 1.0, 2.0, 0.0),
+            (1, 1.0, 1.0, 2.0, 0.0),  # a duplicate row
+            (2, 2.0, 0.0, 2.0, 0.0),  # a point on a vertex
+            (3, 5.0, 5.0, 5.0, 7.0),  # a vertical's point
+            (4, 1.0000004, 1.0, 3.0, 3.0),  # snaps onto (1, 1)
+        ]
+        self._check(rows)
+
+    def test_empty_rows(self):
+        vm = VisibilityMap()
+        vm.add_rows([], [], [], [], [])
+        assert vm.k == 0
+
+    def test_non_finite_row_raises_as_before(self):
+        for bad, exc in ((math.nan, ValueError), (math.inf, OverflowError),
+                         (1e303, OverflowError)):  # v / q overflows
+            vm = _rows_map([(0, 0.0, 0.0, 1.0, 1.0), (1, 0.0, bad, 1.0, 1.0)])
+            with pytest.raises(exc):
+                vm.k
+            with pytest.raises(exc):
+                _scalar_k([(0, 0.0, 0.0, 1.0, 1.0), (1, 0.0, bad, 1.0, 1.0)])
+
+    def test_mixed_construction_takes_the_scalar_count(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            result_mod, "_k_of_lanes", lambda lanes: calls.append(1)
+        )
+        vm = _rows_map([(0, 0.0, 0.0, 1.0, 1.0)])
+        vm.add_segment(VisibleSegment(1, 1.0, 1.0, 2.0, 0.0))
+        assert vm.k == 5 and not calls
+        vm = _rows_map([(0, 0.0, 0.0, 1.0, 1.0)])
+        vm.k  # noqa: B018 - counted on the lanes (with numpy)
+        assert calls == ([1] if HAVE_NUMPY else [])
+
+    def test_rows_from_iterators_and_later_changes(self):
+        rows = [
+            (0, 0.0, 0.0, 1.0, 1.0),
+            (1, 1.0, 1.0, 2.0, 0.0),
+            (2, 2.0, 0.0, 2.0, 0.0),
+        ]
+        lanes = [list(c) for c in zip(*rows)]
+        vm = VisibilityMap()
+        vm.add_rows(*(iter(lane) for lane in lanes))
+        assert [tuple(s) for s in vm.segments] == rows
+        assert vm.k == _scalar_k(rows)
+        vm = VisibilityMap()
+        vm.add_rows(*lanes)
+        lanes[1][0] = 9.0  # the caller's list changes after the call
+        assert vm.k == _scalar_k(rows)
+
+    def test_unequal_lanes_count_the_rows_kept(self):
+        vm = VisibilityMap()
+        vm.add_rows([0, 1], [0.0, 1.0], [0.0, 1.0], [1.0], [1.0])
+        assert [tuple(s) for s in vm.segments] == [(0, 0.0, 0.0, 1.0, 1.0)]
+        assert vm.k == _scalar_k([(0, 0.0, 0.0, 1.0, 1.0)])
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+    @pytest.mark.parametrize("algorithm", ["sequential", "direct", "persistent"])
+    @pytest.mark.parametrize(
+        "case", ["fractal9@0", "fractal17@30", "fractal33@135", "valley",
+                 "delaunay", "lattice", "dem", "flyover2"]
+    )
+    def test_parity_matrix(self, case, algorithm):
+        from repro.hsr import ParallelHSR, SequentialHSR
+        from tests.test_ordering import _parity_terrain
+
+        terrain = _parity_terrain(case)
+        hsr = (
+            SequentialHSR()
+            if algorithm == "sequential"
+            else ParallelHSR(mode=algorithm)
+        )
+        res = hsr.run(terrain)
+        rows = [tuple(s) for s in res.visibility_map.segments]
+        assert res.k == res.stats.k == _scalar_k(rows)

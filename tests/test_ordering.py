@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.envelope import _ccore
 from repro.errors import OrderingError
-from repro.geometry.primitives import Point3
+from repro.geometry.primitives import Point2, Point3
 from repro.geometry.segments import MapSegment
 from repro.hsr.sequential import SequentialHSR
 from repro.ordering.separator import SeparatorTree
@@ -203,6 +203,15 @@ PARITY_CASES = [
 ]
 
 
+def _lane_bytes(lanes) -> list:
+    """Each lane's element kind (float or integer), width and raw bytes,
+    for numpy arrays and ``array`` buffers alike: equal exactly when the
+    lanes hold the same values bit for bit (``-0.0`` and NaN payloads
+    included)."""
+    views = [memoryview(lane) for lane in lanes]
+    return [(v.format in "fd", v.itemsize, v.tobytes()) for v in views]
+
+
 def _outcome(fn):
     """``("ok", value)`` or ``(exception type, message)``."""
     try:
@@ -235,7 +244,9 @@ class TestCompiledOrdering:
     @pytest.mark.parametrize("case", PARITY_CASES)
     def test_lanes_match_map_segments(self, case):
         t = _parity_terrain(case)
-        assert map_lanes(t) == map_lanes(t, t.map_segments())
+        assert _lane_bytes(map_lanes(t)) == _lane_bytes(
+            map_lanes(t, t.map_segments())
+        )
 
     @needs_ccore
     @pytest.mark.parametrize("case", PARITY_CASES)
@@ -264,6 +275,10 @@ class TestCompiledOrdering:
 
     @needs_ccore
     def test_cycle_declines_to_the_same_error(self):
+        # A cycle needs sources that differ from the lane indices
+        # (test_identity_sources_never_cycle), which the C call
+        # declines before it sweeps; the Python sweep then finds the
+        # cycle under either engine.
         lanes = map_lanes(_BARE, CYCLE_SEGMENTS)
         assert _ccore.front_to_back(*lanes, 1) is None
         outcomes = {
@@ -276,6 +291,21 @@ class TestCompiledOrdering:
         }
         assert outcomes["numpy"] == outcomes["python"]
         assert outcomes["python"][0] is OrderingError
+
+    @needs_ccore
+    def test_identity_sources_never_cycle(self):
+        # CYCLE_SEGMENTS relabelled with sources equal to their
+        # indices: every recorded (front, back) then has front after
+        # back in the order the status list ever held its entries, so
+        # the graph is acyclic and the C sweep orders every edge.
+        segs = [s._replace(source=i) for i, s in enumerate(CYCLE_SEGMENTS)]
+        lanes = map_lanes(_BARE, segs)
+        for tie_break, sign in (("min", 1), ("max", -1)):
+            order = _ccore.front_to_back(*lanes, sign)
+            assert sorted(order) == [0, 1, 2]
+            assert order == front_to_back_order(
+                _BARE, segments=segs, tie_break=tie_break, engine="python"
+            )
 
     @needs_ccore
     @pytest.mark.parametrize("bad_source", [-1, 2, 99])
@@ -308,6 +338,84 @@ class TestCompiledOrdering:
     @needs_ccore
     def test_empty_input(self):
         assert front_to_back_order(_BARE, segments=[], engine="numpy") == []
+
+    @needs_ccore
+    def test_events_at_equal_y(self):
+        # Removals, horizontals and insertions sharing sweep ys, with
+        # idx order differing from x order: the radix-sorted events
+        # must replay the (y, kind, idx) tuple order.
+        segs = [
+            MapSegment(5.0, 0.0, 5.0, 2.0, 0),
+            MapSegment(1.0, 2.0, 1.0, 4.0, 1),
+            MapSegment(3.0, 0.0, 4.0, 2.0, 2),
+            MapSegment(0.0, 2.0, 6.0, 2.0, 3),  # horizontal at y = 2
+            MapSegment(2.0, 2.0, 2.5, 2.0, 4),  # horizontal at y = 2
+            MapSegment(4.0, 2.0, 3.0, 4.0, 5),
+            MapSegment(7.0, 0.0, 7.0, 4.0, 6),
+            MapSegment(6.0, 4.0, 6.5, 4.0, 7),  # horizontal at y = 4
+            MapSegment(0.5, 0.0, 0.5, 2.0, 8),
+        ]
+        _assert_compiled_parity(_BARE, segments=segs)
+
+    @needs_ccore
+    def test_signed_zero_and_infinite_y(self):
+        # -0.0 and 0.0 are one sweep y; infinite ys sort at the ends.
+        segs = [
+            MapSegment(1.0, -0.0, 1.0, 1.0, 0),
+            MapSegment(2.0, 0.0, 2.0, 1.0, 1),
+            MapSegment(0.0, -1.0, 0.0, -0.0, 2),
+            MapSegment(3.0, -1.0, 3.0, 0.0, 3),
+            MapSegment(4.0, -0.0, 5.0, -0.0, 4),
+            MapSegment(9.0, -math.inf, 9.0, math.inf, 5),
+        ]
+        _assert_compiled_parity(_BARE, segments=segs)
+
+    @needs_ccore
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(*[st.integers(-3, 3)] * 4), min_size=1, max_size=12
+        ),
+        zero=st.sampled_from([0.0, -0.0]),
+    )
+    def test_fuzz_integer_grid_segments(self, rows, zero):
+        # Small integer coordinates make equal ys, horizontals and
+        # shared endpoints the common case.
+        segs = [
+            MapSegment.make(
+                Point2(float(x1), y1 + zero), Point2(float(x2), y2 + zero), i
+            )
+            for i, (x1, y1, x2, y2) in enumerate(rows)
+        ]
+        lanes = map_lanes(_BARE, segs)
+        assert _ccore.order_constraints(*lanes) == order_constraints(segs)
+        for tie_break, sign in (("min", 1), ("max", -1)):
+            # Crossing segments too: with sources equal to their
+            # indices no cycle is recorded, so both paths order all.
+            ref = front_to_back_order(
+                _BARE, segments=segs, tie_break=tie_break, engine="python"
+            )
+            assert _ccore.front_to_back(*lanes, sign) == ref
+
+    @needs_ccore
+    def test_permuted_sources_decline(self):
+        # Only a terrain's lanes (source == lane index) reach the C
+        # sweep; a permuted segment list is answered by the Python
+        # sweep, identically under both engines.
+        t = fractal_terrain(size=5, seed=2)
+        segs = t.map_segments()[::-1]
+        assert _ccore.front_to_back(*map_lanes(t, segs), 1) is None
+        assert _ccore.order_constraints(*map_lanes(t, segs)) is None
+        for tie_break in ("min", "max"):
+            assert _outcome(
+                lambda tb=tie_break: front_to_back_order(
+                    t, segments=segs, tie_break=tb, engine="numpy"
+                )
+            ) == _outcome(
+                lambda tb=tie_break: front_to_back_order(
+                    t, segments=segs, tie_break=tb, engine="python"
+                )
+            )
 
 
 class TestOrderingDispatch:

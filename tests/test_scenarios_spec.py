@@ -96,6 +96,7 @@ class TestDefaultSpec:
             "bench-build-e9",
             "bench-insert-e9",
             "bench-insert-wide",
+            "bench-sequential",
             "bench-paper-direct",
             "bench-paper-persistent",
             "bench-points",
