@@ -31,14 +31,17 @@ behind two flags and these names:
     ``[start, stop)`` of the front-to-back image ``lanes`` (float64
     ``y1, z1, y2, z2`` and int64 ``source`` buffers) — each a locate,
     one fused visibility+merge sweep and an in-place splice, bit-exact
-    with the reference insert — adding ops, the max profile size and the
-    clipped visible rows to ``run`` (a
-    :class:`repro.envelope.flat_splice.InsertRun`, whose ``core`` is
-    the run's handle).  Returns ``(status, next)``: ``ST_DONE`` with
-    ``next == stop``; ``ST_GROW`` after committing a reallocating
-    splice through :meth:`PackedProfile.splice` (insert ``next - 1``
-    done); or ``ST_FALLBACK`` / ``ST_FAULT`` with insert ``next``
-    untouched, for the caller to run on a Python path.
+    with the reference insert — adding ops and the max profile size to
+    ``run`` (a :class:`repro.envelope.flat_splice.InsertRun`, whose
+    ``core`` is the run's handle) and writing its ``offsets`` in
+    place.  The clipped visible rows stay in the handle, accumulating
+    over the run's calls (``run.core_rows`` of them), until
+    :meth:`Core.take_rows` copies them out.  Returns ``(status,
+    next)``: ``ST_DONE`` with ``next == stop``; ``ST_GROW`` after
+    committing a reallocating splice through
+    :meth:`PackedProfile.splice` (insert ``next - 1`` done); or
+    ``ST_FALLBACK`` / ``ST_FAULT`` with insert ``next`` untouched, for
+    the caller to run on a Python path.
 
 ``merge_layer(core, mode, blk, lanes, jobs, eps, record)``
     One layer of the profile computation tree in one C call: Phase 1's
@@ -161,8 +164,8 @@ if HAVE_CCORE:
         never share memory."""
 
         __slots__ = (
-            "ctx", "state", "out", "acc", "off",
-            "_buf", "_buf_ptr", "_lanes", "_lane_ptrs",
+            "ctx", "state", "out", "acc",
+            "_buf", "_buf_ptr", "_lanes", "_lane_ptrs", "_off", "_off_ptr",
         )
 
         def __init__(self):
@@ -173,9 +176,9 @@ if HAVE_CCORE:
             self.state = ffi.new("int64_t[2]")
             self.out = ffi.new("int64_t[5]")
             self.acc = ffi.new("int64_t[4]")
-            self.off = ffi.new("int64_t[]", 257)
             self._buf = self._buf_ptr = None
             self._lanes = self._lane_ptrs = None
+            self._off = self._off_ptr = None
 
         def buf_ptr(self, buf):
             """The cdata pointer of a packed buffer.  ``from_buffer`` is
@@ -203,12 +206,21 @@ if HAVE_CCORE:
                 self._lanes = lanes
             return self._lane_ptrs
 
+        def off_ptr(self, offsets):
+            """The pointer of a run's int64 ``offsets`` array, cached
+            like :meth:`buf_ptr`."""
+            if offsets is not self._off:
+                self._off_ptr = ffi.from_buffer("int64_t[]", offsets)
+                self._off = offsets
+            return self._off_ptr
+
         def reset(self) -> None:
             """Empty the lanes (keeping their memory) and drop the
             cached pointers, so an idle handle pins no caller buffer."""
             lib.repro_ctx_clear(self.ctx)
             self._buf = self._buf_ptr = None
             self._lanes = self._lane_ptrs = None
+            self._off = self._off_ptr = None
 
         def take(self, which: int):
             """A ``(rows, n)`` float64 copy of lane set ``which``; its
@@ -222,6 +234,15 @@ if HAVE_CCORE:
                     self.ctx, which, ffi.from_buffer("double[]", out), n
                 )
             return out
+
+        def take_rows(self):
+            """``take(L_ROWS)``, then empty the lanes: the rows an
+            insert run's calls left, so rows of the next call start a
+            new block.  Between two calls of an insert run no other
+            lane set holds anything."""
+            rows = self.take(L_ROWS)
+            lib.repro_ctx_clear(self.ctx)
+            return rows
 
     #: Idle handles, most recently returned last; at most ``_KEEP``.
     _idle: list = []
@@ -250,24 +271,21 @@ if HAVE_CCORE:
     def insert_run(profile, lanes, start: int, stop: int, eps: float, run):
         """Inserts ``[start, stop)`` in one C call; see the module
         docstring.  ``run`` carries the running ops / max-size totals
-        in and out, and receives the call's rows and offsets."""
+        in and out; its ``offsets`` from slot ``start`` on are written
+        in place."""
         core = run.core
         if core is None:
             core = run.core = Core()
         ptrs = core.lane_ptrs(lanes)
-        if not 0 <= start <= stop <= len(ptrs[4]):
+        off = core.off_ptr(run.offsets)
+        if not 0 <= start <= stop <= len(ptrs[4]) < len(off):
             raise ValueError(f"insert range [{start}, {stop}) outside the lanes")
-        if len(core.off) < stop - start + 1:
-            core.off = ffi.new("int64_t[]", stop - start + 1)
-        state, out, acc, off, ctx = (
-            core.state, core.out, core.acc, core.off, core.ctx
-        )
+        state, out, acc, ctx = core.state, core.out, core.acc, core.ctx
         buf = profile._buf
         state[0] = beg = profile._beg
         state[1] = end = profile._end
         acc[R_OPS] = run.ops
         acc[R_MAX] = run.max_profile
-        off[0] = run.offsets[-1]
         at = lib.repro_insert_run(
             ctx,
             core.buf_ptr(buf),
@@ -278,7 +296,7 @@ if HAVE_CCORE:
             stop,
             eps,
             EPS,
-            off,
+            off + start,
             acc,
             out,
         )
@@ -289,14 +307,7 @@ if HAVE_CCORE:
         st = acc[R_STATUS]
         run.ops = acc[R_OPS]
         run.max_profile = acc[R_MAX]
-        rows = acc[R_ROWS]
-        if rows:
-            run.edge += ffi.unpack(lib.repro_lane_q(ctx, L_ROWS, 0), rows)
-            run.ya += ffi.unpack(lib.repro_lane(ctx, L_ROWS, 0), rows)
-            run.za += ffi.unpack(lib.repro_lane(ctx, L_ROWS, 1), rows)
-            run.yb += ffi.unpack(lib.repro_lane(ctx, L_ROWS, 2), rows)
-            run.zb += ffi.unpack(lib.repro_lane(ctx, L_ROWS, 3), rows)
-        run.offsets += ffi.unpack(off + 1, at - start + (st == ST_GROW))
+        run.core_rows = acc[R_ROWS]
         if st == ST_GROW:
             # The merged window leaves the context before anything can
             # clobber it, and PackedProfile.splice owns the

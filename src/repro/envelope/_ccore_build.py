@@ -84,7 +84,8 @@ lives in a ``repro_ctx`` that Python creates per run
 C side as needed.  Python copies results out before the next call on
 the same context; a Phase-2 run keeps its profiles (or its rope's
 pieces and spines) in the context, since later layers read them by
-offset.
+offset, and an insert run keeps its rows there until it ends or an
+insert answered in Python must follow them.
 
 Concurrency: nothing is static, so the core is reentrant.  cffi
 API-mode wrappers release the GIL around each call, and two threads
@@ -825,15 +826,17 @@ static int clip_row(lanes *R, double a, double b, double y1, double z1,
 #define R_OPS    0  /* running sum of per-insert ops                  */
 #define R_MAX    1  /* running max of the live profile size           */
 #define R_STATUS 2  /* why the last call returned                     */
-#define R_ROWS   3  /* visible rows the last call left in L_ROWS      */
+#define R_ROWS   3  /* visible rows L_ROWS holds after the call       */
 
 /* Inserts [start, stop) of the front-to-back image lanes into the
  * live profile, each exactly as _insert_reference would: verticals
  * by the _visible_vertical_flat point query, the rest by fused_sweep
  * + commit_window.  Per insert i it adds the ops to acc[R_OPS], the
  * profile size to the acc[R_MAX] maximum, and the clipped visible
- * rows to L_ROWS, with off[i - start + 1] = off[i - start] + rows
- * (the caller seeds off[0], so off has stop - start + 1 slots).
+ * rows to L_ROWS, with off[i - start + 1] = off[i - start] + rows.
+ * L_ROWS is not emptied, so the rows of a run's calls accumulate in
+ * its context; off points at slot start of the run's offsets (n + 1
+ * slots), whose off[0] an earlier call or the caller has written.
  *
  * Returns the index it stopped at.  stop: every insert done
  * (acc[R_STATUS] = ST_DONE).  Otherwise acc[R_STATUS] says why:
@@ -852,7 +855,6 @@ int64_t repro_insert_run(
     lanes *R = &ctx->L[L_ROWS], *P = &ctx->L[L_PARTS];
     int64_t i, j, size;
     int st = ST_DONE;
-    R->n = 0;
     for (i = start; i < stop; i++) {
         double a1 = y1[i], c1 = z1[i], a2 = y2[i], c2 = z2[i];
         int64_t rows = R->n;

@@ -36,6 +36,8 @@ from __future__ import annotations
 from array import array
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from repro.envelope import _ccore
 from repro.envelope.chain import Envelope
 from repro.envelope.merge import merge_envelopes
@@ -138,44 +140,76 @@ _CHUNK = 256
 
 
 class InsertRun:
-    """The outcome of :func:`insert_run`: the final ``profile``, the
-    summed ``ops``, the largest profile size seen (``max_profile``), and
-    the clipped visible parts as CSR rows — insert ``i`` owns rows
-    ``offsets[i]:offsets[i + 1]`` of the ``edge, ya, za, yb, zb`` lanes,
-    each row one :class:`~repro.hsr.result.VisibleSegment`.  ``core``
-    is the compiled-core handle the run borrows while it inserts."""
+    """The outcome of :func:`insert_run` over ``n`` inserts: the final
+    ``profile``, the summed ``ops``, the largest profile size seen
+    (``max_profile``), and the clipped visible parts as one row block.
+    ``rows`` is a ``(5, m)`` float64 array in the
+    :meth:`repro.envelope._ccore.Core.take` layout — ``ya, za, yb, zb``,
+    then the edge as int64 bits in row 4 — whose columns
+    ``offsets[i]:offsets[i + 1]`` (an int64 array of ``n + 1`` slots)
+    are insert ``i``'s, each one :class:`~repro.hsr.result.VisibleSegment`.
+
+    ``core`` is the compiled-core handle the run borrows while it
+    inserts; the rows of its calls stay there (``core_rows`` of them)
+    until an insert answered in Python or the end of the run moves them
+    into a block, so C rows and Python rows keep insert order.
+    """
 
     __slots__ = (
-        "profile", "ops", "max_profile", "offsets", "edge", "ya", "za", "yb", "zb",
-        "core",
+        "profile", "ops", "max_profile", "offsets", "rows", "core", "core_rows",
+        "_blocks", "_py",
     )
 
-    def __init__(self, profile: PackedProfile):
+    def __init__(self, profile: PackedProfile, n: int):
         self.profile = profile
         self.ops = 0
         self.max_profile = 0
-        self.offsets = [0]
-        self.edge: list[int] = []
-        self.ya: list[float] = []
-        self.za: list[float] = []
-        self.yb: list[float] = []
-        self.zb: list[float] = []
+        self.offsets = np.zeros(n + 1, np.int64)
+        self.rows = None
         self.core = None
+        self.core_rows = 0
+        #: Finished row blocks, in insert order.
+        self._blocks: list = []
+        #: ``(edge, ya, za, yb, zb)`` rows of Python-answered inserts
+        #: not in a block yet.
+        self._py: list[tuple] = []
 
-    def add(self, seg: ImageSegment, res: FlatInsertResult) -> None:
-        """Account one insert answered on a Python path."""
+    def add(self, i: int, seg: ImageSegment, res: FlatInsertResult) -> None:
+        """Account insert ``i``, answered on a Python path."""
+        self._take_core_rows()
         self.profile = res.profile
         self.ops += res.ops
         if res.profile.size > self.max_profile:
             self.max_profile = res.profile.size
-        for part in res.visibility.parts:
-            ya, za, yb, zb = seg.visible_piece(part.ya, part.yb)
-            self.edge.append(seg.source)
-            self.ya.append(ya)
-            self.za.append(za)
-            self.yb.append(yb)
-            self.zb.append(zb)
-        self.offsets.append(len(self.ya))
+        parts = res.visibility.parts
+        for part in parts:
+            self._py.append((seg.source, *seg.visible_piece(part.ya, part.yb)))
+        self.offsets[i + 1] = self.offsets[i] + len(parts)
+
+    def _take_core_rows(self) -> None:
+        """Move the rows the handle holds into a block."""
+        if self.core_rows:
+            self._blocks.append(self.core.take_rows())
+            self.core_rows = 0
+
+    def seal(self) -> None:
+        """Move the rows of Python-answered inserts into a block, so
+        the rows of a compiled call can follow them."""
+        if self._py:
+            edge, *coords = zip(*self._py)
+            blk = np.empty((5, len(edge)))
+            blk[:4] = coords
+            blk[4].view(np.int64)[:] = edge
+            self._blocks.append(blk)
+            self._py = []
+
+    def finish(self) -> None:
+        """Set ``rows``: the handle's rows and every block, joined."""
+        self._take_core_rows()
+        self.seal()
+        blocks = self._blocks or [np.empty((5, 0))]
+        self.rows = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+        self._blocks = []
 
 
 def segment_lanes(
@@ -209,7 +243,7 @@ def _run_compiled(config) -> bool:
 def _insert_on_reference(run: InsertRun, lanes, i: int, eps: float) -> None:
     """Answer insert ``i`` of ``lanes`` on the reference path."""
     seg = _lane_segment(lanes, i)
-    run.add(seg, _insert_reference(run.profile, seg, eps))
+    run.add(i, seg, _insert_reference(run.profile, seg, eps))
 
 
 def _rerun_on_reference(run: InsertRun, lanes, i: int, eps: float, exc) -> None:
@@ -243,9 +277,10 @@ def insert_run(lanes, *, eps: float = EPS, config=None) -> InsertRun:
     :func:`_insert_reference`; a ``profile`` plan poisons the live
     profile before an insert, and the check then runs at once.
     """
-    run = InsertRun(PackedProfile.empty())
+    run = InsertRun(PackedProfile.empty(), len(lanes[4]))
     with _ccore.borrowed() as run.core:
         _insert_chunks(run, lanes, eps, config)
+        run.finish()
     run.core = None
     return run
 
@@ -260,16 +295,17 @@ def _insert_chunks(run: InsertRun, lanes, eps: float, config) -> None:
         stop = min(n, (i // _CHUNK + 1) * _CHUNK)
         if not _run_compiled(config):
             chunk = (lane[i:stop].tolist() for lane in lanes)
-            for seg in map(ImageSegment, *chunk):
+            for i, seg in enumerate(map(ImageSegment, *chunk), i):
                 if (
                     _fi.ARMED
                     and _guard.GUARDS_ENABLED
                     and _fi.poison_profile("profile", run.profile)
                 ):
                     _guard.check_profile(run.profile)
-                run.add(seg, _insert_reference(run.profile, seg, eps))
+                run.add(i, seg, _insert_reference(run.profile, seg, eps))
             i = stop
             continue
+        run.seal()
         if _fi.ARMED and _guard.GUARDS_ENABLED:
             stop = i + 1
             try:

@@ -161,7 +161,7 @@ class ParallelHSR:
 
         vmap = VisibilityMap()
         if ph2.rows is not None:
-            vmap.add_rows(*ph2.rows)
+            vmap.add_block(ph2.rows)
         else:
             if image_segments is None:
                 image_segments = pct.image_segments()

@@ -104,11 +104,11 @@ class Phase2Result:
     #: direct mode: envelope pieces materialised (the copying cost).
     pieces_materialised: int = 0
     #: compiled direct and persistent modes: every edge's clipped
-    #: visible parts as ``(edge, ya, za, yb, zb)`` lists in
-    #: front-to-back order — the rows of
-    #: :meth:`repro.hsr.result.VisibilityMap.add_rows`; ``None`` when
-    #: some leaf was answered on another path.
-    rows: Optional[tuple] = None
+    #: visible parts in front-to-back order as one ``(5, m)`` float64
+    #: row block (``ya, za, yb, zb``, then the edge as int64 bits) —
+    #: the input of :meth:`repro.hsr.result.VisibilityMap.add_block`;
+    #: ``None`` when some leaf was answered on another path.
+    rows: Optional[object] = None
 
 
 def run_phase2(
@@ -392,10 +392,7 @@ def _leaf_outputs(out: Phase2Result, lanes, leaves: list) -> None:
     starts = np.zeros(len(res), np.int64)
     np.cumsum(res[:-1, 3], out=starts[1:])
     idx = csr_index(starts[by_pos], res[by_pos, 3])
-    out.rows = (
-        rows[4].view(np.int64)[idx].tolist(),
-        *(rows[f, idx].tolist() for f in range(4)),
-    )
+    out.rows = rows[:, idx]
 
 
 def _size_locate_cost(n: int) -> int:

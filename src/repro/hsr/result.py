@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterable, NamedTuple, Optional
 
-from repro.envelope.engine import HAVE_NUMPY
 from repro.envelope.visibility import VisibilityResult
 from repro.geometry.segments import ImageSegment
 
@@ -50,21 +49,24 @@ class VisibleSegment(NamedTuple):
 class VisibilityMap:
     """The visible image as a collection of :class:`VisibleSegment`.
 
-    Construction is incremental (the pipelines append per-edge results
-    via :meth:`add_edge_result`); derived quantities (vertex count,
-    ``k``) are computed lazily and cached.
+    Construction is incremental: the pipelines append per-edge results
+    via :meth:`add_edge_result`, or a whole run's clipped rows as one
+    columnar block via :meth:`add_block`.  A block's segments are built
+    on the first access to :attr:`segments`; derived quantities (vertex
+    count, ``k``) are computed lazily and cached.
     """
 
     def __init__(self) -> None:
-        self.segments: list[VisibleSegment] = []
+        self._segments: list[VisibleSegment] = []
+        #: Row blocks whose segments are not built yet; they come after
+        #: ``_segments`` in insertion order.
+        self._pending: list = []
+        #: Every row block added, while no segment came any other way
+        #: (``None`` after one did): ``k`` is then counted on them.
+        self._blocks: Optional[list] = []
         #: Segments per edge, in insertion order; built on first query.
         self._by_edge: Optional[dict[int, list[VisibleSegment]]] = None
         self._k: Optional[int] = None
-        #: Copies of the ``(ya, za, yb, zb)`` lanes of every
-        #: :meth:`add_rows` call, while no segment came any other way
-        #: (``None`` after one did, and without numpy): ``k`` is then
-        #: counted on them.
-        self._lanes: Optional[list[tuple]] = [] if HAVE_NUMPY else None
 
     # -- construction ----------------------------------------------------
 
@@ -73,7 +75,7 @@ class VisibilityMap:
         if self._by_edge is not None:
             self._by_edge.setdefault(seg.edge, []).append(seg)
         self._k = None
-        self._lanes = None
+        self._blocks = None
 
     def add_edge_result(
         self, edge: int, image_seg: ImageSegment, result: VisibilityResult
@@ -89,37 +91,65 @@ class VisibilityMap:
                 VisibleSegment(edge, *image_seg.visible_piece(part.ya, part.yb))
             )
 
-    def add_rows(self, edge, ya, za, yb, zb) -> None:
-        """Append already-clipped visible parts in bulk, one
-        :class:`VisibleSegment` per position of the five equal-length
-        lanes (the rows of :func:`repro.envelope.flat_splice.insert_run`).
-        Copies of the coordinate lanes are kept to count :attr:`k`, so
-        any iterables will do and later changes to them do not count."""
-        lanes = (list(ya), list(za), list(yb), list(zb))
-        # tuple.__new__ builds the same named tuples without a Python
-        # call per row.
-        rows = list(
-            map(tuple.__new__, repeat(VisibleSegment), zip(edge, *lanes))
-        )
-        self.segments += rows
-        if self._by_edge is not None:
-            _index_by_edge(self._by_edge, rows)
+    def add_block(self, rows) -> None:
+        """Append already-clipped visible parts as one ``(5, m)``
+        float64 row block in the :meth:`repro.envelope._ccore.Core.take`
+        layout: rows ``ya, za, yb, zb``, then the edge as int64 bits in
+        row 4 (the ``rows`` of :func:`repro.envelope.flat_splice.insert_run`
+        and of a compiled Phase 2).  Column ``j`` is one
+        :class:`VisibleSegment`, built on first access to
+        :attr:`segments`.  The map keeps the block and makes it
+        read-only, so later writes cannot desynchronise ``k`` from the
+        segments."""
+        if rows.ndim != 2 or rows.shape[0] != 5 or str(rows.dtype) != "float64":
+            raise ValueError(
+                f"a row block is a (5, m) float64 array, not {rows.dtype} {rows.shape}"
+            )
+        if not rows.shape[1]:
+            return
+        rows.flags.writeable = False
+        self._pending.append(rows)
+        if self._blocks is not None:
+            self._blocks.append(rows)
         self._k = None
-        if self._lanes is not None:
-            if all(len(lane) == len(rows) for lane in lanes):
-                self._lanes.append(lanes)
-            else:  # unequal lanes: rows stop at the shortest
-                self._lanes = None
+
+    @property
+    def segments(self) -> list[VisibleSegment]:
+        """Every visible segment, in insertion order.  The segments of
+        pending row blocks are built here, once: Python ``int`` edges
+        and ``float`` coordinates, one ``tolist`` per lane kind of a
+        block."""
+        if not self._pending:
+            return self._segments
+        import numpy as np
+
+        for rows in self._pending:
+            edge = rows[4].view(np.int64).tolist()
+            # tuple.__new__ builds the same named tuples without a
+            # Python call per row.
+            built = list(
+                map(
+                    tuple.__new__,
+                    repeat(VisibleSegment),
+                    zip(edge, *rows[:4].tolist()),
+                )
+            )
+            self._segments += built
+            if self._by_edge is not None:
+                _index_by_edge(self._by_edge, built)
+        self._pending = []
+        return self._segments
 
     # -- queries -----------------------------------------------------------
 
     @property
     def n_segments(self) -> int:
-        return len(self.segments)
+        return len(self._segments) + sum(rows.shape[1] for rows in self._pending)
 
     def _edge_index(self) -> dict[int, list[VisibleSegment]]:
+        segments = self.segments
         if self._by_edge is None:
-            self._by_edge = _index_by_edge({}, self.segments)
+            self._by_edge = _index_by_edge({}, segments)
         return self._by_edge
 
     def visible_edges(self) -> set[int]:
@@ -148,11 +178,11 @@ class VisibilityMap:
     def k(self) -> int:
         """Output size: image vertices + image edges (paper §1.1).
 
-        Counted on the :meth:`add_rows` lanes when every segment came
-        from them (:func:`_k_of_lanes`), else over :meth:`vertices`;
-        both give the same count."""
+        Counted on the row blocks when every segment came from one
+        (:func:`_k_of_blocks`), else over :meth:`vertices`; both give
+        the same count."""
         if self._k is None:
-            k = _k_of_lanes(self._lanes) if self._lanes else None
+            k = _k_of_blocks(self._blocks) if self._blocks else None
             if k is None:
                 n_points = sum(1 for s in self.segments if s.is_point)
                 proper = self.n_segments - n_points
@@ -228,10 +258,11 @@ def _index_by_edge(by_edge: dict, segments) -> dict:
     return by_edge
 
 
-def _k_of_lanes(lanes: list[tuple]) -> Optional[int]:
-    """``k`` of rows given as ``(ya, za, yb, zb)`` lanes, vectorised
-    (numpy); ``None`` when a quotient ``v / q`` is not finite
-    (the scalar count raises on it, as ``round`` does).
+def _k_of_blocks(blocks: list) -> Optional[int]:
+    """``k`` of the rows of ``(5, m)`` row blocks (see
+    :meth:`VisibilityMap.add_block`), vectorised (numpy); ``None`` when
+    a quotient ``v / q`` is not finite (the scalar count raises on it,
+    as ``round`` does).
 
     Each endpoint coordinate snaps as ``np.rint(v / q) * q``, which is
     ``round(v / q) * q`` bit for bit (both round half to even, and
@@ -243,15 +274,14 @@ def _k_of_lanes(lanes: list[tuple]) -> Optional[int]:
     """
     import numpy as np
 
-    ya, za, yb, zb = (
-        np.concatenate([np.asarray(lane[f], dtype=np.float64) for lane in lanes])
-        for f in range(4)
-    )
+    rows = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+    ya, yb = rows[0], rows[2]
     if not ya.size:
         return 0
     q = _VERTEX_QUANTUM
     with np.errstate(over="ignore", invalid="ignore"):
-        quot = np.stack((np.concatenate((ya, yb)), np.concatenate((za, zb)))) / q
+        # Row 0 is every endpoint's y (ya then yb), row 1 its z.
+        quot = rows[[0, 2, 1, 3]].reshape(2, -1) / q
     if not np.isfinite(quot).all():
         return None
     y, z = np.rint(quot) * q + 0.0

@@ -88,8 +88,8 @@ class SequentialHSR:
         image lanes (:meth:`Terrain.image_lanes`) and the whole pass is
         one :func:`~repro.envelope.flat_splice.insert_run` — a compiled
         call per 256 inserts when the core is on — whose visible rows
-        go into ``vmap`` in bulk.  The profile converts to a scalar
-        :class:`Envelope` only here, at the run boundary.
+        go into ``vmap`` as one row block.  The profile converts to a
+        scalar :class:`Envelope` only here, at the run boundary.
         """
         eps = self.eps
         if self.config.resolved_engine() == "numpy":
@@ -99,7 +99,7 @@ class SequentialHSR:
                 terrain.image_lanes(order), eps=eps, config=self.config
             )
             if vmap is not None:
-                vmap.add_rows(run.edge, run.ya, run.za, run.yb, run.zb)
+                vmap.add_block(run.rows)
             return run.profile.to_envelope(), run.ops, run.max_profile
         env = Envelope.empty()
         ops = 0

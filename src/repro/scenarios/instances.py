@@ -274,9 +274,10 @@ def config_of(cfg: dict[str, Any]) -> HsrConfig:
 
 
 def _run_signature(terrain, config: HsrConfig, mode: Optional[str] = None):
-    """The signature of one HSR run: ``SequentialHSR``, or
-    ``ParallelHSR`` with the Phase-2 ``mode`` when one is given."""
-    if mode is None:
+    """The signature of one HSR run: ``SequentialHSR`` when ``mode`` is
+    ``None`` or ``"sequential"``, else ``ParallelHSR`` with that
+    Phase-2 ``mode``."""
+    if mode in (None, "sequential"):
         from repro.hsr.sequential import SequentialHSR
 
         res = SequentialHSR(config=config).run(terrain)
@@ -303,7 +304,8 @@ def _insert_loop(segments, config: HsrConfig):
         from repro.envelope.visibility import VisiblePart
 
         run = insert_run(segment_lanes(segments), eps=config.eps, config=config)
-        off, ya, yb = run.offsets, run.ya, run.yb
+        off = run.offsets.tolist()
+        ya, yb = run.rows[[0, 2]].tolist()
         record = [
             tuple(VisiblePart(ya[j], yb[j]) for j in range(off[i], off[i + 1]))
             for i in range(len(segments))
@@ -331,8 +333,9 @@ def _segments_signature(segments, config: HsrConfig):
 def parity_signature(inst: ScenarioInstance, cfg: dict[str, Any]):
     """Run ``inst`` under one config variant; the returned value is
     equality-comparable across variants (bit-exact parity contract).
-    A terrain instance with a ``mode`` param runs ``ParallelHSR`` in
-    that Phase-2 mode, else ``SequentialHSR``."""
+    A terrain, DEM or flyover instance with a ``mode`` param runs
+    ``ParallelHSR`` in that Phase-2 mode (``SequentialHSR`` for
+    ``"sequential"``), else ``SequentialHSR``."""
     params = inst.params()
     config = config_of(cfg)
     mode = params.get("mode")

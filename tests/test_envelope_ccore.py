@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -78,12 +79,9 @@ def _run_loop(segs, *, compiled, capacity=None):
     trace = (
         run.ops,
         run.max_profile,
-        run.offsets,
-        run.edge,
-        run.ya,
-        run.za,
-        run.yb,
-        run.zb,
+        run.offsets.tolist(),
+        run.rows[4].view(np.int64).tolist(),
+        *run.rows[:4].tolist(),
     )
     return run.profile, trace
 

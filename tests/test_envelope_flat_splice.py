@@ -153,7 +153,7 @@ class TestSyntheticRouting:
             ops += rp.ops
             parts += [s.visible_piece(p.ya, p.yb) for p in rp.visibility.parts]
         assert run.ops == ops
-        assert list(zip(run.ya, run.za, run.yb, run.zb)) == parts
+        assert list(zip(*run.rows[:4].tolist())) == parts
         assert run.profile.to_envelope().pieces == env.pieces
         # The core hands back the two synthetic windows; when it stands
         # aside (switched off, not built, a plan armed elsewhere) every

@@ -15,7 +15,7 @@ from repro.hsr.result import (
     HsrStats,
     VisibilityMap,
     VisibleSegment,
-    _k_of_lanes,
+    _k_of_blocks,
 )
 
 
@@ -128,9 +128,12 @@ def _ties() -> list[float]:
 
 
 def _rows_map(rows) -> VisibilityMap:
+    """A map of ``rows`` added as one row block (numpy), else one
+    segment at a time."""
+    if not HAVE_NUMPY:
+        return vm_with(*rows)
     vm = VisibilityMap()
-    if rows:
-        vm.add_rows(*(list(lane) for lane in zip(*rows)))
+    vm.add_block(_block(rows))
     return vm
 
 
@@ -138,16 +141,27 @@ def _scalar_k(rows) -> int:
     return vm_with(*rows).k
 
 
+def _block(rows):
+    """The ``(5, m)`` row block of ``(edge, ya, za, yb, zb)`` rows."""
+    import numpy as np
+
+    blk = np.empty((5, len(rows)))
+    if rows:
+        edge, *coords = zip(*rows)
+        blk[:4] = coords
+        blk[4].view(np.int64)[:] = edge
+    return blk
+
+
 class TestKOnRows:
-    """``k`` of an ``add_rows`` map is counted on the row lanes
-    (:func:`repro.hsr.result._k_of_lanes`); it must equal the scalar
+    """``k`` of a row-block map is counted on the block
+    (:func:`repro.hsr.result._k_of_blocks`); it must equal the scalar
     count over the set of rounded vertex tuples."""
 
     def _check(self, rows, monkeypatch=None):
         rows = [tuple(r) for r in rows]
         if HAVE_NUMPY:
-            lanes = [tuple(list(c) for c in list(zip(*rows))[1:])] if rows else []
-            assert (_k_of_lanes(lanes) if lanes else 0) == _scalar_k(rows)
+            assert _k_of_blocks([_block(rows)]) == _scalar_k(rows)
         assert _rows_map(rows).k == _scalar_k(rows)
 
     def test_half_quantum_ties(self):
@@ -179,9 +193,7 @@ class TestKOnRows:
         self._check(rows)
 
     def test_empty_rows(self):
-        vm = VisibilityMap()
-        vm.add_rows([], [], [], [], [])
-        assert vm.k == 0
+        assert _rows_map([]).k == 0
 
     def test_non_finite_row_raises_as_before(self):
         for bad, exc in ((math.nan, ValueError), (math.inf, OverflowError),
@@ -195,36 +207,14 @@ class TestKOnRows:
     def test_mixed_construction_takes_the_scalar_count(self, monkeypatch):
         calls = []
         monkeypatch.setattr(
-            result_mod, "_k_of_lanes", lambda lanes: calls.append(1)
+            result_mod, "_k_of_blocks", lambda blocks: calls.append(1)
         )
         vm = _rows_map([(0, 0.0, 0.0, 1.0, 1.0)])
         vm.add_segment(VisibleSegment(1, 1.0, 1.0, 2.0, 0.0))
         assert vm.k == 5 and not calls
         vm = _rows_map([(0, 0.0, 0.0, 1.0, 1.0)])
-        vm.k  # noqa: B018 - counted on the lanes (with numpy)
+        vm.k  # noqa: B018 - counted on the block (with numpy)
         assert calls == ([1] if HAVE_NUMPY else [])
-
-    def test_rows_from_iterators_and_later_changes(self):
-        rows = [
-            (0, 0.0, 0.0, 1.0, 1.0),
-            (1, 1.0, 1.0, 2.0, 0.0),
-            (2, 2.0, 0.0, 2.0, 0.0),
-        ]
-        lanes = [list(c) for c in zip(*rows)]
-        vm = VisibilityMap()
-        vm.add_rows(*(iter(lane) for lane in lanes))
-        assert [tuple(s) for s in vm.segments] == rows
-        assert vm.k == _scalar_k(rows)
-        vm = VisibilityMap()
-        vm.add_rows(*lanes)
-        lanes[1][0] = 9.0  # the caller's list changes after the call
-        assert vm.k == _scalar_k(rows)
-
-    def test_unequal_lanes_count_the_rows_kept(self):
-        vm = VisibilityMap()
-        vm.add_rows([0, 1], [0.0, 1.0], [0.0, 1.0], [1.0], [1.0])
-        assert [tuple(s) for s in vm.segments] == [(0, 0.0, 0.0, 1.0, 1.0)]
-        assert vm.k == _scalar_k([(0, 0.0, 0.0, 1.0, 1.0)])
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
     @pytest.mark.parametrize("algorithm", ["sequential", "direct", "persistent"])
@@ -245,3 +235,115 @@ class TestKOnRows:
         res = hsr.run(terrain)
         rows = [tuple(s) for s in res.visibility_map.segments]
         assert res.k == res.stats.k == _scalar_k(rows)
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+class TestRowBlocks:
+    """A map built from ``(5, m)`` row blocks (:meth:`VisibilityMap.add_block`)
+    builds its segments on first access, in insertion order."""
+
+    ROWS = [
+        (0, 0.0, 0.0, 1.0, 1.0),
+        (7, 1.0, 1.0, 2.0, 0.0),
+        (-1, 2.0, 0.0, 2.0, 0.0),  # a point row; a synthetic source
+        (2**40, -0.0, 3.5, 0.25, -0.0),
+    ]
+
+    def test_lazy_segments_equal_the_eager_tuples(self):
+        vm = VisibilityMap()
+        vm.add_block(_block(self.ROWS[:2]))
+        vm.add_block(_block(self.ROWS[2:]))
+        assert vm._pending and vm.n_segments == 4
+        segs = vm.segments
+        assert not vm._pending
+        assert segs == [VisibleSegment(*r) for r in self.ROWS]
+        assert all(type(s) is VisibleSegment for s in segs)
+        for s in segs:
+            assert type(s.edge) is int
+            assert all(type(v) is float for v in s[1:])
+        assert repr(segs) == repr(vm_with(*self.ROWS).segments)  # -0.0 kept
+        assert vm.segments is segs  # built once
+
+    def test_add_after_a_block_keeps_insertion_order(self):
+        vm = VisibilityMap()
+        vm.edge_intervals(0)  # an edge index that must follow the block
+        vm.add_block(_block(self.ROWS[:2]))
+        vm.add_segment(VisibleSegment(*self.ROWS[2]))
+        vm.add_block(_block(self.ROWS[3:]))
+        seg = ImageSegment(0.0, 0.0, 10.0, 10.0, 3)
+        vm.add_edge_result(3, seg, VisibilityResult([VisiblePart(2.0, 6.0)], [], 1))
+        want = [VisibleSegment(*r) for r in self.ROWS]
+        want.append(VisibleSegment(3, *seg.visible_piece(2.0, 6.0)))
+        assert vm.segments == want
+        assert vm.edge_intervals(7) == [(1.0, 2.0)]
+        assert vm.k == _scalar_k(want)
+
+    def test_k_on_the_block_equals_the_vertex_count(self, monkeypatch):
+        rows = self.ROWS + [(3, 0.5e-6, 1.5e-6, 2.5e-6, 2.5e-6)]
+        vm = VisibilityMap()
+        vm.add_block(_block(rows))
+        calls = []
+        real = result_mod._k_of_blocks
+        monkeypatch.setattr(
+            result_mod, "_k_of_blocks", lambda b: calls.append(1) or real(b)
+        )
+        proper = sum(1 for r in rows if r[1] != r[3])
+        assert vm.k == len(vm_with(*rows).vertices()) + proper
+        assert calls == [1] and vm._pending  # counted without the tuples
+
+    def test_k_falls_back_when_a_quotient_is_not_finite(self):
+        for bad, exc in ((math.nan, ValueError), (1e303, OverflowError)):
+            rows = [(0, 0.0, 0.0, 1.0, 1.0), (1, 0.0, bad, 1.0, 1.0)]
+            assert _k_of_blocks([_block(rows)]) is None
+            vm = VisibilityMap()
+            vm.add_block(_block(rows))
+            with pytest.raises(exc):
+                vm.k  # noqa: B018 - the scalar count over vertices()
+        rows = [(0, 0.0, 1e-290, 1.0, 1.0)]  # finite, if tiny
+        vm = VisibilityMap()
+        vm.add_block(_block(rows))
+        assert vm.k == _scalar_k(rows) == 3
+
+    def test_block_is_kept_read_only_and_checked(self):
+        import numpy as np
+
+        blk = _block(self.ROWS)
+        vm = VisibilityMap()
+        vm.add_block(blk)
+        with pytest.raises(ValueError):
+            blk[0, 0] = 9.0
+        assert vm.segments[0] == VisibleSegment(*self.ROWS[0])
+        for bad in (np.zeros((4, 2)), np.zeros((5, 2), np.float32), np.zeros(5)):
+            with pytest.raises(ValueError, match="row block"):
+                vm.add_block(bad)
+        vm.add_block(np.empty((5, 0)))
+        assert vm.n_segments == len(self.ROWS)
+
+    @pytest.mark.parametrize("algorithm", ["sequential", "direct", "persistent"])
+    def test_runs_hand_over_one_block(self, algorithm, monkeypatch):
+        from repro.envelope import _ccore
+        from repro.hsr import ParallelHSR, SequentialHSR
+        from repro.terrain.generators import fractal_terrain
+
+        if algorithm != "sequential" and not _ccore.COMPILED_DEFAULT:
+            pytest.skip("Phase 2 hands over a block only from the compiled core")
+
+        def hsr(engine):
+            if algorithm == "sequential":
+                return SequentialHSR(engine=engine)
+            return ParallelHSR(mode=algorithm, engine=engine)
+
+        blocks = []
+        add_block = VisibilityMap.add_block
+        monkeypatch.setattr(
+            VisibilityMap,
+            "add_block",
+            lambda vm, rows: blocks.append(rows) or add_block(vm, rows),
+        )
+        terrain = fractal_terrain(size=9, seed=3)
+        res = hsr("numpy").run(terrain)
+        vmap = res.visibility_map
+        assert len(blocks) == 1 and blocks[0].shape == (5, vmap.n_segments)
+        ref = hsr("python").run(terrain)
+        assert res.k == ref.k
+        assert vmap.segments == ref.visibility_map.segments

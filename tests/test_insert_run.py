@@ -91,6 +91,43 @@ def _lattice_fractal(size=17, seed=5):
     return grid_terrain_from_heights(h, jitter_seed=None)
 
 
+def _block_rows(run):
+    """``run``'s offsets and rows as Python lists: ``(offsets, [(edge,
+    ya, za, yb, zb), ...])``, compared by ``repr`` so a NaN row matches
+    itself."""
+    rows = run.rows
+    edge = rows[4].view(np.int64).tolist()
+    return repr((run.offsets.tolist(), list(zip(edge, *rows[:4].tolist()))))
+
+
+def _python_rows(segs):
+    """The same record from the ``engine="python"`` insert loop: each
+    insert's visible parts clipped by ``ImageSegment.visible_piece``."""
+    from repro.envelope.chain import Envelope
+    from repro.envelope.splice import insert_segment
+
+    env = Envelope.empty()
+    offsets, rows = [0], []
+    for seg in segs:
+        res = insert_segment(env, seg)
+        env = res.envelope
+        rows += [
+            (seg.source, *seg.visible_piece(p.ya, p.yb)) for p in res.visibility.parts
+        ]
+        offsets.append(len(rows))
+    return repr((offsets, rows))
+
+
+def _assert_rows_match(run, segs):
+    """``run``'s row block and offsets equal the per-insert path's byte
+    for byte, and the python engine's record."""
+    ref = insert_run(segment_lanes(segs), config=PER_INSERT)
+    assert run.rows.shape == (5, run.offsets[-1])
+    assert run.rows.tobytes() == ref.rows.tobytes()
+    assert run.offsets.tobytes() == ref.offsets.tobytes()
+    assert _block_rows(run) == _python_rows(segs)
+
+
 def _signature(terrain, config, order):
     seq = SequentialHSR(config=config)
     res = seq.run(terrain, order=order)
@@ -220,12 +257,8 @@ class TestRunCalls:
         assert run.profile.capacity > MIN_CAPACITY
         ref = insert_run(segment_lanes(segs), config=PER_INSERT)
         assert run.profile.to_envelope().pieces == ref.profile.to_envelope().pieces
-        assert (run.ops, run.max_profile, run.offsets) == (
-            ref.ops,
-            ref.max_profile,
-            ref.offsets,
-        )
-        assert (run.ya, run.za, run.yb, run.zb) == (ref.ya, ref.za, ref.yb, ref.zb)
+        assert (run.ops, run.max_profile) == (ref.ops, ref.max_profile)
+        _assert_rows_match(run, segs)
 
     def test_call_count_pin(self, calls):
         terrain = fractal_terrain(size=33, seed=2)
@@ -251,12 +284,28 @@ class TestRunCalls:
         assert st.count(_ccore.ST_FALLBACK) == 2
         ref = insert_run(segment_lanes(segs), config=PER_INSERT)
         assert run.profile.to_envelope().pieces == ref.profile.to_envelope().pieces
-        assert (run.ops, run.offsets, run.ya, run.yb) == (
-            ref.ops,
-            ref.offsets,
-            ref.ya,
-            ref.yb,
-        )
+        assert run.ops == ref.ops
+        _assert_rows_match(run, segs)
+
+    def test_rows_keep_insert_order_across_paths(self, calls):
+        # Compiled rows, then two declined inserts' rows, then compiled
+        # rows again, all inside one chunk: the block keeps insert
+        # order, and the offsets count each insert's rows.
+        segs = [
+            ImageSegment(20.0, 1.0, 22.0, 2.0, 6),
+            ImageSegment(2.0, 5.0, 8.0, 5.0, -1),
+            ImageSegment(0.0, 3.0, 10.0, 7.0, 7),
+            ImageSegment(11.0, 1.0, 12.0, 2.0, 8),
+            ImageSegment(21.0, 0.0, 25.0, 9.0, 9),
+        ]
+        run = insert_run(segment_lanes(segs), config=COMPILED)
+        assert [c[2] for c in calls["run"]] == [
+            _ccore.ST_FALLBACK, _ccore.ST_FALLBACK, _ccore.ST_DONE,
+        ]
+        assert calls["per_insert"] == 2
+        assert run.offsets.tolist() == [0, 1, 2, 4, 5, 6]
+        assert run.rows[4].view(np.int64).tolist() == [6, -1, 7, 7, 8, 9]
+        _assert_rows_match(run, segs)
 
     def test_rejects_mismatched_lanes(self):
         y1, z1, y2, z2, src = segment_lanes(
@@ -289,7 +338,9 @@ class TestRunCalls:
         got = run.profile.to_envelope().pieces
         want = ref.profile.to_envelope().pieces
         assert repr(got) == repr(want)
-        assert (run.ops, run.offsets) == (ref.ops, ref.offsets)
+        assert run.ops == ref.ops
+        with guard.reliability_run():
+            _assert_rows_match(run, segs)
 
     def test_fault_strict_mode_raises(self, monkeypatch):
         monkeypatch.setattr(guard, "GUARDED_DISPATCH", False)
@@ -319,6 +370,13 @@ class TestRunCalls:
         assert res.reliability.sites["compiled_insert"].count == 1
         for config in (PER_INSERT, PYTHON):
             assert got == _signature(terrain, config, order)[:4]
+        # The run's own block: the tripped insert's rows sit between
+        # the rows of the calls around it.
+        lanes = terrain.image_lanes(order)
+        with fi.inject("compiled_insert", "raise", nth=3) as plan:
+            run = insert_run(lanes, config=COMPILED)
+        assert plan.fired == 1
+        _assert_rows_match(run, [terrain.image_segment(e) for e in order])
         monkeypatch.setattr(guard, "GUARDED_DISPATCH", False)
         with fi.inject("compiled_insert", "raise", nth=3):
             with pytest.raises(KernelFault) as exc:
@@ -353,7 +411,8 @@ class TestStandAside:
             run = insert_run(segment_lanes(segs), config=COMPILED)
         assert calls["run"] == []
         ref = insert_run(segment_lanes(segs), config=PER_INSERT)
-        assert (run.ops, run.ya, run.yb) == (ref.ops, ref.ya, ref.yb)
+        assert run.ops == ref.ops
+        assert run.rows.tobytes() == ref.rows.tobytes()
 
     def test_toggle_off(self, calls, rng, monkeypatch):
         insert_run(segment_lanes(self._segments(rng)), config=PER_INSERT)

@@ -52,11 +52,16 @@ class TestParityMatrix:
         assert kinds == {"terrain", "segments", "dem-file", "flyover"}
 
     def test_paper_algorithm_in_matrix(self):
-        # ParallelHSR is signed in both compiled Phase-2 modes, on
-        # every terrain family, with the core on and off.
+        # ParallelHSR is signed in all three Phase-2 modes, on every
+        # terrain family, with the core on and off; on the DEM tile and
+        # the flyover frames in both compiled modes next to the
+        # sequential run.
         paper = SPEC.scenario("parity-paper")
         cross = dict(paper.cross)
-        assert set(cross["mode"]) == {"direct", "persistent"}
+        assert set(cross["mode"]) == {"direct", "persistent", "acg"}
+        for name in ("parity-dem", "parity-flyover"):
+            modes = dict(SPEC.scenario(name).cross)["mode"]
+            assert set(modes) == {"sequential", "direct", "persistent"}
         families = set(dict(SPEC.scenario("parity-terrain").cross)["family"])
         families |= set(dict(SPEC.scenario("parity-degenerate").cross)["family"])
         assert families <= set(cross["family"])
