@@ -30,12 +30,14 @@ behind two flags and these names:
     A chunk of a whole sequential run in one C call: inserts
     ``[start, stop)`` of the front-to-back image ``lanes`` (float64
     ``y1, z1, y2, z2`` and int64 ``source`` buffers) — each a locate,
-    one fused visibility+merge sweep and an in-place splice, bit-exact
-    with the reference insert — adding ops and the max profile size to
-    ``run`` (a :class:`repro.envelope.flat_splice.InsertRun`, whose
-    ``core`` is the run's handle) and writing its ``offsets`` in
-    place.  The clipped visible rows stay in the handle, accumulating
-    over the run's calls (``run.core_rows`` of them), until
+    the visibility scan of the Phase-2 leaves and, when some part is
+    visible, the merge of the layer calls and an in-place splice,
+    bit-exact with the reference insert — adding ops and the max
+    profile size to ``run`` (a
+    :class:`repro.envelope.flat_splice.InsertRun`, whose ``core`` is
+    the run's handle) and writing its ``offsets`` in place.  The
+    clipped visible rows stay in the handle, accumulating over the
+    run's calls (``run.core_rows`` of them), until
     :meth:`Core.take_rows` copies them out.  Returns ``(status,
     next)``: ``ST_DONE`` with ``next == stop``; ``ST_GROW`` after
     committing a reallocating splice through
@@ -89,10 +91,11 @@ ST_FALLBACK = 3
 ST_FAULT = 5
 
 #: ``out[]`` slots of a merged window left for a reallocating commit
-#: (the ``O_LO``, ``O_HI``, ``O_MK`` defines).
-O_LO = 2
-O_HI = 3
-O_MK = 4
+#: (the ``O_*`` defines): it replaces pieces ``[O_LO, O_HI)`` with the
+#: ``O_MK`` pieces in ``L_PROF``.
+O_LO = 0
+O_HI = 1
+O_MK = 2
 
 #: ``acc[]`` slots of ``repro_insert_run`` (the ``R_*`` defines).
 R_OPS = 0
@@ -102,7 +105,7 @@ R_ROWS = 3
 
 #: Lane sets of a context (the ``L_*`` defines) and the rows
 #: :meth:`Core.take` copies of each: double lanes, then int64 lanes.
-L_WIN = 0  # merged window of one insert: ya za yb zb | source
+L_WIN = 0  # window copied out of a rope: ya za yb zb | source
 L_ROWS = 1  # clipped visible rows: ya za yb zb | edge
 L_PROF = 2  # merged profiles: ya za yb zb | source
 L_XING = 3  # merge crossings: y z | front back
@@ -174,7 +177,7 @@ if HAVE_CCORE:
                 raise MemoryError("compiled core context")
             self.ctx = ffi.gc(ctx, lib.repro_ctx_free)
             self.state = ffi.new("int64_t[2]")
-            self.out = ffi.new("int64_t[5]")
+            self.out = ffi.new("int64_t[3]")
             self.acc = ffi.new("int64_t[4]")
             self._buf = self._buf_ptr = None
             self._lanes = self._lane_ptrs = None
@@ -239,7 +242,7 @@ if HAVE_CCORE:
             """``take(L_ROWS)``, then empty the lanes: the rows an
             insert run's calls left, so rows of the next call start a
             new block.  Between two calls of an insert run no other
-            lane set holds anything."""
+            lane set holds anything a later call reads."""
             rows = self.take(L_ROWS)
             lib.repro_ctx_clear(self.ctx)
             return rows
@@ -314,10 +317,10 @@ if HAVE_CCORE:
             # reallocation.
             k = out[O_MK]
             merged = [
-                list(ffi.unpack(lib.repro_lane(ctx, L_WIN, f), k))
+                list(ffi.unpack(lib.repro_lane(ctx, L_PROF, f), k))
                 for f in range(4)
             ]
-            msrc = list(ffi.unpack(lib.repro_lane_q(ctx, L_WIN, 0), k))
+            msrc = list(ffi.unpack(lib.repro_lane_q(ctx, L_PROF, 0), k))
             profile.splice(out[O_LO], out[O_HI], *merged, msrc)
             return st, at + 1
         return st, at

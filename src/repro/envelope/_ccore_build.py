@@ -8,27 +8,29 @@ three entry points.
 ``repro_insert_run`` runs the insert pass of the sequential algorithm
 over a chunk of front-to-back image lanes, each insert against the
 :class:`~repro.envelope.packed.PackedProfile` ``(5, capacity)``
-float64 buffer in two halves:
+float64 buffer as the reference insert
+(:func:`~repro.envelope.flat_splice._insert_reference`) does it, with
+the kernels the layer calls share:
 
-* ``fused_sweep`` — the locate (the binary search of
+* the locate (the binary search of
   :meth:`~repro.envelope.flat.FlatEnvelope.pieces_overlapping` on the
-  live ``ya`` row, same bisection sides as ``ndarray.searchsorted``)
-  and one sweep over the window that answers both halves of the
-  reference insert (:func:`~repro.envelope.flat_splice._insert_reference`):
-  the :func:`~repro.envelope.visibility.visible_parts` scan and the
-  :func:`~repro.envelope.merge.merge_envelopes` window merge, with
-  all-hidden / fully-visible shortcuts whose margin guards keep them
-  exact;
-* ``commit_window`` — the in-place window write + single head/tail
-  shift splice of :meth:`~repro.envelope.packed.PackedProfile.splice`
+  live ``ya`` row, same bisection sides as ``ndarray.searchsorted``);
+* ``leaf_query`` — the :func:`~repro.envelope.visibility.visible_parts`
+  scan of the window (a vertical segment: the point query of
+  ``_visible_vertical_flat`` on the live profile), each visible part
+  clipped by ``ImageSegment.visible_piece`` into a row, after an
+  all-hidden shortcut whose margin guard keeps it exact;
+* only when some part is visible, ``merge_sweep`` — the
+  :func:`~repro.envelope.merge.merge_envelopes` merge of the window
+  with the segment — and ``commit_window``, the in-place window write
+  + single head/tail shift splice of
+  :meth:`~repro.envelope.packed.PackedProfile.splice`
   (``_splice_impl`` semantics: shrink shifts the smaller side inward,
   growth prefers the cheaper fitting side, reallocation is signalled
   back to Python — the amortized-doubling grow stays Python-side).
 
-Vertical segments take the point query of ``_visible_vertical_flat``,
-and every visible part is clipped by ``ImageSegment.visible_piece``
-into rows, so a sequential run costs one call per chunk plus one per
-reallocation or declined insert.
+A sequential run costs one call per chunk plus one per reallocation
+or declined insert.
 
 ``repro_merge_layer`` runs one layer of the profile computation tree
 in one call.  Its merges port the scalar two-envelope sweep of
@@ -40,7 +42,7 @@ child profiles plus the leaves' segments.  For Phase 2's ``direct``
 mode it is :func:`~repro.envelope.splice.splice_merge` — window
 locate, merge, and a splice into a fresh profile row — plus the
 leaves' :func:`~repro.envelope.visibility.visible_parts` queries,
-clipped into rows like ``repro_insert_run``'s.  For the ``persistent``
+clipped into rows — the two kernels of ``repro_insert_run``.  For the ``persistent``
 mode it is :func:`~repro.persistence.rope.rope_splice_merge` and
 :func:`~repro.persistence.rope.rope_visible_parts` on the chunked rope,
 whose versions the context keeps: chunks are ``(offset, length)`` runs
@@ -143,12 +145,11 @@ C_SOURCE = r"""
 #define ST_FALLBACK 3  /* unsupported window (synthetic source, OOM) */
 #define ST_FAULT    5  /* post-condition failed; nothing committed   */
 
-/* out[] layout (O_LO, O_HI, O_MK mirrored in repro/envelope/_ccore.py) */
-#define O_NPARTS 0
-#define O_TOTOPS 1
-#define O_LO     2
-#define O_HI     3
-#define O_MK     4
+/* out[] layout of a merged window (mirrored in repro/envelope/_ccore.py):
+ * it replaces pieces [O_LO, O_HI) of the live profile with O_MK. */
+#define O_LO     0
+#define O_HI     1
+#define O_MK     2
 
 /* ---- the per-call context --------------------------------------------
  * All scratch lives in a repro_ctx the caller creates, passes to every
@@ -162,7 +163,7 @@ typedef struct {
     int64_t n, cap;
 } lanes;
 
-#define L_WIN   0  /* merged window of one insert: ya za yb zb | src  */
+#define L_WIN   0  /* window copied out of a rope: ya za yb zb | src  */
 #define L_ROWS  1  /* clipped visible rows: ya za yb zb | edge         */
 #define L_PROF  2  /* merged profiles: ya za yb zb | src               */
 #define L_XING  3  /* merge crossings: y z | front back                */
@@ -474,332 +475,6 @@ static int pieces_ok(const lanes *O, int64_t from)
     return 1;
 }
 
-/* ---- the fused insert --------------------------------------------- */
-
-/* Locate + fused visibility/merge sweep against the live window; no
- * mutation.  ST_HIDDEN: no parts, nothing to commit.  ST_GROW: visible
- * parts in L_PARTS and the merged window in L_WIN (out[O_LO..O_MK]),
- * not yet committed.  ST_FALLBACK: unsupported window. */
-static int fused_sweep(
-    repro_ctx *ctx, const double *buf, int64_t cap, const int64_t *state,
-    double y1, double z1, double y2, double z2,
-    int64_t src, double eps, int64_t *out)
-{
-    int64_t beg = state[0], end = state[1];
-    view live = block_view(buf, cap, beg, end - beg);
-    lanes *M = &ctx->L[L_WIN], *P = &ctx->L[L_PARTS];
-    builder bl = {0, 0, 0.0};
-    int64_t lo, hi, win, j;
-    int64_t vis_ops = 0, merge_ops = 0;
-    const double *wya, *wza, *wyb, *wzb;
-    const int64_t *wsrc;
-    double prev_zs;
-
-    /* locate: pieces_overlapping(y1, y2) on the live ya row. */
-    overlapping(&live, y1, y2, &lo, &hi);
-    win = hi - lo;
-    out[O_LO] = lo;
-    out[O_HI] = hi;
-
-    /* Bounds per sweep over a k-piece window: merged <= 3k + 3 adds
-     * (head + k-1 gaps + 2 per overlap + tail), parts <= 2k + 2. */
-    if (!reserve(ctx, L_WIN, 3 * win + 8)
-        || !reserve(ctx, L_PARTS, 3 * win + 8))
-        return ST_FALLBACK;
-    M->n = 0;
-    P->n = 0;
-
-    if (win == 0) {
-        /* Empty window: one trailing scan interval, one merge
-         * interval (the segment verbatim) — unless the span is
-         * eps-degenerate, which the scan reports hidden. */
-        if (y2 - y1 > eps) {
-            acc_add(P, 0, y1, y2, eps);
-            push(M, y1, z1, y2, z2, src);
-            out[O_NPARTS] = 1;
-            out[O_TOTOPS] = 2;
-            goto COMMIT;
-        }
-        out[O_NPARTS] = 0;
-        out[O_TOTOPS] = 1;
-        out[O_MK] = 0;
-        return ST_HIDDEN;
-    }
-
-    wya = live.ya + lo; wza = live.za + lo;
-    wyb = live.yb + lo; wzb = live.zb + lo;
-    wsrc = live.src + lo;
-
-    {
-        double za0 = wza[0];
-        double top = z1 >= z2 ? z1 : z2;
-        if (top < za0) {
-            /* All-hidden fast path: gap-free covering window whose
-             * lowest endpoint safely clears the segment's top. */
-            if (wya[0] <= y1 && wyb[win - 1] >= y2) {
-                double minz = za0 <= wzb[0] ? za0 : wzb[0];
-                double prev_yb = wyb[0];
-                int gap_free = 1;
-                for (j = 1; j < win; j++) {
-                    if (wya[j] != prev_yb) { gap_free = 0; break; }
-                    prev_yb = wyb[j];
-                    if (wza[j] < minz) minz = wza[j];
-                    if (wzb[j] < minz) minz = wzb[j];
-                }
-                if (gap_free && minz - top >
-                        eps + 1e-12 * (fabs(minz) + fabs(top) + 1.0)) {
-                    out[O_NPARTS] = 0;
-                    out[O_TOTOPS] = win;
-                    out[O_MK] = 0;
-                    return ST_HIDDEN;
-                }
-            }
-        } else {
-            /* Fully-visible fast path: the segment's bottom safely
-             * clears the window's highest endpoint; merged window =
-             * [head clip?] + segment + [tail clip?]. */
-            double bot = z1 <= z2 ? z1 : z2;
-            if (bot > za0 && y2 - y1 > eps) {
-                double maxz = za0 >= wzb[0] ? za0 : wzb[0];
-                double prev_yb = wyb[0];
-                int64_t gaps = 0;
-                for (j = 1; j < win; j++) {
-                    if (prev_yb < wya[j]) gaps++;
-                    prev_yb = wyb[j];
-                    if (wza[j] > maxz) maxz = wza[j];
-                    if (wzb[j] > maxz) maxz = wzb[j];
-                }
-                if (bot - maxz >
-                        eps + 1e-12 * (fabs(maxz) + fabs(bot) + 1.0)) {
-                    double ya0 = wya[0], yb_l = wyb[win - 1];
-                    int64_t fvis = win + gaps + (y1 < ya0) + (y2 > yb_l);
-                    int64_t fmerge = win + gaps + (ya0 != y1) + (yb_l != y2);
-                    if (ya0 < y1)
-                        push(M, ya0, za0, y1,
-                             line_z(ya0, za0, wyb[0], wzb[0], y1), wsrc[0]);
-                    push(M, y1, z1, y2, z2, src);
-                    if (yb_l > y2)
-                        push(M, y2,
-                             line_z(wya[win - 1], wza[win - 1], yb_l,
-                                    wzb[win - 1], y2),
-                             yb_l, wzb[win - 1], wsrc[win - 1]);
-                    acc_add(P, 0, y1, y2, eps);
-                    out[O_NPARTS] = 1;
-                    out[O_TOTOPS] = fvis + fmerge;
-                    goto COMMIT;
-                }
-            }
-        }
-    }
-
-    /* Synthetic (negative-source) pieces coalesce on a different
-     * builder rule: fall back to the Python reference (checked after
-     * the fast paths, which are exact either way). */
-    for (j = 0; j < win; j++)
-        if (wsrc[j] < 0) return ST_FALLBACK;
-
-    /* ---- the fused visibility+merge sweep ---------------------------- */
-    prev_zs = z1;
-    for (j = 0; j < win; j++) {
-        double pya = wya[j], pza = wza[j];
-        double pyb = wyb[j], pzb = wzb[j];
-        double u, v, zs_u, zs_v, zw_u, zw_v, du, dv;
-        int su, sv;
-        if (j == 0) {
-            if (y1 < pya) {
-                /* Head gap: the segment alone, visible and emitted. */
-                zs_u = line_z(y1, z1, y2, z2, pya);
-                acc_add(P, 0, y1, pya, eps);
-                b_add(M, &bl, y1, z1, pya, zs_u, src, eps);
-                vis_ops += 1;
-                merge_ops += 1;
-                u = pya;
-            } else {
-                if (pya < y1) {
-                    /* Window-piece head before y1: merge-only. */
-                    b_add(M, &bl, pya, pza, y1,
-                          line_z(pya, pza, pyb, pzb, y1), wsrc[j], eps);
-                    merge_ops += 1;
-                }
-                u = y1;
-                zs_u = z1;
-            }
-        } else {
-            double g0 = wyb[j - 1];
-            u = pya;
-            if (g0 < pya) {
-                /* Gap between pieces — always inside (y1, y2). */
-                zs_u = line_z(y1, z1, y2, z2, pya);
-                acc_add(P, 0, g0, pya, eps);
-                b_add(M, &bl, g0, prev_zs, pya, zs_u, src, eps);
-                vis_ops += 1;
-                merge_ops += 1;
-            } else {
-                zs_u = prev_zs;
-            }
-        }
-        if (pyb < y2) {
-            v = pyb;
-            zs_v = line_z(y1, z1, y2, z2, pyb);
-        } else {
-            v = y2;
-            zs_v = z2;
-        }
-        /* Overlap interval (u, v): non-empty by the window invariant. */
-        zw_u = u == pya ? pza : line_z(pya, pza, pyb, pzb, u);
-        zw_v = v == pyb ? pzb : line_z(pya, pza, pyb, pzb, v);
-        du = zs_u - zw_u;
-        dv = zs_v - zw_v;
-        su = fabs(du) <= eps ? 0 : (du > 0 ? 1 : -1);
-        sv = fabs(dv) <= eps ? 0 : (dv > 0 ? 1 : -1);
-        vis_ops += 1;
-        merge_ops += 1;
-        if (su >= 0 && sv >= 0 && (su > 0 || sv > 0)) {
-            /* Segment strictly above somewhere, never strictly below. */
-            acc_add(P, 0, u, v, eps);
-            b_add(M, &bl, u, zs_u, v, zs_v, src, eps);
-        } else if (su <= 0 && sv <= 0) {
-            /* Hidden (or coincident — the window wins ties). */
-            b_add(M, &bl, u, zw_u, v, zw_v, wsrc[j], eps);
-        } else {
-            double t = du / (du - dv);
-            double w = u + t * (v - u);
-            if (w <= u || w >= v) {
-                /* Numeric clamp: treat as one-sided. */
-                double wc;
-                if (su < 0 || sv > 0)
-                    b_add(M, &bl, u, zw_u, v, zw_v, wsrc[j], eps);
-                else
-                    b_add(M, &bl, u, zs_u, v, zs_v, src, eps);
-                wc = w <= u ? u : v;
-                if (su > 0)
-                    acc_add(P, 0, u, wc, eps);
-                else
-                    acc_add(P, 0, wc, v, eps);
-            } else {
-                double zw_w = line_z(pya, pza, pyb, pzb, w);
-                double zs_w = line_z(y1, z1, y2, z2, w);
-                if (su > 0) {
-                    acc_add(P, 0, u, w, eps);
-                    b_add(M, &bl, u, zs_u, w, zs_w, src, eps);
-                    b_add(M, &bl, w, zw_w, v, zw_v, wsrc[j], eps);
-                } else {
-                    acc_add(P, 0, w, v, eps);
-                    b_add(M, &bl, u, zw_u, w, zw_w, wsrc[j], eps);
-                    b_add(M, &bl, w, zs_w, v, zs_v, src, eps);
-                }
-            }
-        }
-        if (j == win - 1) {
-            if (v < y2) {
-                /* Trailing gap past the last piece. */
-                acc_add(P, 0, v, y2, eps);
-                b_add(M, &bl, v, zs_v, y2, z2, src, eps);
-                vis_ops += 1;
-                merge_ops += 1;
-            } else if (y2 < pyb) {
-                /* Window-piece tail past y2: merge-only. */
-                b_add(M, &bl, y2, zw_v, pyb, pzb, wsrc[j], eps);
-                merge_ops += 1;
-            }
-        }
-        prev_zs = zs_v;
-    }
-
-    width_filter(P, 0, eps);
-    if (vis_ops < 1) vis_ops = 1;
-    out[O_NPARTS] = P->n;
-    if (P->n == 0) {
-        /* Fully hidden: no splice, no merge ops charged. */
-        out[O_TOTOPS] = vis_ops;
-        out[O_MK] = 0;
-        return ST_HIDDEN;
-    }
-    out[O_TOTOPS] = vis_ops + merge_ops;
-
-COMMIT:
-    out[O_MK] = M->n;
-    return ST_GROW;
-}
-
-/* One 2D shift over all five rows (the int64-bit-view slice move of
- * _splice_impl, as five memmoves — byte-identical for float lanes). */
-static void shift_rows(double *buf, int64_t cap, int64_t from,
-                       int64_t to, int64_t count)
-{
-    int r;
-    if (count <= 0 || from == to) return;
-    for (r = 0; r < 5; r++) {
-        double *row = buf + (int64_t)r * cap;
-        memmove(row + to, row + from, (size_t)count * sizeof(double));
-    }
-}
-
-/* Commit the merged window fused_sweep left in L_WIN:
- * the merged-window check, then PackedProfile._splice_impl in place.
- * ST_DONE (state updated), ST_GROW (no slack: nothing touched, the
- * caller reallocates) or ST_FAULT (post-condition failed, nothing
- * touched). */
-static int commit_window(repro_ctx *ctx, double *buf, int64_t cap,
-                         int64_t *state, int64_t *out)
-{
-    const lanes *M = &ctx->L[L_WIN];
-    int64_t beg = state[0], end = state[1];
-    int64_t n = end - beg;
-    int64_t lo = out[O_LO], hi = out[O_HI], ko = out[O_MK];
-    int64_t d, head, tail, a, j;
-    double prev = -INFINITY;
-
-    /* The merged-window check: sorted, non-overlapping, no NaN z. */
-    for (j = 0; j < ko; j++) {
-        if (!(prev <= M->d[0][j] && M->d[0][j] <= M->d[2][j]))
-            return ST_FAULT;
-        if (M->d[1][j] != M->d[1][j] || M->d[3][j] != M->d[3][j])
-            return ST_FAULT;
-        prev = M->d[2][j];
-    }
-    d = ko - (hi - lo);
-    if (d) {
-        head = lo;
-        tail = n - hi;
-        if (d < 0) {
-            /* Shrink: shift the smaller side inward (always fits). */
-            if (head <= tail) {
-                shift_rows(buf, cap, beg, beg - d, head);
-                beg -= d;
-            } else {
-                shift_rows(buf, cap, beg + hi, beg + lo + ko, tail);
-                end += d;
-            }
-        } else {
-            /* Grow: prefer the cheaper side whose slack fits. */
-            int fits_head = beg >= d;
-            int fits_tail = cap - end >= d;
-            if (fits_head && (head <= tail || !fits_tail)) {
-                shift_rows(buf, cap, beg, beg - d, head);
-                beg -= d;
-            } else if (fits_tail) {
-                shift_rows(buf, cap, beg + hi, beg + lo + ko, tail);
-                end += d;
-            } else {
-                /* No slack: the wrapper reallocates via
-                 * PackedProfile.splice (amortized doubling). */
-                return ST_GROW;
-            }
-        }
-    }
-    a = beg + lo;
-    memcpy(buf + a, M->d[0], (size_t)ko * sizeof(double));
-    memcpy(buf + cap + a, M->d[1], (size_t)ko * sizeof(double));
-    memcpy(buf + 2 * cap + a, M->d[2], (size_t)ko * sizeof(double));
-    memcpy(buf + 3 * cap + a, M->d[3], (size_t)ko * sizeof(double));
-    memcpy((int64_t *)(buf + 4 * cap) + a, M->q[0],
-           (size_t)ko * sizeof(int64_t));
-    state[0] = beg;
-    state[1] = end;
-    return ST_DONE;
-}
-
 /* VisibilityMap.add_edge_result for one part (a, b) of a non-vertical
  * segment, appended to L_ROWS: a zero-width part is its top point,
  * else ImageSegment.subsegment (range check, clamp with builtin
@@ -818,95 +493,6 @@ static int clip_row(lanes *R, double a, double b, double y1, double z1,
     push(R, a, line_z(y1, z1, y2, z2, a), b, line_z(y1, z1, y2, z2, b),
          edge);
     return 1;
-}
-
-/* ==== the whole insert pass (SequentialHSR._insert_loop) ========== */
-
-/* acc[] layout of repro_insert_run (mirrored in repro/envelope/_ccore.py) */
-#define R_OPS    0  /* running sum of per-insert ops                  */
-#define R_MAX    1  /* running max of the live profile size           */
-#define R_STATUS 2  /* why the last call returned                     */
-#define R_ROWS   3  /* visible rows L_ROWS holds after the call       */
-
-/* Inserts [start, stop) of the front-to-back image lanes into the
- * live profile, each exactly as _insert_reference would: verticals
- * by the _visible_vertical_flat point query, the rest by fused_sweep
- * + commit_window.  Per insert i it adds the ops to acc[R_OPS], the
- * profile size to the acc[R_MAX] maximum, and the clipped visible
- * rows to L_ROWS, with off[i - start + 1] = off[i - start] + rows.
- * L_ROWS is not emptied, so the rows of a run's calls accumulate in
- * its context; off points at slot start of the run's offsets (n + 1
- * slots), whose off[0] an earlier call or the caller has written.
- *
- * Returns the index it stopped at.  stop: every insert done
- * (acc[R_STATUS] = ST_DONE).  Otherwise acc[R_STATUS] says why:
- * ST_GROW -- insert i is fully accounted but its merged window (in
- * L_WIN, out[O_LO..O_MK]) still needs a reallocating commit;
- * ST_FALLBACK (a synthetic source or window, a part subsegment would
- * reject, scratch OOM) and ST_FAULT (commit post-condition) -- insert
- * i is untouched and unaccounted.  The caller resumes at i + 1. */
-int64_t repro_insert_run(
-    repro_ctx *ctx, double *buf, int64_t cap, int64_t *state,
-    const double *y1, const double *z1, const double *y2,
-    const double *z2, const int64_t *src, int64_t start, int64_t stop,
-    double eps, double clip_eps, int64_t *off, int64_t *acc,
-    int64_t *out)
-{
-    lanes *R = &ctx->L[L_ROWS], *P = &ctx->L[L_PARTS];
-    int64_t i, j, size;
-    int st = ST_DONE;
-    for (i = start; i < stop; i++) {
-        double a1 = y1[i], c1 = z1[i], a2 = y2[i], c2 = z2[i];
-        int64_t rows = R->n;
-        if (a1 == a2) {
-            double top = c1 >= c2 ? c1 : c2;
-            view live = block_view(buf, cap, state[0], state[1] - state[0]);
-            double zenv = value_at(&live, a1);
-            if (zenv == -INFINITY || top > zenv + eps) {
-                if (!reserve(ctx, L_ROWS, rows + 1)) {
-                    st = ST_FALLBACK;
-                    break;
-                }
-                push(R, a1, top, a1, top, src[i]);
-            }
-            acc[R_OPS] += 1;
-        } else {
-            if (src[i] < 0) { st = ST_FALLBACK; break; }
-            st = fused_sweep(ctx, buf, cap, state, a1, c1, a2, c2, src[i],
-                             eps, out);
-            if (st == ST_FALLBACK) break;
-            if (st == ST_GROW) {
-                if (!reserve(ctx, L_ROWS, rows + P->n)) {
-                    st = ST_FALLBACK;
-                    break;
-                }
-                for (j = 0; j < P->n; j++)
-                    if (!clip_row(R, P->d[0][j], P->d[1][j], a1, c1, a2, c2,
-                                  src[i], clip_eps))
-                        break;
-                if (j < P->n) {
-                    R->n = rows;
-                    st = ST_FALLBACK;
-                    break;
-                }
-                st = commit_window(ctx, buf, cap, state, out);
-                if (st == ST_FAULT) {
-                    R->n = rows;
-                    break;
-                }
-            }
-            acc[R_OPS] += out[O_TOTOPS];
-        }
-        off[i - start + 1] = off[i - start] + (R->n - rows);
-        size = state[1] - state[0];
-        if (st == ST_GROW) size += out[O_MK] - (out[O_HI] - out[O_LO]);
-        if (size > acc[R_MAX]) acc[R_MAX] = size;
-        if (st == ST_GROW) break;
-        st = ST_DONE;
-    }
-    acc[R_STATUS] = st;
-    acc[R_ROWS] = R->n;
-    return i;
 }
 
 /* ==== one PCT layer of merges (repro/hsr/pct.py, phase2.py) ======== */
@@ -1644,6 +1230,189 @@ int64_t repro_merge_layer(
         X[X_LEN] = O->n - X[X_OFF];
     }
     return ST_DONE;
+}
+
+/* ==== the whole insert pass (SequentialHSR._insert_loop) ========== */
+
+/* The all-hidden shortcut of an insert: a gap-free window covering
+ * [y1, y2] whose lowest endpoint clears the segment's top by the margin
+ * eps + 1e-12 (|minz| + |top| + 1), so visible_parts finds no part, in
+ * one op per piece. */
+static int all_hidden(const view *w, double y1, double z1, double y2,
+                      double z2, double eps)
+{
+    int64_t j, n = w->n;
+    double top = z1 >= z2 ? z1 : z2, minz, prev_yb;
+    if (!(n && top < w->za[0] && w->ya[0] <= y1 && w->yb[n - 1] >= y2))
+        return 0;
+    minz = w->za[0] <= w->zb[0] ? w->za[0] : w->zb[0];
+    prev_yb = w->yb[0];
+    for (j = 1; j < n; j++) {
+        if (w->ya[j] != prev_yb) return 0;
+        prev_yb = w->yb[j];
+        if (w->za[j] < minz) minz = w->za[j];
+        if (w->zb[j] < minz) minz = w->zb[j];
+    }
+    return minz - top > eps + 1e-12 * (fabs(minz) + fabs(top) + 1.0);
+}
+
+/* Whether v holds a synthetic (negative-source) piece: the merge of an
+ * insert declines those to the Python reference. */
+static int has_synthetic(const view *v)
+{
+    int64_t j;
+    for (j = 0; j < v->n; j++)
+        if (v->src[j] < 0) return 1;
+    return 0;
+}
+
+/* One 2D shift over all five rows (the int64-bit-view slice move of
+ * _splice_impl, as five memmoves — byte-identical for float lanes). */
+static void shift_rows(double *buf, int64_t cap, int64_t from,
+                       int64_t to, int64_t count)
+{
+    int r;
+    if (count <= 0 || from == to) return;
+    for (r = 0; r < 5; r++) {
+        double *row = buf + (int64_t)r * cap;
+        memmove(row + to, row + from, (size_t)count * sizeof(double));
+    }
+}
+
+/* Commit the merged window merge_sweep left in L_PROF: pieces_ok, then
+ * PackedProfile._splice_impl in place.  ST_DONE (state updated),
+ * ST_GROW (no slack: nothing touched, the caller reallocates) or
+ * ST_FAULT (post-condition failed, nothing touched). */
+static int commit_window(repro_ctx *ctx, double *buf, int64_t cap,
+                         int64_t *state, int64_t *out)
+{
+    const lanes *M = &ctx->L[L_PROF];
+    int64_t beg = state[0], end = state[1];
+    int64_t n = end - beg;
+    int64_t lo = out[O_LO], hi = out[O_HI], ko = out[O_MK];
+    int64_t d, head, tail, a;
+
+    if (!pieces_ok(M, 0)) return ST_FAULT;
+    d = ko - (hi - lo);
+    if (d) {
+        head = lo;
+        tail = n - hi;
+        if (d < 0) {
+            /* Shrink: shift the smaller side inward (always fits). */
+            if (head <= tail) {
+                shift_rows(buf, cap, beg, beg - d, head);
+                beg -= d;
+            } else {
+                shift_rows(buf, cap, beg + hi, beg + lo + ko, tail);
+                end += d;
+            }
+        } else {
+            /* Grow: prefer the cheaper side whose slack fits. */
+            int fits_head = beg >= d;
+            int fits_tail = cap - end >= d;
+            if (fits_head && (head <= tail || !fits_tail)) {
+                shift_rows(buf, cap, beg, beg - d, head);
+                beg -= d;
+            } else if (fits_tail) {
+                shift_rows(buf, cap, beg + hi, beg + lo + ko, tail);
+                end += d;
+            } else {
+                /* No slack: the wrapper reallocates via
+                 * PackedProfile.splice (amortized doubling). */
+                return ST_GROW;
+            }
+        }
+    }
+    a = beg + lo;
+    memcpy(buf + a, M->d[0], (size_t)ko * sizeof(double));
+    memcpy(buf + cap + a, M->d[1], (size_t)ko * sizeof(double));
+    memcpy(buf + 2 * cap + a, M->d[2], (size_t)ko * sizeof(double));
+    memcpy(buf + 3 * cap + a, M->d[3], (size_t)ko * sizeof(double));
+    memcpy((int64_t *)(buf + 4 * cap) + a, M->q[0],
+           (size_t)ko * sizeof(int64_t));
+    state[0] = beg;
+    state[1] = end;
+    return ST_DONE;
+}
+
+/* acc[] layout of repro_insert_run (mirrored in repro/envelope/_ccore.py) */
+#define R_OPS    0  /* running sum of per-insert ops                  */
+#define R_MAX    1  /* running max of the live profile size           */
+#define R_STATUS 2  /* why the last call returned                     */
+#define R_ROWS   3  /* visible rows L_ROWS holds after the call       */
+
+/* Inserts [start, stop) of the front-to-back image lanes into the
+ * live profile, each exactly as _insert_reference would: the locate,
+ * leaf_query over the window (the live profile for a vertical), and
+ * -- when a non-vertical segment has a visible part -- merge_sweep of
+ * the window with the segment into L_PROF and commit_window.  Per
+ * insert i it adds the ops to acc[R_OPS], the profile size to the
+ * acc[R_MAX] maximum, and the clipped visible rows to L_ROWS, with
+ * off[i - start + 1] = off[i - start] + rows.  L_ROWS is not emptied,
+ * so the rows of a run's calls accumulate in its context; off points
+ * at slot start of the run's offsets (n + 1 slots), whose off[0] an
+ * earlier call or the caller has written.
+ *
+ * Returns the index it stopped at.  stop: every insert done
+ * (acc[R_STATUS] = ST_DONE).  Otherwise acc[R_STATUS] says why:
+ * ST_GROW -- insert i is fully accounted but its merged window (in
+ * L_PROF, out[O_LO..O_MK]) still needs a reallocating commit;
+ * ST_FALLBACK (leaf_query's -1 or -2, a merge with a synthetic source,
+ * scratch OOM) and ST_FAULT (commit post-condition) -- insert i is
+ * untouched and unaccounted.  The caller resumes at i + 1. */
+int64_t repro_insert_run(
+    repro_ctx *ctx, double *buf, int64_t cap, int64_t *state,
+    const double *y1, const double *z1, const double *y2,
+    const double *z2, const int64_t *src, int64_t start, int64_t stop,
+    double eps, double clip_eps, int64_t *off, int64_t *acc,
+    int64_t *out)
+{
+    lanes *R = &ctx->L[L_ROWS], *P = &ctx->L[L_PARTS];
+    int64_t i, size;
+    int st = ST_DONE;
+    for (i = start; i < stop; i++) {
+        view live = block_view(buf, cap, state[0], state[1] - state[0]);
+        view win, seg = {y1 + i, z1 + i, y2 + i, z2 + i, src + i, 1};
+        int64_t rows = R->n, lo, hi, ops, nx;
+        int vertical = y1[i] == y2[i], merge;
+        overlapping(&live, y1[i], y2[i], &lo, &hi);
+        win = block_view(buf, cap, state[0] + lo, hi - lo);
+        if (all_hidden(&win, y1[i], z1[i], y2[i], z2[i], eps)) {
+            ops = win.n;
+        } else {
+            P->n = ctx->L[L_VX].n = ctx->L[L_PROF].n = 0;
+            ops = leaf_query(ctx, vertical ? &live : &win, y1[i], z1[i],
+                             y2[i], z2[i], src[i], eps, clip_eps, &nx);
+            merge = !vertical && P->n > 0;
+            if (ops < 0
+                || (merge && (has_synthetic(&seg) || has_synthetic(&win)
+                              || !reserve_merge(ctx, win.n, 1, 0)))) {
+                R->n = rows;
+                st = ST_FALLBACK;
+                break;
+            }
+            if (merge) {
+                ops += merge_sweep(ctx, &win, &seg, eps, 0, &nx);
+                out[O_LO] = lo;
+                out[O_HI] = hi;
+                out[O_MK] = ctx->L[L_PROF].n;
+                st = commit_window(ctx, buf, cap, state, out);
+                if (st == ST_FAULT) {
+                    R->n = rows;
+                    break;
+                }
+            }
+        }
+        acc[R_OPS] += ops;
+        off[i - start + 1] = off[i - start] + (R->n - rows);
+        size = state[1] - state[0];
+        if (st == ST_GROW) size += out[O_MK] - (out[O_HI] - out[O_LO]);
+        if (size > acc[R_MAX]) acc[R_MAX] = size;
+        if (st == ST_GROW) break;
+    }
+    acc[R_STATUS] = st;
+    acc[R_ROWS] = R->n;
+    return i;
 }
 
 /* ==== front-to-back ordering (repro/ordering/sweep.py) ============== */

@@ -13,9 +13,10 @@ The live profile stays in one
 sequential run.  :func:`insert_run` is the run loop behind
 ``SequentialHSR``: with the optional compiled core on, it hands chunks
 of up to 256 inserts to one C call each
-(:func:`repro.envelope._ccore.insert_run`: locate, fused
-visibility+merge sweep, in-place splice and clipping of the visible
-parts into CSR rows).  Every insert the core hands back — and every
+(:func:`repro.envelope._ccore.insert_run`: locate, the visibility
+scan with clipping of the visible parts into CSR rows, and — when some
+part is visible — the window merge and an in-place splice; the scan and
+the merge are the kernels of the compiled PCT layers).  Every insert the core hands back — and every
 insert of a run without the core — takes :func:`_insert_reference`:
 the overlapped window becomes an :class:`Envelope`,
 :func:`~repro.envelope.visibility.visible_parts` and

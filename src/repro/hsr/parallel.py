@@ -117,7 +117,7 @@ class ParallelHSR:
                     depth = math.ceil(math.log2(n))
                     with tracker.parallel() as par:
                         par.spawn(n * depth, depth)
-                order = front_to_back_order(terrain, engine=self.engine)
+                order = front_to_back_order(terrain, config=self.config)
         order = list(order)
 
         tree = SeparatorTree(order)

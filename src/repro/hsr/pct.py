@@ -12,8 +12,8 @@ the full pipeline).
 
 Because a layer's merges are independent, the NumPy engine with the
 compiled core on runs each layer as *one* call
-(:func:`repro.envelope._ccore.merge_layer`); a layer whose call
-faults is redone by scalar merges.  A layer's profiles land in one CSR
+(:func:`repro.envelope._ccore.merge_layer`); a call that faults reruns
+the whole phase on the reference.  A layer's profiles land in one CSR
 block — a ``(5, n)`` float64 array whose last row holds the int64
 sources, plus per-node offsets and lengths — and
 :attr:`PCT.flat_envelopes` / :meth:`PCT.envelope_of` are lazy views
@@ -212,21 +212,24 @@ def build_pct(
     On the NumPy engine with the compiled core on (see
     :func:`repro.envelope._ccore.compiled_enabled`; a
     ``config`` can switch it off) each layer runs as one compiled
-    call under the guard site ``pct_merge``; otherwise, and on the
-    python engine, each node runs the reference merge.
+    call under the guard site ``pct_merge``; a faulting call reruns
+    the whole phase on the reference (whose PCT holds no layer blocks,
+    so Phase 2 takes its reference too).  Otherwise, and on the python
+    engine, each node runs the reference merge.
     """
     from repro.envelope import _ccore
 
     pct = PCT(tree)
     pct.lanes = lanes
+    done = False
     if resolve_engine(engine) == "numpy" and _ccore.compiled_enabled(
         config, "pct_merge", "phase2_merge"
     ):
         if lanes is None:
             pct.lanes = order_lanes(tree, image_segments)
         with _ccore.borrowed() as core:
-            _build_layers(pct, eps, tracker, core)
-    else:
+            done = _build_layers(pct, eps, tracker, core)
+    if not done:
         if image_segments is None:
             image_segments = pct.image_segments()
         _build_python(pct, image_segments, eps, tracker)
@@ -314,20 +317,22 @@ def layer_jobs(lo, hi, child):
     return jobs, leaf
 
 
-def _build_layers(pct: PCT, eps: float, tracker, core) -> None:
+def _build_layers(pct: PCT, eps: float, tracker, core) -> bool:
     """Phase 1 in the compiled core, one call per layer on ``core``
-    (the run's handle).  Each layer runs under the ``pct_merge``
-    guard: a faulting call falls back to that layer's
-    :func:`_scalar_layer`, which fills the same CSR block."""
+    (the run's handle), each under the ``pct_merge`` guard.  Returns
+    ``False``, with ``pct`` untouched, when a call faulted: the caller
+    then reruns the phase on :func:`_build_python`, so the tracker is
+    charged only after the last compiled layer."""
     from repro.envelope import _ccore
     from repro.reliability import guard as _guard
 
     lanes = pct.lanes
+    layers = [None] * len(pct.layers)
+    charges = []
     child = None
     spans = level_spans(len(pct.tree.order))
     for d in reversed(range(len(spans))):
         jobs, leaf = layer_jobs(*spans[d], child)
-        inner = ~leaf
 
         def kernel(child=child, jobs=jobs):
             res = _ccore.merge_layer(
@@ -337,15 +342,17 @@ def _build_layers(pct: PCT, eps: float, tracker, core) -> None:
             )
             return core.take(_ccore.L_PROF), res[:, 2].copy(), res[:, 3].copy(), res[:, 0]
 
-        def scalar(child=child, jobs=jobs, leaf=leaf):
-            return _scalar_layer(child, jobs, leaf, lanes, eps)
-
-        blk, off, ln, ops = _guard.guarded_call("pct_merge", kernel, scalar)
-        pct.layers[d] = child = (blk, off, ln)
-        ops_list = ops[inner].tolist()
-        n_leaves = int(leaf.sum())
+        out = _guard.guarded_call("pct_merge", kernel, lambda: None)
+        if out is None:
+            return False
+        blk, off, ln, ops = out
+        layers[d] = child = (blk, off, ln)
+        charges.append((int(leaf.sum()), ops[~leaf].tolist()))
+    pct.layers = layers
+    for n_leaves, ops_list in charges:
         pct.ops += n_leaves + sum(ops_list)
         _charge(tracker, n_leaves, ops_list)
+    return True
 
 
 def block_view(blk, off, n):
@@ -358,52 +365,3 @@ def block_view(blk, off, n):
         blk[0, a:b], blk[1, a:b], blk[2, a:b], blk[3, a:b],
         blk[4, a:b].view("int64"),
     )
-
-
-def _assemble(jobs, leaf, lanes, merged, counts):
-    """A layer block: each leaf's segment (none when vertical), then —
-    in node order — each internal node's pieces of ``merged`` (stacked
-    ``ya, za, yb, zb, source`` lanes, ``counts`` per node).  Returns
-    ``(block, offsets, lengths)``."""
-    import numpy as np
-
-    y1, z1, y2, z2, s = lanes
-    pos = jobs[leaf, 3]
-    ln = np.zeros(len(jobs), np.int64)
-    ln[leaf] = y1[pos] != y2[pos]
-    ln[~leaf] = counts
-    off = np.zeros(len(jobs), np.int64)
-    np.cumsum(ln[:-1], out=off[1:])
-    blk = np.empty((5, int(ln.sum())), np.float64)
-    iblk = blk[4].view(np.int64)
-    keep = ln[leaf] > 0
-    at, pos = off[leaf][keep], pos[keep]
-    blk[0, at], blk[1, at], blk[2, at], blk[3, at] = y1[pos], z1[pos], y2[pos], z2[pos]
-    iblk[at] = s[pos]
-    at = csr_index(off[~leaf], counts)
-    blk[0, at], blk[1, at] = merged.ya, merged.za
-    blk[2, at], blk[3, at] = merged.yb, merged.zb
-    iblk[at] = merged.source
-    return blk, off, ln
-
-
-def _scalar_layer(child, jobs, leaf, lanes, eps):
-    """One layer as scalar :func:`~repro.envelope.merge.merge_envelopes`
-    calls — the reference the compiled layer matches."""
-    import numpy as np
-
-    from repro.envelope.flat import FlatEnvelope
-
-    ops = np.ones(len(jobs), np.int64)
-    pieces = []
-    counts = []
-    for j in np.flatnonzero(~leaf).tolist():
-        _kind, a_off, a_len, b_off, b_len = jobs[j]
-        a = block_view(child[0], a_off, a_len).to_envelope()
-        b = block_view(child[0], b_off, b_len).to_envelope()
-        res = merge_envelopes(a, b, eps=eps, record_crossings=False)
-        pieces += res.envelope.pieces
-        counts.append(res.envelope.size)
-        ops[j] = res.ops
-    merged = FlatEnvelope.from_pieces(pieces)
-    return (*_assemble(jobs, leaf, lanes, merged, np.array(counts, np.int64)), ops)

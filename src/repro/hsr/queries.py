@@ -289,7 +289,7 @@ class VisibilityOracle:
         self.terrain = terrain
         self.config = cfg
         self.eps = cfg.eps
-        self.order = front_to_back_order(terrain, engine=cfg.engine)
+        self.order = front_to_back_order(terrain, config=cfg)
         n = len(self.order)
         c = checkpoints or max(1, int(math.isqrt(n)))
         stride = max(1, n // c)

@@ -129,7 +129,7 @@ class SequentialHSR:
         """
         t0 = time.perf_counter()
         if order is None:
-            order = front_to_back_order(terrain, engine=self.engine)
+            order = front_to_back_order(terrain, config=self.config)
         vmap = VisibilityMap()
         with reliability_run() as report:
             _env, ops, max_profile = self._insert_loop(terrain, order, vmap)
@@ -152,7 +152,7 @@ class SequentialHSR:
         resulting profile instead of the visibility map.
         """
         if order is None:
-            order = front_to_back_order(terrain, engine=self.engine)
+            order = front_to_back_order(terrain, config=self.config)
         with reliability_run():
             env, _ops, _max_profile = self._insert_loop(terrain, order, None)
         return env

@@ -41,7 +41,6 @@ from array import array
 from typing import Optional, Sequence
 
 from repro.envelope import _ccore
-from repro.envelope.engine import resolve_engine
 from repro.errors import OrderingError
 from repro.geometry.segments import MapSegment
 from repro.terrain.model import Terrain
@@ -194,6 +193,7 @@ def front_to_back_order(
     segments: Sequence[MapSegment] | None = None,
     tie_break: str = "min",
     engine: Optional[str] = None,
+    config=None,
 ) -> list[int]:
     """Front-to-back edge processing order for ``terrain``.
 
@@ -206,15 +206,20 @@ def front_to_back_order(
     constraint graph has a cycle (impossible for valid terrains;
     indicates corrupt input).
 
-    ``engine`` resolves like every other front door: under ``"numpy"``
-    the compiled core answers when it is built (and not disabled by
-    ``REPRO_COMPILED=0``); ``"python"`` always runs the Python sweep.
-    Both give the identical order.
+    ``config`` (:class:`repro.config.HsrConfig`) and ``engine``
+    resolve like every other front door: under ``"numpy"`` the
+    compiled core answers when it is built and the config's
+    ``compiled_insert()`` is on (the default unless
+    ``REPRO_COMPILED=0``); ``"python"`` or ``use_compiled_insert=False``
+    runs the Python sweep.  Both give the identical order.
     """
+    from repro.config import HsrConfig
+
     if tie_break not in ("min", "max"):
         raise OrderingError(f"unknown tie_break {tie_break!r}")
     sign = 1 if tie_break == "min" else -1
-    if _ccore.COMPILED_DEFAULT and resolve_engine(engine) == "numpy":
+    cfg = HsrConfig.resolve(config, engine=engine)
+    if cfg.compiled_insert() and cfg.resolved_engine() == "numpy":
         order = _ccore.front_to_back(*map_lanes(terrain, segments), sign)
         if order is not None:
             return order

@@ -188,10 +188,10 @@ class TestRunParity:
         ]
         assert got == [terrain.image_segment(e) for e in order]
 
-    def test_layered_bands_exercise_fast_paths(self, calls):
-        # Alternating z bands: many fully-hidden and fully-visible
-        # inserts, the regimes the core's shortcuts answer without a
-        # sweep.
+    def test_layered_bands_exercise_the_shortcut(self, calls):
+        # Alternating z bands: many all-hidden inserts, which the
+        # core's shortcut answers without a scan, and many fully
+        # visible ones, which its scan and merge answer like any other.
         from repro.scenarios.instances import _segments_signature
 
         rng = random.Random(97)
@@ -209,6 +209,32 @@ class TestRunParity:
             )
         got = _segments_signature(segs, COMPILED)
         assert calls["run"] and calls["per_insert"] == 0
+        assert got == _segments_signature(segs, PER_INSERT)
+        assert got == _segments_signature(segs, PYTHON)
+
+    @pytest.mark.parametrize("base", [10.0, 1e6])
+    def test_tops_inside_the_all_hidden_margin(self, base):
+        # A gap-free V of two pieces, lowest at `base` in its middle,
+        # covers every flat probe.  Each probe sits below it by a gap
+        # inside the all-hidden shortcut's margin (eps + 1e-12 *
+        # scale), so the shortcut must decline and the scan answer;
+        # then one gap just outside it, where the shortcut answers, and
+        # a probe 2 eps above, which is visible.  At base 1e6 the scale
+        # term, not eps, sets the margin.
+        from repro.geometry.primitives import EPS
+        from repro.scenarios.instances import _segments_signature
+
+        margin = EPS + 1e-12 * (2 * base + 1)
+        segs = [
+            ImageSegment(0.0, base + 1.0, 10.0, base, 0),
+            ImageSegment(10.0, base, 20.0, base + 1.0, 1),
+        ]
+        gaps = (0.0, 0.5 * EPS, EPS, 0.5 * margin, 0.99 * margin, 1.01 * margin)
+        for j, gap in enumerate((*gaps, -2 * EPS)):
+            top = base - gap
+            segs.append(ImageSegment(2.0 + j, top, 18.0 - j, top, 2 + j))
+        _assert_rows_match(insert_run(segment_lanes(segs), config=COMPILED), segs)
+        got = _segments_signature(segs, COMPILED)
         assert got == _segments_signature(segs, PER_INSERT)
         assert got == _segments_signature(segs, PYTHON)
 

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import HsrConfig
 from repro.envelope import _ccore
 from repro.errors import OrderingError
 from repro.geometry.primitives import Point2, Point3
 from repro.geometry.segments import MapSegment
+from repro.hsr.parallel import ParallelHSR
 from repro.hsr.sequential import SequentialHSR
 from repro.ordering.separator import SeparatorTree
 from repro.ordering.sweep import (
@@ -419,8 +421,9 @@ class TestCompiledOrdering:
 
 
 class TestOrderingDispatch:
-    """Which path answers: ``engine="python"`` never reaches the C
-    entry; the numpy engine calls it once per run."""
+    """Which path answers: ``engine="python"`` and a config with the
+    core off never reach the C entry; the numpy engine calls it once
+    per run."""
 
     def _spy(self, monkeypatch, answer):
         calls = []
@@ -448,6 +451,22 @@ class TestOrderingDispatch:
         res = SequentialHSR(engine="numpy").run(t)
         assert len(calls) == 1
         assert res.order == front_to_back_order(t, engine="python")
+
+    @pytest.mark.parametrize("algorithm", [SequentialHSR, ParallelHSR])
+    def test_config_with_the_core_off_keeps_the_python_sweep(
+        self, monkeypatch, algorithm
+    ):
+        calls = self._spy(monkeypatch, lambda *a: None)
+        t = fractal_terrain(size=9, seed=1)
+        off = HsrConfig(engine="numpy", use_compiled_insert=False)
+        res = algorithm(config=off).run(t)
+        assert calls == []
+        assert front_to_back_order(t, config=off) == res.order
+        assert calls == []
+        assert res.order == front_to_back_order(t, engine="python")
+        on = HsrConfig(engine="numpy", use_compiled_insert=True)
+        algorithm(config=on).run(t)
+        assert len(calls) == 1
 
     def test_decline_falls_back_to_python_sweep(self, monkeypatch):
         calls = self._spy(monkeypatch, lambda *a: None)

@@ -416,27 +416,39 @@ def test_python_rope_keeps_its_runs(mode, kwargs, monkeypatch):
 
 @needs_ccore
 @pytest.mark.parametrize("size", [9, 33])
-def test_compiled_pct_matches_scalar_layers(size):
-    # Every compiled layer against the CSR block its fault fallback,
-    # _scalar_layer, fills (a repeating plan quarantines the site after
-    # FAULT_THRESHOLD layers, so the rest go straight to the fallback),
-    # and every node against the reference build.
+def test_faulting_pct_reruns_on_the_reference(size):
+    # A repeating plan faults the first layer call of every build, and
+    # each fault reruns Phase 1 on the reference; the third fault
+    # quarantines the site, after which a build takes the reference
+    # outright.  A clean compiled build and every faulted or
+    # quarantined one match the reference per node, on ops and on
+    # tracker work and depth (charged once), and a recovered build
+    # holds no layer block, so Phase 2 takes its reference too.
     terrain = _terrain("fractal", size)
     tree = SeparatorTree(front_to_back_order(terrain))
     segs = terrain.image_segments()
-    a = build_pct(tree, segs, config=COMPILED)
+    tr = PramTracker()
+    ref = build_pct(tree, segs, engine="python", tracker=tr)
+
+    def assert_reference(pct, tracker):
+        assert pct.ops == ref.ops
+        assert (tracker.work, tracker.depth) == (tr.work, tr.depth)
+        for node in tree.nodes():
+            assert pct.envelope_of(node).pieces == ref.envelope_of(node).pieces
+
+    tc = PramTracker()
+    clean = build_pct(tree, segs, config=COMPILED, tracker=tc)
+    assert all(layer is not None for layer in clean.layers)
+    assert_reference(clean, tc)
     with guard.reliability_run() as rep:
-        with fi.inject("pct_merge", "raise", nth=1, repeat=True):
-            b = build_pct(tree, segs, config=COMPILED)
+        with fi.inject("pct_merge", "raise", nth=1, repeat=True) as plan:
+            for _ in range(guard.FAULT_THRESHOLD + 1):
+                tg = PramTracker()
+                got = build_pct(tree, segs, config=COMPILED, tracker=tg)
+                assert got.layers == [None] * tree.height
+                assert_reference(got, tg)
     assert rep.sites["pct_merge"].quarantined
-    c = build_pct(tree, segs, engine="python")
-    assert a.ops == b.ops == c.ops
-    assert a.total_profile_pieces() == b.total_profile_pieces() == c.total_profile_pieces()
-    for node in tree.nodes():
-        assert a.envelope_of(node).pieces == c.envelope_of(node).pieces
-    for (ba, oa, la), (bb, ob, lb) in zip(a.layers, b.layers):
-        assert (oa.tolist(), la.tolist()) == (ob.tolist(), lb.tolist())
-        assert ba.tobytes() == bb.tobytes()
+    assert plan.fired == guard.FAULT_THRESHOLD
 
 
 @needs_ccore
