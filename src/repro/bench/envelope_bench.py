@@ -16,8 +16,9 @@ the two timed variants):
 ``visibility``
     ``visible_parts`` of ``m`` query segments against the profile of
     ``m`` segments: scalar per-query loop (``python_ms``) vs one
-    batched :func:`~repro.envelope.flat_visibility.batch_visible_parts`
-    sweep *including* materialisation back to scalar-API results
+    :func:`~repro.envelope.flat_visibility.batch_visible_parts` call
+    (one compiled call when the core is built, else the same scalar
+    loop) *including* materialisation back to scalar-API results
     (``numpy_ms``).
 ``sequential``
     A full front-to-back insert pass (the SequentialHSR inner loop)
@@ -440,7 +441,7 @@ def run_envelope_bench(
     )
     t.notes.append(
         "visibility numpy_ms includes materialising scalar-API"
-        " results; the raw array sweep is faster still"
+        " results; the compiled call alone is faster still"
     )
     t.notes.append(
         "sequential rows run the front-to-back insert pass on a"

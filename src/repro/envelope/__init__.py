@@ -5,8 +5,9 @@
   (the pure-Python reference kernel).
 * :mod:`repro.envelope.flat` — :class:`FlatEnvelope`, the
   structure-of-arrays envelope the array kernels share.
-* :mod:`repro.envelope.flat_visibility` — batched NumPy visibility
-  kernel (many segment-vs-profile queries in one sweep).
+* :mod:`repro.envelope.flat_visibility` — batched visibility: many
+  segment-vs-profile queries in one compiled call (the scalar loop
+  without the core).
 * :mod:`repro.envelope.engine` — kernel selection.
 * :mod:`repro.envelope.build` — divide-and-conquer construction (Lemma 3.1).
 * :mod:`repro.envelope.visibility` — visible parts of a segment.

@@ -52,8 +52,11 @@ behind two flags and these names:
     leaf queries (``MODE_PHASE2``), or its ``persistent`` rope splice
     merges and leaf queries over the rope versions the handle keeps
     (``MODE_ROPE``); results left in the handle's lane sets for
-    :meth:`Core.take`.  See :mod:`repro.hsr.pct`,
-    :mod:`repro.hsr.phase2` and :mod:`repro.envelope.build`.
+    :meth:`Core.take`.  A batch of sight-line queries is one
+    ``MODE_PHASE2`` call of kind-2 leaves, each against a block the
+    caller passes.  See :mod:`repro.hsr.pct`, :mod:`repro.hsr.phase2`,
+    :mod:`repro.envelope.build` and
+    :mod:`repro.envelope.flat_visibility`.
 
 ``front_to_back(x1, y1, x2, y2, src, sign)``
     The front-to-back ordering in one C call over map-segment lanes
@@ -329,9 +332,9 @@ if HAVE_CCORE:
         """One PCT layer of ``jobs`` (an ``(n, 5)`` int64 array of
         ``kind, a_off, a_len, b_off, b_len`` rows) in one C call; see
         ``repro_merge_layer`` in ``_ccore_build.py``.  ``blk`` is the
-        ``(5, cap)`` float64 block side b (and, under ``MODE_PCT``,
-        side a) indexes, or ``None``; ``lanes`` the front-to-back image
-        lanes leaf jobs index.  Returns the ``(n, 4)`` int64
+        ``(5, cap)`` float64 block side b (and, under ``MODE_PCT`` or
+        for a kind-2 leaf, side a) indexes, or ``None``; ``lanes`` the
+        front-to-back image lanes leaf jobs index.  Returns the ``(n, 4)`` int64
         ``ops, crossings, offset, length`` rows (``MODE_ROPE``: ``(n,
         6)``, a merge's new version's piece count and fresh slots
         appended); raises :class:`CCoreFault` when a job fails its

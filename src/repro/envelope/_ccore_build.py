@@ -42,8 +42,11 @@ child profiles plus the leaves' segments.  For Phase 2's ``direct``
 mode it is :func:`~repro.envelope.splice.splice_merge` — window
 locate, merge, and a splice into a fresh profile row — plus the
 leaves' :func:`~repro.envelope.visibility.visible_parts` queries,
-clipped into rows — the two kernels of ``repro_insert_run``.  For the ``persistent``
-mode it is :func:`~repro.persistence.rope.rope_splice_merge` and
+clipped into rows — the two kernels of ``repro_insert_run``.  The same
+mode answers a batch of sight-line queries against one envelope
+(:func:`~repro.envelope.flat_visibility.batch_visible_parts`): one
+leaf job per query, its profile a block the caller passes.  For the
+``persistent`` mode it is :func:`~repro.persistence.rope.rope_splice_merge` and
 :func:`~repro.persistence.rope.rope_visible_parts` on the chunked rope,
 whose versions the context keeps: chunks are ``(offset, length)`` runs
 of a piece arena, a version is a spine of chunks, and a successor
@@ -499,11 +502,12 @@ static int clip_row(lanes *R, double a, double b, double y1, double z1,
 
 /* Modes of repro_merge_layer (mirrored in repro/envelope/_ccore.py). */
 #define MODE_PCT    1  /* Phase 1: full merges of two child profiles   */
-#define MODE_PHASE2 2  /* Phase 2: splice merges and leaf queries      */
+#define MODE_PHASE2 2  /* Phase 2 and query batches: splice merges and
+                           leaf queries                                */
 #define MODE_ROPE   3  /* Phase 2 on the rope: persistent splice merges */
 
 /* job[] and res[] row layouts. */
-#define J_KIND 0  /* 0: merge, 1: leaf                                 */
+#define J_KIND 0  /* 0: merge, 1: leaf, 2: a query (MODE_PHASE2)      */
 #define J_AOFF 1  /* side a: offset, length                            */
 #define J_ALEN 2
 #define J_BOFF 3  /* side b: offset, length; a leaf's lane index       */
@@ -1117,8 +1121,10 @@ static int64_t rope_layer(repro_ctx *ctx, const double *blk, int64_t blk_cap,
  * shared, res[X_OFF..X_LEN] is a itself).  A leaf job runs
  * visible_parts of the segment at lane boff against a: its parts go
  * to L_PARTS at res[X_OFF], res[X_LEN], one clipped row each to
- * L_ROWS at the same index, and its crossings to L_VX.  L_PARTS,
- * L_ROWS, L_VX and L_XING are emptied first.
+ * L_ROWS at the same index, and its crossings to L_VX.  A kind-2 leaf
+ * (batch_visible_parts: sight-line queries against one envelope) is
+ * the same query with side a pieces [aoff, aoff + alen) of blk.
+ * L_PARTS, L_ROWS, L_VX and L_XING are emptied first.
  *
  * MODE_ROPE (the persistent mode): side a is a rope version, its spine
  * at [aoff, aoff + alen) of L_SPINE; L_PROF (the piece arena) and
@@ -1167,9 +1173,11 @@ int64_t repro_merge_layer(
             X[X_LEN] = O->n - X[X_OFF];
             continue;
         }
-        if (J[J_KIND] == 1) {
-            /* Leaf: visible_parts against the inherited profile. */
-            a = lanes_view(O, aoff, alen);
+        if (J[J_KIND] != 0) {
+            /* Leaf: visible_parts against the inherited profile, or
+             * (kind 2) against pieces of blk. */
+            a = J[J_KIND] == 2 ? block_view(blk, blk_cap, aoff, alen)
+                               : lanes_view(O, aoff, alen);
             X[X_OFF] = ctx->L[L_PARTS].n;
             ops = leaf_query(ctx, &a, y1[boff], z1[boff], y2[boff],
                              z2[boff], src[boff], eps, clip_eps, &nx);

@@ -248,7 +248,7 @@ def build_envelope_sequential(
             f" {max_segments}-segment threshold — use build_envelope"
             " (divide and conquer) for large inputs, or, when the"
             " goal is bulk segment-vs-profile queries, the batched"
-            " visibility kernel"
+            " visibility call"
             " (repro.envelope.flat_visibility.batch_visible_parts)"
         )
         if on_exceed == "raise":

@@ -6,8 +6,7 @@ to/from :class:`repro.envelope.chain.Envelope`.  It is the array form
 the batched visibility kernel
 (:mod:`repro.envelope.flat_visibility`), the packed live profile
 (:mod:`repro.envelope.packed`) and the compiled PCT layer blocks
-(:func:`repro.hsr.pct.block_view`) share.  :func:`_z_eval` is the
-vectorized ``Piece.z_at``, value-identical to the scalar arithmetic.
+(:func:`repro.hsr.pct.block_view`) share.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import numpy as np
 
 from repro.envelope.chain import Envelope, Piece
 from repro.errors import EnvelopeError
-from repro.geometry.primitives import NEG_INF
 from repro.geometry.segments import ImageSegment
 
 __all__ = ["FlatEnvelope"]
@@ -171,34 +169,6 @@ class FlatEnvelope:
             self.source[lo:hi],
         )
 
-    def z_at_many(self, ys: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`Envelope.value_at`: profile height at each
-        ``y`` (``-inf`` in gaps, max of one-sided limits at shared
-        breakpoints)."""
-        ys = np.asarray(ys, _F)
-        n = len(self.ya)
-        if n == 0:
-            return np.full(ys.shape, NEG_INF, _F)
-        i = np.searchsorted(self.ya, ys, side="right") - 1
-        ic = np.clip(i, 0, n - 1)
-        inside = (i >= 0) & (self.ya[ic] <= ys) & (ys <= self.yb[ic])
-        best = np.where(
-            inside,
-            _z_eval(self.ya[ic], self.za[ic], self.yb[ic], self.zb[ic], ys),
-            NEG_INF,
-        )
-        # Previous piece ending exactly at y (jump breakpoints).
-        prev_ok = (i >= 1) & (self.yb[np.clip(i - 1, 0, n - 1)] == ys)
-        prev_val = np.where(
-            prev_ok, self.zb[np.clip(i - 1, 0, n - 1)], NEG_INF
-        )
-        best = np.maximum(best, prev_val)
-        # Next piece starting exactly at y.
-        nxt = np.clip(i + 1, 0, n - 1)
-        nxt_ok = (i + 1 < n) & (self.ya[nxt] == ys)
-        best = np.maximum(best, np.where(nxt_ok, self.za[nxt], NEG_INF))
-        return best
-
     def validate(self) -> None:
         """Raise :class:`EnvelopeError` when invariants are violated."""
         if np.any(self.ya >= self.yb):
@@ -214,28 +184,3 @@ class FlatEnvelope:
             f" [{self.ya[0]:.4g}, {self.yb[-1]:.4g}])"
         )
 
-
-def _z_eval(
-    ya: np.ndarray,
-    za: np.ndarray,
-    yb: np.ndarray,
-    zb: np.ndarray,
-    y: np.ndarray,
-) -> np.ndarray:
-    """Vectorized ``Piece.z_at``: value-identical float arithmetic,
-    including the exact-at-endpoint semantics of ``z_at`` and ``lerp``.
-
-    Only the ``t == 1.0`` guard is materialised: ``y == ya`` forces
-    ``t == 0.0`` exactly, and ``za + (zb - za) * 0.0`` equals ``za``
-    (up to the sign of zero, which compares equal everywhere), while
-    ``y == yb`` forces ``t == 1.0`` (IEEE ``x / x == 1``), which the
-    guard maps to ``zb`` exactly as the scalar shortcuts do.  Callers
-    only evaluate real pieces (``ya < yb``), so the division never
-    sees a zero denominator.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        # Lanes for non-covering candidate pieces hold garbage (they
-        # are masked out by the callers) and may overflow to inf/nan.
-        t = (y - ya) / (yb - ya)
-        z = za + (zb - za) * t
-        return np.where(t == 1.0, zb, z)

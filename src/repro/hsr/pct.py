@@ -139,6 +139,9 @@ class PCT:
         #: per layer (root first): ``(block, offsets, lengths)``,
         #: compiled build only.
         self.layers: list = [None] * tree.height
+        #: per layer (root first): its :func:`level_spans` entry,
+        #: compiled build only.
+        self.spans: Optional[list] = None
         #: node.index -> flat (array) profile view, compiled build only.
         self.flat_envelopes = _FlatViews(self)
         #: the leaves' image lanes in front-to-back order, when the
@@ -349,6 +352,7 @@ def _build_layers(pct: PCT, eps: float, tracker, core) -> bool:
         layers[d] = child = (blk, off, ln)
         charges.append((int(leaf.sum()), ops[~leaf].tolist()))
     pct.layers = layers
+    pct.spans = spans
     for n_leaves, ops_list in charges:
         pct.ops += n_leaves + sum(ops_list)
         _charge(tracker, n_leaves, ops_list)

@@ -281,14 +281,13 @@ def _phase2_direct_compiled(
     import numpy as np
 
     from repro.envelope import _ccore
-    from repro.hsr.pct import level_spans
 
     out = Phase2Result()
     inh_off = np.zeros(1, np.int64)
     inh_len = np.zeros(1, np.int64)
     leaves: list[tuple] = []  # per layer: (positions, res rows, parts, vx, rows)
     costs = []
-    for d, (lo, hi) in enumerate(level_spans(len(pct.tree.order))):
+    for d, (lo, hi) in enumerate(pct.spans):
         step = _compiled_layer(
             pct, core, _ccore.MODE_PHASE2, d, lo, hi, inh_off, inh_len,
             eps, leaves,
@@ -435,7 +434,6 @@ def _phase2_persistent_compiled(
     import numpy as np
 
     from repro.envelope import _ccore
-    from repro.hsr.pct import level_spans
 
     out = Phase2Result()
     # The inherited versions of a layer's nodes: spine offset, spine
@@ -445,7 +443,7 @@ def _phase2_persistent_compiled(
     ver_tot = np.zeros(1, np.int64)
     leaves: list[tuple] = []
     costs = []
-    for d, (lo, hi) in enumerate(level_spans(len(pct.tree.order))):
+    for d, (lo, hi) in enumerate(pct.spans):
         step = _compiled_layer(
             pct, core, _ccore.MODE_ROPE, d, lo, hi, ver_off, ver_len, eps,
             leaves,

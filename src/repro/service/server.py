@@ -17,14 +17,18 @@ Coalescing: every ``query`` lands in an asyncio queue; a single
 batcher task drains whatever is queued (up to ``max_batch``, after a
 ``coalesce_ms`` gathering window) and answers the whole batch with
 **one** :meth:`~repro.service.session.ViewshedSession.query_batch`
-kernel launch.  Under concurrent load this turns N per-request sweeps
-into one batched sweep — the ``service-qps`` benchmark row measures
-the multiple — while staying bit-exact per query.  ``points``
+call.  Under concurrent load this turns N per-request scans into one
+compiled call — the ``service-qps`` benchmark row measures the
+multiple — while staying bit-exact per query.  ``points``
 requests are already batches and run directly.
 
-The compute itself is synchronous (numpy sweeps release little of the
-GIL and the session core is plain code); the event loop's job here is
-coalescing and connection plumbing, not parallelism.
+A ``query`` segment is normalised to floats when its request
+arrives, so a malformed one is answered ``{"ok": false, "error":
+...}`` on its own and never joins a batch.
+
+The compute itself is synchronous (a batch is one compiled call, or
+the scalar loop); the event loop's job here is coalescing and
+connection plumbing, not parallelism.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import asyncio
 import json
 from typing import Optional
 
-from repro.service.session import ViewshedSession
+from repro.service.session import ViewshedSession, as_query_segment
 
 __all__ = ["ViewshedServer", "serve"]
 
@@ -46,7 +50,7 @@ class ViewshedServer:
     session:
         The synchronous query core (terrain + config + cache).
     max_batch:
-        Upper bound on coalesced queries per kernel launch.
+        Upper bound on coalesced queries per batch.
     coalesce_ms:
         Gathering window after the first queued query; ``0`` drains
         only what is already queued (lowest latency, still coalesces
@@ -119,9 +123,15 @@ class ViewshedServer:
                 "terrain": self.session.fingerprint,
             }
         if op == "query":
+            # Normalise before queueing: a malformed segment fails its
+            # own request, never the batch it would have joined.
             seg = req.get("segment")
-            if not isinstance(seg, (list, tuple)) or len(seg) != 4:
-                return {"ok": False, "error": "segment must be [y1,z1,y2,z2]"}
+            try:
+                if not isinstance(seg, (list, tuple)) or len(seg) != 4:
+                    raise ValueError("not a list of 4 numbers")
+                seg = as_query_segment(seg)
+            except (TypeError, ValueError, OverflowError) as exc:
+                return {"ok": False, "error": f"segment must be [y1,z1,y2,z2]: {exc}"}
             vis = await self._enqueue_query(seg)
             return {
                 "ok": True,

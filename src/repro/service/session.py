@@ -16,12 +16,13 @@ Query forms:
 * :meth:`ViewshedSession.query` — one segment's visible parts
   (scalar :func:`~repro.envelope.visibility.visible_parts`);
 * :meth:`ViewshedSession.query_batch` — many segments in **one**
-  :func:`~repro.envelope.flat_visibility.batch_visible_parts` launch.
+  :func:`~repro.envelope.flat_visibility.batch_visible_parts` call:
+  one compiled call when the core is on, the scalar loop otherwise.
   By the kernel parity contract the coalesced answers are bit-exact
   with N sequential :meth:`query` calls (``tests/test_service.py``
-  pins this), while the per-query dispatch/locate overhead is paid
-  once — the ``service-qps`` benchmark row measures the resulting
-  throughput multiple;
+  pins this), while the per-query dispatch overhead is paid once —
+  the ``service-qps`` benchmark row measures the resulting throughput
+  multiple;
 * :meth:`ViewshedSession.point_visible` /
   :meth:`ViewshedSession.points_visible` — observer-point queries
   delegating to :mod:`repro.hsr.queries` (the batched form runs the
@@ -156,7 +157,7 @@ class ViewshedSession:
 
     Opening a session computes only the fingerprint.  Each query form
     builds what it scans on first use and keeps it: the horizon
-    envelope (through the cache) for :meth:`query`, its flat arrays
+    envelope (through the cache) for :meth:`query`, its packed block
     for :meth:`query_batch`, and the terrain's edges as point lanes
     sorted by low ordinate for :meth:`points_visible` (numpy engine).
     """
@@ -175,7 +176,7 @@ class ViewshedSession:
         self.cache = cache if cache is not None else DEFAULT_CACHE
         self.fingerprint = terrain_fingerprint(terrain)
         self._envelope: Optional[Envelope] = None
-        self._flat = None
+        self._block = None
         self._point_lanes: Optional[_PointLanes] = None
         self.stats = {"queries": 0, "batches": 0, "batched_queries": 0}
 
@@ -210,13 +211,6 @@ class ViewshedSession:
             self._envelope = env
         return self._envelope
 
-    def _flat_envelope(self):
-        if self._flat is None:
-            from repro.envelope.flat import FlatEnvelope
-
-            self._flat = FlatEnvelope.from_envelope(self.envelope())
-        return self._flat
-
     # -- segment queries ----------------------------------------------
 
     def query(self, seg: QuerySegment) -> VisibilityResult:
@@ -230,8 +224,9 @@ class ViewshedSession:
         self, segs: Sequence[QuerySegment]
     ) -> list[VisibilityResult]:
         """Visible parts of many query segments, coalesced into one
-        batched kernel launch (bit-exact with per-query :meth:`query`
-        calls; python engine falls back to the scalar loop)."""
+        :func:`~repro.envelope.flat_visibility.batch_visible_parts`
+        call (bit-exact with per-query :meth:`query` calls; the python
+        engine runs the scalar loop)."""
         segments = [as_query_segment(s) for s in segs]
         self.stats["batches"] += 1
         self.stats["batched_queries"] += len(segments)
@@ -243,10 +238,15 @@ class ViewshedSession:
                 visible_parts(s, env, eps=self.config.eps)
                 for s in segments
             ]
-        from repro.envelope.flat_visibility import batch_visible_parts
+        from repro.envelope.flat_visibility import (
+            batch_visible_parts,
+            envelope_block,
+        )
 
+        if self._block is None:
+            self._block = envelope_block(self.envelope())
         return batch_visible_parts(
-            self._flat_envelope(), segments, eps=self.config.eps
+            self._block, segments, eps=self.config.eps, config=self.config
         ).results()
 
     # -- observer-point queries ---------------------------------------

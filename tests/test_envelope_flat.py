@@ -238,28 +238,6 @@ class TestBuildParity:
         assert build_envelope([], engine="numpy").envelope.size == 0
 
 
-class TestZAtMany:
-    @given(adversarial_segments(max_segments=12))
-    @settings(max_examples=100, deadline=None)
-    def test_matches_value_at(self, segs):
-        env = env_of(segs)
-        flat = FlatEnvelope.from_envelope(env)
-        ys = [p.ya for p in env.pieces] + [p.yb for p in env.pieces]
-        ys += [0.5 * (p.ya + p.yb) for p in env.pieces]
-        ys += [-1.0, 100.0, 3.14159]
-        got = flat.z_at_many(np.array(ys))
-        for y, g in zip(ys, got.tolist()):
-            want = env.value_at(y)
-            if want == NEG_INF:
-                assert g == NEG_INF
-            else:
-                assert g == want, y
-
-    def test_empty(self):
-        out = FlatEnvelope.empty().z_at_many(np.array([0.0, 1.0]))
-        assert np.all(out == NEG_INF)
-
-
 class TestMergeMany:
     def test_balanced_matches_brute_force(self, rng):
         segs = random_image_segments(rng, 24)

@@ -1,7 +1,8 @@
-"""Engine-equivalence suite for the batched visibility kernel.
+"""Parity suite for the batched visibility kernel.
 
-Same contract as ``tests/test_envelope_flat.py``: the NumPy kernel
-must be an *exact* replica of the scalar reference — identical parts
+Both paths of :func:`batch_visible_parts` — the one compiled call
+(the core on) and the scalar loop (``use_compiled_insert=False``) —
+must be *exact* replicas of :func:`visible_parts`: identical parts
 (bit-for-bit floats), crossings and ``ops`` for every query, on
 adversarial inputs with eps-scale jitters, verticals, gaps and
 near-parallel crossings.
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import HsrConfig
 from repro.envelope.build import build_envelope
 from repro.envelope.chain import Envelope
 from repro.envelope.flat import FlatEnvelope
@@ -76,13 +78,22 @@ def assert_query_identical(got, ref) -> None:
     assert got.parts == ref.parts
     assert got.crossings == ref.crossings
     assert got.ops == ref.ops
+    assert repr(got) == repr(ref)  # the float bits: -0.0, nan, inf
 
 
+@pytest.mark.parametrize(
+    "config",
+    [None, HsrConfig(use_compiled_insert=False)],
+    ids=["core", "reference"],
+)
 class TestBatchParity:
+    """Both paths: ``core`` is the compiled call when the core is built
+    and on (the scalar loop otherwise), ``reference`` the scalar loop."""
+
     @given(adversarial_envelope(), adversarial_queries())
     @settings(max_examples=200, deadline=None)
-    def test_adversarial(self, env, queries):
-        res = batch_visible_parts(env, queries)
+    def test_adversarial(self, config, env, queries):
+        res = batch_visible_parts(env, queries, config=config)
         for k, q in enumerate(queries):
             assert_query_identical(
                 res.result_of(k), visible_parts(q, env)
@@ -90,8 +101,8 @@ class TestBatchParity:
 
     @given(adversarial_envelope(), adversarial_queries())
     @settings(max_examples=50, deadline=None)
-    def test_results_matches_result_of(self, env, queries):
-        res = batch_visible_parts(env, queries)
+    def test_results_matches_result_of(self, config, env, queries):
+        res = batch_visible_parts(env, queries, config=config)
         all_res = res.results()
         assert len(all_res) == len(queries)
         for k in range(len(queries)):
@@ -103,14 +114,14 @@ class TestBatchParity:
         adversarial_queries(max_queries=12),
     )
     @settings(max_examples=300, deadline=None)
-    def test_adversarial_deep(self, env, queries):
-        res = batch_visible_parts(env, queries)
+    def test_adversarial_deep(self, config, env, queries):
+        res = batch_visible_parts(env, queries, config=config)
         for k, q in enumerate(queries):
             assert_query_identical(
                 res.result_of(k), visible_parts(q, env)
             )
 
-    def test_random_large(self, rng):
+    def test_random_large(self, config, rng):
         segs = random_image_segments(rng, 300)
         env = build_envelope(segs, engine="python").envelope
         queries = [
@@ -118,20 +129,21 @@ class TestBatchParity:
             for i, q in enumerate(random_image_segments(rng, 100))
         ]
         res = batch_visible_parts(
-            FlatEnvelope.from_envelope(env), queries
+            FlatEnvelope.from_envelope(env), queries, config=config
         )
         for k, q in enumerate(queries):
             assert_query_identical(
                 res.result_of(k), visible_parts(q, env)
             )
 
-    def test_empty_envelope(self):
+    def test_empty_envelope(self, config):
         res = batch_visible_parts(
             Envelope.empty(),
             [
                 ImageSegment(0.0, 1.0, 4.0, 2.0, 0),
                 ImageSegment(1.0, 0.0, 1.0, 3.0, 1),  # vertical
             ],
+            config=config,
         )
         a = res.result_of(0)
         assert a.fully_visible and a.parts == [(0.0, 4.0)]
@@ -139,19 +151,20 @@ class TestBatchParity:
         b = res.result_of(1)
         assert b.parts == [(1.0, 1.0)] and b.ops == 1
 
-    def test_empty_queries(self):
-        res = batch_visible_parts(Envelope.empty(), [])
+    def test_empty_queries(self, config):
+        res = batch_visible_parts(Envelope.empty(), [], config=config)
         assert res.n_queries == 0 and len(res.part_query) == 0
 
-    def test_single_query_wrapper(self, rng):
+    def test_single_query_wrapper(self, config, rng):
         segs = random_image_segments(rng, 40)
         env = build_envelope(segs, engine="python").envelope
         q = ImageSegment(10.0, 20.0, 80.0, 21.0, 999)
         assert_query_identical(
-            batch_visible_parts(env, (q,)).result_of(0), visible_parts(q, env)
+            batch_visible_parts(env, (q,), config=config).result_of(0),
+            visible_parts(q, env),
         )
 
-    def test_negative_zero_boundary(self):
+    def test_negative_zero_boundary(self, config):
         # Pieces starting at -0.0 and +0.0, queried up to the other
         # zero: bisect treats the zeros as equal, so the batched
         # locate must too, or the overlap range and ops shift.
@@ -164,9 +177,31 @@ class TestBatchParity:
                 ImageSegment(-1.0, 9.0, -0.0, 9.0, 101),
                 ImageSegment(-0.0, 0.0, 0.0, 9.0, 102),
             ]
-            res = batch_visible_parts(FlatEnvelope.from_envelope(env), queries)
+            res = batch_visible_parts(
+                FlatEnvelope.from_envelope(env), queries, config=config
+            )
             for k, q in enumerate(queries):
                 assert_query_identical(res.result_of(k), visible_parts(q, env))
+
+    def test_degenerate_queries(self, config, rng):
+        # Reversed, vertical, non-finite and out-of-range queries.
+        env = build_envelope(
+            random_image_segments(rng, 60), engine="python"
+        ).envelope
+        lo, hi = env.pieces[0].ya, env.pieces[-1].yb
+        nan, inf = float("nan"), float("inf")
+        specs = [
+            (hi, 1.0, lo, 2.0), (50.0, -1.0, 50.0, 80.0), (50.0, 80.0, 50.0, 80.0),
+            (nan, 0.0, 10.0, 2.0), (0.0, nan, 10.0, 2.0), (0.0, 1.0, nan, 2.0),
+            (nan, nan, nan, nan), (-inf, 0.0, inf, 0.0), (-inf, 1e9, inf, 1e9),
+            (lo, inf, hi, inf), (lo, -inf, hi, inf), (inf, 0.0, inf, 5.0),
+            (hi + 10.0, 0.0, hi + 20.0, 0.0), (lo - 20.0, 0.0, lo - 10.0, 5.0),
+            (lo, -1e308, hi, 1e308), (-0.0, 0.0, 0.0, 5.0),
+        ]
+        queries = [ImageSegment(*q) for q in specs]
+        res = batch_visible_parts(env, queries, config=config)
+        for k, q in enumerate(queries):
+            assert_query_identical(res.result_of(k), visible_parts(q, env))
 
 
 def _run_incremental_pair(segments, *, eps=None):

@@ -16,12 +16,32 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro.config import HsrConfig
+from repro.envelope import _ccore
+from repro.envelope.visibility import visible_parts
+from repro.reliability import faultinject as fi
+from repro.reliability import guard
 from repro.service import (
     EnvelopeCache,
     ViewshedServer,
     ViewshedSession,
     terrain_fingerprint,
 )
+from repro.service.session import as_query_segment
+
+needs_ccore = pytest.mark.skipif(
+    not _ccore.HAVE_CCORE,
+    reason="optional compiled core not built in this environment",
+)
+
+
+@pytest.fixture
+def no_ambient_plan(monkeypatch):
+    """Run without an environment fault plan (the CI loop arms one for
+    the whole session) and with guarded dispatch; both come back after
+    the test."""
+    monkeypatch.setattr(fi, "_PLAN", None)
+    monkeypatch.setattr(fi, "ARMED", False)
+    monkeypatch.setattr(guard, "GUARDED_DISPATCH", True)
 
 
 def _fractal(seed=3):
@@ -109,6 +129,60 @@ class TestSessionQueries:
     def test_empty_batch(self, terrain):
         session = ViewshedSession(terrain, cache=EnvelopeCache())
         assert session.query_batch([]) == []
+
+    @pytest.mark.parametrize(
+        "config,calls",
+        [(None, [1, 1]), (HsrConfig(use_compiled_insert=False), [])],
+        ids=["core", "core-off"],
+    )
+    def test_one_compiled_call_per_batch(
+        self, terrain, config, calls, monkeypatch, no_ambient_plan
+    ):
+        if config is None and not _ccore.COMPILED_DEFAULT:
+            pytest.skip("the compiled core is not on by default here")
+        seen = []
+        real = _ccore.merge_layer
+        monkeypatch.setattr(
+            _ccore, "merge_layer", lambda *a: seen.append(1) or real(*a)
+        )
+        segs = _query_segments(terrain, count=30)
+        session = ViewshedSession(terrain, config=config, cache=EnvelopeCache())
+        env = session.envelope()
+        seen.clear()  # the envelope build's own layer calls
+        for half in (segs[:15], segs[15:]):
+            got = session.query_batch(half)
+            assert [repr(r) for r in got] == [
+                repr(visible_parts(as_query_segment(s), env)) for s in half
+            ]
+        assert seen == calls
+
+    @needs_ccore
+    def test_raise_plan_answers_on_the_reference(
+        self, terrain, monkeypatch, no_ambient_plan
+    ):
+        seen = []
+        real = _ccore.merge_layer
+        monkeypatch.setattr(
+            _ccore, "merge_layer", lambda *a: seen.append(1) or real(*a)
+        )
+        segs = _query_segments(terrain)
+        session = ViewshedSession(
+            terrain,
+            config=HsrConfig(use_compiled_insert=True),
+            cache=EnvelopeCache(),
+        )
+        env = session.envelope()
+        seen.clear()
+        want = [repr(visible_parts(as_query_segment(s), env)) for s in segs]
+        with guard.reliability_run() as report:
+            with fi.inject("phase2_merge", "raise", nth=2) as plan:
+                for _ in range(3):
+                    got = session.query_batch(segs)
+                    assert [repr(r) for r in got] == want
+        assert plan.fired == 1
+        assert report.sites["phase2_merge"].count == 1
+        assert not report.sites["phase2_merge"].quarantined
+        assert len(seen) == 2  # the faulted batch ran on the reference
 
     def test_cache_hit_on_identical_terrain(self):
         cache = EnvelopeCache()
@@ -242,6 +316,38 @@ class TestServerCoalescing:
         assert pts == {"ok": True, "visible": [True, False]}
         assert not bad_op["ok"] and "unknown op" in bad_op["error"]
         assert not bad_seg["ok"]
+
+    def test_malformed_query_fails_alone(self):
+        terrain = _fractal()
+        segs = _query_segments(terrain, count=2)
+        session = ViewshedSession(terrain, cache=EnvelopeCache())
+        expected = session.query(segs[0])
+
+        async def scenario():
+            server = ViewshedServer(session, coalesce_ms=20.0)
+            await server.start(port=0)
+            resps = await asyncio.gather(
+                server.handle_request({"op": "query", "segment": list(segs[0])}),
+                server.handle_request(
+                    {"op": "query", "segment": ["oops", 0, 1, 0]}
+                ),
+                server.handle_request({"op": "query", "segment": [1, 2, 3, [4]]}),
+                server.handle_request({"op": "query", "segment": list(segs[1])}),
+            )
+            stats = dict(server.stats)
+            await server.stop()
+            return resps, stats
+
+        (good, bad, nested, other), stats = self._run(scenario())
+        assert good == {
+            "ok": True,
+            "parts": [[p.ya, p.yb] for p in expected.parts],
+            "ops": expected.ops,
+        }
+        assert other["ok"]
+        assert not bad["ok"] and "oops" in bad["error"]
+        assert not nested["ok"]
+        assert stats["coalesced"] == 2  # the malformed ones never queued
 
     def test_max_batch_splits_launches(self):
         terrain = _fractal()
