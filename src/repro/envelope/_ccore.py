@@ -58,14 +58,18 @@ behind two flags and these names:
     :mod:`repro.envelope.build` and
     :mod:`repro.envelope.flat_visibility`.
 
-``front_to_back(x1, y1, x2, y2, src, sign)``
+``front_to_back(x1, y1, x2, y2, src, sign, faces, boundary)``
     The front-to-back ordering in one C call over map-segment lanes
-    (buffers of float64 coordinates and int64 sources).  Returns the
-    order list, or ``None`` when the core declines (scratch OOM, a
-    source other than its lane index, a NaN sweep ``y``, a missing
-    status entry) and the Python sweep should answer.
-    ``order_constraints`` returns the same call's raw constraint list,
-    for the parity tests.
+    (buffers of float64 coordinates and int64 sources).  With a
+    terrain's face table (:meth:`repro.terrain.model.Terrain.face_edges`)
+    the constraints come from the face pass, else (or when the face
+    pass declines) from the full sweep.  Returns the order list, or
+    ``None`` when the core declines (scratch OOM, a source other than
+    its lane index, a NaN sweep ``y``, a missing status entry) and the
+    Python sweep should answer.  ``ordering_path`` also names the
+    path that answered (:data:`ORDER_PATHS`), and
+    ``order_constraints`` returns the full sweep's raw constraint
+    list, both for the tests.
 
 ``flat_splice`` imports *us*, never the reverse.
 """
@@ -122,6 +126,12 @@ LANE_ROWS = (5, 5, 5, 4, 2, 2, 1, 3)
 MODE_PCT = 1
 MODE_PHASE2 = 2
 MODE_ROPE = 3
+
+#: Path codes of ``repro_front_to_back``, by value (keep in sync with
+#: the ``OP_*`` defines in ``_ccore_build.py``): ``"faces"`` is the
+#: face pass; the others are the full sweep and the reason the face
+#: pass did not answer (``"sweep"``: no face table was passed).
+ORDER_PATHS = ("faces", "sweep", "horizontal", "tie", "non-manifold", "nan", "cycle")
 
 
 def _env_enabled() -> bool:
@@ -368,13 +378,22 @@ if HAVE_CCORE:
             raise MemoryError("compiled merge layer scratch")
         return res
 
-    def _sweep(x1, y1, x2, y2, src, sign: int):
+    def _order(x1, y1, x2, y2, src, sign, faces, boundary, cons=None):
         n = len(src)
         if not len(x1) == len(y1) == len(x2) == len(y2) == n:
             raise ValueError("map-segment lanes differ in length")
-        order = ffi.new("int64_t[]", n)
-        cons = ffi.new("int64_t[]", 6 * n)  # 3n (front, back) pairs
-        ncons = ffi.new("int64_t *")
+        if faces is None:
+            nf, fe, nb, bnd = -1, ffi.NULL, 0, ffi.NULL
+        else:
+            nf, nb = len(faces), len(boundary)
+            fe = ffi.from_buffer("int64_t[]", faces)
+            bnd = ffi.from_buffer("int64_t[]", boundary)
+            if len(fe) != 3 * nf or len(bnd) != nb:
+                raise ValueError("face table rows are not edge index triples")
+        import numpy as np
+
+        order = np.empty(n, np.int64)  # .tolist() beats ffi.unpack
+        out = ffi.new("int64_t[2]")  # constraint count, path code
         done = lib.repro_front_to_back(
             n,
             ffi.from_buffer("double[]", x1),
@@ -383,22 +402,34 @@ if HAVE_CCORE:
             ffi.from_buffer("double[]", y2),
             ffi.from_buffer("int64_t[]", src),
             sign,
-            order,
-            cons,
-            ncons,
+            nf,
+            fe,
+            nb,
+            bnd,
+            ffi.from_buffer("int64_t[]", order),
+            ffi.NULL if cons is None else cons,
+            out,
+            out + 1,
         )
-        return done, order, cons, ncons[0]
+        answer = order.tolist() if done == n else None
+        return answer, ORDER_PATHS[out[1]], out[0]
 
-    def front_to_back(x1, y1, x2, y2, src, sign: int):
+    def front_to_back(x1, y1, x2, y2, src, sign: int, faces=None, boundary=None):
         """The ordering as a list of edge indices, or ``None`` when the
         core declines and the Python sweep should answer."""
-        done, order, _cons, _k = _sweep(x1, y1, x2, y2, src, sign)
-        return ffi.unpack(order, done) if done == len(src) else None
+        return _order(x1, y1, x2, y2, src, sign, faces, boundary)[0]
+
+    def ordering_path(x1, y1, x2, y2, src, sign: int, faces=None, boundary=None):
+        """``(order, path)``: :func:`front_to_back`'s answer and the
+        name in :data:`ORDER_PATHS` of the constraints it came from."""
+        return _order(x1, y1, x2, y2, src, sign, faces, boundary)[:2]
 
     def order_constraints(x1, y1, x2, y2, src):
-        """The sweep's ``(front, back)`` list, or ``None`` on decline."""
-        done, _order, cons, k = _sweep(x1, y1, x2, y2, src, 1)
-        if done < 0:
+        """The full sweep's ``(front, back)`` list, or ``None`` on
+        decline."""
+        cons = ffi.new("int64_t[]", 6 * len(src))  # 3n (front, back) pairs
+        order, _path, k = _order(x1, y1, x2, y2, src, 1, None, None, cons)
+        if order is None:
             return None
         flat = ffi.unpack(cons, 2 * k)
         return list(zip(flat[0::2], flat[1::2]))
@@ -419,8 +450,11 @@ else:  # pragma: no cover - the no-compiler install
     def merge_layer(core, mode, blk, lanes, jobs, eps, record):
         return None
 
-    def front_to_back(x1, y1, x2, y2, src, sign: int):
+    def front_to_back(x1, y1, x2, y2, src, sign: int, faces=None, boundary=None):
         return None
+
+    def ordering_path(x1, y1, x2, y2, src, sign: int, faces=None, boundary=None):
+        return None, None
 
     def order_constraints(x1, y1, x2, y2, src):
         return None

@@ -58,17 +58,23 @@ its fresh slot count too).
 ``repro_front_to_back`` is the front-to-back ordering of
 :func:`~repro.ordering.sweep.front_to_back_order` in one call over
 ``(x1, y1, x2, y2, source)`` map-segment lanes whose sources are the
-lane indices (a terrain's lanes; anything else is declined): the
-``(y, kind, idx)`` event order — a counting pass by kind in idx
-order, then a stable LSD radix sort on the orderable bits of
-``y + 0.0`` — the status bisection with the ``_StatusEntry.__lt__``
-comparator (``in_front_comparison`` at the common-range midpoint,
-then the source tie-break), a removal found by its lane index (the
-one entry the Python sweep's exact-source scan finds), and Kahn's
-topological sort with a heap keyed by ``sign * i``.  It declines
-(negative return) and the Python sweep answers, raising its own
-errors; a constraint cycle needs permuted sources, so the C sweep
-never meets one.
+lane indices (a terrain's lanes; anything else is declined).  Given a
+terrain's face table, the constraints are the in-front pairs of each
+face's three edges plus the plane sweep over the boundary edges alone
+— the same transitive closure as the full sweep, so the same Kahn
+order, in linear time.  Without a table, or when that face pass
+declines (a map-horizontal edge, a tie, an edge in three faces, a NaN,
+a cycle), the same call runs the full sweep: the ``(y, kind, idx)``
+event order — a counting pass by kind in idx order, then a stable LSD
+radix sort on the orderable bits of ``y + 0.0`` — the status
+bisection with the ``_StatusEntry.__lt__`` comparator
+(``in_front_comparison`` at the common-range midpoint, then the source
+tie-break), and a removal found by its lane index (the one entry the
+Python sweep's exact-source scan finds).  Both end in Kahn's
+topological sort with a heap keyed by ``sign * i``, and the call
+reports which path answered.  It declines (negative return) and the
+Python sweep answers, raising its own errors; a constraint cycle of
+the sweep needs permuted sources, so the C sweep never meets one.
 
 Bit-exactness contract: every float expression below is a literal
 transcription of the pure-Python scalar loop (``_line_z`` endpoint
@@ -132,7 +138,8 @@ int64_t repro_merge_layer(
 int64_t repro_front_to_back(
     int64_t n, const double *x1, const double *y1, const double *x2,
     const double *y2, const int64_t *src, int64_t sign,
-    int64_t *order, int64_t *cons, int64_t *ncons);
+    int64_t nf, const int64_t *fe, int64_t nb, const int64_t *bnd,
+    int64_t *order, int64_t *cons, int64_t *ncons, int64_t *path);
 """
 
 C_SOURCE = r"""
@@ -1425,18 +1432,31 @@ int64_t repro_insert_run(
 
 /* ==== front-to-back ordering (repro/ordering/sweep.py) ============== */
 
-/* Decline codes of repro_front_to_back.  A non-negative return is
- * the count of ordered edges.  With sources equal to lane indices the
- * constraint graph has no cycle, so that count is n: every constraint
- * (f, b) has f after b in the order in which the status list ever held
- * its entries — an insertion lands between its live neighbours and
- * entries never swap — and a cycle needs permuted sources, which
- * OR_INPUT declines.  The wrapper still treats anything but n as a
- * decline. */
+/* Return codes of repro_front_to_back.  A non-negative return is the
+ * count of ordered edges; the wrapper treats anything but n as a
+ * decline, which the Python sweep answers (raising its own errors). */
 #define OR_OOM     (-1)  /* scratch allocation failed                  */
 #define OR_INPUT   (-2)  /* a source other than its lane index, or a
                           * NaN sweep y                                */
 #define OR_MISSING (-3)  /* a removal found no status entry            */
+
+/* Path codes (mirrored in repro/envelope/_ccore.py): which constraints
+ * the answer came from.  OP_FACES is the face pass; every other code
+ * is the full sweep, with the reason the face pass did not answer.
+ * A short Kahn count (OP_CYCLE) is reachable only through a face
+ * table that is not the terrain's own (crossing segments): on the
+ * full sweep, with sources equal to lane indices, every constraint
+ * (f, b) has f after b in the order in which the status list ever
+ * held its entries — an insertion lands between its live neighbours
+ * and entries never swap — so the sweep's graph has no cycle. */
+#define OP_FACES       0  /* face pass + boundary sweep answered      */
+#define OP_SWEEP       1  /* no face table given                      */
+#define OP_HORIZONTAL  2  /* a map-horizontal edge                    */
+#define OP_TIE         3  /* a face pair ties over a real y-range     */
+#define OP_NONMANIFOLD 4  /* an edge in more than two faces, or an
+                           * index outside the lanes                  */
+#define OP_NAN         5  /* a NaN coordinate                         */
+#define OP_CYCLE       6  /* Kahn ordered fewer than n edges          */
 
 /* Map-segment lanes.  Sources equal lane indices (checked by the
  * entry point), so a status entry's lane is its source. */
@@ -1659,33 +1679,20 @@ static int64_t heap_pop(int64_t *heap, int64_t *len)
     return top;
 }
 
-/* front_to_back_order: the sweep, then Kahn's topological sort over a
- * CSR adjacency with a binary heap keyed by sign * i.  Keys are
- * unique, so the pop sequence is the one heapq produces, and a
- * duplicate constraint only decrements its target twice in the same
- * pop — no dedupe is needed.  Constraints stay in cons (*ncons
- * pairs) for the parity tests. */
-int64_t repro_front_to_back(
-    int64_t n, const double *x1, const double *y1, const double *x2,
-    const double *y2, const int64_t *src, int64_t sign,
-    int64_t *order, int64_t *cons, int64_t *ncons)
+/* Kahn's topological sort of cons (k (front, back) pairs) over a CSR
+ * adjacency with a binary heap keyed by sign * i.  Keys are unique,
+ * so the pop sequence is the one heapq produces, and a duplicate
+ * constraint only decrements its target twice in the same pop — no
+ * dedupe is needed.  Returns the count of ordered edges (n unless
+ * the constraints hold a cycle) or OR_OOM. */
+static int64_t kahn(int64_t n, const int64_t *cons, int64_t k,
+                    int64_t sign, int64_t *order)
 {
-    map_lanes L;
-    int64_t *off = NULL, *adj = NULL, *indeg = NULL, *heap = NULL;
-    int64_t k, i, j, p, hl = 0, done = 0, ret;
-    L.x1 = x1; L.y1 = y1; L.x2 = x2; L.y2 = y2;
-    *ncons = 0;
-    for (i = 0; i < n; i++)
-        if (src[i] != i || y1[i] != y1[i] || y2[i] != y2[i])
-            return OR_INPUT;
-    k = sweep_constraints(&L, n, cons);
-    if (k < 0) return k;
-    *ncons = k;
-
-    off = (int64_t *)calloc((size_t)(n + 1), sizeof(int64_t));
-    adj = (int64_t *)malloc((size_t)(k + 1) * sizeof(int64_t));
-    indeg = (int64_t *)calloc((size_t)(n + 1), sizeof(int64_t));
-    heap = (int64_t *)malloc((size_t)(n + 1) * sizeof(int64_t));
+    int64_t *off = (int64_t *)calloc((size_t)(n + 1), sizeof(int64_t));
+    int64_t *adj = (int64_t *)malloc((size_t)(k + 1) * sizeof(int64_t));
+    int64_t *indeg = (int64_t *)calloc((size_t)(n + 1), sizeof(int64_t));
+    int64_t *heap = (int64_t *)malloc((size_t)(n + 1) * sizeof(int64_t));
+    int64_t i, j, p, hl = 0, done = 0, ret;
     if (!off || !adj || !indeg || !heap) { ret = OR_OOM; goto DONE; }
     for (p = 0; p < k; p++)
         if (cons[2 * p] != cons[2 * p + 1]) off[cons[2 * p] + 1]++;
@@ -1715,6 +1722,154 @@ DONE:
     free(adj);
     free(indeg);
     free(heap);
+    return ret;
+}
+
+/* One face pair: its (front, back) constraint when the edges overlap
+ * in y, nothing when they share at most a point of y-range.  Returns
+ * 0 on a tie over a real common y-range (x equal at the midpoint). */
+static int face_pair(const map_lanes *L, int64_t a, int64_t b,
+                     int64_t *cons, int64_t *k)
+{
+    int c = in_front(L, a, b);
+    if (c == 0) {
+        double lo = L->y1[b] > L->y1[a] ? L->y1[b] : L->y1[a];
+        double hi = L->y2[b] < L->y2[a] ? L->y2[b] : L->y2[a];
+        return hi <= lo;
+    }
+    cons[2 * *k] = c > 0 ? a : b;
+    cons[2 * *k + 1] = c > 0 ? b : a;
+    (*k)++;
+    return 1;
+}
+
+/* The face pass: the in-front pairs of each face's three edges, then
+ * the sweep over the boundary edges (those in one face) alone, its
+ * lane-local pairs mapped back to edge indices through bnd, which is
+ * ascending, so the sweep's index tie-break is unchanged.  Writes
+ * into cons (room for 3 * (nf + nb) pairs) and returns the pair count,
+ * a negative OR_* code, or FACE_DECLINED with the reason in *path.
+ *
+ * Why the order equals the full sweep's: Kahn's sort pops the least
+ * ready edge, and an edge is ready exactly when its predecessors in
+ * the transitive closure are done, so the order depends only on the
+ * closure.  These pairs are true in-front pairs, and any two edges
+ * that overlap in y are joined by a chain of them along a horizontal
+ * line of their common range: inside the domain the line crosses a
+ * chain of faces, each consecutive pair of crossed edges a face pair;
+ * each gap outside the domain is bridged by two boundary edges that
+ * the boundary sweep finds adjacent. */
+#define FACE_DECLINED (-100)
+static int64_t face_constraints(const map_lanes *L, int64_t n,
+                                int64_t nf, const int64_t *fe, int64_t nb,
+                                const int64_t *bnd, int64_t *cons,
+                                int64_t *path)
+{
+    int64_t *cnt = (int64_t *)calloc((size_t)(n + 1), sizeof(int64_t));
+    double *bl = (double *)malloc((size_t)(4 * nb + 1) * sizeof(double));
+    map_lanes B;
+    int64_t f, i, e0, e1, e2, k = 0, kb, ret;
+    if (!cnt || !bl) { ret = OR_OOM; goto DONE; }
+    for (i = 0; i < n; i++) {
+        if (L->x1[i] != L->x1[i] || L->x2[i] != L->x2[i]
+                || L->y1[i] != L->y1[i] || L->y2[i] != L->y2[i]) {
+            *path = OP_NAN;
+            goto DECLINE;
+        }
+        if (L->y1[i] == L->y2[i]) {
+            *path = OP_HORIZONTAL;
+            goto DECLINE;
+        }
+    }
+    for (i = 0; i < 3 * nf; i++) {
+        if (fe[i] < 0 || fe[i] >= n || ++cnt[fe[i]] > 2) {
+            *path = OP_NONMANIFOLD;
+            goto DECLINE;
+        }
+    }
+    for (f = 0; f < nf; f++) {
+        e0 = fe[3 * f]; e1 = fe[3 * f + 1]; e2 = fe[3 * f + 2];
+        if (!face_pair(L, e0, e1, cons, &k) || !face_pair(L, e1, e2, cons, &k)
+                || !face_pair(L, e0, e2, cons, &k)) {
+            *path = OP_TIE;
+            goto DECLINE;
+        }
+    }
+
+    for (i = 0; i < nb; i++) {
+        if (bnd[i] < 0 || bnd[i] >= n) {
+            *path = OP_NONMANIFOLD;
+            goto DECLINE;
+        }
+        bl[i] = L->x1[bnd[i]];
+        bl[nb + i] = L->y1[bnd[i]];
+        bl[2 * nb + i] = L->x2[bnd[i]];
+        bl[3 * nb + i] = L->y2[bnd[i]];
+    }
+    B.x1 = bl; B.y1 = bl + nb; B.x2 = bl + 2 * nb; B.y2 = bl + 3 * nb;
+    kb = sweep_constraints(&B, nb, cons + 2 * k);
+    if (kb < 0) { ret = kb; goto DONE; }
+    for (i = 2 * k; i < 2 * (k + kb); i++) cons[i] = bnd[cons[i]];
+    ret = k + kb;
+    goto DONE;
+DECLINE:
+    ret = FACE_DECLINED;
+DONE:
+    free(cnt);
+    free(bl);
+    return ret;
+}
+
+/* front_to_back_order.  With a face table (nf >= 0: fe holds each
+ * face's edges (a,b), (b,c), (a,c), bnd the nb boundary edges in
+ * ascending order) the face pass gives the constraints; without one,
+ * or when it declines, the full sweep does — over all edges, in this
+ * same call.  Then Kahn.  *path gets the OP_* code of the answer.
+ * cons, when not NULL, receives the answer's constraints (*ncons
+ * pairs; room for 3n pairs on the sweep, 3 * (nf + nb) on the face
+ * pass) for the parity tests; when NULL the call uses scratch. */
+int64_t repro_front_to_back(
+    int64_t n, const double *x1, const double *y1, const double *x2,
+    const double *y2, const int64_t *src, int64_t sign,
+    int64_t nf, const int64_t *fe, int64_t nb, const int64_t *bnd,
+    int64_t *order, int64_t *cons, int64_t *ncons, int64_t *path)
+{
+    map_lanes L;
+    int64_t *work = cons;
+    int64_t k = FACE_DECLINED, i, ret, room = 3 * n;
+    L.x1 = x1; L.y1 = y1; L.x2 = x2; L.y2 = y2;
+    *ncons = 0;
+    *path = nf < 0 ? OP_SWEEP : OP_FACES;
+    for (i = 0; i < n; i++)
+        if (src[i] != i) return OR_INPUT;
+    if (nf >= 0 && 3 * (nf + nb) > room) room = 3 * (nf + nb);
+    if (!work) {
+        work = (int64_t *)malloc((size_t)(2 * room + 1) * sizeof(int64_t));
+        if (!work) return OR_OOM;
+    }
+    if (nf >= 0) {
+        k = face_constraints(&L, n, nf, fe, nb, bnd, work, path);
+        if (k >= 0) {
+            ret = kahn(n, work, k, sign, order);
+            if (ret != n && ret != OR_OOM) {
+                *path = OP_CYCLE;
+                k = FACE_DECLINED;
+            }
+        } else if (k != FACE_DECLINED) {
+            ret = k;
+            goto DONE;
+        }
+    }
+    if (k == FACE_DECLINED) {
+        for (i = 0; i < n; i++)
+            if (y1[i] != y1[i] || y2[i] != y2[i]) { ret = OR_INPUT; goto DONE; }
+        k = sweep_constraints(&L, n, work);
+        if (k < 0) { ret = k; goto DONE; }
+        ret = kahn(n, work, k, sign, order);
+    }
+    *ncons = k;
+DONE:
+    if (work != cons) free(work);
     return ret;
 }
 """

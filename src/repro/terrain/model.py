@@ -43,15 +43,17 @@ __all__ = ["Terrain"]
 
 
 class _Topology:
-    """A terrain's face buffer, its edge buffer (derived on first use)
-    and their list views.  Transforms move vertices, never topology, so
-    a terrain and every terrain derived from it share one instance."""
+    """A terrain's face buffer, its edge buffer and face→edge table
+    (each derived on first use) and their list views.  Transforms move
+    vertices, never topology, so a terrain and every terrain derived
+    from it share one instance."""
 
-    __slots__ = ("faces", "edges", "face_list", "edge_list")
+    __slots__ = ("faces", "edges", "face_edges", "face_list", "edge_list")
 
     def __init__(self, faces):
         self.faces = faces
         self.edges = None
+        self.face_edges = None
         self.face_list: Optional[list[tuple[int, int, int]]] = None
         self.edge_list: Optional[list[tuple[int, int]]] = None
 
@@ -172,6 +174,18 @@ class Terrain:
         if topo.edges is None:
             topo.edges = _edge_buffer(topo.faces)
         return topo.edges
+
+    def face_edges(self) -> tuple:
+        """``(table, boundary)``: an ``(m, 3)`` int64 array of the edge
+        indices of ``(a, b)``, ``(b, c)`` and ``(a, c)`` for each face
+        ``(a, b, c)`` of :attr:`face_buffer`, and the ascending int64
+        indices of the boundary edges (those in exactly one face) —
+        the compiled ordering's face pass.  Built on first use, once
+        per topology.  Requires numpy."""
+        topo = self._topo
+        if topo.face_edges is None:
+            topo.face_edges = _face_edge_table(topo.faces, self.edge_buffer)
+        return topo.face_edges
 
     @property
     def vertices(self) -> list[Point3]:
@@ -498,6 +512,20 @@ def _edge_buffer(faces):
     out = _np.empty((keys.size, 2), _np.int64)
     out[:, 0], out[:, 1] = _np.divmod(keys, base)
     return _frozen(out)
+
+
+def _face_edge_table(faces, edges):
+    """:meth:`Terrain.face_edges` of numpy face and edge buffers: each
+    face edge's ``low * base + high`` key located by ``searchsorted`` on
+    the edge keys, which :func:`_edge_buffer` left ascending."""
+    base = int(faces.max(initial=0)) + 1
+    keys = edges[:, 0] * base + edges[:, 1]
+    a, b, c = faces[:, 0], faces[:, 1], faces[:, 2]
+    table = _np.searchsorted(
+        keys, _np.stack((a * base + b, b * base + c, a * base + c), axis=1)
+    )
+    count = _np.bincount(table.ravel(), minlength=len(edges))
+    return _frozen(table), _frozen(_np.flatnonzero(count == 1))
 
 
 def _affine(xyz, factors, op):

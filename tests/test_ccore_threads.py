@@ -1,8 +1,9 @@
-"""The compiled core is reentrant: runs and envelope builds on several
-threads at once (cffi releases the GIL around every C call, so they
-really overlap) stay bit-exact against single-threaded ones.  Each run
-owns its core context (:class:`repro.envelope._ccore.Core`); nothing
-in the C side is static."""
+"""The compiled core is reentrant: runs, envelope builds and face-pass
+orderings on several threads at once (cffi releases the GIL around
+every C call, so they really overlap) stay bit-exact against
+single-threaded ones.  Each run owns its core context
+(:class:`repro.envelope._ccore.Core`); the ordering's scratch is per
+call; nothing in the C side is static."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from repro.envelope import _ccore
 from repro.envelope.build import build_envelope
 from repro.hsr.parallel import ParallelHSR
 from repro.hsr.sequential import SequentialHSR
+from repro.ordering.sweep import map_lanes
 from repro.terrain.generators import fractal_terrain
 
 pytestmark = pytest.mark.skipif(
@@ -46,6 +48,16 @@ def _build(terrain):
     return run
 
 
+def _order(terrain, sign):
+    lanes = map_lanes(terrain)
+    faces = terrain.face_edges()
+
+    def run():
+        return _ccore.ordering_path(*lanes, sign, *faces)
+
+    return run
+
+
 def test_threads_running_the_core_stay_bit_exact():
     jobs = [
         (_run(SequentialHSR(), fractal_terrain(size=65, seed=3)), 15),
@@ -56,8 +68,11 @@ def test_threads_running_the_core_stay_bit_exact():
         (_run(ParallelHSR(mode="persistent"), fractal_terrain(size=33, seed=4)), 6),
         (_build(fractal_terrain(size=65, seed=3)), 15),
         (_build(fractal_terrain(size=65, seed=4)), 15),
+        (_order(fractal_terrain(size=65, seed=3).rotated(30), 1), 40),
+        (_order(fractal_terrain(size=65, seed=4).rotated(200), -1), 40),
     ]
     refs = [run() for run, _ in jobs]
+    assert [path for _, path in refs[-2:]] == ["faces", "faces"]
     results: list[list] = [[] for _ in jobs]
     errors: list[BaseException] = []
     start = threading.Barrier(len(jobs))

@@ -51,6 +51,14 @@ CYCLE_SEGMENTS = [
     MapSegment(3.0, 0.0, 2.0, 4.0, 0),
 ]
 
+#: Three pairwise-crossing segments whose in-front pairs, taken as one
+#: face, form the cycle 1 → 0 → 2 → 1 (sources equal their indices).
+FACE_CYCLE_SEGMENTS = [
+    MapSegment(0.0, 0.0, 0.0, 10.0, 0),
+    MapSegment(1.0, 0.0, 1.0, 4.0, 1),
+    MapSegment(2.0, 2.0, -4.0, 10.0, 2),
+]
+
 #: ``front_to_back_order(fractal_terrain(size=5, seed=2))``, pinned so
 #: every path (compiled, Python sweep, no-compiler install) is checked
 #: against the same answer.
@@ -231,6 +239,8 @@ def _assert_compiled_parity(terrain: Terrain, segments=None):
             terrain, segments=segments, tie_break=tie_break, engine="python"
         )
         assert _ccore.front_to_back(*lanes, sign) == ref
+        if segments is None:
+            assert _ccore.front_to_back(*lanes, sign, *terrain.face_edges()) == ref
         assert (
             front_to_back_order(
                 terrain, segments=segments, tie_break=tie_break, engine="numpy"
@@ -267,9 +277,11 @@ class TestCompiledOrdering:
         azimuth=st.floats(0.0, 360.0, allow_nan=False),
     )
     def test_fuzz_random_terrain(self, seed, azimuth):
-        _assert_compiled_parity(
-            random_terrain(n_points=30, seed=seed).rotated(azimuth)
-        )
+        # Also the face pass, which answers unless an edge is horizontal.
+        t = random_terrain(n_points=30, seed=seed).rotated(azimuth)
+        _assert_compiled_parity(t)
+        _x1, y1, _x2, y2, _src = map_lanes(t)
+        assert _face_path(t, 1)[1] == ("horizontal" if (y1 == y2).any() else "faces")
 
     @needs_ccore
     def test_crossing_segments_same_by_either_path(self):
@@ -420,6 +432,115 @@ class TestCompiledOrdering:
             )
 
 
+def _family_terrain(case: str) -> Terrain:
+    """``family@azimuth`` of the face-pass matrix: the ``terrain_for``
+    families, random Delaunay and the packaged DEM tile."""
+    from repro.scenarios.instances import dem_terrain_for, terrain_for
+
+    family, az = case.split("@")
+    if family == "delaunay":
+        t = random_terrain(n_points=80, seed=5)
+    elif family == "dem":
+        t = dem_terrain_for({"path": "data/dem_tile.asc", "format": "esri-ascii"})
+    else:
+        size = 9 if family == "fractal" else 8
+        return terrain_for({"family": family, "size": size, "seed": 2, "observer": az})
+    return t.rotated(float(az)) if float(az) else t
+
+
+FAMILY_CASES = [
+    f"{family}@{az}"
+    for family in (
+        "fractal", "valley", "ridge", "plateau", "shielded_basin",
+        "constant_plateau", "lattice_plateau", "delaunay", "dem",
+    )
+    for az in (0, 30, 90, 135, 250)
+]
+
+
+def _face_path(terrain: Terrain, sign: int):
+    """``(order, path)`` of the compiled call on ``terrain``'s lanes and
+    face table."""
+    return _ccore.ordering_path(*map_lanes(terrain), sign, *terrain.face_edges())
+
+
+@needs_ccore
+class TestFacePass:
+    """The face pass — each face's in-front pairs plus a sweep over the
+    boundary edges alone — gives the full sweep's order, byte for byte,
+    and declines to that sweep inside the same call."""
+
+    @pytest.mark.parametrize("case", FAMILY_CASES)
+    def test_family_azimuth_matrix(self, case):
+        t = _family_terrain(case)
+        for tie_break, sign in (("min", 1), ("max", -1)):
+            ref = front_to_back_order(t, tie_break=tie_break, engine="python")
+            order, path = _face_path(t, sign)
+            assert order == ref
+            assert front_to_back_order(t, tie_break=tie_break) == ref
+            if case in ("lattice_plateau@0", "lattice_plateau@90"):
+                assert path == "horizontal"
+            elif not case.startswith("lattice_plateau"):
+                assert path == "faces"  # every jittered frame
+
+    def _assert_declines(self, terrain, segments, faces, reason):
+        lanes = map_lanes(terrain, segments)
+        for tie_break, sign in (("min", 1), ("max", -1)):
+            order, path = _ccore.ordering_path(*lanes, sign, *faces)
+            assert path == reason
+            assert order == _ccore.front_to_back(*lanes, sign)
+            assert order == front_to_back_order(
+                terrain, segments=segments, tie_break=tie_break, engine="python"
+            )
+
+    def test_cycle_declines_to_the_sweep(self):
+        # A face table that is not the segments' own: its three pairs
+        # are true in-front pairs of crossing segments and form a
+        # cycle, so Kahn orders no edge and the full sweep answers.
+        import numpy as np
+
+        faces = (np.array([[0, 1, 2]]), np.array([0, 1, 2]))
+        self._assert_declines(_BARE, FACE_CYCLE_SEGMENTS, faces, "cycle")
+
+    def test_tie_declines_to_the_sweep(self):
+        import numpy as np
+
+        faces = (np.array([[0, 1, 2]]), np.array([0, 1, 2]))
+        self._assert_declines(_BARE, CROSSING_SEGMENTS, faces, "tie")
+
+    def test_edge_in_three_faces_declines(self):
+        import numpy as np
+
+        t = fractal_terrain(size=5, seed=2)
+        table, boundary = t.face_edges()
+        twice = (np.concatenate((table, table)), boundary)
+        self._assert_declines(t, None, twice, "non-manifold")
+        outside = table.copy()
+        outside[0, 0] = t.n_edges
+        self._assert_declines(t, None, (outside, boundary), "non-manifold")
+
+    def test_nan_declines_to_the_sweep(self):
+        t = fractal_terrain(size=5, seed=2)
+        segs = t.map_segments()
+        segs[7] = segs[7]._replace(x2=math.nan)
+        self._assert_declines(t, segs, t.face_edges(), "nan")
+
+    def test_nan_sweep_y_declines_to_python(self):
+        t = fractal_terrain(size=5, seed=2)
+        segs = t.map_segments()
+        segs[7] = segs[7]._replace(y2=math.nan)
+        lanes = map_lanes(t, segs)
+        assert _ccore.ordering_path(*lanes, 1, *t.face_edges()) == (None, "nan")
+
+    def test_no_face_table_is_the_sweep(self):
+        t = fractal_terrain(size=5, seed=2)
+        assert _ccore.ordering_path(*map_lanes(t), 1) == (
+            PINNED_FRACTAL5_ORDER,
+            "sweep",
+        )
+        assert _face_path(t, 1) == (PINNED_FRACTAL5_ORDER, "faces")
+
+
 class TestOrderingDispatch:
     """Which path answers: ``engine="python"`` and a config with the
     core off never reach the C entry; the numpy engine calls it once
@@ -467,6 +588,16 @@ class TestOrderingDispatch:
         on = HsrConfig(engine="numpy", use_compiled_insert=True)
         algorithm(config=on).run(t)
         assert len(calls) == 1
+
+    @needs_ccore
+    def test_only_the_terrain_path_passes_the_face_table(self, monkeypatch):
+        calls = self._spy(monkeypatch, _ccore.front_to_back)
+        t = fractal_terrain(size=9, seed=1)
+        front_to_back_order(t)
+        front_to_back_order(t, segments=t.map_segments())
+        table, boundary = t.face_edges()
+        assert calls[0][6] is table and calls[0][7] is boundary
+        assert calls[1][6:] == (None, None)
 
     def test_decline_falls_back_to_python_sweep(self, monkeypatch):
         calls = self._spy(monkeypatch, lambda *a: None)

@@ -260,3 +260,47 @@ class TestBuffers:
         assert Terrain(nan, [(0, 1, 2)]).n_vertices == 3  # NaN != NaN
         with pytest.raises(TerrainError, match="degenerate"):
             Terrain(verts[1:], [(0, 2, 2)])
+
+
+@needs_numpy
+class TestFaceEdges:
+    """The face→edge table of the compiled ordering's face pass, against
+    the face triples and the edge list."""
+
+    @pytest.mark.parametrize(
+        "case", ["fractal9@0", "fractal17@135", "valley", "delaunay", "lattice", "dem"]
+    )
+    def test_table_and_boundary_match_the_faces(self, case):
+        from tests.test_ordering import _parity_terrain
+
+        t = _parity_terrain(case)
+        table, boundary = t.face_edges()
+        assert table.shape == (t.n_faces, 3) and table.dtype == "int64"
+        edges = t.edges
+        assert [
+            (edges[i], edges[j], edges[k]) for i, j, k in table.tolist()
+        ] == [((a, b), (b, c), (a, c)) for a, b, c in t.faces]
+        seen: dict[tuple[int, int], int] = {}
+        for a, b, c in t.faces:
+            for e in ((a, b), (b, c), (a, c)):
+                seen[e] = seen.get(e, 0) + 1
+        assert boundary.tolist() == [
+            i for i, e in enumerate(edges) if seen[e] == 1
+        ]
+
+    def test_built_once_per_topology_and_shared(self):
+        t = hand_terrain()
+        t.edge_buffer  # noqa: B018 - what a run's setup forces
+        assert t._topo.face_edges is None  # not built with the edges
+        r = t.rotated(30.0).scaled(xy=2.0).translated(1.0, 2.0, 3.0)
+        table, boundary = r.face_edges()
+        assert t.face_edges() is r.face_edges()
+        assert t.rotated(-75.0).face_edges()[0] is table
+        assert table.tolist() == [[0, 2, 1], [2, 5, 3], [3, 6, 4], [6, 8, 7]]
+        assert boundary.tolist() == [0, 1, 4, 5, 7, 8]
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
+    def test_no_faces(self):
+        table, boundary = Terrain([Point3(0, 0, 0)], [], validate=False).face_edges()
+        assert table.shape == (0, 3) and boundary.shape == (0,)
