@@ -455,7 +455,7 @@ def run_envelope_bench(
         " chunked-rope store (python_ms column) vs mode='direct' on the"
         " numpy engine (numpy_ms column) over a PCT of the E9"
         " segments; with the compiled core both modes run one call"
-        " per layer, so the speedup column is the honest"
+        " per phase, so the speedup column is the honest"
         " persistence-overhead ratio (ROADMAP target ~1.5)"
     )
     t.notes.append(

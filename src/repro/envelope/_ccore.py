@@ -31,7 +31,7 @@ behind two flags and these names:
     ``[start, stop)`` of the front-to-back image ``lanes`` (float64
     ``y1, z1, y2, z2`` and int64 ``source`` buffers) — each a locate,
     the visibility scan of the Phase-2 leaves and, when some part is
-    visible, the merge of the layer calls and an in-place splice,
+    visible, the merge of the phase calls and an in-place splice,
     bit-exact with the reference insert — adding ops and the max
     profile size to ``run`` (a
     :class:`repro.envelope.flat_splice.InsertRun`, whose ``core`` is
@@ -45,18 +45,27 @@ behind two flags and these names:
     ``ST_FALLBACK`` / ``ST_FAULT`` with insert ``next`` untouched, for
     the caller to run on a Python path.
 
+``pct_build(core, lanes, eps)`` / ``phase2_run(core, mode, block, lanes, eps)``
+    A whole phase of the paper's algorithm in one C call, which walks
+    the :class:`~repro.ordering.separator.SeparatorTree` shape itself:
+    Phase 1's profiles into one block left in the handle
+    (:mod:`repro.hsr.pct`), or Phase 2's ``direct`` (``MODE_PHASE2``)
+    or ``persistent`` (``MODE_ROPE``) merges and leaf queries over a
+    PCT block, the inherited profiles or rope versions kept in the
+    handle and the leaves' outputs left there in order position
+    (:mod:`repro.hsr.phase2`).  Each returns one int64 row per node in
+    node-index order (the ``T_*`` columns).
+
 ``merge_layer(core, mode, blk, lanes, jobs, eps, record)``
-    One layer of the profile computation tree in one C call: Phase 1's
-    merges (``MODE_PCT``, also one recursion level of the D&C envelope
-    build, crossings recorded), Phase 2's ``direct`` splice merges and
-    leaf queries (``MODE_PHASE2``), or its ``persistent`` rope splice
-    merges and leaf queries over the rope versions the handle keeps
-    (``MODE_ROPE``); results left in the handle's lane sets for
-    :meth:`Core.take`.  A batch of sight-line queries is one
-    ``MODE_PHASE2`` call of kind-2 leaves, each against a block the
-    caller passes.  See :mod:`repro.hsr.pct`, :mod:`repro.hsr.phase2`,
-    :mod:`repro.envelope.build` and
-    :mod:`repro.envelope.flat_visibility`.
+    A batch of independent jobs over the same kernels in one C call:
+    the merges of one recursion level of the D&C envelope build
+    (``MODE_PCT``, crossings recorded; :mod:`repro.envelope.build`), a
+    batch of sight-line queries (``MODE_PHASE2`` kind-2 leaves, each
+    against a block the caller passes;
+    :mod:`repro.envelope.flat_visibility`), or Phase 2's splice and
+    rope merges and leaf queries job by job (``MODE_PHASE2``,
+    ``MODE_ROPE``; the per-kernel parity tests drive them this way);
+    results left in the handle's lane sets for :meth:`Core.take`.
 
 ``front_to_back(x1, y1, x2, y2, src, sign, faces, boundary)``
     The front-to-back ordering in one C call over map-segment lanes
@@ -66,7 +75,8 @@ behind two flags and these names:
     pass declines) from the full sweep.  Returns the order list, or
     ``None`` when the core declines (scratch OOM, a source other than
     its lane index, a NaN sweep ``y``, a missing status entry) and the
-    Python sweep should answer.  ``ordering_path`` also names the
+    Python sweep should answer; ``order_array`` returns the same order
+    as the int64 array the call filled.  ``ordering_path`` also names the
     path that answered (:data:`ORDER_PATHS`), and
     ``order_constraints`` returns the full sweep's raw constraint
     list, both for the tests.
@@ -126,6 +136,15 @@ LANE_ROWS = (5, 5, 5, 4, 2, 2, 1, 3)
 MODE_PCT = 1
 MODE_PHASE2 = 2
 MODE_ROPE = 3
+
+#: Columns of a node's row in the phase calls' results (the ``T_*``
+#: defines): ``ops`` and the leaf flag, then Phase 1's profile offset
+#: and length, or Phase 2's crossings, inherited pieces and pieces
+#: written (materialised by ``direct``, fresh rope slots by
+#: ``persistent``).  A Phase-2 leaf's ``ops``, parts and crossings
+#: are its row of the ``leaf`` result, by order position.
+T_OPS, T_LEAF, T_OFF, T_LEN = 0, 1, 2, 3
+T_CROSS, T_INH, T_NEW = 2, 3, 4
 
 #: Path codes of ``repro_front_to_back``, by value (keep in sync with
 #: the ``OP_*`` defines in ``_ccore_build.py``): ``"faces"`` is the
@@ -339,7 +358,7 @@ if HAVE_CCORE:
         return st, at
 
     def merge_layer(core, mode: int, blk, lanes, jobs, eps: float, record: bool):
-        """One PCT layer of ``jobs`` (an ``(n, 5)`` int64 array of
+        """A batch of ``jobs`` (an ``(n, 5)`` int64 array of
         ``kind, a_off, a_len, b_off, b_len`` rows) in one C call; see
         ``repro_merge_layer`` in ``_ccore_build.py``.  ``blk`` is the
         ``(5, cap)`` float64 block side b (and, under ``MODE_PCT`` or
@@ -370,13 +389,61 @@ if HAVE_CCORE:
             EPS,
             ffi.from_buffer("int64_t[]", res),
         )
+        _status(st, res, "merge layer", "job")
+        return res
+
+    def _status(st, res, what: str, row: str = "node") -> None:
         if st == ST_FAULT:
             raise CCoreFault(
-                f"compiled merge layer post-condition failed at job {res[0, 0]}"
+                f"compiled {what} post-condition failed at {row} {res[0, 0]}"
             )
         if st != ST_DONE:
-            raise MemoryError("compiled merge layer scratch")
+            raise MemoryError(f"compiled {what} scratch")
+
+    def pct_build(core, lanes, eps: float):
+        """Phase 1 over the tree of the front-to-back image ``lanes`` in
+        one C call; see ``repro_pct_build`` in ``_ccore_build.py``.
+        Returns the ``(2n - 1, 4)`` int64 ``ops, leaf, offset, length``
+        rows in node-index order; the profiles stay in the handle's
+        ``L_PROF`` for :meth:`Core.take`.  Raises :class:`CCoreFault`
+        when a merge fails its post-condition and :class:`MemoryError`
+        when the scratch cannot grow."""
+        import numpy as np
+
+        ptrs = core.lane_ptrs(lanes)
+        res = np.empty((2 * len(ptrs[4]) - 1, 4), np.int64)
+        st = lib.repro_pct_build(
+            core.ctx, len(ptrs[4]), *ptrs, eps, ffi.from_buffer("int64_t[]", res)
+        )
+        _status(st, res, "PCT build")
         return res
+
+    def phase2_run(core, mode: int, block, lanes, eps: float):
+        """Phase 2 over a compiled PCT in one C call, ``MODE_PHASE2``
+        (``direct``) or ``MODE_ROPE`` (``persistent``); see
+        ``repro_phase2_run`` in ``_ccore_build.py``.  ``block`` is the
+        PCT's ``(blk, offsets, lengths)``.  Returns ``(res, leaf)``: the
+        ``(2n - 1, 5)`` int64 ``ops, leaf, crossings, inherited,
+        written`` rows in node-index order and the ``(n, 3)`` ``ops,
+        parts, crossings`` rows of the leaves in order position, whose
+        parts, crossings and clipped rows stay in the handle's lanes
+        in that order.  Raises as :func:`pct_build` does."""
+        import numpy as np
+
+        blk, off, ln = block
+        ptrs = core.lane_ptrs(lanes)
+        n = len(ptrs[4])
+        if len(off) != 2 * n - 1 or len(ln) != 2 * n - 1:
+            raise ValueError("PCT block does not match the lanes")
+        res = np.empty((2 * n - 1, 5), np.int64)
+        leaf = np.empty((n, 3), np.int64)
+        blk_ptr = ffi.from_buffer("double[]", blk) if blk.shape[1] else ffi.NULL
+        q = [ffi.from_buffer("int64_t[]", a) for a in (off, ln, res, leaf)]
+        st = lib.repro_phase2_run(
+            core.ctx, mode, n, blk_ptr, blk.shape[1], *q[:2], *ptrs, eps, EPS, *q[2:]
+        )
+        _status(st, res, "Phase 2")
+        return res, leaf
 
     def _order(x1, y1, x2, y2, src, sign, faces, boundary, cons=None):
         n = len(src)
@@ -392,7 +459,7 @@ if HAVE_CCORE:
                 raise ValueError("face table rows are not edge index triples")
         import numpy as np
 
-        order = np.empty(n, np.int64)  # .tolist() beats ffi.unpack
+        order = np.empty(n, np.int64)
         out = ffi.new("int64_t[2]")  # constraint count, path code
         done = lib.repro_front_to_back(
             n,
@@ -411,18 +478,24 @@ if HAVE_CCORE:
             out,
             out + 1,
         )
-        answer = order.tolist() if done == n else None
+        answer = order if done == n else None
         return answer, ORDER_PATHS[out[1]], out[0]
 
-    def front_to_back(x1, y1, x2, y2, src, sign: int, faces=None, boundary=None):
-        """The ordering as a list of edge indices, or ``None`` when the
-        core declines and the Python sweep should answer."""
+    def order_array(x1, y1, x2, y2, src, sign: int, faces=None, boundary=None):
+        """The ordering as an int64 array of edge indices, or ``None``
+        when the core declines and the Python sweep should answer."""
         return _order(x1, y1, x2, y2, src, sign, faces, boundary)[0]
+
+    def front_to_back(x1, y1, x2, y2, src, sign: int, faces=None, boundary=None):
+        """:func:`order_array`'s answer as a list."""
+        order = _order(x1, y1, x2, y2, src, sign, faces, boundary)[0]
+        return None if order is None else order.tolist()
 
     def ordering_path(x1, y1, x2, y2, src, sign: int, faces=None, boundary=None):
         """``(order, path)``: :func:`front_to_back`'s answer and the
         name in :data:`ORDER_PATHS` of the constraints it came from."""
-        return _order(x1, y1, x2, y2, src, sign, faces, boundary)[:2]
+        order, path, _k = _order(x1, y1, x2, y2, src, sign, faces, boundary)
+        return None if order is None else order.tolist(), path
 
     def order_constraints(x1, y1, x2, y2, src):
         """The full sweep's ``(front, back)`` list, or ``None`` on
@@ -448,6 +521,15 @@ else:  # pragma: no cover - the no-compiler install
         return None
 
     def merge_layer(core, mode, blk, lanes, jobs, eps, record):
+        return None
+
+    def pct_build(core, lanes, eps):
+        return None
+
+    def phase2_run(core, mode, block, lanes, eps):
+        return None
+
+    def order_array(x1, y1, x2, y2, src, sign: int, faces=None, boundary=None):
         return None
 
     def front_to_back(x1, y1, x2, y2, src, sign: int, faces=None, boundary=None):

@@ -3,14 +3,14 @@
 Running this module (``python src/repro/envelope/_ccore_build.py``)
 runs ``setup.py build_ext --inplace``, which compiles
 ``repro.envelope._repro_ccore`` — a small C extension with
-three entry points.
+five entry points.
 
 ``repro_insert_run`` runs the insert pass of the sequential algorithm
 over a chunk of front-to-back image lanes, each insert against the
 :class:`~repro.envelope.packed.PackedProfile` ``(5, capacity)``
 float64 buffer as the reference insert
 (:func:`~repro.envelope.flat_splice._insert_reference`) does it, with
-the kernels the layer calls share:
+the kernels the phase calls share:
 
 * the locate (the binary search of
   :meth:`~repro.envelope.flat.FlatEnvelope.pieces_overlapping` on the
@@ -32,28 +32,37 @@ the kernels the layer calls share:
 A sequential run costs one call per chunk plus one per reallocation
 or declined insert.
 
-``repro_merge_layer`` runs one layer of the profile computation tree
-in one call.  Its merges port the scalar two-envelope sweep of
-:func:`~repro.envelope.merge.merge_envelopes` (breakpoint union, eps
-signs, the ``t = du / (du - dv)`` flip and its clamp,
-``EnvelopeBuilder`` coalescing, the empty-side shortcuts).  For
-Phase 1 (:func:`~repro.hsr.pct.build_pct`) a layer is full merges of
-child profiles plus the leaves' segments.  For Phase 2's ``direct``
-mode it is :func:`~repro.envelope.splice.splice_merge` — window
-locate, merge, and a splice into a fresh profile row — plus the
-leaves' :func:`~repro.envelope.visibility.visible_parts` queries,
-clipped into rows — the two kernels of ``repro_insert_run``.  The same
-mode answers a batch of sight-line queries against one envelope
-(:func:`~repro.envelope.flat_visibility.batch_visible_parts`): one
-leaf job per query, its profile a block the caller passes.  For the
-``persistent`` mode it is :func:`~repro.persistence.rope.rope_splice_merge` and
+``repro_pct_build`` and ``repro_phase2_run`` run the two phases of
+the paper's algorithm, each in one call that walks the separator
+tree's shape itself (``tree_shape``).  Their merges port the scalar
+two-envelope sweep of :func:`~repro.envelope.merge.merge_envelopes`
+(breakpoint union, eps signs, the ``t = du / (du - dv)`` flip and its
+clamp, ``EnvelopeBuilder`` coalescing, the empty-side shortcuts).
+Phase 1 (:func:`~repro.hsr.pct.build_pct`) is full merges of child
+profiles, bottom-up from the leaves' segments, into one block.
+Phase 2's ``direct`` mode is :func:`~repro.envelope.splice.splice_merge`
+— window locate, merge, and a splice into a fresh profile row — plus
+the leaves' :func:`~repro.envelope.visibility.visible_parts` queries,
+clipped into rows — the two kernels of ``repro_insert_run``.  Its
+``persistent`` mode is :func:`~repro.persistence.rope.rope_splice_merge` and
 :func:`~repro.persistence.rope.rope_visible_parts` on the chunked rope,
 whose versions the context keeps: chunks are ``(offset, length)`` runs
 of a piece arena, a version is a spine of chunks, and a successor
 shares every chunk outside its fresh run (the ``SpliceRange`` cuts in
 ``Piece.clipped`` arithmetic, fresh runs balanced into chunks of at
 most ``CHUNK_TARGET`` pieces — the Python rope's chunk boundaries, so
-its fresh slot count too).
+its fresh slot count too).  Phase 2 walks the tree depth first, so
+the leaves' outputs come in front-to-back position order and the
+inherited profiles are a stack in the context.
+
+``repro_merge_layer`` runs a batch of independent jobs over the same
+kernels: the merges of one recursion level of the D&C envelope build
+(:func:`~repro.envelope.build.build_envelope`), a batch of sight-line
+queries against one envelope
+(:func:`~repro.envelope.flat_visibility.batch_visible_parts`: one
+leaf job per query, its profile a block the caller passes), or the
+Phase-2 merges and leaf queries job by job, as the kernel parity
+tests drive them.
 
 ``repro_front_to_back`` is the front-to-back ordering of
 :func:`~repro.ordering.sweep.front_to_back_order` in one call over
@@ -93,10 +102,10 @@ All scratch — merged windows, visible parts, rows, layer profiles —
 lives in a ``repro_ctx`` that Python creates per run
 (:class:`repro.envelope._ccore.Core`) and frees with it, grown by the
 C side as needed.  Python copies results out before the next call on
-the same context; a Phase-2 run keeps its profiles (or its rope's
-pieces and spines) in the context, since later layers read them by
-offset, and an insert run keeps its rows there until it ends or an
-insert answered in Python must follow them.
+the same context; a Phase-2 call keeps its profiles (or its rope's
+pieces and spines) in the context while it walks the tree, and an
+insert run keeps its rows there until it ends or an insert answered
+in Python must follow them.
 
 Concurrency: nothing is static, so the core is reentrant.  cffi
 API-mode wrappers release the GIL around each call, and two threads
@@ -135,6 +144,16 @@ int64_t repro_merge_layer(
     const double *z2, const int64_t *src, int64_t nj,
     const int64_t *job, int64_t record, double eps, double clip_eps,
     int64_t *res);
+int64_t repro_pct_build(
+    repro_ctx *ctx, int64_t n, const double *y1, const double *z1,
+    const double *y2, const double *z2, const int64_t *src, double eps,
+    int64_t *res);
+int64_t repro_phase2_run(
+    repro_ctx *ctx, int64_t mode, int64_t n, const double *blk,
+    int64_t blk_cap, const int64_t *poff, const int64_t *plen,
+    const double *y1, const double *z1, const double *y2,
+    const double *z2, const int64_t *src, double eps, double clip_eps,
+    int64_t *res, int64_t *leaf);
 int64_t repro_front_to_back(
     int64_t n, const double *x1, const double *y1, const double *x2,
     const double *y2, const int64_t *src, int64_t sign,
@@ -505,7 +524,7 @@ static int clip_row(lanes *R, double a, double b, double y1, double z1,
     return 1;
 }
 
-/* ==== one PCT layer of merges (repro/hsr/pct.py, phase2.py) ======== */
+/* ==== the PCT kernels and their job batches ======================= */
 
 /* Modes of repro_merge_layer (mirrored in repro/envelope/_ccore.py). */
 #define MODE_PCT    1  /* Phase 1: full merges of two child profiles   */
@@ -770,6 +789,42 @@ BAD:
     V->n = vbase;
     R->n = rbase;
     return -1;
+}
+
+/* splice_merge of side b into the profile at L_PROF [aoff, aoff + alen):
+ * locate the window of a overlapping b, merge it with b, and append
+ * head + merged window + tail as a fresh profile, its crossings to
+ * L_XING when `record`.  An empty b shares a.  Fills X[X_OPS .. X_LEN]
+ * (the profile at X_OFF, X_LEN); returns ST_DONE, ST_FAULT (the merged
+ * window fails its check) or ST_FALLBACK (OOM). */
+static int splice_job(repro_ctx *ctx, int64_t aoff, int64_t alen,
+                      const view *b, double eps, int record, int64_t *X)
+{
+    lanes *O = &ctx->L[L_PROF];
+    view a, win;
+    int64_t lo, hi, from, nx;
+    X[X_OPS] = X[X_CROSS] = 0;
+    X[X_OFF] = aoff;
+    X[X_LEN] = alen;
+    if (b->n == 0) return ST_DONE;
+    a = lanes_view(O, aoff, alen);
+    overlapping(&a, b->ya[0], b->yb[b->n - 1], &lo, &hi);
+    if (!reserve_merge(ctx, hi - lo, b->n, alen - (hi - lo)))
+        return ST_FALLBACK;
+    a = lanes_view(O, aoff, alen);  /* L_PROF may have moved */
+    win = a;
+    win.ya += lo; win.za += lo; win.yb += lo; win.zb += lo;
+    win.src += lo;
+    win.n = hi - lo;
+    X[X_OFF] = O->n;
+    push_view(O, &a, 0, lo);
+    from = O->n;
+    X[X_OPS] = merge_sweep(ctx, &win, b, eps, record, &nx);
+    if (!pieces_ok(O, from)) return ST_FAULT;
+    push_view(O, &a, hi, alen);
+    X[X_CROSS] = nx;
+    X[X_LEN] = O->n - X[X_OFF];
+    return ST_DONE;
 }
 
 /* ---- the persistent Phase 2: the chunked rope in the context -------
@@ -1110,11 +1165,13 @@ static int64_t rope_layer(repro_ctx *ctx, const double *blk, int64_t blk_cap,
     return ST_DONE;
 }
 
-/* One PCT layer in one call: nj independent jobs of J_W int64 each,
- * answered in res[] (X_W each).
+/* A batch of nj independent jobs of J_W int64 each in one call,
+ * answered in res[] (X_W each): a level of the D&C envelope build, a
+ * batch of sight-line queries, or Phase-2 jobs one by one (the phase
+ * calls below run the same kernels).
  *
- * MODE_PCT (build_pct): a merge job is merge_envelopes of pieces
- * [aoff, aoff + alen) and [boff, boff + blen) of the child layer's
+ * MODE_PCT (build_envelope): a merge job is merge_envelopes of pieces
+ * [aoff, aoff + alen) and [boff, boff + blen) of the child level's
  * (5, blk_cap) block, record_crossings as `record`; a leaf job emits
  * the image segment at lane boff (none when vertical).  Every job's
  * profile lands in L_PROF (emptied first) at res[X_OFF], res[X_LEN].
@@ -1167,8 +1224,9 @@ int64_t repro_merge_layer(
         int64_t *X = res + X_W * j;
         int64_t aoff = J[J_AOFF], alen = J[J_ALEN];
         int64_t boff = J[J_BOFF], blen = J[J_BLEN];
-        view a, b, win;
-        int64_t lo, hi, from, ops, nx;
+        view a, b;
+        int64_t from, ops, nx;
+        int st;
         if (J[J_KIND] == 1 && mode == MODE_PCT) {
             /* Leaf: FlatEnvelope.from_segment. */
             if (!reserve(ctx, L_PROF, O->n + 1)) return ST_FALLBACK;
@@ -1214,37 +1272,237 @@ int64_t repro_merge_layer(
             X[X_LEN] = O->n - from;
             continue;
         }
-        if (blen == 0) {
-            /* Empty intermediate: the parent passes through shared. */
-            X[X_OPS] = 0;
-            X[X_CROSS] = 0;
-            X[X_OFF] = aoff;
-            X[X_LEN] = alen;
-            continue;
-        }
-        a = lanes_view(O, aoff, alen);
-        overlapping(&a, b.ya[0], b.yb[blen - 1], &lo, &hi);
-        if (!reserve_merge(ctx, hi - lo, blen, alen - (hi - lo)))
-            return ST_FALLBACK;
-        a = lanes_view(O, aoff, alen);  /* L_PROF may have moved */
-        win = a;
-        win.ya += lo; win.za += lo; win.yb += lo; win.zb += lo;
-        win.src += lo;
-        win.n = hi - lo;
-        X[X_OFF] = O->n;
-        push_view(O, &a, 0, lo);
-        from = O->n;
-        ops = merge_sweep(ctx, &win, &b, eps, (int)record, &nx);
-        if (!pieces_ok(O, from)) {
-            res[0] = j;
-            return ST_FAULT;
-        }
-        push_view(O, &a, hi, alen);
-        X[X_OPS] = ops;
-        X[X_CROSS] = nx;
-        X[X_LEN] = O->n - X[X_OFF];
+        st = splice_job(ctx, aoff, alen, &b, eps, (int)record, X);
+        if (st == ST_FAULT) res[0] = j;
+        if (st != ST_DONE) return st;
     }
     return ST_DONE;
+}
+
+/* ==== whole phases of the PCT (repro/hsr/pct.py, phase2.py) ======= */
+
+/* res[] row of a node (mirrored in repro/envelope/_ccore.py): both
+ * phases, then Phase 1's, then Phase 2's. */
+#define T_OPS   0  /* the node's ops                                   */
+#define T_LEAF  1  /* 1 for a leaf, 0 for a merge                      */
+#define T_OFF   2  /* Phase 1: the node's profile in L_PROF            */
+#define T_LEN   3
+#define T1_W    4
+#define T_CROSS 2  /* Phase 2: a merge's crossings (a leaf's: leaf[])  */
+#define T_INH   3  /* pieces of the inherited profile (rope: version)  */
+#define T_NEW   4  /* pieces materialised (direct), fresh slots (rope) */
+#define T2_W    5
+
+/* leaf[] row of a Phase-2 leaf, by order position. */
+#define LF_OPS   0
+#define LF_PARTS 1  /* its visible parts (and clipped rows)            */
+#define LF_CROSS 2
+#define LF_W     3
+
+/* The SeparatorTree shape over n leaves, numbered breadth first: node
+ * i spans order positions [lo, hi) = t[i], t[m + i] (m = 2n - 1 nodes);
+ * an internal node splits at (lo + hi) / 2 into nodes kid and kid + 1,
+ * kid = t[2m + i], and a leaf has kid -1.  NULL when out of memory;
+ * the caller frees it. */
+static int64_t *tree_shape(int64_t n)
+{
+    int64_t m = 2 * n - 1, i, k = 1;
+    int64_t *t = (int64_t *)malloc((size_t)(3 * m) * sizeof(int64_t));
+    int64_t *lo, *hi, *kid;
+    if (!t) return NULL;
+    lo = t;
+    hi = t + m;
+    kid = t + 2 * m;
+    lo[0] = 0;
+    hi[0] = n;
+    for (i = 0; i < m; i++) {
+        kid[i] = -1;
+        if (hi[i] - lo[i] > 1) {
+            kid[i] = k;
+            lo[k] = lo[i];
+            hi[k] = lo[k + 1] = (lo[i] + hi[i]) / 2;
+            hi[k + 1] = hi[i];
+            k += 2;
+        }
+    }
+    return t;
+}
+
+/* Phase 1 (build_pct) in one call over the tree of the n lanes: every
+ * node, children before parents (indices descending).  A leaf is
+ * FlatEnvelope.from_segment of its lane (no piece when vertical), 1
+ * op; a merge is merge_envelopes of its children's profiles, crossings
+ * not recorded.  Every profile lands in L_PROF (emptied first), at
+ * res[T_OFF], res[T_LEN] of its node's T1_W-wide row.  Returns ST_DONE;
+ * ST_FAULT when a merged profile fails pieces_ok (res[0] = the node);
+ * ST_FALLBACK on scratch OOM.  Either way the caller discards the
+ * whole call. */
+int64_t repro_pct_build(
+    repro_ctx *ctx, int64_t n, const double *y1, const double *z1,
+    const double *y2, const double *z2, const int64_t *src, double eps,
+    int64_t *res)
+{
+    lanes *O = &ctx->L[L_PROF];
+    int64_t m = 2 * n - 1, i, st = ST_DONE, nx;
+    int64_t *t, *kid;
+    if (n <= 0) return ST_DONE;
+    t = tree_shape(n);
+    if (!t) return ST_FALLBACK;
+    kid = t + 2 * m;
+    repro_ctx_clear(ctx);
+    for (i = m - 1; i >= 0; i--) {
+        int64_t *X = res + T1_W * i, k = kid[i];
+        X[T_LEAF] = k < 0;
+        if (k < 0) {
+            int64_t e = t[i];
+            if (!reserve(ctx, L_PROF, O->n + 1)) {
+                st = ST_FALLBACK;
+                break;
+            }
+            X[T_OPS] = 1;
+            X[T_OFF] = O->n;
+            if (y1[e] != y2[e]) push(O, y1[e], z1[e], y2[e], z2[e], src[e]);
+        } else {
+            const int64_t *L = res + T1_W * k, *R = L + T1_W;
+            view a, b;
+            if (!reserve_merge(ctx, L[T_LEN], R[T_LEN], 0)) {
+                st = ST_FALLBACK;
+                break;
+            }
+            a = lanes_view(O, L[T_OFF], L[T_LEN]);
+            b = lanes_view(O, R[T_OFF], R[T_LEN]);
+            X[T_OFF] = O->n;
+            X[T_OPS] = merge_sweep(ctx, &a, &b, eps, 0, &nx);
+            if (!pieces_ok(O, X[T_OFF])) {
+                res[0] = i;
+                st = ST_FAULT;
+                break;
+            }
+        }
+        X[T_LEN] = O->n - X[T_OFF];
+    }
+    free(t);
+    return st;
+}
+
+/* One Phase-2 run: its inputs and outputs. */
+typedef struct {
+    repro_ctx *ctx;
+    int rope;
+    const double *blk;
+    int64_t cap;
+    const int64_t *poff, *plen;  /* the PCT profiles in blk, by node */
+    const double *y1, *z1, *y2, *z2;
+    const int64_t *src;
+    const int64_t *lo, *kid;  /* tree_shape */
+    double eps, clip_eps;
+    int64_t *res, *leaf;
+} walk;
+
+/* Node v of Phase 2 inheriting the profile at L_PROF [aoff, aoff +
+ * alen) (rope: the version at L_SPINE [aoff, aoff + alen)).  A leaf
+ * runs leaf_query (rope_leaf) for its lane.  A merge hands the
+ * inheritance to its left subtree as is, merges its left child's PCT
+ * profile into it (splice_job, rope_merge) and hands the result to its
+ * right subtree.  Depth first, left first, so the leaves' parts, rows
+ * and crossings land in order position; L_PROF and L_SPINE are
+ * stacks, cut back to their entry lengths when the node is done. */
+static int p2_node(walk *w, int64_t v, int64_t aoff, int64_t alen)
+{
+    repro_ctx *ctx = w->ctx;
+    lanes *O = &ctx->L[L_PROF], *S = &ctx->L[L_SPINE];
+    int64_t *X = w->res + T2_W * v, k = w->kid[v];
+    int64_t m0 = O->n, s0 = S->n, ops, nx, M[RX_W];
+    int st;
+    X[T_LEAF] = k < 0;
+    X[T_CROSS] = X[T_NEW] = 0;
+    X[T_INH] = w->rope ? spine_view(S, aoff, alen).total : alen;
+    if (k < 0) {
+        int64_t e = w->lo[v], *F = w->leaf + LF_W * e;
+        int64_t p0 = ctx->L[L_PARTS].n;
+        if (w->rope) {
+            ops = rope_leaf(ctx, aoff, alen, w->y1, w->z1, w->y2, w->z2,
+                            w->src, e, w->eps, w->clip_eps, &nx);
+        } else {
+            view a = lanes_view(O, aoff, alen);
+            ops = leaf_query(ctx, &a, w->y1[e], w->z1[e], w->y2[e], w->z2[e],
+                             w->src[e], w->eps, w->clip_eps, &nx);
+        }
+        if (ops == -2) return ST_FALLBACK;
+        if (ops < 0) {
+            w->res[0] = v;
+            return ST_FAULT;
+        }
+        X[T_OPS] = F[LF_OPS] = ops;
+        F[LF_PARTS] = ctx->L[L_PARTS].n - p0;
+        F[LF_CROSS] = nx;
+        return ST_DONE;
+    }
+    st = p2_node(w, k, aoff, alen);
+    if (st != ST_DONE) return st;
+    ctx->L[L_XING].n = 0;  /* only the crossing counts are read */
+    if (w->rope) {
+        st = rope_merge(ctx, aoff, alen, w->blk, w->cap, w->poff[k],
+                        w->plen[k], w->eps, M);
+        X[T_NEW] = M[X_FRESH];
+    } else {
+        view b = block_view(w->blk, w->cap, w->poff[k], w->plen[k]);
+        st = splice_job(ctx, aoff, alen, &b, w->eps, 1, M);
+        X[T_NEW] = b.n ? M[X_LEN] : 0;
+    }
+    if (st == ST_FAULT) w->res[0] = v;
+    if (st != ST_DONE) return st;
+    X[T_OPS] = M[X_OPS];
+    X[T_CROSS] = M[X_CROSS];
+    st = p2_node(w, k + 1, M[X_OFF], M[X_LEN]);
+    O->n = m0;
+    S->n = s0;
+    return st;
+}
+
+/* Phase 2 (run_phase2) in one call over the tree of the n lanes, the
+ * root inheriting the empty profile: the direct mode (MODE_PHASE2:
+ * splice merges of array profiles) or the persistent one (MODE_ROPE:
+ * rope versions, chunks and spines in L_PROF and L_SPINE).  blk holds
+ * the PCT, node i's profile at pieces [poff[i], poff[i] + plen[i]).
+ * Every node fills its T2_W-wide res row; a leaf also fills the
+ * leaf[] row of its order position, its parts in L_PARTS, its clipped
+ * rows in L_ROWS and its crossings in L_VX, all in order position (the
+ * lanes are emptied first).  Returns as repro_pct_build does. */
+int64_t repro_phase2_run(
+    repro_ctx *ctx, int64_t mode, int64_t n, const double *blk,
+    int64_t blk_cap, const int64_t *poff, const int64_t *plen,
+    const double *y1, const double *z1, const double *y2,
+    const double *z2, const int64_t *src, double eps, double clip_eps,
+    int64_t *res, int64_t *leaf)
+{
+    walk w;
+    int64_t *t;
+    int st;
+    if (n <= 0) return ST_DONE;
+    t = tree_shape(n);
+    if (!t) return ST_FALLBACK;
+    repro_ctx_clear(ctx);
+    w.ctx = ctx;
+    w.rope = mode == MODE_ROPE;
+    w.blk = blk;
+    w.cap = blk_cap;
+    w.poff = poff;
+    w.plen = plen;
+    w.y1 = y1;
+    w.z1 = z1;
+    w.y2 = y2;
+    w.z2 = z2;
+    w.src = src;
+    w.lo = t;
+    w.kid = t + 2 * (2 * n - 1);
+    w.eps = eps;
+    w.clip_eps = clip_eps;
+    w.res = res;
+    w.leaf = leaf;
+    st = p2_node(&w, 0, 0, 0);
+    free(t);
+    return st;
 }
 
 /* ==== the whole insert pass (SequentialHSR._insert_loop) ========== */

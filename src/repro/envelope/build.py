@@ -16,7 +16,7 @@ Experiment E9 verifies the measured depth is Θ(log^2 m).
 Two paths compute the build.  On the numpy engine with the compiled
 core on, every recursion level is one compiled call
 (:func:`repro.envelope._ccore.merge_layer` in ``MODE_PCT``, the same
-layer kernel as Phase 1), bottom-up over the levels of
+merge kernel as Phase 1), bottom-up over the levels of
 :func:`repro.hsr.pct.level_spans`; the crossings come from the
 kernel's record path and the tracker replays the recursion's exact
 charge sequence from the per-node ``ops``.  Otherwise — no core,

@@ -135,6 +135,11 @@ def hull_extreme_index(
         m1 = lo + (hi - lo) // 3
         m2 = hi - (hi - lo) // 3
         v1, v2 = f(hull[m1]), f(hull[m2])
+        if v1 == v2:
+            # Rounding can tie two probes of a strictly unimodal
+            # functional, and a tie does not tell which side holds the
+            # extreme: scan what is left.
+            break
         if (v1 < v2) == maximize:
             lo = m1 + 1
         else:

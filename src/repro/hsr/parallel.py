@@ -10,10 +10,10 @@
    at the leaves (:mod:`repro.hsr.phase2`, the systolic prefix);
 4. assembly of the object-space visibility map.
 
-Each PCT layer of Phase 1, and of the Phase-2 ``direct`` and
-``persistent`` modes, runs as one compiled call when the compiled core
-is on; without it every phase runs the Python reference, merge by
-merge.  The layers run one after another in this process.  Every
+Phase 1, and the Phase-2 ``direct`` and ``persistent`` modes, each
+run as one compiled call when the compiled core is on; without it
+every phase runs the Python reference, merge by merge.  Both run in
+this process, the layers of a phase one after another.  Every
 step charges the CREW-PRAM cost tracker, so a run yields the (work,
 depth) pair Theorem 3.1 bounds; :mod:`repro.pram.schedule` turns
 those into time-on-p curves.
@@ -31,7 +31,7 @@ from repro.hsr.pct import build_pct
 from repro.hsr.phase2 import PHASE2_MODES, run_phase2
 from repro.hsr.result import HsrResult, HsrStats, VisibilityMap
 from repro.ordering.separator import SeparatorTree
-from repro.ordering.sweep import front_to_back_order
+from repro.ordering.sweep import run_order
 from repro.pram.tracker import PramTracker
 from repro.reliability import reliability_run
 from repro.terrain.model import Terrain
@@ -50,13 +50,13 @@ class ParallelHSR:
         ``"acg"`` (hull-pruned searches on the shared persistent
         structure — the paper's full machinery).  All three produce
         the same visibility map.  With the compiled core, ``direct``
-        and ``persistent`` run each layer in C (the rope's versions
-        kept in the run's core context); ``acg`` and
+        and ``persistent`` run each phase in one C call (the rope's
+        versions kept in the run's core context); ``acg`` and
         ``measure_sharing`` keep the Python rope.
     config:
         :class:`repro.config.HsrConfig` — the unified front door.
-        ``use_compiled_insert`` switches the one-call-per-layer
-        compiled kernel.  The ``eps=`` / ``engine=`` keywords remain
+        ``use_compiled_insert`` switches the one-call-per-phase
+        compiled kernels.  The ``eps=`` / ``engine=`` keywords remain
         as shorthand and override the config fields.
     eps:
         Geometric tolerance.
@@ -66,8 +66,8 @@ class ParallelHSR:
     engine:
         Envelope kernel; see :mod:`repro.envelope.engine`.  ``None``
         selects the default (NumPy when available) — with the compiled
-        core on, each PCT layer then runs as one compiled call; else,
-        and under ``"python"``, every merge runs the reference.
+        core on, each phase then runs as one compiled call; else, and
+        under ``"python"``, every merge runs the reference.
     """
 
     def __init__(
@@ -117,21 +117,23 @@ class ParallelHSR:
                     depth = math.ceil(math.log2(n))
                     with tracker.parallel() as par:
                         par.spawn(n * depth, depth)
-                order = front_to_back_order(terrain, config=self.config)
-        order = list(order)
+                order = run_order(terrain, self.config)
+        # The compiled ordering's int64 array goes to image_lanes as is.
+        ordered = order
+        order = order.tolist() if hasattr(order, "tolist") else list(order)
 
         tree = SeparatorTree(order)
-        # When the compiled core runs the layers of the direct and
-        # persistent modes, project straight into front-to-back image
-        # lanes, as SequentialHSR does; the reference paths work on
-        # segment objects.
+        # When the compiled core runs the direct and persistent phases,
+        # project straight into front-to-back image lanes, as
+        # SequentialHSR does; the reference paths work on segment
+        # objects.
         lanes = image_segments = None
         if (
             self.mode != "acg"
             and self.config.resolved_engine() == "numpy"
             and _ccore.compiled_enabled(self.config, "pct_merge", "phase2_merge")
         ):
-            lanes = terrain.image_lanes(order)
+            lanes = terrain.image_lanes(ordered)
         else:
             image_segments = terrain.image_segments()
 

@@ -10,14 +10,14 @@ Lemma 3.1 gives the construction O(log² n) depth; the tracker
 measures it (experiment E9 on the construction in isolation, E1 on
 the full pipeline).
 
-Because a layer's merges are independent, the NumPy engine with the
-compiled core on runs each layer as *one* call
-(:func:`repro.envelope._ccore.merge_layer`); a call that faults reruns
-the whole phase on the reference.  A layer's profiles land in one CSR
-block — a ``(5, n)`` float64 array whose last row holds the int64
-sources, plus per-node offsets and lengths — and
-:attr:`PCT.flat_envelopes` / :meth:`PCT.envelope_of` are lazy views
-over the blocks.  Without the core a merge per node runs
+The NumPy engine with the compiled core on runs the whole phase as
+*one* call (:func:`repro.envelope._ccore.pct_build`), which walks the
+tree itself, children before parents; a call that faults reruns the
+phase on the reference.  Every profile lands in one CSR block — a
+``(5, m)`` float64 array whose last row holds the int64 sources, plus
+per-node offsets and lengths — and :attr:`PCT.flat_envelopes` /
+:meth:`PCT.envelope_of` are lazy views over it.  Without the core a
+merge per node runs
 :func:`~repro.envelope.merge.merge_envelopes`, the reference.  Results
 and PRAM charges are identical either way.
 
@@ -29,7 +29,6 @@ visibility structure.
 
 from __future__ import annotations
 
-import bisect
 import math
 from collections.abc import Mapping
 from typing import Optional, Sequence
@@ -66,14 +65,22 @@ def level_spans(n: int) -> list:
     return out
 
 
-def csr_index(starts, counts):
-    """The positions ``starts[i] + j`` for ``j < counts[i]``, ranges
-    concatenated in order — a gather index over CSR rows."""
-    import numpy as np
-
-    firsts = np.zeros(len(counts), np.int64)
-    np.cumsum(counts[:-1], out=firsts[1:])
-    return np.repeat(starts - firsts, counts) + np.arange(int(counts.sum()))
+def level_bases(n: int) -> list[int]:
+    """The first node index of every layer of the tree over ``n``
+    leaves, and the node count — from the node sizes alone: a layer's
+    nodes span two consecutive sizes, and a node of size ``s > 1``
+    splits into ``s // 2`` and ``s - s // 2``."""
+    bases = [0]
+    sizes = {n: 1}  # node size -> how many nodes of the layer have it
+    while sizes:
+        bases.append(bases[-1] + sum(sizes.values()))
+        nxt: dict[int, int] = {}
+        for s, count in sizes.items():
+            if s > 1:
+                for half in (s // 2, s - s // 2):
+                    nxt[half] = nxt.get(half, 0) + count
+        sizes = nxt
+    return bases
 
 
 def order_lanes(tree: SeparatorTree, image_segments: Sequence[ImageSegment]):
@@ -91,9 +98,9 @@ def order_lanes(tree: SeparatorTree, image_segments: Sequence[ImageSegment]):
 
 
 class _FlatViews(Mapping):
-    """``node.index -> FlatEnvelope``: zero-copy views of the layer
-    blocks (empty while the PCT holds none), each made on first
-    access."""
+    """``node.index -> FlatEnvelope``: zero-copy views of
+    :attr:`PCT.block` (empty while the PCT holds none), each made on
+    first access."""
 
     def __init__(self, pct: "PCT"):
         self._pct = pct
@@ -102,31 +109,28 @@ class _FlatViews(Mapping):
     def __getitem__(self, index: int):
         view = self._views.get(index)
         if view is None:
-            found = self._pct._locate(index)
-            if found is None:
+            if not 0 <= index < len(self):
                 raise KeyError(index)
-            blk, off, ln, pos = found
-            view = self._views[index] = block_view(blk, off[pos], ln[pos])
+            blk, off, ln = self._pct.block
+            view = self._views[index] = block_view(blk, off[index], ln[index])
         return view
 
     def __iter__(self):
-        bases = self._pct._level_bases()
-        for d, layer in enumerate(self._pct.layers):
-            if layer is not None:
-                yield from range(bases[d], bases[d] + len(layer[1]))
+        return iter(range(len(self)))
 
     def __len__(self) -> int:
-        return sum(len(layer[1]) for layer in self._pct.layers if layer)
+        return 0 if self._pct.block is None else len(self._pct.block[1])
 
 
 class PCT:
     """The profile computation tree: separator-tree shape + per-node
     intermediate profiles.
 
-    The compiled build keeps a layer's profiles as one CSR block
-    (``layers[depth] = (block, offsets, lengths)``, nodes in index
-    order); :attr:`flat_envelopes` views them and :meth:`envelope_of`
-    converts to :class:`Envelope` lazily (conversion is cached) —
+    The compiled build keeps every profile in one CSR block
+    (:attr:`block`, nodes in index order; ``layers[depth]`` views a
+    layer's rows of it); :attr:`flat_envelopes` views the profiles and
+    :meth:`envelope_of` converts to :class:`Envelope` lazily
+    (conversion is cached) —
     Phase 2 only ever touches the left-child profiles, so half the
     tree typically never materialises.  The reference build fills
     :attr:`envelopes` directly.
@@ -136,12 +140,14 @@ class PCT:
         self.tree = tree
         #: node.index -> materialised intermediate profile.
         self.envelopes: dict[int, Envelope] = {}
-        #: per layer (root first): ``(block, offsets, lengths)``,
+        #: ``(block, offsets, lengths)``: every node's profile as
+        #: pieces ``[offsets[i], offsets[i] + lengths[i])`` of one
+        #: ``(5, m)`` float64 block (the last row the int64 sources),
         #: compiled build only.
+        self.block = None
+        #: per layer (root first): ``(block, offsets, lengths)``, the
+        #: layer's rows of :attr:`block`; compiled build only.
         self.layers: list = [None] * tree.height
-        #: per layer (root first): its :func:`level_spans` entry,
-        #: compiled build only.
-        self.spans: Optional[list] = None
         #: node.index -> flat (array) profile view, compiled build only.
         self.flat_envelopes = _FlatViews(self)
         #: the leaves' image lanes in front-to-back order, when the
@@ -158,17 +164,8 @@ class PCT:
     def _level_bases(self) -> list[int]:
         """The first node index of every layer (and the node count)."""
         if self._bases is None:
-            self._bases = [0]
-            for level in self.tree.levels():
-                self._bases.append(self._bases[-1] + len(level))
+            self._bases = level_bases(len(self.tree.order))
         return self._bases
-
-    def _locate(self, index: int):
-        d = bisect.bisect_right(self._level_bases(), index) - 1
-        if not 0 <= d < len(self.layers) or self.layers[d] is None:
-            return None
-        blk, off, ln = self.layers[d]
-        return blk, off, ln, index - self._level_bases()[d]
 
     def envelope_of(self, node: SeparatorNode) -> Envelope:
         env = self.envelopes.get(node.index)
@@ -189,8 +186,8 @@ class PCT:
     def total_profile_pieces(self) -> int:
         """Σ over nodes of intermediate-profile size — the storage a
         non-persistent representation must copy."""
-        if any(layer is not None for layer in self.layers):
-            return sum(int(layer[2].sum()) for layer in self.layers)
+        if self.block is not None:
+            return int(self.block[2].sum())
         return sum(env.size for env in self.envelopes.values())
 
 
@@ -214,11 +211,11 @@ def build_pct(
 
     On the NumPy engine with the compiled core on (see
     :func:`repro.envelope._ccore.compiled_enabled`; a
-    ``config`` can switch it off) each layer runs as one compiled
+    ``config`` can switch it off) the whole phase runs as one compiled
     call under the guard site ``pct_merge``; a faulting call reruns
-    the whole phase on the reference (whose PCT holds no layer blocks,
-    so Phase 2 takes its reference too).  Otherwise, and on the python
-    engine, each node runs the reference merge.
+    the phase on the reference (whose PCT holds no block, so Phase 2
+    takes its reference too).  Otherwise, and on the python engine,
+    each node runs the reference merge.
     """
     from repro.envelope import _ccore
 
@@ -231,7 +228,7 @@ def build_pct(
         if lanes is None:
             pct.lanes = order_lanes(tree, image_segments)
         with _ccore.borrowed() as core:
-            done = _build_layers(pct, eps, tracker, core)
+            done = _build_compiled(pct, eps, tracker, core)
     if not done:
         if image_segments is None:
             image_segments = pct.image_segments()
@@ -320,42 +317,34 @@ def layer_jobs(lo, hi, child):
     return jobs, leaf
 
 
-def _build_layers(pct: PCT, eps: float, tracker, core) -> bool:
-    """Phase 1 in the compiled core, one call per layer on ``core``
-    (the run's handle), each under the ``pct_merge`` guard.  Returns
-    ``False``, with ``pct`` untouched, when a call faulted: the caller
-    then reruns the phase on :func:`_build_python`, so the tracker is
-    charged only after the last compiled layer."""
+def _build_compiled(pct: PCT, eps: float, tracker, core) -> bool:
+    """Phase 1 in the compiled core: one ``repro_pct_build`` call on
+    ``core`` (the run's handle) under the ``pct_merge`` guard.  Returns
+    ``False``, with ``pct`` untouched, when the call faulted: the
+    caller then reruns the phase on :func:`_build_python`, so the
+    tracker is charged only after the call."""
     from repro.envelope import _ccore
     from repro.reliability import guard as _guard
 
-    lanes = pct.lanes
-    layers = [None] * len(pct.layers)
-    charges = []
-    child = None
-    spans = level_spans(len(pct.tree.order))
-    for d in reversed(range(len(spans))):
-        jobs, leaf = layer_jobs(*spans[d], child)
+    def kernel():
+        res = _ccore.pct_build(core, pct.lanes, eps)
+        return core.take(_ccore.L_PROF), res
 
-        def kernel(child=child, jobs=jobs):
-            res = _ccore.merge_layer(
-                core, _ccore.MODE_PCT,
-                None if child is None else child[0],
-                lanes, jobs, eps, False,
-            )
-            return core.take(_ccore.L_PROF), res[:, 2].copy(), res[:, 3].copy(), res[:, 0]
-
-        out = _guard.guarded_call("pct_merge", kernel, lambda: None)
-        if out is None:
-            return False
-        blk, off, ln, ops = out
-        layers[d] = child = (blk, off, ln)
-        charges.append((int(leaf.sum()), ops[~leaf].tolist()))
-    pct.layers = layers
-    pct.spans = spans
-    for n_leaves, ops_list in charges:
-        pct.ops += n_leaves + sum(ops_list)
-        _charge(tracker, n_leaves, ops_list)
+    out = _guard.guarded_call("pct_merge", kernel, lambda: None)
+    if out is None:
+        return False
+    blk, res = out
+    off = res[:, _ccore.T_OFF].copy()
+    ln = res[:, _ccore.T_LEN].copy()
+    bases = pct._level_bases()
+    pct.block = (blk, off, ln)
+    pct.layers = [(blk, off[a:b], ln[a:b]) for a, b in zip(bases, bases[1:])]
+    pct.ops = int(res[:, _ccore.T_OPS].sum())
+    if tracker is not None:
+        for d in reversed(range(len(bases) - 1)):
+            rows = res[bases[d] : bases[d + 1]]
+            ops = rows[rows[:, _ccore.T_LEAF] == 0, _ccore.T_OPS].tolist()
+            _charge(tracker, len(rows) - len(ops), ops)
     return True
 
 

@@ -36,24 +36,24 @@ cost profile — experiment E11's ablation):
     (Chazelle–Guibas style) structure instead of a linear sweep
     (:mod:`repro.hsr.acg_rope`).
 
-On the numpy engine with the compiled core, a ``direct`` or
-``persistent`` layer's merges and leaf queries run as one
-``repro_merge_layer`` call, whose context keeps the layer's inherited
-profiles (for ``persistent``, the rope's versions: chunks as runs of a
-piece arena, versions as spines of chunks).  Otherwise each node runs
-the reference — :func:`~repro.envelope.splice.splice_merge` and
+On the numpy engine with the compiled core, the whole of a ``direct``
+or ``persistent`` Phase 2 — every merge and leaf query — runs as one
+``repro_phase2_run`` call, which walks the tree itself and keeps the
+inherited profiles in its context (for ``persistent``, the rope's
+versions: chunks as runs of a piece arena, versions as spines of
+chunks).  Otherwise each node runs the reference —
+:func:`~repro.envelope.splice.splice_merge` and
 :func:`~repro.envelope.visibility.visible_parts` for ``direct``, the
 Python rope's :func:`~repro.persistence.rope.rope_splice_merge` and
 :func:`~repro.persistence.rope.rope_visible_parts` for ``persistent``
-— which the compiled layers are bit-exact against, ``ops``,
-crossings and ``nodes_allocated`` included.  A compiled layer that
+— which the compiled phase is bit-exact against, ``ops``, crossings,
+``nodes_allocated`` and layer stats included.  A compiled call that
 faults (guard site ``phase2_merge``) reruns Phase 2 from the root on
 the reference.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -125,10 +125,11 @@ def run_phase2(
     """Run Phase 2 over a built PCT (see module docstring).
 
     ``engine`` and ``config`` (:class:`repro.config.HsrConfig`) select
-    the compiled layer kernel of ``direct`` and ``persistent``: it
-    runs on the numpy engine when the core is on and the PCT was built
-    in it (its CSR layers).  ``measure_sharing`` keeps ``persistent`` on the Python
-    rope, whose piece objects the sharing meter counts.
+    the compiled phase call of ``direct`` and ``persistent``: it runs
+    on the numpy engine when the core is on and the PCT was built in
+    it (its CSR :attr:`PCT.block`).  ``measure_sharing`` keeps
+    ``persistent`` on the Python rope, whose piece objects the sharing
+    meter counts.
     ``image_segments`` may be ``None`` when the PCT holds the leaves'
     lanes (:attr:`PCT.lanes`).
     """
@@ -138,19 +139,14 @@ def run_phase2(
         )
     if (
         (mode == "direct" or (mode == "persistent" and not measure_sharing))
-        and pct.layers[0] is not None
+        and pct.block is not None
         and resolve_engine(engine) == "numpy"
     ):
         from repro.envelope import _ccore
 
         if _ccore.compiled_enabled(config, "phase2_merge"):
-            compiled = (
-                _phase2_direct_compiled
-                if mode == "direct"
-                else _phase2_persistent_compiled
-            )
             with _ccore.borrowed() as core:
-                out = compiled(pct, eps, tracker, core)
+                out = _phase2_compiled(pct, mode, eps, tracker, core)
             if out is not None:
                 return out
     if image_segments is None:
@@ -219,179 +215,125 @@ def _phase2_direct(
 
 
 class _LeafResults(Mapping):
-    """``edge -> VisibilityResult`` over the compiled run's CSR leaf
-    lanes, each result built on first access.  Leaves iterate in
-    processing order (layer by layer), like the dict the other paths
-    fill."""
+    """``edge -> VisibilityResult`` over the compiled run's leaf lanes:
+    the ``(n, 3)`` ``ops, parts, crossings`` rows of ``leaf``, the
+    ``parts`` and ``vx`` lanes, all in order position, the edge at
+    position ``i`` being ``edges[i]``.  Each result is built on first
+    access.  Leaves iterate in processing order (layer by layer), like
+    the dict the other paths fill."""
 
-    def __init__(self, edges, ops, nparts, ncross, parts, vx):
+    def __init__(self, edges, leaf, parts, vx):
         self._edges = edges
-        self._ops = ops
-        self._poff = [0, *itertools.accumulate(nparts)]
-        self._xoff = [0, *itertools.accumulate(ncross)]
+        self._leaf = leaf
         self._parts = parts
         self._vx = vx
         self._index: Optional[dict] = None
+        self._ends: tuple = ()
         self._built: dict[int, VisibilityResult] = {}
 
     def __getitem__(self, edge: int) -> VisibilityResult:
         vis = self._built.get(edge)
         if vis is None:
             if self._index is None:
-                self._index = {e: i for i, e in enumerate(self._edges)}
+                self._index = {e: i for i, e in enumerate(self._edges.tolist())}
+                # Where each leaf's parts and crossings end.
+                self._ends = tuple(self._leaf[:, 1:].cumsum(axis=0).T.tolist())
             i = self._index[edge]
-            a, b = self._poff[i], self._poff[i + 1]
-            c, d = self._xoff[i], self._xoff[i + 1]
+            ops, nparts, ncross = self._leaf[i].tolist()
+            b, d = self._ends[0][i], self._ends[1][i]
+            a, c = b - nparts, d - ncross
             vis = VisibilityResult(
                 list(map(VisiblePart, self._parts[0, a:b].tolist(),
                          self._parts[1, a:b].tolist())),
                 list(zip(self._vx[0, c:d].tolist(), self._vx[1, c:d].tolist())),
-                self._ops[i],
+                ops,
             )
             self._built[edge] = vis
         return vis
 
     def __iter__(self):
-        return iter(self._edges)
+        import numpy as np
+
+        from repro.hsr.pct import level_spans
+
+        spans = level_spans(len(self._edges))
+        pos = np.concatenate([lo[hi - lo == 1] for lo, hi in spans])
+        return iter(self._edges[pos].tolist())
 
     def __len__(self) -> int:
         return len(self._edges)
 
 
-def _phase2_direct_compiled(
+def _phase2_compiled(
     pct: PCT,
+    mode: str,
     eps: float,
     tracker: Optional[PramTracker],
     core,
 ) -> Optional[Phase2Result]:
-    """``direct`` mode in the compiled core: one ``repro_merge_layer``
-    call per layer (:func:`repro.envelope._ccore.merge_layer`) does
-    every splice merge of the layer and every leaf's visibility query
-    and clipping, bit-exact with :func:`_phase2_direct`.  The
-    inherited profiles stay in the context of ``core``, the run's
-    handle; Python builds only each layer's job array from the
-    previous layer's results and the PCT block of the layer below (the
-    left children's profiles).
+    """``direct`` or ``persistent`` mode in the compiled core: one
+    ``repro_phase2_run`` call (:func:`repro.envelope._ccore.phase2_run`)
+    walks the tree from the root, doing every splice merge (``direct``,
+    bit-exact with :func:`_phase2_direct`) or rope splice merge
+    (``persistent``, bit-exact with :func:`_phase2_persistent_rope` —
+    ``ops``, crossings and ``nodes_allocated`` included, since the
+    kernel cuts the same chunks) and every leaf's visibility query and
+    clipping.  The inherited profiles (the rope's versions: chunks as
+    runs of a piece arena, versions as spines of chunks) stay in the
+    context of ``core``, the run's handle; Python slices the per-node
+    results at the layers for the layer stats and the tracker, and adds
+    the ``persistent`` mode's :func:`_size_locate_cost` charges.
 
-    Each call runs under the ``phase2_merge`` guard.  A fault returns
-    ``None`` and the caller reruns Phase 2 from the root on the
-    reference, so the tracker is charged only once the last layer is
-    done.
+    The call runs under the ``phase2_merge`` guard.  A fault returns
+    ``None`` and the caller reruns Phase 2 on the reference, so the
+    tracker is charged only once the call is done.
     """
     import numpy as np
 
     from repro.envelope import _ccore
 
-    out = Phase2Result()
-    inh_off = np.zeros(1, np.int64)
-    inh_len = np.zeros(1, np.int64)
-    leaves: list[tuple] = []  # per layer: (positions, res rows, parts, vx, rows)
-    costs = []
-    for d, (lo, hi) in enumerate(pct.spans):
-        step = _compiled_layer(
-            pct, core, _ccore.MODE_PHASE2, d, lo, hi, inh_off, inh_len,
-            eps, leaves,
-        )
-        if step is None:
-            return None
-        jobs, res, inner = step
-        ops = res[:, 0]
-        merged = res[inner]
-        stats = LayerStats(
-            depth=d,
-            merges=len(merged),
-            ops=int(ops.sum()),
-            crossings=int(merged[:, 1].sum()),
-            inherited_pieces=int(inh_len.sum()),
-        )
-        out.ops += stats.ops
-        out.crossings += stats.crossings
-        out.pieces_materialised += int(merged[jobs[inner, 4] > 0, 3].sum())
-        out.layers.append(stats)
-        costs.append(ops)
-        # Left children share the parent's profile; right children get
-        # the merge result (the parent again when the merge was empty).
-        inh_off = np.stack([inh_off[inner], merged[:, 2]], axis=1).reshape(-1)
-        inh_len = np.stack([inh_len[inner], merged[:, 3]], axis=1).reshape(-1)
-
-    _charge_layers(tracker, costs)
-    _leaf_outputs(out, pct.lanes, leaves)
-    return out
-
-
-def _charge_layers(tracker: Optional[PramTracker], costs: list) -> None:
-    """A compiled run's PRAM charges: one parallel region per layer,
-    one task per node of its ``ops`` (an int64 array)."""
-    if tracker is None:
-        return
-    for cost in costs:
-        with tracker.parallel() as par:
-            for o in cost.tolist():
-                par.spawn(o, _merge_depth(o))
-
-
-def _compiled_layer(pct, core, mode, d, lo, hi, a_off, a_len, eps, leaves):
-    """Phase-2 layer ``d`` in one ``merge_layer`` call in ``mode``,
-    under the ``phase2_merge`` guard.  Every node's side a is its
-    inherited profile (``a_off``/``a_len`` in node order); an internal
-    node merges its left child's PCT profile, the next layer's node
-    ``2k``, and a leaf queries the image lane of its order position.
-    Appends the layer's leaf lanes to ``leaves``.  Returns ``(jobs,
-    res, inner)``, or ``None`` when the call faulted."""
-    import numpy as np
-
-    from repro.envelope import _ccore
-
-    leaf = hi - lo <= 1
-    inner = ~leaf
-    jobs = np.zeros((len(lo), 5), np.int64)
-    jobs[:, 1] = a_off
-    jobs[:, 2] = a_len
-    jobs[leaf, 0] = 1
-    jobs[leaf, 3] = lo[leaf]
-    blk = None
-    if inner.any():
-        blk, c_off, c_len = pct.layers[d + 1]
-        jobs[inner, 3] = c_off[0::2]
-        jobs[inner, 4] = c_len[0::2]
+    kernel_mode = _ccore.MODE_PHASE2 if mode == "direct" else _ccore.MODE_ROPE
 
     def kernel():
-        return _ccore.merge_layer(core, mode, blk, pct.lanes, jobs, eps, True)
+        res, leaf = _ccore.phase2_run(core, kernel_mode, pct.block, pct.lanes, eps)
+        return (
+            res, leaf, core.take(_ccore.L_PARTS), core.take(_ccore.L_VX),
+            core.take(_ccore.L_ROWS),
+        )
 
-    res = _guard.guarded_call("phase2_merge", kernel, lambda: None)
-    if res is None:
+    got = _guard.guarded_call("phase2_merge", kernel, lambda: None)
+    if got is None:
         return None
-    if leaf.any():
-        leaves.append((
-            lo[leaf], res[leaf], core.take(_ccore.L_PARTS),
-            core.take(_ccore.L_VX), core.take(_ccore.L_ROWS),
-        ))
-    return jobs, res, inner
-
-
-def _leaf_outputs(out: Phase2Result, lanes, leaves: list) -> None:
-    """Fill ``out.visibility`` (lazily) and ``out.rows`` from a
-    compiled run's per-layer leaf lanes."""
-    import numpy as np
-
-    from repro.hsr.pct import csr_index
-
-    pos = np.concatenate([lv[0] for lv in leaves])
-    res = np.concatenate([lv[1] for lv in leaves])
-    parts, vx, rows = (
-        np.concatenate([lv[f] for lv in leaves], axis=1) for f in (2, 3, 4)
+    res, leaf, parts, vx, rows = got
+    cost = res[:, _ccore.T_OPS]
+    inherited = res[:, _ccore.T_INH]
+    if mode == "persistent":
+        cost = cost + _size_locate_costs(inherited)
+        inherited = np.zeros_like(inherited)
+    bases = pct._level_bases()
+    starts = bases[:-1]
+    per_layer = zip(
+        np.add.reduceat(1 - res[:, _ccore.T_LEAF], starts).tolist(),
+        np.add.reduceat(cost, starts).tolist(),
+        np.add.reduceat(res[:, _ccore.T_CROSS], starts).tolist(),
+        np.add.reduceat(inherited, starts).tolist(),
     )
-    edges = lanes[4][pos]
-    out.visibility = _LeafResults(
-        edges.tolist(), res[:, 0].tolist(), res[:, 3].tolist(),
-        res[:, 1].tolist(), parts, vx,
-    )
-    # The map rows in front-to-back order: leaf position order.
-    by_pos = np.argsort(pos)
-    starts = np.zeros(len(res), np.int64)
-    np.cumsum(res[:-1, 3], out=starts[1:])
-    idx = csr_index(starts[by_pos], res[by_pos, 3])
-    out.rows = rows[:, idx]
+    out = Phase2Result(rows=rows)
+    out.layers = [LayerStats(d, *row) for d, row in enumerate(per_layer)]
+    out.ops = sum(layer.ops for layer in out.layers)
+    out.crossings = sum(layer.crossings for layer in out.layers)
+    written = int(res[:, _ccore.T_NEW].sum())
+    if mode == "direct":
+        out.pieces_materialised = written
+    else:
+        out.nodes_allocated = written
+    if tracker is not None:
+        for a, b in zip(starts, bases[1:]):
+            with tracker.parallel() as par:
+                for o in cost[a:b].tolist():
+                    par.spawn(o, _merge_depth(o))
+    out.visibility = _LeafResults(pct.lanes[4], leaf, parts, vx)
+    return out
 
 
 def _size_locate_cost(n: int) -> int:
@@ -408,71 +350,6 @@ def _size_locate_costs(sizes):
     import numpy as np
 
     return np.maximum(1, np.frexp(sizes + 1.0)[1] - 1)
-
-
-def _phase2_persistent_compiled(
-    pct: PCT,
-    eps: float,
-    tracker: Optional[PramTracker],
-    core,
-) -> Optional[Phase2Result]:
-    """``persistent`` mode in the compiled core: one
-    ``repro_merge_layer`` call per layer in ``MODE_ROPE`` does every
-    rope splice merge of the layer and every leaf's visibility query
-    and clipping, bit-exact with :func:`_phase2_persistent_rope` —
-    ``ops``, crossings and ``nodes_allocated`` included, since the
-    kernel cuts the same chunks.  Every profile version stays in the
-    context of ``core`` as a spine of shared chunks; Python only builds
-    each layer's job array from the previous layer's versions and the
-    PCT block of the layer below, and adds the
-    :func:`_size_locate_cost` charges.
-
-    Each call runs under the ``phase2_merge`` guard.  A fault returns
-    ``None`` and the caller reruns Phase 2 from the root on the Python
-    rope, so the tracker is charged only once the last layer is done.
-    """
-    import numpy as np
-
-    from repro.envelope import _ccore
-
-    out = Phase2Result()
-    # The inherited versions of a layer's nodes: spine offset, spine
-    # length and piece count.  The root inherits the empty version.
-    ver_off = np.zeros(1, np.int64)
-    ver_len = np.zeros(1, np.int64)
-    ver_tot = np.zeros(1, np.int64)
-    leaves: list[tuple] = []
-    costs = []
-    for d, (lo, hi) in enumerate(pct.spans):
-        step = _compiled_layer(
-            pct, core, _ccore.MODE_ROPE, d, lo, hi, ver_off, ver_len, eps,
-            leaves,
-        )
-        if step is None:
-            return None
-        _jobs, res, inner = step
-        cost = res[:, 0] + _size_locate_costs(ver_tot)
-        merged = res[inner]
-        stats = LayerStats(
-            depth=d,
-            merges=len(merged),
-            ops=int(cost.sum()),
-            crossings=int(merged[:, 1].sum()),
-        )
-        out.ops += stats.ops
-        out.crossings += stats.crossings
-        out.nodes_allocated += int(merged[:, 5].sum())
-        out.layers.append(stats)
-        costs.append(cost)
-        # Left children share the parent's version; right children get
-        # the merge's successor (the parent again when it was empty).
-        ver_off = np.stack([ver_off[inner], merged[:, 2]], axis=1).reshape(-1)
-        ver_len = np.stack([ver_len[inner], merged[:, 3]], axis=1).reshape(-1)
-        ver_tot = np.stack([ver_tot[inner], merged[:, 4]], axis=1).reshape(-1)
-
-    _charge_layers(tracker, costs)
-    _leaf_outputs(out, pct.lanes, leaves)
-    return out
 
 
 def _phase2_persistent_rope(

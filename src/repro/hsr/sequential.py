@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 from repro.envelope.chain import Envelope
 from repro.envelope.splice import insert_segment
 from repro.hsr.result import HsrResult, HsrStats, VisibilityMap
-from repro.ordering.sweep import front_to_back_order
+from repro.ordering.sweep import run_order
 from repro.reliability import reliability_run
 from repro.terrain.model import Terrain
 
@@ -129,7 +129,8 @@ class SequentialHSR:
         """
         t0 = time.perf_counter()
         if order is None:
-            order = front_to_back_order(terrain, config=self.config)
+            # The compiled ordering's int64 array goes to image_lanes as is.
+            order = run_order(terrain, self.config)
         vmap = VisibilityMap()
         with reliability_run() as report:
             _env, ops, max_profile = self._insert_loop(terrain, order, vmap)
@@ -140,7 +141,8 @@ class SequentialHSR:
             wall_time_s=time.perf_counter() - t0,
             extra={"max_profile_size": float(max_profile)},
         )
-        return HsrResult(vmap, stats, order=list(order), reliability=report)
+        order = order.tolist() if hasattr(order, "tolist") else list(order)
+        return HsrResult(vmap, stats, order=order, reliability=report)
 
     def final_profile(
         self, terrain: Terrain, *, order: Optional[Sequence[int]] = None
@@ -152,7 +154,7 @@ class SequentialHSR:
         resulting profile instead of the visibility map.
         """
         if order is None:
-            order = front_to_back_order(terrain, config=self.config)
+            order = run_order(terrain, self.config)
         with reliability_run():
             env, _ops, _max_profile = self._insert_loop(terrain, order, None)
         return env

@@ -224,11 +224,23 @@ def front_to_back_order(
 
     if tie_break not in ("min", "max"):
         raise OrderingError(f"unknown tie_break {tie_break!r}")
-    sign = 1 if tie_break == "min" else -1
     cfg = HsrConfig.resolve(config, engine=engine)
+    order = _order(terrain, segments, 1 if tie_break == "min" else -1, cfg)
+    return order if isinstance(order, list) else order.tolist()
+
+
+def run_order(terrain: Terrain, config) -> "list[int] | object":
+    """The order of an HSR run under ``config``: what
+    :func:`front_to_back_order` returns, but as the compiled core's
+    int64 array when the core answered — the form
+    :meth:`Terrain.image_lanes` takes without rebuilding it."""
+    return _order(terrain, None, 1, config)
+
+
+def _order(terrain: Terrain, segments, sign: int, cfg):
     if cfg.compiled_insert() and cfg.resolved_engine() == "numpy":
         faces = terrain.face_edges() if segments is None else (None, None)
-        order = _ccore.front_to_back(*map_lanes(terrain, segments), sign, *faces)
+        order = _ccore.order_array(*map_lanes(terrain, segments), sign, *faces)
         if order is not None:
             return order
     segs = list(segments) if segments is not None else terrain.map_segments()

@@ -274,7 +274,7 @@ class Terrain:
             src = _np.arange(self.n_edges, dtype=_np.int64)
             pts, lo, hi = self._lane_endpoints()
         else:
-            src = _np.array(order, dtype=_np.int64)
+            src = _np.asarray(order, dtype=_np.int64)
             pts, lo, hi = self._lane_endpoints(src)
         return pts[lo, 1], pts[lo, 2], pts[hi, 1], pts[hi, 2], src
 

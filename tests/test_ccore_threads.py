@@ -1,7 +1,7 @@
-"""The compiled core is reentrant: runs, envelope builds and face-pass
-orderings on several threads at once (cffi releases the GIL around
-every C call, so they really overlap) stay bit-exact against
-single-threaded ones.  Each run owns its core context
+"""The compiled core is reentrant: runs, whole-phase calls, envelope
+builds and face-pass orderings on several threads at once (cffi
+releases the GIL around every C call, so they really overlap) stay
+bit-exact against single-threaded ones.  Each run owns its core context
 (:class:`repro.envelope._ccore.Core`); the ordering's scratch is per
 call; nothing in the C side is static."""
 
@@ -11,11 +11,15 @@ import threading
 
 import pytest
 
+from repro.config import HsrConfig
 from repro.envelope import _ccore
 from repro.envelope.build import build_envelope
 from repro.hsr.parallel import ParallelHSR
+from repro.hsr.pct import build_pct
+from repro.hsr.phase2 import run_phase2
 from repro.hsr.sequential import SequentialHSR
-from repro.ordering.sweep import map_lanes
+from repro.ordering.separator import SeparatorTree
+from repro.ordering.sweep import front_to_back_order, map_lanes
 from repro.terrain.generators import fractal_terrain
 
 pytestmark = pytest.mark.skipif(
@@ -36,6 +40,24 @@ def _run(hsr, terrain):
         )
 
     return run
+
+
+def _phase2(terrain):
+    """``direct`` and ``persistent`` Phase 2 over one compiled PCT: two
+    threads read its block at once, each walking the tree in its own
+    context."""
+    core = HsrConfig(engine="numpy", use_compiled_insert=True)
+    tree = SeparatorTree(front_to_back_order(terrain))
+    pct = build_pct(tree, terrain.image_segments(), config=core)
+
+    def job(mode):
+        def run():
+            ph2 = run_phase2(pct, None, mode=mode, config=core)
+            return ph2.ops, ph2.crossings, ph2.layers, ph2.rows.tobytes()
+
+        return run
+
+    return job("direct"), job("persistent")
 
 
 def _build(terrain):
@@ -66,6 +88,7 @@ def test_threads_running_the_core_stay_bit_exact():
         (_run(ParallelHSR(mode="direct"), fractal_terrain(size=33, seed=4)), 6),
         (_run(ParallelHSR(mode="persistent"), fractal_terrain(size=33, seed=3)), 6),
         (_run(ParallelHSR(mode="persistent"), fractal_terrain(size=33, seed=4)), 6),
+        *((run, 6) for run in _phase2(fractal_terrain(size=33, seed=5))),
         (_build(fractal_terrain(size=65, seed=3)), 15),
         (_build(fractal_terrain(size=65, seed=4)), 15),
         (_order(fractal_terrain(size=65, seed=3).rotated(30), 1), 40),

@@ -99,6 +99,12 @@ class TestExtremeQueries:
         want = max(p.y - (a * p.x + b) for p in hull_u)
         assert abs(got - want) <= 1e-9 * (1 + abs(want))
 
+    def test_tied_probes_keep_the_extreme(self):
+        """Rounding ties the probes at indices 1 and 2 (both -1.0); the
+        minimum, -2.0, is at index 0, left of both."""
+        hull = lower_hull(_pts([(0, -1.34e-106), (1, 1), (3.18e-44, 0), (-1, 0)]))
+        assert min_over_hull(hull, -1, 1) == -2.0
+
     def test_extreme_on_large_random_hull(self):
         rng = random.Random(42)
         pts = [

@@ -554,7 +554,7 @@ class TestOrderingDispatch:
             return answer(*args)
 
         monkeypatch.setattr(_ccore, "COMPILED_DEFAULT", True)
-        monkeypatch.setattr(_ccore, "front_to_back", spy)
+        monkeypatch.setattr(_ccore, "order_array", spy)
         return calls
 
     def test_python_engine_never_reaches_c(self, monkeypatch):
@@ -567,7 +567,7 @@ class TestOrderingDispatch:
 
     @needs_ccore
     def test_numpy_engine_calls_c_once_per_run(self, monkeypatch):
-        calls = self._spy(monkeypatch, _ccore.front_to_back)
+        calls = self._spy(monkeypatch, _ccore.order_array)
         t = fractal_terrain(size=9, seed=1)
         res = SequentialHSR(engine="numpy").run(t)
         assert len(calls) == 1
@@ -591,7 +591,7 @@ class TestOrderingDispatch:
 
     @needs_ccore
     def test_only_the_terrain_path_passes_the_face_table(self, monkeypatch):
-        calls = self._spy(monkeypatch, _ccore.front_to_back)
+        calls = self._spy(monkeypatch, _ccore.order_array)
         t = fractal_terrain(size=9, seed=1)
         front_to_back_order(t)
         front_to_back_order(t, segments=t.map_segments())

@@ -1,17 +1,20 @@
-"""Tests for the compiled PCT layer kernel (``repro_merge_layer``).
+"""Tests for the compiled PCT kernels: the per-job kernels of
+``repro_merge_layer`` and the whole-phase calls ``repro_pct_build`` and
+``repro_phase2_run`` built from them.
 
 Contract under test: with the optional C extension built, Phase 1
-(``build_pct``) and Phase 2's ``direct`` and ``persistent`` modes run
-one compiled call per PCT layer, and are *bit-exact* against the
-scalar reference (``engine="python"``): the same pieces, ``ops`` and
+(``build_pct``) and Phase 2's ``direct`` and ``persistent`` modes each
+run as one compiled call, and are *bit-exact* against the scalar
+reference (``engine="python"``): the same pieces, ``ops`` and
 crossings per merge; the same visible parts, crossings and ``ops`` per
-leaf; and the same visibility map, ``k``, ``stats.ops``,
-``stats.extra`` (``nodes_allocated`` included) and layer stats per
-run.  The rope mode cuts the Python rope's chunks: the same pieces,
-chunk boundaries and fresh slot counts per splice.  ``acg`` reads the
-CSR-backed PCT and stays bit-identical.  A post-condition fault
-(``ST_FAULT``) or an injected ``raise`` plan at ``pct_merge`` /
-``phase2_merge`` recovers through the guard, bit-exactly.
+leaf; and the same visibility map and row block, ``k``, ``stats.ops``,
+``stats.extra`` (``nodes_allocated`` and ``pieces_materialised``
+included), tracker work and depth and layer stats per run.  The rope
+mode cuts the Python rope's chunks: the same pieces, chunk boundaries
+and fresh slot counts per splice.  ``acg`` reads the CSR-backed PCT
+and stays bit-identical.  A post-condition fault (``ST_FAULT``) or an
+injected ``raise`` plan at ``pct_merge`` / ``phase2_merge`` recovers
+through the guard, bit-exactly.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from repro.envelope.splice import splice_merge
 from repro.envelope.visibility import visible_parts
 from repro.geometry.segments import ImageSegment
 from repro.hsr.parallel import ParallelHSR
-from repro.hsr.pct import build_pct, level_spans
+from repro.hsr.pct import build_pct, level_bases, level_spans
 from repro.hsr.phase2 import _size_locate_cost, _size_locate_costs, run_phase2
 from repro.ordering.separator import SeparatorTree
 from repro.ordering.sweep import front_to_back_order
@@ -41,7 +44,7 @@ from repro.persistence import rope
 from repro.pram.tracker import PramTracker
 from repro.reliability import faultinject as fi
 from repro.reliability import guard
-from repro.scenarios.instances import terrain_for
+from repro.scenarios.instances import dem_terrain_for, terrain_for
 from repro.terrain.model import Terrain
 
 needs_ccore = pytest.mark.skipif(
@@ -311,14 +314,17 @@ def test_nan_window_faults():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 100, 1025])
 def test_level_spans_match_the_tree_nodes(n):
-    """The layer arrays both phases index with describe the nodes
-    :class:`SeparatorTree` builds, and its height needs no nodes."""
+    """The layer arrays and bases the phases index with describe the
+    nodes :class:`SeparatorTree` builds, and its height needs no
+    nodes."""
     tree = SeparatorTree(list(range(n)))
     levels = list(tree.levels())
     assert tree.height == len(levels) == len(level_spans(n))
     for (lo, hi), level in zip(level_spans(n), levels):
         assert lo.tolist() == [node.lo for node in level]
         assert hi.tolist() == [node.hi for node in level]
+    bases = level_bases(n)
+    assert bases == [level[0].index for level in levels] + [2 * n - 1]
 
 
 def _run_signature(res):
@@ -335,6 +341,8 @@ def _run_signature(res):
 
 
 def _terrain(family, size):
+    if family == "dem":
+        return dem_terrain_for({"path": "data/dem_tile.asc", "format": "esri-ascii"})
     return terrain_for(
         dict(family=family, size=size, seed=23, observer=0.0, occlusion=1.2)
     )
@@ -344,27 +352,54 @@ CASES = [
     (family, size)
     for family in ("fractal", "valley", "shielded_basin")
     for size in (9, 17, 33)
-]
+] + [("dem", 0)]
+
+
+def _spy_phases(monkeypatch):
+    """Record every compiled call of a run: ``("pct",)`` per
+    :func:`_ccore.pct_build`, ``("phase2", mode)`` per
+    :func:`_ccore.phase2_run` and ``("layer", mode)`` per
+    :func:`_ccore.merge_layer`."""
+    calls = []
+    pct_build, phase2_run, merge_layer = (
+        _ccore.pct_build, _ccore.phase2_run, _ccore.merge_layer
+    )
+    monkeypatch.setattr(
+        _ccore, "pct_build", lambda *a: calls.append(("pct",)) or pct_build(*a)
+    )
+    monkeypatch.setattr(
+        _ccore,
+        "phase2_run",
+        lambda core, m, *a: calls.append(("phase2", m)) or phase2_run(core, m, *a),
+    )
+    monkeypatch.setattr(
+        _ccore,
+        "merge_layer",
+        lambda core, m, *a: calls.append(("layer", m)) or merge_layer(core, m, *a),
+    )
+    return calls
 
 
 def _assert_compiled_run_bit_exact(family, size, mode, kernel, monkeypatch):
-    """One ``kernel``-mode call per Phase-2 layer, every leaf answered
-    in C, and the run bit-exact with the python engine."""
+    """One Phase-1 call and one ``kernel``-mode Phase-2 call, every leaf
+    answered in C, and the run bit-exact with the python engine —
+    the row block included."""
     terrain = _terrain(family, size)
     order = front_to_back_order(terrain)
-    calls = []
-    real = _ccore.merge_layer
-    monkeypatch.setattr(
-        _ccore, "merge_layer", lambda core, m, *a: calls.append(m) or real(core, m, *a)
-    )
+    calls = _spy_phases(monkeypatch)
     ta, tb = PramTracker(), PramTracker()
     got = ParallelHSR(mode=mode, config=COMPILED).run(terrain, order=order, tracker=ta)
     ref = ParallelHSR(mode=mode, config=PYTHON).run(terrain, order=order, tracker=tb)
-    tree = SeparatorTree(order)
-    assert calls == [_ccore.MODE_PCT] * tree.height + [kernel] * tree.height
-    assert got.phase2.rows is not None
+    assert calls == [("pct",), ("phase2", kernel)]
+    rows = got.phase2.rows
+    assert rows is not None
+    assert list(zip(rows[4].view(np.int64).tolist(), *rows[:4].tolist())) == [
+        tuple(seg) for seg in ref.visibility_map.segments
+    ]
     assert _run_signature(got) == _run_signature(ref)
     assert got.phase2.crossings == ref.phase2.crossings
+    assert got.phase2.pieces_materialised == ref.phase2.pieces_materialised
+    assert got.pct.total_profile_pieces() == ref.pct.total_profile_pieces()
     assert (ta.work, ta.depth) == (tb.work, tb.depth)
     assert not got.reliability.degraded
     return got, ref
@@ -373,7 +408,10 @@ def _assert_compiled_run_bit_exact(family, size, mode, kernel, monkeypatch):
 @needs_ccore
 @pytest.mark.parametrize("family,size", CASES, ids=[f"{f}-{s}" for f, s in CASES])
 def test_direct_bit_exact_against_python(family, size, monkeypatch):
-    _assert_compiled_run_bit_exact(family, size, "direct", _ccore.MODE_PHASE2, monkeypatch)
+    got, ref = _assert_compiled_run_bit_exact(
+        family, size, "direct", _ccore.MODE_PHASE2, monkeypatch
+    )
+    assert got.phase2.pieces_materialised == ref.phase2.pieces_materialised > 0
 
 
 @needs_ccore
@@ -397,15 +435,11 @@ def test_persistent_bit_exact_against_python(family, size, monkeypatch):
 def test_python_rope_keeps_its_runs(mode, kwargs, monkeypatch):
     """ACG, the sharing meter, the python engine and a switched-off
     core keep the Python rope (the reference), with the same results."""
-    calls = []
-    real = _ccore.merge_layer
-    monkeypatch.setattr(
-        _ccore, "merge_layer", lambda core, m, *a: calls.append(m) or real(core, m, *a)
-    )
+    calls = _spy_phases(monkeypatch)
     terrain = _terrain("valley", 9)
     order = front_to_back_order(terrain)
     got = ParallelHSR(mode=mode, **kwargs).run(terrain, order=order)
-    assert _ccore.MODE_ROPE not in calls
+    assert not [call for call in calls if call[0] != "pct"]
     assert got.phase2.rows is None
     sharing = kwargs.get("measure_sharing", False)
     ref = ParallelHSR(mode=mode, measure_sharing=sharing, config=PYTHON).run(
@@ -417,8 +451,8 @@ def test_python_rope_keeps_its_runs(mode, kwargs, monkeypatch):
 @needs_ccore
 @pytest.mark.parametrize("size", [9, 33])
 def test_faulting_pct_reruns_on_the_reference(size):
-    # A repeating plan faults the first layer call of every build, and
-    # each fault reruns Phase 1 on the reference; the third fault
+    # A repeating plan faults the phase call of every build, and each
+    # fault reruns Phase 1 on the reference; the third fault
     # quarantines the site, after which a build takes the reference
     # outright.  A clean compiled build and every faulted or
     # quarantined one match the reference per node, on ops and on
@@ -438,6 +472,7 @@ def test_faulting_pct_reruns_on_the_reference(size):
 
     tc = PramTracker()
     clean = build_pct(tree, segs, config=COMPILED, tracker=tc)
+    assert clean.block is not None
     assert all(layer is not None for layer in clean.layers)
     assert_reference(clean, tc)
     with guard.reliability_run() as rep:
@@ -445,6 +480,7 @@ def test_faulting_pct_reruns_on_the_reference(size):
             for _ in range(guard.FAULT_THRESHOLD + 1):
                 tg = PramTracker()
                 got = build_pct(tree, segs, config=COMPILED, tracker=tg)
+                assert got.block is None
                 assert got.layers == [None] * tree.height
                 assert_reference(got, tg)
     assert rep.sites["pct_merge"].quarantined
@@ -478,7 +514,8 @@ def test_rope_modes_read_the_csr_pct_bit_identically(mode):
 
 class _FaultingLib:
     """``_ccore.lib`` with ``repro_merge_layer`` answering ``ST_FAULT``
-    on its ``nth`` call in ``mode`` — a post-condition failure."""
+    on its ``nth`` call in ``mode`` — a post-condition failure of one
+    level of the D&C envelope build (``tests/test_reliability.py``)."""
 
     def __init__(self, lib, mode, nth):
         self._lib = lib
@@ -496,13 +533,36 @@ class _FaultingLib:
         return self._lib.repro_merge_layer(ctx, mode, *args)
 
 
-def _fault_at(nth, terrain):
-    """``nth`` as a layer call count; ``"last"`` is the tree height,
-    the last compiled layer of each phase (where ``direct`` releases
-    its held-back tracker charges)."""
-    if nth == "last":
-        return SeparatorTree(front_to_back_order(terrain)).height
-    return nth
+#: The C entry of each guarded phase call.
+PHASE_ENTRIES = {"pct_merge": "repro_pct_build", "phase2_merge": "repro_phase2_run"}
+
+
+class _FaultingPhase:
+    """``_ccore.lib`` with the phase entry ``entry`` answering
+    ``ST_FAULT`` — a post-condition failure.  ``when="before"`` answers
+    without running the call; ``when="after"`` runs the real call
+    first, so the context and the result rows hold the whole phase's
+    state when the fault comes back, and the caller must discard all
+    of it."""
+
+    def __init__(self, lib, entry, when):
+        self._lib = lib
+        self._entry = entry
+        self._when = when
+        self.calls = 0
+
+    def __getattr__(self, name):
+        real = getattr(self._lib, name)
+        if name != self._entry:
+            return real
+
+        def faulting(*args):
+            self.calls += 1
+            if self._when == "after":
+                assert real(*args) == _ccore.ST_DONE
+            return _ccore.ST_FAULT
+
+        return faulting
 
 
 def _assert_recovered(terrain, site, mode="direct"):
@@ -519,59 +579,56 @@ def _assert_recovered(terrain, site, mode="direct"):
 
 
 @needs_ccore
-@pytest.mark.parametrize(
-    "mode,site",
-    [(_ccore.MODE_PCT, "pct_merge"), (_ccore.MODE_PHASE2, "phase2_merge")],
-    ids=["pct", "phase2"],
-)
-@pytest.mark.parametrize("nth", [1, 2, 5, "last"])
-def test_kernel_fault_recovers_bit_exact(mode, site, nth, monkeypatch):
-    terrain = _terrain("fractal", 17)
-    monkeypatch.setattr(
-        _ccore, "lib", _FaultingLib(_ccore.lib, mode, _fault_at(nth, terrain))
-    )
-    _assert_recovered(terrain, site)
+@pytest.mark.parametrize("site", ["pct_merge", "phase2_merge"])
+@pytest.mark.parametrize("when", ["before", "after"])
+def test_kernel_fault_recovers_bit_exact(site, when, monkeypatch):
+    lib = _FaultingPhase(_ccore.lib, PHASE_ENTRIES[site], when)
+    monkeypatch.setattr(_ccore, "lib", lib)
+    _assert_recovered(_terrain("fractal", 17), site)
+    assert lib.calls == 1
 
 
 @needs_ccore
 @pytest.mark.parametrize("site", ["pct_merge", "phase2_merge"])
 def test_raise_plan_recovers_bit_exact(site, monkeypatch):
-    calls = []
-    real = _ccore.merge_layer
-    monkeypatch.setattr(
-        _ccore, "merge_layer", lambda *a: calls.append(a[1]) or real(*a)
-    )
+    """``<site>:raise:2``: a run trips each phase's site once, so the
+    first run's call is clean and the second run's raises."""
+    calls = _spy_phases(monkeypatch)
+    terrain = _terrain("valley", 17)
     with fi.inject(site, "raise", nth=2) as plan:
-        _assert_recovered(_terrain("valley", 17), site)
+        first = ParallelHSR(mode="direct", config=COMPILED).run(terrain)
+        assert not first.reliability.degraded
+        _assert_recovered(terrain, site)
     assert plan.fired == 1
-    assert calls  # the kernel ran on the other layers
+    # A plan armed at pct_merge keeps Phase 2 on its reference (see
+    # compiled_enabled); the second Phase 1 raised before its call.
+    if site == "pct_merge":
+        assert calls == [("pct",)]
+    else:
+        assert calls == [("pct",), ("phase2", _ccore.MODE_PHASE2), ("pct",)]
 
 
 @needs_ccore
-@pytest.mark.parametrize("nth", [1, 2, 5, "last"])
-def test_rope_kernel_fault_reruns_bit_exact(nth, monkeypatch):
-    """A faulting rope layer reruns Phase 2 from the root on the Python
-    rope, and charges the tracker once."""
-    terrain = _terrain("fractal", 17)
-    monkeypatch.setattr(
-        _ccore,
-        "lib",
-        _FaultingLib(_ccore.lib, _ccore.MODE_ROPE, _fault_at(nth, terrain)),
-    )
-    _assert_recovered(terrain, "phase2_merge", "persistent")
+@pytest.mark.parametrize("when", ["before", "after"])
+def test_rope_kernel_fault_reruns_bit_exact(when, monkeypatch):
+    """A faulting rope phase call reruns Phase 2 from the root on the
+    Python rope, and charges the tracker once."""
+    lib = _FaultingPhase(_ccore.lib, "repro_phase2_run", when)
+    monkeypatch.setattr(_ccore, "lib", lib)
+    _assert_recovered(_terrain("fractal", 17), "phase2_merge", "persistent")
+    assert lib.calls == 1
 
 
 @needs_ccore
 def test_rope_raise_plan_recovers_bit_exact(monkeypatch):
-    calls = []
-    real = _ccore.merge_layer
-    monkeypatch.setattr(
-        _ccore, "merge_layer", lambda *a: calls.append(a[1]) or real(*a)
-    )
+    calls = _spy_phases(monkeypatch)
+    terrain = _terrain("valley", 17)
     with fi.inject("phase2_merge", "raise", nth=2) as plan:
-        _assert_recovered(_terrain("valley", 17), "phase2_merge", "persistent")
+        first = ParallelHSR(mode="persistent", config=COMPILED).run(terrain)
+        assert not first.reliability.degraded
+        _assert_recovered(terrain, "phase2_merge", "persistent")
     assert plan.fired == 1
-    assert calls.count(_ccore.MODE_ROPE) == 1  # the second layer faulted
+    assert calls.count(("phase2", _ccore.MODE_ROPE)) == 1  # the second run's faulted
 
 
 @needs_ccore
@@ -579,10 +636,82 @@ def test_kernel_fault_strict_mode_raises(monkeypatch):
     from repro.errors import KernelFault
 
     monkeypatch.setattr(guard, "GUARDED_DISPATCH", False)
-    monkeypatch.setattr(_ccore, "lib", _FaultingLib(_ccore.lib, _ccore.MODE_PHASE2, 2))
+    monkeypatch.setattr(
+        _ccore, "lib", _FaultingPhase(_ccore.lib, "repro_phase2_run", "after")
+    )
     with pytest.raises(KernelFault) as exc:
         ParallelHSR(mode="direct", config=COMPILED).run(_terrain("fractal", 9))
     assert exc.value.site == "phase2_merge"
+
+
+def _side_by_side(n, nan_at):
+    """``n`` touching unit segments, the one at ``nan_at`` with a NaN
+    height."""
+    return [
+        ImageSegment(float(i), math.nan if i == nan_at else 1.0, i + 1.0, 2.0, i)
+        for i in range(n)
+    ]
+
+
+@needs_ccore
+def test_pct_build_checks_its_merges():
+    """Phase 1's own post-condition: a NaN height reaches the merge of
+    its leaf, which faults after the leaves and merges before it were
+    written to the context; the guard reruns the phase on the
+    reference."""
+    segs = _side_by_side(16, 11)
+    tree = SeparatorTree(list(range(16)))
+    core = _ccore.Core()
+    with pytest.raises(_ccore.CCoreFault):
+        _ccore.pct_build(core, segment_lanes(segs), 1e-9)
+    assert core.take(_ccore.L_PROF).shape[1] > 1
+    with guard.reliability_run() as rep:
+        got = build_pct(tree, segs, config=COMPILED)
+    assert rep.sites["pct_merge"].count == 1
+    assert got.block is None
+    ref = build_pct(tree, segs, engine="python")
+    assert got.ops == ref.ops
+    for node in tree.nodes():
+        assert repr(got.envelope_of(node)) == repr(ref.envelope_of(node))
+
+
+@needs_ccore
+@pytest.mark.parametrize("mode", [_ccore.MODE_PHASE2, _ccore.MODE_ROPE])
+def test_phase2_run_checks_its_merges(mode):
+    """Phase 2's own post-condition: a NaN height in the root's left
+    child's PCT profile faults the root's merge, which runs after the
+    whole left subtree wrote its leaves to the context.  A second call
+    on the same handle starts from a clean context: its results equal
+    a fresh handle's."""
+    terrain = _terrain("fractal", 9)
+    tree = SeparatorTree(front_to_back_order(terrain))
+    pct = build_pct(tree, terrain.image_segments(), config=COMPILED)
+    blk, off, ln = pct.block
+    bad = blk.copy()
+    assert ln[1] > 0
+    bad[1, off[1]] = math.nan
+    core = _ccore.Core()
+    with pytest.raises(_ccore.CCoreFault):
+        _ccore.phase2_run(core, mode, (bad, off, ln), pct.lanes, 1e-9)
+    assert core.take(_ccore.L_PARTS).shape[1] > 0
+
+    def outputs(core):
+        res, leaf = _ccore.phase2_run(core, mode, pct.block, pct.lanes, 1e-9)
+        taken = [core.take(w) for w in (_ccore.L_PARTS, _ccore.L_VX, _ccore.L_ROWS)]
+        return [a.tobytes() for a in (res, leaf, *taken)]
+
+    assert outputs(core) == outputs(_ccore.Core())
+
+
+@needs_ccore
+@pytest.mark.parametrize("mode", ["direct", "persistent"])
+def test_one_compiled_call_per_phase(mode, monkeypatch):
+    calls = _spy_phases(monkeypatch)
+    terrain = _terrain("fractal", 17)
+    for _ in range(2):
+        ParallelHSR(mode=mode, config=COMPILED).run(terrain)
+    kernel = _ccore.MODE_PHASE2 if mode == "direct" else _ccore.MODE_ROPE
+    assert calls == [("pct",), ("phase2", kernel)] * 2
 
 
 @pytest.mark.parametrize("mode", ["direct", "persistent"])
@@ -590,7 +719,8 @@ def test_core_off_takes_the_reference(mode, monkeypatch):
     """Without the core (or with it switched off) both phases run the
     Python reference from image segments, with the same results."""
     calls = []
-    monkeypatch.setattr(_ccore, "merge_layer", lambda *a: calls.append(a))
+    for name in ("pct_build", "phase2_run", "merge_layer"):
+        monkeypatch.setattr(_ccore, name, lambda *a, name=name: calls.append(name))
     lanes = []
     real_lanes = Terrain.image_lanes
     monkeypatch.setattr(
@@ -602,5 +732,6 @@ def test_core_off_takes_the_reference(mode, monkeypatch):
     ref = ParallelHSR(mode=mode, config=PYTHON).run(terrain, order=order)
     assert not calls and not lanes
     assert got.phase2.rows is None
+    assert got.pct.block is None
     assert all(layer is None for layer in got.pct.layers)
     assert _run_signature(got) == _run_signature(ref)

@@ -317,7 +317,7 @@ class TestBuildSweep:
 
 @pytest.mark.skipif(not _ccore.HAVE_CCORE, reason="compiled core not built")
 class TestPhase2Injection:
-    """Direct-mode phase 2 runs one compiled call per layer under the
+    """Direct-mode phase 2 runs as one compiled call under the
     ``phase2_merge`` guard; a fault reruns Phase 2 from the root on
     the reference."""
 
@@ -447,6 +447,13 @@ def _hsr_signature(terrain, mode=None):
     return lambda config: _run_signature(terrain(), config, mode)
 
 
+def _two_runs(terrain, mode):
+    """Two runs: a ``ParallelHSR`` run trips each phase's site once, so
+    the second one meets an ``nth=2`` plan."""
+    run = _hsr_signature(terrain, mode)
+    return lambda config: [run(config), run(config)]
+
+
 NUMPY = HsrConfig(engine="numpy")
 
 #: One production path per ``raise``-capable site, with the config
@@ -455,8 +462,8 @@ _RAISE_PATHS = {
     "compiled_insert": (_hsr_signature(_fractal), CORE),
     "packed_splice": (_hsr_signature(_fractal), NUMPY),
     "build_sweep": (_build_signature, CORE),
-    "pct_merge": (_hsr_signature(_valley, "direct"), CORE),
-    "phase2_merge": (_hsr_signature(_valley, "direct"), CORE),
+    "pct_merge": (_two_runs(_valley, "direct"), CORE),
+    "phase2_merge": (_two_runs(_valley, "direct"), CORE),
     "rope_splice": (_hsr_signature(_valley, "persistent"), NUMPY),
 }
 
