@@ -11,8 +11,8 @@ the two timed variants):
 
 ``build``
     ``build_envelope`` python engine vs numpy engine (one compiled
-    call per recursion level when the core is built, else the same
-    reference recursion).
+    call per build when the core is built, else the same reference
+    recursion).
 ``visibility``
     ``visible_parts`` of ``m`` query segments against the profile of
     ``m`` segments: scalar per-query loop (``python_ms``) vs one
@@ -41,8 +41,8 @@ the two timed variants):
 ``phase2-rope``
     Phase 2 over a PCT built from the E9 segments: ``python_ms`` =
     ``mode="persistent"`` (the chunked-rope store), ``numpy_ms`` =
-    ``mode="direct"`` on the numpy engine (one compiled call per
-    layer when the core is built).  The speedup column reads "how much
+    ``mode="direct"`` on the numpy engine (one compiled call for the
+    phase when the core is built).  The speedup column reads "how much
     persistence costs".
 
 Engines are timed interleaved (python, numpy, python, ...) and the

@@ -56,16 +56,21 @@ behind two flags and these names:
     (:mod:`repro.hsr.phase2`).  Each returns one int64 row per node in
     node-index order (the ``T_*`` columns).
 
-``merge_layer(core, mode, blk, lanes, jobs, eps, record)``
-    A batch of independent jobs over the same kernels in one C call:
-    the merges of one recursion level of the D&C envelope build
-    (``MODE_PCT``, crossings recorded; :mod:`repro.envelope.build`), a
-    batch of sight-line queries (``MODE_PHASE2`` kind-2 leaves, each
-    against a block the caller passes;
-    :mod:`repro.envelope.flat_visibility`), or Phase 2's splice and
-    rope merges and leaf queries job by job (``MODE_PHASE2``,
-    ``MODE_ROPE``; the per-kernel parity tests drive them this way);
-    results left in the handle's lane sets for :meth:`Core.take`.
+``envelope_build(core, lanes, eps)``
+    The D&C envelope build of :mod:`repro.envelope.build` in one C
+    call over image lanes with no vertical segment: the recursion
+    walked depth first, the root's profile left in the handle's
+    ``L_PROF`` and every merge's crossings in ``L_XING``, in the
+    reference recursion's post-order.  Returns the merges' ``ops`` in
+    that order.
+
+``query_batch(core, blk, lanes, eps)``
+    A batch of sight-line queries in one C call
+    (:mod:`repro.envelope.flat_visibility`): the Phase-2 leaf query of
+    each query lane against the envelope block ``blk``.  Returns one
+    ``ops, parts, crossings`` row per query (a Phase-2 leaf's columns);
+    the parts, crossings and clipped rows stay in the handle's lanes in
+    query order.
 
 ``front_to_back(x1, y1, x2, y2, src, sign, faces, boundary)``
     The front-to-back ordering in one C call over map-segment lanes
@@ -132,8 +137,7 @@ L_BND = 6  # breakpoint union of one merge: y
 L_SPINE = 7  # rope spines, one entry a chunk: | offset length start
 LANE_ROWS = (5, 5, 5, 4, 2, 2, 1, 3)
 
-#: ``repro_merge_layer`` modes (the ``MODE_*`` defines).
-MODE_PCT = 1
+#: ``repro_phase2_run`` modes (the ``MODE_*`` defines).
 MODE_PHASE2 = 2
 MODE_ROPE = 3
 
@@ -357,45 +361,10 @@ if HAVE_CCORE:
             return st, at + 1
         return st, at
 
-    def merge_layer(core, mode: int, blk, lanes, jobs, eps: float, record: bool):
-        """A batch of ``jobs`` (an ``(n, 5)`` int64 array of
-        ``kind, a_off, a_len, b_off, b_len`` rows) in one C call; see
-        ``repro_merge_layer`` in ``_ccore_build.py``.  ``blk`` is the
-        ``(5, cap)`` float64 block side b (and, under ``MODE_PCT`` or
-        for a kind-2 leaf, side a) indexes, or ``None``; ``lanes`` the
-        front-to-back image lanes leaf jobs index.  Returns the ``(n, 4)`` int64
-        ``ops, crossings, offset, length`` rows (``MODE_ROPE``: ``(n,
-        6)``, a merge's new version's piece count and fresh slots
-        appended); raises :class:`CCoreFault` when a job fails its
-        post-condition and :class:`MemoryError` when the scratch cannot
-        grow."""
-        import numpy as np
-
-        res = np.empty((len(jobs), 6 if mode == MODE_ROPE else 4), np.int64)
-        if blk is None or not blk.shape[1]:
-            blk_ptr, cap = ffi.NULL, 0
-        else:
-            blk_ptr, cap = ffi.from_buffer("double[]", blk), blk.shape[1]
-        st = lib.repro_merge_layer(
-            core.ctx,
-            mode,
-            blk_ptr,
-            cap,
-            *core.lane_ptrs(lanes),
-            len(jobs),
-            ffi.from_buffer("int64_t[]", jobs),
-            int(record),
-            eps,
-            EPS,
-            ffi.from_buffer("int64_t[]", res),
-        )
-        _status(st, res, "merge layer", "job")
-        return res
-
     def _status(st, res, what: str, row: str = "node") -> None:
         if st == ST_FAULT:
             raise CCoreFault(
-                f"compiled {what} post-condition failed at {row} {res[0, 0]}"
+                f"compiled {what} post-condition failed at {row} {res.flat[0]}"
             )
         if st != ST_DONE:
             raise MemoryError(f"compiled {what} scratch")
@@ -444,6 +413,43 @@ if HAVE_CCORE:
         )
         _status(st, res, "Phase 2")
         return res, leaf
+
+    def envelope_build(core, lanes, eps: float):
+        """The D&C envelope build over the image ``lanes`` (no vertical
+        segment among them) in one C call; see ``repro_envelope_build``
+        in ``_ccore_build.py``.  Returns the int64 ``ops`` of the
+        ``n - 1`` merges in post-order; the root's profile and the
+        crossings stay in the handle's ``L_PROF`` and ``L_XING``.
+        Raises as :func:`pct_build` does."""
+        import numpy as np
+
+        ptrs = core.lane_ptrs(lanes)
+        n = len(ptrs[4])
+        ops = np.empty(max(n - 1, 0), np.int64)
+        st = lib.repro_envelope_build(
+            core.ctx, n, *ptrs, eps, ffi.from_buffer("int64_t[]", ops)
+        )
+        _status(st, ops, "envelope build", "merge")
+        return ops
+
+    def query_batch(core, blk, lanes, eps: float):
+        """Every query of the image ``lanes`` against the ``(5, n)``
+        envelope block ``blk`` in one C call; see ``repro_query_batch``
+        in ``_ccore_build.py``.  Returns the ``(nq, 3)`` int64 ``ops,
+        parts, crossings`` rows; the parts, crossings and clipped rows
+        stay in the handle's ``L_PARTS``, ``L_VX`` and ``L_ROWS`` in
+        query order.  Raises as :func:`pct_build` does."""
+        import numpy as np
+
+        ptrs = core.lane_ptrs(lanes)
+        leaf = np.empty((len(ptrs[4]), 3), np.int64)
+        blk_ptr = ffi.from_buffer("double[]", blk) if blk.shape[1] else ffi.NULL
+        st = lib.repro_query_batch(
+            core.ctx, blk_ptr, blk.shape[1], len(ptrs[4]), *ptrs, eps, EPS,
+            ffi.from_buffer("int64_t[]", leaf),
+        )
+        _status(st, leaf, "query batch", "query")
+        return leaf
 
     def _order(x1, y1, x2, y2, src, sign, faces, boundary, cons=None):
         n = len(src)
@@ -520,13 +526,16 @@ else:  # pragma: no cover - the no-compiler install
     def insert_run(profile, lanes, start, stop, eps, run):
         return None
 
-    def merge_layer(core, mode, blk, lanes, jobs, eps, record):
-        return None
-
     def pct_build(core, lanes, eps):
         return None
 
     def phase2_run(core, mode, block, lanes, eps):
+        return None
+
+    def envelope_build(core, lanes, eps):
+        return None
+
+    def query_batch(core, blk, lanes, eps):
         return None
 
     def order_array(x1, y1, x2, y2, src, sign: int, faces=None, boundary=None):

@@ -3,7 +3,7 @@
 Running this module (``python src/repro/envelope/_ccore_build.py``)
 runs ``setup.py build_ext --inplace``, which compiles
 ``repro.envelope._repro_ccore`` — a small C extension with
-five entry points.
+six entry points.
 
 ``repro_insert_run`` runs the insert pass of the sequential algorithm
 over a chunk of front-to-back image lanes, each insert against the
@@ -55,14 +55,15 @@ its fresh slot count too).  Phase 2 walks the tree depth first, so
 the leaves' outputs come in front-to-back position order and the
 inherited profiles are a stack in the context.
 
-``repro_merge_layer`` runs a batch of independent jobs over the same
-kernels: the merges of one recursion level of the D&C envelope build
-(:func:`~repro.envelope.build.build_envelope`), a batch of sight-line
-queries against one envelope
-(:func:`~repro.envelope.flat_visibility.batch_visible_parts`: one
-leaf job per query, its profile a block the caller passes), or the
-Phase-2 merges and leaf queries job by job, as the kernel parity
-tests drive them.
+``repro_envelope_build`` is the D&C envelope build of
+:func:`~repro.envelope.build.build_envelope` in one call: the
+recursion walked depth first, each merge the Phase-1 merge with its
+crossings recorded, so the crossings and the merges' ``ops`` come out
+in the reference recursion's post-order.  ``repro_query_batch`` answers
+a batch of sight-line queries against one envelope
+(:func:`~repro.envelope.flat_visibility.batch_visible_parts`): the
+Phase-2 leaf query of each query lane against a block the caller
+passes.
 
 ``repro_front_to_back`` is the front-to-back ordering of
 :func:`~repro.ordering.sweep.front_to_back_order` in one call over
@@ -98,7 +99,7 @@ fuzz.
 
 Buffer ownership: the caller owns every input buffer; the insert run
 mutates the caller's packed buffer in place but never reallocates it.
-All scratch — merged windows, visible parts, rows, layer profiles —
+All scratch — merged windows, visible parts, rows, profiles —
 lives in a ``repro_ctx`` that Python creates per run
 (:class:`repro.envelope._ccore.Core`) and frees with it, grown by the
 C side as needed.  Python copies results out before the next call on
@@ -138,12 +139,6 @@ int64_t repro_insert_run(
     const double *z2, const int64_t *src, int64_t start, int64_t stop,
     double eps, double clip_eps, int64_t *off, int64_t *acc,
     int64_t *out);
-int64_t repro_merge_layer(
-    repro_ctx *ctx, int64_t mode, const double *blk, int64_t blk_cap,
-    const double *y1, const double *z1, const double *y2,
-    const double *z2, const int64_t *src, int64_t nj,
-    const int64_t *job, int64_t record, double eps, double clip_eps,
-    int64_t *res);
 int64_t repro_pct_build(
     repro_ctx *ctx, int64_t n, const double *y1, const double *z1,
     const double *y2, const double *z2, const int64_t *src, double eps,
@@ -154,6 +149,15 @@ int64_t repro_phase2_run(
     const double *y1, const double *z1, const double *y2,
     const double *z2, const int64_t *src, double eps, double clip_eps,
     int64_t *res, int64_t *leaf);
+int64_t repro_envelope_build(
+    repro_ctx *ctx, int64_t n, const double *y1, const double *z1,
+    const double *y2, const double *z2, const int64_t *src, double eps,
+    int64_t *ops);
+int64_t repro_query_batch(
+    repro_ctx *ctx, const double *blk, int64_t n, int64_t nq,
+    const double *y1, const double *z1, const double *y2,
+    const double *z2, const int64_t *src, double eps, double clip_eps,
+    int64_t *leaf);
 int64_t repro_front_to_back(
     int64_t n, const double *x1, const double *y1, const double *x2,
     const double *y2, const int64_t *src, int64_t sign,
@@ -524,26 +528,16 @@ static int clip_row(lanes *R, double a, double b, double y1, double z1,
     return 1;
 }
 
-/* ==== the PCT kernels and their job batches ======================= */
+/* ==== the PCT kernels ============================================== */
 
-/* Modes of repro_merge_layer (mirrored in repro/envelope/_ccore.py). */
-#define MODE_PCT    1  /* Phase 1: full merges of two child profiles   */
-#define MODE_PHASE2 2  /* Phase 2 and query batches: splice merges and
-                           leaf queries                                */
-#define MODE_ROPE   3  /* Phase 2 on the rope: persistent splice merges */
-
-/* job[] and res[] row layouts. */
-#define J_KIND 0  /* 0: merge, 1: leaf, 2: a query (MODE_PHASE2)      */
-#define J_AOFF 1  /* side a: offset, length                            */
-#define J_ALEN 2
-#define J_BOFF 3  /* side b: offset, length; a leaf's lane index       */
-#define J_BLEN 4
-#define J_W    5
-#define X_OPS   0  /* the job's ops                                    */
+/* X[] row of one splice merge (splice_job, rope_merge). */
+#define X_OPS   0  /* the merge's ops                                  */
 #define X_CROSS 1  /* its crossing count                               */
-#define X_OFF   2  /* its output: profile rows, or a leaf's parts      */
+#define X_OFF   2  /* the new profile (rope: its spine): offset, length */
 #define X_LEN   3
-#define X_W     4
+#define X_TOTAL 4  /* rope: the new version's piece count              */
+#define X_FRESH 5  /* rope: the piece slots written into fresh chunks  */
+#define X_W     6
 
 /* merge_envelopes(a, b): the union of the two endpoint streams, then
  * one pass over its elementary intervals -- a covering piece per side,
@@ -794,11 +788,11 @@ BAD:
 /* splice_merge of side b into the profile at L_PROF [aoff, aoff + alen):
  * locate the window of a overlapping b, merge it with b, and append
  * head + merged window + tail as a fresh profile, its crossings to
- * L_XING when `record`.  An empty b shares a.  Fills X[X_OPS .. X_LEN]
- * (the profile at X_OFF, X_LEN); returns ST_DONE, ST_FAULT (the merged
- * window fails its check) or ST_FALLBACK (OOM). */
+ * L_XING.  An empty b shares a.  Fills X[X_OPS .. X_LEN] (the profile
+ * at X_OFF, X_LEN); returns ST_DONE, ST_FAULT (the merged window fails
+ * its check) or ST_FALLBACK (OOM). */
 static int splice_job(repro_ctx *ctx, int64_t aoff, int64_t alen,
-                      const view *b, double eps, int record, int64_t *X)
+                      const view *b, double eps, int64_t *X)
 {
     lanes *O = &ctx->L[L_PROF];
     view a, win;
@@ -819,7 +813,7 @@ static int splice_job(repro_ctx *ctx, int64_t aoff, int64_t alen,
     X[X_OFF] = O->n;
     push_view(O, &a, 0, lo);
     from = O->n;
-    X[X_OPS] = merge_sweep(ctx, &win, b, eps, record, &nx);
+    X[X_OPS] = merge_sweep(ctx, &win, b, eps, 1, &nx);
     if (!pieces_ok(O, from)) return ST_FAULT;
     push_view(O, &a, hi, alen);
     X[X_CROSS] = nx;
@@ -836,11 +830,6 @@ static int splice_job(repro_ctx *ctx, int64_t aoff, int64_t alen,
  * pieces; only the fresh run around a splice is written anew. */
 
 #define CHUNK_TARGET 32  /* repro.persistence.rope.CHUNK_TARGET        */
-
-/* res[] row of a MODE_ROPE job: X_OPS .. X_LEN as above, then these. */
-#define X_TOTAL 4  /* a merge's new version: its piece count           */
-#define X_FRESH 5  /* the piece slots written into its fresh chunks    */
-#define RX_W    6
 
 typedef struct {
     const int64_t *off, *len, *start;
@@ -1125,160 +1114,6 @@ static int64_t rope_leaf(repro_ctx *ctx, int64_t aoff, int64_t alen,
                       clip_eps, ncross);
 }
 
-/* MODE_ROPE of repro_merge_layer; res rows are RX_W wide. */
-static int64_t rope_layer(repro_ctx *ctx, const double *blk, int64_t blk_cap,
-                          const double *y1, const double *z1,
-                          const double *y2, const double *z2,
-                          const int64_t *src, int64_t nj, const int64_t *job,
-                          double eps, double clip_eps, int64_t *res)
-{
-    int64_t j;
-    ctx->L[L_XING].n = 0;
-    ctx->L[L_PARTS].n = 0;
-    ctx->L[L_ROWS].n = 0;
-    ctx->L[L_VX].n = 0;
-    for (j = 0; j < nj; j++) {
-        const int64_t *J = job + J_W * j;
-        int64_t *X = res + RX_W * j;
-        int64_t ops, nx;
-        int st;
-        if (J[J_KIND] == 1) {
-            X[X_OFF] = ctx->L[L_PARTS].n;
-            ops = rope_leaf(ctx, J[J_AOFF], J[J_ALEN], y1, z1, y2, z2, src,
-                            J[J_BOFF], eps, clip_eps, &nx);
-            if (ops == -2) return ST_FALLBACK;
-            if (ops < 0) {
-                res[0] = j;
-                return ST_FAULT;
-            }
-            X[X_OPS] = ops;
-            X[X_CROSS] = nx;
-            X[X_LEN] = ctx->L[L_PARTS].n - X[X_OFF];
-            X[X_TOTAL] = X[X_FRESH] = 0;
-            continue;
-        }
-        st = rope_merge(ctx, J[J_AOFF], J[J_ALEN], blk, blk_cap, J[J_BOFF],
-                        J[J_BLEN], eps, X);
-        if (st == ST_FAULT) res[0] = j;
-        if (st != ST_DONE) return st;
-    }
-    return ST_DONE;
-}
-
-/* A batch of nj independent jobs of J_W int64 each in one call,
- * answered in res[] (X_W each): a level of the D&C envelope build, a
- * batch of sight-line queries, or Phase-2 jobs one by one (the phase
- * calls below run the same kernels).
- *
- * MODE_PCT (build_envelope): a merge job is merge_envelopes of pieces
- * [aoff, aoff + alen) and [boff, boff + blen) of the child level's
- * (5, blk_cap) block, record_crossings as `record`; a leaf job emits
- * the image segment at lane boff (none when vertical).  Every job's
- * profile lands in L_PROF (emptied first) at res[X_OFF], res[X_LEN].
- *
- * MODE_PHASE2 (the direct mode): side a is an inherited profile in
- * L_PROF itself, which is never emptied -- a run's profiles stay in
- * it and later layers read them by offset.  A merge job is
- * splice_merge: locate the window of a overlapping side b (pieces of
- * blk, the left child's PCT profile), merge it with b, and append
- * head + merged window + tail as a fresh profile (blen == 0: a is
- * shared, res[X_OFF..X_LEN] is a itself).  A leaf job runs
- * visible_parts of the segment at lane boff against a: its parts go
- * to L_PARTS at res[X_OFF], res[X_LEN], one clipped row each to
- * L_ROWS at the same index, and its crossings to L_VX.  A kind-2 leaf
- * (batch_visible_parts: sight-line queries against one envelope) is
- * the same query with side a pieces [aoff, aoff + alen) of blk.
- * L_PARTS, L_ROWS, L_VX and L_XING are emptied first.
- *
- * MODE_ROPE (the persistent mode): side a is a rope version, its spine
- * at [aoff, aoff + alen) of L_SPINE; L_PROF (the piece arena) and
- * L_SPINE are never emptied.  A merge job is rope_splice_merge of side
- * b into it (rope_merge), its res row RX_W wide: the successor's spine
- * at res[X_OFF], res[X_LEN] (a itself when blen == 0), its piece count
- * and fresh slots.  A leaf job is rope_visible_parts (rope_leaf), its
- * outputs as in MODE_PHASE2.
- *
- * Returns ST_DONE; ST_FAULT when a merged window, a fresh rope run or
- * a leaf's parts fail their post-condition (res[0] = the job);
- * ST_FALLBACK on scratch OOM.  Either way the caller discards the whole
- * call. */
-int64_t repro_merge_layer(
-    repro_ctx *ctx, int64_t mode, const double *blk, int64_t blk_cap,
-    const double *y1, const double *z1, const double *y2,
-    const double *z2, const int64_t *src, int64_t nj,
-    const int64_t *job, int64_t record, double eps, double clip_eps,
-    int64_t *res)
-{
-    lanes *O = &ctx->L[L_PROF];
-    int64_t j;
-    if (mode == MODE_ROPE)
-        return rope_layer(ctx, blk, blk_cap, y1, z1, y2, z2, src, nj, job,
-                          eps, clip_eps, res);
-    if (mode == MODE_PCT) O->n = 0;
-    ctx->L[L_XING].n = 0;
-    ctx->L[L_PARTS].n = 0;
-    ctx->L[L_ROWS].n = 0;
-    ctx->L[L_VX].n = 0;
-    for (j = 0; j < nj; j++) {
-        const int64_t *J = job + J_W * j;
-        int64_t *X = res + X_W * j;
-        int64_t aoff = J[J_AOFF], alen = J[J_ALEN];
-        int64_t boff = J[J_BOFF], blen = J[J_BLEN];
-        view a, b;
-        int64_t from, ops, nx;
-        int st;
-        if (J[J_KIND] == 1 && mode == MODE_PCT) {
-            /* Leaf: FlatEnvelope.from_segment. */
-            if (!reserve(ctx, L_PROF, O->n + 1)) return ST_FALLBACK;
-            X[X_OPS] = 1;
-            X[X_CROSS] = 0;
-            X[X_OFF] = O->n;
-            if (y1[boff] != y2[boff])
-                push(O, y1[boff], z1[boff], y2[boff], z2[boff], src[boff]);
-            X[X_LEN] = O->n - X[X_OFF];
-            continue;
-        }
-        if (J[J_KIND] != 0) {
-            /* Leaf: visible_parts against the inherited profile, or
-             * (kind 2) against pieces of blk. */
-            a = J[J_KIND] == 2 ? block_view(blk, blk_cap, aoff, alen)
-                               : lanes_view(O, aoff, alen);
-            X[X_OFF] = ctx->L[L_PARTS].n;
-            ops = leaf_query(ctx, &a, y1[boff], z1[boff], y2[boff],
-                             z2[boff], src[boff], eps, clip_eps, &nx);
-            if (ops == -2) return ST_FALLBACK;
-            if (ops < 0) {
-                res[0] = j;
-                return ST_FAULT;
-            }
-            X[X_OPS] = ops;
-            X[X_CROSS] = nx;
-            X[X_LEN] = ctx->L[L_PARTS].n - X[X_OFF];
-            continue;
-        }
-        b = block_view(blk, blk_cap, boff, blen);
-        if (mode == MODE_PCT) {
-            a = block_view(blk, blk_cap, aoff, alen);
-            if (!reserve_merge(ctx, alen, blen, 0)) return ST_FALLBACK;
-            from = O->n;
-            ops = merge_sweep(ctx, &a, &b, eps, (int)record, &nx);
-            if (!pieces_ok(O, from)) {
-                res[0] = j;
-                return ST_FAULT;
-            }
-            X[X_OPS] = ops;
-            X[X_CROSS] = nx;
-            X[X_OFF] = from;
-            X[X_LEN] = O->n - from;
-            continue;
-        }
-        st = splice_job(ctx, aoff, alen, &b, eps, (int)record, X);
-        if (st == ST_FAULT) res[0] = j;
-        if (st != ST_DONE) return st;
-    }
-    return ST_DONE;
-}
-
 /* ==== whole phases of the PCT (repro/hsr/pct.py, phase2.py) ======= */
 
 /* res[] row of a node (mirrored in repro/envelope/_ccore.py): both
@@ -1293,7 +1128,12 @@ int64_t repro_merge_layer(
 #define T_NEW   4  /* pieces materialised (direct), fresh slots (rope) */
 #define T2_W    5
 
-/* leaf[] row of a Phase-2 leaf, by order position. */
+/* Modes of repro_phase2_run (mirrored in repro/envelope/_ccore.py). */
+#define MODE_PHASE2 2  /* direct: splice merges of array profiles      */
+#define MODE_ROPE   3  /* persistent: splice merges of rope versions   */
+
+/* leaf[] row of a Phase-2 leaf, by order position, and of a query of
+ * repro_query_batch, by lane. */
 #define LF_OPS   0
 #define LF_PARTS 1  /* its visible parts (and clipped rows)            */
 #define LF_CROSS 2
@@ -1385,6 +1225,74 @@ int64_t repro_pct_build(
     return st;
 }
 
+/* One D&C envelope build: its inputs, and the merges' ops in
+ * post-order. */
+typedef struct {
+    repro_ctx *ctx;
+    const double *y1, *z1, *y2, *z2;
+    const int64_t *src;
+    double eps;
+    int64_t *ops, k;
+} build;
+
+/* Node [lo, hi) of the build: a leaf pushes its segment (none when
+ * vertical); a merge builds both halves, which then sit back to back at
+ * the end of L_PROF, runs merge_sweep on them with crossings recorded
+ * and moves the result down over them.  So the crossings reach L_XING
+ * in the reference recursion's post-order, as the ops reach b->ops. */
+static int build_node(build *b, int64_t lo, int64_t hi)
+{
+    repro_ctx *ctx = b->ctx;
+    lanes *O = &ctx->L[L_PROF];
+    int64_t mid = (lo + hi) / 2, a0 = O->n, b0, from, nx, k, f;
+    view l, r;
+    int st;
+    if (hi - lo == 1) {
+        if (!reserve(ctx, L_PROF, O->n + 1)) return ST_FALLBACK;
+        if (b->y1[lo] != b->y2[lo])
+            push(O, b->y1[lo], b->z1[lo], b->y2[lo], b->z2[lo], b->src[lo]);
+        return ST_DONE;
+    }
+    st = build_node(b, lo, mid);
+    if (st != ST_DONE) return st;
+    b0 = O->n;
+    st = build_node(b, mid, hi);
+    if (st != ST_DONE) return st;
+    from = O->n;
+    if (!reserve_merge(ctx, b0 - a0, from - b0, 0)) return ST_FALLBACK;
+    l = lanes_view(O, a0, b0 - a0);
+    r = lanes_view(O, b0, from - b0);
+    b->ops[b->k] = merge_sweep(ctx, &l, &r, b->eps, 1, &nx);
+    if (!pieces_ok(O, from)) {
+        b->ops[0] = b->k;
+        return ST_FAULT;
+    }
+    b->k++;
+    k = O->n - from;
+    for (f = 0; f < 4; f++)
+        memmove(O->d[f] + a0, O->d[f] + from, (size_t)k * sizeof(double));
+    memmove(O->q[0] + a0, O->q[0] + from, (size_t)k * sizeof(int64_t));
+    O->n = a0 + k;
+    return ST_DONE;
+}
+
+/* build_envelope (Lemma 3.1) in one call over the n lanes, which hold
+ * no vertical segment: the recursion split at (lo + hi) / 2, depth
+ * first (build_node).  The root's profile is all of L_PROF and the
+ * crossings are all of L_XING (both emptied first); ops[] gets the n - 1
+ * merges' ops in post-order.  Returns ST_DONE; ST_FAULT when a merged
+ * profile fails pieces_ok (ops[0] = its post-order index); ST_FALLBACK
+ * on scratch OOM.  Either way the caller discards the whole call. */
+int64_t repro_envelope_build(
+    repro_ctx *ctx, int64_t n, const double *y1, const double *z1,
+    const double *y2, const double *z2, const int64_t *src, double eps,
+    int64_t *ops)
+{
+    build b = {ctx, y1, z1, y2, z2, src, eps, ops, 0};
+    repro_ctx_clear(ctx);
+    return n > 0 ? build_node(&b, 0, n) : ST_DONE;
+}
+
 /* One Phase-2 run: its inputs and outputs. */
 typedef struct {
     repro_ctx *ctx;
@@ -1412,7 +1320,7 @@ static int p2_node(walk *w, int64_t v, int64_t aoff, int64_t alen)
     repro_ctx *ctx = w->ctx;
     lanes *O = &ctx->L[L_PROF], *S = &ctx->L[L_SPINE];
     int64_t *X = w->res + T2_W * v, k = w->kid[v];
-    int64_t m0 = O->n, s0 = S->n, ops, nx, M[RX_W];
+    int64_t m0 = O->n, s0 = S->n, ops, nx, M[X_W];
     int st;
     X[T_LEAF] = k < 0;
     X[T_CROSS] = X[T_NEW] = 0;
@@ -1447,7 +1355,7 @@ static int p2_node(walk *w, int64_t v, int64_t aoff, int64_t alen)
         X[T_NEW] = M[X_FRESH];
     } else {
         view b = block_view(w->blk, w->cap, w->poff[k], w->plen[k]);
-        st = splice_job(ctx, aoff, alen, &b, w->eps, 1, M);
+        st = splice_job(ctx, aoff, alen, &b, w->eps, M);
         X[T_NEW] = b.n ? M[X_LEN] : 0;
     }
     if (st == ST_FAULT) w->res[0] = v;
@@ -1503,6 +1411,39 @@ int64_t repro_phase2_run(
     st = p2_node(&w, 0, 0, 0);
     free(t);
     return st;
+}
+
+/* batch_visible_parts in one call: leaf_query of each of the nq query
+ * lanes against the n pieces of the (5, n) envelope block blk, its
+ * leaf[] row filled and its parts, clipped rows and crossings appended
+ * to L_PARTS, L_ROWS and L_VX in lane order (the lanes are emptied
+ * first).  Returns ST_DONE; ST_FAULT when a query's parts fail their
+ * check (leaf[0] = its lane); ST_FALLBACK on scratch OOM. */
+int64_t repro_query_batch(
+    repro_ctx *ctx, const double *blk, int64_t n, int64_t nq,
+    const double *y1, const double *z1, const double *y2,
+    const double *z2, const int64_t *src, double eps, double clip_eps,
+    int64_t *leaf)
+{
+    view env = {0};
+    int64_t k, ops, p0, nx;
+    if (n > 0) env = block_view(blk, n, 0, n);
+    repro_ctx_clear(ctx);
+    for (k = 0; k < nq; k++) {
+        int64_t *F = leaf + LF_W * k;
+        p0 = ctx->L[L_PARTS].n;
+        ops = leaf_query(ctx, &env, y1[k], z1[k], y2[k], z2[k], src[k], eps,
+                         clip_eps, &nx);
+        if (ops == -2) return ST_FALLBACK;
+        if (ops < 0) {
+            leaf[0] = k;
+            return ST_FAULT;
+        }
+        F[LF_OPS] = ops;
+        F[LF_PARTS] = ctx->L[L_PARTS].n - p0;
+        F[LF_CROSS] = nx;
+    }
+    return ST_DONE;
 }
 
 /* ==== the whole insert pass (SequentialHSR._insert_loop) ========== */

@@ -14,12 +14,11 @@ its elementary-interval count with depth ``log2`` of that count.
 Experiment E9 verifies the measured depth is Θ(log^2 m).
 
 Two paths compute the build.  On the numpy engine with the compiled
-core on, every recursion level is one compiled call
-(:func:`repro.envelope._ccore.merge_layer` in ``MODE_PCT``, the same
-merge kernel as Phase 1), bottom-up over the levels of
-:func:`repro.hsr.pct.level_spans`; the crossings come from the
+core on, the whole recursion is one compiled call
+(:func:`repro.envelope._ccore.envelope_build`, the same merge kernel
+as Phase 1) that walks it depth first; the crossings come from the
 kernel's record path and the tracker replays the recursion's exact
-charge sequence from the per-node ``ops``.  Otherwise — no core,
+charge sequence from the merges' ``ops``.  Otherwise — no core,
 ``use_compiled_insert=False``, ``engine="python"``, or a faulting
 call — the reference recursion runs as written.  Both give the same
 envelope, crossings (in the recursion's post-order), ``ops``, work and
@@ -74,8 +73,8 @@ def build_envelope(
     The compiled build runs under guard site ``build_sweep``, tripped
     once per build: a fault reruns the whole build on the reference
     (strict mode raises :class:`~repro.errors.KernelFault`), and the
-    tracker is charged only after the last compiled layer, so a fault
-    never charges twice.
+    tracker is charged only after the compiled call, so a fault never
+    charges twice.
     """
     from repro.config import HsrConfig
     from repro.envelope import _ccore
@@ -152,19 +151,17 @@ def _build_envelope_python(
 def _build_compiled(
     lanes, tracker: Optional[PramTracker], eps: float
 ) -> MergeResult:
-    """The recursion one level per compiled call, bottom-up.
+    """The recursion in one compiled call.
 
     Verticals are dropped first, as the reference does, so ``m`` and
-    the recursion shape match it.  A node's crossings sit in its
-    layer's ``L_XING`` block (per-job counts in ``res[:, 1]``); the
-    reference collects them in post-order — children before the node,
-    left subtree first — which is ascending ``hi`` with nested nodes
-    (equal ``hi``) smallest first, i.e. the key ``hi·(m+1) − lo``.
+    the recursion shape match it.  The call walks the recursion depth
+    first, so its crossings and its merges' ``ops`` come in the
+    reference's post-order, which the tracker replay reads in sequence.
     """
     import numpy as np
 
     from repro.envelope import _ccore
-    from repro.hsr.pct import block_view, layer_jobs, level_spans
+    from repro.hsr.pct import block_view
 
     keep = lanes[0] != lanes[2]
     if not keep.all():
@@ -172,35 +169,16 @@ def _build_compiled(
     m = len(lanes[4])
     if m == 0:
         return MergeResult(Envelope.empty(), [], 0)
-    child = None
-    total_ops = 0
-    xings, keys, node_ops = [], [], {}
     with _ccore.borrowed() as core:
-        for lo, hi in reversed(level_spans(m)):
-            jobs, leaf = layer_jobs(lo, hi, child)
-            res = _ccore.merge_layer(
-                core, _ccore.MODE_PCT, None if child is None else child[0],
-                lanes, jobs, eps, True,
-            )
-            child = (core.take(_ccore.L_PROF), res[:, 2], res[:, 3])
-            total_ops += int(res[:, 0].sum())
-            if res[:, 1].any():
-                xings.append(core.take(_ccore.L_XING))
-                keys.append(np.repeat(hi * (m + 1) - lo, res[:, 1]))
-            if tracker is not None:
-                inner = ~leaf
-                spans = zip(lo[inner].tolist(), hi[inner].tolist())
-                node_ops.update(zip(spans, res[inner, 0].tolist()))
-    blk, off, ln = child
-    env = block_view(blk, off[0], ln[0]).to_envelope()
-    crossings: list[Crossing] = []
-    if xings:
-        order = np.argsort(np.concatenate(keys), kind="stable")
-        x = np.concatenate(xings, axis=1)[:, order]
-        y, z = x[:2].tolist()
-        front, back = x[2:].view(np.int64).tolist()
-        crossings = list(map(Crossing._make, zip(y, z, front, back)))
+        ops = _ccore.envelope_build(core, lanes, eps)
+        blk = core.take(_ccore.L_PROF)
+        x = core.take(_ccore.L_XING)
+    env = block_view(blk, 0, blk.shape[1]).to_envelope()
+    y, z = x[:2].tolist()
+    front, back = x[2:].view(np.int64).tolist()
+    crossings = list(map(Crossing._make, zip(y, z, front, back)))
     if tracker is not None:
+        merge_ops = iter(ops.tolist())
 
         def replay(lo: int, hi: int) -> None:
             if hi - lo == 1:
@@ -212,11 +190,11 @@ def _build_compiled(
                     replay(lo, mid)
                 with par.branch():
                     replay(mid, hi)
-            ops = node_ops[(lo, hi)]
-            tracker.charge(ops, _merge_depth(ops))
+            k = next(merge_ops)
+            tracker.charge(k, _merge_depth(k))
 
         replay(0, m)
-    return MergeResult(env, crossings, total_ops)
+    return MergeResult(env, crossings, m + int(ops.sum()))
 
 
 def build_envelope_sequential(

@@ -2,10 +2,10 @@
 against one envelope.
 
 :func:`batch_visible_parts` answers every query of a batch in **one**
-compiled call when the core is on: a ``repro_merge_layer`` call in
-``MODE_PHASE2`` whose jobs are kind-2 leaves, each the Phase-2 leaf
-query (``leaf_query``, the C transcription of
-:func:`~repro.envelope.visibility.visible_parts`) of one query against
+compiled call when the core is on: ``repro_query_batch``
+(:func:`repro.envelope._ccore.query_batch`), which runs the Phase-2
+leaf query (``leaf_query``, the C transcription of
+:func:`~repro.envelope.visibility.visible_parts`) of each query against
 the envelope packed as a ``(5, n)`` block.  The call runs under the
 ``phase2_merge`` guard site.  The reference is the scalar
 :func:`~repro.envelope.visibility.visible_parts` loop; it answers when
@@ -124,7 +124,7 @@ class FlatVisibility(NamedTuple):
 
 
 def envelope_block(env: Union[FlatEnvelope, Envelope, np.ndarray]) -> np.ndarray:
-    """``env`` as a ``(5, n)`` float64 block, the PCT layer layout:
+    """``env`` as a ``(5, n)`` float64 block, the PCT block layout:
     ``ya, za, yb, zb`` rows, then the sources' int64 bits (a block is
     returned as it is)."""
     if isinstance(env, np.ndarray):
@@ -169,20 +169,13 @@ def batch_visible_parts(
         blk = envelope_block(env)
         q = mat[:, :4].T.copy()
         lanes = (q[0], q[1], q[2], q[3], np.full(nq, -1, _I))
-        # Kind-2 leaves: query k against pieces [0, n) of the block.
-        jobs = np.zeros((nq, 5), _I)
-        jobs[:, 0] = 2
-        jobs[:, 2] = blk.shape[1]
-        jobs[:, 3] = np.arange(nq)
         with _ccore.borrowed() as core:
 
             def kernel():
-                res = _ccore.merge_layer(
-                    core, _ccore.MODE_PHASE2, blk, lanes, jobs, eps, True
-                )
+                ops, n_parts, n_cross = _ccore.query_batch(core, blk, lanes, eps).T
                 return _assemble(
-                    res[:, 0], res[:, 3], core.take(_ccore.L_PARTS),
-                    res[:, 1], core.take(_ccore.L_VX),
+                    ops, n_parts, core.take(_ccore.L_PARTS),
+                    n_cross, core.take(_ccore.L_VX),
                 )
 
             out = _guard.guarded_call("phase2_merge", kernel, lambda: None)

@@ -127,13 +127,12 @@ class PCT:
     intermediate profiles.
 
     The compiled build keeps every profile in one CSR block
-    (:attr:`block`, nodes in index order; ``layers[depth]`` views a
-    layer's rows of it); :attr:`flat_envelopes` views the profiles and
-    :meth:`envelope_of` converts to :class:`Envelope` lazily
-    (conversion is cached) —
-    Phase 2 only ever touches the left-child profiles, so half the
-    tree typically never materialises.  The reference build fills
-    :attr:`envelopes` directly.
+    (:attr:`block`, nodes in index order); :attr:`flat_envelopes`
+    views the profiles and :meth:`envelope_of` converts to
+    :class:`Envelope` lazily (conversion is cached) — Phase 2 only
+    ever touches the left-child profiles, so half the tree typically
+    never materialises.  The reference build fills :attr:`envelopes`
+    directly.
     """
 
     def __init__(self, tree: SeparatorTree):
@@ -145,9 +144,6 @@ class PCT:
         #: ``(5, m)`` float64 block (the last row the int64 sources),
         #: compiled build only.
         self.block = None
-        #: per layer (root first): ``(block, offsets, lengths)``, the
-        #: layer's rows of :attr:`block`; compiled build only.
-        self.layers: list = [None] * tree.height
         #: node.index -> flat (array) profile view, compiled build only.
         self.flat_envelopes = _FlatViews(self)
         #: the leaves' image lanes in front-to-back order, when the
@@ -295,28 +291,6 @@ def _build_python(pct: PCT, image_segments, eps, tracker) -> None:
             pct.ops += res.ops
 
 
-def layer_jobs(lo, hi, child):
-    """The ``repro_merge_layer`` job rows of one layer whose nodes span
-    ``lo, hi`` (a :func:`level_spans` entry), and its leaf mask: a
-    leaf reads lane ``lo``; a merge, its two children's rows of the
-    ``child`` layer ``(block, offsets, lengths)`` below (``None`` for
-    the deepest layer, which holds leaves only)."""
-    import numpy as np
-
-    leaf = hi - lo <= 1
-    inner = ~leaf
-    jobs = np.zeros((len(lo), 5), np.int64)
-    jobs[leaf, 0] = 1
-    jobs[leaf, 3] = lo[leaf]
-    if child is not None:
-        _blk, c_off, c_len = child
-        jobs[inner, 1] = c_off[0::2]
-        jobs[inner, 2] = c_len[0::2]
-        jobs[inner, 3] = c_off[1::2]
-        jobs[inner, 4] = c_len[1::2]
-    return jobs, leaf
-
-
 def _build_compiled(pct: PCT, eps: float, tracker, core) -> bool:
     """Phase 1 in the compiled core: one ``repro_pct_build`` call on
     ``core`` (the run's handle) under the ``pct_merge`` guard.  Returns
@@ -334,13 +308,10 @@ def _build_compiled(pct: PCT, eps: float, tracker, core) -> bool:
     if out is None:
         return False
     blk, res = out
-    off = res[:, _ccore.T_OFF].copy()
-    ln = res[:, _ccore.T_LEN].copy()
-    bases = pct._level_bases()
-    pct.block = (blk, off, ln)
-    pct.layers = [(blk, off[a:b], ln[a:b]) for a, b in zip(bases, bases[1:])]
+    pct.block = (blk, res[:, _ccore.T_OFF].copy(), res[:, _ccore.T_LEN].copy())
     pct.ops = int(res[:, _ccore.T_OPS].sum())
     if tracker is not None:
+        bases = pct._level_bases()
         for d in reversed(range(len(bases) - 1)):
             rows = res[bases[d] : bases[d + 1]]
             ops = rows[rows[:, _ccore.T_LEAF] == 0, _ccore.T_OPS].tolist()
@@ -349,7 +320,7 @@ def _build_compiled(pct: PCT, eps: float, tracker, core) -> bool:
 
 
 def block_view(blk, off, n):
-    """Pieces ``[off, off + n)`` of a layer block as a zero-copy
+    """Pieces ``[off, off + n)`` of a ``(5, m)`` block as a zero-copy
     :class:`~repro.envelope.flat.FlatEnvelope`."""
     from repro.envelope.flat import FlatEnvelope
 

@@ -4,8 +4,8 @@ A :class:`ViewshedSession` binds one terrain to one
 :class:`~repro.config.HsrConfig` and answers visibility queries
 against the terrain's upper profile (the horizon envelope).  The
 envelope is built once — by :func:`repro.envelope.build.build_envelope`
-from the terrain's image lanes (one compiled call per recursion level
-when the core is built) — and cached in a process-wide
+from the terrain's image lanes (one compiled call when the core is
+built) — and cached in a process-wide
 :class:`EnvelopeCache` keyed by *terrain content hash*
 (:func:`terrain_fingerprint`), resolved engine and eps: two sessions
 on equal terrains share one build, and a re-generated but identical

@@ -1,8 +1,8 @@
 """The compiled Lemma 3.1 envelope build against the reference recursion.
 
 With the optional core built, ``build_envelope`` on the numpy engine
-runs one ``repro_merge_layer(MODE_PCT)`` call per recursion level,
-bottom-up, with crossings recorded.  Contract under test: the same
+runs one ``repro_envelope_build`` call, which walks the recursion depth
+first with crossings recorded.  Contract under test: the same
 envelope pieces (sources included), the same crossing list in the
 reference's post-order, the same ``ops`` and the same tracker work and
 depth as ``engine="python"`` — whether the build is given segments or
@@ -21,7 +21,6 @@ from repro.envelope import _ccore
 from repro.envelope.build import build_envelope
 from repro.envelope.flat_splice import segment_lanes
 from repro.geometry.segments import ImageSegment
-from repro.hsr.pct import level_spans
 from repro.pram.tracker import PramTracker
 from repro.scenarios.instances import segments_for, terrain_for
 from repro.terrain.generators import fractal_terrain
@@ -90,6 +89,17 @@ CASES = {
     "all-vertical": lambda: segments_for({"family": "vertical", "m": 40, "seed": 3}),
     "empty": lambda: [],
     "single": lambda: [ImageSegment(0.0, 1.0, 2.0, 3.0, 7)],
+    "pair": lambda: [
+        ImageSegment(0.0, 0.0, 2.0, 2.0, 0),
+        ImageSegment(0.0, 2.0, 2.0, 0.0, 1),
+    ],
+    "three": lambda: [
+        ImageSegment(0.0, 0.0, 4.0, 4.0, 0),
+        ImageSegment(1.0, 3.0, 1.0, 5.0, 1),
+        ImageSegment(0.0, 4.0, 4.0, 0.0, 2),
+        ImageSegment(1.0, 1.0, 3.0, 3.5, 3),
+    ],
+    "e9-65537": lambda: segments_for({"family": "e9", "m": 2**16 + 1, "seed": 17}),
 }
 
 
@@ -112,9 +122,9 @@ def _inputs(case):
 def test_compiled_build_matches_the_reference(case, given, monkeypatch):
     segs, lanes = _inputs(case)
     calls = []
-    real = _ccore.merge_layer
+    real = _ccore.envelope_build
     monkeypatch.setattr(
-        _ccore, "merge_layer", lambda *a: calls.append(a[1]) or real(*a)
+        _ccore, "envelope_build", lambda *a: calls.append(1) or real(*a)
     )
     tg, tr = PramTracker(), PramTracker()
     if given == "segments":
@@ -126,9 +136,8 @@ def test_compiled_build_matches_the_reference(case, given, monkeypatch):
     assert got.crossings == ref.crossings
     assert got.ops == ref.ops
     assert (tg.work, tg.depth) == (tr.work, tr.depth)
-    m = sum(not s.is_vertical for s in segs)
-    # One compiled call per recursion level: the core answered.
-    assert calls == [_ccore.MODE_PCT] * (len(level_spans(m)) if m else 0)
+    # One compiled call per build, none when no segment is left.
+    assert len(calls) == (1 if any(not s.is_vertical for s in segs) else 0)
 
 
 def test_python_engine_reads_lanes():
@@ -146,7 +155,7 @@ def test_python_engine_reads_lanes():
 def test_reference_runs_without_the_core(config, monkeypatch):
     """The python engine, or the core switched off, never calls it."""
     calls = []
-    monkeypatch.setattr(_ccore, "merge_layer", lambda *a: calls.append(a))
+    monkeypatch.setattr(_ccore, "envelope_build", lambda *a: calls.append(a))
     segs, lanes = _inputs("e9-1024")
     got = build_envelope(None, lanes=lanes, config=config)
     assert not calls

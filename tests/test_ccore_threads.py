@@ -1,9 +1,9 @@
 """The compiled core is reentrant: runs, whole-phase calls, envelope
-builds and face-pass orderings on several threads at once (cffi
-releases the GIL around every C call, so they really overlap) stay
-bit-exact against single-threaded ones.  Each run owns its core context
-(:class:`repro.envelope._ccore.Core`); the ordering's scratch is per
-call; nothing in the C side is static."""
+builds, sight-line batches and face-pass orderings on several threads
+at once (cffi releases the GIL around every C call, so they really
+overlap) stay bit-exact against single-threaded ones.  Each run owns
+its core context (:class:`repro.envelope._ccore.Core`); the ordering's
+scratch is per call; nothing in the C side is static."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ import pytest
 from repro.config import HsrConfig
 from repro.envelope import _ccore
 from repro.envelope.build import build_envelope
+from repro.envelope.flat_visibility import batch_visible_parts, envelope_block
 from repro.hsr.parallel import ParallelHSR
 from repro.hsr.pct import build_pct
 from repro.hsr.phase2 import run_phase2
@@ -70,6 +71,18 @@ def _build(terrain):
     return run
 
 
+def _queries(terrain):
+    """A batch of the terrain's own image segments against its
+    horizon, in one compiled call."""
+    blk = envelope_block(build_envelope(None, lanes=terrain.image_lanes()).envelope)
+    segs = terrain.image_segments()[::5]
+
+    def run():
+        return [a.tobytes() for a in batch_visible_parts(blk, segs)]
+
+    return run
+
+
 def _order(terrain, sign):
     lanes = map_lanes(terrain)
     faces = terrain.face_edges()
@@ -91,6 +104,8 @@ def test_threads_running_the_core_stay_bit_exact():
         *((run, 6) for run in _phase2(fractal_terrain(size=33, seed=5))),
         (_build(fractal_terrain(size=65, seed=3)), 15),
         (_build(fractal_terrain(size=65, seed=4)), 15),
+        (_queries(fractal_terrain(size=65, seed=3)), 15),
+        (_queries(fractal_terrain(size=65, seed=4)), 15),
         (_order(fractal_terrain(size=65, seed=3).rotated(30), 1), 40),
         (_order(fractal_terrain(size=65, seed=4).rotated(200), -1), 40),
     ]

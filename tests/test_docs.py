@@ -1,8 +1,9 @@
 """Documentation checks: relative links in the markdown docs resolve,
 the bench figures the README table, the BENCHMARKS.md guard-overhead
 bullet, the ``phase2-rope`` ratio quote and the ``bench-points`` ratio
-match the recorded file, and the BENCHMARKS.md row-kind table names
-exactly the recorded row kinds.
+match the recorded file, the BENCHMARKS.md row-kind table names
+exactly the recorded row kinds, and every compiled-core name the docs
+quote still exists.
 
 The CI ``docs`` job runs this module on its own; it also rides along
 in tier-1 (stdlib only, no numpy, milliseconds).  Inline markdown
@@ -14,6 +15,7 @@ idiom) that intentionally resolve outside the repository.
 
 from __future__ import annotations
 
+import ast
 import json
 import re
 from pathlib import Path
@@ -246,3 +248,55 @@ def test_benchmarks_scenario_ratios_match_bench_file():
         f"against the compiled ordering and insert run ({sequential:.1f}×,",
     ):
         assert quote in text, quote
+
+
+def _module_names(path: Path) -> set[str]:
+    """Names a module defines at its top level, inside ``if`` / ``try``
+    branches too (the compiled core's stubs live in an ``else``)."""
+    names: set[str] = set()
+    body = list(ast.parse(path.read_text()).body)
+    while body:
+        node = body.pop()
+        if isinstance(node, (ast.If, ast.Try)):
+            body += node.body + node.orelse + getattr(node, "finalbody", [])
+            body += [n for h in getattr(node, "handlers", []) for n in h.body]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for leaf in ast.walk(target):
+                    if isinstance(leaf, ast.Name):
+                        names.add(leaf.id)
+    return names
+
+
+def _cdef() -> str:
+    """The ``CDEF`` string of ``_ccore_build.py``, read without cffi."""
+    tree = ast.parse((REPO_ROOT / "src/repro/envelope/_ccore_build.py").read_text())
+    return next(
+        node.value.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["CDEF"]
+    )
+
+
+def test_quoted_core_names_exist():
+    """Every ``_ccore.<name>`` and ``repro_<name>`` quoted in the README,
+    ``docs/*.md`` or the verify skill is defined in ``_ccore.py`` or
+    declared in the ``CDEF`` of ``_ccore_build.py``, so a renamed or
+    deleted entry cannot leave stale prose behind."""
+    defined = _module_names(REPO_ROOT / "src/repro/envelope/_ccore.py")
+    declared = set(re.findall(r"\brepro_(\w+)", _cdef()))
+    docs = _doc_files() + [REPO_ROOT / ".claude/skills/verify/SKILL.md"]
+    stale = set()
+    for md in (p for p in docs if p.exists()):
+        text = md.read_text()
+        for name in re.findall(r"\b_ccore\.(?!py\b)(\w+)", text):
+            if name not in defined:
+                stale.add(f"{md.name}: _ccore.{name}")
+        for name in re.findall(r"\brepro_(\w+)", text):
+            if name not in declared:
+                stale.add(f"{md.name}: repro_{name}")
+    assert not stale, sorted(stale)

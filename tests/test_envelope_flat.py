@@ -4,7 +4,7 @@ of the pure-Python reference.
 Unlike the tolerance-based comparisons elsewhere in the test suite,
 these assertions are *exact*: same pieces (bit-for-bit floats), same
 sources, same crossings, same ``ops``.  The array engine's pairwise
-merge is the compiled core's (one job of the layer kernel), which
+merge is the compiled core's (the merge of its envelope build), which
 mirrors the scalar arithmetic operation for operation, so anything
 weaker would hide a divergence.
 
@@ -29,13 +29,17 @@ from repro.envelope import _ccore
 from repro.envelope.build import build_envelope, build_envelope_sequential
 from repro.envelope.chain import Envelope, Piece
 from repro.envelope.flat import FlatEnvelope
-from repro.envelope.merge import Crossing, MergeResult, merge_envelopes, merge_many
+from repro.envelope.merge import MergeResult, merge_envelopes, merge_many
 from repro.errors import EnvelopeError
 from repro.geometry.primitives import NEG_INF
 from repro.geometry.segments import ImageSegment
 from repro.pram.tracker import PramTracker
 from tests.conftest import random_image_segments
-from tests.test_phase2_ccore import _NO_LANES, _block, _crossings, _pieces
+from tests.test_phase2_ccore import (
+    _piece_segments,
+    assert_build_identical,
+    halves_rebuilt,
+)
 
 # A coarse coordinate pool plus eps-scale jitters: exact coincidences
 # and barely-separated endpoints appear with high probability.
@@ -72,25 +76,18 @@ def env_of(segs):
     return build_envelope(segs, engine="python").envelope
 
 
-def compiled_merge(a: Envelope, b: Envelope) -> MergeResult:
-    """``merge_envelopes(a, b)`` as one merge job of the compiled layer
-    kernel, crossings recorded."""
-    core = _ccore.Core()
-    blk, (oa, ob, _) = _block(a, b)
-    jobs = np.array([[0, oa, a.size, ob, b.size]], np.int64)
-    res = _ccore.merge_layer(core, _ccore.MODE_PCT, blk, _NO_LANES, jobs, 1e-9, True)
-    ops, ncross, off, n = res[0].tolist()
-    env = Envelope(_pieces(core.take(_ccore.L_PROF), off, n))
-    crossings = [Crossing(*c) for c in _crossings(core, 0, ncross)]
-    return MergeResult(env, crossings, ops)
-
-
-def assert_merge_identical(a: Envelope, b: Envelope) -> None:
-    ref = merge_envelopes(a, b)
-    got = compiled_merge(a, b)
-    assert got.envelope.pieces == ref.envelope.pieces
-    assert got.crossings == ref.crossings
-    assert got.ops == ref.ops
+def assert_merge_identical(a: Envelope, b: Envelope) -> MergeResult:
+    """The compiled build over ``a``'s pieces then ``b``'s, crossings
+    recorded, against the reference build of the same segments; when
+    :func:`halves_rebuilt` holds, its root merge against
+    ``merge_envelopes(a, b)``.  Returns the compiled build."""
+    got, merge_ops = assert_build_identical(_piece_segments(a, b))
+    if halves_rebuilt(a, b):
+        ref = merge_envelopes(a, b)
+        assert got.envelope.pieces == ref.envelope.pieces
+        assert got.crossings == ref.crossings
+        assert merge_ops[-1] == ref.ops
+    return got
 
 
 class TestRoundTrip:
@@ -142,8 +139,7 @@ class TestMergeParity:
         # in both engines, with no crossings.
         a = env_of([ImageSegment(0.0, 1.0, 4.0, 3.0, 7)])
         b = env_of([ImageSegment(0.0, 1.0, 4.0, 3.0, 8)])
-        assert_merge_identical(a, b)
-        res = compiled_merge(a, b)
+        res = assert_merge_identical(a, b)
         assert res.envelope.sources() == {7}
         assert res.crossings == []
 
@@ -162,6 +158,7 @@ class TestMergeParity:
         )
         b = env_of([ImageSegment(2.0, 3.0, 3.0, 3.0, 2)])
         assert_merge_identical(a, b)
+        assert_merge_identical(b, a)  # halves b | a: the root merge
 
     def test_near_parallel_crossing(self):
         a = env_of([ImageSegment(0.0, 1.0, 10.0, 1.0 + 3e-9, 0)])
@@ -171,8 +168,7 @@ class TestMergeParity:
     def test_steep_crossing(self):
         a = env_of([ImageSegment(0.0, 0.0, 10.0, 10.0, 0)])
         b = env_of([ImageSegment(0.0, 10.0, 10.0, 0.0, 1)])
-        assert_merge_identical(a, b)
-        res = compiled_merge(a, b)
+        res = assert_merge_identical(a, b)
         assert len(res.crossings) == 1
 
     def test_empty_sides(self):
@@ -181,7 +177,7 @@ class TestMergeParity:
         for x, y in ((a, e), (e, a), (e, e)):
             assert_merge_identical(x, y)
         # Empty-side fast path returns the other side verbatim.
-        res = compiled_merge(e, a)
+        res = assert_merge_identical(e, a)
         assert res.ops == a.size and res.crossings == []
 
     def test_synthetic_source_coalescing(self):

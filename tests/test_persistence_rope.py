@@ -287,7 +287,7 @@ class TestRopeSpliceGuard:
 class TestPhase2BackendParity:
     """``persistent`` Phase 2 under both engines on the same
     reference-built PCT: the numpy engine needs the compiled CSR PCT
-    for its layer kernel, so both runs take the Python rope and must
+    for its phase call, so both runs take the Python rope and must
     agree bit for bit, sharing meter included."""
 
     @pytest.mark.parametrize("family", ["fractal", "valley", "shielded"])

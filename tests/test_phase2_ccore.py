@@ -1,6 +1,5 @@
-"""Tests for the compiled PCT kernels: the per-job kernels of
-``repro_merge_layer`` and the whole-phase calls ``repro_pct_build`` and
-``repro_phase2_run`` built from them.
+"""Tests for the compiled PCT kernels and the whole-phase calls
+``repro_pct_build`` and ``repro_phase2_run`` built from them.
 
 Contract under test: with the optional C extension built, Phase 1
 (``build_pct``) and Phase 2's ``direct`` and ``persistent`` modes each
@@ -9,12 +8,15 @@ reference (``engine="python"``): the same pieces, ``ops`` and
 crossings per merge; the same visible parts, crossings and ``ops`` per
 leaf; and the same visibility map and row block, ``k``, ``stats.ops``,
 ``stats.extra`` (``nodes_allocated`` and ``pieces_materialised``
-included), tracker work and depth and layer stats per run.  The rope
-mode cuts the Python rope's chunks: the same pieces, chunk boundaries
-and fresh slot counts per splice.  ``acg`` reads the CSR-backed PCT
-and stays bit-identical.  A post-condition fault (``ST_FAULT``) or an
-injected ``raise`` plan at ``pct_merge`` / ``phase2_merge`` recovers
-through the guard, bit-exactly.
+included), tracker work and depth and layer stats per run.  The kernels
+are fuzzed through the entries that run them: the merge through
+``repro_envelope_build``, the splice merges and leaf queries through
+``repro_phase2_run`` over a hand-made PCT.  The rope mode cuts the
+Python rope's chunks, so it writes the same fresh slots per splice.
+``acg`` reads the CSR-backed PCT and stays bit-identical.  A
+post-condition fault (``ST_FAULT``) or an injected ``raise`` plan at
+``pct_merge`` / ``phase2_merge`` recovers through the guard,
+bit-exactly.
 """
 
 from __future__ import annotations
@@ -23,15 +25,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.config import HsrConfig
 from repro.envelope import _ccore
-from repro.envelope.build import build_envelope
+from repro.envelope.build import _build_envelope_python, build_envelope
 from repro.envelope.chain import Envelope, Piece
 from repro.envelope.flat_splice import segment_lanes
-from repro.envelope.merge import merge_envelopes
+from repro.envelope.merge import Crossing, MergeResult, merge_envelopes
 from repro.envelope.splice import splice_merge
 from repro.envelope.visibility import visible_parts
 from repro.geometry.segments import ImageSegment
@@ -128,7 +130,46 @@ def _crossings(core, a, n):
     ]
 
 
-_NO_LANES = segment_lanes([ImageSegment(0.0, 0.0, 1.0, 0.0, 0)])
+def _piece_segments(*envs):
+    """The pieces of ``envs``, in order, as image segments."""
+    return [ImageSegment(*p) for e in envs for p in e.pieces]
+
+
+def compiled_build(segs, eps=1e-9):
+    """One ``envelope_build`` call over ``segs`` (none vertical): the
+    root's profile, the crossings and the total ``ops`` as a
+    :class:`MergeResult`, and the merges' ``ops`` in post-order."""
+    core = _ccore.Core()
+    ops = _ccore.envelope_build(core, segment_lanes(segs), eps)
+    prof = core.take(_ccore.L_PROF)
+    env = Envelope(_pieces(prof, 0, prof.shape[1]))
+    n = core.take(_ccore.L_XING).shape[1]
+    crossings = [Crossing(*c) for c in _crossings(core, 0, n)]
+    return MergeResult(env, crossings, len(segs) + int(ops.sum())), ops.tolist()
+
+
+def halves_rebuilt(a, b, eps=1e-9):
+    """Whether the build over ``a``'s pieces then ``b``'s splits at its
+    root into ``a`` and ``b`` and the reference rebuilds each unchanged,
+    so that its root merge is ``merge_envelopes(a, b)``."""
+    if not 0 < a.size == (a.size + b.size) // 2:
+        return False
+    return all(
+        _build_envelope_python(_piece_segments(e), tracker=None, eps=eps).envelope.pieces
+        == e.pieces
+        for e in (a, b)
+    )
+
+
+def assert_build_identical(segs, eps=1e-9):
+    """The compiled build of ``segs`` equals the reference recursion's;
+    returns it and its merges' ``ops``."""
+    got, merge_ops = compiled_build(segs, eps)
+    ref = _build_envelope_python(segs, tracker=None, eps=eps)
+    assert got.envelope.pieces == ref.envelope.pieces
+    assert got.crossings == ref.crossings
+    assert got.ops == ref.ops
+    return got, merge_ops
 
 
 @needs_ccore
@@ -139,69 +180,89 @@ _NO_LANES = segment_lanes([ImageSegment(0.0, 0.0, 1.0, 0.0, 0)])
     eps=st.sampled_from([1e-9, 0.0, 1e-3]),
 )
 def test_merge_sweep_matches_merge_envelopes(a, b, eps):
-    core = _ccore.Core()
-    blk, (oa, ob, _) = _block(a, b)
-    jobs = np.array([[0, oa, a.size, ob, b.size]], np.int64)
-    res = _ccore.merge_layer(core, _ccore.MODE_PCT, blk, _NO_LANES, jobs, eps, True)
+    """The build over ``a``'s pieces then ``b``'s, cut to equal halves,
+    against the reference build; its root merge against
+    ``merge_envelopes``.  The halves hold no crossing of their own."""
+    k = min(a.size, b.size)
+    a, b = Envelope(a.pieces[:k]), Envelope(b.pieces[:k])
+    got, merge_ops = assert_build_identical(_piece_segments(a, b), eps)
+    assume(halves_rebuilt(a, b, eps))
     ref = merge_envelopes(a, b, eps=eps)
-    ops, ncross, off, n = res[0].tolist()
-    assert _pieces(core.take(_ccore.L_PROF), off, n) == ref.envelope.pieces
-    assert ops == ref.ops
-    assert _crossings(core, 0, ncross) == [tuple(c) for c in ref.crossings]
+    assert got.envelope.pieces == ref.envelope.pieces
+    assert got.crossings == ref.crossings
+    assert merge_ops[-1] == ref.ops
+
+
+#: Five leaves: the left children on the right spine of their tree are
+#: three nodes, each spliced into the profile its parent inherits.
+_SPINE_TREE = SeparatorTree(list(range(5)))
+_SPINE = [_SPINE_TREE.root, _SPINE_TREE.root.right, _SPINE_TREE.root.right.right]
+#: The splices each leaf's inherited profile has seen, by order position.
+_LEAF_SPLICES = [0, 0, 1, 2, 3]
+
+
+def _spine_block(*envs):
+    """A PCT ``(blk, offsets, lengths)`` block over :data:`_SPINE_TREE`
+    whose spine nodes' left children hold ``envs``, every other profile
+    empty: Phase 2 splices ``envs`` one by one into the root's empty
+    profile, and the leaves query the profiles on the way."""
+    blk, offs = _block(*envs)
+    off = np.zeros(9, np.int64)
+    ln = np.zeros(9, np.int64)
+    for node, at, env in zip(_SPINE, offs, envs):
+        off[node.left.index] = at
+        ln[node.left.index] = env.size
+    return blk, off, ln
+
+
+def _assert_leaves(core, leaf, segs, refs):
+    """Every leaf's ``ops``, parts, crossings and clipped rows against
+    ``refs``, the reference visibility of each, in order position."""
+    parts = core.take(_ccore.L_PARTS)
+    vx = core.take(_ccore.L_VX)
+    rows = core.take(_ccore.L_ROWS)
+    p = x = 0
+    for seg, (ops, np_, nx), vis in zip(segs, leaf.tolist(), refs):
+        assert ops == vis.ops
+        got = list(zip(parts[0, p:p + np_].tolist(), parts[1, p:p + np_].tolist()))
+        assert got == [tuple(part) for part in vis.parts]
+        assert list(zip(vx[0, x:x + nx].tolist(), vx[1, x:x + nx].tolist())) == (
+            vis.crossings
+        )
+        clipped = [tuple(seg.visible_piece(q.ya, q.yb)) for q in vis.parts]
+        assert [tuple(rows[:4, k].tolist()) for k in range(p, p + np_)] == clipped
+        assert rows[4, p:p + np_].view(np.int64).tolist() == [seg.source] * np_
+        p += np_
+        x += nx
 
 
 @needs_ccore
 @settings(max_examples=200, deadline=None)
 @given(
-    env=_envelope(0),
-    other=_envelope(100),
-    segs=st.lists(_segment(200), min_size=1, max_size=4),
+    envs=st.tuples(_envelope(0), _envelope(100), _envelope(200)),
+    segs=st.lists(_segment(300), min_size=5, max_size=5),
     eps=st.sampled_from([1e-9, 0.0, 1e-3]),
 )
-def test_phase2_mode_matches_splice_merge_and_visible_parts(env, other, segs, eps):
-    """A Phase-2 call reads its inherited profile from the context: a
-    first call loads ``env`` there (a merge into the empty profile
-    copies it verbatim), a second splices ``other`` into it and queries
-    each segment against it."""
+def test_phase2_mode_matches_splice_merge_and_visible_parts(envs, segs, eps):
+    """``direct`` over :func:`_spine_block`: each spine node's row
+    against ``splice_merge`` of its left child's profile into the
+    inherited one, each leaf against ``visible_parts`` of the profile it
+    inherits."""
     core = _ccore.Core()
-    lanes = segment_lanes(segs)
-    blk, _ = _block(env)
-    load = np.array([[0, 0, 0, 0, env.size]], np.int64)
-    res = _ccore.merge_layer(core, _ccore.MODE_PHASE2, blk, lanes, load, eps, True)
-    _, _, at, n = res[0].tolist()
-    assert n == env.size
-    blk, _ = _block(other)
-    jobs = np.array(
-        [[0, at, n, 0, other.size]] + [[1, at, n, i, 0] for i in range(len(segs))],
-        np.int64,
+    res, leaf = _ccore.phase2_run(
+        core, _ccore.MODE_PHASE2, _spine_block(*envs), segment_lanes(segs), eps
     )
-    res = _ccore.merge_layer(core, _ccore.MODE_PHASE2, blk, lanes, jobs, eps, True)
-
-    ref = splice_merge(env, other, eps=eps)
-    ops, ncross, off, size = res[0].tolist()
-    got = _pieces(core.take(_ccore.L_PROF), off, size)
-    assert got == ref.envelope.pieces
-    assert (ops, ncross) == (ref.ops, len(ref.crossings))
-    assert _crossings(core, 0, ncross) == [tuple(c) for c in ref.crossings]
-    assert size == (ref.materialised or env.size)
-
-    parts = core.take(_ccore.L_PARTS)
-    vx = core.take(_ccore.L_VX)
-    rows = core.take(_ccore.L_ROWS)
-    x = 0
-    for seg, (ops, ncross, p, np_) in zip(segs, res[1:].tolist()):
-        vis = visible_parts(seg, env, eps=eps)
-        assert ops == vis.ops
-        assert list(zip(parts[0, p:p + np_].tolist(), parts[1, p:p + np_].tolist())) == [
-            tuple(part) for part in vis.parts
-        ]
-        assert list(zip(vx[0, x:x + ncross].tolist(), vx[1, x:x + ncross].tolist())) == (
-            vis.crossings
-        )
-        x += ncross
-        clipped = [tuple(seg.visible_piece(q.ya, q.yb)) for q in vis.parts]
-        assert [tuple(rows[:4, k].tolist()) for k in range(p, p + np_)] == clipped
-        assert rows[4, p:p + np_].view(np.int64).tolist() == [seg.source] * np_
+    profiles = [Envelope.empty()]
+    for node, env in zip(_SPINE, envs):
+        ref = splice_merge(profiles[-1], env, eps=eps)
+        ops, is_leaf, ncross, inherited, written = res[node.index].tolist()
+        assert (ops, is_leaf, ncross) == (ref.ops, 0, len(ref.crossings))
+        assert (inherited, written) == (profiles[-1].size, ref.materialised)
+        profiles.append(ref.envelope)
+    refs = [
+        visible_parts(seg, profiles[k], eps=eps) for seg, k in zip(segs, _LEAF_SPLICES)
+    ]
+    _assert_leaves(core, leaf, segs, refs)
 
 
 EPS_FUZZ = 1e-9
@@ -230,19 +291,6 @@ def _chain(draw, base):
     ])
 
 
-def _version(core, off, n):
-    """The pieces and chunk lengths of the context version whose spine
-    is ``L_SPINE`` entries ``[off, off + n)``."""
-    spine = core.take(_ccore.L_SPINE).view(np.int64)
-    arena = core.take(_ccore.L_PROF)
-    pieces, lengths = [], []
-    for c in range(off, off + n):
-        at, k = int(spine[0, c]), int(spine[1, c])
-        pieces += _pieces(arena, at, k)
-        lengths.append(k)
-    return pieces, lengths
-
-
 def _splice(rope_, env):
     """``rope_splice_merge`` plus its fresh slot count."""
     before = rope.allocation_count()
@@ -254,43 +302,30 @@ def _splice(rope_, env):
 @settings(max_examples=200, deadline=None)
 @given(
     envs=st.tuples(_chain(0), _chain(1000), _chain(2000)),
-    segs=st.lists(_segment(5000), min_size=1, max_size=4),
+    segs=st.lists(_segment(5000), min_size=5, max_size=5),
 )
 def test_rope_mode_matches_the_python_rope(envs, segs):
-    """Three splices into the empty version (the third one next to the
-    leaf queries) against ``rope_splice_merge`` / ``rope_visible_parts``:
-    pieces, chunk boundaries, version sizes, fresh slots, ``ops`` and
-    crossings agree after every call."""
+    """``persistent`` over :func:`_spine_block`: each spine node's row
+    against ``rope_splice_merge`` — ``ops``, crossings, the inherited
+    version's size and the fresh slots, which the chunk boundaries
+    decide — and each leaf against ``rope_visible_parts`` of the
+    version it inherits."""
     core = _ccore.Core()
-    lanes = segment_lanes(segs)
-    blk, offs = _block(*envs)
-    ref = rope.EMPTY
-    at, n = 0, 0
-    for i, env in enumerate(envs):
-        jobs = [[0, at, n, offs[i], env.size]]
-        if i == 2:
-            jobs += [[1, at, n, k, 0] for k in range(len(segs))]
-        res = _ccore.merge_layer(
-            core, _ccore.MODE_ROPE, blk, lanes, np.array(jobs, np.int64), EPS_FUZZ, True
-        )
-        if i == 2:
-            parts = core.take(_ccore.L_PARTS)
-            rows = core.take(_ccore.L_ROWS)
-            for seg, (ops, _ncross, p, np_, _, _) in zip(segs, res[1:].tolist()):
-                vis = rope.rope_visible_parts(ref, seg, eps=EPS_FUZZ)
-                assert ops == vis.ops
-                got = list(zip(parts[0, p:p + np_].tolist(), parts[1, p:p + np_].tolist()))
-                assert got == [tuple(part) for part in vis.parts]
-                clipped = [tuple(seg.visible_piece(q.ya, q.yb)) for q in vis.parts]
-                assert [tuple(rows[:4, k].tolist()) for k in range(p, p + np_)] == clipped
-        ref, merge, fresh = _splice(ref, env)
-        ops, ncross, at, n, total, slots = res[0].tolist()
-        pieces, lengths = _version(core, at, n)
-        assert pieces == ref.to_pieces()
-        assert lengths == [len(c) for c in ref.chunks]
-        assert total == ref.total
-        assert slots == fresh
-        assert (ops, ncross) == (merge.ops, len(merge.crossings))
+    res, leaf = _ccore.phase2_run(
+        core, _ccore.MODE_ROPE, _spine_block(*envs), segment_lanes(segs), EPS_FUZZ
+    )
+    versions = [rope.EMPTY]
+    for node, env in zip(_SPINE, envs):
+        new, merge, fresh = _splice(versions[-1], env)
+        ops, is_leaf, ncross, inherited, slots = res[node.index].tolist()
+        assert (ops, is_leaf, ncross) == (merge.ops, 0, len(merge.crossings))
+        assert (inherited, slots) == (versions[-1].total, fresh)
+        versions.append(new)
+    refs = [
+        rope.rope_visible_parts(versions[k], seg, eps=EPS_FUZZ)
+        for seg, k in zip(segs, _LEAF_SPLICES)
+    ]
+    _assert_leaves(core, leaf, segs, refs)
 
 
 def test_vectorised_locate_cost_matches_the_scalar_charge():
@@ -301,12 +336,11 @@ def test_vectorised_locate_cost_matches_the_scalar_charge():
 
 @needs_ccore
 def test_nan_window_faults():
-    bad = Envelope([Piece(0.0, math.nan, 2.0, 1.0, 0)])
-    other = Envelope([Piece(1.0, 0.0, 3.0, 0.0, 1)])
-    blk, (oa, ob, _) = _block(bad, other)
-    jobs = np.array([[0, oa, 1, ob, 1]], np.int64)
+    """A NaN height reaches the root merge of the build, which fails its
+    post-condition."""
+    segs = [ImageSegment(0.0, math.nan, 2.0, 1.0, 0), ImageSegment(1.0, 0.0, 3.0, 0.0, 1)]
     with pytest.raises(_ccore.CCoreFault):
-        _ccore.merge_layer(_ccore.Core(), _ccore.MODE_PCT, blk, _NO_LANES, jobs, 1e-9, False)
+        compiled_build(segs)
 
 
 # -- whole runs ---------------------------------------------------------------
@@ -356,14 +390,11 @@ CASES = [
 
 
 def _spy_phases(monkeypatch):
-    """Record every compiled call of a run: ``("pct",)`` per
-    :func:`_ccore.pct_build`, ``("phase2", mode)`` per
-    :func:`_ccore.phase2_run` and ``("layer", mode)`` per
-    :func:`_ccore.merge_layer`."""
+    """Record every compiled phase call of a run: ``("pct",)`` per
+    :func:`_ccore.pct_build` and ``("phase2", mode)`` per
+    :func:`_ccore.phase2_run`."""
     calls = []
-    pct_build, phase2_run, merge_layer = (
-        _ccore.pct_build, _ccore.phase2_run, _ccore.merge_layer
-    )
+    pct_build, phase2_run = _ccore.pct_build, _ccore.phase2_run
     monkeypatch.setattr(
         _ccore, "pct_build", lambda *a: calls.append(("pct",)) or pct_build(*a)
     )
@@ -371,11 +402,6 @@ def _spy_phases(monkeypatch):
         _ccore,
         "phase2_run",
         lambda core, m, *a: calls.append(("phase2", m)) or phase2_run(core, m, *a),
-    )
-    monkeypatch.setattr(
-        _ccore,
-        "merge_layer",
-        lambda core, m, *a: calls.append(("layer", m)) or merge_layer(core, m, *a),
     )
     return calls
 
@@ -457,7 +483,7 @@ def test_faulting_pct_reruns_on_the_reference(size):
     # outright.  A clean compiled build and every faulted or
     # quarantined one match the reference per node, on ops and on
     # tracker work and depth (charged once), and a recovered build
-    # holds no layer block, so Phase 2 takes its reference too.
+    # holds no block, so Phase 2 takes its reference too.
     terrain = _terrain("fractal", size)
     tree = SeparatorTree(front_to_back_order(terrain))
     segs = terrain.image_segments()
@@ -472,8 +498,9 @@ def test_faulting_pct_reruns_on_the_reference(size):
 
     tc = PramTracker()
     clean = build_pct(tree, segs, config=COMPILED, tracker=tc)
-    assert clean.block is not None
-    assert all(layer is not None for layer in clean.layers)
+    blk, off, ln = clean.block
+    assert len(off) == len(ln) == len(list(tree.nodes()))
+    assert blk.shape == (5, int(ln.sum()))
     assert_reference(clean, tc)
     with guard.reliability_run() as rep:
         with fi.inject("pct_merge", "raise", nth=1, repeat=True) as plan:
@@ -481,7 +508,6 @@ def test_faulting_pct_reruns_on_the_reference(size):
                 tg = PramTracker()
                 got = build_pct(tree, segs, config=COMPILED, tracker=tg)
                 assert got.block is None
-                assert got.layers == [None] * tree.height
                 assert_reference(got, tg)
     assert rep.sites["pct_merge"].quarantined
     assert plan.fired == guard.FAULT_THRESHOLD
@@ -512,33 +538,12 @@ def test_rope_modes_read_the_csr_pct_bit_identically(mode):
 # -- guard recovery -------------------------------------------------------------
 
 
-class _FaultingLib:
-    """``_ccore.lib`` with ``repro_merge_layer`` answering ``ST_FAULT``
-    on its ``nth`` call in ``mode`` — a post-condition failure of one
-    level of the D&C envelope build (``tests/test_reliability.py``)."""
-
-    def __init__(self, lib, mode, nth):
-        self._lib = lib
-        self._mode = mode
-        self._left = nth
-
-    def __getattr__(self, name):
-        return getattr(self._lib, name)
-
-    def repro_merge_layer(self, ctx, mode, *args):
-        if mode == self._mode:
-            self._left -= 1
-            if self._left == 0:
-                return _ccore.ST_FAULT
-        return self._lib.repro_merge_layer(ctx, mode, *args)
-
-
 #: The C entry of each guarded phase call.
 PHASE_ENTRIES = {"pct_merge": "repro_pct_build", "phase2_merge": "repro_phase2_run"}
 
 
 class _FaultingPhase:
-    """``_ccore.lib`` with the phase entry ``entry`` answering
+    """``_ccore.lib`` with the C entry ``entry`` answering
     ``ST_FAULT`` — a post-condition failure.  ``when="before"`` answers
     without running the call; ``when="after"`` runs the real call
     first, so the context and the result rows hold the whole phase's
@@ -719,7 +724,7 @@ def test_core_off_takes_the_reference(mode, monkeypatch):
     """Without the core (or with it switched off) both phases run the
     Python reference from image segments, with the same results."""
     calls = []
-    for name in ("pct_build", "phase2_run", "merge_layer"):
+    for name in ("pct_build", "phase2_run"):
         monkeypatch.setattr(_ccore, name, lambda *a, name=name: calls.append(name))
     lanes = []
     real_lanes = Terrain.image_lanes
@@ -733,5 +738,4 @@ def test_core_off_takes_the_reference(mode, monkeypatch):
     assert not calls and not lanes
     assert got.phase2.rows is None
     assert got.pct.block is None
-    assert all(layer is None for layer in got.pct.layers)
     assert _run_signature(got) == _run_signature(ref)

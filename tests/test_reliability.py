@@ -289,21 +289,17 @@ class TestBuildSweep:
             self._assert_recovered(self._segments(rng))
         assert plan.fired == 1
 
-    @pytest.mark.parametrize("nth", [1, 4, "last"])
-    def test_kernel_fault_recovers_bit_exact(self, rng, nth, monkeypatch):
-        """A post-condition fault (``CCoreFault``) on the build's
-        ``nth`` level call, bottom-up (``"last"``: the root merge),
-        reruns the build on the reference."""
-        from repro.hsr.pct import level_spans
-        from tests.test_phase2_ccore import _FaultingLib
+    @pytest.mark.parametrize("when", ["before", "after"])
+    def test_kernel_fault_recovers_bit_exact(self, rng, when, monkeypatch):
+        """A post-condition fault (``CCoreFault``) of the build's one
+        compiled call, answered before the call runs or after it has
+        filled the context, reruns the build on the reference."""
+        from tests.test_phase2_ccore import _FaultingPhase
 
-        segs = self._segments(rng)
-        if nth == "last":
-            nth = len(level_spans(len(segs)))
-        monkeypatch.setattr(
-            _ccore, "lib", _FaultingLib(_ccore.lib, _ccore.MODE_PCT, nth)
-        )
-        self._assert_recovered(segs)
+        lib = _FaultingPhase(_ccore.lib, "repro_envelope_build", when)
+        monkeypatch.setattr(_ccore, "lib", lib)
+        self._assert_recovered(self._segments(rng))
+        assert lib.calls == 1
 
     def test_strict_raises(self, rng, monkeypatch):
         from repro.envelope.build import build_envelope

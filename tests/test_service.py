@@ -141,14 +141,13 @@ class TestSessionQueries:
         if config is None and not _ccore.COMPILED_DEFAULT:
             pytest.skip("the compiled core is not on by default here")
         seen = []
-        real = _ccore.merge_layer
+        real = _ccore.query_batch
         monkeypatch.setattr(
-            _ccore, "merge_layer", lambda *a: seen.append(1) or real(*a)
+            _ccore, "query_batch", lambda *a: seen.append(1) or real(*a)
         )
         segs = _query_segments(terrain, count=30)
         session = ViewshedSession(terrain, config=config, cache=EnvelopeCache())
         env = session.envelope()
-        seen.clear()  # the envelope build's own layer calls
         for half in (segs[:15], segs[15:]):
             got = session.query_batch(half)
             assert [repr(r) for r in got] == [
@@ -161,9 +160,9 @@ class TestSessionQueries:
         self, terrain, monkeypatch, no_ambient_plan
     ):
         seen = []
-        real = _ccore.merge_layer
+        real = _ccore.query_batch
         monkeypatch.setattr(
-            _ccore, "merge_layer", lambda *a: seen.append(1) or real(*a)
+            _ccore, "query_batch", lambda *a: seen.append(1) or real(*a)
         )
         segs = _query_segments(terrain)
         session = ViewshedSession(
@@ -172,7 +171,6 @@ class TestSessionQueries:
             cache=EnvelopeCache(),
         )
         env = session.envelope()
-        seen.clear()
         want = [repr(visible_parts(as_query_segment(s), env)) for s in segs]
         with guard.reliability_run() as report:
             with fi.inject("phase2_merge", "raise", nth=2) as plan:
