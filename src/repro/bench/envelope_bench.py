@@ -252,9 +252,9 @@ def run_envelope_bench(
         from repro.envelope.flat_splice import insert_run, segment_lanes
 
         def shipped_loop(segs):
-            # The shipped insert pass: one compiled call per 256
-            # inserts when the core is built, else the reference
-            # insert on the packed profile.
+            # The shipped insert pass: one compiled call per run when
+            # the core is built, else the reference insert on the
+            # packed profile.
             return lambda: insert_run(segment_lanes(segs))
 
     for m in ms:

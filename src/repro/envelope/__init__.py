@@ -14,11 +14,11 @@
 * :mod:`repro.envelope.splice` — localised single-segment insertion
   and the window-local :func:`splice_merge`.
 * :mod:`repro.envelope.flat_splice` — flat-native incremental insert:
-  whole runs go through ``insert_run`` (one compiled call per 256
-  inserts when the optional core is built), single inserts through
-  :func:`insert_segment_flat` (locate → the reference scan and merge
-  of the window → in-place splice); the live profile stays one packed
-  buffer either way.
+  whole runs go through ``insert_run`` (one compiled call per run
+  when the optional core is built, the live profile kept in its
+  context), single inserts through :func:`insert_segment_flat`
+  (locate → the reference scan and merge of the window → in-place
+  splice of one packed buffer).
 * :mod:`repro.envelope.packed` — packed single-buffer live profile
   (:class:`PackedProfile`): one ``(5, capacity)`` allocation with
   slack at both ends, splices edit it in place (the one live-profile
@@ -36,10 +36,10 @@ CLI a ``--engine`` flag):
 ``"numpy"``
     The array engine: the packed live profile of a sequential run,
     the batched query kernels and — when the optional compiled core
-    is built — one C call per 256 inserts, per PCT layer or per
-    level of the divide-and-conquer build; what the core does not
-    run takes the python reference.  Default when NumPy is
-    available.
+    is built — one C call per sequential run, per phase of a
+    ``ParallelHSR`` run, per divide-and-conquer build or per batch of
+    sight-line queries; what the core does not run takes the python
+    reference.  Default when NumPy is available.
 ``None`` / ``"auto"``
     :data:`repro.envelope.engine.DEFAULT_ENGINE`.
 

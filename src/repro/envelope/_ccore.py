@@ -20,30 +20,24 @@ behind two flags and these names:
     guard ``sites`` stands in the way.
 
 ``Core()`` / ``borrowed()``
-    One run's handle: the C scratch context (freed with the handle)
-    and the out-params of its calls.  A run borrows one from a small
-    pool of idle handles for its duration, so the core is reentrant —
-    two threads may run it at once (cffi releases the GIL around
-    every call) and never share a handle.
+    One run's handle: the C scratch context (freed with the handle),
+    where a call leaves its outputs for :meth:`Core.take`.  A run
+    borrows one from a small pool of idle handles for its duration, so
+    the core is reentrant — two threads may run it at once (cffi
+    releases the GIL around every call) and never share a handle.
 
-``insert_run(profile, lanes, start, stop, eps, run)``
-    A chunk of a whole sequential run in one C call: inserts
-    ``[start, stop)`` of the front-to-back image ``lanes`` (float64
-    ``y1, z1, y2, z2`` and int64 ``source`` buffers) — each a locate,
-    the visibility scan of the Phase-2 leaves and, when some part is
-    visible, the merge of the phase calls and an in-place splice,
-    bit-exact with the reference insert — adding ops and the max
-    profile size to ``run`` (a
-    :class:`repro.envelope.flat_splice.InsertRun`, whose ``core`` is
-    the run's handle) and writing its ``offsets`` in place.  The
-    clipped visible rows stay in the handle, accumulating over the
-    run's calls (``run.core_rows`` of them), until
-    :meth:`Core.take_rows` copies them out.  Returns ``(status,
-    next)``: ``ST_DONE`` with ``next == stop``; ``ST_GROW`` after
-    committing a reallocating splice through
-    :meth:`PackedProfile.splice` (insert ``next - 1`` done); or
-    ``ST_FALLBACK`` / ``ST_FAULT`` with insert ``next`` untouched, for
-    the caller to run on a Python path.
+``insert_run(core, lanes, eps, offsets)``
+    The whole insert pass of a sequential run in one C call over the
+    front-to-back image ``lanes`` (float64 ``y1, z1, y2, z2`` and int64
+    ``source`` buffers), from an empty profile the handle's context
+    owns: each insert a locate, the visibility scan of the Phase-2
+    leaves and, when some part is visible, the merge of the phase calls
+    and an in-place splice, bit-exact with the reference insert.  Fills
+    the run's int64 ``offsets`` (``n + 1`` slots) and returns ``(ops,
+    max_profile)``; the clipped visible rows and the final profile stay
+    in the handle's ``L_ROWS`` and ``L_LIVE``.  Returns ``None`` when
+    the core declines an insert (a synthetic source, a part it cannot
+    clip), for the caller to run the whole pass on the reference.
 
 ``pct_build(core, lanes, eps)`` / ``phase2_run(core, mode, block, lanes, eps)``
     A whole phase of the paper's algorithm in one C call, which walks
@@ -105,25 +99,15 @@ except ImportError:  # no compiler at install time, or build skipped
 
 HAVE_CCORE = _cc is not None
 
-#: Status codes of ``repro_insert_run`` (keep in sync with the
-#: ``ST_*`` defines in ``_ccore_build.py``).
+#: Status codes of the C entries (keep in sync with the ``ST_*``
+#: defines in ``_ccore_build.py``); any other status is scratch OOM.
 ST_DONE = 1
-ST_GROW = 2
 ST_FALLBACK = 3
 ST_FAULT = 5
 
-#: ``out[]`` slots of a merged window left for a reallocating commit
-#: (the ``O_*`` defines): it replaces pieces ``[O_LO, O_HI)`` with the
-#: ``O_MK`` pieces in ``L_PROF``.
-O_LO = 0
-O_HI = 1
-O_MK = 2
-
-#: ``acc[]`` slots of ``repro_insert_run`` (the ``R_*`` defines).
+#: ``res[]`` slots of ``repro_insert_run`` (the ``R_*`` defines).
 R_OPS = 0
 R_MAX = 1
-R_STATUS = 2
-R_ROWS = 3
 
 #: Lane sets of a context (the ``L_*`` defines) and the rows
 #: :meth:`Core.take` copies of each: double lanes, then int64 lanes.
@@ -135,7 +119,8 @@ L_PARTS = 4  # visible parts: ya yb
 L_VX = 5  # leaf crossings: y z
 L_BND = 6  # breakpoint union of one merge: y
 L_SPINE = 7  # rope spines, one entry a chunk: | offset length start
-LANE_ROWS = (5, 5, 5, 4, 2, 2, 1, 3)
+L_LIVE = 8  # an insert run's profile: ya za yb zb | source
+LANE_ROWS = (5, 5, 5, 4, 2, 2, 1, 3, 5)
 
 #: ``repro_phase2_run`` modes (the ``MODE_*`` defines).
 MODE_PHASE2 = 2
@@ -198,41 +183,23 @@ if HAVE_CCORE:
 
     class Core:
         """One run's handle on the core: a scratch context (freed with
-        the handle) and the out-params of its calls.  Every run
+        the handle) that holds the outputs of its calls.  Every run
         borrows its own (:func:`borrowed`), so runs on two threads
         never share memory."""
 
-        __slots__ = (
-            "ctx", "state", "out", "acc",
-            "_buf", "_buf_ptr", "_lanes", "_lane_ptrs", "_off", "_off_ptr",
-        )
+        __slots__ = ("ctx", "_lanes", "_lane_ptrs")
 
         def __init__(self):
             ctx = lib.repro_ctx_new()
             if ctx == ffi.NULL:
                 raise MemoryError("compiled core context")
             self.ctx = ffi.gc(ctx, lib.repro_ctx_free)
-            self.state = ffi.new("int64_t[2]")
-            self.out = ffi.new("int64_t[3]")
-            self.acc = ffi.new("int64_t[4]")
-            self._buf = self._buf_ptr = None
             self._lanes = self._lane_ptrs = None
-            self._off = self._off_ptr = None
-
-        def buf_ptr(self, buf):
-            """The cdata pointer of a packed buffer.  ``from_buffer`` is
-            ~µs-scale, so it is cached per backing buffer
-            (PackedProfile replaces ``_buf`` wholesale on growth, so
-            identity is the correct cache key)."""
-            if buf is not self._buf:
-                self._buf_ptr = ffi.from_buffer("double[]", buf.reshape(-1))
-                self._buf = buf
-            return self._buf_ptr
 
         def lane_ptrs(self, lanes):
             """Pointers of the ``(y1, z1, y2, z2, source)`` image lanes,
-            cached like :meth:`buf_ptr`: a run passes one lanes tuple
-            to every call."""
+            cached per lanes tuple: ``from_buffer`` is ~µs-scale, and
+            a caller may pass one lanes tuple to several calls."""
             if lanes is not self._lanes:
                 ptrs = tuple(
                     ffi.from_buffer("double[]", lane) for lane in lanes[:4]
@@ -245,21 +212,11 @@ if HAVE_CCORE:
                 self._lanes = lanes
             return self._lane_ptrs
 
-        def off_ptr(self, offsets):
-            """The pointer of a run's int64 ``offsets`` array, cached
-            like :meth:`buf_ptr`."""
-            if offsets is not self._off:
-                self._off_ptr = ffi.from_buffer("int64_t[]", offsets)
-                self._off = offsets
-            return self._off_ptr
-
         def reset(self) -> None:
             """Empty the lanes (keeping their memory) and drop the
             cached pointers, so an idle handle pins no caller buffer."""
             lib.repro_ctx_clear(self.ctx)
-            self._buf = self._buf_ptr = None
             self._lanes = self._lane_ptrs = None
-            self._off = self._off_ptr = None
 
         def take(self, which: int):
             """A ``(rows, n)`` float64 copy of lane set ``which``; its
@@ -273,15 +230,6 @@ if HAVE_CCORE:
                     self.ctx, which, ffi.from_buffer("double[]", out), n
                 )
             return out
-
-        def take_rows(self):
-            """``take(L_ROWS)``, then empty the lanes: the rows an
-            insert run's calls left, so rows of the next call start a
-            new block.  Between two calls of an insert run no other
-            lane set holds anything a later call reads."""
-            rows = self.take(L_ROWS)
-            lib.repro_ctx_clear(self.ctx)
-            return rows
 
     #: Idle handles, most recently returned last; at most ``_KEEP``.
     _idle: list = []
@@ -307,59 +255,28 @@ if HAVE_CCORE:
             if len(_idle) < _KEEP:
                 _idle.append(core)
 
-    def insert_run(profile, lanes, start: int, stop: int, eps: float, run):
-        """Inserts ``[start, stop)`` in one C call; see the module
-        docstring.  ``run`` carries the running ops / max-size totals
-        in and out; its ``offsets`` from slot ``start`` on are written
-        in place."""
-        core = run.core
-        if core is None:
-            core = run.core = Core()
+    def insert_run(core, lanes, eps: float, offsets):
+        """The whole insert pass of the image ``lanes`` in one C call;
+        see ``repro_insert_run`` in ``_ccore_build.py``.  Fills the
+        int64 ``offsets`` (``n + 1`` slots) and returns ``(ops,
+        max_profile)``, or ``None`` when the core declines an insert;
+        the rows and the final profile stay in the handle's ``L_ROWS``
+        and ``L_LIVE`` for :meth:`Core.take`.  Raises as
+        :func:`pct_build` does."""
+        import numpy as np
+
         ptrs = core.lane_ptrs(lanes)
-        off = core.off_ptr(run.offsets)
-        if not 0 <= start <= stop <= len(ptrs[4]) < len(off):
-            raise ValueError(f"insert range [{start}, {stop}) outside the lanes")
-        state, out, acc, ctx = core.state, core.out, core.acc, core.ctx
-        buf = profile._buf
-        state[0] = beg = profile._beg
-        state[1] = end = profile._end
-        acc[R_OPS] = run.ops
-        acc[R_MAX] = run.max_profile
-        at = lib.repro_insert_run(
-            ctx,
-            core.buf_ptr(buf),
-            buf.shape[1],
-            state,
-            *ptrs,
-            start,
-            stop,
-            eps,
-            EPS,
-            off + start,
-            acc,
-            out,
+        if len(offsets) != len(ptrs[4]) + 1:
+            raise ValueError("offsets do not match the lanes")
+        res = np.zeros(2, np.int64)
+        st = lib.repro_insert_run(
+            core.ctx, len(ptrs[4]), *ptrs, eps, EPS,
+            ffi.from_buffer("int64_t[]", offsets), ffi.from_buffer("int64_t[]", res),
         )
-        if state[0] != beg or state[1] != end:
-            profile._beg = state[0]
-            profile._end = state[1]
-            profile._sync_views()
-        st = acc[R_STATUS]
-        run.ops = acc[R_OPS]
-        run.max_profile = acc[R_MAX]
-        run.core_rows = acc[R_ROWS]
-        if st == ST_GROW:
-            # The merged window leaves the context before anything can
-            # clobber it, and PackedProfile.splice owns the
-            # reallocation.
-            k = out[O_MK]
-            merged = [
-                list(ffi.unpack(lib.repro_lane(ctx, L_PROF, f), k))
-                for f in range(4)
-            ]
-            msrc = list(ffi.unpack(lib.repro_lane_q(ctx, L_PROF, 0), k))
-            profile.splice(out[O_LO], out[O_HI], *merged, msrc)
-            return st, at + 1
-        return st, at
+        if st == ST_FALLBACK:
+            return None
+        _status(st, res, "insert run", "insert")
+        return int(res[R_OPS]), int(res[R_MAX])
 
     def _status(st, res, what: str, row: str = "node") -> None:
         if st == ST_FAULT:
@@ -523,7 +440,7 @@ else:  # pragma: no cover - the no-compiler install
     def borrowed():
         yield None
 
-    def insert_run(profile, lanes, start, stop, eps, run):
+    def insert_run(core, lanes, eps, offsets):
         return None
 
     def pct_build(core, lanes, eps):

@@ -5,10 +5,11 @@ runs ``setup.py build_ext --inplace``, which compiles
 ``repro.envelope._repro_ccore`` — a small C extension with
 six entry points.
 
-``repro_insert_run`` runs the insert pass of the sequential algorithm
-over a chunk of front-to-back image lanes, each insert against the
-:class:`~repro.envelope.packed.PackedProfile` ``(5, capacity)``
-float64 buffer as the reference insert
+``repro_insert_run`` runs the whole insert pass of the sequential
+algorithm over the front-to-back image lanes in one call, from an
+empty live profile the context owns (``L_LIVE``: the five lanes of a
+:class:`~repro.envelope.packed.PackedProfile`, with slack at both
+ends), each insert as the reference insert
 (:func:`~repro.envelope.flat_splice._insert_reference`) does it, with
 the kernels the phase calls share:
 
@@ -22,15 +23,17 @@ the kernels the phase calls share:
   all-hidden shortcut whose margin guard keeps it exact;
 * only when some part is visible, ``merge_sweep`` — the
   :func:`~repro.envelope.merge.merge_envelopes` merge of the window
-  with the segment — and ``commit_window``, the in-place window write
-  + single head/tail shift splice of
+  with the segment — and ``commit_window``, which checks the merged
+  window and its fit between the two kept neighbours, then makes the
+  in-place window write + single head/tail shift splice of
   :meth:`~repro.envelope.packed.PackedProfile.splice`
   (``_splice_impl`` semantics: shrink shifts the smaller side inward,
-  growth prefers the cheaper fitting side, reallocation is signalled
-  back to Python — the amortized-doubling grow stays Python-side).
+  growth prefers the cheaper fitting side, and with no slack
+  ``_grow_splice``'s re-centred copy into twice the new size).
 
-A sequential run costs one call per chunk plus one per reallocation
-or declined insert.
+An insert the core does not answer (a synthetic source, a part it
+cannot clip) declines the whole run, which Python then runs on the
+reference.
 
 ``repro_pct_build`` and ``repro_phase2_run`` run the two phases of
 the paper's algorithm, each in one call that walks the separator
@@ -97,24 +100,20 @@ identical profiles, visible parts and ``ops`` — the property
 ``tests/test_envelope_ccore.py`` and ``tests/test_phase2_ccore.py``
 fuzz.
 
-Buffer ownership: the caller owns every input buffer; the insert run
-mutates the caller's packed buffer in place but never reallocates it.
-All scratch — merged windows, visible parts, rows, profiles —
-lives in a ``repro_ctx`` that Python creates per run
+Buffer ownership: the caller owns every input buffer and the C side
+only reads them, apart from the result arrays it fills.  All scratch
+— live and merged profiles, visible parts, rows — lives in a
+``repro_ctx`` that Python creates per run
 (:class:`repro.envelope._ccore.Core`) and frees with it, grown by the
 C side as needed.  Python copies results out before the next call on
 the same context; a Phase-2 call keeps its profiles (or its rope's
 pieces and spines) in the context while it walks the tree, and an
-insert run keeps its rows there until it ends or an insert answered
-in Python must follow them.
+insert run its live profile.
 
 Concurrency: nothing is static, so the core is reentrant.  cffi
 API-mode wrappers release the GIL around each call, and two threads
 may run the core at once as long as each uses its own context (every
-run creates its own).  When the packed buffer cannot absorb a growth
-splice the insert run returns ``GROW`` *without touching the buffer*
-and the wrapper commits through :meth:`PackedProfile.splice`, which
-owns the amortized-doubling reallocation policy.
+run creates its own).
 
 The build is optional end to end: ``setup.py`` marks the extension
 ``optional`` (no compiler → the Python reference, same results),
@@ -129,16 +128,12 @@ repro_ctx *repro_ctx_new(void);
 void repro_ctx_free(repro_ctx *ctx);
 void repro_ctx_clear(repro_ctx *ctx);
 int64_t repro_lanes_len(repro_ctx *ctx, int which);
-double *repro_lane(repro_ctx *ctx, int which, int field);
-int64_t *repro_lane_q(repro_ctx *ctx, int which, int field);
 int64_t repro_lanes_take(repro_ctx *ctx, int which, double *dst,
                          int64_t stride);
 int64_t repro_insert_run(
-    repro_ctx *ctx, double *buf, int64_t cap, int64_t *state,
-    const double *y1, const double *z1, const double *y2,
-    const double *z2, const int64_t *src, int64_t start, int64_t stop,
-    double eps, double clip_eps, int64_t *off, int64_t *acc,
-    int64_t *out);
+    repro_ctx *ctx, int64_t n, const double *y1, const double *z1,
+    const double *y2, const double *z2, const int64_t *src, double eps,
+    double clip_eps, int64_t *off, int64_t *res);
 int64_t repro_pct_build(
     repro_ctx *ctx, int64_t n, const double *y1, const double *z1,
     const double *y2, const double *z2, const int64_t *src, double eps,
@@ -172,17 +167,10 @@ C_SOURCE = r"""
 #include <math.h>
 
 /* Status codes (mirrored in repro/envelope/_ccore.py). */
-#define ST_HIDDEN   0  /* no mutation; segment fully hidden          */
-#define ST_DONE     1  /* merged window spliced into the buffer      */
-#define ST_GROW     2  /* merged window in scratch; caller commits   */
-#define ST_FALLBACK 3  /* unsupported window (synthetic source, OOM) */
-#define ST_FAULT    5  /* post-condition failed; nothing committed   */
-
-/* out[] layout of a merged window (mirrored in repro/envelope/_ccore.py):
- * it replaces pieces [O_LO, O_HI) of the live profile with O_MK. */
-#define O_LO     0
-#define O_HI     1
-#define O_MK     2
+#define ST_DONE     1  /* the call's work is done                   */
+#define ST_FALLBACK 3  /* the insert run declines: Python answers it */
+#define ST_OOM      4  /* scratch allocation failed                  */
+#define ST_FAULT    5  /* a post-condition failed                    */
 
 /* ---- the per-call context --------------------------------------------
  * All scratch lives in a repro_ctx the caller creates, passes to every
@@ -204,13 +192,17 @@ typedef struct {
 #define L_VX    5  /* leaf crossings: y z                              */
 #define L_BND   6  /* breakpoint union of one merge: y                 */
 #define L_SPINE 7  /* rope spines, one entry a chunk: | off len start  */
-#define N_LANES 8
+#define L_LIVE  8  /* an insert run's profile: ya za yb zb | src      */
+#define N_LANES 9
 
-static const int LANE_ND[N_LANES] = {4, 4, 4, 2, 2, 2, 1, 0};
-static const int LANE_NQ[N_LANES] = {1, 1, 1, 2, 0, 0, 0, 3};
+static const int LANE_ND[N_LANES] = {4, 4, 4, 2, 2, 2, 1, 0, 4};
+static const int LANE_NQ[N_LANES] = {1, 1, 1, 2, 0, 0, 0, 3, 1};
 
+/* The live profile of an insert run is pieces [beg, n) of L_LIVE, with
+ * slack on both sides (see commit_window). */
 typedef struct repro_ctx {
     lanes L[N_LANES];
+    int64_t beg;
 } repro_ctx;
 
 repro_ctx *repro_ctx_new(void)
@@ -234,6 +226,7 @@ void repro_ctx_clear(repro_ctx *ctx)
 {
     int w;
     for (w = 0; w < N_LANES; w++) ctx->L[w].n = 0;
+    ctx->beg = 0;
 }
 
 /* Grow lane set `which` to hold at least `need` entries (1.5x). */
@@ -260,14 +253,6 @@ static int reserve(repro_ctx *ctx, int which, int64_t need)
 }
 
 int64_t repro_lanes_len(repro_ctx *ctx, int which) { return ctx->L[which].n; }
-double *repro_lane(repro_ctx *ctx, int which, int field)
-{
-    return ctx->L[which].d[field];
-}
-int64_t *repro_lane_q(repro_ctx *ctx, int which, int field)
-{
-    return ctx->L[which].q[field];
-}
 
 /* Copy lane set `which` into dst as consecutive rows `stride` apart:
  * the double lanes, then the int64 lanes bit for bit.  Returns n. */
@@ -790,7 +775,7 @@ BAD:
  * head + merged window + tail as a fresh profile, its crossings to
  * L_XING.  An empty b shares a.  Fills X[X_OPS .. X_LEN] (the profile
  * at X_OFF, X_LEN); returns ST_DONE, ST_FAULT (the merged window fails
- * its check) or ST_FALLBACK (OOM). */
+ * its check) or ST_OOM. */
 static int splice_job(repro_ctx *ctx, int64_t aoff, int64_t alen,
                       const view *b, double eps, int64_t *X)
 {
@@ -804,7 +789,7 @@ static int splice_job(repro_ctx *ctx, int64_t aoff, int64_t alen,
     a = lanes_view(O, aoff, alen);
     overlapping(&a, b->ya[0], b->yb[b->n - 1], &lo, &hi);
     if (!reserve_merge(ctx, hi - lo, b->n, alen - (hi - lo)))
-        return ST_FALLBACK;
+        return ST_OOM;
     a = lanes_view(O, aoff, alen);  /* L_PROF may have moved */
     win = a;
     win.ya += lo; win.za += lo; win.yb += lo; win.zb += lo;
@@ -937,19 +922,28 @@ static void rope_copy(lanes *O, const lanes *A, const spine *s, int64_t i,
     }
 }
 
+/* Whether pieces [from, O->n) sit between their kept neighbours: the
+ * first starts at or after prev_yb, the last ends at or before
+ * next_ya. */
+static int fits_between(const lanes *O, int64_t from, double prev_yb,
+                        double next_ya)
+{
+    return O->n == from
+        || (prev_yb <= O->d[0][from] && !(O->d[2][O->n - 1] > next_ya));
+}
+
 /* _check_splice_pieces on the fresh run [from, O->n): strictly positive
  * widths, sorted, no NaN heights, between the kept neighbours. */
 static int splice_ok(const lanes *O, int64_t from, double prev_yb,
                      double next_ya)
 {
     int64_t j;
-    if (O->n == from) return 1;
     for (j = from; j < O->n; j++) {
         if (!(O->d[0][j] < O->d[2][j])) return 0;
         if (O->d[1][j] != O->d[1][j] || O->d[3][j] != O->d[3][j]) return 0;
         if (j > from && !(O->d[2][j - 1] <= O->d[0][j])) return 0;
     }
-    return prev_yb <= O->d[0][from] && !(O->d[2][O->n - 1] > next_ya);
+    return fits_between(O, from, prev_yb, next_ya);
 }
 
 /* rope_splice_merge of pieces [boff, boff + blen) of blk (the left
@@ -961,7 +955,7 @@ static int splice_ok(const lanes *O, int64_t from, double prev_yb,
  * CHUNK_TARGET pieces, and the successor's spine appended to L_SPINE
  * (shared chunks before and after it).  An empty b shares the version
  * itself.  Returns ST_DONE, ST_FAULT (merged window or fresh run fails
- * its check) or ST_FALLBACK (OOM). */
+ * its check) or ST_OOM. */
 static int rope_merge(repro_ctx *ctx, int64_t aoff, int64_t alen,
                       const double *blk, int64_t blk_cap, int64_t boff,
                       int64_t blen, double eps, int64_t *X)
@@ -1004,7 +998,7 @@ static int rope_merge(repro_ctx *ctx, int64_t aoff, int64_t alen,
     }
 
     /* mid_pieces: the straddle clip, pieces [i0, i1), the tail trim. */
-    if (!reserve(ctx, L_WIN, has_cut + (i1 - i0))) return ST_FALLBACK;
+    if (!reserve(ctx, L_WIN, has_cut + (i1 - i0))) return ST_OOM;
     W->n = 0;
     if (has_cut) push_piece(W, straddle);
     rope_copy(W, A, &s, i0, i1);
@@ -1029,7 +1023,7 @@ static int rope_merge(repro_ctx *ctx, int64_t aoff, int64_t alen,
         right = cr + 1;
     }
     if (!reserve_merge(ctx, W->n, blen, nl + has_cut + 1 + nr))
-        return ST_FALLBACK;
+        return ST_OOM;
 
     at = A->n;
     if (nl) {
@@ -1055,7 +1049,7 @@ static int rope_merge(repro_ctx *ctx, int64_t aoff, int64_t alen,
      * (_chunked), shared suffix. */
     parts = (fresh + CHUNK_TARGET - 1) / CHUNK_TARGET;
     if (!reserve(ctx, L_SPINE, S->n + cl + parts + (s.n - right)))
-        return ST_FALLBACK;
+        return ST_OOM;
     s = spine_view(S, aoff, alen);  /* L_SPINE may have moved */
     X[X_OFF] = S->n;
     for (c = 0; c < cl; c++) {
@@ -1175,7 +1169,7 @@ static int64_t *tree_shape(int64_t n)
  * not recorded.  Every profile lands in L_PROF (emptied first), at
  * res[T_OFF], res[T_LEN] of its node's T1_W-wide row.  Returns ST_DONE;
  * ST_FAULT when a merged profile fails pieces_ok (res[0] = the node);
- * ST_FALLBACK on scratch OOM.  Either way the caller discards the
+ * ST_OOM on scratch OOM.  Either way the caller discards the
  * whole call. */
 int64_t repro_pct_build(
     repro_ctx *ctx, int64_t n, const double *y1, const double *z1,
@@ -1187,7 +1181,7 @@ int64_t repro_pct_build(
     int64_t *t, *kid;
     if (n <= 0) return ST_DONE;
     t = tree_shape(n);
-    if (!t) return ST_FALLBACK;
+    if (!t) return ST_OOM;
     kid = t + 2 * m;
     repro_ctx_clear(ctx);
     for (i = m - 1; i >= 0; i--) {
@@ -1196,7 +1190,7 @@ int64_t repro_pct_build(
         if (k < 0) {
             int64_t e = t[i];
             if (!reserve(ctx, L_PROF, O->n + 1)) {
-                st = ST_FALLBACK;
+                st = ST_OOM;
                 break;
             }
             X[T_OPS] = 1;
@@ -1206,7 +1200,7 @@ int64_t repro_pct_build(
             const int64_t *L = res + T1_W * k, *R = L + T1_W;
             view a, b;
             if (!reserve_merge(ctx, L[T_LEN], R[T_LEN], 0)) {
-                st = ST_FALLBACK;
+                st = ST_OOM;
                 break;
             }
             a = lanes_view(O, L[T_OFF], L[T_LEN]);
@@ -1248,7 +1242,7 @@ static int build_node(build *b, int64_t lo, int64_t hi)
     view l, r;
     int st;
     if (hi - lo == 1) {
-        if (!reserve(ctx, L_PROF, O->n + 1)) return ST_FALLBACK;
+        if (!reserve(ctx, L_PROF, O->n + 1)) return ST_OOM;
         if (b->y1[lo] != b->y2[lo])
             push(O, b->y1[lo], b->z1[lo], b->y2[lo], b->z2[lo], b->src[lo]);
         return ST_DONE;
@@ -1259,7 +1253,7 @@ static int build_node(build *b, int64_t lo, int64_t hi)
     st = build_node(b, mid, hi);
     if (st != ST_DONE) return st;
     from = O->n;
-    if (!reserve_merge(ctx, b0 - a0, from - b0, 0)) return ST_FALLBACK;
+    if (!reserve_merge(ctx, b0 - a0, from - b0, 0)) return ST_OOM;
     l = lanes_view(O, a0, b0 - a0);
     r = lanes_view(O, b0, from - b0);
     b->ops[b->k] = merge_sweep(ctx, &l, &r, b->eps, 1, &nx);
@@ -1281,7 +1275,7 @@ static int build_node(build *b, int64_t lo, int64_t hi)
  * first (build_node).  The root's profile is all of L_PROF and the
  * crossings are all of L_XING (both emptied first); ops[] gets the n - 1
  * merges' ops in post-order.  Returns ST_DONE; ST_FAULT when a merged
- * profile fails pieces_ok (ops[0] = its post-order index); ST_FALLBACK
+ * profile fails pieces_ok (ops[0] = its post-order index); ST_OOM
  * on scratch OOM.  Either way the caller discards the whole call. */
 int64_t repro_envelope_build(
     repro_ctx *ctx, int64_t n, const double *y1, const double *z1,
@@ -1336,7 +1330,7 @@ static int p2_node(walk *w, int64_t v, int64_t aoff, int64_t alen)
             ops = leaf_query(ctx, &a, w->y1[e], w->z1[e], w->y2[e], w->z2[e],
                              w->src[e], w->eps, w->clip_eps, &nx);
         }
-        if (ops == -2) return ST_FALLBACK;
+        if (ops == -2) return ST_OOM;
         if (ops < 0) {
             w->res[0] = v;
             return ST_FAULT;
@@ -1389,7 +1383,7 @@ int64_t repro_phase2_run(
     int st;
     if (n <= 0) return ST_DONE;
     t = tree_shape(n);
-    if (!t) return ST_FALLBACK;
+    if (!t) return ST_OOM;
     repro_ctx_clear(ctx);
     w.ctx = ctx;
     w.rope = mode == MODE_ROPE;
@@ -1418,7 +1412,7 @@ int64_t repro_phase2_run(
  * leaf[] row filled and its parts, clipped rows and crossings appended
  * to L_PARTS, L_ROWS and L_VX in lane order (the lanes are emptied
  * first).  Returns ST_DONE; ST_FAULT when a query's parts fail their
- * check (leaf[0] = its lane); ST_FALLBACK on scratch OOM. */
+ * check (leaf[0] = its lane); ST_OOM on scratch OOM. */
 int64_t repro_query_batch(
     repro_ctx *ctx, const double *blk, int64_t n, int64_t nq,
     const double *y1, const double *z1, const double *y2,
@@ -1434,7 +1428,7 @@ int64_t repro_query_batch(
         p0 = ctx->L[L_PARTS].n;
         ops = leaf_query(ctx, &env, y1[k], z1[k], y2[k], z2[k], src[k], eps,
                          clip_eps, &nx);
-        if (ops == -2) return ST_FALLBACK;
+        if (ops == -2) return ST_OOM;
         if (ops < 0) {
             leaf[0] = k;
             return ST_FAULT;
@@ -1480,153 +1474,169 @@ static int has_synthetic(const view *v)
     return 0;
 }
 
-/* One 2D shift over all five rows (the int64-bit-view slice move of
- * _splice_impl, as five memmoves — byte-identical for float lanes). */
-static void shift_rows(double *buf, int64_t cap, int64_t from,
-                       int64_t to, int64_t count)
+/* Lane f of the live profile: the four double lanes, then the sources
+ * (moved as 8-byte words like the doubles). */
+static double *live_lane(lanes *P, int f)
 {
-    int r;
+    return f < 4 ? P->d[f] : (double *)P->q[0];
+}
+
+/* Move live pieces [from, from + count) to `to` in all five lanes (the
+ * int64-bit-view slice move of _splice_impl, as five memmoves --
+ * byte-identical for float lanes). */
+static void shift_live(lanes *P, int64_t from, int64_t to, int64_t count)
+{
+    int f;
     if (count <= 0 || from == to) return;
-    for (r = 0; r < 5; r++) {
-        double *row = buf + (int64_t)r * cap;
-        memmove(row + to, row + from, (size_t)count * sizeof(double));
+    for (f = 0; f < 5; f++) {
+        double *lane = live_lane(P, f);
+        memmove(lane + to, lane + from, (size_t)count * sizeof(double));
     }
 }
 
-/* Commit the merged window merge_sweep left in L_PROF: pieces_ok, then
- * PackedProfile._splice_impl in place.  ST_DONE (state updated),
- * ST_GROW (no slack: nothing touched, the caller reallocates) or
- * ST_FAULT (post-condition failed, nothing touched). */
-static int commit_window(repro_ctx *ctx, double *buf, int64_t cap,
-                         int64_t *state, int64_t *out)
-{
-    const lanes *M = &ctx->L[L_PROF];
-    int64_t beg = state[0], end = state[1];
-    int64_t n = end - beg;
-    int64_t lo = out[O_LO], hi = out[O_HI], ko = out[O_MK];
-    int64_t d, head, tail, a;
+#define MIN_CAPACITY 16  /* repro.envelope.packed.MIN_CAPACITY        */
 
-    if (!pieces_ok(M, 0)) return ST_FAULT;
-    d = ko - (hi - lo);
-    if (d) {
-        head = lo;
-        tail = n - hi;
-        if (d < 0) {
-            /* Shrink: shift the smaller side inward (always fits). */
-            if (head <= tail) {
-                shift_rows(buf, cap, beg, beg - d, head);
-                beg -= d;
-            } else {
-                shift_rows(buf, cap, beg + hi, beg + lo + ko, tail);
-                end += d;
-            }
-        } else {
-            /* Grow: prefer the cheaper side whose slack fits. */
-            int fits_head = beg >= d;
-            int fits_tail = cap - end >= d;
-            if (fits_head && (head <= tail || !fits_tail)) {
-                shift_rows(buf, cap, beg, beg - d, head);
-                beg -= d;
-            } else if (fits_tail) {
-                shift_rows(buf, cap, beg + hi, beg + lo + ko, tail);
-                end += d;
-            } else {
-                /* No slack: the wrapper reallocates via
-                 * PackedProfile.splice (amortized doubling). */
-                return ST_GROW;
-            }
+/* PackedProfile._grow_splice: move the live profile into fresh lanes
+ * of twice the size it has once pieces [lo, hi) become ko pieces,
+ * re-centred, with the gap for those ko pieces left open.  Returns 0
+ * on OOM, with nothing touched. */
+static int grow_live(repro_ctx *ctx, int64_t lo, int64_t hi, int64_t ko)
+{
+    lanes *P = &ctx->L[L_LIVE];
+    int64_t beg = ctx->beg, tail = P->n - beg - hi;
+    int64_t need = lo + ko + tail;
+    int64_t cap = 2 * need < MIN_CAPACITY ? MIN_CAPACITY : 2 * need;
+    int64_t at = (cap - need) / 2;
+    double *fresh[5];
+    int f;
+    for (f = 0; f < 5; f++) {
+        fresh[f] = (double *)malloc((size_t)cap * sizeof(double));
+        if (!fresh[f]) {
+            while (f--) free(fresh[f]);
+            return 0;
         }
     }
-    a = beg + lo;
-    memcpy(buf + a, M->d[0], (size_t)ko * sizeof(double));
-    memcpy(buf + cap + a, M->d[1], (size_t)ko * sizeof(double));
-    memcpy(buf + 2 * cap + a, M->d[2], (size_t)ko * sizeof(double));
-    memcpy(buf + 3 * cap + a, M->d[3], (size_t)ko * sizeof(double));
-    memcpy((int64_t *)(buf + 4 * cap) + a, M->q[0],
-           (size_t)ko * sizeof(int64_t));
-    state[0] = beg;
-    state[1] = end;
+    for (f = 0; f < 5; f++) {
+        double *old = live_lane(P, f);
+        if (lo) memcpy(fresh[f] + at, old + beg, (size_t)lo * sizeof(double));
+        if (tail)
+            memcpy(fresh[f] + at + lo + ko, old + beg + hi,
+                   (size_t)tail * sizeof(double));
+        free(old);
+    }
+    for (f = 0; f < 4; f++) P->d[f] = fresh[f];
+    P->q[0] = (int64_t *)fresh[4];
+    P->cap = cap;
+    ctx->beg = at;
+    P->n = at + need;
+    return 1;
+}
+
+/* Commit the merged window merge_sweep left in L_PROF over live pieces
+ * [lo, hi): pieces_ok, and fits_between its two kept neighbours, so
+ * the profile stays sorted; then PackedProfile._splice_impl in place --
+ * a shrink shifts the smaller side inward, a growth the cheaper side
+ * whose slack fits, else grow_live.  Returns ST_DONE, ST_FAULT (a
+ * check failed, nothing touched) or ST_OOM. */
+static int commit_window(repro_ctx *ctx, int64_t lo, int64_t hi)
+{
+    lanes *P = &ctx->L[L_LIVE];
+    const lanes *M = &ctx->L[L_PROF];
+    int64_t beg = ctx->beg, end = P->n, ko = M->n;
+    int64_t d = ko - (hi - lo), tail = end - beg - hi;
+    int f;
+
+    if (!pieces_ok(M, 0)
+        || !fits_between(M, 0, lo ? P->d[2][beg + lo - 1] : -INFINITY,
+                         tail ? P->d[0][beg + hi] : INFINITY))
+        return ST_FAULT;
+    if (d) {
+        int fits_head = d < 0 || beg >= d;
+        int fits_tail = d < 0 || P->cap - end >= d;
+        if (fits_head && (lo <= tail || !fits_tail)) {
+            shift_live(P, beg, beg - d, lo);
+            beg -= d;
+        } else if (fits_tail) {
+            shift_live(P, beg + hi, beg + lo + ko, tail);
+            end += d;
+        } else {
+            if (!grow_live(ctx, lo, hi, ko)) return ST_OOM;
+            beg = ctx->beg;
+            end = P->n;
+        }
+    }
+    for (f = 0; f < 5; f++)
+        memcpy(live_lane(P, f) + beg + lo, f < 4 ? M->d[f] : (double *)M->q[0],
+               (size_t)ko * sizeof(double));
+    ctx->beg = beg;
+    P->n = end;
     return ST_DONE;
 }
 
-/* acc[] layout of repro_insert_run (mirrored in repro/envelope/_ccore.py) */
-#define R_OPS    0  /* running sum of per-insert ops                  */
-#define R_MAX    1  /* running max of the live profile size           */
-#define R_STATUS 2  /* why the last call returned                     */
-#define R_ROWS   3  /* visible rows L_ROWS holds after the call       */
+/* res[] of repro_insert_run (mirrored in repro/envelope/_ccore.py) */
+#define R_OPS 0  /* the run's ops (on ST_FAULT: the failing insert)    */
+#define R_MAX 1  /* the largest live profile size                      */
 
-/* Inserts [start, stop) of the front-to-back image lanes into the
- * live profile, each exactly as _insert_reference would: the locate,
- * leaf_query over the window (the live profile for a vertical), and
- * -- when a non-vertical segment has a visible part -- merge_sweep of
- * the window with the segment into L_PROF and commit_window.  Per
- * insert i it adds the ops to acc[R_OPS], the profile size to the
- * acc[R_MAX] maximum, and the clipped visible rows to L_ROWS, with
- * off[i - start + 1] = off[i - start] + rows.  L_ROWS is not emptied,
- * so the rows of a run's calls accumulate in its context; off points
- * at slot start of the run's offsets (n + 1 slots), whose off[0] an
- * earlier call or the caller has written.
- *
- * Returns the index it stopped at.  stop: every insert done
- * (acc[R_STATUS] = ST_DONE).  Otherwise acc[R_STATUS] says why:
- * ST_GROW -- insert i is fully accounted but its merged window (in
- * L_PROF, out[O_LO..O_MK]) still needs a reallocating commit;
- * ST_FALLBACK (leaf_query's -1 or -2, a merge with a synthetic source,
- * scratch OOM) and ST_FAULT (commit post-condition) -- insert i is
- * untouched and unaccounted.  The caller resumes at i + 1. */
+/* The whole insert pass over the n front-to-back image lanes, from an
+ * empty profile in L_LIVE, each insert exactly as _insert_reference
+ * does it: the locate, leaf_query over the window (the live profile
+ * for a vertical), and -- when a non-vertical segment has a visible
+ * part -- merge_sweep of the window with the segment into L_PROF and
+ * commit_window.  The clipped visible rows go to L_ROWS in insert
+ * order, insert i's at [off[i], off[i + 1]); the run's ops and largest
+ * profile size to res[R_OPS], res[R_MAX]; the final profile to
+ * [0, n) of L_LIVE.  Returns ST_DONE; ST_FALLBACK when an insert needs
+ * what the core does not do (leaf_query's -1, a merge with a synthetic
+ * source); ST_FAULT when a merged window fails commit_window's checks
+ * (res[0] = the insert); ST_OOM on scratch OOM.  Anything but ST_DONE
+ * leaves the run half done, for the caller to rerun whole. */
 int64_t repro_insert_run(
-    repro_ctx *ctx, double *buf, int64_t cap, int64_t *state,
-    const double *y1, const double *z1, const double *y2,
-    const double *z2, const int64_t *src, int64_t start, int64_t stop,
-    double eps, double clip_eps, int64_t *off, int64_t *acc,
-    int64_t *out)
+    repro_ctx *ctx, int64_t n, const double *y1, const double *z1,
+    const double *y2, const double *z2, const int64_t *src, double eps,
+    double clip_eps, int64_t *off, int64_t *res)
 {
-    lanes *R = &ctx->L[L_ROWS], *P = &ctx->L[L_PARTS];
-    int64_t i, size;
-    int st = ST_DONE;
-    for (i = start; i < stop; i++) {
-        view live = block_view(buf, cap, state[0], state[1] - state[0]);
+    lanes *R = &ctx->L[L_ROWS], *P = &ctx->L[L_PARTS], *V = &ctx->L[L_LIVE];
+    int64_t i, total = 0, max = 0;
+    ctx->beg = V->n = V->cap / 2;
+    R->n = 0;
+    off[0] = 0;
+    for (i = 0; i < n; i++) {
+        view live = lanes_view(V, ctx->beg, V->n - ctx->beg);
         view win, seg = {y1 + i, z1 + i, y2 + i, z2 + i, src + i, 1};
-        int64_t rows = R->n, lo, hi, ops, nx;
-        int vertical = y1[i] == y2[i], merge;
+        int64_t lo, hi, ops, nx;
+        int vertical = y1[i] == y2[i], st;
         overlapping(&live, y1[i], y2[i], &lo, &hi);
-        win = block_view(buf, cap, state[0] + lo, hi - lo);
+        win = lanes_view(V, ctx->beg + lo, hi - lo);
         if (all_hidden(&win, y1[i], z1[i], y2[i], z2[i], eps)) {
             ops = win.n;
         } else {
             P->n = ctx->L[L_VX].n = ctx->L[L_PROF].n = 0;
             ops = leaf_query(ctx, vertical ? &live : &win, y1[i], z1[i],
                              y2[i], z2[i], src[i], eps, clip_eps, &nx);
-            merge = !vertical && P->n > 0;
-            if (ops < 0
-                || (merge && (has_synthetic(&seg) || has_synthetic(&win)
-                              || !reserve_merge(ctx, win.n, 1, 0)))) {
-                R->n = rows;
-                st = ST_FALLBACK;
-                break;
-            }
-            if (merge) {
+            if (ops == -2) return ST_OOM;
+            if (ops < 0) return ST_FALLBACK;
+            if (!vertical && P->n > 0) {
+                if (has_synthetic(&seg) || has_synthetic(&win))
+                    return ST_FALLBACK;
+                if (!reserve_merge(ctx, win.n, 1, 0)) return ST_OOM;
                 ops += merge_sweep(ctx, &win, &seg, eps, 0, &nx);
-                out[O_LO] = lo;
-                out[O_HI] = hi;
-                out[O_MK] = ctx->L[L_PROF].n;
-                st = commit_window(ctx, buf, cap, state, out);
-                if (st == ST_FAULT) {
-                    R->n = rows;
-                    break;
+                st = commit_window(ctx, lo, hi);
+                if (st != ST_DONE) {
+                    res[0] = i;
+                    return st;
                 }
             }
         }
-        acc[R_OPS] += ops;
-        off[i - start + 1] = off[i - start] + (R->n - rows);
-        size = state[1] - state[0];
-        if (st == ST_GROW) size += out[O_MK] - (out[O_HI] - out[O_LO]);
-        if (size > acc[R_MAX]) acc[R_MAX] = size;
-        if (st == ST_GROW) break;
+        total += ops;
+        off[i + 1] = R->n;
+        if (V->n - ctx->beg > max) max = V->n - ctx->beg;
     }
-    acc[R_STATUS] = st;
-    acc[R_ROWS] = R->n;
-    return i;
+    shift_live(V, ctx->beg, 0, V->n - ctx->beg);
+    V->n -= ctx->beg;
+    ctx->beg = 0;
+    res[R_OPS] = total;
+    res[R_MAX] = max;
+    return ST_DONE;
 }
 
 /* ==== front-to-back ordering (repro/ordering/sweep.py) ============== */

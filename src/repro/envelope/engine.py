@@ -10,15 +10,15 @@ Two engines produce bit-identical results:
 ``"numpy"``
     The array kernels: the packed live profile of the sequential run
     (:mod:`repro.envelope.flat_splice`) and, when the optional
-    compiled core is built, the C loops behind the insert run, the PCT
-    layers, the levels of the divide-and-conquer build, the batched
+    compiled core is built, one C call each for the insert run, a
+    phase of ``ParallelHSR``, the divide-and-conquer build, a batch of
     sight-line queries (:mod:`repro.envelope.flat_visibility`) and the
     ordering (:mod:`repro.envelope._ccore`).
 
 Each boundary has one fast path and one reference: the compiled
-core, and — for every insert, layer, build or query batch it does
-not answer, and on an install without it — the python reference on
-the same data.  PRAM
+core, and — for every run, phase, build or query batch it does not
+answer, and on an install without it — the python reference on the
+same data.  PRAM
 ``ops`` charges are engine-independent by construction
 (elementary-interval counts), so cost accounting is unaffected by
 kernel choice.

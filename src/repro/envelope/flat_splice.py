@@ -8,17 +8,17 @@ copying even when the overlapped window is a single piece — the ``ops``
 counter reports output-sensitive work while the wall clock is
 quadratic in the profile size.
 
-The live profile stays in one
-:class:`~repro.envelope.packed.PackedProfile` buffer across a whole
-sequential run.  :func:`insert_run` is the run loop behind
-``SequentialHSR``: with the optional compiled core on, it hands chunks
-of up to 256 inserts to one C call each
-(:func:`repro.envelope._ccore.insert_run`: locate, the visibility
-scan with clipping of the visible parts into CSR rows, and — when some
-part is visible — the window merge and an in-place splice; the scan and
-the merge are the kernels of the compiled PCT layers).  Every insert the core hands back — and every
-insert of a run without the core — takes :func:`_insert_reference`:
-the overlapped window becomes an :class:`Envelope`,
+:func:`insert_run` is the run loop behind ``SequentialHSR``.  With
+the optional compiled core on, the whole run is one C call
+(:func:`repro.envelope._ccore.insert_run`: per insert the locate, the
+visibility scan with clipping of the visible parts into rows, and —
+when some part is visible — the window merge and an in-place splice;
+the scan and the merge are the kernels of the compiled phase calls),
+and the live profile stays in the call's context.  A run the core
+declines or faults on — and every run without the core — takes
+:func:`_insert_reference` per insert, with the live profile in one
+:class:`~repro.envelope.packed.PackedProfile` buffer: the overlapped
+window becomes an :class:`Envelope`,
 :func:`~repro.envelope.visibility.visible_parts` and
 :func:`~repro.envelope.merge.merge_envelopes` answer it, and the
 merged window is spliced back in place.
@@ -97,8 +97,8 @@ def _insert_reference(
     window wins ties, builder coalescing including the synthetic slope
     rule) the merged window, which is spliced back in place.
     Bit-exact with the compiled core in visible parts, merged pieces
-    *and* ``ops`` by the parity contract, so an insert the core hands
-    back is indistinguishable from one it answered.
+    *and* ``ops`` by the parity contract, so a run the core hands back
+    is indistinguishable from one it answered.
     """
     if seg.is_vertical:
         vis = _visible_vertical_flat(profile, seg, eps)
@@ -133,11 +133,10 @@ def insert_segment_flat(
 # ---------------------------------------------------------------------------
 # Whole runs
 
-#: The most inserts one compiled call of :func:`insert_run` makes, and
-#: the insert count between its whole-profile checks (site
-#: ``profile``; detection-only — see :func:`repro.reliability.guard.
-#: check_profile`).
-_CHUNK = 256
+#: The insert count between the whole-profile checks of a run on the
+#: reference path (site ``profile``; detection-only — see
+#: :func:`repro.reliability.guard.check_profile`).
+_CHECK_EVERY = 256
 
 
 class InsertRun:
@@ -149,68 +148,16 @@ class InsertRun:
     then the edge as int64 bits in row 4 — whose columns
     ``offsets[i]:offsets[i + 1]`` (an int64 array of ``n + 1`` slots)
     are insert ``i``'s, each one :class:`~repro.hsr.result.VisibleSegment`.
-
-    ``core`` is the compiled-core handle the run borrows while it
-    inserts; the rows of its calls stay there (``core_rows`` of them)
-    until an insert answered in Python or the end of the run moves them
-    into a block, so C rows and Python rows keep insert order.
     """
 
-    __slots__ = (
-        "profile", "ops", "max_profile", "offsets", "rows", "core", "core_rows",
-        "_blocks", "_py",
-    )
+    __slots__ = ("profile", "ops", "max_profile", "offsets", "rows")
 
-    def __init__(self, profile: PackedProfile, n: int):
-        self.profile = profile
+    def __init__(self, n: int):
+        self.profile = None
         self.ops = 0
         self.max_profile = 0
         self.offsets = np.zeros(n + 1, np.int64)
         self.rows = None
-        self.core = None
-        self.core_rows = 0
-        #: Finished row blocks, in insert order.
-        self._blocks: list = []
-        #: ``(edge, ya, za, yb, zb)`` rows of Python-answered inserts
-        #: not in a block yet.
-        self._py: list[tuple] = []
-
-    def add(self, i: int, seg: ImageSegment, res: FlatInsertResult) -> None:
-        """Account insert ``i``, answered on a Python path."""
-        self._take_core_rows()
-        self.profile = res.profile
-        self.ops += res.ops
-        if res.profile.size > self.max_profile:
-            self.max_profile = res.profile.size
-        parts = res.visibility.parts
-        for part in parts:
-            self._py.append((seg.source, *seg.visible_piece(part.ya, part.yb)))
-        self.offsets[i + 1] = self.offsets[i] + len(parts)
-
-    def _take_core_rows(self) -> None:
-        """Move the rows the handle holds into a block."""
-        if self.core_rows:
-            self._blocks.append(self.core.take_rows())
-            self.core_rows = 0
-
-    def seal(self) -> None:
-        """Move the rows of Python-answered inserts into a block, so
-        the rows of a compiled call can follow them."""
-        if self._py:
-            edge, *coords = zip(*self._py)
-            blk = np.empty((5, len(edge)))
-            blk[:4] = coords
-            blk[4].view(np.int64)[:] = edge
-            self._blocks.append(blk)
-            self._py = []
-
-    def finish(self) -> None:
-        """Set ``rows``: the handle's rows and every block, joined."""
-        self._take_core_rows()
-        self.seal()
-        blocks = self._blocks or [np.empty((5, 0))]
-        self.rows = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
-        self._blocks = []
 
 
 def segment_lanes(
@@ -227,35 +174,6 @@ def segment_lanes(
     )
 
 
-def _lane_segment(lanes, i: int) -> ImageSegment:
-    y1, z1, y2, z2, src = lanes
-    return ImageSegment(
-        float(y1[i]), float(z1[i]), float(y2[i]), float(z2[i]), int(src[i])
-    )
-
-
-def _run_compiled(config) -> bool:
-    """Whether :func:`insert_run` may hand inserts to the compiled core
-    (see :func:`repro.envelope._ccore.compiled_enabled`); otherwise
-    every insert takes :func:`_insert_reference`."""
-    return _ccore.compiled_enabled(config, "compiled_insert")
-
-
-def _insert_on_reference(run: InsertRun, lanes, i: int, eps: float) -> None:
-    """Answer insert ``i`` of ``lanes`` on the reference path."""
-    seg = _lane_segment(lanes, i)
-    run.add(i, seg, _insert_reference(run.profile, seg, eps))
-
-
-def _rerun_on_reference(run: InsertRun, lanes, i: int, eps: float, exc) -> None:
-    """Record a fault of the compiled core at site ``compiled_insert``
-    (strict mode raises) and answer insert ``i`` on the reference
-    path instead."""
-    _guard.handle_fault("compiled_insert", exc)
-    with _fi.suppressed():
-        _insert_on_reference(run, lanes, i, eps)
-
-
 def insert_run(lanes, *, eps: float = EPS, config=None) -> InsertRun:
     """Insert every segment of ``lanes`` (``y1, z1, y2, z2, source``
     buffers in insertion order, float64 and int64 — see
@@ -264,64 +182,74 @@ def insert_run(lanes, *, eps: float = EPS, config=None) -> InsertRun:
 
     The result is exactly that of calling :func:`insert_segment_flat`
     per segment and clipping each visible part with
-    :meth:`ImageSegment.visible_piece`.  The inserts run in chunks of
-    at most ``_CHUNK``, with the whole-profile check (site
-    ``profile``) between chunks.  With the compiled core on (see
-    :func:`_run_compiled`) a chunk is one C call; the core comes back
-    early only for a reallocating splice (committed here, through
-    :meth:`PackedProfile.splice`), an insert it declines (run by
-    :func:`_insert_reference`), or a failed post-condition (recorded
-    at site ``compiled_insert`` and run on the reference path).  Under
-    a ``compiled_insert`` fault plan each call covers one insert and
-    trips the site first, so the plan counts inserts; a tripped insert
-    is recovered the same way.  Without the core every insert takes
-    :func:`_insert_reference`; a ``profile`` plan poisons the live
+    :meth:`ImageSegment.visible_piece`.  With the compiled core on (see
+    :func:`repro.envelope._ccore.compiled_enabled`) the run is one C
+    call under guard site ``compiled_insert``, which checks every
+    window it commits against its neighbours; the final profile then
+    gets the whole-profile check (site ``profile``) once.  A fault of
+    that call (a failed post-condition, scratch OOM, a tripped
+    ``compiled_insert`` plan) is recorded, and the whole run reruns on
+    the reference path from a fresh profile; a run the core declines (a
+    synthetic source, a part it cannot clip) reruns the same way, with
+    no incident.  On the reference path every insert takes
+    :func:`_insert_reference`, with the whole-profile check every
+    ``_CHECK_EVERY`` inserts; a ``profile`` plan poisons the live
     profile before an insert, and the check then runs at once.
     """
-    run = InsertRun(PackedProfile.empty(), len(lanes[4]))
-    with _ccore.borrowed() as run.core:
-        _insert_chunks(run, lanes, eps, config)
-        run.finish()
-    run.core = None
+    if _ccore.compiled_enabled(config, "compiled_insert"):
+        with _ccore.borrowed() as core:
+            core.lane_ptrs(lanes)  # mismatched lanes raise here, not as a fault
+            run = _guard.guarded_call(
+                "compiled_insert",
+                lambda: _insert_compiled(core, lanes, eps),
+                lambda: None,
+            )
+        if run is not None:
+            if _guard.GUARDS_ENABLED:
+                _guard.check_profile(run.profile)
+            return run
+    return _insert_reference_run(lanes, eps)
+
+
+def _insert_compiled(core, lanes, eps: float):
+    """The whole run in one compiled call on ``core``; ``None`` when
+    the core declines an insert."""
+    run = InsertRun(len(lanes[4]))
+    totals = _ccore.insert_run(core, lanes, eps, run.offsets)
+    if totals is None:
+        return None
+    run.ops, run.max_profile = totals
+    run.rows = core.take(_ccore.L_ROWS)
+    live = core.take(_ccore.L_LIVE)
+    run.profile = PackedProfile(live, live.view(np.int64), 0, live.shape[1])
     return run
 
 
-def _insert_chunks(run: InsertRun, lanes, eps: float, config) -> None:
-    """The loop of :func:`insert_run` (see there)."""
-    n = len(lanes[4])
-    i = 0
-    while i < n:
-        if i and not i % _CHUNK and _guard.GUARDS_ENABLED:
-            _guard.check_profile(run.profile)
-        stop = min(n, (i // _CHUNK + 1) * _CHUNK)
-        if not _run_compiled(config):
-            chunk = (lane[i:stop].tolist() for lane in lanes)
-            for i, seg in enumerate(map(ImageSegment, *chunk), i):
-                if (
-                    _fi.ARMED
-                    and _guard.GUARDS_ENABLED
-                    and _fi.poison_profile("profile", run.profile)
-                ):
-                    _guard.check_profile(run.profile)
-                run.add(i, seg, _insert_reference(run.profile, seg, eps))
-            i = stop
-            continue
-        run.seal()
-        if _fi.ARMED and _guard.GUARDS_ENABLED:
-            stop = i + 1
-            try:
-                _fi.trip("compiled_insert")
-            except _fi.InjectedFault as exc:
-                _rerun_on_reference(run, lanes, i, eps, exc)
-                i += 1
-                continue
-        st, i = _ccore.insert_run(run.profile, lanes, i, stop, eps, run)
-        if st == _ccore.ST_FALLBACK:
-            _insert_on_reference(run, lanes, i, eps)
-            i += 1
-        elif st == _ccore.ST_FAULT:
-            exc = _ccore.CCoreFault("compiled insert post-condition failed")
-            if not _guard.GUARDS_ENABLED:
-                raise exc
-            _rerun_on_reference(run, lanes, i, eps, exc)
-            i += 1
+def _insert_reference_run(lanes, eps: float) -> InsertRun:
+    """The run of :func:`insert_run` on the reference path."""
+    run = InsertRun(len(lanes[4]))
+    profile = PackedProfile.empty()
+    offsets = run.offsets
+    rows: list[tuple] = []
+    checked = _guard.GUARDS_ENABLED
+    for i, seg in enumerate(map(ImageSegment, *(lane.tolist() for lane in lanes))):
+        if checked:
+            if i and not i % _CHECK_EVERY:
+                _guard.check_profile(profile)
+            if _fi.ARMED and _fi.poison_profile("profile", profile):
+                _guard.check_profile(profile)
+        res = _insert_reference(profile, seg, eps)
+        profile = res.profile
+        run.ops += res.ops
+        if profile.size > run.max_profile:
+            run.max_profile = profile.size
+        for part in res.visibility.parts:
+            rows.append((seg.source, *seg.visible_piece(part.ya, part.yb)))
+        offsets[i + 1] = len(rows)
+    run.rows = np.empty((5, len(rows)))
+    if rows:
+        edge, *coords = zip(*rows)
+        run.rows[:4] = coords
+        run.rows[4].view(np.int64)[:] = edge
+    run.profile = profile
+    return run

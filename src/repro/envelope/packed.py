@@ -1,9 +1,10 @@
 """Packed single-buffer live profile: in-place splices for the flat stack.
 
-:class:`PackedProfile` is the one live-profile layout of a sequential
-run on the numpy engine (:func:`repro.envelope.flat_splice.insert_run`:
-the compiled core in :mod:`repro.envelope._ccore`, and the reference
-insert for whatever the core does not answer).  It keeps the profile
+:class:`PackedProfile` is the live-profile layout of a sequential run
+on the numpy engine (:func:`repro.envelope.flat_splice.insert_run`:
+the reference insert's live profile, the layout the compiled core in
+:mod:`repro.envelope._ccore` keeps in its context, and the final
+profile a run returns).  It keeps the profile
 in **one** contiguous ``(5, capacity)`` float64 allocation — the five
 field columns ``ya/za/yb/zb/source`` are row views into it, and
 ``source`` is the same bytes reinterpreted as int64 (both are 8-byte
@@ -95,13 +96,6 @@ class PackedProfile(FlatEnvelope):
     locate/materialise queries the insert path needs, but
     :meth:`splice` **mutates** the receiver and returns it — see the
     module docstring for the view-staleness contract.
-
-    The compiled insert core (:mod:`repro.envelope._ccore`) borrows
-    ``_buf`` as a raw pointer for the duration of one call: it may
-    shift ``[_beg, _end)`` within the existing allocation (then the
-    wrapper re-syncs the views) but never reallocates — growth always
-    comes back through :meth:`splice`, so this class stays the sole
-    owner of the buffer's lifetime.
 
     >>> prof = PackedProfile.empty()
     >>> prof.splice(0, 0, [0.0], [1.0], [2.0], [1.0], [7]) is prof

@@ -46,16 +46,16 @@ class SequentialHSR:
     engine:
         Envelope kernel for the per-edge work (see
         :mod:`repro.envelope.engine`); ``None`` selects the default.
-        Under ``"numpy"`` the profile lives in **one packed buffer
-        owned for the whole run**
-        (:class:`repro.envelope.packed.PackedProfile`): with the
-        optional core built the whole pass is one compiled loop (a C
-        call per 256 inserts, projection and clipping included), else
-        each edge is locate → the reference visibility scan and merge
-        over the overlapped window → an **in-place** splice into the
-        buffer (at most one slice shift into the slack;
-        amortized-doubling growth), so the per-edge cost tracks the
-        overlapped window instead of paying Θ(profile) copying.
+        Under ``"numpy"`` the profile lives in **one buffer with
+        slack at both ends, owned for the whole run**: with the
+        optional core built the whole pass is one C call (clipping
+        included) over a profile in the call's context, else each edge
+        is locate → the reference visibility scan and merge over the
+        overlapped window → an **in-place** splice into a
+        :class:`repro.envelope.packed.PackedProfile` (at most one slice
+        shift into the slack; amortized-doubling growth) — either way
+        the per-edge cost tracks the overlapped window instead of
+        paying Θ(profile) copying.
         Results are bit-identical to ``"python"`` — the reported
         ``ops`` are elementary-interval counts, independent of how
         many elements the layout moves.
@@ -86,8 +86,8 @@ class SequentialHSR:
 
         Under ``"numpy"`` the edges are projected straight into ordered
         image lanes (:meth:`Terrain.image_lanes`) and the whole pass is
-        one :func:`~repro.envelope.flat_splice.insert_run` — a compiled
-        call per 256 inserts when the core is on — whose visible rows
+        one :func:`~repro.envelope.flat_splice.insert_run` — one
+        compiled call when the core is on — whose visible rows
         go into ``vmap`` as one row block.  The profile converts to a
         scalar :class:`Envelope` only here, at the run boundary.
         """

@@ -3,9 +3,10 @@ circuit breaker.
 
 Every fast boundary has a bit-exact python twin (the parity contract
 of :mod:`repro.envelope.engine`).  This module turns that twin into a
-runtime safety net.  Each guarded boundary — the compiled insert run
-and PCT layers, ``PackedProfile.splice``, the rope splice commit and
-the batched build — runs under a guard that
+runtime safety net.  Each guarded boundary — the compiled insert run,
+the compiled phases of ``ParallelHSR``, the compiled envelope build
+and sight-line batches, ``PackedProfile.splice`` and the rope splice
+commit — runs under a guard that
 
 1. **checks** cheap post-conditions on the kernel's freshly-built
    output *before* it is committed anywhere (sorted ``ya`` lanes,
@@ -322,7 +323,8 @@ def check_flat(site: str, ya, za, yb, zb) -> None:
 
 
 def check_profile(profile) -> None:
-    """Validate a live profile's lanes (the check every 256 inserts).
+    """Validate a live profile's lanes: every 256 inserts of a run on
+    the reference path, and once on a compiled run's final profile.
 
     Detection-only: a live profile failing validation means corruption
     was already committed by an earlier splice, so this raises

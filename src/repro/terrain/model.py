@@ -76,7 +76,7 @@ class Terrain:
         (:meth:`check_planarity`) because it is quadratic.
     """
 
-    __slots__ = ("_xyz", "_topo", "_vertices")
+    __slots__ = ("_xyz", "_topo", "_vertices", "_ends")
 
     def __init__(
         self,
@@ -88,6 +88,7 @@ class Terrain:
         self._xyz = _vertex_buffer(vertices)
         self._topo = _Topology(_face_buffer(faces))
         self._vertices: Optional[list[Point3]] = None
+        self._ends = None
         if validate:
             self._validate()
 
@@ -98,6 +99,7 @@ class Terrain:
         t._xyz = _frozen(xyz)
         t._topo = topo
         t._vertices = None
+        t._ends = None
         return t
 
     # -- invariants ----------------------------------------------------
@@ -251,15 +253,19 @@ class Terrain:
         :meth:`ImageSegment.make` and :meth:`MapSegment.make` — so
         coordinates gathered through ``lo``/``hi`` equal the fields of
         :meth:`image_segment` and :meth:`map_segment` bit for bit.
+        The all-edges indices are built on first use, once per terrain.
         Requires numpy.
         """
         pts = self._xyz
-        ends = self.edge_buffer
+        if self._ends is None:
+            ends = self.edge_buffer
+            i, j = ends[:, 0], ends[:, 1]
+            swap = pts[i, 1] > pts[j, 1]
+            self._ends = (_np.where(swap, j, i), _np.where(swap, i, j))
+        lo, hi = self._ends
         if order is not None:
-            ends = ends[order]
-        i, j = ends[:, 0], ends[:, 1]
-        swap = pts[i, 1] > pts[j, 1]
-        return pts, _np.where(swap, j, i), _np.where(swap, i, j)
+            return pts, lo[order], hi[order]
+        return pts, lo, hi
 
     def image_lanes(self, order: Optional[Sequence[int]] = None) -> tuple:
         """``(y1, z1, y2, z2, source)`` of the image segments of the

@@ -2,7 +2,7 @@
 
 Contract under test: with the optional C extension built, the run loop
 (``flat_splice.insert_run``) answers **every** window size through the
-compiled core, one call per chunk of inserts — and is *bit-exact*
+compiled core, one call per run — and is *bit-exact*
 against the per-insert reference path (``use_compiled_insert=False``;
 and, transitively, against ``engine="python"``; the scenario parity
 matrix asserts that leg directly).  Without the extension — or with
@@ -52,21 +52,27 @@ def _clean_state(monkeypatch):
 
 @contextmanager
 def _start_capacity(capacity):
-    """Start every run's profile at ``capacity`` slots."""
+    """Start every run's profile small: the reference path's at
+    ``capacity`` slots, the core's in a fresh handle, whose profile has
+    no lanes until its first commit."""
     if capacity is None:
         yield
         return
 
-    class _Sized:
+    class _Sized(PackedProfile):
+        __slots__ = ()
+
         @staticmethod
         def empty():
             return PackedProfile.empty(capacity)
 
     splice_mod.PackedProfile = _Sized
+    idle, _ccore._idle = _ccore._idle, []
     try:
         yield
     finally:
         splice_mod.PackedProfile = PackedProfile
+        _ccore._idle = idle
 
 
 def _run_loop(segs, *, compiled, capacity=None):
@@ -133,8 +139,8 @@ class TestCompiledParity:
     @given(segs=seg_lists())
     def test_fuzz_capacity_edge(self, segs):
         # Minimum starting capacity: every few inserts straddle a
-        # realloc boundary, exercising the C-side GROW handoff and
-        # the re-centred buffer copy.
+        # realloc boundary, exercising the core's own growth and its
+        # re-centred copy.
         _assert_identical(segs, capacity=2)
 
     def test_long_run_with_grows(self, rng):
@@ -190,7 +196,7 @@ class TestCascadePins:
         def count_ccore(*a, **k):
             calls["ccore"] += 1
             out = real_run(*a, **k)
-            calls["fallback"] += out[0] == _ccore.ST_FALLBACK
+            calls["fallback"] += out is None
             return out
 
         def count_reference(*a, **k):
@@ -215,7 +221,7 @@ class TestCascadePins:
         calls = self._counting(monkeypatch)
         segs = self._mixed_window_segments(rng)
         _run_loop(segs, compiled=True)
-        assert calls["ccore"] >= 1
+        assert calls["ccore"] == 1
         assert calls["fallback"] == 0
         assert calls["reference"] == 0
 
@@ -228,13 +234,14 @@ class TestCascadePins:
 
     def test_synthetic_source_window_declines(self, rng, monkeypatch):
         # Negative-source pieces coalesce on the builder rule the C
-        # core doesn't implement: it must hand both inserts back, and
-        # the reference path must produce the identical run.
+        # core doesn't implement: it must hand the run back, and the
+        # reference path must produce the identical run.
         calls = self._counting(monkeypatch)
         synth = ImageSegment(2.0, 5.0, 8.0, 5.0, -1)
         over = ImageSegment(0.0, 3.0, 10.0, 7.0, 7)
         p_c, t_c = _run_loop([synth, over], compiled=True)
-        assert calls["fallback"] == 2
+        assert calls["fallback"] == 1
+        assert calls["reference"] == 2
         p_n, t_n = _run_loop([synth, over], compiled=False)
         assert _state(p_c) == _state(p_n)
         assert t_c == t_n
@@ -264,14 +271,18 @@ class TestCascadePins:
 @needs_ccore
 class TestCompiledGuardSite:
     def _parity_under_plan(self, rng, mode, nth=2):
+        # The site trips once per run: the nth run is recorded and
+        # reruns on the reference path, the others are the core's.
         segs = random_image_segments(rng, 80)
-        with fi.inject("compiled_insert", mode, nth=nth) as plan:
-            p_i, t_i = _run_loop(segs, compiled=True, capacity=2)
-        assert plan.fired >= 1
         with fi.suppressed():
             p_n, t_n = _run_loop(segs, compiled=False, capacity=2)
-        assert _state(p_i) == _state(p_n)
-        assert t_i == t_n
+        with fi.inject("compiled_insert", mode, nth=nth) as plan:
+            for _ in range(nth):
+                p_i, t_i = _run_loop(segs, compiled=True, capacity=2)
+                assert _state(p_i) == _state(p_n)
+                assert t_i == t_n
+        assert plan.fired == 1
+        assert guard.current_report().sites["compiled_insert"].count == 1
 
     # The core hands no merged window to Python, so there is nothing to
     # corrupt: the site takes raise plans only.  Its C-side merged_ok
@@ -283,17 +294,20 @@ class TestCompiledGuardSite:
 
     def test_repeat_plan_quarantines_and_stays_exact(self, rng):
         segs = random_image_segments(rng, 120)
-        with fi.inject("compiled_insert", "raise", nth=1, repeat=True):
-            p_i, t_i = _run_loop(segs, compiled=True)
-            # Breaker tripped after FAULT_THRESHOLD faults; the rest of
-            # the run stands aside without tripping the plan again.
-            assert guard.is_quarantined("compiled_insert")
-        rec = guard.current_report().sites["compiled_insert"]
-        assert rec.quarantined and rec.count == guard.FAULT_THRESHOLD
         with fi.suppressed():
             p_n, t_n = _run_loop(segs, compiled=False)
-        assert _state(p_i) == _state(p_n)
-        assert t_i == t_n
+        with fi.inject("compiled_insert", "raise", nth=1, repeat=True) as plan:
+            # One fault a run: the breaker trips at the FAULT_THRESHOLD-th
+            # run, and the next run stands aside without tripping the
+            # plan again.
+            for _ in range(guard.FAULT_THRESHOLD + 1):
+                p_i, t_i = _run_loop(segs, compiled=True)
+                assert _state(p_i) == _state(p_n)
+                assert t_i == t_n
+            assert guard.is_quarantined("compiled_insert")
+        assert plan.fired == guard.FAULT_THRESHOLD
+        rec = guard.current_report().sites["compiled_insert"]
+        assert rec.quarantined and rec.count == guard.FAULT_THRESHOLD
 
     def test_other_site_plans_reach_their_kernel(self, rng):
         # With e.g. packed_splice armed, the compiled core must stand
@@ -311,16 +325,16 @@ class TestCompiledGuardSite:
         runs = []
         real_run = _ccore.insert_run
         monkeypatch.setattr(
-            _ccore, "insert_run", lambda *a: runs.append(a[2:4]) or real_run(*a)
+            _ccore, "insert_run", lambda *a: runs.append(1) or real_run(*a)
         )
         terrain = fractal_terrain(size=9, seed=23)
         config = HsrConfig(engine="numpy", use_compiled_insert=True)
-        with fi.inject("compiled_insert", "raise", nth=3) as plan:
+        with fi.inject("compiled_insert", "raise") as plan:
             rn = SequentialHSR(config=config).run(terrain)
         with fi.suppressed():
             rp = SequentialHSR(engine="python").run(terrain)
-        # The armed plan keeps the run on the core, one insert a call.
-        assert runs and all(stop - start == 1 for start, stop in runs)
+        # The plan trips the run's one call before it reaches C.
+        assert runs == []
         assert plan.fired == 1
         assert rn.stats.ops == rp.stats.ops
         assert rn.visibility_map.segments == rp.visibility_map.segments
@@ -338,7 +352,7 @@ class TestFallback:
         assert hasattr(_ccore, "insert_run")
         assert hasattr(_ccore, "front_to_back")
         if not _ccore.HAVE_CCORE:
-            assert _ccore.insert_run(None, None, 0, 0, 1e-9, None) is None
+            assert _ccore.insert_run(None, None, 1e-9, None) is None
             assert _ccore.front_to_back(None, None, None, None, None, 1) is None
             assert not _ccore.COMPILED_DEFAULT
 

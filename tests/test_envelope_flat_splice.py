@@ -122,10 +122,11 @@ class TestSyntheticRouting:
     def test_negative_source_window_routes_to_reference(
         self, compiled, monkeypatch
     ):
-        """An insert whose window holds a synthetic (negative-source)
-        piece is answered by ``_insert_reference`` — the compiled run
-        loop hands it back; without the core every insert takes the
-        reference — and matches ``engine="python"`` bit for bit."""
+        """A run with a synthetic (negative-source) piece is answered by
+        ``_insert_reference`` — the compiled core declines it and the
+        whole run reruns on the reference; without the core every
+        insert takes the reference — and matches ``engine="python"``
+        bit for bit."""
         import repro.envelope.flat_splice as splice_mod
         from repro.config import HsrConfig
 
@@ -155,11 +156,10 @@ class TestSyntheticRouting:
         assert run.ops == ops
         assert list(zip(*run.rows[:4].tolist())) == parts
         assert run.profile.to_envelope().pieces == env.pieces
-        # The core hands back the two synthetic windows; when it stands
-        # aside (switched off, not built, a plan armed elsewhere) every
-        # insert takes the reference.
-        core = splice_mod._run_compiled(config)
-        assert calls == ([-1, 7] if core else [-1, 7, 8])
+        # Every insert takes the reference, whether the core declined
+        # the run or stood aside (switched off, not built, a plan armed
+        # elsewhere).
+        assert calls == [-1, 7, 8]
 
 
 class TestSpliceMerge:

@@ -2,16 +2,16 @@
 ``_ccore.insert_run``).
 
 Contract under test: with the core built, a numpy-engine
-``SequentialHSR`` run hands the whole front-to-back pass to the C core,
-one call per chunk of at most 256 inserts plus one per early return
-(reallocating splice, declined insert, failed post-condition), and is
-*bit-exact* against the per-insert reference path
-(``use_compiled_insert=False``) and ``engine="python"``: the same
-visibility segments, ``ops``, ``k``, ``max_profile_size`` and final
-profile.  Under a ``compiled_insert`` fault plan the core runs one
-insert per call, so the plan counts inserts.  Under a plan at any other
-site or a quarantined ``compiled_insert`` site the run stands aside to
-the per-insert reference path.
+``SequentialHSR`` run hands the whole front-to-back pass to the C core
+in exactly one call, and is *bit-exact* against the per-insert
+reference path (``use_compiled_insert=False``) and ``engine="python"``:
+the same visibility segments, ``ops``, ``k``, ``max_profile_size`` and
+final profile.  A run the core declines (a synthetic source) reruns
+whole on the reference path with no incident; a fault of the call (a
+failed post-condition, a tripped ``compiled_insert`` plan, which trips
+once per run) is recorded and the run reruns whole on the reference
+path.  Under a plan at any other site or a quarantined
+``compiled_insert`` site the run stands aside to the reference path.
 """
 
 from __future__ import annotations
@@ -62,16 +62,21 @@ def _clean_state(monkeypatch):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Spy on both insert paths: every compiled ``insert_run`` call as
-    ``(start, stop, status, next)``, and the count of per-insert
+    """Spy on both insert paths: what every compiled ``insert_run``
+    call gave (its ``(ops, max_profile)``, ``None`` for a decline, or
+    the name of the exception it raised), and the count of per-insert
     ``_insert_reference`` calls (the reference path)."""
     log = {"run": [], "per_insert": 0}
     real_run = _ccore.insert_run
     real_flat = splice_mod._insert_reference
 
-    def spy_run(profile, lanes, start, stop, eps, run):
-        out = real_run(profile, lanes, start, stop, eps, run)
-        log["run"].append((start, stop) + tuple(out))
+    def spy_run(*a):
+        try:
+            out = real_run(*a)
+        except Exception as exc:
+            log["run"].append(type(exc).__name__)
+            raise
+        log["run"].append(out)
         return out
 
     def spy_flat(*a, **k):
@@ -272,15 +277,18 @@ class TestRunParity:
 
 @needs_ccore
 class TestRunCalls:
-    def test_grows_mid_chunk_from_min_capacity(self, calls, rng):
+    def test_grows_the_core_profile(self, calls, rng, monkeypatch):
+        # A fresh handle's profile starts with no lanes; the core gives
+        # it MIN_CAPACITY on the first commit, then twice the new size
+        # whenever neither side's slack fits a growth: a profile past
+        # 4 * MIN_CAPACITY pieces took several growths.
         from tests.conftest import random_image_segments
 
+        monkeypatch.setattr(_ccore, "_idle", [])
         segs = random_image_segments(rng, 600)
         run = insert_run(segment_lanes(segs), config=COMPILED)
-        grows = [c for c in calls["run"] if c[2] == _ccore.ST_GROW]
-        assert len(grows) >= 3
-        assert all(c[3] < c[1] for c in grows)  # returned mid-chunk
-        assert run.profile.capacity > MIN_CAPACITY
+        assert len(calls["run"]) == 1 and calls["per_insert"] == 0
+        assert run.max_profile > 4 * MIN_CAPACITY
         ref = insert_run(segment_lanes(segs), config=PER_INSERT)
         assert run.profile.to_envelope().pieces == ref.profile.to_envelope().pieces
         assert (run.ops, run.max_profile) == (ref.ops, ref.max_profile)
@@ -288,49 +296,57 @@ class TestRunCalls:
 
     def test_call_count_pin(self, calls):
         terrain = fractal_terrain(size=33, seed=2)
-        n = terrain.n_edges
-        SequentialHSR(config=COMPILED).run(terrain)
-        st = [c[2] for c in calls["run"]]
-        grows = st.count(_ccore.ST_GROW)
-        fallbacks = st.count(_ccore.ST_FALLBACK)
-        assert len(st) <= math.ceil(n / 256) + grows + fallbacks
-        assert fallbacks == 0 and calls["per_insert"] == 0
-        assert all(c[1] - c[0] <= 256 for c in calls["run"])
+        seq = SequentialHSR(config=COMPILED)
+        seq.run(terrain)
+        assert len(calls["run"]) == 1
+        seq.final_profile(terrain)
+        assert len(calls["run"]) == 2 and None not in calls["run"]
+        assert calls["per_insert"] == 0
 
-    def test_declined_inserts_run_per_insert(self, calls):
-        # A synthetic source, then a segment over the synthetic piece:
-        # the core declines both and the per-insert path answers them.
-        segs = [
-            ImageSegment(2.0, 5.0, 8.0, 5.0, -1),
-            ImageSegment(0.0, 3.0, 10.0, 7.0, 7),
-            ImageSegment(11.0, 1.0, 12.0, 2.0, 8),
-        ]
-        run = insert_run(segment_lanes(segs), config=COMPILED)
-        st = [c[2] for c in calls["run"]]
-        assert st.count(_ccore.ST_FALLBACK) == 2
+    @pytest.mark.parametrize(
+        "segs,offsets,edges",
+        [
+            (
+                # A synthetic source, then a segment over its piece.
+                [
+                    ImageSegment(2.0, 5.0, 8.0, 5.0, -1),
+                    ImageSegment(0.0, 3.0, 10.0, 7.0, 7),
+                    ImageSegment(11.0, 1.0, 12.0, 2.0, 8),
+                ],
+                [0, 1, 3, 4],
+                [-1, 7, 7, 8],
+            ),
+            (
+                # The same, between inserts the core would answer.
+                [
+                    ImageSegment(20.0, 1.0, 22.0, 2.0, 6),
+                    ImageSegment(2.0, 5.0, 8.0, 5.0, -1),
+                    ImageSegment(0.0, 3.0, 10.0, 7.0, 7),
+                    ImageSegment(11.0, 1.0, 12.0, 2.0, 8),
+                    ImageSegment(21.0, 0.0, 25.0, 9.0, 9),
+                ],
+                [0, 1, 2, 4, 5, 6],
+                [6, -1, 7, 7, 8, 9],
+            ),
+        ],
+        ids=["synthetic-first", "synthetic-between"],
+    )
+    def test_synthetic_source_runs_whole_on_reference(
+        self, calls, segs, offsets, edges
+    ):
+        # The core declines the merge of a synthetic source, so the
+        # whole run reruns on the reference path, and no incident is
+        # recorded: a decline is not a fault.
+        with guard.reliability_run() as rep:
+            run = insert_run(segment_lanes(segs), config=COMPILED)
+        assert calls["run"] == [None]
+        assert calls["per_insert"] == len(segs)
+        assert not rep.degraded
+        assert run.offsets.tolist() == offsets
+        assert run.rows[4].view(np.int64).tolist() == edges
         ref = insert_run(segment_lanes(segs), config=PER_INSERT)
         assert run.profile.to_envelope().pieces == ref.profile.to_envelope().pieces
-        assert run.ops == ref.ops
-        _assert_rows_match(run, segs)
-
-    def test_rows_keep_insert_order_across_paths(self, calls):
-        # Compiled rows, then two declined inserts' rows, then compiled
-        # rows again, all inside one chunk: the block keeps insert
-        # order, and the offsets count each insert's rows.
-        segs = [
-            ImageSegment(20.0, 1.0, 22.0, 2.0, 6),
-            ImageSegment(2.0, 5.0, 8.0, 5.0, -1),
-            ImageSegment(0.0, 3.0, 10.0, 7.0, 7),
-            ImageSegment(11.0, 1.0, 12.0, 2.0, 8),
-            ImageSegment(21.0, 0.0, 25.0, 9.0, 9),
-        ]
-        run = insert_run(segment_lanes(segs), config=COMPILED)
-        assert [c[2] for c in calls["run"]] == [
-            _ccore.ST_FALLBACK, _ccore.ST_FALLBACK, _ccore.ST_DONE,
-        ]
-        assert calls["per_insert"] == 2
-        assert run.offsets.tolist() == [0, 1, 2, 4, 5, 6]
-        assert run.rows[4].view(np.int64).tolist() == [6, -1, 7, 7, 8, 9]
+        assert (run.ops, run.max_profile) == (ref.ops, ref.max_profile)
         _assert_rows_match(run, segs)
 
     def test_rejects_mismatched_lanes(self):
@@ -358,7 +374,8 @@ class TestRunCalls:
         with guard.reliability_run() as rep:
             run = insert_run(segment_lanes(segs), config=COMPILED)
         assert rep.sites["compiled_insert"].count == 1
-        assert [c[2] for c in calls["run"]][0] == _ccore.ST_FAULT
+        assert calls["run"] == ["CCoreFault"]
+        assert calls["per_insert"] == len(segs)  # the whole run, rerun
         with guard.reliability_run():
             ref = insert_run(segment_lanes(segs), config=PER_INSERT)
         got = run.profile.to_envelope().pieces
@@ -373,38 +390,55 @@ class TestRunCalls:
         with pytest.raises(KernelFault):
             insert_run(segment_lanes(self._nan_segments()), config=COMPILED)
 
-    def test_compiled_insert_plan_steps_one_insert(self, calls, monkeypatch):
-        # A compiled_insert plan keeps the run on the core, one insert
-        # per call, and trips the site before each: the third insert
-        # is recorded and answered on the reference path.
+    @pytest.mark.parametrize("when", ["before", "after"])
+    def test_fault_discards_the_whole_call(self, when, calls, monkeypatch):
+        # A fault answered before the call runs, or after it has left
+        # the whole run's rows and profile in the context: the run
+        # reruns whole on the reference path from a fresh profile.
+        from tests.test_phase2_ccore import _FaultingPhase
+
         terrain = fractal_terrain(size=9, seed=23)
         order = front_to_back_order(terrain)
-        with fi.inject("compiled_insert", "raise", nth=3) as plan:
-            res = SequentialHSR(config=COMPILED).run(terrain, order=order)
+        lib = _FaultingPhase(_ccore.lib, "repro_insert_run", when)
+        monkeypatch.setattr(_ccore, "lib", lib)
+        with guard.reliability_run() as rep:
+            got = _signature(terrain, COMPILED, order)
+        assert lib.calls == 2  # run and final_profile
+        assert rep.sites["compiled_insert"].count == 2
+        assert calls["per_insert"] == 2 * len(order)
+        assert got == _signature(terrain, PYTHON, order)
+
+    def test_compiled_insert_plan_counts_runs(self, calls, monkeypatch):
+        # A compiled_insert plan trips the site once per run, before its
+        # one call: at nth=2 the first run is the core's, and the second
+        # is recorded and runs whole on the reference path.
+        terrain = fractal_terrain(size=9, seed=23)
+        order = front_to_back_order(terrain)
+        want = _signature(terrain, PYTHON, order)[:4]
+        with fi.inject("compiled_insert", "raise", nth=2) as plan:
+            first = SequentialHSR(config=COMPILED).run(terrain, order=order)
+            assert len(calls["run"]) == 1 and calls["per_insert"] == 0
+            second = SequentialHSR(config=COMPILED).run(terrain, order=order)
+        assert plan.fired == 1
+        assert len(calls["run"]) == 1  # the tripped run never reached C
+        assert calls["per_insert"] == len(order)
+        assert not first.reliability.degraded
+        assert second.reliability.sites["compiled_insert"].count == 1
+        for res in (first, second):
             got = (
                 res.visibility_map.segments,
                 res.stats.ops,
                 res.stats.k,
                 res.stats.extra["max_profile_size"],
             )
-        assert plan.fired == 1
-        assert calls["run"] and all(c[1] - c[0] == 1 for c in calls["run"])
-        assert calls["run"][0][:2] == (0, 1) and (2, 3) not in {
-            c[:2] for c in calls["run"]
-        }
-        assert calls["per_insert"] == 1  # the tripped insert
-        assert res.reliability.sites["compiled_insert"].count == 1
-        for config in (PER_INSERT, PYTHON):
-            assert got == _signature(terrain, config, order)[:4]
-        # The run's own block: the tripped insert's rows sit between
-        # the rows of the calls around it.
-        lanes = terrain.image_lanes(order)
-        with fi.inject("compiled_insert", "raise", nth=3) as plan:
-            run = insert_run(lanes, config=COMPILED)
+            assert got == want
+        # The rerun's own block and offsets.
+        with fi.inject("compiled_insert", "raise") as plan:
+            run = insert_run(terrain.image_lanes(order), config=COMPILED)
         assert plan.fired == 1
         _assert_rows_match(run, [terrain.image_segment(e) for e in order])
         monkeypatch.setattr(guard, "GUARDED_DISPATCH", False)
-        with fi.inject("compiled_insert", "raise", nth=3):
+        with fi.inject("compiled_insert", "raise"):
             with pytest.raises(KernelFault) as exc:
                 SequentialHSR(config=COMPILED).run(terrain, order=order)
         assert exc.value.site == "compiled_insert"

@@ -132,7 +132,7 @@ class TestProfileTick:
     def test_no_core_poison_checked_at_once(self, mode, monkeypatch):
         # Without the core every insert takes the reference path; the
         # poisoned profile is checked before the next insert, not at
-        # the next 256-insert chunk boundary.
+        # the next 256th insert.
         import repro.envelope.flat_splice as splice_mod
         from repro.config import HsrConfig
         from repro.envelope.flat_splice import insert_run, segment_lanes
@@ -157,24 +157,27 @@ class TestProfileTick:
         assert len(done) == 10
 
 
-def _reference_checkpoints(segs):
-    """The reference profile after every ``_CHUNK``-th insert."""
+def _expected_checks(segs, compiled):
+    """The profiles a run's whole-profile checks see: the final one for
+    a compiled run, else the profile after every ``_CHECK_EVERY``-th
+    insert but the last."""
     from repro.envelope.chain import Envelope
-    from repro.envelope.flat_splice import _CHUNK
+    from repro.envelope.flat_splice import _CHECK_EVERY
     from repro.envelope.splice import insert_segment
 
     env, want = Envelope.empty(), []
     for i, s in enumerate(segs, 1):
         env = insert_segment(env, s).envelope
-        if i % _CHUNK == 0:
+        if i % _CHECK_EVERY == 0 and i < len(segs):
             want.append(env.pieces)
-    return want
+    return [env.pieces] if compiled else want
 
 
 class TestProfileCheckCadence:
-    """The whole-profile check of a run lands after its own 256th,
-    512th, ... insert: neither earlier runs nor runs on other threads
-    shift its phase."""
+    """The whole-profile check of a reference run lands after its own
+    256th, 512th, ... insert, and a compiled run's once, on its final
+    profile: neither earlier runs nor runs on other threads shift
+    them."""
 
     @pytest.mark.parametrize("prior", [0, 1, 255, 300])
     @pytest.mark.parametrize("compiled", [True, False], ids=["core", "reference"])
@@ -188,8 +191,9 @@ class TestProfileCheckCadence:
                 segment_lanes(random_image_segments(rng, prior)), config=config
             )
         segs = random_image_segments(rng, 600)
-        want = _reference_checkpoints(segs)
-        assert len(want) == 2
+        on_core = _ccore.compiled_enabled(config, "compiled_insert")
+        want = _expected_checks(segs, on_core)
+        assert len(want) == (1 if on_core else 2)
         real = guard.check_profile
         seen = []
         monkeypatch.setattr(
@@ -229,7 +233,8 @@ class TestProfileCheckCadence:
             t.start()
         for t in threads:
             t.join(timeout=120)
-        assert got == [_reference_checkpoints(segs) for segs in runs]
+        on_core = _ccore.compiled_enabled(None, "compiled_insert")
+        assert got == [_expected_checks(segs, on_core) for segs in runs]
 
 
 class TestCircuitBreaker:
@@ -444,8 +449,9 @@ def _hsr_signature(terrain, mode=None):
 
 
 def _two_runs(terrain, mode):
-    """Two runs: a ``ParallelHSR`` run trips each phase's site once, so
-    the second one meets an ``nth=2`` plan."""
+    """Two runs: a ``SequentialHSR`` run trips ``compiled_insert`` once
+    and a ``ParallelHSR`` run each phase's site once, so the second one
+    meets an ``nth=2`` plan."""
     run = _hsr_signature(terrain, mode)
     return lambda config: [run(config), run(config)]
 
@@ -455,7 +461,7 @@ NUMPY = HsrConfig(engine="numpy")
 #: One production path per ``raise``-capable site, with the config
 #: that puts the site on it: ``(signature of the run, config)``.
 _RAISE_PATHS = {
-    "compiled_insert": (_hsr_signature(_fractal), CORE),
+    "compiled_insert": (_two_runs(_fractal, None), CORE),
     "packed_splice": (_hsr_signature(_fractal), NUMPY),
     "build_sweep": (_build_signature, CORE),
     "pct_merge": (_two_runs(_valley, "direct"), CORE),
