@@ -52,7 +52,8 @@ class HsrConfig:
     use_compiled_insert:
         The compiled core: one C call per sequential run, one per phase
         of a ``ParallelHSR`` run, one per ``build_envelope`` and one per
-        batch of sight-line queries (and the front-to-back ordering);
+        batch of sight-line queries or observer points (and the
+        front-to-back ordering);
         ``None`` defers to :data:`repro.envelope._ccore.COMPILED_DEFAULT`,
         which is on exactly when the optional extension compiled at
         install time and ``REPRO_COMPILED=0`` is not set.  ``True`` on a

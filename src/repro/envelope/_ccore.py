@@ -80,6 +80,14 @@ behind two flags and these names:
     ``order_constraints`` returns the full sweep's raw constraint
     list, both for the tests.
 
+``points_visible(lanes, span, px, py, pz, eps)``
+    :func:`~repro.hsr.queries.point_visible` of a batch of observers in
+    one C call over a terrain's ``(8, n)`` y-sorted point lanes (see
+    :class:`repro.hsr.queries._PointLanes`): each observer scans only
+    the window of edges that can cover its ordinate.  A pure function —
+    no handle, no allocation, no decline — so it never raises from C.
+    Returns one bool per observer.
+
 ``flat_splice`` imports *us*, never the reverse.
 """
 
@@ -368,6 +376,31 @@ if HAVE_CCORE:
         _status(st, leaf, "query batch", "query")
         return leaf
 
+    def points_visible(lanes, span: float, px, py, pz, eps: float):
+        """Whether each observer ``(px[k], py[k], pz[k])`` (float64
+        arrays) is visible over the C-contiguous ``(8, n)`` float64
+        point ``lanes`` whose largest y-extent is ``span``, in one C
+        call; see ``repro_points_visible`` in ``_ccore_build.py``.
+        Returns a bool array."""
+        import numpy as np
+
+        if (
+            lanes.dtype != np.float64
+            or lanes.ndim != 2
+            or lanes.shape[0] != 8
+            or not lanes.flags.c_contiguous
+        ):
+            raise ValueError("point lanes are not a C-contiguous (8, n) float64 block")
+        obs = [ffi.from_buffer("double[]", a) for a in (px, py, pz)]
+        if len({len(a) for a in obs}) != 1:
+            raise ValueError("observer lanes differ in length or item size")
+        out = np.empty(len(obs[0]), np.bool_)
+        lib.repro_points_visible(
+            lanes.shape[1], ffi.from_buffer("double[]", lanes), span, len(out),
+            *obs, eps, ffi.from_buffer("uint8_t[]", out),
+        )
+        return out
+
     def _order(x1, y1, x2, y2, src, sign, faces, boundary, cons=None):
         n = len(src)
         if not len(x1) == len(y1) == len(x2) == len(y2) == n:
@@ -453,6 +486,9 @@ else:  # pragma: no cover - the no-compiler install
         return None
 
     def query_batch(core, blk, lanes, eps):
+        return None
+
+    def points_visible(lanes, span, px, py, pz, eps):
         return None
 
     def order_array(x1, y1, x2, y2, src, sign: int, faces=None, boundary=None):

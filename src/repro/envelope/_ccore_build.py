@@ -3,7 +3,7 @@
 Running this module (``python src/repro/envelope/_ccore_build.py``)
 runs ``setup.py build_ext --inplace``, which compiles
 ``repro.envelope._repro_ccore`` — a small C extension with
-six entry points.
+seven entry points.
 
 ``repro_insert_run`` runs the whole insert pass of the sequential
 algorithm over the front-to-back image lanes in one call, from an
@@ -89,6 +89,16 @@ reports which path answered.  It declines (negative return) and the
 Python sweep answers, raising its own errors; a constraint cycle of
 the sweep needs permuted sources, so the C sweep never meets one.
 
+``repro_points_visible`` answers a batch of observer points
+(:func:`~repro.hsr.queries.visible_many`) over a terrain's ``(8, n)``
+point lanes sorted by low ordinate: per observer the window of edges
+that can cover its ordinate (two binary searches), then per edge
+:func:`~repro.hsr.queries.point_visible`'s covers test, ``x_at`` /
+``z_at`` arithmetic, front test and running max.  It is a pure
+function — no context, no allocation, no decline — and sits last in
+the source, after the ordering, so the other entries keep their order
+in the text section.
+
 Bit-exactness contract: every float expression below is a literal
 transcription of the pure-Python scalar loop (``_line_z`` endpoint
 shortcuts, sign predicates, ``t = du / (du - dv)`` crossing parameter,
@@ -113,7 +123,8 @@ insert run its live profile.
 Concurrency: nothing is static, so the core is reentrant.  cffi
 API-mode wrappers release the GIL around each call, and two threads
 may run the core at once as long as each uses its own context (every
-run creates its own).
+run creates its own; the observer scan needs none, so two threads may
+share one session's lanes).
 
 The build is optional end to end: ``setup.py`` marks the extension
 ``optional`` (no compiler → the Python reference, same results),
@@ -158,9 +169,14 @@ int64_t repro_front_to_back(
     const double *y2, const int64_t *src, int64_t sign,
     int64_t nf, const int64_t *fe, int64_t nb, const int64_t *bnd,
     int64_t *order, int64_t *cons, int64_t *ncons, int64_t *path);
+void repro_points_visible(
+    int64_t n, const double *lanes, double span, int64_t m,
+    const double *px, const double *py, const double *pz, double eps,
+    uint8_t *out);
 """
 
 C_SOURCE = r"""
+#include <float.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -2080,6 +2096,65 @@ int64_t repro_front_to_back(
 DONE:
     if (work != cons) free(work);
     return ret;
+}
+
+/* ==== observer points (hsr.queries.visible_many) =================== */
+
+/* Relative widening of a window's lower bound py - span, far above its
+ * few rounding steps (each ~1e-16 relative); DBL_MIN covers magnitudes
+ * where the relative term underflows.  Mirrors _WINDOW_SLACK in
+ * repro/hsr/queries.py. */
+#define WINDOW_SLACK 1e-11
+
+/* point_visible of m observers (px, py, pz) over the (8, n) point
+ * lanes, rows mx1 my1 mx2 my2 sy1 sz1 sy2 sz2 and columns sorted by
+ * my1, span the largest my2 - my1: out[k] = 1 when observer k is
+ * visible.  Each observer scans the columns with my1 in
+ * [py - span, py], widened: a superset of the edges whose y-range
+ * covers py, whose extras the covers test drops.  A non-finite span
+ * scans every column; a non-finite py (then covered by no edge) none.
+ * Per edge the float operations of MapSegment.x_at and
+ * ImageSegment.z_at, the front test !(x <= px + eps) (a NaN px keeps
+ * the edge in front) and the running max, all order-independent.
+ * Pure: no context, no allocation, no decline. */
+void repro_points_visible(
+    int64_t n, const double *lanes, double span, int64_t m,
+    const double *px, const double *py, const double *pz, double eps,
+    uint8_t *out)
+{
+    const double *mx1 = lanes, *my1 = lanes + n, *mx2 = lanes + 2 * n,
+                 *my2 = lanes + 3 * n, *sy1 = lanes + 4 * n,
+                 *sz1 = lanes + 5 * n, *sy2 = lanes + 6 * n,
+                 *sz2 = lanes + 7 * n;
+    int dense = !isfinite(span);
+    int64_t k, i, lo, hi;
+    for (k = 0; k < m; k++) {
+        double y = py[k], front = px[k] + eps, best = -INFINITY, x, z;
+        if (dense) {
+            lo = 0;
+            hi = n;
+        } else if (!isfinite(y)) {
+            lo = hi = 0;
+        } else {
+            lo = lower_bound(my1, n, (y - span) - ((fabs(y) + span)
+                                     * WINDOW_SLACK + DBL_MIN));
+            hi = upper_bound(my1, n, y);
+        }
+        for (i = lo; i < hi; i++) {
+            if (!(my1[i] <= y && y <= my2[i])) continue;
+            if (my1[i] == my2[i])
+                x = mx1[i] >= mx2[i] ? mx1[i] : mx2[i];
+            else
+                x = line_z(my1[i], mx1[i], my2[i], mx2[i], y);
+            if (x <= front) continue;
+            if (sy1[i] == sy2[i])
+                z = sz1[i] >= sz2[i] ? sz1[i] : sz2[i];
+            else
+                z = line_z(sy1[i], sz1[i], sy2[i], sz2[i], y);
+            if (z > best) best = z;
+        }
+        out[k] = best == -INFINITY || pz[k] >= best - eps;
+    }
 }
 """
 

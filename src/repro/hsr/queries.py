@@ -10,21 +10,25 @@ to its height at its image ordinate, i.e. iff
 
 (strictly in front: edge xy-projection passes ``p.y`` at larger x).
 
-Three implementations are provided:
+Three query forms are provided:
 
 * :func:`point_visible` — direct evaluation: scan the edges once,
-  O(n) per query, exact.  The reference.
-* :func:`visible_many` — the batch form: under ``engine="numpy"``
-  only the edges whose y-range can cover ``p.y`` are scanned — a
-  window of the edges sorted by low ordinate, ``py - span <= y1 <=
-  py`` for the largest edge y-extent ``span`` — vectorised over
-  observer blocks, with the reference's exact ``covers`` test
-  rejecting the window's extras.  Bit-exact with the scalar scan: the
-  running maximum is order-independent and the interpolation
-  replicates :meth:`~repro.geometry.segments.MapSegment.x_at` /
-  ``z_at`` including their endpoint shortcuts.  One edge spanning the
-  whole y-range widens every window to all ``n`` edges, the cost of a
-  dense scan.  Under ``engine="python"`` it is the scalar loop.
+  O(n) per query, exact.  The dense oracle the batch forms are tested
+  against.
+* :func:`visible_many` — the batch form: only the edges whose y-range
+  can cover ``p.y`` are scanned — a window of the edges sorted by low
+  ordinate, ``py - span <= y1 <= py`` for the largest edge y-extent
+  ``span`` — with the exact ``covers`` test rejecting the window's
+  extras.  Under ``engine="numpy"`` with the compiled core on, the
+  whole batch is one ``repro_points_visible`` call; otherwise the
+  same windowed scan runs as a scalar loop (the one reference, which
+  shares its per-edge arithmetic with :func:`point_visible`).
+  Bit-exact with :func:`point_visible` on every path: the running
+  maximum is order-independent and the interpolation replicates
+  :meth:`~repro.geometry.segments.MapSegment.x_at` / ``z_at``
+  including their endpoint shortcuts.  One edge spanning the whole
+  y-range widens every window to all ``n`` edges, the cost of a dense
+  scan.
 * :class:`VisibilityOracle` — batch preprocessing: sorts edges front
   to back once and builds *prefix profiles* at checkpoints, answering
   each query from the nearest checkpoint profile plus a local scan —
@@ -42,12 +46,17 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
+from itertools import chain
+from operator import itemgetter
 from typing import Sequence, Union
 
+from repro.envelope import _ccore
 from repro.envelope.chain import Envelope
 from repro.envelope.splice import insert_segment
 from repro.geometry.primitives import NEG_INF, Point3
 from repro.ordering.sweep import front_to_back_order
+from repro.reliability import guard as _guard
 from repro.terrain.model import Terrain
 
 __all__ = ["point_visible", "visible_many", "VisibilityOracle", "Observer"]
@@ -75,35 +84,71 @@ def point_visible(
 
     Points strictly above every occluder are visible; a point exactly
     on a front surface (within the config's ``eps``) counts as
-    visible — it *is* the surface being seen.
+    visible — it *is* the surface being seen.  Scans every edge: the
+    dense oracle the batch forms are tested against.
     """
     from repro.config import HsrConfig
 
     cfg = HsrConfig.resolve(config)
     p = as_observer(p)
-    eps_v = cfg.eps
-    best = NEG_INF
+    rows = []
     for e in range(terrain.n_edges):
         m = terrain.map_segment(e)
-        if not (m.y1 <= p.y <= m.y2):
+        if m.y1 <= p.y <= m.y2:
+            s = terrain.image_segment(e)
+            rows.append((m.x1, m.y1, m.x2, m.y2, s.y1, s.z1, s.y2, s.z2))
+    return _visible_over(rows, p, cfg.eps)
+
+
+def _visible_over(rows, p: Point3, eps: float) -> bool:
+    """Whether ``p`` clears the edges of ``rows``, each a point-lane
+    column ``(mx1, my1, mx2, my2, sy1, sz1, sy2, sz2)``: the highest
+    ``z`` at ``p.y`` of the edges whose y-range covers ``p.y`` and that
+    lie strictly in front of ``p`` (``x_at(p.y) > p.x + eps``) is at
+    most ``p.z + eps``.  Inlines the float operations of
+    :meth:`~repro.geometry.segments.MapSegment.x_at` and
+    :meth:`~repro.geometry.segments.ImageSegment.z_at` (endpoint and
+    ``t == 0 / t == 1`` shortcuts, the max endpoint of a horizontal map
+    or vertical image segment), which ``repro_points_visible``
+    transcribes; the running maximum is order-independent."""
+    py = p.y
+    front = p.x + eps
+    best = NEG_INF
+    for mx1, my1, mx2, my2, sy1, sz1, sy2, sz2 in rows:
+        if not (my1 <= py <= my2):
             continue
-        if m.x_at(p.y) <= p.x + eps_v:
-            continue  # not strictly in front
-        s = terrain.image_segment(e)
-        z = s.z_at(p.y)
+        if my1 == my2:
+            x = mx1 if mx1 >= mx2 else mx2
+        elif py == my1:
+            x = mx1
+        elif py == my2:
+            x = mx2
+        else:
+            t = (py - my1) / (my2 - my1)
+            x = mx1 if t == 0.0 else mx2 if t == 1.0 else mx1 + (mx2 - mx1) * t
+        if x <= front:
+            continue  # not strictly in front (a NaN x stays in front)
+        if sy1 == sy2:
+            z = sz1 if sz1 >= sz2 else sz2
+        elif py == sy1:
+            z = sz1
+        elif py == sy2:
+            z = sz2
+        else:
+            t = (py - sy1) / (sy2 - sy1)
+            z = sz1 if t == 0.0 else sz2 if t == 1.0 else sz1 + (sz2 - sz1) * t
         if z > best:
             best = z
-    return best == NEG_INF or p.z >= best - eps_v
+    return best == NEG_INF or p.z >= best - eps
 
 
-#: Observers per vectorized block: bounds the (block × window)
-#: temporaries to a few MB on realistic terrains.
-_POINT_BLOCK = 256
-
-#: Relative widening of a window's lower bound: far above the few
-#: rounding steps of ``py - span`` (each ~1e-16 relative), so every
-#: edge with ``y1 <= py <= y2`` provably lies inside the window.
-_WINDOW_SLACK = 1e-12
+#: Relative widening of a window's lower bound ``py - span``: far above
+#: its few rounding steps (each ~1e-16 relative), so every edge with
+#: ``y1 <= py <= y2`` provably lies inside the window; ``_DBL_MIN``
+#: covers magnitudes where the relative term underflows.  The compiled
+#: scan uses the same bound (``WINDOW_SLACK`` in ``_ccore_build.py``).
+_WINDOW_SLACK = 1e-11
+_DBL_MIN = sys.float_info.min
 
 
 def visible_many(
@@ -114,152 +159,135 @@ def visible_many(
 ) -> list[bool]:
     """Batch :func:`point_visible` over many observers.
 
-    Under the numpy engine each observer scans only a window of the
-    edges sorted by their low ordinate ``y1``: those with
-    ``py - span <= y1 <= py``, ``span`` the largest y-extent of any
-    edge — a superset of the edges whose y-range covers ``py``.  The
-    exact ``covers`` test of the reference then rejects the extras, so
-    results are bit-exact with the scalar reference (asserted in
+    Each observer scans only a window of the edges sorted by their low
+    ordinate ``y1``: those with ``py - span <= y1 <= py``, ``span`` the
+    largest y-extent of any edge — a superset of the edges whose
+    y-range covers ``py``, whose extras the exact ``covers`` test
+    rejects.  Under the numpy engine with the compiled core on, the
+    whole batch is one ``repro_points_visible`` call (guard site
+    ``point_scan``); otherwise, and when that call faults, the windowed
+    scalar loop over the same lanes answers.  Results are bit-exact
+    with :func:`point_visible` (asserted in
     ``tests/test_hsr_queries.py``).  The point lanes are built once per
     call (:class:`repro.service.ViewshedSession` keeps them).  Worst
     case, one edge spanning the whole y-range, the window holds every
-    edge and the scan costs the dense (observer × edge) sweep.
+    edge and the scan costs the dense one.
     """
     from repro.config import HsrConfig
 
     cfg = HsrConfig.resolve(config)
     points = [as_observer(p) for p in observers]
-    if cfg.resolved_engine() != "numpy" or terrain.n_edges == 0 or not points:
-        return [point_visible(terrain, p, config=cfg) for p in points]
-    return _PointLanes(terrain).visible(points, cfg.eps)
+    if not points:
+        return []
+    return _scan(_PointLanes(terrain, cfg.resolved_engine()), points, cfg)
+
+
+def _scan(lanes: "_PointLanes", points: list[Point3], cfg) -> list[bool]:
+    """:func:`point_visible` of each of ``points`` (at least one) over
+    ``lanes``: one compiled call when the lanes have a block and the
+    core is on for ``cfg``, else (and on a fault) the windowed
+    reference."""
+    eps = cfg.eps
+    if lanes.block is not None and _ccore.compiled_enabled(cfg, "point_scan"):
+        import numpy as np
+
+        xyz = np.fromiter(chain.from_iterable(points), np.float64, 3 * len(points))
+        px, py, pz = xyz.reshape(-1, 3).T.copy()
+        return _guard.guarded_call(
+            "point_scan",
+            lambda: _ccore.points_visible(
+                lanes.block, lanes.span, px, py, pz, eps
+            ).tolist(),
+            lambda: _scan_reference(lanes, points, eps),
+        )
+    return _scan_reference(lanes, points, eps)
+
+
+def _scan_reference(lanes: "_PointLanes", points: list[Point3], eps: float) -> list[bool]:
+    """The windowed scalar scan: :func:`_visible_over` of each point's
+    window of ``lanes.rows``."""
+    rows = lanes.rows
+    out = []
+    for p in points:
+        lo, hi = lanes.window(p.y)
+        out.append(_visible_over(rows[lo:hi], p, eps))
+    return out
 
 
 class _PointLanes:
-    """A terrain's edges as the 8 lanes the vectorized point scan
-    reads — map-segment endpoints ``(mx1, my1, mx2, my2)`` for the
-    front test and image-segment endpoints ``(sy1, sz1, sy2, sz2)``
-    for the height — one column per edge, sorted by ``my1``.
+    """A terrain's edges as the 8 point lanes the observer scan reads —
+    map-segment endpoints ``(mx1, my1, mx2, my2)`` for the front test
+    and image-segment endpoints ``(sy1, sz1, sy2, sz2)`` for the
+    height — one column per edge, stably sorted by ``my1``; ``span`` is
+    the largest ``my2 - my1`` (not finite when some ordinate is not).
 
-    Gathered in one pass from the vertex and edge arrays
-    (:meth:`Terrain._lane_endpoints`): both segment kinds swap their
-    ends on the same comparison, so ``my1 == sy1`` and ``my2 == sy2``.
-    ``span`` is the largest ``my2 - my1``.  Requires numpy and at
-    least one edge.
+    Under the numpy engine the lanes are gathered in one pass from the
+    vertex and edge arrays (:meth:`Terrain._lane_endpoints`) into
+    ``block``, the C-contiguous ``(8, n)`` float64 array the compiled
+    scan reads; both segment kinds swap their ends on the same
+    comparison, so ``my1 == sy1``, ``my2 == sy2`` and the lanes equal
+    the segment fields bit for bit.  ``rows`` holds the same columns as
+    tuples, the reference's input, converted from ``block`` on first
+    use.  Under the python engine (and without numpy) the rows are
+    built from :meth:`Terrain.map_segment` and
+    :meth:`Terrain.image_segment` and ``block`` is ``None``.
     """
 
-    __slots__ = ("lanes", "span")
+    __slots__ = ("block", "span", "_rows", "_keys")
 
-    def __init__(self, terrain: Terrain):
-        import numpy as np
+    def __init__(self, terrain: Terrain, engine: str):
+        self._keys = None
+        if engine == "numpy":
+            import numpy as np
 
-        pts, lo, hi = terrain._lane_endpoints()
-        y1, y2 = pts[lo, 1], pts[hi, 1]
-        lanes = np.stack(
-            (pts[lo, 0], y1, pts[hi, 0], y2, y1, pts[lo, 2], y2, pts[hi, 2])
-        )
-        self.lanes = lanes[:, np.argsort(y1, kind="stable")]
-        self.span = float((y2 - y1).max())
+            pts, lo, hi = terrain._lane_endpoints()
+            order = np.argsort(pts[lo, 1], kind="stable")
+            lo, hi = lo[order], hi[order]
+            y1, y2 = pts[lo, 1], pts[hi, 1]
+            self.block = np.stack(
+                (pts[lo, 0], y1, pts[hi, 0], y2, y1, pts[lo, 2], y2, pts[hi, 2])
+            )
+            self.span = float((y2 - y1).max(initial=0.0))
+            self._rows = None
+            return
+        rows = []
+        for e in range(terrain.n_edges):
+            m, s = terrain.map_segment(e), terrain.image_segment(e)
+            rows.append((m.x1, m.y1, m.x2, m.y2, s.y1, s.z1, s.y2, s.z2))
+        rows.sort(key=itemgetter(1))  # stable
+        extents = [r[3] - r[1] for r in rows]
+        finite = all(map(math.isfinite, extents))
+        self.span = max(extents, default=0.0) if finite else math.inf
+        self.block = None
+        self._rows = rows
 
-    def windows(self, py):
-        """``(lo, hi)``: each observer's column range ``[lo, hi)``,
-        holding every edge whose y-range covers its ordinate ``py``.
+    @property
+    def rows(self) -> list[tuple]:
+        """The lanes as one tuple per edge, in ``my1`` order."""
+        if self._rows is None:
+            self._rows = list(zip(*self.block.tolist()))
+        return self._rows
+
+    def window(self, py: float) -> tuple[int, int]:
+        """``(lo, hi)``: the range of :attr:`rows` holding every edge
+        whose y-range covers the ordinate ``py``.
 
         The lower bound ``py - span`` is widened by
-        :data:`_WINDOW_SLACK` and one more ulp, so rounding can only
-        add edges.  A non-finite ordinate covers no finite edge and
-        gets an empty window.  A non-finite ``span`` (an edge with a
-        non-finite ordinate) makes every window the whole array — the
-        dense sweep.
+        :data:`_WINDOW_SLACK`, so rounding can only add edges.  A
+        non-finite ordinate covers no finite edge and gets an empty
+        window.  A non-finite ``span`` (an edge with a non-finite
+        ordinate) makes every window all the rows — the dense scan.
         """
-        import numpy as np
-
-        y1 = self.lanes[1]
-        if not math.isfinite(self.span):
-            return np.zeros(py.size, np.int64), np.full(py.size, y1.size)
-        finite = np.isfinite(py)
-        py = np.where(finite, py, 0.0)
+        rows = self.rows
         span = self.span
-        with np.errstate(over="ignore"):
-            low = (py - span) - (np.abs(py) + span) * _WINDOW_SLACK
-        lo = np.searchsorted(y1, np.nextafter(low, -np.inf), side="left")
-        hi = np.searchsorted(y1, py, side="right")
-        return lo, np.where(finite, hi, lo)
-
-    def visible(self, points: Sequence[Point3], eps: float) -> list[bool]:
-        """:func:`point_visible` of every point, as blocked array
-        sweeps over (observer × window) panels.
-
-        Each block gathers its observers' windows into panels as wide
-        as its widest window; the exact covers test drops every entry
-        that does not cover its observer, which then evaluates at its
-        own ``y1``.  The kernel replicates the
-        scalar float arithmetic exactly: ``lerp``'s ``t == 0 / t == 1``
-        endpoint shortcuts become ``where`` selects (``y == y1`` makes
-        ``t`` exactly ``0.0`` and ``y == y2`` exactly ``1.0``, so
-        selecting on ``t`` covers the ``x_at``/``z_at`` shortcuts
-        too), horizontal map segments and vertical image segments take
-        their max-endpoint branches, and every divide runs on a
-        masked-safe denominator (the numpy CI leg promotes
-        RuntimeWarning to error).  The reference's running ``max`` is
-        order-independent, so one array reduction over a window
-        matches it bitwise.
-        """
-        import numpy as np
-
-        n = self.lanes.shape[1]
-        out: list[bool] = []
-        for base in range(0, len(points), _POINT_BLOCK):
-            block = points[base : base + _POINT_BLOCK]
-            py = np.array([p.y for p in block])
-            lo, hi = self.windows(py)
-            # A row past its own window reads further real edges (the
-            # last one repeated at the end): their y1 exceeds py, so
-            # the covers test below drops them and needs no mask.
-            idx = np.minimum(lo[:, None] + np.arange((hi - lo).max()), n - 1)
-            mx1, my1, mx2, my2, sy1, sz1, sy2, sz2 = self.lanes[:, idx]
-            py = py[:, None]
-            px = np.array([p.x for p in block])[:, None]
-            pz = np.array([p.z for p in block])[:, None]
-
-            m_horiz = my1 == my2
-            s_vert = sy1 == sy2
-            m_top = np.maximum(mx1, mx2)
-            s_top = np.maximum(sz1, sz2)
-            md = np.where(m_horiz, 1.0, my2 - my1)
-            sd = np.where(s_vert, 1.0, sy2 - sy1)
-
-            covers = (my1 <= py) & (py <= my2)
-            # Entries that do not cover evaluate at their own y1
-            # (t = 0), so no observer ordinate can overflow the panels.
-            ye = np.where(covers, py, my1)
-            tm = (ye - my1) / md
-            xv = np.where(
-                m_horiz,
-                m_top,
-                np.where(
-                    tm == 0.0,
-                    mx1,
-                    np.where(tm == 1.0, mx2, mx1 + (mx2 - mx1) * tm),
-                ),
-            )
-            # The reference skips an edge iff ``x <= px + eps``: negate
-            # that test, so a NaN ``px`` keeps the edge in front too.
-            front = covers & ~(xv <= px + eps)
-
-            ts = (ye - sy1) / sd
-            zv = np.where(
-                s_vert,
-                s_top,
-                np.where(
-                    ts == 0.0,
-                    sz1,
-                    np.where(ts == 1.0, sz2, sz1 + (sz2 - sz1) * ts),
-                ),
-            )
-            best = np.where(front, zv, NEG_INF).max(axis=1, initial=NEG_INF)
-            vis = (best == NEG_INF) | (pz[:, 0] >= best - eps)
-            out.extend(bool(v) for v in vis)
-        return out
+        if not math.isfinite(span):
+            return 0, len(rows)
+        if not math.isfinite(py):
+            return 0, 0
+        if self._keys is None:
+            self._keys = [r[1] for r in rows]
+        low = (py - span) - ((abs(py) + span) * _WINDOW_SLACK + _DBL_MIN)
+        return bisect.bisect_left(self._keys, low), bisect.bisect_right(self._keys, py)
 
 
 class VisibilityOracle:

@@ -88,8 +88,9 @@ class SequentialHSR:
         image lanes (:meth:`Terrain.image_lanes`) and the whole pass is
         one :func:`~repro.envelope.flat_splice.insert_run` — one
         compiled call when the core is on — whose visible rows
-        go into ``vmap`` as one row block.  The profile converts to a
-        scalar :class:`Envelope` only here, at the run boundary.
+        go into ``vmap`` as one row block.  Its profile is the run's
+        :class:`~repro.envelope.packed.PackedProfile`, which only
+        :meth:`final_profile` converts to a scalar :class:`Envelope`.
         """
         eps = self.eps
         if self.config.resolved_engine() == "numpy":
@@ -100,7 +101,7 @@ class SequentialHSR:
             )
             if vmap is not None:
                 vmap.add_block(run.rows)
-            return run.profile.to_envelope(), run.ops, run.max_profile
+            return run.profile, run.ops, run.max_profile
         env = Envelope.empty()
         ops = 0
         max_profile = 0
@@ -157,4 +158,4 @@ class SequentialHSR:
             order = run_order(terrain, self.config)
         with reliability_run():
             env, _ops, _max_profile = self._insert_loop(terrain, order, None)
-        return env
+        return env if isinstance(env, Envelope) else env.to_envelope()

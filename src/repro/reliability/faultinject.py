@@ -66,6 +66,7 @@ SITES = (
     "pct_merge",
     "phase2_merge",
     "rope_splice",
+    "point_scan",
     "profile",
 )
 

@@ -25,8 +25,11 @@ Query forms:
   multiple;
 * :meth:`ViewshedSession.point_visible` /
   :meth:`ViewshedSession.points_visible` — observer-point queries
-  delegating to :mod:`repro.hsr.queries` (the batched form runs the
-  windowed point scan over y-sorted edge lanes the session keeps).
+  delegating to :mod:`repro.hsr.queries`: the single form is the dense
+  :func:`~repro.hsr.queries.point_visible` oracle; the batched form
+  runs the windowed point scan over y-sorted edge lanes the session
+  keeps, in **one** compiled call when the core is on (the windowed
+  scalar loop otherwise), bit-exact with the single form.
 
 The asyncio front end in :mod:`repro.service.server` coalesces
 concurrent client requests into :meth:`query_batch` launches on top of
@@ -44,7 +47,7 @@ from typing import Optional, Sequence, Union
 from repro.envelope.chain import Envelope
 from repro.envelope.visibility import VisibilityResult, visible_parts
 from repro.geometry.segments import ImageSegment
-from repro.hsr.queries import Observer, _PointLanes, as_observer, visible_many
+from repro.hsr.queries import Observer, _PointLanes, _scan, as_observer
 from repro.hsr.queries import point_visible as _point_visible
 from repro.terrain.model import Terrain
 
@@ -159,7 +162,7 @@ class ViewshedSession:
     builds what it scans on first use and keeps it: the horizon
     envelope (through the cache) for :meth:`query`, its packed block
     for :meth:`query_batch`, and the terrain's edges as point lanes
-    sorted by low ordinate for :meth:`points_visible` (numpy engine).
+    sorted by low ordinate for :meth:`points_visible`.
     """
 
     def __init__(
@@ -252,24 +255,23 @@ class ViewshedSession:
     # -- observer-point queries ---------------------------------------
 
     def point_visible(self, observer: Observer) -> bool:
-        """One observer point's visibility (reference scan)."""
+        """One observer point's visibility (the dense reference scan)."""
         self.stats["queries"] += 1
         return _point_visible(self.terrain, observer, config=self.config)
 
     def points_visible(self, observers: Sequence[Observer]) -> list[bool]:
-        """Many observer points, via the windowed point scan of
-        :func:`~repro.hsr.queries.visible_many`; the session builds the
-        y-sorted point lanes on its first call and keeps them."""
+        """Many observer points, by the windowed point scan of
+        :func:`~repro.hsr.queries.visible_many` — one compiled call when
+        the core is on (numpy engine), else the windowed reference; the
+        session builds the y-sorted point lanes on its first call and
+        keeps them."""
         self.stats["batches"] += 1
         self.stats["batched_queries"] += len(observers)
-        cfg = self.config
         points = [as_observer(p) for p in observers]
-        if (
-            cfg.resolved_engine() != "numpy"
-            or self.terrain.n_edges == 0
-            or not points
-        ):
-            return visible_many(self.terrain, points, config=cfg)
+        if not points:
+            return []
         if self._point_lanes is None:
-            self._point_lanes = _PointLanes(self.terrain)
-        return self._point_lanes.visible(points, cfg.eps)
+            self._point_lanes = _PointLanes(
+                self.terrain, self.config.resolved_engine()
+            )
+        return _scan(self._point_lanes, points, self.config)

@@ -1,9 +1,11 @@
 """The compiled core is reentrant: runs, whole-phase calls, envelope
-builds, sight-line batches and face-pass orderings on several threads
-at once (cffi releases the GIL around every C call, so they really
-overlap) stay bit-exact against single-threaded ones.  Each run owns
-its core context (:class:`repro.envelope._ccore.Core`); the ordering's
-scratch is per call; nothing in the C side is static."""
+builds, sight-line batches, observer batches on one shared session and
+face-pass orderings on several threads at once (cffi releases the GIL
+around every C call, so they really overlap) stay bit-exact against
+single-threaded ones.  Each run owns its core context
+(:class:`repro.envelope._ccore.Core`); the ordering's scratch is per
+call and the observer scan allocates none; nothing in the C side is
+static."""
 
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ from repro.hsr.phase2 import run_phase2
 from repro.hsr.sequential import SequentialHSR
 from repro.ordering.separator import SeparatorTree
 from repro.ordering.sweep import front_to_back_order, map_lanes
+from repro.service import EnvelopeCache, ViewshedSession
 from repro.terrain.generators import fractal_terrain
 
 pytestmark = pytest.mark.skipif(
@@ -83,6 +86,20 @@ def _queries(terrain):
     return run
 
 
+def _observers(session, seed):
+    """A batch of observers on one shared session: two threads answer
+    theirs at once in one compiled call each, over the lanes the
+    session keeps."""
+    terrain = session.terrain
+    pts = [(v.x, v.y, v.z + 0.1 * (i % 7) - 0.3) for i, v in enumerate(terrain.vertices)]
+    batch = pts[seed::3]
+
+    def run():
+        return session.points_visible(batch)
+
+    return run
+
+
 def _order(terrain, sign):
     lanes = map_lanes(terrain)
     faces = terrain.face_edges()
@@ -94,6 +111,7 @@ def _order(terrain, sign):
 
 
 def test_threads_running_the_core_stay_bit_exact():
+    session = ViewshedSession(fractal_terrain(size=65, seed=5), cache=EnvelopeCache())
     jobs = [
         (_run(SequentialHSR(), fractal_terrain(size=65, seed=3)), 15),
         (_run(SequentialHSR(), fractal_terrain(size=65, seed=4)), 15),
@@ -106,6 +124,8 @@ def test_threads_running_the_core_stay_bit_exact():
         (_build(fractal_terrain(size=65, seed=4)), 15),
         (_queries(fractal_terrain(size=65, seed=3)), 15),
         (_queries(fractal_terrain(size=65, seed=4)), 15),
+        (_observers(session, 0), 30),
+        (_observers(session, 1), 30),
         (_order(fractal_terrain(size=65, seed=3).rotated(30), 1), 40),
         (_order(fractal_terrain(size=65, seed=4).rotated(200), -1), 40),
     ]

@@ -11,14 +11,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.config import HsrConfig
+from repro.envelope import _ccore
 from repro.geometry.primitives import Point2, Point3
+from repro.hsr import queries
 from repro.hsr.queries import (
-    _POINT_BLOCK,
     VisibilityOracle,
     _PointLanes,
+    _scan_reference,
+    as_observer,
     point_visible,
     visible_many,
 )
+from repro.reliability import faultinject as fi
+from repro.reliability import guard
 from repro.service import EnvelopeCache, ViewshedSession
 from repro.terrain.generators import (
     fractal_terrain,
@@ -229,10 +234,33 @@ _NON_FINITE = [
 ]
 
 
+CORE = HsrConfig(engine="numpy", use_compiled_insert=True)
+NO_CORE = HsrConfig(engine="numpy", use_compiled_insert=False)
+PYTHON = HsrConfig(engine="python")
+EPS = HsrConfig().eps
+
+
+def _compiled_scan(terrain: Terrain, pts) -> list[bool]:
+    """The C entry on the terrain's point lanes, called directly."""
+    lanes = _PointLanes(terrain, "numpy")
+    xyz = np.array([as_observer(p) for p in pts], np.float64).reshape(-1, 3)
+    px, py, pz = xyz.T.copy()
+    return _ccore.points_visible(lanes.block, lanes.span, px, py, pz, EPS).tolist()
+
+
 def _assert_scan_matches_reference(terrain: Terrain, pts) -> None:
+    """Every path of the observer scan answers :func:`point_visible`'s
+    flags: the C entry (when built), the windowed reference over both
+    lane builds, and the public batch forms on each engine and core
+    setting."""
     want = [point_visible(terrain, p) for p in pts]
-    assert visible_many(terrain, pts) == want
-    assert visible_many(terrain, pts, config=HsrConfig(engine="python")) == want
+    if _ccore.HAVE_CCORE:
+        assert _compiled_scan(terrain, pts) == want
+    points = [as_observer(p) for p in pts]
+    for engine in ("numpy", "python"):
+        assert _scan_reference(_PointLanes(terrain, engine), points, EPS) == want
+    for config in (None, CORE, NO_CORE, PYTHON):
+        assert visible_many(terrain, pts, config=config) == want
     session = ViewshedSession(terrain, cache=EnvelopeCache())
     assert session.points_visible(pts) == want
 
@@ -240,53 +268,150 @@ def _assert_scan_matches_reference(terrain: Terrain, pts) -> None:
 class TestWindowedScan:
     def test_matches_reference(self, scan_terrain):
         pts = _observers(scan_terrain, seed=scan_terrain.n_edges)
-        assert len(pts) > _POINT_BLOCK  # two blocks
         _assert_scan_matches_reference(scan_terrain, pts)
 
     def test_non_finite_observers(self, scan_terrain):
         x0, y0, x1, y1 = scan_terrain.xy_bounds()
         mid = ((x0 + x1) / 2, (y0 + y1) / 2, 0.0)
-        # Mixed into a block of finite observers, whose windows are wide.
+        # Mixed into a batch of finite observers, whose windows are wide.
         pts = _NON_FINITE + [mid] + _observers(scan_terrain, seed=1)[:20]
         _assert_scan_matches_reference(scan_terrain, pts)
 
-    @pytest.mark.parametrize("count", [0, 1, _POINT_BLOCK + 1])
+    @pytest.mark.parametrize("count", [0, 1, 257])
     def test_batch_sizes(self, count):
         terrain = _SCAN_TERRAINS["fractal-rotated"]()
         pts = (_observers(terrain, seed=5) * 2)[:count]
         assert len(pts) == count
         _assert_scan_matches_reference(terrain, pts)
 
-    def test_windows_hold_every_covering_edge(self, scan_terrain):
-        lanes = _PointLanes(scan_terrain)
+    def test_non_finite_ordinates_scan_every_edge(self):
+        # An edge with an infinite ordinate makes the span infinite:
+        # every window is all the edges, and an observer at that
+        # ordinate is covered by it.
+        base = fractal_terrain(size=5, seed=34)
+        verts = list(base.vertices)
+        v = verts[0]
+        verts[0] = Point3(v.x, math.inf, v.z)
+        terrain = Terrain(verts, base.faces)
+        for engine in ("numpy", "python"):
+            assert not math.isfinite(_PointLanes(terrain, engine).span)
+        pts = _NON_FINITE + [(v.x - 1.0, math.inf, v.z - 1.0), (0.0, 2.0, 0.5)]
+        _assert_scan_matches_reference(terrain, pts)
+
+    def test_empty_terrain_sees_everything(self):
+        terrain = Terrain([Point3(0.0, 0.0, 0.0)], [])
+        pts = [(1.0, 0.0, -5.0), (math.nan, math.nan, math.nan)]
+        assert [point_visible(terrain, p) for p in pts] == [True, True]
+        _assert_scan_matches_reference(terrain, pts)
+
+    @pytest.mark.parametrize("engine", ["numpy", "python"])
+    def test_windows_hold_every_covering_edge(self, scan_terrain, engine):
+        lanes = _PointLanes(scan_terrain, engine)
+        rows = lanes.rows
         ys = sorted({v.y for v in scan_terrain.vertices})
         rng = random.Random(3)
-        probe = ys + [rng.uniform(ys[0], ys[-1]) for _ in range(50)]
-        lo, hi = lanes.windows(np.array(probe))
-        y1, y2 = lanes.lanes[1], lanes.lanes[3]
-        for py, a, b in zip(probe, lo, hi):
-            covering = np.flatnonzero((y1 <= py) & (py <= y2))
-            assert covering.size == 0 or (a <= covering.min() and covering.max() < b)
+        for py in ys + [rng.uniform(ys[0], ys[-1]) for _ in range(50)]:
+            lo, hi = lanes.window(py)
+            covering = [i for i, r in enumerate(rows) if r[1] <= py <= r[3]]
+            assert not covering or (lo <= covering[0] and covering[-1] < hi)
 
     def test_long_edges_widen_the_windows(self):
         # The far hull sites' edges span ~200 of the ~420 y-units, so a
         # window reaches back across nearly the whole dense cluster.
         terrain = _long_edge_tin()
-        lanes = _PointLanes(terrain)
+        lanes = _PointLanes(terrain, "numpy")
         assert lanes.span > 200.0
-        lo, hi = lanes.windows(np.array([v.y for v in terrain.vertices]))
-        assert (hi - lo).max() >= 0.9 * terrain.n_edges
+        widths = [hi - lo for lo, hi in map(lanes.window, (v.y for v in terrain.vertices))]
+        assert max(widths) >= 0.9 * terrain.n_edges
 
     def test_lanes_gather_the_segment_fields(self, scan_terrain):
-        lanes = _PointLanes(scan_terrain)
-        got = sorted(map(tuple, lanes.lanes.T.tolist()))
+        lanes = _PointLanes(scan_terrain, "numpy")
+        block = lanes.block
+        assert block.dtype == np.float64 and block.flags.c_contiguous
+        assert block.shape == (8, scan_terrain.n_edges)
         want = []
         for e in range(scan_terrain.n_edges):
             m = scan_terrain.map_segment(e)
             s = scan_terrain.image_segment(e)
             want.append((m.x1, m.y1, m.x2, m.y2, s.y1, s.z1, s.y2, s.z2))
-        assert got == sorted(want)
-        assert list(lanes.lanes[1]) == sorted(lanes.lanes[1])
+        assert sorted(map(tuple, block.T.tolist())) == sorted(want)
+        assert list(block[1]) == sorted(block[1])
+        # The segment-built lanes of the python engine: the same
+        # columns in the same (stable) order, bit for bit.
+        built = _PointLanes(scan_terrain, "python")
+        assert built.block is None
+        assert np.array(built.rows).tobytes() == block.T.tobytes()
+        assert np.array(lanes.rows).tobytes() == block.T.tobytes()
+        assert built.span == lanes.span
+
+
+@pytest.mark.skipif(not _ccore.HAVE_CCORE, reason="compiled core not built")
+class TestPointScanDispatch:
+    """Which path answers a batch, and how the ``point_scan`` guard site
+    degrades it."""
+
+    @pytest.fixture(autouse=True)
+    def _clean_state(self):
+        fi.clear()
+        guard.reset_ambient()
+        yield
+        fi.clear()
+        guard.reset_ambient()
+
+    @pytest.fixture
+    def case(self, monkeypatch):
+        terrain = _SCAN_TERRAINS["fractal-rotated"]()
+        pts = _observers(terrain, seed=9)
+        calls = []
+        real_core = _ccore.points_visible
+        monkeypatch.setattr(
+            _ccore, "points_visible", lambda *a: calls.append("core") or real_core(*a)
+        )
+        real_ref = queries._scan_reference
+        monkeypatch.setattr(
+            queries,
+            "_scan_reference",
+            lambda *a: calls.append("reference") or real_ref(*a),
+        )
+        want = [point_visible(terrain, p) for p in pts]
+        return terrain, pts, want, calls
+
+    def test_one_core_call_per_batch(self, case):
+        terrain, pts, want, calls = case
+        session = ViewshedSession(terrain, config=CORE, cache=EnvelopeCache())
+        assert session.points_visible(pts) == want
+        assert session.points_visible(pts[:3]) == want[:3]
+        assert calls == ["core", "core"]
+
+    @pytest.mark.parametrize("config", [NO_CORE, PYTHON], ids=["no-core", "python"])
+    def test_reference_answers_without_the_core(self, case, config):
+        terrain, pts, want, calls = case
+        assert visible_many(terrain, pts, config=config) == want
+        assert calls == ["reference"]
+
+    def test_raise_plan_answers_on_the_reference(self, case):
+        terrain, pts, want, calls = case
+        session = ViewshedSession(terrain, config=CORE, cache=EnvelopeCache())
+        with guard.reliability_run() as report:
+            with fi.inject("point_scan", "raise") as plan:
+                got = session.points_visible(pts)
+        assert got == want
+        assert plan.fired == 1
+        assert calls == ["reference"]  # tripped before the C call
+        rec = report.sites["point_scan"]
+        assert rec.count == 1 and not rec.quarantined
+
+    def test_repeat_plan_quarantines_and_stays_exact(self, case):
+        terrain, pts, want, calls = case
+        session = ViewshedSession(terrain, config=CORE, cache=EnvelopeCache())
+        batches = guard.FAULT_THRESHOLD + 2
+        with guard.reliability_run() as report:
+            with fi.inject("point_scan", "raise", repeat=True) as plan:
+                answers = [session.points_visible(pts) for _ in range(batches)]
+        assert all(got == want for got in answers)
+        assert plan.fired == guard.FAULT_THRESHOLD
+        assert calls == ["reference"] * batches
+        assert report.sites["point_scan"].quarantined
 
 
 _FUZZ_TERRAINS = {name: make() for name, make in _SCAN_TERRAINS.items()}

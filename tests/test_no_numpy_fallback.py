@@ -136,3 +136,68 @@ class TestPurePythonPipeline:
         )
         assert rc == 0
         assert '"k"' in capsys.readouterr().out
+
+
+def random_tin(seed: int, sites: int = 40) -> Terrain:
+    """A Delaunay TIN over random sites, built without numpy."""
+    import random
+
+    from repro.geometry.primitives import Point2
+    from repro.terrain.triangulate import bowyer_watson
+
+    rng = random.Random(seed)
+    xy = [(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(sites)]
+    faces = bowyer_watson([Point2(x, y) for x, y in xy])
+    return Terrain([Point3(x, y, rng.uniform(0.0, 4.0)) for x, y in xy], faces)
+
+
+class TestPointScanReference:
+    """The windowed observer scan on segment-built lanes — the path
+    ``visible_many`` and ``points_visible`` take on this leg — answers
+    ``point_visible``'s flags; with numpy the default engine's path
+    (the compiled call when the core is built) is checked too."""
+
+    def _observers(self, terrain, seed):
+        import math
+        import random
+
+        rng = random.Random(seed)
+        out = [
+            (rng.uniform(-1, 11), rng.uniform(-1, 11), rng.uniform(-1, 6))
+            for _ in range(60)
+        ]
+        for v in terrain.vertices:
+            out += [(v.x, v.y, v.z), (v.x - 0.5, v.y, v.z - 1e-9)]
+        out += [
+            (math.nan, 5.0, 1.0),
+            (5.0, math.nan, 1.0),
+            (5.0, 5.0, math.nan),
+            (5.0, math.inf, 0.0),
+            (-math.inf, 5.0, 0.0),
+        ]
+        return out
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_point_visible(self, seed):
+        from repro.config import HsrConfig
+        from repro.hsr.queries import (
+            _PointLanes,
+            _scan_reference,
+            as_observer,
+            point_visible,
+            visible_many,
+        )
+        from repro.service import EnvelopeCache, ViewshedSession
+
+        terrain = random_tin(seed)
+        pts = self._observers(terrain, seed)
+        want = [point_visible(terrain, p) for p in pts]
+        assert any(want) and not all(want)
+        lanes = _PointLanes(terrain, "python")
+        eps = HsrConfig().eps
+        assert _scan_reference(lanes, [as_observer(p) for p in pts], eps) == want
+        for config in (None, HsrConfig(engine="python")):
+            assert visible_many(terrain, pts, config=config) == want
+            session = ViewshedSession(terrain, config=config, cache=EnvelopeCache())
+            assert session.points_visible(pts) == want
+            assert session.points_visible(pts[::-1]) == want[::-1]

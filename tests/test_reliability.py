@@ -403,6 +403,20 @@ def _run_persistent():
     ParallelHSR(mode="persistent", engine="numpy").run(_valley())
 
 
+def _observers(terrain):
+    """Observers at and just above each vertex: some hidden, some seen."""
+    return [(v.x, v.y, v.z + dz) for v in terrain.vertices for dz in (0.0, 0.5)]
+
+
+def _run_points():
+    from repro.hsr.queries import visible_many
+
+    if not _ccore.HAVE_CCORE:
+        pytest.skip("compiled core not built")
+    terrain = _fractal()
+    visible_many(terrain, _observers(terrain), config=CORE)
+
+
 #: One production path per injection site.  ``profile`` is the
 #: detection-only tick (``nan`` plans only; it raises by contract).
 _SITE_PATHS = {
@@ -412,6 +426,7 @@ _SITE_PATHS = {
     "pct_merge": ("raise", _run_direct),
     "phase2_merge": ("raise", _run_direct),
     "rope_splice": ("raise", _run_persistent),
+    "point_scan": ("raise", _run_points),
     "profile": ("nan", _run_sequential),
 }
 
@@ -456,6 +471,17 @@ def _two_runs(terrain, mode):
     return lambda config: [run(config), run(config)]
 
 
+def _points_signature(config):
+    """Two observer batches on one session: a batch trips
+    ``point_scan`` once, so the second one meets an ``nth=2`` plan."""
+    from repro.service import EnvelopeCache, ViewshedSession
+
+    terrain = _fractal()
+    session = ViewshedSession(terrain, config=config, cache=EnvelopeCache())
+    pts = _observers(terrain)
+    return [session.points_visible(pts[::2]), session.points_visible(pts[1::2])]
+
+
 NUMPY = HsrConfig(engine="numpy")
 
 #: One production path per ``raise``-capable site, with the config
@@ -467,6 +493,7 @@ _RAISE_PATHS = {
     "pct_merge": (_two_runs(_valley, "direct"), CORE),
     "phase2_merge": (_two_runs(_valley, "direct"), CORE),
     "rope_splice": (_hsr_signature(_valley, "persistent"), NUMPY),
+    "point_scan": (_points_signature, CORE),
 }
 
 
