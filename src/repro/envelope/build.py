@@ -23,6 +23,11 @@ charge sequence from the merges' ``ops``.  Otherwise — no core,
 call — the reference recursion runs as written.  Both give the same
 envelope, crossings (in the recursion's post-order), ``ops``, work and
 depth.
+
+:func:`build_envelope_block` runs the same dispatch for a caller that
+wants only the envelope, as a ``(5, n)`` block: the compiled call's
+root profile, with no :class:`~repro.envelope.merge.Crossing` built
+and no tracker.  The viewshed service opens its sessions with it.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from repro.geometry.primitives import EPS
 from repro.geometry.segments import ImageSegment
 from repro.pram.tracker import PramTracker
 
-__all__ = ["build_envelope", "build_envelope_sequential"]
+__all__ = ["build_envelope", "build_envelope_block", "build_envelope_sequential"]
 
 
 def _merge_depth(ops: int) -> float:
@@ -77,7 +82,6 @@ def build_envelope(
     charges twice.
     """
     from repro.config import HsrConfig
-    from repro.envelope import _ccore
     from repro.reliability import guard as _guard
 
     cfg = HsrConfig.resolve(config, engine=engine, eps=eps)
@@ -87,9 +91,7 @@ def build_envelope(
         segs = segments if segments is not None else _lane_segments(lanes)
         return _build_envelope_python(segs, tracker=tracker, eps=eps)
 
-    if cfg.resolved_engine() != "numpy" or not _ccore.compiled_enabled(
-        cfg, "build_sweep"
-    ):
+    if not _compiles(cfg):
         return reference()
     if lanes is None:
         import numpy as np
@@ -99,6 +101,45 @@ def build_envelope(
         lanes = tuple(map(np.asarray, segment_lanes(segments)))
     return _guard.guarded_call(
         "build_sweep", lambda: _build_compiled(lanes, tracker, eps), reference
+    )
+
+
+def build_envelope_block(lanes, *, config: Optional["HsrConfig"] = None):
+    """The envelope of :func:`build_envelope` over the image ``lanes``
+    as a ``(5, n)`` block (the
+    :func:`~repro.envelope.flat_visibility.envelope_block` layout),
+    without the crossings.
+
+    The same dispatch as :func:`build_envelope`: one compiled call
+    under guard site ``build_sweep`` on the numpy engine with the core
+    on, whose root profile is the block; otherwise, or on a fault, the
+    reference recursion, packed.  Both give the same block bit for
+    bit.  The viewshed service opens its sessions with it.
+    """
+    from repro.config import HsrConfig
+    from repro.envelope.flat_visibility import envelope_block
+    from repro.reliability import guard as _guard
+
+    cfg = HsrConfig.resolve(config)
+
+    def reference():
+        segs = _lane_segments(lanes)
+        env = _build_envelope_python(segs, tracker=None, eps=cfg.eps).envelope
+        return envelope_block(env)
+
+    if not _compiles(cfg):
+        return reference()
+    return _guard.guarded_call(
+        "build_sweep", lambda: _build_core(lanes, cfg.eps)[0], reference
+    )
+
+
+def _compiles(cfg) -> bool:
+    """Whether a build under ``cfg`` tries the compiled call."""
+    from repro.envelope import _ccore
+
+    return cfg.resolved_engine() == "numpy" and _ccore.compiled_enabled(
+        cfg, "build_sweep"
     )
 
 
@@ -148,36 +189,50 @@ def _build_envelope_python(
     return MergeResult(env, crossings, total_ops)
 
 
-def _build_compiled(
-    lanes, tracker: Optional[PramTracker], eps: float
-) -> MergeResult:
-    """The recursion in one compiled call.
+def _build_core(lanes, eps: float):
+    """The recursion in one compiled call: ``(blk, x, ops, m)``, the
+    root profile as a ``(5, n)`` block, the crossings as a ``(4, k)``
+    ``y, z | front, back`` block, the merges' ``ops`` and the number of
+    segments built.
 
     Verticals are dropped first, as the reference does, so ``m`` and
     the recursion shape match it.  The call walks the recursion depth
     first, so its crossings and its merges' ``ops`` come in the
-    reference's post-order, which the tracker replay reads in sequence.
+    reference's post-order.
     """
     import numpy as np
 
     from repro.envelope import _ccore
-    from repro.hsr.pct import block_view
 
     keep = lanes[0] != lanes[2]
     if not keep.all():
         lanes = tuple(lane[keep] for lane in lanes)
     m = len(lanes[4])
     if m == 0:
-        return MergeResult(Envelope.empty(), [], 0)
+        return np.empty((5, 0)), np.empty((4, 0)), np.empty(0, np.int64), 0
     with _ccore.borrowed() as core:
         ops = _ccore.envelope_build(core, lanes, eps)
         blk = core.take(_ccore.L_PROF)
         x = core.take(_ccore.L_XING)
+    return blk, x, ops, m
+
+
+def _build_compiled(
+    lanes, tracker: Optional[PramTracker], eps: float
+) -> MergeResult:
+    """:func:`_build_core` as a :class:`MergeResult`: the crossings
+    converted to :class:`Crossing` tuples, and the tracker replaying
+    the recursion's charges from the merges' ``ops`` in sequence."""
+    import numpy as np
+
+    from repro.hsr.pct import block_view
+
+    blk, x, ops, m = _build_core(lanes, eps)
     env = block_view(blk, 0, blk.shape[1]).to_envelope()
     y, z = x[:2].tolist()
     front, back = x[2:].view(np.int64).tolist()
     crossings = list(map(Crossing._make, zip(y, z, front, back)))
-    if tracker is not None:
+    if tracker is not None and m:
         merge_ops = iter(ops.tolist())
 
         def replay(lo: int, hi: int) -> None:

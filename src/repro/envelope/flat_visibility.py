@@ -17,12 +17,19 @@ including the ``_visible_vertical`` point-query degeneracies.
 ``tests/test_envelope_flat_visibility.py`` fuzzes both paths against
 it.
 
+:class:`FlatVisibility` holds the answers as flat lanes plus each
+query's part and crossing counts (the kernel's own rows).
+:meth:`FlatVisibility.results` builds every record in bulk: one
+``tolist`` per lane, the tuples made by ``map``, and each query's lists
+cut out by slicing at the running sums of the counts.
+
 Role: the kernel of the service's ``query_batch`` (many sight lines
 against one horizon) and of the ``visibility`` bench rows.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -51,20 +58,21 @@ class FlatVisibility(NamedTuple):
     """Batched visibility results, held as flat arrays.
 
     ``part_*`` rows are the maximal visible sub-intervals of every
-    query, sorted by ``(query, y)``; ``cross_*`` rows are the
-    visibility-change points, likewise sorted.  ``ops`` is the
-    per-query elementary-interval count (the PRAM work charge of the
-    scan, identical to the scalar kernel's).  Use :meth:`result_of` /
+    query, in ``(query, y)`` order; ``cross_*`` rows are the
+    visibility-change points, likewise ordered.  ``n_parts`` /
+    ``n_cross`` count each query's rows, and ``ops`` is the per-query
+    elementary-interval count (the PRAM work charge of the scan,
+    identical to the scalar kernel's).  Use :meth:`result_of` /
     :meth:`results` to materialise scalar-API
     :class:`~repro.envelope.visibility.VisibilityResult` records.
     """
 
-    part_query: np.ndarray
     part_ya: np.ndarray
     part_yb: np.ndarray
-    cross_query: np.ndarray
     cross_y: np.ndarray
     cross_z: np.ndarray
+    n_parts: np.ndarray
+    n_cross: np.ndarray
     ops: np.ndarray
 
     @property
@@ -73,10 +81,10 @@ class FlatVisibility(NamedTuple):
 
     def result_of(self, q: int) -> VisibilityResult:
         """The scalar-API result of query ``q``."""
-        plo = int(np.searchsorted(self.part_query, q, side="left"))
-        phi = int(np.searchsorted(self.part_query, q, side="right"))
-        clo = int(np.searchsorted(self.cross_query, q, side="left"))
-        chi = int(np.searchsorted(self.cross_query, q, side="right"))
+        plo = int(self.n_parts[:q].sum())
+        phi = plo + int(self.n_parts[q])
+        clo = int(self.n_cross[:q].sum())
+        chi = clo + int(self.n_cross[q])
         parts = list(
             map(
                 VisiblePart._make,
@@ -95,32 +103,33 @@ class FlatVisibility(NamedTuple):
         return VisibilityResult(parts, crossings, int(self.ops[q]))
 
     def results(self) -> list[VisibilityResult]:
-        """All queries' results, materialised in one pass."""
-        q = len(self.ops)
-        pq = self.part_query
-        cq = self.cross_query
-        p_bounds = np.searchsorted(pq, np.arange(q + 1))
-        c_bounds = np.searchsorted(cq, np.arange(q + 1))
-        pya = self.part_ya.tolist()
-        pyb = self.part_yb.tolist()
-        cy = self.cross_y.tolist()
-        cz = self.cross_z.tolist()
-        ops = self.ops.tolist()
-        out = []
-        for i in range(q):
-            plo, phi = int(p_bounds[i]), int(p_bounds[i + 1])
-            clo, chi = int(c_bounds[i]), int(c_bounds[i + 1])
-            out.append(
-                VisibilityResult(
-                    [
-                        VisiblePart(pya[j], pyb[j])
-                        for j in range(plo, phi)
-                    ],
-                    [(cy[j], cz[j]) for j in range(clo, chi)],
-                    ops[i],
-                )
+        """All queries' results, built in bulk: one ``tolist`` per
+        lane, then each query's lists cut out by slicing."""
+        parts = list(
+            map(
+                tuple.__new__,
+                repeat(VisiblePart),
+                zip(self.part_ya.tolist(), self.part_yb.tolist()),
             )
-        return out
+        )
+        crossings = list(zip(self.cross_y.tolist(), self.cross_z.tolist()))
+        return list(
+            map(
+                tuple.__new__,
+                repeat(VisibilityResult),
+                zip(
+                    _cut(parts, self.n_parts),
+                    _cut(crossings, self.n_cross),
+                    self.ops.tolist(),
+                ),
+            )
+        )
+
+
+def _cut(items: list, counts: np.ndarray):
+    """``items`` cut into consecutive lists of ``counts[i]`` items."""
+    ends = np.cumsum(counts).tolist()
+    return map(items.__getitem__, map(slice, [0, *ends[:-1]], ends))
 
 
 def envelope_block(env: Union[FlatEnvelope, Envelope, np.ndarray]) -> np.ndarray:
@@ -146,7 +155,8 @@ def batch_visible_parts(
     ``env`` is the envelope every query is tested against: an
     :class:`Envelope`, a :class:`FlatEnvelope` or an
     :func:`envelope_block`.  ``segments`` is a sequence of
-    :class:`ImageSegment` or a prebuilt ``(Q, 5)`` float64 matrix.
+    :class:`ImageSegment` or a prebuilt ``(Q, 4)`` or ``(Q, 5)``
+    float64 matrix whose first four columns are ``y1, z1, y2, z2``.
     ``config`` (:class:`repro.config.HsrConfig`) can switch the
     compiled core off.
 
@@ -164,7 +174,7 @@ def batch_visible_parts(
     if nq == 0:
         e_f = np.empty(0, _F)
         e_i = np.empty(0, _I)
-        return FlatVisibility(e_i, e_f, e_f, e_i, e_f, e_f, e_i)
+        return FlatVisibility(e_f, e_f, e_f, e_f, e_i, e_i, e_i)
     if _ccore.compiled_enabled(config, "phase2_merge"):
         blk = envelope_block(env)
         q = mat[:, :4].T.copy()
@@ -173,9 +183,9 @@ def batch_visible_parts(
 
             def kernel():
                 ops, n_parts, n_cross = _ccore.query_batch(core, blk, lanes, eps).T
-                return _assemble(
-                    ops, n_parts, core.take(_ccore.L_PARTS),
-                    n_cross, core.take(_ccore.L_VX),
+                return FlatVisibility(
+                    *core.take(_ccore.L_PARTS), *core.take(_ccore.L_VX),
+                    n_parts, n_cross, ops,
                 )
 
             out = _guard.guarded_call("phase2_merge", kernel, lambda: None)
@@ -195,19 +205,9 @@ def _reference(env, mat: np.ndarray, eps: float) -> FlatVisibility:
     ]
     parts = np.array([p for r in res for p in r.parts], _F).reshape(-1, 2)
     cross = np.array([c for r in res for c in r.crossings], _F).reshape(-1, 2)
-    return _assemble(
-        np.array([r.ops for r in res], _I),
-        [len(r.parts) for r in res], parts.T,
-        [len(r.crossings) for r in res], cross.T,
-    )
-
-
-def _assemble(ops, n_parts, parts, n_cross, cross) -> FlatVisibility:
-    """A :class:`FlatVisibility` from per-query ``ops`` and part and
-    crossing counts, and the ``(2, n)`` part and crossing rows in query
-    order."""
-    q = np.arange(len(ops), dtype=_I)
     return FlatVisibility(
-        np.repeat(q, n_parts), parts[0], parts[1],
-        np.repeat(q, n_cross), cross[0], cross[1], ops,
+        *parts.T, *cross.T,
+        np.array([len(r.parts) for r in res], _I),
+        np.array([len(r.crossings) for r in res], _I),
+        np.array([r.ops for r in res], _I),
     )

@@ -37,6 +37,7 @@ __all__ = [
     "segments_for",
     "terrain_for",
     "observers_for",
+    "sightlines_for",
     "dem_terrain_for",
     "flyover_terrains",
     "config_of",
@@ -203,6 +204,22 @@ def observers_for(terrain, params: dict[str, Any]) -> list[tuple]:
         (rng.uniform(x0, x1), rng.uniform(y0, y1), rng.uniform(z0, z1))
         for _ in range(int(params.get("points", 32)))
     ]
+
+
+def sightlines_for(terrain, params: dict[str, Any]) -> list[tuple]:
+    """``queries`` seeded image-plane sight lines ``(y1, z1, y2, z2)``
+    across the terrain's y bounds and height range (the ``sightlines``
+    op), so the answers mix hidden, partly and fully visible."""
+    rng = random.Random(int(params.get("seed", 0)))
+    _x0, y0, _x1, y1 = terrain.xy_bounds()
+    z0, z1 = terrain.height_range()
+    span = y1 - y0
+    out = []
+    for _ in range(int(params.get("queries", 256))):
+        ya = rng.uniform(y0, y1)
+        yb = min(y1, ya + rng.uniform(0.02, 0.3) * span)
+        out.append((ya, rng.uniform(z0, z1), yb, rng.uniform(z0, z1)))
+    return out
 
 
 def dem_terrain_for(params: dict[str, Any]):
@@ -476,6 +493,39 @@ def bench_callables(
         fns = {
             label: (lambda c=c: visible_many(terrain, observers, config=c))
             for label, c in configs.items()
+        }
+    elif op == "open":
+        from repro.service import EnvelopeCache, ViewshedSession
+
+        terrain = terrain_for(params)
+        m = terrain.n_edges
+
+        def open_session(c):
+            # A private cache: every open is a miss (fingerprint + build).
+            return ViewshedSession(terrain, config=c, cache=EnvelopeCache()).envelope()
+
+        env_size = open_session(configs[var_cfg["id"]]).size
+        fns = {
+            label: (lambda c=c: open_session(c)) for label, c in configs.items()
+        }
+    elif op == "sightlines":
+        from repro.service import EnvelopeCache, ViewshedSession
+
+        terrain = terrain_for(params)
+        queries = sightlines_for(terrain, params)
+        m = terrain.n_edges
+        sessions = {
+            label: ViewshedSession(terrain, config=c, cache=EnvelopeCache())
+            for label, c in configs.items()
+        }
+        for session in sessions.values():
+            session.envelope()  # opened before the clock, as a server does
+        env_size = sum(
+            len(r.parts) for r in sessions[var_cfg["id"]].query_batch(queries)
+        )
+        fns = {
+            label: (lambda s=s: s.query_batch(queries))
+            for label, s in sessions.items()
         }
     else:  # pragma: no cover - spec validation rejects unknown ops
         raise ScenarioError(f"unknown bench op {op!r}")

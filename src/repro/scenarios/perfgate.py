@@ -9,9 +9,12 @@ the ratio is the machine-robust signal — it only collapses when the
 variant config genuinely regressed relative to its baseline.
 
 A fresh ratio more than ``tolerance`` (default 15%) below the
-recorded one fails the gate (exit 1 via the CLI).  A missing baseline
-row or malformed spec is a configuration error, not a regression —
-:class:`~repro.errors.ScenarioError`, exit 2.
+recorded one fails the gate (exit 1 via the CLI), and so does a run
+that gated no row at all (every pinned scenario skipped, e.g. all of
+them need the compiled core and it is not built): it would pass
+without having timed anything, and its canary could not fail.  A
+missing baseline row or malformed spec is a configuration error, not a
+regression — :class:`~repro.errors.ScenarioError`, exit 2.
 
 ``canary=True`` deliberately injects a ~1x "slowdown" by timing the
 baseline config against itself in the variant slot; CI runs this leg
@@ -65,7 +68,9 @@ class GateReport:
 
     @property
     def passed(self) -> bool:
-        return all(r.ok for r in self.rows)
+        """Every gated row holds its floor — and at least one row was
+        gated: a run that skipped them all proves nothing."""
+        return bool(self.rows) and all(r.ok for r in self.rows)
 
     @property
     def failures(self) -> list[GateRow]:
@@ -97,6 +102,8 @@ class GateReport:
                 "  skip   %s — needs the compiled core"
                 " (not built on this install)" % name
             )
+        if not self.rows:
+            lines.append("  nothing gated on this install")
         lines.append(
             "verdict: %s" % ("PASS" if self.passed else "FAIL")
         )

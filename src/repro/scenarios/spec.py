@@ -34,7 +34,8 @@ Schema (see ``docs/SCENARIOS.md`` for the narrative version)::
           "fixed":    {"<param>": value, ...},          # optional
           "configs":  [{"id": "...", <HsrConfig field>: ...}, ...],
           "op":       "build" | "insert" | "run" | "parallel"
-                      | "flyover" | "points",            # bench
+                      | "flyover" | "points" | "open"
+                      | "sightlines",                    # bench
           "pinned":   [<m or n_edges level>, ...],      # perf gate
           "requires_ccore": true,                       # optional
         }
@@ -69,7 +70,9 @@ DEFAULT_SPEC_RESOURCE = "default_scenarios.json"
 
 _WORKLOADS = frozenset({"terrain", "segments", "dem-file", "flyover"})
 _ROLES = frozenset({"parity", "bench"})
-_OPS = frozenset({"build", "insert", "run", "parallel", "flyover", "points"})
+_OPS = frozenset(
+    {"build", "insert", "run", "parallel", "flyover", "points", "open", "sightlines"}
+)
 _SCENARIO_KEYS = frozenset(
     {
         "workload",

@@ -3,13 +3,18 @@
 A :class:`ViewshedSession` binds one terrain to one
 :class:`~repro.config.HsrConfig` and answers visibility queries
 against the terrain's upper profile (the horizon envelope).  The
-envelope is built once — by :func:`repro.envelope.build.build_envelope`
-from the terrain's image lanes (one compiled call when the core is
-built) — and cached in a process-wide
+horizon is built once and cached in a process-wide
 :class:`EnvelopeCache` keyed by *terrain content hash*
 (:func:`terrain_fingerprint`), resolved engine and eps: two sessions
 on equal terrains share one build, and a re-generated but identical
-DEM is a cache hit.
+DEM is a cache hit.  On the numpy engine the build is
+:func:`repro.envelope.build.build_envelope_block` over the terrain's
+image lanes: one compiled call when the core is built, which returns
+the envelope as the ``(5, n)`` block that :meth:`query_batch` scans,
+with no crossings made.  The cache holds that block next to the
+:class:`~repro.envelope.chain.Envelope` read off it, so no batch
+re-packs the envelope.  The python engine builds the envelope with
+:func:`~repro.envelope.build.build_envelope` from image segments.
 
 Query forms:
 
@@ -18,10 +23,16 @@ Query forms:
 * :meth:`ViewshedSession.query_batch` — many segments in **one**
   :func:`~repro.envelope.flat_visibility.batch_visible_parts` call:
   one compiled call when the core is on, the scalar loop otherwise.
-  By the kernel parity contract the coalesced answers are bit-exact
-  with N sequential :meth:`query` calls (``tests/test_service.py``
-  pins this), while the per-query dispatch overhead is paid once —
-  the ``service-qps`` benchmark row measures the resulting throughput
+  An ``(n, 4)`` numeric array or a list of plain 4-sequences becomes
+  the query matrix in one array conversion; any other batch, or one
+  that does not convert, is normalised query by query, so a malformed
+  query raises as in :meth:`query`.  The records are built in bulk
+  (:meth:`~repro.envelope.flat_visibility.FlatVisibility.results`)
+  before the call returns.  By the kernel parity contract the
+  coalesced answers are bit-exact with N sequential :meth:`query`
+  calls (``tests/test_service.py`` pins this for every batch shape),
+  while the per-query dispatch overhead is paid once — the
+  ``service-qps`` benchmark row measures the resulting throughput
   multiple;
 * :meth:`ViewshedSession.point_visible` /
   :meth:`ViewshedSession.points_visible` — observer-point queries
@@ -42,7 +53,7 @@ import hashlib
 import struct
 import threading
 from collections import OrderedDict
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from repro.envelope.chain import Envelope
 from repro.envelope.visibility import VisibilityResult, visible_parts
@@ -50,6 +61,9 @@ from repro.geometry.segments import ImageSegment
 from repro.hsr.queries import Observer, _PointLanes, _scan, as_observer
 from repro.hsr.queries import point_visible as _point_visible
 from repro.terrain.model import Terrain
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 __all__ = [
     "terrain_fingerprint",
@@ -71,6 +85,30 @@ def as_query_segment(seg: QuerySegment) -> ImageSegment:
     return ImageSegment(float(y1), float(z1), float(y2), float(z2), -1)
 
 
+def _query_matrix(segs) -> np.ndarray:
+    """A batch of query specs as a float64 matrix, ``(n, 4)`` or
+    ``(n, 5)``: one array conversion when ``segs`` is an ``(n, 4)``
+    numeric array or a list of plain 4-sequences of numbers, else
+    :func:`as_query_segment` per item, which raises for a malformed
+    query as :meth:`ViewshedSession.query` does."""
+    import numpy as np
+
+    from repro.envelope.flat import _tuples_to_matrix
+
+    if isinstance(segs, (list, tuple, np.ndarray)):
+        try:
+            mat = np.asarray(segs)
+        except (TypeError, ValueError):  # ragged: the per-item path names it
+            mat = None
+        # Only number kinds: numpy would read None as NaN and parse
+        # strings, where float() raises or may differ.
+        if mat is not None and mat.ndim == 2 and mat.shape[1] == 4 and (
+            mat.dtype.kind in "biuf"
+        ):
+            return mat.astype(np.float64, copy=False)
+    return _tuples_to_matrix(list(map(as_query_segment, segs)))
+
+
 def terrain_fingerprint(terrain: Terrain) -> str:
     """Content hash of a terrain (vertices + faces), hex-encoded.
 
@@ -90,7 +128,9 @@ def terrain_fingerprint(terrain: Terrain) -> str:
 
 
 class EnvelopeCache:
-    """Small thread-safe LRU of horizon envelopes.
+    """Small thread-safe LRU of horizons (a session stores its
+    ``(envelope, block)`` pair; the block is ``None`` on the python
+    engine).
 
     Keyed ``(terrain fingerprint, resolved engine, eps)`` — the inputs
     that determine the built envelope bit-for-bit.  The default
@@ -100,7 +140,7 @@ class EnvelopeCache:
 
     def __init__(self, maxsize: int = 16):
         self.maxsize = maxsize
-        self._entries: OrderedDict[tuple, Envelope] = OrderedDict()
+        self._entries: OrderedDict[tuple, tuple] = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -108,19 +148,19 @@ class EnvelopeCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def lookup(self, key: tuple) -> Optional[Envelope]:
+    def lookup(self, key: tuple) -> Optional[tuple]:
         with self._lock:
-            env = self._entries.get(key)
-            if env is None:
+            horizon = self._entries.get(key)
+            if horizon is None:
                 self.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            return env
+            return horizon
 
-    def store(self, key: tuple, env: Envelope) -> None:
+    def store(self, key: tuple, horizon: tuple) -> None:
         with self._lock:
-            self._entries[key] = env
+            self._entries[key] = horizon
             self._entries.move_to_end(key)
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
@@ -160,9 +200,10 @@ class ViewshedSession:
 
     Opening a session computes only the fingerprint.  Each query form
     builds what it scans on first use and keeps it: the horizon
-    envelope (through the cache) for :meth:`query`, its packed block
-    for :meth:`query_batch`, and the terrain's edges as point lanes
-    sorted by low ordinate for :meth:`points_visible`.
+    (through the cache) for :meth:`query` and :meth:`query_batch` —
+    the envelope and, on the numpy engine, its ``(5, n)`` block, built
+    together — and the terrain's edges as point lanes sorted by low
+    ordinate for :meth:`points_visible`.
     """
 
     def __init__(
@@ -178,8 +219,7 @@ class ViewshedSession:
         self.config = HsrConfig.resolve(config)
         self.cache = cache if cache is not None else DEFAULT_CACHE
         self.fingerprint = terrain_fingerprint(terrain)
-        self._envelope: Optional[Envelope] = None
-        self._block = None
+        self._horizon: Optional[tuple] = None
         self._point_lanes: Optional[_PointLanes] = None
         self.stats = {"queries": 0, "batches": 0, "batched_queries": 0}
 
@@ -195,24 +235,34 @@ class ViewshedSession:
 
     def envelope(self) -> Envelope:
         """The terrain's upper profile (built once, cached by content)."""
-        if self._envelope is None:
-            env = self.cache.lookup(self.cache_key)
-            if env is None:
-                from repro.envelope.build import build_envelope
+        return self._load_horizon()[0]
 
-                terrain = self.terrain
-                if self.config.resolved_engine() == "numpy":
-                    res = build_envelope(
-                        None, lanes=terrain.image_lanes(), config=self.config
-                    )
-                else:
-                    res = build_envelope(
-                        terrain.image_segments(), config=self.config
-                    )
-                env = res.envelope
-                self.cache.store(self.cache_key, env)
-            self._envelope = env
-        return self._envelope
+    def _load_horizon(self) -> tuple:
+        """``(envelope, block)``: the horizon and, on the numpy engine,
+        the ``(5, n)`` block that :meth:`query_batch` scans (``None`` on
+        the python engine); built once, cached by content."""
+        if self._horizon is None:
+            horizon = self.cache.lookup(self.cache_key)
+            if horizon is None:
+                horizon = self._build_horizon()
+                self.cache.store(self.cache_key, horizon)
+            self._horizon = horizon
+        return self._horizon
+
+    def _build_horizon(self) -> tuple:
+        """The horizon of a cache miss.  The numpy engine builds the
+        block alone — no crossings — and reads the envelope off it."""
+        from repro.envelope.build import build_envelope, build_envelope_block
+
+        terrain = self.terrain
+        if self.config.resolved_engine() != "numpy":
+            res = build_envelope(terrain.image_segments(), config=self.config)
+            return res.envelope, None
+        from repro.hsr.pct import block_view
+
+        blk = build_envelope_block(terrain.image_lanes(), config=self.config)
+        blk.flags.writeable = False  # shared by every session on the terrain
+        return block_view(blk, 0, blk.shape[1]).to_envelope(), blk
 
     # -- segment queries ----------------------------------------------
 
@@ -224,33 +274,37 @@ class ViewshedSession:
         )
 
     def query_batch(
-        self, segs: Sequence[QuerySegment]
+        self, segs: Union[Sequence[QuerySegment], np.ndarray]
     ) -> list[VisibilityResult]:
         """Visible parts of many query segments, coalesced into one
         :func:`~repro.envelope.flat_visibility.batch_visible_parts`
         call (bit-exact with per-query :meth:`query` calls; the python
-        engine runs the scalar loop)."""
-        segments = [as_query_segment(s) for s in segs]
-        self.stats["batches"] += 1
-        self.stats["batched_queries"] += len(segments)
-        if not segments:
-            return []
+        engine runs the scalar loop).  ``segs`` may also be an
+        ``(n, 4)`` array of ``y1, z1, y2, z2`` rows."""
         if self.config.resolved_engine() != "numpy":
+            segments = [as_query_segment(s) for s in segs]
+            self._count_batch(len(segments))
+            if not segments:
+                return []
             env = self.envelope()
             return [
                 visible_parts(s, env, eps=self.config.eps)
                 for s in segments
             ]
-        from repro.envelope.flat_visibility import (
-            batch_visible_parts,
-            envelope_block,
-        )
+        from repro.envelope.flat_visibility import batch_visible_parts
 
-        if self._block is None:
-            self._block = envelope_block(self.envelope())
+        mat = _query_matrix(segs)
+        self._count_batch(len(mat))
+        if not len(mat):
+            return []
+        block = self._load_horizon()[1]
         return batch_visible_parts(
-            self._block, segments, eps=self.config.eps, config=self.config
+            block, mat, eps=self.config.eps, config=self.config
         ).results()
+
+    def _count_batch(self, n: int) -> None:
+        self.stats["batches"] += 1
+        self.stats["batched_queries"] += n
 
     # -- observer-point queries ---------------------------------------
 
@@ -265,8 +319,7 @@ class ViewshedSession:
         the core is on (numpy engine), else the windowed reference; the
         session builds the y-sorted point lanes on its first call and
         keeps them."""
-        self.stats["batches"] += 1
-        self.stats["batched_queries"] += len(observers)
+        self._count_batch(len(observers))
         points = [as_observer(p) for p in observers]
         if not points:
             return []

@@ -18,7 +18,8 @@ import pytest
 
 from repro.config import HsrConfig
 from repro.envelope import _ccore
-from repro.envelope.build import build_envelope
+from repro.envelope.build import build_envelope, build_envelope_block
+from repro.envelope.flat_visibility import envelope_block
 from repro.envelope.flat_splice import segment_lanes
 from repro.geometry.segments import ImageSegment
 from repro.pram.tracker import PramTracker
@@ -31,6 +32,18 @@ needs_ccore = pytest.mark.skipif(
 )
 
 COMPILED = HsrConfig(engine="numpy", use_compiled_insert=True)
+
+
+@pytest.fixture
+def no_ambient_plan(monkeypatch):
+    """Run without an environment fault plan and with guarded
+    dispatch, so a test can count the compiled calls."""
+    from repro.reliability import faultinject as fi
+    from repro.reliability import guard
+
+    monkeypatch.setattr(fi, "_PLAN", None)
+    monkeypatch.setattr(fi, "ARMED", False)
+    monkeypatch.setattr(guard, "GUARDED_DISPATCH", True)
 
 
 def _eps_ties(m=200, seed=11):
@@ -80,6 +93,7 @@ CASES = {
     "fractal-0": _terrain("fractal", 33),
     "fractal-37": _terrain("fractal", 33, 37.0),
     "fractal-90": _terrain("fractal", 33, 90.0),
+    "fractal-65": _terrain("fractal", 65, 23.0),
     "plateau": _terrain("plateau", 8),
     "constant_plateau": _terrain("constant_plateau", 8),
     "lattice_plateau": _terrain("lattice_plateau", 8),
@@ -105,6 +119,12 @@ CASES = {
 
 def _sig(res):
     return res.envelope.pieces, res.crossings, res.ops
+
+
+def _bits(res):
+    """A build's pieces, crossings and ops by ``repr``: ``-0.0`` and
+    NaN tell apart, as ``==`` does not."""
+    return repr(_sig(res))
 
 
 def _inputs(case):
@@ -160,3 +180,65 @@ def test_reference_runs_without_the_core(config, monkeypatch):
     got = build_envelope(None, lanes=lanes, config=config)
     assert not calls
     assert _sig(got) == _sig(build_envelope(segs, engine="python"))
+
+
+@needs_ccore
+def test_fractal_65_build_is_bit_identical():
+    """A viewshed-sized horizon: the compiled build's crossings, ``ops``
+    and tracker work and depth are the reference recursion's, bit for
+    bit, from segments and from lanes."""
+    segs, lanes = _inputs("fractal-65")
+    tr = PramTracker()
+    ref = build_envelope(segs, engine="python", tracker=tr)
+    assert len(ref.crossings) > 500
+    for got_segs in (True, False):
+        tg = PramTracker()
+        got = (
+            build_envelope(segs, config=COMPILED, tracker=tg)
+            if got_segs
+            else build_envelope(None, lanes=lanes, config=COMPILED, tracker=tg)
+        )
+        assert _bits(got) == _bits(ref)
+        assert (tg.work, tg.depth) == (tr.work, tr.depth)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [COMPILED, HsrConfig(engine="numpy", use_compiled_insert=False)],
+    ids=["core", "core-off"],
+)
+@pytest.mark.parametrize("case", [c for c in CASES if c != "e9-65537"])
+def test_block_build_matches_the_envelope(case, config, monkeypatch, no_ambient_plan):
+    """``build_envelope_block`` is the envelope of ``build_envelope``
+    packed, byte for byte, with one compiled call when the core is on
+    (none when no segment is left) and none when it is off."""
+    if config.use_compiled_insert and not _ccore.HAVE_CCORE:
+        pytest.skip("optional compiled core not built in this environment")
+    segs, lanes = _inputs(case)
+    calls = []
+    real = _ccore.envelope_build
+    monkeypatch.setattr(
+        _ccore, "envelope_build", lambda *a: calls.append(1) or real(*a)
+    )
+    blk = build_envelope_block(lanes, config=config)
+    want = envelope_block(build_envelope(segs, engine="python").envelope)
+    assert blk.shape == want.shape and blk.tobytes() == want.tobytes()
+    live = any(not s.is_vertical for s in segs)
+    assert len(calls) == (1 if config.use_compiled_insert and live else 0)
+
+
+@needs_ccore
+def test_block_build_fault_reruns_the_reference(no_ambient_plan):
+    """A ``build_sweep`` raise plan trips the block build's one call,
+    which reruns on the reference and gives the same block."""
+    from repro.reliability import faultinject as fi
+    from repro.reliability import guard
+
+    _, lanes = _inputs("fractal-37")
+    want = build_envelope_block(lanes, config=COMPILED)
+    with guard.reliability_run() as report:
+        with fi.inject("build_sweep", "raise", nth=1) as plan:
+            got = build_envelope_block(lanes, config=COMPILED)
+    assert plan.fired == 1
+    assert report.sites["build_sweep"].count == 1
+    assert got.tobytes() == want.tobytes()

@@ -153,7 +153,7 @@ class TestBatchParity:
 
     def test_empty_queries(self, config):
         res = batch_visible_parts(Envelope.empty(), [], config=config)
-        assert res.n_queries == 0 and len(res.part_query) == 0
+        assert res.n_queries == 0 and len(res.part_ya) == len(res.n_parts) == 0
 
     def test_single_query_wrapper(self, config, rng):
         segs = random_image_segments(rng, 40)

@@ -329,10 +329,63 @@ class TestPerfGate:
             baseline=self._baseline(tmp_path, 1e6),
             repeats=1,
         )
-        assert report.passed
         assert not report.rows
         assert report.skipped == ["gate-demo"]
         assert "skip" in report.format()
+
+    @pytest.mark.parametrize("canary", [False, True])
+    def test_gate_that_gated_nothing_fails(self, tmp_path, monkeypatch, canary):
+        # Every pinned row skipped: the run timed nothing, so it must
+        # not read PASS (and a canary run must still fail).
+        import repro.scenarios.perfgate as perfgate_mod
+
+        monkeypatch.setattr(perfgate_mod, "_have_ccore", lambda: False)
+        report = run_perf_gate(
+            _mini_bench_spec(requires_ccore=True),
+            baseline=self._baseline(tmp_path, 0.01),
+            repeats=1,
+            canary=canary,
+        )
+        assert not report.passed
+        text = report.format()
+        assert "nothing gated on this install" in text
+        assert text.endswith("verdict: FAIL")
+
+    def test_cli_gate_that_gated_nothing_exits_1(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import repro.scenarios.perfgate as perfgate_mod
+        from repro.cli import main
+
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "format": "repro-scenarios",
+                    "scenarios": {
+                        "gate-demo": {
+                            "workload": "segments",
+                            "roles": ["bench"],
+                            "op": "insert",
+                            "requires_ccore": True,
+                            "cross": {"family": ["e9"], "m": [48], "seed": [17]},
+                            "pinned": [48],
+                            "configs": [
+                                {"id": "python", "engine": "python"},
+                                {"id": "numpy", "engine": "numpy"},
+                            ],
+                        }
+                    },
+                }
+            )
+        )
+        monkeypatch.setattr(perfgate_mod, "_have_ccore", lambda: False)
+        argv = ["perf-gate", "--repeats", "1", "--spec", str(spec)]
+        baseline = str(self._baseline(tmp_path, 0.01))
+        assert main(argv + ["--baseline", baseline]) == 1
+        out = capsys.readouterr().out
+        assert "nothing gated on this install" in out
+        assert "verdict: FAIL" in out
 
     def test_default_spec_pinned_rows_recorded(self):
         # The shipped BENCH_envelope.json must contain every pinned

@@ -100,6 +100,8 @@ class TestDefaultSpec:
             "bench-paper-direct",
             "bench-paper-persistent",
             "bench-points",
+            "bench-open",
+            "bench-sightlines",
         }
         for s, inst in pinned:
             assert inst.factor("m", inst.factor("size")) in s.pinned

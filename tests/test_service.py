@@ -126,10 +126,6 @@ class TestSessionQueries:
         for a, b in zip(py.query_batch(segs), npx.query_batch(segs)):
             assert a.parts == b.parts
 
-    def test_empty_batch(self, terrain):
-        session = ViewshedSession(terrain, cache=EnvelopeCache())
-        assert session.query_batch([]) == []
-
     @pytest.mark.parametrize(
         "config,calls",
         [(None, [1, 1]), (HsrConfig(use_compiled_insert=False), [])],
@@ -237,6 +233,153 @@ class TestSessionQueries:
         second = session.points_visible(pts[::-1])
         assert built == [(terrain, engine)]
         assert second == first[::-1]
+
+
+_CORE_ON = HsrConfig(use_compiled_insert=True)
+
+#: The configs a batch shape is checked under: the compiled core, the
+#: numpy engine with the core off, and the python engine.
+_BATCH_CONFIGS = [
+    pytest.param(None, id="core"),
+    pytest.param(HsrConfig(use_compiled_insert=False), id="core-off"),
+    pytest.param(HsrConfig(engine="python"), id="python"),
+]
+
+
+def _batch_shapes(specs):
+    """The query batch shapes :meth:`ViewshedSession.query_batch`
+    accepts, each holding ``specs``."""
+    segments = [as_query_segment(s) for s in specs]
+    return {
+        "tuples": list(specs),
+        "segments": segments,
+        "mixed": [
+            (seg if i % 3 == 0 else list(spec) if i % 3 == 1 else tuple(spec))
+            for i, (spec, seg) in enumerate(zip(specs, segments))
+        ],
+        "array": np.array(specs, dtype=np.float64),
+    }
+
+
+class TestQueryBatchShapes:
+    """Every batch shape gives the records of per-query :meth:`query`
+    calls, by ``repr`` (so ``-0.0`` and the record types count), and a
+    malformed batch raises what a per-query normalisation raises."""
+
+    @pytest.fixture
+    def specs(self):
+        specs = _query_segments(_fractal(), count=48)
+        # Integer ordinates, a signed zero and a degenerate probe.
+        specs[5] = tuple(int(round(v)) for v in specs[5])
+        specs[7] = (specs[7][0], -0.0, specs[7][2], 0.0)
+        specs[9] = (specs[9][0], 1.0, specs[9][0], 3.0)
+        return specs
+
+    @pytest.mark.parametrize("config", _BATCH_CONFIGS)
+    @pytest.mark.parametrize("shape", ["tuples", "segments", "mixed", "array"])
+    def test_shape_matches_per_query(self, specs, shape, config):
+        session = ViewshedSession(_fractal(), config=config, cache=EnvelopeCache())
+        want = [repr(session.query(s)) for s in specs]
+        got = session.query_batch(_batch_shapes(specs)[shape])
+        assert [repr(r) for r in got] == want
+        assert session.stats["batched_queries"] == len(specs)
+
+    @pytest.mark.parametrize("config", _BATCH_CONFIGS)
+    @pytest.mark.parametrize(
+        "batch", [[], (), np.empty((0, 4))], ids=["list", "tuple", "array"]
+    )
+    def test_empty_batch(self, batch, config):
+        cache = EnvelopeCache()
+        session = ViewshedSession(_fractal(), config=config, cache=cache)
+        assert session.query_batch(batch) == []
+        assert session.stats["batches"] == 1
+        assert cache.stats()["misses"] == 0  # nothing built for nothing
+
+    @pytest.mark.parametrize("config", _BATCH_CONFIGS)
+    @pytest.mark.parametrize(
+        "bad,exc",
+        [
+            ((0.0, 1.0, 2.0), ValueError),
+            (None, TypeError),
+            (("oops", 0.0, 1.0, 0.0), ValueError),
+            ((0.0, None, 1.0, 0.0), TypeError),
+            ((0.0, 1.0, 2.0, 3.0, 4.0), ValueError),
+        ],
+        ids=["three", "none", "string", "none-ordinate", "five"],
+    )
+    def test_malformed_batch_raises(self, specs, bad, exc, config):
+        session = ViewshedSession(_fractal(), config=config, cache=EnvelopeCache())
+        with pytest.raises(exc):
+            as_query_segment(bad)
+        for batch in ([bad] * 4, specs[:3] + [bad] + specs[3:]):
+            with pytest.raises(exc):
+                session.query_batch(batch)
+        assert session.stats["batches"] == 0
+
+    @pytest.mark.parametrize("config", _BATCH_CONFIGS)
+    def test_all_malformed_rows_of_an_array_raise(self, config):
+        session = ViewshedSession(_fractal(), config=config, cache=EnvelopeCache())
+        with pytest.raises(ValueError):
+            session.query_batch(np.zeros((4, 3)))
+
+
+class TestHorizonBlock:
+    """A numpy-engine session builds its horizon as the ``(5, n)``
+    block alone (no crossings) and answers batches against it."""
+
+    @needs_ccore
+    def test_open_makes_one_build_call_and_batches_reuse_its_block(
+        self, monkeypatch, no_ambient_plan
+    ):
+        from repro.envelope import flat_visibility
+
+        calls = []
+        real = _ccore.envelope_build
+        monkeypatch.setattr(
+            _ccore, "envelope_build", lambda *a: calls.append(1) or real(*a)
+        )
+        session = ViewshedSession(_fractal(), config=_CORE_ON, cache=EnvelopeCache())
+        session.envelope()
+        assert len(calls) == 1
+        packed = []
+        real_pack = flat_visibility.envelope_block
+        monkeypatch.setattr(
+            flat_visibility,
+            "envelope_block",
+            lambda env: packed.append(type(env)) or real_pack(env),
+        )
+        session.query_batch(_query_segments(_fractal(), count=8))
+        assert packed == [np.ndarray]  # the kept block, not a re-pack
+
+    @needs_ccore
+    def test_build_fault_reruns_the_reference(self, no_ambient_plan):
+        from repro.envelope.build import build_envelope
+
+        terrain = _fractal()
+        specs = _query_segments(terrain)
+        want_env = build_envelope(terrain.image_segments(), engine="python")
+        want = ViewshedSession(
+            terrain, config=_CORE_ON, cache=EnvelopeCache()
+        ).query_batch(specs)
+        session = ViewshedSession(terrain, config=_CORE_ON, cache=EnvelopeCache())
+        with guard.reliability_run() as report:
+            with fi.inject("build_sweep", "raise", nth=1) as plan:
+                env = session.envelope()
+        assert plan.fired == 1
+        assert report.sites["build_sweep"].count == 1
+        assert repr(env.pieces) == repr(want_env.envelope.pieces)
+        assert repr(session.query_batch(specs)) == repr(want)
+
+    @pytest.mark.parametrize("config", _BATCH_CONFIGS)
+    def test_cache_hit_answers_as_the_build(self, config):
+        cache = EnvelopeCache()
+        specs = _query_segments(_fractal())
+        built = ViewshedSession(_fractal(), config=config, cache=cache)
+        want = repr(built.query_batch(specs))
+        hit = ViewshedSession(_fractal(), config=config, cache=cache)
+        assert repr(hit.query_batch(specs)) == want
+        assert repr(hit.envelope().pieces) == repr(built.envelope().pieces)
+        assert cache.stats() == {"entries": 1, "hits": 1, "misses": 1}
 
 
 class TestVisibleManyParity:
